@@ -498,6 +498,15 @@ func BenchmarkTsdbWorkload(b *testing.B) { benchrun.TsdbWorkload(b) }
 // overhead gate (budget: within 5% of BenchmarkTsdbWorkload).
 func BenchmarkTsdbWorkloadScraped(b *testing.B) { benchrun.TsdbWorkloadScraped(b) }
 
+// BenchmarkKBInferCARound is one Customer Agent's round-2 inference on the
+// knowledge base alone (see benchrun.KBInferCARound); allocs/op is the tracked
+// quantity.
+func BenchmarkKBInferCARound(b *testing.B) { benchrun.KBInferCARound(b) }
+
+// BenchmarkCAReact is one customer's share of a two-round session: agent
+// construction plus both Reacts (see benchrun.CAReact).
+func BenchmarkCAReact(b *testing.B) { benchrun.CAReact(b) }
+
 // BenchmarkTelemetryIngest measures the live metering hot path: a fleet of
 // meters publishing batched readings over one in-process bus into the
 // collector agent, per-tick. The reported readings/s metric is the sustained

@@ -82,6 +82,16 @@ var absoluteBudgets = map[string]float64{
 	"log_event_disabled": 25,
 }
 
+// allocBudgets are ceilings on allocations per operation. A count does not
+// depend on the machine, so it is gated absolutely, with room for a runtime
+// upgrade to move it a little: one customer's round-2 inference measured 18
+// (352 before the fact store was hash-indexed), one customer's two-round
+// session 167 (2605 before).
+var allocBudgets = map[string]int64{
+	"kb_infer_ca_round": 30,
+	"ca_react":          250,
+}
+
 func main() {
 	var (
 		out       = flag.String("out", "BENCH_gridd.json", "trajectory file to append this run to")
@@ -208,7 +218,8 @@ func pairedTraced(plain string) string {
 	return ""
 }
 
-// checkAbsoluteBudgets gates the floors that carry a fixed ns/op ceiling.
+// checkAbsoluteBudgets gates the floors that carry a fixed ns/op or allocs/op
+// ceiling.
 func checkAbsoluteBudgets(rec Run) []string {
 	var failures []string
 	for name, budget := range absoluteBudgets {
@@ -219,6 +230,16 @@ func checkAbsoluteBudgets(rec Run) []string {
 		fmt.Printf("benchrec: %s: %.1f ns/op (absolute budget %.0f ns/op)\n", name, r.NsPerOp, budget)
 		if r.NsPerOp > budget {
 			failures = append(failures, fmt.Sprintf("%s is %.1f ns/op, over its absolute budget of %.0f ns/op", name, r.NsPerOp, budget))
+		}
+	}
+	for name, budget := range allocBudgets {
+		r, ok := rec.Results[name]
+		if !ok {
+			continue
+		}
+		fmt.Printf("benchrec: %s: %d allocs/op (absolute budget %d)\n", name, r.AllocsPerOp, budget)
+		if r.AllocsPerOp > budget {
+			failures = append(failures, fmt.Sprintf("%s allocates %d times per op, over its absolute budget of %d", name, r.AllocsPerOp, budget))
 		}
 	}
 	return failures

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"loadbalance/internal/health"
 	"loadbalance/internal/obsplane"
 	"loadbalance/internal/trace"
 )
@@ -493,15 +494,22 @@ func TestSigquitFlightRecorder(t *testing.T) {
 
 	frDir := filepath.Join(dir, "flightrec")
 	deadline := time.Now().Add(10 * time.Second)
+	// health.Bundles lists published bundles only: the recorder stages a
+	// bundle as .tmp-<name> (which also contains "-sigquit-") and renames it
+	// once every file is written.
 	var bundle string
-	for bundle == "" {
-		entries, err := os.ReadDir(frDir)
-		if err == nil {
-			for _, e := range entries {
-				if e.IsDir() && strings.Contains(e.Name(), "-sigquit-") {
-					bundle = filepath.Join(frDir, e.Name())
-				}
+	for {
+		bundles, err := health.Bundles(frDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bundles {
+			if strings.Contains(filepath.Base(b), "-sigquit-") {
+				bundle = b
 			}
+		}
+		if bundle != "" {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no sigquit bundle under %s", frDir)

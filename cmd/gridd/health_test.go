@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"loadbalance/internal/health"
 	"loadbalance/internal/trace"
 )
 
@@ -235,18 +236,18 @@ func TestOverloadDrill(t *testing.T) {
 	// The firing transition must have produced a flight-recorder bundle
 	// holding the slowest session's spans and the alert-firing log event.
 	frDir := filepath.Join(dataDir, "flightrec")
-	entries, err := os.ReadDir(frDir)
+	bundles, err := health.Bundles(frDir)
 	if err != nil {
 		t.Fatalf("flightrec dir: %v", err)
 	}
 	var bundle string
-	for _, e := range entries {
-		if e.IsDir() && strings.Contains(e.Name(), "-alert-") {
-			bundle = filepath.Join(frDir, e.Name())
+	for _, b := range bundles {
+		if strings.Contains(filepath.Base(b), "-alert-") {
+			bundle = b
 		}
 	}
 	if bundle == "" {
-		t.Fatalf("no alert bundle under %s (entries %v)", frDir, entries)
+		t.Fatalf("no alert bundle under %s (bundles %v)", frDir, bundles)
 	}
 	traceData, err := os.ReadFile(filepath.Join(bundle, "trace.json"))
 	if err != nil {

@@ -12,11 +12,24 @@ import (
 // responded to announcements", Section 5.1.4) and maintenance of world
 // information (weather, consumption). Both are kb stores so agent knowledge
 // stays declarative and inspectable.
+//
+// The stores are the declarative mirror; the Model answers its own questions
+// from typed counters beside them. Peers answer concurrently, so AgentInfo is
+// fed in arrival order: reading rates back out of it would cost a scan per
+// bid and fold floats in an order that differs from run to run.
 type Model struct {
 	ont       *kb.Ontology
 	AgentInfo *kb.Store
 	WorldInfo *kb.Store
+
+	responses map[string]responseCount
+	overall   responseCount
+	world     map[string]float64
 }
+
+// responseCount is how often a peer answered, and how often positively.
+// Counts are whole numbers held as float64, the type the mirrored fact holds.
+type responseCount struct{ positive, total float64 }
 
 // Predicates maintained by the model.
 const (
@@ -41,6 +54,8 @@ func NewModel() (*Model, error) {
 		ont:       ont,
 		AgentInfo: kb.NewStore(ont),
 		WorldInfo: kb.NewStore(ont),
+		responses: make(map[string]responseCount),
+		world:     make(map[string]float64),
 	}, nil
 }
 
@@ -48,62 +63,52 @@ func NewModel() (*Model, error) {
 // answered an announcement positively. This feeds the UA's prediction that
 // "normally about 70% of the Customer Agents will respond positively".
 func (m *Model) RecordResponse(peer string, positive bool) error {
-	pos, total := m.responseCounts(peer)
-	m.AgentInfo.Retract(kb.A(predResponses, kb.S(peer), kb.N(pos), kb.N(total)))
+	c := m.responses[peer]
+	m.AgentInfo.Retract(responsesFact(peer, c))
 	if positive {
-		pos++
+		c.positive++
+		m.overall.positive++
 	}
-	total++
-	return m.AgentInfo.Assert(kb.A(predResponses, kb.S(peer), kb.N(pos), kb.N(total)), kb.True)
+	c.total++
+	m.overall.total++
+	m.responses[peer] = c
+	return m.AgentInfo.Assert(responsesFact(peer, c), kb.True)
 }
 
-// responseCounts reads the current (positive, total) pair for a peer.
-func (m *Model) responseCounts(peer string) (pos, total float64) {
-	matches := m.AgentInfo.Query(kb.A(predResponses, kb.S(peer), kb.V("P"), kb.V("T")))
-	if len(matches) == 0 {
-		return 0, 0
-	}
-	return matches[0].Args[1].Num, matches[0].Args[2].Num
+func responsesFact(peer string, c responseCount) kb.Atom {
+	return kb.A(predResponses, kb.S(peer), kb.N(c.positive), kb.N(c.total))
 }
 
 // ResponseRate returns the observed positive-response rate for a peer and
 // whether any observation exists.
 func (m *Model) ResponseRate(peer string) (float64, bool) {
-	pos, total := m.responseCounts(peer)
-	if total == 0 {
-		return 0, false
-	}
-	return pos / total, true
+	return m.responses[peer].rate()
 }
 
 // OverallResponseRate aggregates response statistics over all peers.
 func (m *Model) OverallResponseRate() (float64, bool) {
-	matches := m.AgentInfo.Query(kb.A(predResponses, kb.V("A"), kb.V("P"), kb.V("T")))
-	var pos, total float64
-	for _, a := range matches {
-		pos += a.Args[1].Num
-		total += a.Args[2].Num
-	}
-	if total == 0 {
+	return m.overall.rate()
+}
+
+func (c responseCount) rate() (float64, bool) {
+	if c.total == 0 {
 		return 0, false
 	}
-	return pos / total, true
+	return c.positive / c.total, true
 }
 
 // SetWorldValue records a named observation about the external world
 // (e.g. "temperature_c", "predicted_use_kwh").
 func (m *Model) SetWorldValue(topic string, value float64) error {
-	for _, a := range m.WorldInfo.Query(kb.A(predWorldVal, kb.S(topic), kb.V("V"))) {
-		m.WorldInfo.Retract(a)
+	if old, ok := m.world[topic]; ok {
+		m.WorldInfo.Retract(kb.A(predWorldVal, kb.S(topic), kb.N(old)))
 	}
+	m.world[topic] = value
 	return m.WorldInfo.Assert(kb.A(predWorldVal, kb.S(topic), kb.N(value)), kb.True)
 }
 
 // WorldValue reads a named world observation.
 func (m *Model) WorldValue(topic string) (float64, bool) {
-	matches := m.WorldInfo.Query(kb.A(predWorldVal, kb.S(topic), kb.V("V")))
-	if len(matches) == 0 {
-		return 0, false
-	}
-	return matches[0].Args[1].Num, true
+	v, ok := m.world[topic]
+	return v, ok
 }

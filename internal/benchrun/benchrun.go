@@ -23,7 +23,9 @@ import (
 	"time"
 
 	"loadbalance/internal/bus"
+	"loadbalance/internal/customeragent"
 	"loadbalance/internal/health"
+	"loadbalance/internal/kb"
 	"loadbalance/internal/message"
 	"loadbalance/internal/obsplane"
 	"loadbalance/internal/protocol"
@@ -74,6 +76,8 @@ func Defs() []Def {
 		{"tsdb_range_query", TsdbRangeQuery},
 		{"tsdb_workload", TsdbWorkload},
 		{"tsdb_workload_scraped", TsdbWorkloadScraped},
+		{"kb_infer_ca_round", KBInferCARound},
+		{"ca_react", CAReact},
 	}
 }
 
@@ -495,6 +499,101 @@ func TsdbWorkload(b *testing.B) { tsdbWorkloadBody(b, false) }
 // TsdbWorkloadScraped is TsdbWorkload with a live history scraper
 // snapshotting the registry — the overhead gate for metrics history.
 func TsdbWorkloadScraped(b *testing.B) { tsdbWorkloadBody(b, true) }
+
+// elasticCustomer is a customer whose requirements stay finite through all
+// ten standard cut-down levels (the live fleet's shape), and the tables of a
+// two-round negotiation: the standard table and one concession step up.
+func elasticCustomer(b *testing.B) (customeragent.Preferences, [2]protocol.Table) {
+	b.Helper()
+	first, err := protocol.StandardTable(42.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	required := make(map[float64]float64, len(first.Entries))
+	for i, l := range first.Levels() {
+		required[l] = float64(i*(i+7)) / 2 // 0, 4, 9, 15, 22, 30, 39, 49, 60, 72
+	}
+	prefs, err := customeragent.NewPreferences(first.Levels(), required)
+	if err != nil {
+		b.Fatal(err)
+	}
+	second, _ := first.Update(0.35, protocol.Params{Beta: 1.85, MaxRewardSlope: 125, Epsilon: 1, AllowedOveruseRatio: 0.13})
+	return prefs.WithExpectedUse(13.5), [2]protocol.Table{first, second}
+}
+
+// KBInferCARound measures the inference one Customer Agent runs in the second
+// round of a negotiation, on the knowledge base alone: ten required_reward
+// facts, the announced_reward facts of two ten-entry tables, the one
+// acceptability rule. Each iteration clones the store (as a reasoning
+// component refills its working state) and runs Engine.Infer to its fixpoint.
+// Allocations per operation are the tracked quantity.
+func KBInferCARound(b *testing.B) {
+	prefs, tables := elasticCustomer(b)
+	base, err := kb.NewBase("acceptability", kb.Rule{
+		Name: "acceptable_if_offer_clears_requirement",
+		If: []kb.Literal{
+			kb.Pos(kb.A("required_reward", kb.V("Cut"), kb.V("Req"))),
+			kb.Pos(kb.A("announced_reward", kb.V("Cut"), kb.V("Off"))),
+		},
+		Guards: []kb.Guard{{Op: kb.OpGeq, Left: kb.V("Off"), Right: kb.V("Req")}},
+		Then:   []kb.Atom{kb.A("acceptable_cutdown", kb.V("Cut"))},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := kb.NewStore(nil)
+	for _, l := range prefs.Levels {
+		if err := store.AssertTrue(kb.A("required_reward", kb.N(l), kb.N(prefs.RequiredFor(l)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, t := range tables {
+		for _, e := range t.Entries {
+			if err := store.AssertTrue(kb.A("announced_reward", kb.N(e.CutDown), kb.N(e.Reward))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	engine := kb.NewEngine(base)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		derived, err := engine.Infer(store.Clone())
+		if err != nil || len(derived) == 0 {
+			b.Fatalf("Infer derived %d facts: %v", len(derived), err)
+		}
+	}
+}
+
+// CAReact measures what one customer costs a two-round session: constructing
+// the Customer Agent and its React to the round-1 and the round-2 table, from
+// envelope decode to bid, through the DESIRE composition and the kb.
+func CAReact(b *testing.B) {
+	prefs, tables := elasticCustomer(b)
+	start := time.Unix(1700000000, 0)
+	window := units.Interval{Start: start, End: start.Add(2 * time.Hour)}
+	var envs [2]message.Envelope
+	for i, t := range tables {
+		env, err := message.NewEnvelope("ua", "", "s", t.Message(window, i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		envs[i] = env
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ca, err := customeragent.New("c", prefs, customeragent.StrategyGreedy)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, env := range envs {
+			if _, ok, err := ca.React(env); err != nil || !ok {
+				b.Fatalf("React: reply %v, %v", ok, err)
+			}
+		}
+	}
+}
 
 // Lookup returns the named def.
 func Lookup(name string) (Def, error) {

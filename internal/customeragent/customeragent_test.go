@@ -497,3 +497,45 @@ func TestDecisionRespectsFeasibilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReactAllocationBudget holds the Customer Agent's per-announcement cost
+// to its budget: a React to a round-2 table of ten entries — envelope decode,
+// DESIRE composition, inference, bid — allocates at most 200 times (938 when
+// every Match re-keyed, sorted and copied the store; about 40 since).
+func TestReactAllocationBudget(t *testing.T) {
+	prefs := paperCustomer(t)
+	var envs [2]message.Envelope
+	for i, slope := range []float64{42.5, 62} {
+		env, err := message.NewEnvelope("ua", "c1", "s", linearTable(i+1, slope))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs[i] = env
+	}
+	// AllocsPerRun calls the function once to warm up, then runs+1 times in
+	// all: every call needs a fresh agent that has seen round 1.
+	const runs = 20
+	agents := make([]*Agent, runs+1)
+	for i := range agents {
+		a, err := New("c1", prefs, StrategyGreedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.React(envs[0]); err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = a
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		reply, ok, err := agents[next].React(envs[1])
+		next++
+		if bid, isBid := reply.(message.CutDownBid); err != nil || !ok || !isBid || bid.CutDown != 0.4 {
+			t.Errorf("round-2 React = %v, %v, %v; want a 0.4 bid", reply, ok, err)
+		}
+	})
+	if got > 200 {
+		t.Fatalf("round-2 React allocates %v times, budget 200", got)
+	}
+	t.Logf("round-2 React allocates %v times", got)
+}

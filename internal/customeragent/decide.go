@@ -63,19 +63,29 @@ const (
 	predAcceptable = "acceptable_cutdown"
 )
 
-// newDecider builds the decision composition for one customer.
-func newDecider(prefs Preferences) (*decider, error) {
+// The decision ontology and the acceptability knowledge base are the same
+// for every customer: they are built once and shared, read-only. Only the
+// composition and its information states are per customer.
+var (
+	decisionOnt  = mustDecisionOntology()
+	decisionBase = mustDecisionBase()
+)
+
+func mustDecisionOntology() *kb.Ontology {
 	ont := kb.NewOntology()
-	steps := []error{
+	for _, err := range []error{
 		ont.DeclarePred(predRequired, kb.SortNumber, kb.SortNumber),
 		ont.DeclarePred(predAnnounced, kb.SortNumber, kb.SortNumber),
 		ont.DeclarePred(predAcceptable, kb.SortNumber),
-	}
-	for _, err := range steps {
+	} {
 		if err != nil {
-			return nil, fmt.Errorf("customeragent: ontology: %w", err)
+			panic(fmt.Sprintf("customeragent: decision ontology: %v", err))
 		}
 	}
+	return ont
+}
+
+func mustDecisionBase() *kb.Base {
 	base, err := kb.NewBase("acceptability", kb.Rule{
 		Name: "acceptable_if_offer_clears_requirement",
 		If: []kb.Literal{
@@ -86,11 +96,15 @@ func newDecider(prefs Preferences) (*decider, error) {
 		Then:   []kb.Atom{kb.A(predAcceptable, kb.V("Cut"))},
 	})
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("customeragent: decision rule base: %v", err))
 	}
+	return base
+}
 
-	comp := desire.NewComposed("determine_bid", ont, 0)
-	reason := desire.NewReasoning("determine_acceptability", ont, base, predAcceptable)
+// newDecider builds the decision composition for one customer.
+func newDecider(prefs Preferences) (*decider, error) {
+	comp := desire.NewComposed("determine_bid", decisionOnt, 0)
+	reason := desire.NewReasoning("determine_acceptability", decisionOnt, decisionBase, predAcceptable)
 	if err := comp.AddChild(reason); err != nil {
 		return nil, err
 	}
@@ -147,12 +161,13 @@ func (d *decider) acceptableLevels(table message.RewardTable) ([]float64, error)
 	if _, err := d.comp.Activate(); err != nil {
 		return nil, err
 	}
-	var out []float64
-	for _, f := range d.comp.Output().Facts() {
+	out := make([]float64, 0, d.comp.Output().Len())
+	_ = d.comp.Output().Each(func(f kb.Fact) error { // the callback returns no error
 		if f.Atom.Pred == predAcceptable && f.Truth == kb.True {
 			out = append(out, f.Atom.Args[0].Num)
 		}
-	}
+		return nil
+	})
 	sortFloats(out)
 	return out, nil
 }

@@ -76,6 +76,25 @@ type Reasoning struct {
 	work     *kb.Store
 	engine   *kb.Engine
 	outPreds map[string]bool
+	done     settled
+}
+
+// settled remembers the versions two stores had when a step that reads src
+// and writes dst last ran to completion. While both still read the same, the
+// step would copy what it copied and derive what it derived: it is skipped.
+type settled struct {
+	ok       bool
+	src, dst uint64
+}
+
+// holds reports whether neither store has changed since the last mark.
+func (m settled) holds(src, dst *kb.Store) bool {
+	return m.ok && m.src == src.Version() && m.dst == dst.Version()
+}
+
+// mark records the stores' versions at the end of a successful run.
+func (m *settled) mark(src, dst *kb.Store) {
+	*m = settled{ok: true, src: src.Version(), dst: dst.Version()}
 }
 
 // NewReasoning constructs a reasoning component. outPreds lists the
@@ -106,13 +125,16 @@ func (r *Reasoning) Input() *kb.Store { return r.input }
 func (r *Reasoning) Output() *kb.Store { return r.output }
 
 // Activate copies the input facts into the working state, runs the knowledge
-// base to a fixpoint, and publishes derived facts for output predicates.
+// base to a fixpoint, and publishes derived facts for output predicates. It
+// does nothing, and reports no change, while input and output are what the
+// previous activation left.
 func (r *Reasoning) Activate() (bool, error) {
+	if r.done.holds(r.input, r.output) {
+		return false, nil
+	}
 	r.work.Clear()
-	for _, f := range r.input.Facts() {
-		if err := r.work.Assert(f.Atom, f.Truth); err != nil {
-			return false, fmt.Errorf("component %q: %w", r.name, err)
-		}
+	if err := r.input.Each(func(f kb.Fact) error { return r.work.Assert(f.Atom, f.Truth) }); err != nil {
+		return false, fmt.Errorf("component %q: %w", r.name, err)
 	}
 	derived, err := r.engine.Infer(r.work)
 	if err != nil {
@@ -131,6 +153,7 @@ func (r *Reasoning) Activate() (bool, error) {
 		}
 		changed = true
 	}
+	r.done.mark(r.input, r.output)
 	return changed, nil
 }
 
@@ -215,9 +238,25 @@ type Composed struct {
 	input     *kb.Store
 	output    *kb.Store
 	children  map[string]Component
-	links     map[string]Link
-	control   []Step
+	links     map[string]*link
+	control   []step
 	maxCycles int
+}
+
+// link is a registered information link: its endpoints resolved to stores
+// and its predicate map indexed, once, when it is added.
+type link struct {
+	name     string
+	src, dst *kb.Store
+	rename   map[string]string // nil when every fact is copied unchanged
+	done     settled
+}
+
+// step is one task-control step resolved to what it activates or transfers;
+// exactly one field is set.
+type step struct {
+	child Component
+	link  *link
 }
 
 // NewComposed constructs a composed component. Task control steps are run in
@@ -232,7 +271,7 @@ func NewComposed(name string, ont *kb.Ontology, maxCycles int) *Composed {
 		input:     kb.NewStore(ont),
 		output:    kb.NewStore(ont),
 		children:  make(map[string]Component),
-		links:     make(map[string]Link),
+		links:     make(map[string]*link),
 		maxCycles: maxCycles,
 	}
 }
@@ -272,35 +311,49 @@ func (c *Composed) AddLink(l Link) error {
 	if _, ok := c.links[l.Name]; ok {
 		return fmt.Errorf("desire: duplicate link %q in %q", l.Name, c.name)
 	}
-	if _, err := c.resolve(l.From, true); err != nil {
+	src, err := c.resolve(l.From, true)
+	if err != nil {
 		return fmt.Errorf("link %q: %w", l.Name, err)
 	}
-	if _, err := c.resolve(l.To, false); err != nil {
+	dst, err := c.resolve(l.To, false)
+	if err != nil {
 		return fmt.Errorf("link %q: %w", l.Name, err)
 	}
-	c.links[l.Name] = l
+	added := &link{name: l.Name, src: src, dst: dst}
+	if len(l.Map) > 0 {
+		added.rename = make(map[string]string, len(l.Map))
+		for _, m := range l.Map {
+			added.rename[m.From] = m.To
+		}
+	}
+	c.links[l.Name] = added
 	return nil
 }
 
 // SetControl installs the task-control sequence after validating every step.
 func (c *Composed) SetControl(steps []Step) error {
+	control := make([]step, 0, len(steps))
 	for i, s := range steps {
 		switch {
 		case s.Activate != "" && s.Transfer != "":
 			return fmt.Errorf("desire: step %d in %q sets both Activate and Transfer", i, c.name)
 		case s.Activate != "":
-			if _, ok := c.children[s.Activate]; !ok {
+			ch, ok := c.children[s.Activate]
+			if !ok {
 				return fmt.Errorf("%w: step %d activates %q", ErrUnknownComponent, i, s.Activate)
 			}
+			control = append(control, step{child: ch})
 		case s.Transfer != "":
-			if _, ok := c.links[s.Transfer]; !ok {
+			l, ok := c.links[s.Transfer]
+			if !ok {
 				return fmt.Errorf("desire: step %d transfers unknown link %q", i, s.Transfer)
 			}
+			control = append(control, step{link: l})
 		default:
 			return fmt.Errorf("desire: step %d in %q is empty", i, c.name)
 		}
 	}
-	c.control = append([]Step(nil), steps...)
+	c.control = control
 	return nil
 }
 
@@ -339,62 +392,57 @@ func (c *Composed) resolve(e Endpoint, asSource bool) (*kb.Store, error) {
 	}
 }
 
-// transfer copies matching facts across a link, reporting change.
-func (c *Composed) transfer(l Link) (bool, error) {
-	src, err := c.resolve(l.From, true)
-	if err != nil {
-		return false, err
-	}
-	dst, err := c.resolve(l.To, false)
-	if err != nil {
-		return false, err
-	}
-	rename := make(map[string]string, len(l.Map))
-	for _, m := range l.Map {
-		rename[m.From] = m.To
+// transfer copies matching facts across a link, reporting change. It does
+// nothing while source and destination are what the previous transfer left.
+func (l *link) transfer() (bool, error) {
+	if l.done.holds(l.src, l.dst) {
+		return false, nil
 	}
 	changed := false
-	for _, f := range src.Facts() {
+	err := l.src.Each(func(f kb.Fact) error {
 		atom := f.Atom
-		if len(rename) > 0 {
-			to, ok := rename[atom.Pred]
+		if l.rename != nil {
+			to, ok := l.rename[atom.Pred]
 			if !ok {
-				continue
+				return nil
 			}
 			atom = kb.Atom{Pred: to, Args: atom.Args}
 		}
-		if dst.TruthOf(atom) == f.Truth {
-			continue
+		if l.dst.TruthOf(atom) == f.Truth {
+			return nil
 		}
-		if err := dst.Assert(atom, f.Truth); err != nil {
-			return changed, fmt.Errorf("link %q: %w", l.Name, err)
+		if err := l.dst.Assert(atom, f.Truth); err != nil {
+			return err
 		}
 		changed = true
+		return nil
+	})
+	if err != nil {
+		return changed, fmt.Errorf("link %q: %w", l.name, err)
 	}
+	l.done.mark(l.src, l.dst)
 	return changed, nil
 }
 
-// Activate runs the task-control sequence to quiescence.
+// Activate runs the task-control sequence to quiescence. The cycle that
+// confirms quiescence costs a version comparison per step: links and
+// reasoning components skip work whose inputs and outputs have not changed.
 func (c *Composed) Activate() (bool, error) {
 	anyChange := false
 	for cycle := 0; cycle < c.maxCycles; cycle++ {
 		changed := false
 		for _, s := range c.control {
-			switch {
-			case s.Activate != "":
-				ch := c.children[s.Activate]
-				did, err := ch.Activate()
-				if err != nil {
-					return anyChange, fmt.Errorf("composed %q: %w", c.name, err)
-				}
-				changed = changed || did
-			case s.Transfer != "":
-				did, err := c.transfer(c.links[s.Transfer])
-				if err != nil {
-					return anyChange, fmt.Errorf("composed %q: %w", c.name, err)
-				}
-				changed = changed || did
+			var did bool
+			var err error
+			if s.child != nil {
+				did, err = s.child.Activate()
+			} else {
+				did, err = s.link.transfer()
 			}
+			if err != nil {
+				return anyChange, fmt.Errorf("composed %q: %w", c.name, err)
+			}
+			changed = changed || did
 		}
 		if !changed {
 			return anyChange, nil

@@ -435,3 +435,81 @@ func TestReasoningPublishesNegativeConclusions(t *testing.T) {
 		t.Fatalf("output = %v, want idle(1)=false", out)
 	}
 }
+
+// TestUnchangedActivationDoesNoWork pins the version-driven skip: a second
+// activation over unchanged input runs neither the knowledge base nor a
+// transfer, a new input fact or an output cleared from outside runs them
+// again. The working state's Version counts the work: every activation that
+// does run clears and refills it.
+func TestUnchangedActivationDoesNoWork(t *testing.T) {
+	o := testOntology(t)
+	reason := NewReasoning("determine_acceptability", o, acceptabilityBase(t), "acceptable")
+	for _, a := range []kb.Atom{
+		kb.A("required", kb.C("c1"), kb.N(0.3), kb.N(10)),
+		kb.A("required", kb.C("c1"), kb.N(0.4), kb.N(21)),
+		kb.A("offered", kb.N(0.3), kb.N(12.75)),
+		kb.A("offered", kb.N(0.4), kb.N(17)),
+	} {
+		if err := reason.Input().AssertTrue(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if changed, err := reason.Activate(); err != nil || !changed {
+		t.Fatalf("first Activate = %v, %v; want a change", changed, err)
+	}
+	inferred := reason.work.Version()
+	if changed, err := reason.Activate(); err != nil || changed {
+		t.Fatalf("second Activate = %v, %v; want no change", changed, err)
+	}
+	if reason.work.Version() != inferred {
+		t.Fatal("activation over unchanged input refilled the working state")
+	}
+
+	// A new input fact re-runs the knowledge base.
+	if err := reason.Input().AssertTrue(kb.A("offered", kb.N(0.4), kb.N(24.8))); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := reason.Activate(); err != nil || !changed {
+		t.Fatalf("Activate after new input = %v, %v; want a change", changed, err)
+	}
+	if !reason.Output().Holds(kb.A("acceptable", kb.C("c1"), kb.N(0.4))) {
+		t.Fatal("new input did not reach the output")
+	}
+
+	// So does an output emptied behind the component's back.
+	reason.Output().Clear()
+	if changed, err := reason.Activate(); err != nil || !changed {
+		t.Fatalf("Activate after external Clear = %v, %v; want a change", changed, err)
+	}
+	if got := reason.Output().Len(); got != 2 {
+		t.Fatalf("output holds %d facts after republication, want 2", got)
+	}
+
+	// The same through a composition: the confirming cycle and a repeated
+	// activation transfer nothing.
+	comp := buildBidComposition(t, o)
+	if _, err := Run(comp, []kb.Fact{
+		{Atom: kb.A("required", kb.C("c1"), kb.N(0.3), kb.N(10)), Truth: kb.True},
+		{Atom: kb.A("announced", kb.N(0.3), kb.N(12.75)), Truth: kb.True},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	child, err := comp.Child("determine_acceptability")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inferred = child.(*Reasoning).work.Version()
+	if changed, err := comp.Activate(); err != nil || changed {
+		t.Fatalf("repeated composed Activate = %v, %v; want no change", changed, err)
+	}
+	if child.(*Reasoning).work.Version() != inferred {
+		t.Fatal("repeated composed activation ran the knowledge base again")
+	}
+	comp.Output().Clear()
+	if changed, err := comp.Activate(); err != nil || !changed {
+		t.Fatalf("composed Activate after external output Clear = %v, %v; want a change", changed, err)
+	}
+	if !comp.Output().Holds(kb.A("chosen", kb.C("c1"), kb.N(0.3))) {
+		t.Fatal("cleared composition output was not republished")
+	}
+}

@@ -1,13 +1,16 @@
 package health
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +100,7 @@ func (r *Recorder) Dump(reason, detail string) (string, error) {
 	now := time.Now()
 	r.seq++
 	name := fmt.Sprintf("%s-%s-%03d", now.UTC().Format("20060102T150405Z"), reason, r.seq)
-	tmp := filepath.Join(r.dir, ".tmp-"+name)
+	tmp := filepath.Join(r.dir, stagingPrefix+name)
 	final := filepath.Join(r.dir, name)
 
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
@@ -278,25 +281,63 @@ func slowestSession(spans []trace.Record) string {
 	return best
 }
 
+// stagingPrefix marks the temp dir a bundle is assembled in before the atomic
+// rename that publishes it.
+const stagingPrefix = ".tmp-"
+
+// scanBundles splits the directories under a bundle root into complete
+// bundles in name order (timestamp to the second, then reason, then sequence
+// number: oldest first but for dumps of different reasons within one second)
+// and staging dirs.
+func scanBundles(dir string) (bundles, staging []string, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range entries {
+		switch {
+		case !e.IsDir():
+		case strings.HasPrefix(e.Name(), stagingPrefix):
+			staging = append(staging, e.Name())
+		default:
+			bundles = append(bundles, e.Name())
+		}
+	}
+	sort.Strings(bundles)
+	return bundles, staging, nil
+}
+
+// Bundles returns the paths of the complete bundles under a flight-recorder
+// root, in the name order pruning uses. A bundle still being staged is not listed: whatever
+// this returns has every file of its layout. A root no dump has created yet
+// lists as empty.
+func Bundles(dir string) ([]string, error) {
+	names, _, err := scanBundles(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("health: flightrec: %w", err)
+	}
+	for i, n := range names {
+		names[i] = filepath.Join(dir, n)
+	}
+	return names, nil
+}
+
+// Bundles lists this recorder's complete bundles; see the package function.
+func (r *Recorder) Bundles() ([]string, error) { return Bundles(r.dir) }
+
 // pruneLocked removes the oldest bundles beyond keep, plus any stale
-// temp dirs from crashed dumps. Bundle names sort chronologically.
+// temp dirs from crashed dumps.
 func (r *Recorder) pruneLocked() {
-	entries, err := os.ReadDir(r.dir)
+	bundles, staging, err := scanBundles(r.dir)
 	if err != nil {
 		return
 	}
-	var bundles []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if len(e.Name()) > 4 && e.Name()[:5] == ".tmp-" {
-			os.RemoveAll(filepath.Join(r.dir, e.Name()))
-			continue
-		}
-		bundles = append(bundles, e.Name())
+	for _, name := range staging {
+		os.RemoveAll(filepath.Join(r.dir, name))
 	}
-	sort.Strings(bundles)
 	for len(bundles) > r.keep {
 		os.RemoveAll(filepath.Join(r.dir, bundles[0]))
 		bundles = bundles[1:]

@@ -198,3 +198,32 @@ func TestResponderServes(t *testing.T) {
 		t.Fatal("Serve did not exit on cancel")
 	}
 }
+
+// TestBundlesSkipsStaging pins what a bundle lister may see: published
+// bundles oldest first, never the .tmp- dir a dump is still assembling —
+// whose name contains the final bundle's name.
+func TestBundlesSkipsStaging(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "flightrec")
+	if got, err := Bundles(dir); err != nil || len(got) != 0 {
+		t.Fatalf("Bundles before any dump = %v, %v; want none", got, err)
+	}
+	r := NewRecorder(dir, 4, newTestLogger(t, Config{MinLevel: Off}))
+	first, err := r.Dump("sigquit", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.Dump("sigquit", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, stagingPrefix+"20990101T000000Z-sigquit-009"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Bundles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != first || got[1] != second {
+		t.Fatalf("Bundles = %v, want [%s %s]", got, first, second)
+	}
+}

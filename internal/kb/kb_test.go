@@ -2,6 +2,11 @@ package kb
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -509,5 +514,509 @@ func mustAssert(t *testing.T, s *Store, a Atom) {
 func mustAssertQ(s *Store, a Atom) {
 	if err := s.Assert(a, True); err != nil {
 		panic(err)
+	}
+}
+
+// refStore is the store this package had before facts were hash-indexed: a
+// map keyed by the atom's key string, Facts sorted by key, Match by scanning
+// all facts and unifying with a binding cloned per variable, Infer evaluating
+// every rule in every pass. It is the oracle the indexed store, the bucketed
+// matcher and the change-driven engine are checked against. seq remembers
+// when each fact was inserted, which the old store did not need to know.
+type refStore struct {
+	facts map[string]Fact
+	seq   map[string]int
+	next  int
+	// cache holds sorted()'s two orders until the next mutation; without it a
+	// rule that joins two large predicates sorts the store once per binding.
+	cache [2][]Fact
+}
+
+func newRefStore() *refStore { return &refStore{facts: map[string]Fact{}, seq: map[string]int{}} }
+
+func (s *refStore) assert(a Atom, tv Truth) error {
+	if !a.IsGround() {
+		return ErrNotGround
+	}
+	k := a.key()
+	s.cache = [2][]Fact{}
+	if tv == Unknown {
+		delete(s.facts, k)
+		delete(s.seq, k)
+		return nil
+	}
+	if _, ok := s.facts[k]; !ok {
+		s.seq[k] = s.next
+		s.next++
+	}
+	s.facts[k] = Fact{Atom: a, Truth: tv}
+	return nil
+}
+
+func (s *refStore) truthOf(a Atom) Truth { return s.facts[a.key()].Truth }
+
+func (s *refStore) clone() *refStore {
+	c := &refStore{facts: map[string]Fact{}, seq: map[string]int{}, next: s.next}
+	for k, f := range s.facts {
+		c.facts[k], c.seq[k] = f, s.seq[k]
+	}
+	return c
+}
+
+// sorted returns the facts ordered by key, or by insertion.
+func (s *refStore) sorted(byInsertion bool) []Fact {
+	slot := &s.cache[0]
+	if byInsertion {
+		slot = &s.cache[1]
+	}
+	if *slot != nil {
+		return *slot
+	}
+	keys := make([]string, 0, len(s.facts))
+	for k := range s.facts {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if byInsertion {
+			return s.seq[keys[i]] < s.seq[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	out := make([]Fact, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, s.facts[k])
+	}
+	*slot = out
+	return out
+}
+
+func refUnify(pattern, ground Term, b Binding) (Binding, bool) {
+	pattern = substitute(pattern, b)
+	if pattern.Kind == KindVar {
+		nb := Binding{pattern.Name: ground}
+		for k, v := range b {
+			nb[k] = v
+		}
+		return nb, true
+	}
+	return b, pattern.Equal(ground)
+}
+
+func (s *refStore) match(pattern Atom, seed Binding, byInsertion bool) []Binding {
+	if seed == nil {
+		seed = Binding{}
+	}
+	var out []Binding
+	for _, f := range s.sorted(byInsertion) {
+		if f.Truth != True || f.Atom.Pred != pattern.Pred || len(f.Atom.Args) != len(pattern.Args) {
+			continue
+		}
+		b, ok := seed, true
+		for i := 0; ok && i < len(pattern.Args); i++ {
+			b, ok = refUnify(pattern.Args[i], f.Atom.Args[i], b)
+		}
+		if ok {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// infer is the old Engine.Infer: every rule, every pass.
+func (s *refStore) infer(rules []Rule) error {
+	for pass := 0; pass < defaultMaxPasses; pass++ {
+		changed := false
+		for _, r := range rules {
+			bindings := []Binding{{}}
+			for _, l := range r.If {
+				var next []Binding
+				for _, b := range bindings {
+					if !l.Negated {
+						next = append(next, s.match(l.Atom, b, false)...)
+					} else if g := SubstituteAtom(l.Atom, b); !g.IsGround() {
+						return ErrNotGround
+					} else if s.truthOf(g) != True {
+						next = append(next, b)
+					}
+				}
+				bindings = next
+			}
+		solutions:
+			for _, b := range bindings {
+				for _, g := range r.Guards {
+					if !g.Eval(b) {
+						continue solutions
+					}
+				}
+				for i, a := range append(append([]Atom(nil), r.Then...), r.ThenFalse...) {
+					tv := True
+					if i >= len(r.Then) {
+						tv = False
+					}
+					g := SubstituteAtom(a, b)
+					switch cur := s.truthOf(g); {
+					case !g.IsGround():
+						return ErrNotGround
+					case cur == Unknown:
+						_ = s.assert(g, tv) // ground: checked above
+						changed = true
+					case cur != tv:
+						return errors.New("conflict")
+					}
+				}
+			}
+		}
+		if !changed {
+			return nil
+		}
+	}
+	return errors.New("no fixpoint")
+}
+
+// opStream decodes store operations from bytes: the seeded test feeds it
+// random bytes, the fuzzer whatever it likes. An exhausted stream reads 0.
+type opStream struct {
+	data []byte
+	pos  int
+}
+
+func (o *opStream) byte() int {
+	if o.pos >= len(o.data) {
+		return 0
+	}
+	o.pos++
+	return int(o.data[o.pos-1])
+}
+
+// Ground terms that stress key equality (one NaN key whatever its payload,
+// -0 and +0 two keys, a constant and a string that print alike) against
+// unification's == (NaN matches nothing, -0 matches +0).
+var termPool = []Term{
+	C("a"), C("b"), S("a"), S(""), N(1), N(2.5), N(0), N(math.Copysign(0, -1)),
+	N(math.NaN()), N(math.Float64frombits(0x7ff8000000000001)), N(math.Inf(1)),
+}
+
+func (o *opStream) ground() Term { return termPool[o.byte()%len(termPool)] }
+
+// pattern draws a term that is a variable three times in eight.
+func (o *opStream) pattern() Term {
+	switch b := o.byte(); b % 8 {
+	case 0, 1:
+		return V("X")
+	case 2:
+		return V("Y")
+	default:
+		return termPool[b/8%len(termPool)]
+	}
+}
+
+// atom draws p, q or r at arity 0 to 2, so one predicate name occurs at
+// several arities.
+func (o *opStream) atom(term func() Term) Atom {
+	b := o.byte()
+	a := Atom{Pred: []string{"p", "q", "r"}[b%3]}
+	for i := 0; i < b/3%3; i++ {
+		a.Args = append(a.Args, term())
+	}
+	return a
+}
+
+// rules draws a small rule base; ok is false when it does not validate.
+func (o *opStream) rules() ([]Rule, bool) {
+	var rules []Rule
+	for n := 1 + o.byte()%3; n > 0; n-- {
+		var r Rule
+		for k := 1 + o.byte()%2; k > 0; k-- {
+			r.If = append(r.If, Literal{Atom: o.atom(o.pattern), Negated: o.byte()%4 == 0})
+		}
+		if o.byte()%3 == 0 {
+			r.Guards = []Guard{{Op: GuardOp(1 + o.byte()%6), Left: o.pattern(), Right: o.pattern()}}
+		}
+		if o.byte()%4 == 0 {
+			r.ThenFalse = []Atom{o.atom(o.pattern)}
+		} else {
+			r.Then = []Atom{o.atom(o.pattern)}
+		}
+		if r.Validate() != nil {
+			return nil, false
+		}
+		rules = append(rules, r)
+	}
+	return rules, true
+}
+
+func factKeys(facts []Fact) []string {
+	out := make([]string, len(facts))
+	for i, f := range facts {
+		out[i] = f.Atom.key() + "=" + f.Truth.String()
+	}
+	return out
+}
+
+func bindingKeys(bs []Binding) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		names := make([]string, 0, len(b))
+		for name := range b {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			out[i] += name + "=" + A("", b[name]).key() + ";"
+		}
+	}
+	return out
+}
+
+func sortedCopy(v []string) []string {
+	out := append([]string(nil), v...)
+	sort.Strings(out)
+	return out
+}
+
+// checkOps drives a Store and the reference through the operations the bytes
+// encode and fails on the first disagreement: truth values, Len, Facts (key
+// order), Each (insertion order), Match and Query (as sets against the old
+// key order, exactly against insertion order), Infer (resulting facts, or an
+// error from both). It returns how many retractions compacted the store.
+func checkOps(t *testing.T, data []byte) (compactions int) {
+	t.Helper()
+	o := &opStream{data: data}
+	st, ref := NewStore(nil), newRefStore()
+	equal := func(what string, got, want []string) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("op %d: %s:\n got %q\nwant %q", o.pos, what, got, want)
+		}
+	}
+	for o.pos < len(o.data) {
+		switch op := o.byte() % 16; op {
+		case 0, 1, 2, 3, 4:
+			a, tv := o.atom(o.ground), []Truth{True, True, True, False, Unknown}[op]
+			if err := st.Assert(a, tv); err != nil {
+				t.Fatalf("op %d: Assert(%s, %s): %v", o.pos, a, tv, err)
+			}
+			_ = ref.assert(a, tv) // ground by construction
+		case 5, 6, 7:
+			a, before := o.atom(o.ground), len(st.entries)
+			st.Retract(a)
+			_ = ref.assert(a, Unknown)
+			if len(st.entries) < before {
+				compactions++
+			}
+		case 8:
+			a := o.atom(o.ground)
+			if got, want := st.TruthOf(a), ref.truthOf(a); got != want {
+				t.Fatalf("op %d: TruthOf(%s) = %s, want %s", o.pos, a, got, want)
+			}
+		case 9, 10:
+			p := o.atom(o.pattern)
+			var seed Binding
+			if o.byte()%3 == 0 {
+				seed = Binding{"X": o.ground()}
+			}
+			got := bindingKeys(st.Match(p, seed))
+			equal(fmt.Sprintf("Match(%s, %v) in insertion order", p, seed), got, bindingKeys(ref.match(p, seed, true)))
+			equal(fmt.Sprintf("Match(%s, %v) as a set", p, seed), sortedCopy(got), sortedCopy(bindingKeys(ref.match(p, seed, false))))
+		case 11:
+			p := o.atom(o.pattern)
+			var want []Fact
+			for _, b := range ref.match(p, nil, true) {
+				want = append(want, Fact{Atom: SubstituteAtom(p, b), Truth: True})
+			}
+			var got []Fact
+			for _, a := range st.Query(p) {
+				got = append(got, Fact{Atom: a, Truth: True})
+			}
+			equal(fmt.Sprintf("Query(%s)", p), factKeys(got), factKeys(want))
+		case 12:
+			if o.byte()%8 == 0 {
+				st.Clear()
+				ref = newRefStore()
+			}
+		case 13:
+			// Go on with the clones; the originals take one more fact, which
+			// the clones must not see.
+			sc, rc := st.Clone(), ref.clone()
+			if err := st.Assert(A("clone_isolation"), True); err != nil {
+				t.Fatal(err)
+			}
+			st, ref = sc, rc
+		case 14:
+			a := o.atom(func() Term { return V("X") })
+			if err := st.Assert(a, True); a.IsGround() == (err != nil) {
+				t.Fatalf("op %d: Assert(%s) = %v", o.pos, a, err)
+			}
+			_ = ref.assert(a, True) // refuses what the store refused
+		case 15:
+			rules, ok := o.rules()
+			if !ok {
+				continue
+			}
+			base, err := NewBase("generated", rules...)
+			if err != nil {
+				t.Fatalf("op %d: NewBase after Validate: %v", o.pos, err)
+			}
+			sc, rc := st.Clone(), ref.clone()
+			derived, gotErr := NewEngine(base).Infer(sc)
+			wantErr := rc.infer(rules)
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("op %d: Infer error = %v, reference error = %v\nrules %v\nfacts %q", o.pos, gotErr, wantErr, rules, factKeys(ref.sorted(true)))
+			}
+			if gotErr != nil {
+				continue // how far each got before the error depends on match order
+			}
+			equal(fmt.Sprintf("facts after Infer of %v", rules), factKeys(sc.Facts()), factKeys(rc.sorted(false)))
+			if len(derived) != sc.Len()-st.Len() {
+				t.Fatalf("op %d: Infer returned %d derived facts, store grew by %d", o.pos, len(derived), sc.Len()-st.Len())
+			}
+			// The reference derived in key order: give its new facts the
+			// places the store gave them.
+			for _, f := range derived {
+				rc.seq[f.Atom.key()] = rc.next
+				rc.next++
+			}
+			st, ref = sc, rc
+		}
+		if got, want := st.Len(), len(ref.facts); got != want {
+			t.Fatalf("op %d: Len = %d, want %d", o.pos, got, want)
+		}
+		if o.pos%16 == 0 {
+			equal("Facts", factKeys(st.Facts()), factKeys(ref.sorted(false)))
+			var each []Fact
+			_ = st.Each(func(f Fact) error { each = append(each, f); return nil })
+			equal("Each", factKeys(each), factKeys(ref.sorted(true)))
+		}
+	}
+	return compactions
+}
+
+// randomOps returns n seeded random operation bytes.
+func randomOps(seed int64, n int) []byte {
+	data := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return data
+}
+
+// TestStoreAgainstReference is the differential test: the indexed store, the
+// bucketed matcher and the change-driven engine against the map-and-sort
+// store they replaced, over seeded random operation sequences.
+func TestStoreAgainstReference(t *testing.T) {
+	compactions := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			compactions += checkOps(t, randomOps(seed, 6000))
+		})
+	}
+	if compactions == 0 {
+		t.Fatal("no sequence retracted enough to compact a store")
+	}
+}
+
+// TestStoreForcedCollisions runs the differential test with every atom on
+// one hash chain under one hash value: only key equality tells facts apart.
+func TestStoreForcedCollisions(t *testing.T) {
+	hashMask = 0
+	t.Cleanup(func() { hashMask = ^uint64(0) })
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkOps(t, randomOps(seed, 3000))
+		})
+	}
+}
+
+// FuzzStoreOps feeds the differential test arbitrary operation bytes; beyond
+// the reference's verdict it checks that no sequence panics.
+func FuzzStoreOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(randomOps(1, 512))
+	f.Add(randomOps(2, 2048))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The reference sorts every fact for every literal it matches: keep
+		// one input to about the seeded test's length.
+		checkOps(t, data[:min(len(data), 8192)])
+	})
+}
+
+// TestStoreAllocationBudgets pins what the hot path may allocate: nothing to
+// re-assert a fact, read a truth value or fail to match.
+func TestStoreAllocationBudgets(t *testing.T) {
+	s := NewStore(domainOntology(t))
+	held := A("required_reward", C("c1"), N(0.3), N(10))
+	mustAssert(t, s, held)
+	mustAssert(t, s, A("required_reward", C("c2"), N(0.4), N(15)))
+	absent := A("required_reward", C("c1"), N(0.9), N(10))
+	noMatch := A("required_reward", C("c1"), V("Cut"), N(99))
+	budgets := []struct {
+		name string
+		run  func()
+	}{
+		{"Assert of an existing fact", func() { _ = s.Assert(held, True) }},
+		{"TruthOf a held fact", func() { s.TruthOf(held) }},
+		{"TruthOf an absent fact", func() { s.TruthOf(absent) }},
+		{"Retract of an absent fact", func() { s.Retract(absent) }},
+		{"failed Match", func() { s.Match(noMatch, nil) }},
+	}
+	for _, b := range budgets {
+		if got := testing.AllocsPerRun(100, b.run); got != 0 {
+			t.Errorf("%s allocates %v times, want 0", b.name, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { s.Match(A("required_reward", C("c2"), V("Cut"), V("Req")), nil) }); got > 3 {
+		t.Errorf("a Match with one result allocates %v times, want its Binding and the result slice (<= 3)", got)
+	}
+}
+
+// TestInferSkipsSettledRules pins the change-driven engine's pass structure
+// on the Customer Agent's shape: one rule whose consequent it does not read
+// is evaluated once, and the confirming pass costs nothing.
+func TestInferSkipsSettledRules(t *testing.T) {
+	rule := Rule{
+		Name:   "acceptable",
+		If:     []Literal{Pos(A("required", V("Cut"), V("Req"))), Pos(A("announced", V("Cut"), V("Off")))},
+		Guards: []Guard{{Op: OpGeq, Left: V("Off"), Right: V("Req")}},
+		Then:   []Atom{A("acceptable", V("Cut"))},
+	}
+	base, err := NewBase("ca", rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(nil)
+	for i := 0; i < 10; i++ {
+		mustAssert(t, s, A("required", N(float64(i)), N(float64(i))))
+		mustAssert(t, s, A("announced", N(float64(i)), N(5)))
+	}
+	e := NewEngine(base)
+	derived, err := e.Infer(s)
+	if err != nil || len(derived) != 6 {
+		t.Fatalf("Infer = %v, %v; want 6 derived facts", derived, err)
+	}
+	if got := e.evaluatedAt[0]; got != 1 {
+		t.Fatalf("the rule was last evaluated at tick %d, want 1: its antecedent names nothing it derives", got)
+	}
+	for i, f := range derived {
+		if want := A("acceptable", N(float64(i))); !f.Atom.Equal(want) {
+			t.Fatalf("derived[%d] = %s, want %s: derivation follows insertion order", i, f.Atom, want)
+		}
+	}
+
+	// A rule that reads what an earlier rule derives in the same pass, and one
+	// that reads what a later rule derives, both still fire.
+	chain, err := NewBase("chain",
+		Rule{Name: "r_from_q", If: []Literal{Pos(A("q", V("X")))}, Then: []Atom{A("r", V("X"))}},
+		Rule{Name: "q_from_p", If: []Literal{Pos(A("p", V("X")))}, Then: []Atom{A("q", V("X"))}},
+		Rule{Name: "s_from_r", If: []Literal{Pos(A("r", V("X")))}, Then: []Atom{A("s", V("X"))}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = NewStore(nil)
+	mustAssert(t, s, A("p", N(1)))
+	derived, err = NewEngine(chain).Infer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := factKeys(derived), []string{"q(n:1)=true", "r(n:1)=true", "s(n:1)=true"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("derived %q, want %q", got, want)
 	}
 }

@@ -140,11 +140,12 @@ func (o *Ontology) CheckAtom(a Atom) error {
 	if len(sorts) != len(a.Args) {
 		return fmt.Errorf("%w: %s has %d args, want %d", ErrArity, a.Pred, len(a.Args), len(sorts))
 	}
-	for i, t := range a.Args {
+	for i := range a.Args {
+		t := &a.Args[i]
 		if !t.IsGround() {
 			return fmt.Errorf("%w: %s", ErrNotGround, a)
 		}
-		got, err := o.sortOfTerm(t)
+		got, err := o.sortOfTerm(*t)
 		if err != nil {
 			return fmt.Errorf("%s arg %d: %w", a.Pred, i, err)
 		}

@@ -145,10 +145,15 @@ func TestReadStoreRejectsDamage(t *testing.T) {
 }
 
 func TestSaveRefusesVariables(t *testing.T) {
-	// Stores only hold ground facts, but a hand-built fact map must not
-	// serialise a variable either.
+	// Assert only admits ground facts, but a store shares the argument slice
+	// it was handed: a caller that rewrites the slice afterwards can put a
+	// variable into a stored fact. Save must not serialise it.
 	s := NewStore(nil)
-	s.facts["forced"] = Fact{Atom: A("p", V("X")), Truth: True}
+	args := []Term{N(1)}
+	if err := s.Assert(Atom{Pred: "p", Args: args}, True); err != nil {
+		t.Fatal(err)
+	}
+	args[0] = V("X")
 	var buf bytes.Buffer
 	if err := s.Save(&buf); !errors.Is(err, ErrNotGround) {
 		t.Fatalf("error = %v, want ErrNotGround", err)

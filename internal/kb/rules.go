@@ -52,13 +52,16 @@ func (op GuardOp) String() string {
 // numerically; any other ground operands compare by structural equality
 // (only for == and !=). Unbound variables make the guard fail.
 func (g Guard) Eval(b Binding) bool {
-	l := substitute(g.Left, b)
-	r := substitute(g.Right, b)
+	return g.Op.holds(substitute(g.Left, b), substitute(g.Right, b))
+}
+
+// holds compares two substituted operands.
+func (op GuardOp) holds(l, r Term) bool {
 	if !l.IsGround() || !r.IsGround() {
 		return false
 	}
 	if l.Kind == KindNumber && r.Kind == KindNumber {
-		switch g.Op {
+		switch op {
 		case OpEq:
 			return l.Num == r.Num
 		case OpNeq:
@@ -74,7 +77,7 @@ func (g Guard) Eval(b Binding) bool {
 		}
 		return false
 	}
-	switch g.Op {
+	switch op {
 	case OpEq:
 		return l.Equal(r)
 	case OpNeq:
@@ -197,10 +200,15 @@ func (r Rule) String() string {
 }
 
 // Base is a knowledge base: a named collection of rules. Bases compose per
-// DESIRE's knowledge composition (Compose).
+// DESIRE's knowledge composition (Compose). A Base is read-only once built —
+// any number of engines may share one — so Rules must not be modified after
+// NewBase or Compose returns.
 type Base struct {
 	Name  string
 	Rules []Rule
+	// prog is Rules compiled for Engine; nil on a Base built as a literal,
+	// which NewEngine then compiles itself.
+	prog *program
 }
 
 // NewBase validates all rules and constructs a Base.
@@ -210,7 +218,8 @@ func NewBase(name string, rules ...Rule) (*Base, error) {
 			return nil, err
 		}
 	}
-	return &Base{Name: name, Rules: append([]Rule(nil), rules...)}, nil
+	rules = append([]Rule(nil), rules...)
+	return &Base{Name: name, Rules: rules, prog: compile(rules)}, nil
 }
 
 // Compose concatenates several knowledge bases into one, preserving rule
@@ -220,19 +229,152 @@ func Compose(name string, bases ...*Base) *Base {
 	for _, b := range bases {
 		rules = append(rules, b.Rules...)
 	}
-	return &Base{Name: name, Rules: rules}
+	return &Base{Name: name, Rules: rules, prog: compile(rules)}
 }
 
-// Engine evaluates a knowledge base against a store by forward chaining.
+// program is a rule base compiled for evaluation: variables numbered into
+// frame slots per rule, predicates numbered across the base.
+type program struct {
+	rules    []crule
+	preds    int // number of distinct predicates
+	maxVars  int // widest rule frame
+	maxArity int // widest literal or consequent
+}
+
+// crule is one compiled rule.
+type crule struct {
+	name   string
+	lits   []cliteral
+	guards []cguard
+	then   []catom // positive consequents, then negative ones
+	vars   int     // frame width
+	reads  []int   // predicate numbers of the antecedent literals
+}
+
+// cliteral is one compiled antecedent literal.
+type cliteral struct {
+	src     Atom
+	args    []pterm
+	negated bool
+	// unbound marks a negated literal that names a variable no earlier
+	// positive literal binds: reaching it is an evaluation error.
+	unbound bool
+}
+
+// cguard is one compiled guard.
+type cguard struct {
+	op          GuardOp
+	left, right pterm
+}
+
+// catom is one compiled consequent.
+type catom struct {
+	src   Atom
+	args  []pterm
+	pred  int // predicate number
+	truth Truth
+}
+
+// compile numbers every rule's variables and the base's predicates.
+func compile(rules []Rule) *program {
+	p := &program{rules: make([]crule, 0, len(rules))}
+	var preds varTable
+	pred := func(name string) (n int) {
+		preds, n, _ = preds.slot(name)
+		return n
+	}
+	for _, r := range rules {
+		var vars varTable
+		// read compiles an occurrence that reads its variable; a positive
+		// literal then marks the occurrences that bind instead.
+		read := func(t Term) pterm {
+			pt := pterm{t: t, slot: -1}
+			if t.Kind == KindVar {
+				vars, pt.slot, _ = vars.slot(t.Name)
+			}
+			return pt
+		}
+		reads := func(ts []Term) []pterm {
+			out := make([]pterm, len(ts))
+			for i, t := range ts {
+				out[i] = read(t)
+			}
+			return out
+		}
+		c := crule{name: r.Name}
+		bound := make(map[int]bool)
+		for _, l := range r.If {
+			cl := cliteral{src: l.Atom, args: reads(l.Atom.Args), negated: l.Negated}
+			for i := range cl.args {
+				a := &cl.args[i]
+				switch {
+				case a.slot < 0 || bound[a.slot]:
+				case l.Negated:
+					cl.unbound = true
+				default:
+					a.bind = true
+					bound[a.slot] = true
+				}
+			}
+			c.lits = append(c.lits, cl)
+			c.reads = append(c.reads, pred(l.Atom.Pred))
+		}
+		for _, g := range r.Guards {
+			c.guards = append(c.guards, cguard{op: g.Op, left: read(g.Left), right: read(g.Right)})
+		}
+		for _, a := range r.Then {
+			c.then = append(c.then, catom{src: a, args: reads(a.Args), pred: pred(a.Pred), truth: True})
+		}
+		for _, a := range r.ThenFalse {
+			c.then = append(c.then, catom{src: a, args: reads(a.Args), pred: pred(a.Pred), truth: False})
+		}
+		c.vars = len(vars)
+		p.maxVars = max(p.maxVars, c.vars)
+		for _, l := range c.lits {
+			p.maxArity = max(p.maxArity, len(l.args))
+		}
+		for _, a := range c.then {
+			p.maxArity = max(p.maxArity, len(a.args))
+		}
+		p.rules = append(p.rules, c)
+	}
+	p.preds = len(preds)
+	return p
+}
+
+// Engine evaluates a knowledge base against a store by forward chaining. An
+// Engine keeps scratch space between calls, so one engine serves one
+// goroutine at a time; engines are cheap and may share a Base.
 type Engine struct {
 	base *Base
+	prog *program
 	// MaxPasses bounds fixpoint iteration as a defence against pathological
 	// rule sets; 0 means the default.
 	MaxPasses int
+
+	frame []Term // the variable slots of the rule being evaluated
+	args  []Term // one literal or consequent, ground, while it is looked up
+	// rows holds the frames that satisfy the current rule's antecedent, end
+	// to end; solutions counts them (a rule without variables has frames of
+	// no width).
+	rows      []Term
+	solutions int
+	// derivedAt[p] is the tick of the latest evaluation that derived a fact of
+	// predicate p, evaluatedAt[r] the tick of rule r's latest evaluation; both
+	// are 0 before the first. A tick is one rule evaluation within an Infer,
+	// counted from 1.
+	derivedAt   []int
+	evaluatedAt []int
 }
 
 // NewEngine returns an engine for the given base.
-func NewEngine(base *Base) *Engine { return &Engine{base: base} }
+func NewEngine(base *Base) *Engine {
+	prog := base.prog
+	if prog == nil {
+		prog = compile(base.Rules)
+	}
+	return &Engine{base: base, prog: prog}
+}
 
 const defaultMaxPasses = 64
 
@@ -242,28 +384,49 @@ const defaultMaxPasses = 64
 // existing value: once a store holds True or False for an atom, conflicting
 // derivations are reported as an error, matching DESIRE's consistency
 // requirement on information states.
+//
+// Each pass visits the rules in order. After the first pass a rule is
+// evaluated only if a fact of a predicate its antecedent names — positively or
+// negated — was derived since the rule's own previous evaluation: otherwise
+// its antecedent has the solutions it had then, whose consequents the store
+// already holds, so evaluating it could neither derive nor conflict. Passes,
+// derivation order and errors are those of evaluating every rule every pass.
 func (e *Engine) Infer(s *Store) ([]Fact, error) {
 	maxPasses := e.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = defaultMaxPasses
 	}
+	if e.frame == nil {
+		terms := make([]Term, e.prog.maxVars+e.prog.maxArity)
+		e.frame, e.args = terms[:e.prog.maxVars:e.prog.maxVars], terms[e.prog.maxVars:]
+		ticks := make([]int, e.prog.preds+len(e.prog.rules))
+		e.derivedAt, e.evaluatedAt = ticks[:e.prog.preds], ticks[e.prog.preds:]
+	}
+	clear(e.derivedAt)
+	clear(e.evaluatedAt)
 	var derived []Fact
+	tick := 1
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
-		for _, r := range e.base.Rules {
-			bindings, err := e.antecedentBindings(s, r)
-			if err != nil {
+		for ri := range e.prog.rules {
+			r := &e.prog.rules[ri]
+			if pass > 0 && !e.stale(r, ri) {
+				continue
+			}
+			e.evaluatedAt[ri] = tick
+			e.rows, e.solutions = e.rows[:0], 0
+			clear(e.frame)
+			if err := e.solve(s, r, 0); err != nil {
 				return derived, err
 			}
-			for _, b := range bindings {
-				ok, err := e.applyConsequents(s, r, b, &derived)
-				if err != nil {
+			before := len(derived)
+			for k := 0; k < e.solutions; k++ {
+				if err := e.applyConsequents(s, r, e.rows[k*r.vars:(k+1)*r.vars], tick, &derived); err != nil {
 					return derived, err
 				}
-				if ok {
-					changed = true
-				}
 			}
+			changed = changed || len(derived) > before
+			tick++
 		}
 		if !changed {
 			return derived, nil
@@ -272,81 +435,73 @@ func (e *Engine) Infer(s *Store) ([]Fact, error) {
 	return derived, fmt.Errorf("kb: base %q did not reach a fixpoint within %d passes", e.base.Name, maxPasses)
 }
 
-// antecedentBindings enumerates all bindings satisfying a rule's antecedent.
-func (e *Engine) antecedentBindings(s *Store, r Rule) ([]Binding, error) {
-	bindings := []Binding{{}}
-	for _, l := range r.If {
-		if l.Negated {
-			var keep []Binding
-			for _, b := range bindings {
-				g := SubstituteAtom(l.Atom, b)
-				if !g.IsGround() {
-					return nil, fmt.Errorf("kb: rule %q: negated literal %s not ground at evaluation", r.Name, l.Atom)
-				}
-				if s.TruthOf(g) != True {
-					keep = append(keep, b)
-				}
-			}
-			bindings = keep
-		} else {
-			var next []Binding
-			for _, b := range bindings {
-				next = append(next, s.Match(l.Atom, b)...)
-			}
-			bindings = next
-		}
-		if len(bindings) == 0 {
-			return nil, nil
+// stale reports whether a fact the rule's antecedent could see was derived
+// since the rule was last evaluated. A rule's own derivations carry its own
+// tick, so a rule that reads what it derives is stale after deriving.
+func (e *Engine) stale(r *crule, ri int) bool {
+	for _, p := range r.reads {
+		if e.derivedAt[p] >= e.evaluatedAt[ri] {
+			return true
 		}
 	}
-	var keep []Binding
-	for _, b := range bindings {
-		ok := true
-		for _, g := range r.Guards {
-			if !g.Eval(b) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			keep = append(keep, b)
-		}
-	}
-	return keep, nil
+	return false
 }
 
-// applyConsequents asserts a rule's consequents under one binding. It returns
-// whether any store change occurred.
-func (e *Engine) applyConsequents(s *Store, r Rule, b Binding, derived *[]Fact) (bool, error) {
-	changed := false
-	apply := func(a Atom, tv Truth) error {
-		g := SubstituteAtom(a, b)
+// solve enumerates the frames satisfying the rule's antecedent from literal
+// li on, depth first, appending each that also passes the guards to e.rows.
+// The store is only read, so the order is: facts of the first positive
+// literal in insertion order, within each the facts of the second, and so on.
+func (e *Engine) solve(s *Store, r *crule, li int) error {
+	if li == len(r.lits) {
+		for _, g := range r.guards {
+			if !g.op.holds(g.left.value(e.frame), g.right.value(e.frame)) {
+				return nil
+			}
+		}
+		e.rows = append(e.rows, e.frame[:r.vars]...)
+		e.solutions++
+		return nil
+	}
+	l := &r.lits[li]
+	if l.negated {
+		if l.unbound {
+			return fmt.Errorf("kb: rule %q: negated literal %s not ground at evaluation", r.name, l.src)
+		}
+		if s.TruthOf(Atom{Pred: l.src.Pred, Args: ground(l.args, e.frame, e.args[:0])}) == True {
+			return nil
+		}
+		return e.solve(s, r, li+1)
+	}
+	for i := s.matchFrom(s.firstOf(l.src.Pred), l.args, e.frame); i >= 0; i = s.matchFrom(s.entries[i].nextPred, l.args, e.frame) {
+		if err := e.solve(s, r, li+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyConsequents asserts a rule's consequents under one frame, appending
+// what the store did not already hold to derived.
+func (e *Engine) applyConsequents(s *Store, r *crule, frame []Term, tick int, derived *[]Fact) error {
+	for ci := range r.then {
+		c := &r.then[ci]
+		g := Atom{Pred: c.src.Pred, Args: ground(c.args, frame, e.args[:0])}
 		if !g.IsGround() {
-			return fmt.Errorf("kb: rule %q: consequent %s not ground", r.Name, a)
+			return fmt.Errorf("kb: rule %q: consequent %s not ground", r.name, c.src)
 		}
 		switch cur := s.TruthOf(g); cur {
-		case tv:
-			return nil
+		case c.truth:
 		case Unknown:
-			if err := s.Assert(g, tv); err != nil {
-				return fmt.Errorf("kb: rule %q: %w", r.Name, err)
+			// The store keeps the atom: give it arguments of its own.
+			g.Args = append([]Term(nil), g.Args...)
+			if err := s.Assert(g, c.truth); err != nil {
+				return fmt.Errorf("kb: rule %q: %w", r.name, err)
 			}
-			*derived = append(*derived, Fact{Atom: g, Truth: tv})
-			changed = true
-			return nil
+			*derived = append(*derived, Fact{Atom: g, Truth: c.truth})
+			e.derivedAt[c.pred] = tick
 		default:
-			return fmt.Errorf("kb: rule %q derives %s = %s but store holds %s", r.Name, g, tv, cur)
+			return fmt.Errorf("kb: rule %q derives %s = %s but store holds %s", r.name, g, c.truth, cur)
 		}
 	}
-	for _, a := range r.Then {
-		if err := apply(a, True); err != nil {
-			return changed, err
-		}
-	}
-	for _, a := range r.ThenFalse {
-		if err := apply(a, False); err != nil {
-			return changed, err
-		}
-	}
-	return changed, nil
+	return nil
 }

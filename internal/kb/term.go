@@ -18,6 +18,7 @@ package kb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -79,6 +80,26 @@ func (t Term) Equal(o Term) bool {
 	}
 }
 
+// numKey maps a number to the bits that identify it as a store key: every NaN
+// is one key, and -0 and +0 are two (the keys the number's shortest decimal
+// rendering gave when facts were keyed by string).
+func numKey(v float64) uint64 {
+	if v != v {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
+}
+
+// sameKey reports whether two terms are the same store key. It is Equal
+// except on numbers, which compare by numKey: a store can hold a fact about
+// NaN and find it again, which == could not.
+func (t Term) sameKey(o Term) bool {
+	if t.Kind == KindNumber && o.Kind == KindNumber {
+		return numKey(t.Num) == numKey(o.Num)
+	}
+	return t.Equal(o)
+}
+
 // String renders the term in a readable logic syntax.
 func (t Term) String() string {
 	switch t.Kind {
@@ -109,8 +130,8 @@ func A(pred string, args ...Term) Atom {
 
 // IsGround reports whether every argument is ground.
 func (a Atom) IsGround() bool {
-	for _, t := range a.Args {
-		if !t.IsGround() {
+	for i := range a.Args {
+		if a.Args[i].Kind == KindVar {
 			return false
 		}
 	}
@@ -130,7 +151,22 @@ func (a Atom) Equal(o Atom) bool {
 	return true
 }
 
-// key returns a canonical map key for a ground atom.
+// sameKey reports whether two ground atoms are the same fact of a store:
+// same predicate, same arity, and argument by argument the same key.
+func (a Atom) sameKey(o Atom) bool {
+	if a.Pred != o.Pred || len(a.Args) != len(o.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if !a.Args[i].sameKey(o.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// key renders a ground atom as the string Store.Facts sorts by. Nothing looks
+// a fact up by it: stores find facts by hash and sameKey.
 func (a Atom) key() string {
 	var b strings.Builder
 	b.WriteString(a.Pred)
