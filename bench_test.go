@@ -6,7 +6,6 @@ package loadbalance_test
 // reference run.
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -250,63 +249,13 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 	}
 }
 
-// legacyWireFrame is the v1 TCP framing (an envelope nested in a JSON union
-// frame, newline-delimited), kept here as the baseline BenchmarkWireCodec
-// measures the v2 binary framing against.
-type legacyWireFrame struct {
-	Hello    string            `json:"hello,omitempty"`
-	Envelope *message.Envelope `json:"envelope,omitempty"`
-}
-
-// wireCodecEnvelopes are the two shapes that dominate transport traffic: the
-// UA's reward-table announcement (largest frame on the wire) and a
-// customer's cut-down bid (smallest, highest count).
-func wireCodecEnvelopes(b *testing.B) map[string]message.Envelope {
-	b.Helper()
-	tab, err := protocol.StandardTable(42.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := loadbalance.PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	table, err := message.NewEnvelope("ua", "", "s", tab.Message(s.Window, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	bid, err := message.NewEnvelope("c01", "ua", "s", message.CutDownBid{Round: 1, CutDown: 0.2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return map[string]message.Envelope{"table": table, "bid": bid}
-}
-
-// BenchmarkWireCodec measures one encode+decode round trip through each TCP
-// framing: the v1 newline-JSON union frame against the v2 varint-length
-// binary frame. The v2 codec is the acceptance gate for the transport
-// change: it must deliver at least 2x the v1 throughput. The binary bodies
+// BenchmarkWireCodec measures one encode+decode round trip through the TCP
+// framing (varint-length binary frames) for the two shapes that dominate
+// transport traffic: the UA's reward-table announcement (largest frame on the
+// wire) and a customer's cut-down bid (smallest, highest count). The bodies
 // live in internal/benchrun so cmd/benchrec records the same floors into
 // BENCH_gridd.json.
 func BenchmarkWireCodec(b *testing.B) {
-	for _, name := range []string{"table", "bid"} {
-		env := wireCodecEnvelopes(b)[name]
-		b.Run("json/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := json.Marshal(legacyWireFrame{Envelope: &env})
-				if err != nil {
-					b.Fatal(err)
-				}
-				data = append(data, '\n')
-				var f legacyWireFrame
-				if err := json.Unmarshal(data[:len(data)-1], &f); err != nil || f.Envelope == nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(len(data)))
-			}
-		})
-	}
 	b.Run("binary/table", benchrun.WireCodecTable)
 	b.Run("binary/bid", benchrun.WireCodecBid)
 }

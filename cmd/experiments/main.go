@@ -44,6 +44,14 @@ func main() {
 	}
 }
 
+// metricsRegistry is what -metrics serves: the log counters, then the
+// per-experiment latency histograms observed into base.
+func metricsRegistry(base *trace.Registry, logger *health.Logger) *trace.Registry {
+	reg := base.Scope()
+	reg.Register(logger.Samples)
+	return reg
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
@@ -81,12 +89,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		reg := metricsRegistry(trace.DefaultRegistry(), logger)
 		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			trace.WriteMetrics(w)
-			health.WriteLogMetrics(w, health.Default())
-		})
+		mux.HandleFunc("/metrics", trace.MetricsHandler(reg.Gather))
 		mux.HandleFunc("/logs", health.LogHandler(health.Default()))
 		srv := &http.Server{Handler: mux}
 		go func() { _ = srv.Serve(ln) }()

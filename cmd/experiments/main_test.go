@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"loadbalance/internal/health"
 	"loadbalance/internal/trace"
 )
 
@@ -36,7 +38,7 @@ func TestRunRecordsExperimentHistogram(t *testing.T) {
 		t.Fatalf("e3: %v", err)
 	}
 	var buf strings.Builder
-	trace.WriteMetrics(&buf)
+	trace.WriteMetrics(&buf, trace.DefaultRegistry().Gather())
 	metrics := buf.String()
 	for _, want := range []string{
 		"# TYPE experiment_duration_seconds histogram",
@@ -45,6 +47,30 @@ func TestRunRecordsExperimentHistogram(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestGoldenMetricsPage pins the -metrics page byte for byte over a fixed
+// logger and a fixed histogram.
+func TestGoldenMetricsPage(t *testing.T) {
+	logger, err := health.New(health.Config{Proc: "experiments", MinLevel: health.Info, StderrLevel: health.Off})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logger.Close()
+	logger.Log(health.Warn, "golden", "one event")
+	base := trace.NewRegistry()
+	base.HistogramL("experiment_duration_seconds", "exp", "e3").Observe(1500 * time.Millisecond)
+	var page strings.Builder
+	if err := trace.WriteMetrics(&page, metricsRegistry(base, logger).Gather()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.String() != string(want) {
+		t.Fatalf("-metrics page differs from testdata/metrics.golden:\n--- got\n%s--- want\n%s", page.String(), want)
 	}
 }
 

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,14 +36,14 @@ func startConsoleFixture(t *testing.T) string {
 	root.End()
 	logger.Log(health.Warn, "overload", "shedding load", health.Str("shard", "2"))
 
+	metrics := trace.NewRegistry()
+	metrics.RegisterGauge("feedback_score", func() float64 { return 90 })
 	em := obsplane.StartEmitter(obsplane.EmitterConfig{
 		Hub: hub.Addr(), Proc: "w1", Role: "worker",
 		Interval: 10 * time.Millisecond,
 		Logger:   logger,
 		Tracer:   func() *trace.Tracer { return tr },
-		MetricsFn: func(w io.Writer) {
-			fmt.Fprint(w, "feedback_score 90\n")
-		},
+		Metrics:  metrics,
 	})
 	t.Cleanup(em.Close)
 

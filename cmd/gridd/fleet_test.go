@@ -543,7 +543,7 @@ func TestSigquitFlightRecorder(t *testing.T) {
 
 // TestWorkerEndpointContentTypes audits the worker role's endpoint parity:
 // a concentrator with -metrics serves the same /healthz, /metrics, /logs
-// and /trace contract as the server roles.
+// and /trace contract as the server roles, and its /metrics page is pinned.
 func TestWorkerEndpointContentTypes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -579,7 +579,9 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 		var ready chan<- string
 		if i == 0 {
 			opts.metricsAddr = "127.0.0.1:0"
-			opts.history = historyOptions{interval: 50 * time.Millisecond, retention: time.Minute}
+			opts.history = goldenHistory
+			opts.metrics = trace.NewRegistry()
+			observeFixed(opts.metrics)
 			ready = workerReady
 		}
 		go func(opts concOptions, ready chan<- string) {
@@ -615,6 +617,9 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 		}
 		if got := resp.Header.Get("Content-Type"); got != tt.want {
 			t.Errorf("GET %s: Content-Type %q, want %q", tt.path, got, tt.want)
+		}
+		if tt.path == "/metrics" {
+			checkGolden(t, "worker", string(body))
 		}
 		if tt.path == "/healthz" {
 			var doc struct {
@@ -698,6 +703,7 @@ func TestFleetQueryParity(t *testing.T) {
 	// fleet idles while both histories fill.
 	workerReady := make(chan string, 1)
 	workerErrs := make(chan error, 2)
+	workerMetrics := roleMetrics(nil)
 	for i := 0; i < 2; i++ {
 		opts := concOptions{
 			up: addrs.root, down: addrs.member,
@@ -707,6 +713,7 @@ func TestFleetQueryParity(t *testing.T) {
 		if i == 0 {
 			opts.metricsAddr = "127.0.0.1:0"
 			opts.history = hist
+			opts.metrics = workerMetrics
 			ready = workerReady
 		}
 		go func(opts concOptions, ready chan<- string) {
@@ -721,14 +728,14 @@ func TestFleetQueryParity(t *testing.T) {
 	}
 
 	// Stream the worker's observability state to the hub exactly as the -obs
-	// flag wires it: same proc label, same metrics page. The hub stamps each
+	// flag wires it: same proc label, same registry. The hub stamps each
 	// arriving sample into the store behind /fleet/query.
 	em := obsplane.StartEmitter(obsplane.EmitterConfig{
-		Hub:       addrs.obs,
-		Proc:      "gridd-cc-000",
-		Role:      "worker",
-		Interval:  scrape,
-		MetricsFn: writeObsMetrics,
+		Hub:      addrs.obs,
+		Proc:     "gridd-cc-000",
+		Role:     "worker",
+		Interval: scrape,
+		Metrics:  workerMetrics,
 	})
 	defer em.Close()
 

@@ -3,14 +3,12 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"loadbalance/internal/bus"
 	"loadbalance/internal/health"
-	"loadbalance/internal/replica"
 	"loadbalance/internal/store"
 	"loadbalance/internal/telemetry"
 	"loadbalance/internal/trace"
@@ -47,7 +45,7 @@ func initHealthLogging(proc, level, file, dataDir string) (*health.Logger, error
 // negotiation sessions, the two staleness signals (standby lag, journal
 // append age), and the fleet silence detector. worker_silent references the
 // obs hub's fleet_last_batch_age_seconds gauge; on daemons that host no hub
-// the gauge is unregistered and the engine treats the rule as non-breaching.
+// the gauge is unpublished and the engine treats the rule as non-breaching.
 func defaultAlertRules() []health.RuleConfig {
 	return []health.RuleConfig{
 		{Name: "overload", Metric: "feedback_score", Op: "<", Threshold: 40, For: 2},
@@ -76,21 +74,26 @@ func resolveAlertRules(flagVal string) ([]health.RuleConfig, error) {
 // recorder. One instance serves both roles — a standby evaluates it from
 // a side ticker, a primary from the tick loop.
 type liveHealth struct {
+	metrics   *trace.Registry // the role's registry: every reader below gathers it
 	logger    *health.Logger
 	scorer    *health.Scorer
 	alerts    *health.Engine
 	recorder  *health.Recorder // nil without a data dir
 	responder *health.Responder
 	history   *tsdb.Store   // nil when -tsdb-interval is 0
-	scraper   *tsdb.Scraper // fills history from the live metrics page
+	scraper   *tsdb.Scraper // fills history from the registry
 }
 
-// newLiveHealth wires the health layer over the live state holder. It
-// registers the gauges the alert rules reference, starts the feedback
-// responder when -feedback-addr is set, and arms the flight recorder when
-// a data dir exists.
+// newLiveHealth wires the health layer over the live state holder and is
+// where the live role registers what it publishes, in page order: the grid
+// snapshot, the journal and replication stream of whichever role the daemon
+// currently holds, the gauges the alert rules reference, the score, the
+// alerts, the log, the history store and the fleet hub. It starts the
+// feedback responder when -feedback-addr is set and arms the flight recorder
+// when a data dir exists.
 func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*liveHealth, error) {
-	h := &liveHealth{logger: health.Default()}
+	reg := roleMetrics(opts.metrics)
+	h := &liveHealth{metrics: reg, logger: health.Default()}
 
 	h.scorer = health.NewScorer(health.Sources{
 		Utilization: func() float64 {
@@ -103,27 +106,37 @@ func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*li
 		ReplicationLag: func() float64 { return worstStandbyLag(state) },
 	}, health.DefaultBudgets(), health.DefaultWeights())
 
-	health.RegisterGauge("replica_lag_records", func() float64 { return worstStandbyLag(state) })
-	health.RegisterGauge("journal_append_age_seconds", func() float64 { return journalAppendAge(state) })
-
 	rules, err := resolveAlertRules(opts.alerts)
 	if err != nil {
 		return nil, err
 	}
 	h.alerts = health.NewEngine(rules, h.logger)
+	h.alerts.Metrics = reg
 
-	// Metrics history: scrape the live metrics page into the embedded
-	// store each interval; windowed and burn-rate alert rules evaluate
-	// against it, and /query serves it.
+	reg.Register(state.samples)
+	reg.RegisterGauge("replica_lag_records", func() float64 { return worstStandbyLag(state) })
+	reg.RegisterGauge("journal_append_age_seconds", func() float64 { return journalAppendAge(state) })
+	reg.Register(h.scorer.Samples)
+	reg.Register(h.alerts.Samples)
+	reg.Register(h.logger.Samples)
+
+	// Metrics history: scrape the registry into the embedded store each
+	// interval; windowed and burn-rate alert rules evaluate against it, and
+	// /query serves it.
 	if h.history = newHistoryStore(opts.history); h.history != nil {
 		h.alerts.History = h.history
-		h.scraper = startHistoryScraper(opts.history, h.history, func(w io.Writer) { writeLiveMetrics(w, state, h) })
+		h.scraper = startHistoryScraper(opts.history, h.history, reg)
+	}
+	if hub := state.obs; hub != nil {
+		reg.Register(hub.Samples)
+		reg.Register(func(dst []trace.Sample) []trace.Sample {
+			return telemetry.WireSamples(dst, map[string]bus.WireStats{"obs": hub.WireStats()})
+		})
 	}
 
 	if opts.dataDir != "" {
-		h.recorder = health.NewRecorder(filepath.Join(opts.dataDir, "flightrec"), opts.flightrecKeep, h.logger)
+		h.recorder = health.NewRecorder(filepath.Join(opts.dataDir, "flightrec"), opts.flightrecKeep, h.logger, reg)
 		h.recorder.Bind(h.scorer, h.alerts)
-		h.recorder.MetricsFn = func(w io.Writer) { writeLiveMetrics(w, state, h) }
 		if opts.profileOnAlert {
 			h.recorder.ProfileDur = 2 * time.Second
 		}
@@ -191,8 +204,7 @@ func (h *liveHealth) startStandbyEval(interval time.Duration) (stop func()) {
 	}
 }
 
-// close releases listeners and unregisters the state-bound gauges so a
-// later in-process run (tests) starts from a clean namespace.
+// close releases the listeners and stops the scraper.
 func (h *liveHealth) close() {
 	if h == nil {
 		return
@@ -205,9 +217,6 @@ func (h *liveHealth) close() {
 		health.SetRecorder(nil)
 		h.recorder.WaitProfiles()
 	}
-	health.UnregisterGauge("feedback_score")
-	health.UnregisterGauge("replica_lag_records")
-	health.UnregisterGauge("journal_append_age_seconds")
 }
 
 // worstStandbyLag reads the largest standby lag in records: a primary
@@ -249,43 +258,27 @@ func journalAppendAge(state *gridState) float64 {
 	return time.Since(stats.LastAppend).Seconds()
 }
 
-// writeLiveMetrics renders the live daemon's full metrics page — the
-// /metrics body and the flight recorder's metrics.prom are the same
-// document.
-func writeLiveMetrics(w io.Writer, state *gridState, h *liveHealth) {
-	_, snap, _, stby, sender := state.view()
-	writeMetrics(w, snap)
-	switch {
-	case stby != nil:
-		store.WriteMetrics(w, stby.Eng.StoreStats())
-		replica.WriteReceiverMetrics(w, stby.Receiver().Status())
-	default:
-		state.mu.Lock()
-		st := state.st
-		state.mu.Unlock()
-		if st != nil {
-			store.WriteMetrics(w, st.Stats())
-		}
-		if sender != nil {
-			replica.WriteSenderMetrics(w, sender.Status())
-		}
+// samples appends what the live daemon publishes about the grid it runs:
+// the snapshot's grid_* series, then the journal and replication stream of
+// the role it currently holds — a promotion changes the page, not the
+// registration.
+func (g *gridState) samples(dst []trace.Sample) []trace.Sample {
+	_, snap, _, stby, sender := g.view()
+	dst = gridSamples(dst, snap)
+	if stby != nil {
+		dst = stby.Eng.StoreStats().Samples(dst)
+		return stby.Receiver().Status().Samples(dst)
 	}
-	if h != nil {
-		health.WriteScoreMetrics(w, h.scorer)
-		health.WriteAlertMetrics(w, h.alerts)
-		health.WriteLogMetrics(w, h.logger)
-		if h.history != nil {
-			h.history.WriteMetrics(w)
-		}
+	g.mu.Lock()
+	st := g.st
+	g.mu.Unlock()
+	if st != nil {
+		dst = st.Stats().Samples(dst)
 	}
-	state.mu.Lock()
-	hub := state.obs
-	state.mu.Unlock()
-	if hub != nil {
-		hub.WriteSummaryMetrics(w)
-		telemetry.WriteWireMetrics(w, map[string]bus.WireStats{"obs": hub.WireStats()})
+	if sender != nil {
+		dst = sender.Status().Samples(dst)
 	}
-	trace.WriteMetrics(w)
+	return dst
 }
 
 // logRenegotiation emits the structured event for a tick that re-awarded

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"net/http"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // The metrics-history layer: every role with an HTTP endpoint runs a
-// tsdb scraper over its own metrics page and serves range queries on
+// tsdb scraper over its own registry and serves range queries on
 // /query; the serve root additionally retains the fleet's streamed
 // samples (hub-side) behind /fleet/query.
 
@@ -46,18 +45,13 @@ func newHistoryStore(o historyOptions) *tsdb.Store {
 	return tsdb.New(tsdb.Config{RawCapacity: o.rawCapacity()})
 }
 
-// startHistoryScraper launches the scrape loop filling store from gather
-// plus the process trace registry. Returns nil when history is disabled.
-func startHistoryScraper(o historyOptions, store *tsdb.Store, gather func(io.Writer)) *tsdb.Scraper {
+// startHistoryScraper launches the scrape loop filling store from the
+// role's registry. Returns nil when history is disabled.
+func startHistoryScraper(o historyOptions, store *tsdb.Store, reg *trace.Registry) *tsdb.Scraper {
 	if store == nil {
 		return nil
 	}
-	sc := tsdb.NewScraper(tsdb.ScrapeConfig{
-		Store:    store,
-		Interval: o.interval,
-		Gather:   gather,
-		Registry: trace.DefaultRegistry(),
-	})
+	sc := tsdb.NewScraper(tsdb.ScrapeConfig{Store: store, Interval: o.interval, Registry: reg})
 	sc.Start()
 	return sc
 }

@@ -72,7 +72,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -196,6 +195,10 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	defer logger.Close()
+	// The one registry this process publishes on: the role below registers
+	// its collectors, and /metrics, the flight recorder, the history scraper,
+	// the alert engine and the obs stream all read it.
+	reg := roleMetrics(nil)
 	// One identity event per process at startup: the line every process
 	// contributes to the merged fleet log, tying its proc label to its role.
 	logger.Log(health.Info, "gridd", "process started",
@@ -224,23 +227,21 @@ func run(ctx context.Context, args []string) error {
 	// and crash dumps work on every role. Live mode arms its richer
 	// score-and-alert-bound recorder inside newLiveHealth.
 	if *dataDir != "" && !*live {
-		rec := health.NewRecorder(filepath.Join(*dataDir, "flightrec"), *frKeep, logger)
-		rec.MetricsFn = writeObsMetrics
-		health.SetRecorder(rec)
+		health.SetRecorder(health.NewRecorder(filepath.Join(*dataDir, "flightrec"), *frKeep, logger, reg))
 		defer health.SetRecorder(nil)
 	}
 	// The observability stream runs on any role: it drains the process-wide
-	// log ring and trace ring, and renders the registered gauges, so the
-	// wiring needs nothing mode-specific.
+	// log ring and trace ring, and gathers the registry, so the wiring needs
+	// nothing mode-specific.
 	if *obsTarget != "" {
 		lvl, _ := health.ParseLevel(*logLevel) // validated by initHealthLogging above
 		em := obsplane.StartEmitter(obsplane.EmitterConfig{
-			Hub:       *obsTarget,
-			Proc:      proc,
-			Role:      obsRole(*role, *serveAddr, *connect, *live, *replicaOf),
-			Addr:      *serveAddr,
-			MinLevel:  lvl,
-			MetricsFn: writeObsMetrics,
+			Hub:      *obsTarget,
+			Proc:     proc,
+			Role:     obsRole(*role, *serveAddr, *connect, *live, *replicaOf),
+			Addr:     *serveAddr,
+			MinLevel: lvl,
+			Metrics:  reg,
 		})
 		defer em.Close()
 	}
@@ -262,6 +263,7 @@ func run(ctx context.Context, args []string) error {
 			metricsAddr: *metrics,
 			pprof:       *pprofOn,
 			history:     historyOptions{interval: *tsdbInt, retention: *tsdbRet},
+			metrics:     reg,
 		}, nil)
 	case *role != "":
 		return fmt.Errorf("unknown -role %q (want \"concentrator\")", *role)
@@ -313,6 +315,7 @@ func run(ctx context.Context, args []string) error {
 				pprof:           *pprofOn,
 				history:         historyOptions{interval: *tsdbInt, retention: *tsdbRet},
 				profileOnAlert:  *profAlert,
+				metrics:         reg,
 			}, nil)
 		}
 		if *replicaOf != "" {
@@ -336,11 +339,13 @@ func run(ctx context.Context, args []string) error {
 			replAddr:    *replAddr,
 			pprof:       *pprofOn,
 			history:     historyOptions{interval: *tsdbInt, retention: *tsdbRet},
+			metrics:     reg,
 		}, nil)
 	case *connect != "":
 		if *name == "" {
 			return fmt.Errorf("-connect requires -name")
 		}
+		reg.Register(logger.Samples)
 		return runClient(ctx, *connect, *name, *seed)
 	default:
 		return fmt.Errorf("pass -serve ADDR or -connect ADDR")
@@ -442,20 +447,15 @@ func obsRole(role, serveAddr, connect string, live bool, replicaOf string) strin
 	return "gridd"
 }
 
-// writeObsMetrics renders the process-wide observability registries — the
-// registered health gauges, the log counters, the trace histograms — as one
-// exposition page. It is the generic metrics source every role streams to
-// the fleet hub; role-specific series (feedback score, replication lag,
-// tick latency) arrive through the same registries because that is where
-// each mode already publishes them.
-func writeObsMetrics(w io.Writer) {
-	for _, n := range health.GaugeNames() {
-		if v, ok := health.LookupMetric(n); ok {
-			fmt.Fprintf(w, "%s %g\n", n, v)
-		}
+// roleMetrics is the registry a role publishes on: the one run() also
+// handed to the process's obs stream and flight recorder, or — for a role
+// assembled directly (tests run several in one process) — its own fresh scope
+// of the process-wide histograms.
+func roleMetrics(reg *trace.Registry) *trace.Registry {
+	if reg == nil {
+		reg = trace.DefaultRegistry().Scope()
 	}
-	health.WriteLogMetrics(w, health.Default())
-	trace.WriteMetrics(w)
+	return reg
 }
 
 // concOptions parameterises one concentrator worker process.
@@ -468,6 +468,7 @@ type concOptions struct {
 	metricsAddr string // non-empty: HTTP /healthz, /metrics, /logs, /trace, /query
 	pprof       bool
 	history     historyOptions
+	metrics     *trace.Registry // nil: the role publishes on its own (see roleMetrics)
 }
 
 // runConcentrator is the worker process: it fronts one shard of the fleet,
@@ -483,6 +484,8 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 		return err
 	}
 	name := topo.ConcentratorName(opts.shard)
+	reg := roleMetrics(opts.metrics)
+	reg.Register(health.Default().Samples)
 
 	if opts.metricsAddr != "" {
 		ln, err := net.Listen("tcp", opts.metricsAddr)
@@ -500,16 +503,10 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 			})
 		})
 		history := newHistoryStore(opts.history)
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			writeObsMetrics(w)
-			if history != nil {
-				history.WriteMetrics(w)
-			}
-		})
+		mux.HandleFunc("/metrics", trace.MetricsHandler(reg.Gather))
 		mux.HandleFunc("/logs", health.LogHandler(health.Default()))
 		mountQuery(mux, history)
-		defer closeScraper(startHistoryScraper(opts.history, history, writeObsMetrics))
+		defer closeScraper(startHistoryScraper(opts.history, history, reg))
 		mountObservability(mux, opts.pprof)
 		httpSrv := &http.Server{Handler: mux}
 		go func() { _ = httpSrv.Serve(ln) }()
@@ -563,6 +560,7 @@ type serveConfig struct {
 	replAddr    string // non-empty: stream the journal to hot standbys (requires dataDir)
 	pprof       bool   // mount /debug/pprof/ on the metrics endpoint
 	history     historyOptions
+	metrics     *trace.Registry // nil: the role publishes on its own (see roleMetrics)
 
 	// linger, when non-nil, keeps the HTTP and obs endpoints up after the
 	// session completes until the channel closes (or ctx is cancelled) —
@@ -674,8 +672,10 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		fmt.Printf("gridd: fleet observability hub on %s\n", hub.Addr())
 	}
 
-	// Transport observability: /healthz and /metrics with the wire counters
-	// of every server this daemon runs.
+	reg := roleMetrics(cfg.metrics)
+	registerServeMetrics(reg, srv, rootSrv, hub, sender)
+
+	// Transport observability: /healthz and /metrics.
 	if cfg.metricsAddr != "" {
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
@@ -689,39 +689,18 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 			if journal != nil {
 				stats := journal.Stats()
 				doc["lastAppliedSeq"] = stats.LastSeq
-				doc["lastAppliedAge"] = appliedAge(stats.LastAppend)
+				doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
 			}
 			_ = json.NewEncoder(w).Encode(doc)
 		})
 		history := newHistoryStore(cfg.history)
-		writeServeMetrics := func(w io.Writer) {
-			transports := map[string]bus.WireStats{"member": srv.WireStats()}
-			if rootSrv != nil {
-				transports["root"] = rootSrv.WireStats()
-			}
-			if hub != nil {
-				transports["obs"] = hub.WireStats()
-			}
-			telemetry.WriteWireMetrics(w, transports)
-			if sender != nil {
-				replica.WriteSenderMetrics(w, sender.Status())
-			}
-			health.WriteLogMetrics(w, health.Default())
-			trace.WriteMetrics(w)
-			if history != nil {
-				history.WriteMetrics(w)
-			}
-		}
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			writeServeMetrics(w)
-		})
+		mux.HandleFunc("/metrics", trace.MetricsHandler(reg.Gather))
 		mux.HandleFunc("/logs", health.LogHandler(health.Default()))
 		if hub != nil {
 			hub.Mount(mux)
 		}
 		mountQuery(mux, history)
-		defer closeScraper(startHistoryScraper(cfg.history, history, writeServeMetrics))
+		defer closeScraper(startHistoryScraper(cfg.history, history, reg))
 		mountObservability(mux, cfg.pprof)
 		httpSrv := &http.Server{Handler: mux}
 		go func() { _ = httpSrv.Serve(ln) }()
@@ -903,6 +882,29 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	}
 }
 
+// registerServeMetrics is what a serve daemon publishes, in page order: the
+// wire counters of every server it runs (rootSrv and hub may be nil), the
+// replication stream (sender may be nil), the log, the fleet hub's summary.
+func registerServeMetrics(reg *trace.Registry, srv, rootSrv *bus.Server, hub *obsplane.Hub, sender *replica.Sender) {
+	reg.Register(func(dst []trace.Sample) []trace.Sample {
+		transports := map[string]bus.WireStats{"member": srv.WireStats()}
+		if rootSrv != nil {
+			transports["root"] = rootSrv.WireStats()
+		}
+		if hub != nil {
+			transports["obs"] = hub.WireStats()
+		}
+		return telemetry.WireSamples(dst, transports)
+	})
+	if sender != nil {
+		reg.Register(func(dst []trace.Sample) []trace.Sample { return sender.Status().Samples(dst) })
+	}
+	reg.Register(health.Default().Samples)
+	if hub != nil {
+		reg.Register(hub.Samples)
+	}
+}
+
 // abortServe broadcasts an aborting session end on each bus, waits for the
 // per-connection writers to flush it, and journals the abort.
 func abortServe(journal *store.Store, session, reason string, buses ...bus.Bus) error {
@@ -989,6 +991,8 @@ type liveOptions struct {
 	obsHub  *obsplane.Hub // set internally once the hub is up
 
 	pprof bool // mount /debug/pprof/ on the live endpoint
+
+	metrics *trace.Registry // nil: the role publishes on its own (see roleMetrics)
 }
 
 // liveConfig derives the engine configuration. It must be identical on
@@ -1098,7 +1102,7 @@ func (g *gridState) healthDoc() map[string]any {
 	case stby != nil:
 		rst := stby.Receiver().Status()
 		doc["lastAppliedSeq"] = stby.Eng.LastSeq()
-		doc["lastAppliedAge"] = appliedAge(rst.LastApplied)
+		doc["lastAppliedAge"] = trace.AgeSeconds(rst.LastApplied)
 		doc["replication"] = map[string]any{
 			"id":         rst.ID,
 			"sourceUp":   rst.Connected,
@@ -1110,7 +1114,7 @@ func (g *gridState) healthDoc() map[string]any {
 	case st != nil:
 		stats := st.Stats()
 		doc["lastAppliedSeq"] = stats.LastSeq
-		doc["lastAppliedAge"] = appliedAge(stats.LastAppend)
+		doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
 		if sender != nil {
 			sst := sender.Status()
 			doc["replication"] = map[string]any{
@@ -1122,15 +1126,6 @@ func (g *gridState) healthDoc() map[string]any {
 	return doc
 }
 
-// appliedAge renders a last-applied wall time as seconds of staleness for
-// /healthz; -1 means nothing has been applied (or committed) yet.
-func appliedAge(t time.Time) float64 {
-	if t.IsZero() {
-		return -1
-	}
-	return time.Since(t).Seconds()
-}
-
 // liveMux builds the live daemon's HTTP surface over the state holder.
 func liveMux(state *gridState, pprofOn bool) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -1138,10 +1133,7 @@ func liveMux(state *gridState, pprofOn bool) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(state.healthDoc())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		writeLiveMetrics(w, state, state.health)
-	})
+	mux.HandleFunc("/metrics", trace.MetricsHandler(state.health.metrics.Gather))
 	mux.HandleFunc("/replication", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		role, _, _, stby, sender := state.view()
@@ -1565,35 +1557,32 @@ func writeAwardsFile(dir string, eng *telemetry.LiveEngine) error {
 	return atomicWriteFile(dir, "awards.json", data)
 }
 
-// writeMetrics renders a snapshot in Prometheus text exposition format. Every
-// family carries its # TYPE line, the per-shard series included, so a strict
-// exposition parser ingests the whole page.
-func writeMetrics(w io.Writer, snap telemetry.Snapshot) {
-	fmt.Fprintf(w, "# TYPE grid_tick counter\ngrid_tick %d\n", snap.Tick)
-	fmt.Fprintf(w, "# TYPE grid_readings_total counter\ngrid_readings_total %d\n", snap.Readings)
-	fmt.Fprintf(w, "# TYPE grid_renegotiations_total counter\ngrid_renegotiations_total %d\n", snap.Renegotiations)
-	fmt.Fprintf(w, "# TYPE grid_fleet_load_kwh gauge\ngrid_fleet_load_kwh %g\n", snap.FleetKWh)
-	fmt.Fprintf(w, "# TYPE grid_fleet_target_kwh gauge\ngrid_fleet_target_kwh %g\n", snap.TargetKWh)
-	fmt.Fprintf(w, "# TYPE grid_shard_load_kwh gauge\n")
-	for i := range snap.ShardMeasured {
-		fmt.Fprintf(w, "grid_shard_load_kwh{shard=\"%d\"} %g\n", i, snap.ShardMeasured[i])
+// gridSamples appends a live snapshot's grid_* series: the fleet totals,
+// then one series per shard in each per-shard family.
+func gridSamples(dst []trace.Sample, snap telemetry.Snapshot) []trace.Sample {
+	dst = append(dst,
+		trace.Counter("grid_tick", "", uint64(snap.Tick)),
+		trace.Counter("grid_readings_total", "", uint64(snap.Readings)),
+		trace.Counter("grid_renegotiations_total", "", uint64(snap.Renegotiations)),
+		trace.Gauge("grid_fleet_load_kwh", "", snap.FleetKWh),
+		trace.Gauge("grid_fleet_target_kwh", "", snap.TargetKWh))
+	shard := make([]string, len(snap.ShardMeasured))
+	for i := range shard {
+		shard[i] = trace.Label("shard", strconv.Itoa(i))
 	}
-	fmt.Fprintf(w, "# TYPE grid_shard_expected_kwh gauge\n")
-	for i := range snap.ShardMeasured {
-		fmt.Fprintf(w, "grid_shard_expected_kwh{shard=\"%d\"} %g\n", i, snap.ShardExpected[i])
+	for i, v := range snap.ShardMeasured {
+		dst = append(dst, trace.Gauge("grid_shard_load_kwh", shard[i], v))
 	}
-	fmt.Fprintf(w, "# TYPE grid_shard_breached gauge\n")
-	for i := range snap.ShardMeasured {
-		breached := 0
-		if snap.ShardBreached[i] {
-			breached = 1
-		}
-		fmt.Fprintf(w, "grid_shard_breached{shard=\"%d\"} %d\n", i, breached)
+	for i := range shard {
+		dst = append(dst, trace.Gauge("grid_shard_expected_kwh", shard[i], snap.ShardExpected[i]))
 	}
-	fmt.Fprintf(w, "# TYPE grid_shard_renegotiations_total counter\n")
-	for i := range snap.ShardMeasured {
-		fmt.Fprintf(w, "grid_shard_renegotiations_total{shard=\"%d\"} %d\n", i, snap.ShardRenegotiations[i])
+	for i := range shard {
+		dst = append(dst, trace.Gauge("grid_shard_breached", shard[i], trace.Bool(snap.ShardBreached[i])))
 	}
+	for i := range shard {
+		dst = append(dst, trace.Counter("grid_shard_renegotiations_total", shard[i], uint64(snap.ShardRenegotiations[i])))
+	}
+	return dst
 }
 
 // runClient joins as one Customer Agent and reacts until the session ends

@@ -346,7 +346,6 @@ func FeedbackScoreCompute(b *testing.B) {
 		Utilization:    func() float64 { return 1.1 },
 		ReplicationLag: func() float64 { return 12 },
 	}, health.DefaultBudgets(), health.DefaultWeights())
-	defer health.UnregisterGauge("feedback_score")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,9 +1,7 @@
 package bus
 
 import (
-	"encoding/json"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -403,51 +401,5 @@ func TestTCPClientCloseIsIdempotent(t *testing.T) {
 func TestDialValidation(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", ""); !errors.Is(err, ErrUnknownAgent) {
 		t.Fatalf("empty name error = %v", err)
-	}
-}
-
-// TestTCPServerSkipsMalformedFrames feeds garbage into the wire and checks
-// the session survives and later valid traffic still flows.
-func TestTCPServerSkipsMalformedFrames(t *testing.T) {
-	inner, err := NewInProc(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	uaBox, err := inner.Register("ua", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ListenAndServe("127.0.0.1:0", inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Hello, then garbage, then a valid envelope frame.
-	valid := env(t, "c1", "ua")
-	frameBytes, err := json.Marshal(frame{Envelope: &valid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := "{\"hello\":\"c1\"}\n" +
-		"this is not json\n" +
-		"{\"envelope\":{\"kind\":\"bogus\",\"body\":{}}}\n" +
-		string(frameBytes) + "\n"
-	if _, err := conn.Write([]byte(payload)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-uaBox:
-		if got.From != "c1" {
-			t.Fatalf("envelope = %+v", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("valid frame after garbage never delivered")
 	}
 }

@@ -2,7 +2,6 @@ package bus
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -15,24 +14,10 @@ import (
 )
 
 // The TCP transport bridges remote agents onto a local Bus, so the rest of
-// the system cannot tell remote agents from local ones. v2 connections speak
-// the binary frame protocol of wire.go; v1 connections (newline-delimited
-// JSON) are detected by their first byte and served by the legacy codec for
-// the connection's lifetime. A connection opens with a hello naming the
-// remote agent; the server answers with a hello-ack (v2) or, on rejection, a
+// the system cannot tell remote agents from local ones. Connections speak the
+// binary frame protocol of wire.go: a connection opens with a hello naming the
+// remote agent; the server answers with a hello-ack or, on rejection, a
 // terminal error frame, then both sides exchange message envelopes.
-
-// helloFrame is the first v1 frame a client sends.
-type helloFrame struct {
-	Hello string `json:"hello"`
-}
-
-// frame is the v1 union wire frame: exactly one field is set.
-type frame struct {
-	Hello    string            `json:"hello,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	Envelope *message.Envelope `json:"envelope,omitempty"`
-}
 
 // ServerConfig tunes the TCP server's overload behaviour.
 type ServerConfig struct {
@@ -113,25 +98,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one client connection for its lifetime, sniffing the
-// protocol version from the first byte.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-
-	r := bufio.NewReader(conn)
-	first, err := r.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == '{' {
-		s.stats.legacyConn.Add(1)
-		s.handleLegacy(conn, r)
-		return
-	}
-	s.handleBinary(conn, r)
-}
-
 // writeRaw writes buf to conn under the server's write deadline.
 func (s *Server) writeRaw(conn net.Conn, buf []byte) error {
 	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -150,8 +116,12 @@ func (s *Server) rejectBinary(conn net.Conn, reason string) {
 	_ = s.writeRaw(conn, appendFrame(nil, frameError, []byte(reason)))
 }
 
-// handleBinary speaks wire protocol v2 on the connection.
-func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader) {
+// handle serves one client connection for its lifetime.
+func (s *Server) handle(conn net.Conn) {
+	defer s.wg.Done()
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+
 	// Preamble: magic + the client's highest supported version. The server
 	// answers with the negotiated version (currently always 2) in the ack.
 	var preamble [2]byte
@@ -159,6 +129,7 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader) {
 		return
 	}
 	if preamble[0] != wireMagic {
+		s.stats.protoErrs.Add(1)
 		return // not this protocol; nothing safe to answer
 	}
 	if preamble[1] < WireVersion {
@@ -274,81 +245,6 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader) {
 			continue
 		}
 		_ = s.bus.Send(env) // delivery errors are the protocol layer's concern
-	}
-}
-
-// handleLegacy speaks the v1 newline-JSON protocol on the connection.
-func (s *Server) handleLegacy(conn net.Conn, r *bufio.Reader) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return
-	}
-	var hello helloFrame
-	if err := json.Unmarshal(line, &hello); err != nil || hello.Hello == "" {
-		return
-	}
-	name := hello.Hello
-
-	inbox, err := s.bus.Register(name, 0)
-	if err != nil {
-		s.stats.rejected.Add(1)
-		if buf, merr := json.Marshal(frame{Error: err.Error()}); merr == nil {
-			_ = s.writeRaw(conn, append(buf, '\n'))
-		}
-		return
-	}
-	if !s.track(name, conn) {
-		s.bus.Unregister(name)
-		return
-	}
-	defer s.untrack(name)
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for env := range inbox {
-			e := env
-			buf, err := json.Marshal(frame{Envelope: &e})
-			if err != nil {
-				continue
-			}
-			if err := s.writeRaw(conn, append(buf, '\n')); err != nil {
-				// Cut the connection so the reader unblocks, then drain the
-				// inbox so Unregister's close is all that remains.
-				_ = conn.Close()
-				for range inbox {
-					s.stats.dropped.Add(1)
-				}
-				return
-			}
-		}
-	}()
-	defer func() {
-		// Unregister closes the inbox, which stops the writer; one site, so
-		// the old double-Unregister path is gone.
-		s.bus.Unregister(name)
-		<-writerDone
-	}()
-
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		s.stats.framesIn.Add(1)
-		s.stats.bytesIn.Add(uint64(len(line)))
-		var f frame
-		if err := json.Unmarshal(line, &f); err != nil || f.Envelope == nil {
-			s.stats.malformed.Add(1)
-			continue // skip malformed frames rather than killing the session
-		}
-		env := *f.Envelope
-		env.From = name // trust boundary: the connection owns its identity
-		if _, err := env.Decode(); err != nil {
-			s.stats.malformed.Add(1)
-			continue
-		}
-		_ = s.bus.Send(env)
 	}
 }
 

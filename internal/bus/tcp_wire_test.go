@@ -3,8 +3,8 @@ package bus
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -83,93 +83,31 @@ func TestDuplicateHelloFailsFast(t *testing.T) {
 	}
 }
 
-// TestLegacyDuplicateHelloGetsErrorFrame covers the v1 path: a JSON client
-// dialing a taken name receives a terminal error line.
-func TestLegacyDuplicateHelloGetsErrorFrame(t *testing.T) {
-	srv, _, _ := newServer(t, ServerConfig{})
-	c1, err := Dial(srv.Addr(), "c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-
+// TestNonMagicFirstByteClosedAndCounted dials the way a v1 newline-JSON
+// client would: the server must close the connection unanswered, count it as
+// a protocol error, and never register the name the hello line carried.
+func TestNonMagicFirstByteClosedAndCounted(t *testing.T) {
+	srv, inner, _ := newServer(t, ServerConfig{})
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("{\"hello\":\"c1\"}\n")); err != nil {
+	if _, err := conn.Write([]byte("{\"hello\":\"x\"}\n")); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("no error frame: %v", err)
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read = %d bytes, err %v; want the server to close unanswered", n, err)
 	}
-	var f frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		t.Fatal(err)
+	ws := srv.WireStats()
+	if ws.ProtoErrs != 1 || ws.Hellos != 0 || ws.FramesOut != 0 {
+		t.Fatalf("wire stats = %+v, want 1 protocol error, no hello, nothing written", ws)
 	}
-	if !strings.Contains(f.Error, "already registered") {
-		t.Fatalf("error frame = %+v", f)
-	}
-}
-
-// TestLegacyClientInterop proves v1 clients still work end to end against
-// the v2 server: hello, inbound envelope, outbound envelope, all as
-// newline-JSON.
-func TestLegacyClientInterop(t *testing.T) {
-	srv, inner, uaBox := newServer(t, ServerConfig{})
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("{\"hello\":\"c1\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Inbound: legacy envelope frame reaches the bridged bus.
-	in := env(t, "c1", "ua")
-	buf, err := json.Marshal(frame{Envelope: &in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(append(buf, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-uaBox:
-		if got.From != "c1" {
-			t.Fatalf("envelope = %+v", got)
+	for _, a := range inner.Agents() {
+		if a == "x" {
+			t.Fatal("non-protocol hello registered x on the bus")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("legacy inbound envelope never delivered")
-	}
-	if ws := srv.WireStats(); ws.LegacyConn != 1 {
-		t.Fatalf("legacy conns = %d, want 1", ws.LegacyConn)
-	}
-
-	// Outbound: a local agent's reply arrives as a JSON line.
-	reply, err := message.NewEnvelope("ua", "c1", "s1", message.Award{Round: 1, CutDown: 0.2, Reward: 8.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.Send(reply); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("no outbound frame: %v", err)
-	}
-	var f frame
-	if err := json.Unmarshal(line, &f); err != nil || f.Envelope == nil {
-		t.Fatalf("outbound frame = %s (err %v)", line, err)
-	}
-	if f.Envelope.Kind != message.KindAward {
-		t.Fatalf("outbound envelope = %+v", f.Envelope)
 	}
 }
 

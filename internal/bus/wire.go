@@ -20,18 +20,16 @@ import (
 // client: negotiated version), envelope (either direction: a binary
 // message.Envelope) and error (server → client: terminal error text, the
 // connection closes after it). Envelope payloads use the single-pass binary
-// codec in internal/message, so nothing on the wire is JSON-in-JSON.
-//
-// v1 connections (newline-delimited JSON, first byte '{') are still accepted
-// by the server; the sniff is unambiguous because v2's magic byte can never
-// begin a JSON document.
+// codec in internal/message, so nothing on the wire is JSON-in-JSON. A
+// connection whose first byte is not the magic is closed unanswered and
+// counted as a protocol error.
 
 // Protocol constants.
 const (
 	// WireVersion is the highest protocol version this build speaks.
 	WireVersion = 2
-	// wireMagic opens every v2 connection. 0xB5 ("bus") is not valid UTF-8
-	// JSON start, so the server can sniff v1 clients from the first byte.
+	// wireMagic opens every connection. 0xB5 ("bus") can begin neither UTF-8
+	// text nor a JSON document, so a stray text client is told apart at once.
 	wireMagic byte = 0xB5
 	// DefaultMaxFrame bounds a single frame (kind + payload). Reward tables
 	// are a few kB; a megabyte frame is a protocol error, not a message.
@@ -133,16 +131,15 @@ func uvarintLen(v uint64) int {
 // peer's bounded outbound queue was full (overload shedding, mirroring the
 // in-process bus's rejected-delivery semantics).
 type WireStats struct {
-	FramesIn   uint64
-	FramesOut  uint64
-	BytesIn    uint64
-	BytesOut   uint64
-	Dropped    uint64 // outbound envelopes shed at a full per-connection queue
-	Hellos     uint64 // accepted v2 handshakes
-	LegacyConn uint64 // accepted v1 (newline-JSON) connections
-	Rejected   uint64 // hello rejections (duplicate or invalid names)
-	Malformed  uint64 // frames skipped as undecodable
-	ProtoErrs  uint64 // sessions terminated on protocol errors (oversized frame, bad stream)
+	FramesIn  uint64
+	FramesOut uint64
+	BytesIn   uint64
+	BytesOut  uint64
+	Dropped   uint64 // outbound envelopes shed at a full per-connection queue
+	Hellos    uint64 // accepted handshakes
+	Rejected  uint64 // hello rejections (duplicate or invalid names)
+	Malformed uint64 // frames skipped as undecodable
+	ProtoErrs uint64 // sessions terminated on protocol errors (oversized frame, bad stream, wrong first byte)
 }
 
 // wireCounters is the atomic backing store for WireStats.
@@ -151,7 +148,6 @@ type wireCounters struct {
 	bytesIn, bytesOut   atomic.Uint64
 	dropped             atomic.Uint64
 	hellos              atomic.Uint64
-	legacyConn          atomic.Uint64
 	rejected            atomic.Uint64
 	malformed           atomic.Uint64
 	protoErrs           atomic.Uint64
@@ -160,15 +156,14 @@ type wireCounters struct {
 // snapshot copies the counters.
 func (c *wireCounters) snapshot() WireStats {
 	return WireStats{
-		FramesIn:   c.framesIn.Load(),
-		FramesOut:  c.framesOut.Load(),
-		BytesIn:    c.bytesIn.Load(),
-		BytesOut:   c.bytesOut.Load(),
-		Dropped:    c.dropped.Load(),
-		Hellos:     c.hellos.Load(),
-		LegacyConn: c.legacyConn.Load(),
-		Rejected:   c.rejected.Load(),
-		Malformed:  c.malformed.Load(),
-		ProtoErrs:  c.protoErrs.Load(),
+		FramesIn:  c.framesIn.Load(),
+		FramesOut: c.framesOut.Load(),
+		BytesIn:   c.bytesIn.Load(),
+		BytesOut:  c.bytesOut.Load(),
+		Dropped:   c.dropped.Load(),
+		Hellos:    c.hellos.Load(),
+		Rejected:  c.rejected.Load(),
+		Malformed: c.malformed.Load(),
+		ProtoErrs: c.protoErrs.Load(),
 	}
 }

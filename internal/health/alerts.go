@@ -10,11 +10,13 @@ import (
 	"sync"
 	"time"
 
+	"loadbalance/internal/trace"
 	"loadbalance/internal/tsdb"
 )
 
-// The alert engine evaluates threshold rules over the metric namespace
-// (registered gauges + histogram percentiles) once per tick. A rule fires
+// The alert engine evaluates threshold rules over the role's gathered
+// metrics (every published series, histogram percentiles included, by its
+// full series name) once per tick. A rule fires
 // only after its condition holds for `for=N` consecutive evaluations —
 // sustain is counted in evaluations, not wall time, so drills running at
 // fast ticks stay deterministic — and resolves the first evaluation the
@@ -226,6 +228,9 @@ type Engine struct {
 	// OnFire runs on each ok/pending→firing transition (the flight
 	// recorder hook). Called without the engine lock held.
 	OnFire func(a AlertStatus)
+	// Metrics is the registry point-in-time rules read, gathered once per
+	// Eval. When nil those rules are no-data (never breaching).
+	Metrics *trace.Registry
 	// History backs windowed and burn rules. When nil those rules are
 	// no-data (never breaching); point-in-time rules are unaffected.
 	History *tsdb.Store
@@ -274,13 +279,13 @@ func (e *Engine) nowUs() int64 {
 	return time.Now().UnixMicro()
 }
 
-// ruleValue evaluates one rule's left-hand side at nowUs. ok=false means
-// no data (missing metric, empty window, engine without history) and
-// never breaches.
-func (e *Engine) ruleValue(rc RuleConfig, nowUs int64) (float64, bool) {
+// ruleValue evaluates one rule's left-hand side at nowUs against the
+// gathered samples. ok=false means no data (missing metric, empty window,
+// engine without history) and never breaches.
+func (e *Engine) ruleValue(rc RuleConfig, samples []trace.Sample, nowUs int64) (float64, bool) {
 	switch rc.Fn {
 	case "":
-		return LookupMetric(rc.Metric)
+		return trace.Value(samples, rc.Metric)
 	case "burn":
 		return e.burnValue(rc, nowUs)
 	default:
@@ -369,10 +374,16 @@ func (e *Engine) Eval() []AlertStatus {
 	var fired []AlertStatus
 	var resolved []AlertStatus
 	now := e.nowUs()
+	// Gathered before taking the lock: the engine's own Samples collector
+	// reads Status under it.
+	var samples []trace.Sample
+	if e.Metrics != nil {
+		samples = e.Metrics.Gather()
+	}
 
 	e.mu.Lock()
 	for _, r := range e.rules {
-		v, ok := e.ruleValue(r.cfg, now)
+		v, ok := e.ruleValue(r.cfg, samples, now)
 		r.value = v
 		breaching := false
 		if ok {
@@ -518,22 +529,14 @@ func appendAlertJSON(b []byte, a *AlertStatus) []byte {
 	return b
 }
 
-// WriteAlertMetrics renders alert states as gauges (1 = firing).
-func WriteAlertMetrics(w io.Writer, e *Engine) {
+// Samples appends alert states as gauges (1 = firing) and fire counters.
+func (e *Engine) Samples(dst []trace.Sample) []trace.Sample {
 	alerts := e.Status()
-	if len(alerts) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE health_alert_firing gauge\n")
 	for _, a := range alerts {
-		v := 0
-		if a.State == StateFiring {
-			v = 1
-		}
-		fmt.Fprintf(w, "health_alert_firing{alert=%q} %d\n", a.Rule.Name, v)
+		dst = append(dst, trace.Gauge("health_alert_firing", trace.Label("alert", a.Rule.Name), trace.Bool(a.State == StateFiring)))
 	}
-	fmt.Fprintf(w, "# TYPE health_alert_fired_total counter\n")
 	for _, a := range alerts {
-		fmt.Fprintf(w, "health_alert_fired_total{alert=%q} %d\n", a.Rule.Name, a.FireCount)
+		dst = append(dst, trace.Counter("health_alert_fired_total", trace.Label("alert", a.Rule.Name), uint64(a.FireCount)))
 	}
+	return dst
 }

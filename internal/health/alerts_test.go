@@ -3,8 +3,10 @@ package health
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
+	"reflect"
 	"testing"
+
+	"loadbalance/internal/trace"
 )
 
 func TestParseRule(t *testing.T) {
@@ -45,11 +47,12 @@ func TestParseRule(t *testing.T) {
 
 func TestAlertSustainFireResolve(t *testing.T) {
 	v := 100.0
-	RegisterGauge("test_alert_metric", func() float64 { return v })
-	defer UnregisterGauge("test_alert_metric")
+	reg := trace.NewRegistry()
+	reg.RegisterGauge("test_alert_metric", func() float64 { return v })
 
 	l := newTestLogger(t, Config{MinLevel: Debug})
 	e := NewEngine([]RuleConfig{{Name: "low", Metric: "test_alert_metric", Op: "<", Threshold: 40, For: 2}}, l)
+	e.Metrics = reg
 	var fired []string
 	e.OnFire = func(a AlertStatus) { fired = append(fired, a.Rule.Name) }
 
@@ -108,6 +111,7 @@ func TestAlertSustainFireResolve(t *testing.T) {
 
 func TestAlertUnknownMetricNeverFires(t *testing.T) {
 	e := NewEngine([]RuleConfig{{Name: "ghost", Metric: "does_not_exist", Op: ">", Threshold: 0, For: 1}}, newTestLogger(t, Config{MinLevel: Off}))
+	e.Metrics = trace.NewRegistry()
 	for i := 0; i < 3; i++ {
 		if st := e.Eval()[0]; st.State != StateOK {
 			t.Fatalf("unknown metric state = %s", st.State)
@@ -117,9 +121,9 @@ func TestAlertUnknownMetricNeverFires(t *testing.T) {
 
 func TestAlertsHandler(t *testing.T) {
 	v := 10.0
-	RegisterGauge("test_handler_metric", func() float64 { return v })
-	defer UnregisterGauge("test_handler_metric")
 	e := NewEngine([]RuleConfig{{Name: "hot", Metric: "test_handler_metric", Op: ">", Threshold: 5, For: 1}}, newTestLogger(t, Config{MinLevel: Off}))
+	e.Metrics = trace.NewRegistry()
+	e.Metrics.RegisterGauge("test_handler_metric", func() float64 { return v })
 	e.Eval()
 
 	rec := httptest.NewRecorder()
@@ -147,19 +151,18 @@ func TestAlertsHandler(t *testing.T) {
 
 func TestWriteAlertMetrics(t *testing.T) {
 	v := 10.0
-	RegisterGauge("test_metrics_metric", func() float64 { return v })
-	defer UnregisterGauge("test_metrics_metric")
+	reg := trace.NewRegistry()
+	reg.RegisterGauge("test_metrics_metric", func() float64 { return v })
 	e := NewEngine([]RuleConfig{{Name: "hot", Metric: "test_metrics_metric", Op: ">", Threshold: 5, For: 1}}, newTestLogger(t, Config{MinLevel: Off}))
+	e.Metrics = reg
+	// Published on the registry it reads: Eval must gather before it locks.
+	reg.Register(e.Samples)
 	e.Eval()
-	var sb strings.Builder
-	WriteAlertMetrics(&sb, e)
-	out := sb.String()
-	for _, want := range []string{
-		`health_alert_firing{alert="hot"} 1`,
-		`health_alert_fired_total{alert="hot"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("alert metrics missing %q:\n%s", want, out)
-		}
+	want := []trace.Sample{
+		trace.Gauge("health_alert_firing", `alert="hot"`, 1),
+		trace.Counter("health_alert_fired_total", `alert="hot"`, 1),
+	}
+	if got := e.Samples(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("alert samples = %+v, want %+v", got, want)
 	}
 }

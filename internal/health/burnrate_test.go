@@ -110,9 +110,10 @@ func TestBurnRateDrill(t *testing.T) {
 		fastObs = time.Millisecond
 		slowObs = 20 * time.Millisecond
 	)
-	hist := trace.GetHistogram(family) // default registry: the inst rule's namespace
+	reg := trace.NewRegistry() // what the scraper samples and the inst rule reads
+	hist := reg.Histogram(family)
 	st := tsdb.New(tsdb.Config{})
-	sc := tsdb.NewScraper(tsdb.ScrapeConfig{Store: st, Registry: trace.DefaultRegistry()})
+	sc := tsdb.NewScraper(tsdb.ScrapeConfig{Store: st, Registry: reg})
 
 	rules, err := ParseRules(
 		"slo_burn:burn(" + family + ",le=0.01,slo=0.95)[4s,1s]>2:for=2," +
@@ -121,7 +122,7 @@ func TestBurnRateDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(rules, newTestLogger(t, Config{MinLevel: Info}))
-	eng.History = st
+	eng.Metrics, eng.History = reg, st
 	var nowUs int64
 	eng.NowUs = func() int64 { return nowUs }
 

@@ -1,8 +1,6 @@
 package health
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -108,11 +106,10 @@ type Scorer struct {
 	value atomic.Uint64 // math.Float64bits
 }
 
-// NewScorer builds a scorer and registers its "feedback_score" gauge.
+// NewScorer builds a scorer; the role publishes it by registering Samples.
 func NewScorer(src Sources, budgets Budgets, weights Weights) *Scorer {
 	s := &Scorer{src: src, budgets: budgets, weights: weights, gcStats: runtimeGCStats}
 	s.value.Store(math.Float64bits(100)) // healthy until first compute
-	RegisterGauge("feedback_score", s.Value)
 	return s
 }
 
@@ -215,14 +212,12 @@ func (s *Scorer) Latest() Score {
 	return sc
 }
 
-// WriteScoreMetrics renders the score and its components as gauges.
-func WriteScoreMetrics(w io.Writer, s *Scorer) {
+// Samples appends the score and its components as gauges.
+func (s *Scorer) Samples(dst []trace.Sample) []trace.Sample {
 	sc := s.Latest()
-	fmt.Fprintf(w, "# TYPE feedback_score gauge\nfeedback_score %g\n", sc.Value)
-	if len(sc.Components) > 0 {
-		fmt.Fprintf(w, "# TYPE feedback_component_health gauge\n")
-		for _, c := range sc.Components {
-			fmt.Fprintf(w, "feedback_component_health{component=%q} %g\n", c.Name, c.Health)
-		}
+	dst = append(dst, trace.Gauge("feedback_score", "", sc.Value))
+	for _, c := range sc.Components {
+		dst = append(dst, trace.Gauge("feedback_component_health", trace.Label("component", c.Name), c.Health))
 	}
+	return dst
 }

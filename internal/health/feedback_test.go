@@ -1,8 +1,10 @@
 package health
 
 import (
-	"strings"
 	"testing"
+	"time"
+
+	"loadbalance/internal/trace"
 )
 
 // quietScorer builds a scorer with deterministic runtime stats so tests
@@ -35,7 +37,6 @@ func TestClampHealth(t *testing.T) {
 func TestScoreMonotoneInOfferedLoad(t *testing.T) {
 	util := 0.5
 	s := quietScorer(Sources{Utilization: func() float64 { return util }}, DefaultWeights())
-	defer UnregisterGauge("feedback_score")
 	prev := 101.0
 	for _, u := range []float64{0.5, 0.9, 1.0, 1.1, 1.2, 1.35, 1.5, 1.8, 2.5} {
 		util = u
@@ -60,7 +61,6 @@ func TestScoreDropsAbsentSources(t *testing.T) {
 	// No utilization or replication sources: their weights drop out and a
 	// quiet process scores 100.
 	s := quietScorer(Sources{}, DefaultWeights())
-	defer UnregisterGauge("feedback_score")
 	sc := s.Compute()
 	if sc.Value != 100 {
 		t.Fatalf("quiet process scored %g, want 100", sc.Value)
@@ -75,9 +75,10 @@ func TestScoreDropsAbsentSources(t *testing.T) {
 func TestScoreGaugeRegistered(t *testing.T) {
 	util := 2.0
 	s := quietScorer(Sources{Utilization: func() float64 { return util }}, Weights{Utilization: 1})
-	defer UnregisterGauge("feedback_score")
 	s.Compute()
-	v, ok := LookupMetric("feedback_score")
+	reg := trace.NewRegistry()
+	reg.Register(s.Samples)
+	v, ok := trace.Value(reg.Gather(), "feedback_score")
 	if !ok || v != 0 {
 		t.Fatalf("feedback_score gauge = %g, %v; want 0 (fully overloaded, only source)", v, ok)
 	}
@@ -86,33 +87,37 @@ func TestScoreGaugeRegistered(t *testing.T) {
 	}
 }
 
+// TestLookupMetricPercentiles pins the one namespace alert rules read: a
+// gathered series resolves by its full name, a histogram percentile once the
+// histogram has observations, and nothing else — probing creates no family.
 func TestLookupMetricPercentiles(t *testing.T) {
-	if _, ok := LookupMetric("no_such_gauge"); ok {
-		t.Fatal("unknown name resolved")
+	reg := trace.NewRegistry()
+	e := NewEngine([]RuleConfig{
+		{Name: "ghost", Metric: "no_such_gauge", Op: ">", Threshold: -1},
+		{Name: "idle", Metric: "some_unobserved_seconds_p99", Op: "<", Threshold: 1},
+		{Name: "slow", Metric: "observed_seconds_p99", Op: ">", Threshold: 0.5},
+	}, newTestLogger(t, Config{MinLevel: Off}))
+	e.Metrics = reg
+	reg.Histogram("observed_seconds").Observe(time.Second)
+	for _, st := range e.Eval() {
+		if want := map[string]string{"ghost": StateOK, "idle": StateOK, "slow": StateFiring}[st.Rule.Name]; st.State != want {
+			t.Fatalf("rule %s state = %s, want %s (value %g)", st.Rule.Name, st.State, want, st.Value)
+		}
 	}
-	// A histogram-percentile name resolves (to 0 when never observed)
-	// without creating the family.
-	v, ok := LookupMetric("some_unobserved_seconds_p99")
-	if !ok || v != 0 {
-		t.Fatalf("percentile lookup = %g, %v; want 0, true", v, ok)
+	if reg.Lookup("some_unobserved_seconds") != nil {
+		t.Fatal("evaluating a percentile rule created its histogram family")
 	}
 }
 
 func TestWriteScoreMetrics(t *testing.T) {
 	util := 1.25
 	s := quietScorer(Sources{Utilization: func() float64 { return util }}, DefaultWeights())
-	defer UnregisterGauge("feedback_score")
 	s.Compute()
-	var sb strings.Builder
-	WriteScoreMetrics(&sb, s)
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE feedback_score gauge",
-		"feedback_score ",
-		`feedback_component_health{component="utilization"} 0.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("score metrics missing %q:\n%s", want, out)
-		}
+	samples := s.Samples(nil)
+	if samples[0].Family != "feedback_score" || samples[0].Kind != trace.KindGauge {
+		t.Fatalf("first score sample = %+v", samples[0])
+	}
+	if v, ok := trace.Value(samples, `feedback_component_health{component="utilization"}`); !ok || v != 0.5 {
+		t.Fatalf("utilization component health = %g (found %v), want 0.5 in %+v", v, ok, samples)
 	}
 }

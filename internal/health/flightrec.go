@@ -44,9 +44,8 @@ type Recorder struct {
 	logger *Logger
 	scorer *Scorer // may be nil
 	engine *Engine // may be nil
-	// MetricsFn writes the process's full /metrics document (the command
-	// wires its own composition of writers here).
-	MetricsFn func(w io.Writer)
+	// metrics is the role's registry; metrics.prom is its /metrics page.
+	metrics *trace.Registry
 	// ProfileDur > 0 adds runtime profiles to each bundle: heap.pprof
 	// inline, plus a CPU profile of this duration captured asynchronously
 	// (cpu.pprof appears in the bundle once the capture window closes, so
@@ -60,13 +59,13 @@ type Recorder struct {
 	profileWG sync.WaitGroup
 }
 
-// NewRecorder builds a recorder rooted at dir (created on first dump).
-// keep <= 0 means keep 8.
-func NewRecorder(dir string, keep int, logger *Logger) *Recorder {
+// NewRecorder builds a recorder rooted at dir (created on first dump) that
+// snapshots metrics into each bundle. keep <= 0 means keep 8.
+func NewRecorder(dir string, keep int, logger *Logger, metrics *trace.Registry) *Recorder {
 	if keep <= 0 {
 		keep = 8
 	}
-	return &Recorder{dir: dir, keep: keep, logger: logger}
+	return &Recorder{dir: dir, keep: keep, logger: logger, metrics: metrics}
 }
 
 // Bind attaches the score and alert state to subsequent bundles.
@@ -134,23 +133,7 @@ func (r *Recorder) Dump(reason, detail string) (string, error) {
 		{"meta.json", func(w io.Writer) error { return writeMetaJSON(w, &meta) }},
 		{"trace.json", func(w io.Writer) error { return trace.WriteDump(w, trace.Filter{}) }},
 		{"logs.json", func(w io.Writer) error { return WriteLogDump(w, r.log(), LogFilter{}) }},
-		{"metrics.prom", func(w io.Writer) error {
-			if r.MetricsFn != nil {
-				r.MetricsFn(w)
-				return nil
-			}
-			// No command-wired composition: fall back to the families the
-			// health layer owns plus the trace histograms.
-			WriteLogMetrics(w, r.log())
-			if r.scorer != nil {
-				WriteScoreMetrics(w, r.scorer)
-			}
-			if r.engine != nil {
-				WriteAlertMetrics(w, r.engine)
-			}
-			trace.WriteMetrics(w)
-			return nil
-		}},
+		{"metrics.prom", func(w io.Writer) error { return trace.WriteMetrics(w, r.metrics.Gather()) }},
 		{"alerts.json", func(w io.Writer) error {
 			var alerts []AlertStatus
 			if r.engine != nil {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"loadbalance/internal/trace"
 )
 
 func TestFlightRecorderBundle(t *testing.T) {
@@ -19,13 +21,16 @@ func TestFlightRecorderBundle(t *testing.T) {
 	util := 2.0
 	s := NewScorer(Sources{Utilization: func() float64 { return util }}, DefaultBudgets(), Weights{Utilization: 1})
 	s.gcStats = func() (float64, float64) { return 0, 0 }
-	defer UnregisterGauge("feedback_score")
 	s.Compute()
 
+	reg := trace.NewRegistry()
+	reg.Register(s.Samples)
 	e := NewEngine([]RuleConfig{{Name: "overload", Metric: "feedback_score", Op: "<", Threshold: 40, For: 1}}, l)
+	e.Metrics = reg
+	reg.Register(e.Samples)
 	e.Eval()
 
-	r := NewRecorder(dir, 3, l)
+	r := NewRecorder(dir, 3, l, reg)
 	r.Bind(s, e)
 	bundle, err := r.Dump("alert", "overload")
 	if err != nil {
@@ -58,16 +63,19 @@ func TestFlightRecorderBundle(t *testing.T) {
 	if !strings.Contains(string(alertsData), `"state":"firing"`) {
 		t.Fatalf("alerts.json missing firing state:\n%s", alertsData)
 	}
+	// metrics.prom is the registry's page.
 	metricsData, _ := os.ReadFile(filepath.Join(bundle, "metrics.prom"))
-	if len(metricsData) == 0 {
-		t.Fatal("metrics.prom empty")
+	for _, want := range []string{"# TYPE feedback_score gauge\nfeedback_score 0\n", `health_alert_firing{alert="overload"} 1`} {
+		if !strings.Contains(string(metricsData), want) {
+			t.Fatalf("metrics.prom missing %q:\n%s", want, metricsData)
+		}
 	}
 }
 
 func TestFlightRecorderProfileCapture(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "flightrec")
 	l := newTestLogger(t, Config{MinLevel: Off})
-	r := NewRecorder(dir, 2, l)
+	r := NewRecorder(dir, 2, l, trace.NewRegistry())
 	r.ProfileDur = 50 * time.Millisecond
 	bundle, err := r.Dump("alert", "overload")
 	if err != nil {
@@ -104,7 +112,7 @@ func TestFlightRecorderProfileCapture(t *testing.T) {
 func TestFlightRecorderPrune(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "flightrec")
 	l := newTestLogger(t, Config{MinLevel: Off})
-	r := NewRecorder(dir, 2, l)
+	r := NewRecorder(dir, 2, l, trace.NewRegistry())
 	for i := 0; i < 5; i++ {
 		if _, err := r.Dump("test", ""); err != nil {
 			t.Fatalf("Dump %d: %v", i, err)
@@ -134,7 +142,7 @@ func TestCrashDumpHook(t *testing.T) {
 		t.Fatalf("CrashDump without recorder wrote %q", dir)
 	}
 	dir := filepath.Join(t.TempDir(), "flightrec")
-	r := NewRecorder(dir, 2, newTestLogger(t, Config{MinLevel: Off}))
+	r := NewRecorder(dir, 2, newTestLogger(t, Config{MinLevel: Off}), trace.NewRegistry())
 	SetRecorder(r)
 	defer SetRecorder(nil)
 	bundle := CrashDump("panic", "boom")
@@ -158,7 +166,6 @@ func TestResponderServes(t *testing.T) {
 	util := 0.5
 	s := NewScorer(Sources{Utilization: func() float64 { return util }}, DefaultBudgets(), Weights{Utilization: 1})
 	s.gcStats = func() (float64, float64) { return 0, 0 }
-	defer UnregisterGauge("feedback_score")
 	s.Compute()
 
 	r, err := NewResponder("127.0.0.1:0", s)
@@ -207,7 +214,7 @@ func TestBundlesSkipsStaging(t *testing.T) {
 	if got, err := Bundles(dir); err != nil || len(got) != 0 {
 		t.Fatalf("Bundles before any dump = %v, %v; want none", got, err)
 	}
-	r := NewRecorder(dir, 4, newTestLogger(t, Config{MinLevel: Off}))
+	r := NewRecorder(dir, 4, newTestLogger(t, Config{MinLevel: Off}), trace.NewRegistry())
 	first, err := r.Dump("sigquit", "")
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"loadbalance/internal/trace"
 )
 
 func newTestLogger(t *testing.T, cfg Config) *Logger {
@@ -179,17 +181,20 @@ func TestDefaultLoggerInstall(t *testing.T) {
 func TestWriteLogMetrics(t *testing.T) {
 	l := newTestLogger(t, Config{MinLevel: Debug})
 	l.Log(Warn, "c", "w")
-	var sb strings.Builder
-	WriteLogMetrics(&sb, l)
-	out := sb.String()
-	for _, want := range []string{
-		`health_log_events_total{level="warn"} 1`,
-		"health_log_ring_total 1",
-		"health_log_ring_dropped_total 0",
-		"# TYPE health_log_events_total counter",
+	samples := l.Samples(nil)
+	for series, want := range map[string]float64{
+		`health_log_events_total{level="warn"}`: 1,
+		`health_log_events_total{level="info"}`: 0,
+		"health_log_ring_total":                 1,
+		"health_log_ring_dropped_total":         0,
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
+		if got, ok := trace.Value(samples, series); !ok || got != want {
+			t.Fatalf("%s = %g (found %v), want %g", series, got, ok, want)
+		}
+	}
+	for _, s := range samples {
+		if s.Kind != trace.KindCounter {
+			t.Fatalf("%s has kind %v, want counter", s.Series(), s.Kind)
 		}
 	}
 }

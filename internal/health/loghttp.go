@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"loadbalance/internal/trace"
 )
 
 // appendEventJSON renders one event as a compact JSON object. Hand-rolled
@@ -118,14 +120,13 @@ func LogHandler(l *Logger) http.HandlerFunc {
 	}
 }
 
-// WriteLogMetrics renders the logger's counters in Prometheus exposition
-// format, matching the repo's fmt.Fprintf writer idiom.
-func WriteLogMetrics(w io.Writer, l *Logger) {
+// Samples appends the logger's counters.
+func (l *Logger) Samples(dst []trace.Sample) []trace.Sample {
 	total, dropped, perLevel := l.Stats()
-	fmt.Fprintf(w, "# TYPE health_log_events_total counter\n")
 	for i, c := range perLevel {
-		fmt.Fprintf(w, "health_log_events_total{level=%q} %d\n", Level(i).String(), c)
+		dst = append(dst, trace.Counter("health_log_events_total", trace.Label("level", Level(i).String()), c))
 	}
-	fmt.Fprintf(w, "# TYPE health_log_ring_total counter\nhealth_log_ring_total %d\n", total)
-	fmt.Fprintf(w, "# TYPE health_log_ring_dropped_total counter\nhealth_log_ring_dropped_total %d\n", dropped)
+	return append(dst,
+		trace.Counter("health_log_ring_total", "", total),
+		trace.Counter("health_log_ring_dropped_total", "", dropped))
 }

@@ -17,7 +17,7 @@ var replayRestoreFuncs = regexp.MustCompile(
 // stays unmatched — its ticker and wall-clock default are the one place
 // time legitimately enters.
 var tsdbDeterministicFuncs = regexp.MustCompile(
-	`^(Append|AppendBatch|appendLocked|foldLocked|window|Query|Instant|ScrapeAt|scrapeExposition|snapshotInto|parseExpositionInto|evalWindow|thin)$`)
+	`^(Append|AppendBatch|appendLocked|foldLocked|window|Query|Instant|ScrapeAt|evalWindow|thin)$`)
 
 // DefaultWalltimeConfig scopes walltime to this repo's deterministic
 // replay surface.

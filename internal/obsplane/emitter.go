@@ -1,9 +1,6 @@
 package obsplane
 
 import (
-	"bytes"
-	"io"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,10 +38,10 @@ type EmitterConfig struct {
 	Redial time.Duration
 	// MaxFrame bounds one wire frame (default bus.DefaultMaxFrame).
 	MaxFrame int
-	// MetricsFn renders this process's metrics page; each flush parses the
-	// rendered exposition text into samples (histogram _bucket series are
-	// skipped to keep batches lean). Nil streams no metrics.
-	MetricsFn func(io.Writer)
+	// Metrics is this process's registry; each flush streams what it
+	// gathers (histogram _bucket series are skipped to keep batches lean).
+	// Nil streams no metrics.
+	Metrics *trace.Registry
 	// Logger is the drained log ring (default health.Default()).
 	Logger *health.Logger
 	// Tracer returns the drained span ring per flush (default the
@@ -306,10 +303,8 @@ func (e *Emitter) flush(cli *bus.Client, closing bool) error {
 			}
 		}
 	}
-	if e.cfg.MetricsFn != nil {
-		var buf bytes.Buffer
-		e.cfg.MetricsFn(&buf)
-		batch.Metrics = parseExposition(buf.Bytes())
+	if e.cfg.Metrics != nil {
+		batch.Metrics = wireSamples(e.cfg.Metrics.Gather())
 	}
 
 	e.mu.Lock()
@@ -371,36 +366,16 @@ func (e *Emitter) sendPayload(cli *bus.Client, p message.Payload) error {
 	return cli.Send(env)
 }
 
-// parseExposition extracts metric samples from Prometheus text exposition
-// format: comment lines are skipped, histogram _bucket series are skipped
-// (quantile gauges and _sum/_count travel instead), everything else becomes
-// one sample named by its full series (labels included).
-func parseExposition(page []byte) []message.ObsMetricSample {
-	var out []message.ObsMetricSample
-	for len(page) > 0 {
-		line := page
-		if i := bytes.IndexByte(page, '\n'); i >= 0 {
-			line, page = page[:i], page[i+1:]
-		} else {
-			page = nil
-		}
-		s := strings.TrimSpace(string(line))
-		if s == "" || s[0] == '#' {
+// wireSamples names each gathered sample by its full series (labels
+// included) for the wire. Histogram _bucket series stay home: the quantile
+// gauges and _sum/_count travel instead.
+func wireSamples(samples []trace.Sample) []message.ObsMetricSample {
+	out := make([]message.ObsMetricSample, 0, len(samples))
+	for _, s := range samples {
+		if s.Kind == trace.KindHistogram && strings.HasSuffix(s.Family, "_bucket") {
 			continue
 		}
-		sp := strings.LastIndexByte(s, ' ')
-		if sp <= 0 {
-			continue
-		}
-		name := s[:sp]
-		if strings.Contains(name, "_bucket{") || strings.HasSuffix(name, "_bucket") {
-			continue
-		}
-		v, err := strconv.ParseFloat(s[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, message.ObsMetricSample{Name: name, Value: v})
+		out = append(out, message.ObsMetricSample{Name: s.Series(), Value: s.Value})
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package obsplane
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"loadbalance/internal/health"
+	"loadbalance/internal/message"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/tsdb"
 )
@@ -227,85 +227,56 @@ func (h *Hub) FleetStatusHandler() http.HandlerFunc {
 	}
 }
 
-// WriteSummaryMetrics renders the hub's own series — the fleet_* gauges and
-// per-process obs_* counters (each counter series labelled {proc=...}) —
-// without the relayed samples. This is what the host daemon folds into its
-// regular /metrics page.
-func (h *Hub) WriteSummaryMetrics(w io.Writer) {
+// Samples appends the hub's own series — the fleet_* gauges and per-process
+// obs_* counters (each counter series labelled {proc=...}) — without the
+// relayed samples. This is what the host daemon publishes on its registry.
+func (h *Hub) Samples(dst []trace.Sample) []trace.Sample {
 	st := h.Status()
-	fmt.Fprintf(w, "# TYPE fleet_procs gauge\nfleet_procs %d\n", len(st))
-	fmt.Fprintf(w, "# TYPE fleet_last_batch_age_seconds gauge\nfleet_last_batch_age_seconds %g\n", h.SilenceAge())
-	fmt.Fprintf(w, "# TYPE fleet_feedback_score gauge\nfleet_feedback_score %g\n", h.FleetScore())
-	counters := []struct {
-		name string
-		get  func(*ProcStatus) uint64
+	dst = append(dst,
+		trace.Gauge("fleet_procs", "", float64(len(st))),
+		trace.Gauge("fleet_last_batch_age_seconds", "", h.SilenceAge()),
+		trace.Gauge("fleet_feedback_score", "", h.FleetScore()))
+	for _, c := range []struct {
+		family string
+		get    func(*ProcStatus) uint64
 	}{
 		{"obs_batches_total", func(p *ProcStatus) uint64 { return p.Batches }},
 		{"obs_logs_total", func(p *ProcStatus) uint64 { return p.Logs }},
 		{"obs_spans_total", func(p *ProcStatus) uint64 { return p.Spans }},
 		{"obs_missed_logs_total", func(p *ProcStatus) uint64 { return p.MissedLogs }},
 		{"obs_missed_spans_total", func(p *ProcStatus) uint64 { return p.MissedSpans }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
+	} {
 		for i := range st {
-			fmt.Fprintf(w, "%s{proc=%q} %d\n", c.name, st[i].Proc, c.get(&st[i]))
+			dst = append(dst, trace.Counter(c.family, trace.Label("proc", st[i].Proc), c.get(&st[i])))
 		}
 	}
+	return dst
 }
 
-// WriteFleetMetrics renders the full fleet metrics page: the hub summary,
-// then every process's streamed samples re-labelled with their sender.
-// Relayed series carry no # TYPE line (their types live on the origin
-// pages; untyped is valid exposition).
-func (h *Hub) WriteFleetMetrics(w io.Writer) {
-	h.WriteSummaryMetrics(w)
-
+// FleetSamples is the full fleet metrics page: the hub summary, then every
+// process's streamed samples re-labelled with their sender, in proc order.
+// Relayed series are untyped (their types live on the origin pages).
+func (h *Hub) FleetSamples() []trace.Sample {
+	out := h.Samples(nil)
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	names := make([]string, 0, len(h.procs))
 	for n := range h.procs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	type procSamples struct {
-		proc    string
-		samples []struct {
-			name  string
-			value float64
-		}
-	}
-	pages := make([]procSamples, 0, len(names))
 	for _, n := range names {
-		ps := procSamples{proc: n}
 		for _, s := range h.procs[n].metrics {
-			ps.samples = append(ps.samples, struct {
-				name  string
-				value float64
-			}{s.Name, s.Value})
-		}
-		pages = append(pages, ps)
-	}
-	h.mu.Unlock()
-
-	for _, ps := range pages {
-		for _, s := range ps.samples {
-			fmt.Fprintf(w, "%s %g\n", relabel(s.name, ps.proc), s.value)
+			out = append(out, relabel(s, n))
 		}
 	}
-}
-
-// FleetMetricsHandler serves WriteFleetMetrics over HTTP.
-func (h *Hub) FleetMetricsHandler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		h.WriteFleetMetrics(w)
-	}
+	return out
 }
 
 // Mount registers the /fleet endpoints on a mux. /fleet/query appears
 // only when the hub retains history.
 func (h *Hub) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("/fleet/metrics", h.FleetMetricsHandler())
+	mux.HandleFunc("/fleet/metrics", trace.MetricsHandler(h.FleetSamples))
 	mux.HandleFunc("/fleet/logs", h.FleetLogsHandler())
 	mux.HandleFunc("/fleet/trace", h.FleetTraceHandler())
 	mux.HandleFunc("/fleet/status", h.FleetStatusHandler())
@@ -314,11 +285,15 @@ func (h *Hub) Mount(mux *http.ServeMux) {
 	}
 }
 
-// relabel injects a proc label into one exposition series name:
-// `foo` becomes `foo{proc="x"}`, `foo{a="b"}` becomes `foo{proc="x",a="b"}`.
-func relabel(series, proc string) string {
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[:i+1] + `proc=` + strconv.Quote(proc) + `,` + series[i+1:]
+// relabel turns one streamed sample into the fleet's untyped sample of it,
+// the sender's proc label first: `foo` becomes `foo{proc="x"}`, `foo{a="b"}`
+// becomes `foo{proc="x",a="b"}`. A proc label the series already carries (a
+// hub host streaming its own obs_* counters) survives as exported_proc.
+func relabel(m message.ObsMetricSample, proc string) trace.Sample {
+	family, labels := trace.ParseSeries(m.Name)
+	s := trace.Sample{Family: family, Labels: trace.Label("proc", proc), Value: m.Value}
+	if labels != "" {
+		s.Labels += strings.ReplaceAll(","+labels, `,proc="`, `,exported_proc="`)
 	}
-	return series + `{proc=` + strconv.Quote(proc) + `}`
+	return s
 }

@@ -109,8 +109,7 @@ func (p *procState) sample(name string) (float64, bool) {
 }
 
 // Hub is the root-side receiver: it listens for emitters, merges their
-// batches and serves the fleet view. Close it to release the listener and
-// the fleet gauges.
+// batches and serves the fleet view. Close it to release the listener.
 type Hub struct {
 	cfg   HubConfig
 	inner *bus.InProc
@@ -124,10 +123,9 @@ type Hub struct {
 	done chan struct{}
 }
 
-// StartHub listens on cfg.Addr and merges emitter streams. It registers the
-// fleet_* gauges (silence age, fleet score, process count) with the health
-// registry so the root's alert engine can reference them; Close unregisters
-// them.
+// StartHub listens on cfg.Addr and merges emitter streams. The hosting role
+// registers Samples, which is how the root's alert engine sees the fleet_*
+// gauges (silence age, fleet score, process count).
 func StartHub(cfg HubConfig) (*Hub, error) {
 	cfg = cfg.withDefaults()
 	inner, err := bus.NewInProc(bus.Config{})
@@ -153,9 +151,6 @@ func StartHub(cfg HubConfig) (*Hub, error) {
 		procs: make(map[string]*procState),
 		done:  make(chan struct{}),
 	}
-	health.RegisterGauge("fleet_procs", func() float64 { return float64(h.procCount()) })
-	health.RegisterGauge("fleet_last_batch_age_seconds", h.SilenceAge)
-	health.RegisterGauge("fleet_feedback_score", h.FleetScore)
 	go h.controlLoop()
 	return h, nil
 }
@@ -264,7 +259,7 @@ func (h *Hub) merge(conn string, m message.ObsBatch) {
 		if h.cfg.History != nil {
 			ts := time.Now().UnixMicro()
 			for _, s := range m.Metrics {
-				h.cfg.History.Append(relabel(s.Name, conn), ts, s.Value)
+				h.cfg.History.Append(relabel(s, conn).Series(), ts, s.Value)
 			}
 		}
 	}
@@ -315,14 +310,6 @@ func ringOrdered[T any](ring []T, next, capHint int) []T {
 	}
 	out = append(out, ring[next:]...)
 	return append(out, ring[:next]...)
-}
-
-// procCount reports subscribed processes (closed ones included — they
-// stream no more but their state is still served).
-func (h *Hub) procCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.procs)
 }
 
 // SilenceAge is the fleet's worst last-batch age in seconds over processes
@@ -418,7 +405,7 @@ func (h *Hub) Status() []ProcStatus {
 	return out
 }
 
-// Close tears the listener down and unregisters the fleet gauges.
+// Close tears the listener down.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -427,9 +414,6 @@ func (h *Hub) Close() {
 	}
 	h.closed = true
 	h.mu.Unlock()
-	health.UnregisterGauge("fleet_procs")
-	health.UnregisterGauge("fleet_last_batch_age_seconds")
-	health.UnregisterGauge("fleet_feedback_score")
 	h.srv.Close()
 	h.inner.Close() // closes the control inbox; controlLoop exits
 	<-h.done

@@ -43,6 +43,13 @@ func testLogger(t *testing.T, proc string, ring int) *health.Logger {
 	return l
 }
 
+// fixedMetrics builds a registry publishing exactly these samples.
+func fixedMetrics(samples ...trace.Sample) *trace.Registry {
+	reg := trace.NewRegistry()
+	reg.Register(func(dst []trace.Sample) []trace.Sample { return append(dst, samples...) })
+	return reg
+}
+
 // getJSON fetches one fleet document from the test server.
 func getJSON(t *testing.T, url string, out any) {
 	t.Helper()
@@ -70,8 +77,8 @@ func TestHubMergeAndEndpoints(t *testing.T) {
 	}
 	defer hub.Close()
 
-	// Process w1: a session trace, an info log, and a metrics page with
-	// labels, a histogram bucket (must be skipped) and a comment line.
+	// Process w1: a session trace, an info log, and metrics with labels and
+	// a histogram bucket (must be skipped).
 	log1 := testLogger(t, "w1", 256)
 	tr1 := trace.NewTracer("w1", 256)
 	root := tr1.Root("session.run")
@@ -88,14 +95,12 @@ func TestHubMergeAndEndpoints(t *testing.T) {
 		Interval: 10 * time.Millisecond,
 		Logger:   log1,
 		Tracer:   func() *trace.Tracer { return tr1 },
-		MetricsFn: func(w io.Writer) {
-			fmt.Fprint(w, "# TYPE feedback_score gauge\n")
-			fmt.Fprint(w, "feedback_score 90\n")
-			fmt.Fprint(w, "replica_lag_records 3\n")
-			fmt.Fprint(w, "grid_tick_seconds_p95 0.01\n")
-			fmt.Fprint(w, "shard_load{shard=\"2\"} 5\n")
-			fmt.Fprint(w, "tick_seconds_bucket{le=\"0.1\"} 7\n")
-		},
+		Metrics: fixedMetrics(
+			trace.Gauge("feedback_score", "", 90),
+			trace.Gauge("replica_lag_records", "", 3),
+			trace.Gauge("grid_tick_seconds_p95", "", 0.01),
+			trace.Gauge("shard_load", `shard="2"`, 5),
+			trace.Sample{Family: "tick_seconds_bucket", Labels: `le="0.1"`, Kind: trace.KindHistogram, Value: 7}),
 	})
 	defer e1.Close()
 
@@ -107,10 +112,10 @@ func TestHubMergeAndEndpoints(t *testing.T) {
 	log2.Log(health.Warn, "comp2", "warn from w2")
 	e2 := StartEmitter(EmitterConfig{
 		Hub: hub.Addr(), Proc: "w2", Role: "standby",
-		Interval:  10 * time.Millisecond,
-		Logger:    log2,
-		Tracer:    func() *trace.Tracer { return tr2 },
-		MetricsFn: func(w io.Writer) { fmt.Fprint(w, "feedback_score 70\n") },
+		Interval: 10 * time.Millisecond,
+		Logger:   log2,
+		Tracer:   func() *trace.Tracer { return tr2 },
+		Metrics:  fixedMetrics(trace.Gauge("feedback_score", "", 70)),
 	})
 	defer e2.Close()
 
@@ -473,12 +478,14 @@ func TestSilentWorkerAlertDrill(t *testing.T) {
 	cli.Close()
 
 	dir := t.TempDir()
-	rec := health.NewRecorder(dir, 4, logger)
-	rec.MetricsFn = hub.WriteSummaryMetrics
+	reg := trace.NewRegistry()
+	reg.Register(hub.Samples)
+	rec := health.NewRecorder(dir, 4, logger, reg)
 	engine := health.NewEngine([]health.RuleConfig{{
 		Name: "worker_silent", Metric: "fleet_last_batch_age_seconds",
 		Op: ">", Threshold: 0.01, For: 2,
 	}}, logger)
+	engine.Metrics = reg
 	engine.OnFire = func(a health.AlertStatus) { rec.Dump("alert", a.Rule.Name) }
 
 	time.Sleep(30 * time.Millisecond) // let the batch age past the threshold
@@ -496,27 +503,27 @@ func TestSilentWorkerAlertDrill(t *testing.T) {
 	}
 }
 
-// TestParseExposition checks the metrics page parser: comments and bucket
-// series skipped, labelled series kept whole, malformed lines dropped.
-func TestParseExposition(t *testing.T) {
-	page := []byte(`# TYPE foo counter
-foo 1
-bar{a="b",c="d"} 2.5
-baz_bucket{le="0.1"} 9
-baz_sum 0.4
-baz_count 3
-malformed
-also_malformed notanumber
-`)
-	got := parseExposition(page)
+// TestWireSamples checks what a gathered snapshot becomes on the wire:
+// labelled series named whole, histogram buckets left behind, _sum/_count and
+// quantile gauges kept.
+func TestWireSamples(t *testing.T) {
+	reg := fixedMetrics(
+		trace.Counter("foo", "", 1),
+		trace.Gauge("bar", `a="b",c="d"`, 2.5))
+	reg.Histogram("baz_seconds").Observe(400 * time.Millisecond)
+	got := wireSamples(reg.Gather())
+	p50, _ := trace.Value(reg.Gather(), "baz_seconds_p50")
 	want := []message.ObsMetricSample{
 		{Name: "foo", Value: 1},
 		{Name: `bar{a="b",c="d"}`, Value: 2.5},
-		{Name: "baz_sum", Value: 0.4},
-		{Name: "baz_count", Value: 3},
+		{Name: "baz_seconds_sum", Value: 0.4},
+		{Name: "baz_seconds_count", Value: 1},
+		{Name: "baz_seconds_p50", Value: p50},
+		{Name: "baz_seconds_p95", Value: got[len(got)-2].Value},
+		{Name: "baz_seconds_p99", Value: got[len(got)-1].Value},
 	}
 	if len(got) != len(want) {
-		t.Fatalf("parsed %d samples, want %d: %+v", len(got), len(want), got)
+		t.Fatalf("%d wire samples, want %d: %+v", len(got), len(want), got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -542,10 +549,13 @@ func TestFleetQueryFromHubHistory(t *testing.T) {
 		Hub: hub.Addr(), Proc: "w1", Role: "worker",
 		Interval: 10 * time.Millisecond,
 		Logger:   testLogger(t, "w1", 256),
-		MetricsFn: func(w io.Writer) {
-			fmt.Fprintf(w, "feedback_score 90\n")
-			fmt.Fprintf(w, "session_count %d\n", 5*flushes.Add(1))
-		},
+		Metrics: func() *trace.Registry {
+			reg := fixedMetrics(trace.Gauge("feedback_score", "", 90))
+			reg.Register(func(dst []trace.Sample) []trace.Sample {
+				return append(dst, trace.Counter("session_count", "", uint64(5*flushes.Add(1))))
+			})
+			return reg
+		}(),
 	})
 	defer em.Close()
 
@@ -624,10 +634,13 @@ func TestFleetQueryUnmountedWithoutHistory(t *testing.T) {
 
 // TestRelabel checks proc-label injection on plain and labelled series.
 func TestRelabel(t *testing.T) {
-	if got := relabel("foo", "w1"); got != `foo{proc="w1"}` {
-		t.Fatalf("relabel plain = %s", got)
+	if got := relabel(message.ObsMetricSample{Name: "foo", Value: 2}, "w1"); got.Series() != `foo{proc="w1"}` || got.Value != 2 || got.Kind != trace.KindUntyped {
+		t.Fatalf("relabel plain = %+v", got)
 	}
-	if got := relabel(`foo{a="b"}`, "w1"); got != `foo{proc="w1",a="b"}` {
+	if got := relabel(message.ObsMetricSample{Name: `foo{a="b"}`}, "w1").Series(); got != `foo{proc="w1",a="b"}` {
 		t.Fatalf("relabel labelled = %s", got)
+	}
+	if got := relabel(message.ObsMetricSample{Name: `obs_logs_total{proc="w2"}`}, "w1").Series(); got != `obs_logs_total{proc="w1",exported_proc="w2"}` {
+		t.Fatalf("relabel of a proc-labelled series = %s", got)
 	}
 }

@@ -1,58 +1,48 @@
 package replica
 
 import (
-	"fmt"
-	"io"
 	"time"
+
+	"loadbalance/internal/trace"
 )
 
-// WriteSenderMetrics renders a primary's replication counters in Prometheus
-// text exposition format — the replica_* series gridd's /metrics endpoint
-// exports next to the grid_*, store_* and bus_wire_* families.
-func WriteSenderMetrics(w io.Writer, st SenderStatus) {
-	fmt.Fprintf(w, "# TYPE replica_role gauge\nreplica_role 0\n") // 0 = primary
-	fmt.Fprintf(w, "# TYPE replica_standbys gauge\nreplica_standbys %d\n", len(st.Standbys))
-	fmt.Fprintf(w, "# TYPE replica_batches_shipped_total counter\nreplica_batches_shipped_total %d\n", st.Batches)
-	fmt.Fprintf(w, "# TYPE replica_records_shipped_total counter\nreplica_records_shipped_total %d\n", st.Records)
-	fmt.Fprintf(w, "# TYPE replica_bytes_shipped_total counter\nreplica_bytes_shipped_total %d\n", st.Bytes)
-	fmt.Fprintf(w, "# TYPE replica_snapshots_shipped_total counter\nreplica_snapshots_shipped_total %d\n", st.Snapshots)
-	fmt.Fprintf(w, "# TYPE replica_resyncs_total counter\nreplica_resyncs_total %d\n", st.Resyncs)
-	fmt.Fprintf(w, "# TYPE replica_standby_acked_seq gauge\n")
-	for _, sb := range st.Standbys {
-		fmt.Fprintf(w, "replica_standby_acked_seq{standby=%q} %d\n", sb.ID, sb.AckedSeq)
+// Samples appends a primary's replication counters as the replica_* series
+// a role publishes beside its grid_*, store_* and bus_wire_* families.
+func (st SenderStatus) Samples(dst []trace.Sample) []trace.Sample {
+	dst = append(dst,
+		trace.Gauge("replica_role", "", 0), // 0 = primary
+		trace.Gauge("replica_standbys", "", float64(len(st.Standbys))),
+		trace.Counter("replica_batches_shipped_total", "", st.Batches),
+		trace.Counter("replica_records_shipped_total", "", st.Records),
+		trace.Counter("replica_bytes_shipped_total", "", st.Bytes),
+		trace.Counter("replica_snapshots_shipped_total", "", st.Snapshots),
+		trace.Counter("replica_resyncs_total", "", st.Resyncs))
+	for _, g := range []struct {
+		family string
+		get    func(StandbyStatus) float64
+	}{
+		{"replica_standby_acked_seq", func(sb StandbyStatus) float64 { return float64(sb.AckedSeq) }},
+		{"replica_standby_lag_records", func(sb StandbyStatus) float64 { return float64(sb.LagRecords) }},
+		{"replica_standby_last_ack_age_seconds", func(sb StandbyStatus) float64 { return time.Since(sb.LastAck).Seconds() }},
+	} {
+		for _, sb := range st.Standbys {
+			dst = append(dst, trace.Gauge(g.family, trace.Label("standby", sb.ID), g.get(sb)))
+		}
 	}
-	fmt.Fprintf(w, "# TYPE replica_standby_lag_records gauge\n")
-	for _, sb := range st.Standbys {
-		fmt.Fprintf(w, "replica_standby_lag_records{standby=%q} %d\n", sb.ID, sb.LagRecords)
-	}
-	fmt.Fprintf(w, "# TYPE replica_standby_last_ack_age_seconds gauge\n")
-	for _, sb := range st.Standbys {
-		fmt.Fprintf(w, "replica_standby_last_ack_age_seconds{standby=%q} %g\n", sb.ID, time.Since(sb.LastAck).Seconds())
-	}
+	return dst
 }
 
-// WriteReceiverMetrics renders a standby's replication counters.
-func WriteReceiverMetrics(w io.Writer, st ReceiverStatus) {
-	fmt.Fprintf(w, "# TYPE replica_role gauge\nreplica_role 1\n") // 1 = standby
-	fmt.Fprintf(w, "# TYPE replica_source_up gauge\nreplica_source_up %d\n", boolGauge(st.Connected))
-	fmt.Fprintf(w, "# TYPE replica_applied_seq gauge\nreplica_applied_seq %d\n", st.AppliedSeq)
-	fmt.Fprintf(w, "# TYPE replica_batches_applied_total counter\nreplica_batches_applied_total %d\n", st.Batches)
-	fmt.Fprintf(w, "# TYPE replica_records_applied_total counter\nreplica_records_applied_total %d\n", st.Records)
-	fmt.Fprintf(w, "# TYPE replica_snapshots_applied_total counter\nreplica_snapshots_applied_total %d\n", st.Snapshots)
-	fmt.Fprintf(w, "# TYPE replica_resyncs_total counter\nreplica_resyncs_total %d\n", st.Resyncs)
-	fmt.Fprintf(w, "# TYPE replica_dials_total counter\nreplica_dials_total %d\n", st.Dials)
-	fmt.Fprintf(w, "# TYPE replica_last_contact_age_seconds gauge\nreplica_last_contact_age_seconds %g\n", time.Since(st.LastContact).Seconds())
-	appliedAge := -1.0
-	if !st.LastApplied.IsZero() {
-		appliedAge = time.Since(st.LastApplied).Seconds()
-	}
-	fmt.Fprintf(w, "# TYPE replica_last_applied_age_seconds gauge\nreplica_last_applied_age_seconds %g\n", appliedAge)
-}
-
-// boolGauge renders a boolean as 0/1.
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+// Samples appends a standby's replication counters.
+func (st ReceiverStatus) Samples(dst []trace.Sample) []trace.Sample {
+	return append(dst,
+		trace.Gauge("replica_role", "", 1), // 1 = standby
+		trace.Gauge("replica_source_up", "", trace.Bool(st.Connected)),
+		trace.Gauge("replica_applied_seq", "", float64(st.AppliedSeq)),
+		trace.Counter("replica_batches_applied_total", "", st.Batches),
+		trace.Counter("replica_records_applied_total", "", st.Records),
+		trace.Counter("replica_snapshots_applied_total", "", st.Snapshots),
+		trace.Counter("replica_resyncs_total", "", st.Resyncs),
+		trace.Counter("replica_dials_total", "", st.Dials),
+		trace.Gauge("replica_last_contact_age_seconds", "", time.Since(st.LastContact).Seconds()),
+		trace.Gauge("replica_last_applied_age_seconds", "", trace.AgeSeconds(st.LastApplied)))
 }

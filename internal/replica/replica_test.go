@@ -11,6 +11,7 @@ import (
 
 	"loadbalance/internal/store"
 	"loadbalance/internal/telemetry"
+	"loadbalance/internal/trace"
 )
 
 // liveCfg is the seeded spiked scenario the replica tests run.
@@ -599,35 +600,30 @@ func TestLowestIDWinsPromotion(t *testing.T) {
 	<-done
 }
 
-// TestReplicaMetricsRender smoke-tests the replica_* exposition text.
+// TestReplicaMetricsRender smoke-tests the replica_* samples.
 func TestReplicaMetricsRender(t *testing.T) {
-	var b strings.Builder
-	WriteSenderMetrics(&b, SenderStatus{
+	check := func(side string, samples []trace.Sample, want map[string]float64) {
+		t.Helper()
+		for series, v := range want {
+			if got, ok := trace.Value(samples, series); !ok || got != v {
+				t.Fatalf("%s %s = %g (found %v), want %g in %+v", side, series, got, ok, v, samples)
+			}
+		}
+	}
+	check("sender", SenderStatus{
 		Standbys: []StandbyStatus{{ID: "r0", ShippedSeq: 10, AckedSeq: 8, LagRecords: 2, LastAck: time.Now()}},
 		Batches:  3, Records: 10, Bytes: 512,
+	}.Samples(nil), map[string]float64{
+		"replica_role":                              0,
+		"replica_standbys":                          1,
+		"replica_records_shipped_total":             10,
+		`replica_standby_lag_records{standby="r0"}`: 2,
 	})
-	out := b.String()
-	for _, want := range []string{
-		"replica_role 0",
-		"replica_standbys 1",
-		"replica_records_shipped_total 10",
-		`replica_standby_lag_records{standby="r0"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("sender metrics missing %q:\n%s", want, out)
-		}
-	}
-	b.Reset()
-	WriteReceiverMetrics(&b, ReceiverStatus{ID: "r0", Connected: true, AppliedSeq: 8, Records: 10, LastContact: time.Now()})
-	out = b.String()
-	for _, want := range []string{
-		"replica_role 1",
-		"replica_source_up 1",
-		"replica_applied_seq 8",
-		"replica_records_applied_total 10",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("receiver metrics missing %q:\n%s", want, out)
-		}
-	}
+	check("receiver", ReceiverStatus{ID: "r0", Connected: true, AppliedSeq: 8, Records: 10, LastContact: time.Now()}.Samples(nil),
+		map[string]float64{
+			"replica_role":                  1,
+			"replica_source_up":             1,
+			"replica_applied_seq":           8,
+			"replica_records_applied_total": 10,
+		})
 }

@@ -1,51 +1,24 @@
 package store
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
+import "loadbalance/internal/trace"
 
-// WriteMetrics renders the store counters in Prometheus text exposition
-// format — the store_* series gridd's /metrics endpoint exports next to the
-// grid_* and bus_wire_* families.
-func WriteMetrics(w io.Writer, st Stats) {
-	counters := []struct {
-		name string
-		v    uint64
-	}{
-		{"store_appends_total", st.Appends},
-		{"store_commits_total", st.Commits},
-		{"store_fsyncs_total", st.Fsyncs},
-		{"store_segment_rotations_total", st.Rotations},
-		{"store_snapshots_total", st.Snapshots},
-		{"store_bytes_written_total", st.BytesWritten},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.v)
-	}
-	fmt.Fprintf(w, "# TYPE store_last_seq gauge\nstore_last_seq %d\n", st.LastSeq)
-	fmt.Fprintf(w, "# TYPE store_snapshot_seq gauge\nstore_snapshot_seq %d\n", st.SnapshotSeq)
-	age := -1.0
-	if !st.SnapshotTime.IsZero() {
-		age = time.Since(st.SnapshotTime).Seconds()
-	}
-	fmt.Fprintf(w, "# TYPE store_snapshot_age_seconds gauge\nstore_snapshot_age_seconds %g\n", age)
-	appendAge := -1.0
-	if !st.LastAppend.IsZero() {
-		appendAge = time.Since(st.LastAppend).Seconds()
-	}
-	fmt.Fprintf(w, "# TYPE store_last_append_age_seconds gauge\nstore_last_append_age_seconds %g\n", appendAge)
-	fmt.Fprintf(w, "# TYPE store_replayed_records gauge\nstore_replayed_records %d\n", st.Replayed)
-	fmt.Fprintf(w, "# TYPE store_recovered gauge\nstore_recovered %d\n", boolGauge(st.Recovered))
-	fmt.Fprintf(w, "# TYPE store_clean_start gauge\nstore_clean_start %d\n", boolGauge(st.CleanStart))
-	fmt.Fprintf(w, "# TYPE store_torn_tail_bytes gauge\nstore_torn_tail_bytes %d\n", st.TornBytes)
-}
-
-// boolGauge renders a boolean as 0/1.
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+// Samples appends the store counters as the store_* series a role publishes
+// beside its grid_* and bus_wire_* families. Ages read -1 until the event
+// they measure has happened.
+func (st Stats) Samples(dst []trace.Sample) []trace.Sample {
+	return append(dst,
+		trace.Counter("store_appends_total", "", st.Appends),
+		trace.Counter("store_commits_total", "", st.Commits),
+		trace.Counter("store_fsyncs_total", "", st.Fsyncs),
+		trace.Counter("store_segment_rotations_total", "", st.Rotations),
+		trace.Counter("store_snapshots_total", "", st.Snapshots),
+		trace.Counter("store_bytes_written_total", "", st.BytesWritten),
+		trace.Gauge("store_last_seq", "", float64(st.LastSeq)),
+		trace.Gauge("store_snapshot_seq", "", float64(st.SnapshotSeq)),
+		trace.Gauge("store_snapshot_age_seconds", "", trace.AgeSeconds(st.SnapshotTime)),
+		trace.Gauge("store_last_append_age_seconds", "", trace.AgeSeconds(st.LastAppend)),
+		trace.Gauge("store_replayed_records", "", float64(st.Replayed)),
+		trace.Gauge("store_recovered", "", trace.Bool(st.Recovered)),
+		trace.Gauge("store_clean_start", "", trace.Bool(st.CleanStart)),
+		trace.Gauge("store_torn_tail_bytes", "", float64(st.TornBytes)))
 }

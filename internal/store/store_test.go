@@ -5,8 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"loadbalance/internal/trace"
 )
 
 // mustOpen opens a store or fails the test.
@@ -342,19 +343,20 @@ func TestReadDirIsNonDestructive(t *testing.T) {
 }
 
 func TestMetricsRender(t *testing.T) {
-	var buf strings.Builder
-	WriteMetrics(&buf, Stats{Appends: 12, Fsyncs: 3, Recovered: true, Replayed: 7})
-	out := buf.String()
-	for _, want := range []string{
-		"store_appends_total 12",
-		"store_fsyncs_total 3",
-		"store_recovered 1",
-		"store_replayed_records 7",
-		"store_snapshot_age_seconds -1",
+	samples := Stats{Appends: 12, Fsyncs: 3, Recovered: true, Replayed: 7}.Samples(nil)
+	for series, want := range map[string]float64{
+		"store_appends_total":        12,
+		"store_fsyncs_total":         3,
+		"store_recovered":            1,
+		"store_replayed_records":     7,
+		"store_snapshot_age_seconds": -1,
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
+		if got, ok := trace.Value(samples, series); !ok || got != want {
+			t.Fatalf("%s = %g (found %v), want %g in %+v", series, got, ok, want, samples)
 		}
+	}
+	if samples[0].Kind != trace.KindCounter || samples[len(samples)-1].Kind != trace.KindGauge {
+		t.Fatalf("kinds: first %v, last %v", samples[0].Kind, samples[len(samples)-1].Kind)
 	}
 }
 

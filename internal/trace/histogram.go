@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"strings"
@@ -93,6 +92,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	counts, _, n := h.snapshot()
+	return quantile(&counts, n, q)
+}
+
+// quantile reads the q-quantile off one bucket snapshot.
+func quantile(counts *[nBuckets]uint64, n uint64, q float64) float64 {
 	if n == 0 {
 		return 0
 	}
@@ -127,213 +131,115 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(uint64(2)<<maxShift) / 1e9
 }
 
-// writeTo renders one histogram instance in Prometheus exposition format.
-// Only buckets with occupancy are printed (cumulative values stay
-// correct); +Inf always is.
-func (h *Histogram) writeTo(w io.Writer) {
-	counts, sumNs, n := h.snapshot()
-	lbl := func(extra string) string {
-		switch {
-		case h.labels == "" && extra == "":
-			return ""
-		case h.labels == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + h.labels + "}"
-		default:
-			return "{" + h.labels + "," + extra + "}"
-		}
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if c == 0 {
-			continue
-		}
+// leLabels holds every bucket's rendered le="<seconds>" label pair, with
+// enough precision to round-trip the bucket boundary.
+var leLabels = func() (l [nBuckets]string) {
+	for i := range l {
 		ub := bucketUpperNs(i)
 		if ub == 0 {
-			continue // overflow counts land in the +Inf line below
+			l[i] = `le="+Inf"`
+			continue
 		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.family, lbl(fmt.Sprintf("le=%q", formatSeconds(ub))), cum)
+		sec := strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", float64(ub)/1e9), "0"), ".")
+		l[i] = `le="` + sec + `"`
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.family, lbl(`le="+Inf"`), n)
-	fmt.Fprintf(w, "%s_sum%s %g\n", h.family, lbl(""), float64(sumNs)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", h.family, lbl(""), n)
+	return l
+}()
+
+// percentiles are the quantile gauges served beside every histogram.
+var percentiles = [...]struct {
+	suffix string
+	q      float64
+}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}}
+
+// appendSamples appends one histogram instance as its exposition series:
+// the cumulative _bucket of every occupied bucket (cumulative values stay
+// correct with the empty ones left out) and of +Inf, then _sum in seconds
+// and _count. It also returns the instance's percentiles and observation
+// count, read off the same snapshot.
+func (h *Histogram) appendSamples(dst []Sample) ([]Sample, [len(percentiles)]float64, uint64) {
+	counts, sumNs, n := h.snapshot()
+	bucket := h.family + "_bucket"
+	var cum uint64
+	for i, c := range counts[:nBuckets-1] { // overflow counts land in +Inf
+		cum += c
+		if c != 0 {
+			dst = append(dst, Sample{bucket, joinLabels(h.labels, leLabels[i]), KindHistogram, float64(cum)})
+		}
+	}
+	dst = append(dst,
+		Sample{bucket, joinLabels(h.labels, leLabels[nBuckets-1]), KindHistogram, float64(n)},
+		Sample{h.family + "_sum", h.labels, KindHistogram, float64(sumNs) / 1e9},
+		Sample{h.family + "_count", h.labels, KindHistogram, float64(n)})
+	var ps [len(percentiles)]float64
+	for i, p := range percentiles {
+		ps[i] = quantile(&counts, n, p.q)
+	}
+	return dst, ps, n
 }
 
-// formatSeconds renders a nanosecond bound as seconds with enough
-// precision to round-trip the bucket boundary.
-func formatSeconds(ns uint64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", float64(ns)/1e9), "0"), ".")
+// histograms is a registry's table of named histograms, shared by every
+// Scope of it.
+type histograms struct {
+	mu   sync.Mutex
+	hs   map[string]*Histogram // keyed family + "\xff" + labels
+	keys []string              // sorted: the order the page renders them in
 }
-
-// Registry holds named histograms and renders them all on /metrics.
-type Registry struct {
-	mu    sync.Mutex
-	hs    map[string]*Histogram // keyed family + "\xff" + labels
-	order []string
-}
-
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry { return &Registry{hs: make(map[string]*Histogram)} }
 
 // Histogram returns the histogram for family (creating it on first use).
-func (r *Registry) Histogram(family string) *Histogram {
-	return r.HistogramL(family, "", "")
+func (t *histograms) Histogram(family string) *Histogram {
+	return t.HistogramL(family, "", "")
 }
 
 // HistogramL returns the histogram for family with one label pair
 // (creating it on first use). Family names follow Prometheus duration
 // conventions and should end in "_seconds".
-func (r *Registry) HistogramL(family, labelKey, labelVal string) *Histogram {
+func (t *histograms) HistogramL(family, labelKey, labelVal string) *Histogram {
 	labels := ""
 	if labelKey != "" {
-		labels = fmt.Sprintf("%s=%q", labelKey, labelVal)
+		labels = Label(labelKey, labelVal)
 	}
 	key := family + "\xff" + labels
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hs[key]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h, ok := t.hs[key]; ok {
 		return h
 	}
 	h := &Histogram{family: family, labels: labels}
-	r.hs[key] = h
-	r.order = append(r.order, key)
+	t.hs[key] = h
+	i := sort.SearchStrings(t.keys, key)
+	t.keys = append(t.keys, "")
+	copy(t.keys[i+1:], t.keys[i:])
+	t.keys[i] = key
 	return h
 }
 
 // Lookup returns the unlabeled histogram for family, or nil if it has
 // never been created — unlike Histogram it does not instantiate, so
-// read-side callers (alert rules, score sources) can probe without
-// adding empty families to /metrics.
-func (r *Registry) Lookup(family string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hs[family+"\xff"]
+// read-side callers (score sources) can probe without adding empty
+// families to /metrics.
+func (t *histograms) Lookup(family string) *Histogram {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hs[family+"\xff"]
 }
 
-// WriteMetrics renders every histogram in Prometheus exposition format:
-// a histogram family (cumulative _bucket/_sum/_count series) followed by
-// p50/p95/p99 gauges per instance. Families are sorted for stable output.
-func (r *Registry) WriteMetrics(w io.Writer) {
-	r.mu.Lock()
-	keys := append([]string(nil), r.order...)
-	hs := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		hs[i] = r.hs[k]
-	}
-	r.mu.Unlock()
-
-	sort.Sort(byKey{keys, hs})
-	lastFamily := ""
-	for _, h := range hs {
-		if h.family != lastFamily {
-			fmt.Fprintf(w, "# TYPE %s histogram\n", h.family)
-			lastFamily = h.family
-		}
-		h.writeTo(w)
-	}
-	for _, q := range []struct {
-		suffix string
-		q      float64
-	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-		lastFamily = ""
-		for _, h := range hs {
-			if h.Count() == 0 {
-				continue
-			}
-			name := h.family + "_" + q.suffix
-			if h.family != lastFamily {
-				fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-				lastFamily = h.family
-			}
-			lbl := ""
-			if h.labels != "" {
-				lbl = "{" + h.labels + "}"
-			}
-			fmt.Fprintf(w, "%s%s %g\n", name, lbl, h.Quantile(q.q))
-		}
-	}
-}
-
-// HistogramBucket is one cumulative bucket in a snapshot: the rendered
-// le= bound ("+Inf" for overflow) and the cumulative count at it.
-type HistogramBucket struct {
-	LE  string
-	Cum uint64
-}
-
-// HistogramSnapshot is a point-in-time copy of one histogram instance in
-// the shape the exposition renders: occupied buckets (plus +Inf)
-// cumulative, totals in seconds, and the served percentiles. It exists
-// for scrapers (the tsdb store) that need the series values without
-// parsing exposition text.
-type HistogramSnapshot struct {
-	Family        string
-	Labels        string // rendered label pairs without braces, "" if none
-	Buckets       []HistogramBucket
-	SumSeconds    float64
-	Count         uint64
-	P50, P95, P99 float64
-}
-
-// Snapshots copies every histogram in the registry, sorted the same way
-// WriteMetrics renders them.
-func (r *Registry) Snapshots() []HistogramSnapshot {
-	r.mu.Lock()
-	keys := append([]string(nil), r.order...)
-	hs := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		hs[i] = r.hs[k]
-	}
-	r.mu.Unlock()
-
-	sort.Sort(byKey{keys, hs})
-	out := make([]HistogramSnapshot, 0, len(hs))
-	for _, h := range hs {
-		counts, sumNs, n := h.snapshot()
-		s := HistogramSnapshot{
-			Family:     h.family,
-			Labels:     h.labels,
-			SumSeconds: float64(sumNs) / 1e9,
-			Count:      n,
-		}
-		var cum uint64
-		for i, c := range counts {
-			cum += c
-			if c == 0 {
-				continue
-			}
-			if ub := bucketUpperNs(i); ub != 0 {
-				s.Buckets = append(s.Buckets, HistogramBucket{LE: formatSeconds(ub), Cum: cum})
-			}
-		}
-		s.Buckets = append(s.Buckets, HistogramBucket{LE: "+Inf", Cum: n})
-		if n > 0 {
-			s.P50, s.P95, s.P99 = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-		}
-		out = append(out, s)
+// sorted copies the table in rendering order.
+func (t *histograms) sorted() []*Histogram {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*Histogram, len(t.keys))
+	for i, k := range t.keys {
+		out[i] = t.hs[k]
 	}
 	return out
-}
-
-type byKey struct {
-	keys []string
-	hs   []*Histogram
-}
-
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.hs[i], b.hs[j] = b.hs[j], b.hs[i]
 }
 
 // defaultRegistry backs the package-level helpers; gridd and the
 // experiment runner share it so one /metrics endpoint sees everything.
 var defaultRegistry = NewRegistry()
 
-// DefaultRegistry returns the process-wide histogram registry.
+// DefaultRegistry returns the process-wide registry.
 func DefaultRegistry() *Registry { return defaultRegistry }
 
 // GetHistogram returns a histogram from the default registry.
@@ -347,6 +253,3 @@ func LookupHistogram(family string) *Histogram { return defaultRegistry.Lookup(f
 func GetHistogramL(family, labelKey, labelVal string) *Histogram {
 	return defaultRegistry.HistogramL(family, labelKey, labelVal)
 }
-
-// WriteMetrics renders the default registry.
-func WriteMetrics(w io.Writer) { defaultRegistry.WriteMetrics(w) }

@@ -119,34 +119,49 @@ func TestRegistrySnapshots(t *testing.T) {
 	h.Observe(time.Millisecond)
 	h.Observe(2 * time.Millisecond)
 	r.HistogramL("b_seconds", "exp", "e1") // registered but never observed
+	r.RegisterGauge("zz_gauge", func() float64 { return 7 })
 
-	snaps := r.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(snaps))
+	samples := r.Gather()
+	// Collectors come first, then histograms in family order.
+	if samples[0] != Gauge("zz_gauge", "", 7) {
+		t.Fatalf("first sample = %+v, want the registered gauge", samples[0])
 	}
-	a, b := snaps[0], snaps[1]
-	if a.Family != "a_seconds" || b.Family != "b_seconds" || b.Labels != `exp="e1"` {
-		t.Fatalf("snapshot order/identity wrong: %+v / %+v", a, b)
+	want := map[string]float64{
+		"a_seconds_count":                      2,
+		"a_seconds_sum":                        0.003,
+		`a_seconds_bucket{le="+Inf"}`:          2,
+		`b_seconds_bucket{exp="e1",le="+Inf"}`: 0,
+		`b_seconds_count{exp="e1"}`:            0,
 	}
-	if a.Count != 2 || a.SumSeconds != 0.003 {
-		t.Fatalf("a count/sum = %d/%g", a.Count, a.SumSeconds)
+	for series, v := range want {
+		if got, ok := Value(samples, series); !ok || got != v {
+			t.Fatalf("%s = %g (found %v), want %g", series, got, ok, v)
+		}
 	}
-	last := a.Buckets[len(a.Buckets)-1]
-	if last.LE != "+Inf" || last.Cum != 2 {
-		t.Fatalf("a final bucket = %+v", last)
+	var aBuckets, bBuckets int
+	for _, s := range samples {
+		switch {
+		case s.Family == "a_seconds_bucket":
+			aBuckets++
+		case s.Family == "b_seconds_bucket":
+			bBuckets++
+		}
+		if strings.HasPrefix(s.Family, "a_seconds") && s.Family != "a_seconds_p50" && s.Family != "a_seconds_p95" && s.Family != "a_seconds_p99" && s.Kind != KindHistogram {
+			t.Fatalf("%s has kind %v, want histogram", s.Family, s.Kind)
+		}
 	}
-	if len(a.Buckets) < 2 {
-		t.Fatalf("occupied buckets missing: %+v", a.Buckets)
+	// Occupied buckets plus +Inf; the empty histogram keeps only +Inf and
+	// gets no quantile gauges.
+	if aBuckets < 2 || bBuckets != 1 {
+		t.Fatalf("bucket series: a %d, b %d", aBuckets, bBuckets)
 	}
-	if a.P50 <= 0 || a.P99 < a.P50 {
-		t.Fatalf("a quantiles = p50 %g p99 %g", a.P50, a.P99)
+	p50, _ := Value(samples, "a_seconds_p50")
+	p99, ok := Value(samples, "a_seconds_p99")
+	if !ok || p50 <= 0 || p99 < p50 {
+		t.Fatalf("a quantiles = p50 %g p99 %g (found %v)", p50, p99, ok)
 	}
-	// The empty histogram still renders its +Inf bucket but no quantiles.
-	if len(b.Buckets) != 1 || b.Buckets[0].LE != "+Inf" || b.Buckets[0].Cum != 0 {
-		t.Fatalf("b buckets = %+v", b.Buckets)
-	}
-	if b.Count != 0 || b.P50 != 0 {
-		t.Fatalf("b count/p50 = %d/%g", b.Count, b.P50)
+	if _, ok := Value(samples, `b_seconds_p50{exp="e1"}`); ok {
+		t.Fatal("unobserved histogram served a quantile gauge")
 	}
 }
 
@@ -157,14 +172,31 @@ func TestRegistryExpositionFormat(t *testing.T) {
 	h.Observe(7 * time.Millisecond)
 	le := r.HistogramL("experiment_duration_seconds", "exp", "e14")
 	le.Observe(time.Second)
+	r.Register(func(dst []Sample) []Sample {
+		return append(dst,
+			Counter("frames_total", Label("transport", "member"), 1234567),
+			Counter("frames_total", Label("transport", "root"), 0),
+			Gauge("load_kwh", "", 13.5),
+			Sample{Family: "relayed", Labels: `proc="w"`, Value: 2})
+	})
 
 	var b strings.Builder
-	r.WriteMetrics(&b)
+	WriteMetrics(&b, r.Gather())
 	out := b.String()
 
+	// Collected families open the page, one # TYPE line each, integers in
+	// full; untyped samples get no # TYPE line.
+	head := "# TYPE frames_total counter\n" +
+		"frames_total{transport=\"member\"} 1234567\n" +
+		"frames_total{transport=\"root\"} 0\n" +
+		"# TYPE load_kwh gauge\nload_kwh 13.5\n" +
+		"relayed{proc=\"w\"} 2\n" +
+		"# TYPE experiment_duration_seconds histogram\n"
+	if !strings.HasPrefix(out, head) {
+		t.Fatalf("page head:\n%s\nwant prefix:\n%s", out, head)
+	}
 	for _, want := range []string{
 		"# TYPE grid_tick_seconds histogram\n",
-		"# TYPE experiment_duration_seconds histogram\n",
 		"grid_tick_seconds_count 2\n",
 		`grid_tick_seconds_bucket{le="+Inf"} 2`,
 		`experiment_duration_seconds_bucket{exp="e14",le="+Inf"} 1`,
@@ -176,9 +208,33 @@ func TestRegistryExpositionFormat(t *testing.T) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
 	}
+	if n := strings.Count(out, "# TYPE grid_tick_seconds histogram\n"); n != 1 {
+		t.Fatalf("histogram family opened %d times:\n%s", n, out)
+	}
 	// _sum must be in seconds: 12ms total.
 	if !strings.Contains(out, "grid_tick_seconds_sum 0.012") {
 		t.Fatalf("sum not in seconds:\n%s", out)
+	}
+}
+
+// TestScopeSharesHistogramsNotCollectors pins what a role registry is: the
+// process-wide histograms plus that role's own collectors.
+func TestScopeSharesHistogramsNotCollectors(t *testing.T) {
+	root := NewRegistry()
+	a, b := root.Scope(), root.Scope()
+	a.RegisterGauge("only_a", func() float64 { return 1 })
+	root.Histogram("shared_seconds").Observe(time.Millisecond)
+	if a.Lookup("shared_seconds") == nil || b.Histogram("shared_seconds").Count() != 1 {
+		t.Fatal("scopes do not share the root's histograms")
+	}
+	if _, ok := Value(a.Gather(), "only_a"); !ok {
+		t.Fatal("scope lost its own collector")
+	}
+	if _, ok := Value(b.Gather(), "only_a"); ok {
+		t.Fatal("a collector leaked into a sibling scope")
+	}
+	if _, ok := Value(b.Gather(), "shared_seconds_count"); !ok {
+		t.Fatal("sibling scope does not gather the shared histogram")
 	}
 }
 

@@ -1,11 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,24 +12,20 @@ type ScrapeConfig struct {
 	Store *Store
 	// Interval between scrapes (default 1s). Start is a no-op when <= 0.
 	Interval time.Duration
-	// Gather renders the process's metric page; the scraper parses the
-	// exposition text into samples. Optional.
-	Gather func(w io.Writer)
-	// Registry supplies histogram snapshots via the trace iteration hook;
-	// its samples win over Gather's on name collisions (they are a
-	// coherent snapshot, the page render is not). Optional.
+	// Registry is what each scrape gathers: the role's collectors and
+	// histograms. The scraper publishes the store's own accounting and its
+	// scrape latency there too.
 	Registry *trace.Registry
 	// NowUs stamps each scrape (default wall clock). Tests inject a fake
 	// clock here; ScrapeAt bypasses it entirely.
 	NowUs func() int64
 }
 
-// Scraper periodically samples the metric surfaces into the store. One
+// Scraper periodically samples the registry into the store. One
 // goroutine; Close is idempotent.
 type Scraper struct {
 	cfg       ScrapeConfig
 	dur       *trace.Histogram
-	buf       bytes.Buffer
 	stop      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -46,11 +37,13 @@ func NewScraper(cfg ScrapeConfig) *Scraper {
 	if cfg.NowUs == nil {
 		cfg.NowUs = func() int64 { return time.Now().UnixMicro() }
 	}
-	sc := &Scraper{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
-	if cfg.Registry != nil {
-		sc.dur = cfg.Registry.Histogram("tsdb_scrape_duration_seconds")
+	cfg.Registry.Register(cfg.Store.Samples)
+	return &Scraper{
+		cfg:  cfg,
+		dur:  cfg.Registry.Histogram("tsdb_scrape_duration_seconds"),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	return sc
 }
 
 // Start launches the scrape loop.
@@ -84,77 +77,13 @@ func (sc *Scraper) Close() {
 	<-sc.done
 }
 
-// ScrapeAt performs one scrape, stamping every sample with the injected
-// timestamp: gathered page samples first, histogram snapshots over them,
-// then the store's own accounting, all appended in sorted name order.
+// ScrapeAt performs one scrape, stamping every gathered sample with the
+// injected timestamp under its full series name.
 func (sc *Scraper) ScrapeAt(tsUs int64) {
-	samples := make(map[string]float64, 64)
-	if sc.cfg.Gather != nil {
-		sc.buf.Reset()
-		sc.cfg.Gather(&sc.buf)
-		parseExpositionInto(samples, sc.buf.String())
-	}
-	if sc.cfg.Registry != nil {
-		for _, hs := range sc.cfg.Registry.Snapshots() {
-			snapshotInto(samples, hs)
-		}
-	}
-	stats := sc.cfg.Store.Stats()
-	samples["tsdb_series"] = float64(stats.Series)
-	samples["tsdb_points"] = float64(stats.Points)
-	samples["tsdb_evictions"] = float64(stats.Evictions)
-
-	batch := make([]Sample, 0, len(samples))
-	for name, v := range samples {
-		batch = append(batch, Sample{Name: name, Value: v}) //gridlint:allow floatmaprange(AppendBatch sorts by name before appending; order-independent)
+	gathered := sc.cfg.Registry.Gather()
+	batch := make([]Sample, len(gathered))
+	for i, s := range gathered {
+		batch[i] = Sample{Name: s.Series(), Value: s.Value}
 	}
 	sc.cfg.Store.AppendBatch(tsUs, batch)
-}
-
-// snapshotInto expands one histogram snapshot into its exposition series.
-func snapshotInto(samples map[string]float64, hs trace.HistogramSnapshot) {
-	lbl := func(extra string) string {
-		switch {
-		case hs.Labels == "" && extra == "":
-			return ""
-		case hs.Labels == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + hs.Labels + "}"
-		default:
-			return "{" + hs.Labels + "," + extra + "}"
-		}
-	}
-	for _, b := range hs.Buckets {
-		samples[hs.Family+"_bucket"+lbl(fmt.Sprintf("le=%q", b.LE))] = float64(b.Cum)
-	}
-	samples[hs.Family+"_sum"+lbl("")] = hs.SumSeconds
-	samples[hs.Family+"_count"+lbl("")] = float64(hs.Count)
-	if hs.Count > 0 {
-		samples[hs.Family+"_p50"+lbl("")] = hs.P50
-		samples[hs.Family+"_p95"+lbl("")] = hs.P95
-		samples[hs.Family+"_p99"+lbl("")] = hs.P99
-	}
-}
-
-// parseExpositionInto parses Prometheus text exposition lines
-// ("name{labels} value" or "name value") into samples, keyed by the full
-// series string. Comment lines and unparsable values are skipped.
-func parseExpositionInto(samples map[string]float64, text string) {
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		name := strings.TrimSpace(line[:sp])
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil || name == "" {
-			continue
-		}
-		samples[name] = v
-	}
 }

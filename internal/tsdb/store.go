@@ -17,10 +17,10 @@
 package tsdb
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
+
+	"loadbalance/internal/trace"
 )
 
 // Sample is one named value scraped at a shared timestamp.
@@ -245,11 +245,12 @@ func (st *Store) Stats() Stats {
 	return Stats{Series: len(st.series), Points: n, Evictions: st.evicted, Dropped: st.dropped}
 }
 
-// WriteMetrics renders the store's self-metrics in exposition format.
-func (st *Store) WriteMetrics(w io.Writer) {
+// Samples appends the store's self-accounting as the tsdb_* series.
+func (st *Store) Samples(dst []trace.Sample) []trace.Sample {
 	s := st.Stats()
-	fmt.Fprintf(w, "# TYPE tsdb_series gauge\ntsdb_series %d\n", s.Series)
-	fmt.Fprintf(w, "# TYPE tsdb_points gauge\ntsdb_points %d\n", s.Points)
-	fmt.Fprintf(w, "# TYPE tsdb_evictions counter\ntsdb_evictions %d\n", s.Evictions)
-	fmt.Fprintf(w, "# TYPE tsdb_dropped_samples counter\ntsdb_dropped_samples %d\n", s.Dropped)
+	return append(dst,
+		trace.Gauge("tsdb_series", "", float64(s.Series)),
+		trace.Gauge("tsdb_points", "", float64(s.Points)),
+		trace.Counter("tsdb_evictions", "", s.Evictions),
+		trace.Counter("tsdb_dropped_samples", "", s.Dropped))
 }

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -342,22 +341,24 @@ func TestScrapeAtFillsStoreDeterministically(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		hist.Observe(time.Millisecond)
 	}
-	gathered := "gauge_a 4.5\n# TYPE x comment\nx_seconds_count 999\nmalformed line without number x\n"
-	sc := NewScraper(ScrapeConfig{
-		Store:    st,
-		Gather:   func(w io.Writer) { w.Write([]byte(gathered)) },
-		Registry: reg,
+	reg.RegisterGauge("gauge_a", func() float64 { return 4.5 })
+	reg.Register(func(dst []trace.Sample) []trace.Sample {
+		return append(dst, trace.Counter("frames_total", trace.Label("transport", "obs"), 7))
 	})
+	sc := NewScraper(ScrapeConfig{Store: st, Registry: reg})
 	sc.ScrapeAt(10 * secUs)
 
 	if v, ok := st.Instant(Expr{Series: "gauge_a"}, 10*secUs); !ok || v != 4.5 {
 		t.Fatalf("gauge_a = %g ok=%v", v, ok)
 	}
-	// The registry snapshot wins over the gathered page on collisions.
-	if v, ok := st.Instant(Expr{Series: "x_seconds_count"}, 10*secUs); !ok || v != 3 {
-		t.Fatalf("x_seconds_count = %g ok=%v, want 3 (registry over page)", v, ok)
+	// A labeled sample is stored under its full series name.
+	if v, ok := st.Instant(Expr{Series: `frames_total{transport="obs"}`}, 10*secUs); !ok || v != 7 {
+		t.Fatalf("labeled counter = %g ok=%v", v, ok)
 	}
-	// Bucket, sum and quantile series materialize from the snapshot.
+	if v, ok := st.Instant(Expr{Series: "x_seconds_count"}, 10*secUs); !ok || v != 3 {
+		t.Fatalf("x_seconds_count = %g ok=%v, want 3", v, ok)
+	}
+	// Bucket, sum and quantile series materialize from the histogram.
 	names := st.SeriesNames()
 	var hasBucket, hasP95 bool
 	for _, n := range names {
