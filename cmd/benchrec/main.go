@@ -84,12 +84,14 @@ var absoluteBudgets = map[string]float64{
 
 // allocBudgets are ceilings on allocations per operation. A count does not
 // depend on the machine, so it is gated absolutely, with room for a runtime
-// upgrade to move it a little: one customer's round-2 inference measured 18
-// (352 before the fact store was hash-indexed), one customer's two-round
-// session 167 (2605 before).
+// upgrade to move it a little: one customer's round-2 inference on the kb
+// measured 18 (352 before the fact store was hash-indexed) — the floor of the
+// reference oracle, internal/desiremodel, since production stopped deciding
+// by inference; one customer's two-round session 19 (2605 before the hash
+// index, 167 while each React parsed the table and activated a composition).
 var allocBudgets = map[string]int64{
 	"kb_infer_ca_round": 30,
-	"ca_react":          250,
+	"ca_react":          60,
 }
 
 func main() {

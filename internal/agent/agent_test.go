@@ -213,10 +213,7 @@ func TestStopIsIdempotentAndUnregisters(t *testing.T) {
 }
 
 func TestModelResponseTracking(t *testing.T) {
-	m, err := NewModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewModel()
 	if _, ok := m.ResponseRate("c1"); ok {
 		t.Fatal("fresh model should have no rate")
 	}
@@ -247,10 +244,7 @@ func TestModelResponseTracking(t *testing.T) {
 }
 
 func TestModelWorldValues(t *testing.T) {
-	m, err := NewModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewModel()
 	if _, ok := m.WorldValue("temperature_c"); ok {
 		t.Fatal("fresh model should have no world values")
 	}

@@ -18,7 +18,6 @@ import (
 // fed in arrival order: reading rates back out of it would cost a scan per
 // bid and fold floats in an order that differs from run to run.
 type Model struct {
-	ont       *kb.Ontology
 	AgentInfo *kb.Store
 	WorldInfo *kb.Store
 
@@ -37,26 +36,32 @@ const (
 	predWorldVal  = "world_value" // world_value(topic, value)
 )
 
-// NewModel builds the model with its maintenance ontology.
-func NewModel() (*Model, error) {
+// modelOnt is the maintenance ontology, the same for every agent: built once
+// and only read after that.
+var modelOnt = mustModelOntology()
+
+func mustModelOntology() *kb.Ontology {
 	ont := kb.NewOntology()
-	steps := []error{
+	for _, err := range []error{
 		ont.DeclareSort("peer", kb.SortAny),
 		ont.DeclarePred(predResponses, kb.SortString, kb.SortNumber, kb.SortNumber),
 		ont.DeclarePred(predWorldVal, kb.SortString, kb.SortNumber),
-	}
-	for _, err := range steps {
+	} {
 		if err != nil {
-			return nil, fmt.Errorf("agent: model ontology: %w", err)
+			panic(fmt.Sprintf("agent: model ontology: %v", err))
 		}
 	}
+	return ont
+}
+
+// NewModel builds an empty model over the maintenance ontology.
+func NewModel() *Model {
 	return &Model{
-		ont:       ont,
-		AgentInfo: kb.NewStore(ont),
-		WorldInfo: kb.NewStore(ont),
+		AgentInfo: kb.NewStore(modelOnt),
+		WorldInfo: kb.NewStore(modelOnt),
 		responses: make(map[string]responseCount),
 		world:     make(map[string]float64),
-	}, nil
+	}
 }
 
 // RecordResponse updates the response statistics for a peer: whether it

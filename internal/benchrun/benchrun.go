@@ -520,11 +520,13 @@ func elasticCustomer(b *testing.B) (customeragent.Preferences, [2]protocol.Table
 	return prefs.WithExpectedUse(13.5), [2]protocol.Table{first, second}
 }
 
-// KBInferCARound measures the inference one Customer Agent runs in the second
-// round of a negotiation, on the knowledge base alone: ten required_reward
-// facts, the announced_reward facts of two ten-entry tables, the one
-// acceptability rule. Each iteration clones the store (as a reasoning
-// component refills its working state) and runs Engine.Infer to its fixpoint.
+// KBInferCARound measures the inference a knowledge-based Customer Agent (the
+// reference oracle, internal/desiremodel; production decides by
+// customeragent.DecideCutDown) runs in the second round of a negotiation, on
+// the knowledge base alone: ten required_reward facts, the announced_reward
+// facts of two ten-entry tables, the one acceptability rule. Each iteration
+// clones the store (as a reasoning component refills its working state) and
+// runs Engine.Infer to its fixpoint.
 // Allocations per operation are the tracked quantity.
 func KBInferCARound(b *testing.B) {
 	prefs, tables := elasticCustomer(b)
@@ -566,7 +568,7 @@ func KBInferCARound(b *testing.B) {
 
 // CAReact measures what one customer costs a two-round session: constructing
 // the Customer Agent and its React to the round-1 and the round-2 table, from
-// envelope decode to bid, through the DESIRE composition and the kb.
+// the table its in-process envelope carries to the bid.
 func CAReact(b *testing.B) {
 	prefs, tables := elasticCustomer(b)
 	start := time.Unix(1700000000, 0)

@@ -240,7 +240,9 @@ func (s *Server) handle(conn net.Conn) {
 			continue // skip malformed frames rather than killing the session
 		}
 		env.From = name // trust boundary: the connection owns its identity
-		if _, err := env.Decode(); err != nil {
+		// The payload checked here travels on with the envelope, so the
+		// local agent it is delivered to does not parse the body again.
+		if env, err = env.Validated(); err != nil {
 			s.stats.malformed.Add(1)
 			continue
 		}

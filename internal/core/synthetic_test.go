@@ -59,3 +59,27 @@ func TestSyntheticScenarioNegotiates(t *testing.T) {
 		t.Fatalf("overuse did not fall: %v → %v", res.InitialOveruseKWh, res.FinalOveruseKWh)
 	}
 }
+
+// TestRunAllocationBudget holds a whole flat negotiation — set-up, every
+// round's broadcast, bids and awards, tear-down — to 70 allocations per
+// customer (measured 35; 188 when each customer JSON-parsed the table and
+// judged it by its own kb composition). It is the unit `go run ./bench
+// -workload flat_1k` reports as allocs_per_unit, at a fleet small enough for
+// tier-1.
+func TestRunAllocationBudget(t *testing.T) {
+	const n = 64
+	s, err := SyntheticScenario(SyntheticConfig{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		if res, err := Run(s); err != nil || res.Rounds == 0 {
+			t.Errorf("Run = %+v, %v", res, err)
+		}
+	})
+	if got := perRun / n; got > 70 {
+		t.Fatalf("a %d-customer session allocates %.1f times per customer, budget 70", n, got)
+	} else {
+		t.Logf("%.1f allocations per customer", got)
+	}
+}

@@ -33,7 +33,6 @@ type Agent struct {
 	name     string
 	prefs    Preferences
 	strategy Strategy
-	decider  *decider
 	model    *agent.Model
 
 	mu       sync.Mutex
@@ -50,20 +49,11 @@ func New(name string, prefs Preferences, strategy Strategy) (*Agent, error) {
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadStrategy, int(strategy))
 	}
-	d, err := newDecider(prefs)
-	if err != nil {
-		return nil, err
-	}
-	m, err := agent.NewModel()
-	if err != nil {
-		return nil, err
-	}
 	return &Agent{
 		name:     name,
 		prefs:    prefs,
 		strategy: strategy,
-		decider:  d,
-		model:    m,
+		model:    agent.NewModel(),
 		sessions: make(map[string]*sessionState),
 	}, nil
 }
@@ -135,7 +125,7 @@ func (a *Agent) reactRewardTable(from string, st *sessionState, table message.Re
 	a.mu.Lock()
 	last := st.lastCutDownBid
 	a.mu.Unlock()
-	bid, err := a.decider.DecideCutDown(a.prefs, a.strategy, table, last)
+	bid, err := DecideCutDown(a.prefs, a.strategy, table, last)
 	if err != nil {
 		return nil, false, err
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"loadbalance/internal/desire"
-	"loadbalance/internal/kb"
 	"loadbalance/internal/message"
 )
 
@@ -47,153 +45,23 @@ func (s Strategy) String() string {
 // holdoutFactor is the reward premium a holdout customer waits for.
 const holdoutFactor = 1.15
 
-// decider is the CA's DESIRE decision kernel: a reasoning component holding
-// the acceptability knowledge base. Its stores persist across rounds; since
-// the monotonic concession protocol only ever raises rewards, stale
-// announcement facts from earlier rounds can only mark levels acceptable
-// that are acceptable under the newest table too, so accumulation is sound.
-type decider struct {
-	comp *desire.Composed
-}
-
-// Predicates of the CA decision ontology.
-const (
-	predRequired   = "required_reward"
-	predAnnounced  = "announced_reward"
-	predAcceptable = "acceptable_cutdown"
-)
-
-// The decision ontology and the acceptability knowledge base are the same
-// for every customer: they are built once and shared, read-only. Only the
-// composition and its information states are per customer.
-var (
-	decisionOnt  = mustDecisionOntology()
-	decisionBase = mustDecisionBase()
-)
-
-func mustDecisionOntology() *kb.Ontology {
-	ont := kb.NewOntology()
-	for _, err := range []error{
-		ont.DeclarePred(predRequired, kb.SortNumber, kb.SortNumber),
-		ont.DeclarePred(predAnnounced, kb.SortNumber, kb.SortNumber),
-		ont.DeclarePred(predAcceptable, kb.SortNumber),
-	} {
-		if err != nil {
-			panic(fmt.Sprintf("customeragent: decision ontology: %v", err))
-		}
-	}
-	return ont
-}
-
-func mustDecisionBase() *kb.Base {
-	base, err := kb.NewBase("acceptability", kb.Rule{
-		Name: "acceptable_if_offer_clears_requirement",
-		If: []kb.Literal{
-			kb.Pos(kb.A(predRequired, kb.V("Cut"), kb.V("Req"))),
-			kb.Pos(kb.A(predAnnounced, kb.V("Cut"), kb.V("Off"))),
-		},
-		Guards: []kb.Guard{{Op: kb.OpGeq, Left: kb.V("Off"), Right: kb.V("Req")}},
-		Then:   []kb.Atom{kb.A(predAcceptable, kb.V("Cut"))},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("customeragent: decision rule base: %v", err))
-	}
-	return base
-}
-
-// newDecider builds the decision composition for one customer.
-func newDecider(prefs Preferences) (*decider, error) {
-	comp := desire.NewComposed("determine_bid", decisionOnt, 0)
-	reason := desire.NewReasoning("determine_acceptability", decisionOnt, decisionBase, predAcceptable)
-	if err := comp.AddChild(reason); err != nil {
-		return nil, err
-	}
-	links := []desire.Link{
-		{
-			Name: "announcement_in",
-			From: desire.Endpoint{Port: desire.In},
-			To:   desire.Endpoint{Component: "determine_acceptability", Port: desire.In},
-		},
-		{
-			Name: "acceptability_out",
-			From: desire.Endpoint{Component: "determine_acceptability", Port: desire.Out},
-			To:   desire.Endpoint{Port: desire.Out},
-		},
-	}
-	for _, l := range links {
-		if err := comp.AddLink(l); err != nil {
-			return nil, err
-		}
-	}
-	if err := comp.SetControl([]desire.Step{
-		{Transfer: "announcement_in"},
-		{Activate: "determine_acceptability"},
-		{Transfer: "acceptability_out"},
-	}); err != nil {
-		return nil, err
-	}
-
-	// Seed the customer's private requirements (finite levels only; an
-	// infeasible level simply has no required_reward fact and can never
-	// become acceptable).
-	for _, l := range prefs.Levels {
-		r := prefs.RequiredFor(l)
-		if math.IsInf(r, 1) {
-			continue
-		}
-		fact := kb.A(predRequired, kb.N(l), kb.N(r))
-		if err := comp.Input().Assert(fact, kb.True); err != nil {
-			return nil, err
-		}
-	}
-	return &decider{comp: comp}, nil
-}
-
-// acceptableLevels feeds an announced table into the composition and returns
-// the acceptable cut-down levels, ascending.
-func (d *decider) acceptableLevels(table message.RewardTable) ([]float64, error) {
-	for _, e := range table.Entries {
-		fact := kb.A(predAnnounced, kb.N(e.CutDown), kb.N(e.Reward))
-		if err := d.comp.Input().Assert(fact, kb.True); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := d.comp.Activate(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, d.comp.Output().Len())
-	_ = d.comp.Output().Each(func(f kb.Fact) error { // the callback returns no error
-		if f.Atom.Pred == predAcceptable && f.Truth == kb.True {
-			out = append(out, f.Atom.Args[0].Num)
-		}
-		return nil
-	})
-	sortFloats(out)
-	return out, nil
-}
-
-// sortFloats sorts ascending without pulling in sort for a 10-element slice
-// in the hot path.
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // DecideCutDown picks this round's bid given the announced table, the
-// previous bid (monotonic floor) and the strategy.
-func (d *decider) DecideCutDown(prefs Preferences, strat Strategy, table message.RewardTable, lastBid float64) (float64, error) {
-	acceptable, err := d.acceptableLevels(table)
-	if err != nil {
-		return 0, err
-	}
+// previous bid (monotonic floor) and the strategy. Acceptability is judged
+// against the announced table alone (Preferences.AcceptableLevels); the
+// paper's knowledge-based composition of the same decision is
+// internal/desiremodel, held equal to this function by
+// TestDecisionMatchesReferenceOracles.
+func DecideCutDown(prefs Preferences, strat Strategy, table message.RewardTable, lastBid float64) (float64, error) {
 	best := lastBid // never regress (monotonic concession)
 	switch strat {
 	case StrategyGreedy:
-		for _, l := range acceptable {
-			if l > best {
+		// The maximum of AcceptableLevels, scanned without building it: this
+		// is the decision every customer of a default fleet makes every round.
+		for _, l := range prefs.Levels {
+			if l <= best {
+				continue
+			}
+			if off, ok := table.RewardFor(l); ok && prefs.acceptable(l, off) {
 				best = l
 			}
 		}
@@ -201,22 +69,17 @@ func (d *decider) DecideCutDown(prefs Preferences, strat Strategy, table message
 		// Concede exactly one grid step beyond the previous bid, when
 		// acceptable.
 		next := nextLevel(prefs.Levels, lastBid)
-		for _, l := range acceptable {
+		for _, l := range prefs.AcceptableLevels(table.RewardFor) {
 			if l == next && l > best {
 				best = l
 			}
 		}
 	case StrategyHoldout:
-		for _, l := range acceptable {
-			off, ok := table.RewardFor(l)
-			if !ok {
-				continue
-			}
+		for _, l := range prefs.AcceptableLevels(table.RewardFor) {
+			off, _ := table.RewardFor(l) // an acceptable level is an announced one
 			req := prefs.RequiredFor(l)
-			if req == 0 || off >= holdoutFactor*req {
-				if l > best {
-					best = l
-				}
+			if (req == 0 || off >= holdoutFactor*req) && l > best {
+				best = l
 			}
 		}
 	default:

@@ -4,13 +4,14 @@
 // with its Resource Consumer Agents (via internal/resource) to learn how
 // much load it can shed.
 //
-// The decision kernel follows the paper's own decomposition (Figure 5,
-// "determine bid"): interpretation of the announcement and acceptability
-// knowledge run in a DESIRE reasoning component ("each cut-down for which
-// the required reward value of the customer is lower than the reward offered
-// by the Utility Agent, is an acceptable cut-down", Section 6.2); the bid
-// selection among acceptable cut-downs is a calculation task parameterised
-// by a bidding strategy.
+// The decision follows the paper's own decomposition (Figure 5, "determine
+// bid"): acceptability ("each cut-down for which the required reward value
+// of the customer is lower than the reward offered by the Utility Agent, is
+// an acceptable cut-down", Section 6.2) is a direct function of the
+// announced table and the preferences; the bid selection among acceptable
+// cut-downs is a calculation task parameterised by a bidding strategy. The
+// same decision as a DESIRE composition of knowledge bases is
+// internal/desiremodel, the reference this package is tested against.
 package customeragent
 
 import (
@@ -155,16 +156,18 @@ func (p Preferences) RequiredFor(level float64) float64 {
 func (p Preferences) AcceptableLevels(offered func(level float64) (float64, bool)) []float64 {
 	var out []float64
 	for _, l := range p.Levels {
-		off, ok := offered(l)
-		if !ok {
-			continue
-		}
-		if off >= p.RequiredFor(l) {
+		if off, ok := offered(l); ok && p.acceptable(l, off) {
 			out = append(out, l)
 		}
 	}
 	sort.Float64s(out)
 	return out
+}
+
+// acceptable is the paper's acceptability rule (Section 6.2): the offered
+// reward at a level is no lower than the customer's required reward for it.
+func (p Preferences) acceptable(level, offered float64) bool {
+	return offered >= p.RequiredFor(level)
 }
 
 // Surplus returns the customer's gain at a level for an offered reward

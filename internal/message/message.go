@@ -1,8 +1,22 @@
 // Package message defines the wire-level vocabulary of the negotiation: the
 // announcements a Utility Agent sends, the bids Customer Agents return, the
 // awards closing a negotiation, and the information exchanges with Producer
-// Agents. Messages marshal to JSON so the same types serve the in-process
-// bus and the TCP transport.
+// Agents.
+//
+// An Envelope holds its payload in two forms. Body, the payload's JSON, is
+// the wire form: it is what the TCP transport, the journal and the JSON and
+// binary envelope codecs carry, byte for byte. The payload value NewEnvelope
+// validated travels with the envelope as the in-process form: Decode returns
+// it without parsing, so a table broadcast on the in-process bus reaches N
+// agents as one shared value, and only an envelope that came off a wire (or
+// was written as a literal) has its Body parsed.
+//
+// That sharing makes a rule of what used to be a copy: a payload handed to
+// NewEnvelope (or Runtime.Send) is immutable from then on, as is everything
+// it references — RewardTable.Entries, MeterBatch.Readings, ReplBatch.Frames,
+// an ObsBatch's slices — and so is what Decode returns. A producer that
+// reuses a buffer copies it into the payload first; a receiver that wants to
+// change what it was sent copies it out.
 //
 // The three announcement payloads correspond one-to-one to the paper's three
 // methods (Section 3.2): OfferTerms, BidRequest and RewardTable.
@@ -13,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"loadbalance/internal/units"
@@ -636,12 +651,19 @@ type Envelope struct {
 	// to the pre-tracing wire format and v1 JSON peers never see them.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
+
+	// payload is the validated value Body is the JSON of, and bodyStart the
+	// first byte of that Body: see carry and carried.
+	payload   Payload
+	bodyStart *byte
 }
 
 // Traced reports whether the envelope carries a trace context.
 func (e Envelope) Traced() bool { return e.TraceID != 0 }
 
-// NewEnvelope validates the payload and wraps it.
+// NewEnvelope validates the payload and wraps it. The envelope carries p
+// itself beside its JSON, so p — every slice and map it reaches — must not
+// be written again.
 func NewEnvelope(from, to, session string, p Payload) (Envelope, error) {
 	if from == "" {
 		return Envelope{}, fmt.Errorf("%w: from", ErrEmptyField)
@@ -656,110 +678,89 @@ func NewEnvelope(from, to, session string, p Payload) (Envelope, error) {
 	if err != nil {
 		return Envelope{}, fmt.Errorf("message: marshal body: %w", err)
 	}
-	return Envelope{From: from, To: to, Session: session, Kind: p.Kind(), Body: body}, nil
+	e := Envelope{From: from, To: to, Session: session, Kind: p.Kind(), Body: body}
+	if reflect.TypeOf(p).Kind() == reflect.Pointer {
+		// Receivers switch on the value types Decode parses into, and a
+		// pointer would share the sender's variable: leave it to the Body.
+		return e, nil
+	}
+	return e.carry(p), nil
 }
 
-// Decode unmarshals and validates the payload according to the envelope's
-// kind tag.
-func (e Envelope) Decode() (Payload, error) {
-	var p Payload
-	switch e.Kind {
-	case KindOffer:
-		p = &OfferTerms{}
-	case KindBidRequest:
-		p = &BidRequest{}
-	case KindRewardTable:
-		p = &RewardTable{}
-	case KindOfferReply:
-		p = &OfferReply{}
-	case KindEnergyBid:
-		p = &EnergyBid{}
-	case KindCutDownBid:
-		p = &CutDownBid{}
-	case KindAward:
-		p = &Award{}
-	case KindInfoRequest:
-		p = &InfoRequest{}
-	case KindInfoReply:
-		p = &InfoReply{}
-	case KindSessionEnd:
-		p = &SessionEnd{}
-	case KindMeterBatch:
-		p = &MeterBatch{}
-	case KindReplSubscribe:
-		p = &ReplSubscribe{}
-	case KindReplBatch:
-		p = &ReplBatch{}
-	case KindReplAck:
-		p = &ReplAck{}
-	case KindReplSnapshot:
-		p = &ReplSnapshot{}
-	case KindReplHeartbeat:
-		p = &ReplHeartbeat{}
-	case KindObsSubscribe:
-		p = &ObsSubscribe{}
-	case KindObsBatch:
-		p = &ObsBatch{}
-	case KindObsAck:
-		p = &ObsAck{}
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, e.Kind)
+// carry attaches the validated payload Body is the JSON of. Body is clipped
+// to its length so that carried can tell it from any reslice of itself.
+func (e Envelope) carry(p Payload) Envelope {
+	e.Body = e.Body[:len(e.Body):len(e.Body)]
+	e.payload, e.bodyStart = p, &e.Body[0]
+	return e
+}
+
+// carried returns the attached payload while Kind and Body are still the
+// ones it was attached to; an envelope edited since falls back to its Body.
+func (e Envelope) carried() (Payload, bool) {
+	if e.payload == nil || e.payload.Kind() != e.Kind ||
+		len(e.Body) == 0 || len(e.Body) != cap(e.Body) || &e.Body[0] != e.bodyStart {
+		return nil, false
 	}
-	if err := json.Unmarshal(e.Body, p); err != nil {
-		return nil, fmt.Errorf("message: decode %s: %w", e.Kind, err)
+	return e.payload, true
+}
+
+// decoders parses and validates a Body for every kind the package declares.
+var decoders = map[Kind]func(body []byte) (Payload, error){
+	KindOffer:         decodeAs[OfferTerms],
+	KindBidRequest:    decodeAs[BidRequest],
+	KindRewardTable:   decodeAs[RewardTable],
+	KindOfferReply:    decodeAs[OfferReply],
+	KindEnergyBid:     decodeAs[EnergyBid],
+	KindCutDownBid:    decodeAs[CutDownBid],
+	KindAward:         decodeAs[Award],
+	KindInfoRequest:   decodeAs[InfoRequest],
+	KindInfoReply:     decodeAs[InfoReply],
+	KindSessionEnd:    decodeAs[SessionEnd],
+	KindMeterBatch:    decodeAs[MeterBatch],
+	KindReplSubscribe: decodeAs[ReplSubscribe],
+	KindReplBatch:     decodeAs[ReplBatch],
+	KindReplAck:       decodeAs[ReplAck],
+	KindReplSnapshot:  decodeAs[ReplSnapshot],
+	KindReplHeartbeat: decodeAs[ReplHeartbeat],
+	KindObsSubscribe:  decodeAs[ObsSubscribe],
+	KindObsBatch:      decodeAs[ObsBatch],
+	KindObsAck:        decodeAs[ObsAck],
+}
+
+func decodeAs[T Payload](body []byte) (Payload, error) {
+	var v T
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, fmt.Errorf("message: decode %s: %w", v.Kind(), err)
 	}
-	val := deref(p)
-	if err := val.Validate(); err != nil {
+	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	return val, nil
+	return v, nil
 }
 
-// deref converts the pointer targets used for unmarshalling back to the
-// value types the rest of the system passes around.
-func deref(p Payload) Payload {
-	switch v := p.(type) {
-	case *OfferTerms:
-		return *v
-	case *BidRequest:
-		return *v
-	case *RewardTable:
-		return *v
-	case *OfferReply:
-		return *v
-	case *EnergyBid:
-		return *v
-	case *CutDownBid:
-		return *v
-	case *Award:
-		return *v
-	case *InfoRequest:
-		return *v
-	case *InfoReply:
-		return *v
-	case *SessionEnd:
-		return *v
-	case *MeterBatch:
-		return *v
-	case *ReplSubscribe:
-		return *v
-	case *ReplBatch:
-		return *v
-	case *ReplAck:
-		return *v
-	case *ReplSnapshot:
-		return *v
-	case *ReplHeartbeat:
-		return *v
-	case *ObsSubscribe:
-		return *v
-	case *ObsBatch:
-		return *v
-	case *ObsAck:
-		return *v
-	default:
-		return p
+// Decode returns the validated payload: the one the envelope carries when it
+// was built in this process, else Body parsed according to the kind tag.
+func (e Envelope) Decode() (Payload, error) {
+	if p, ok := e.carried(); ok {
+		return p, nil
 	}
+	decode, ok := decoders[e.Kind]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, e.Kind)
+	}
+	return decode(e.Body)
+}
+
+// Validated decodes the envelope once and returns it carrying the payload,
+// so a trust boundary that must check an inbound envelope hands the receiver
+// the value it checked instead of bytes to parse again.
+func (e Envelope) Validated() (Envelope, error) {
+	p, err := e.Decode()
+	if err != nil {
+		return Envelope{}, err
+	}
+	return e.carry(p), nil
 }
 
 // Marshal renders the envelope as a single JSON document.
@@ -774,8 +775,5 @@ func Unmarshal(data []byte) (Envelope, error) {
 	if err := json.Unmarshal(data, &e); err != nil {
 		return Envelope{}, fmt.Errorf("message: unmarshal envelope: %w", err)
 	}
-	if _, err := e.Decode(); err != nil {
-		return Envelope{}, err
-	}
-	return e, nil
+	return e.Validated()
 }

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
 	"loadbalance/internal/prediction"
@@ -167,6 +169,62 @@ func TestFleetBatchesAndPublishes(t *testing.T) {
 	per := col.CloseTick(1)
 	if math.Abs(per[0]-2) > 1e-9 || math.Abs(per[1]-3) > 1e-9 {
 		t.Fatalf("per-shard = %v, want [2 3]", per)
+	}
+}
+
+// TestPublishedBatchesAreSharedReadOnly runs under -race: the collector's
+// goroutine ingests the very MeterBatch values PublishTick sampled (an
+// in-process envelope carries its payload, it does not copy it) while the
+// publisher samples the next tick. Fifty ticks must each close on exactly the
+// energy their own meters read.
+func TestPublishedBatchesAreSharedReadOnly(t *testing.T) {
+	const customers, ticks = 40, 50
+	meters := make([]*Meter, customers)
+	shardOf := make(map[string]int, customers)
+	for i := range meters {
+		name := fmt.Sprintf("c%02d", i)
+		m, err := NewMeter(MeterConfig{Customer: name, Series: []float64{1, 2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meters[i], shardOf[name] = m, i%2
+	}
+	fleet, err := NewFleet(meters, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := NewCollector(CollectorConfig{ShardOf: shardOf, Shards: 2, RingTicks: ticks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rt, err := agent.Start(collectorName, b, col.Handler(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	for tick := 0; tick < ticks; tick++ {
+		if _, err := fleet.PublishTick(b, meteringName, collectorName, "s", tick); err != nil {
+			t.Fatal(err)
+		}
+		if tick == 0 {
+			continue
+		}
+		// Close the previous tick while this one is in flight.
+		if err := col.WaitTick(tick-1, customers, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		want := float64(customers/2) * []float64{1, 2, 3}[(tick-1)%3]
+		if per := col.CloseTick(tick - 1); per[0] != want || per[1] != want {
+			t.Fatalf("tick %d closed on %v, want %v per shard", tick-1, per, want)
+		}
+	}
+	if errs := rt.Errors(); len(errs) != 0 {
+		t.Fatalf("collector errors: %v", errs)
 	}
 }
 

@@ -120,13 +120,9 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.InitialSlope < 0 {
 		return nil, fmt.Errorf("%w: negative initial slope", ErrBadConfig)
 	}
-	m, err := agent.NewModel()
-	if err != nil {
-		return nil, err
-	}
 	return &Agent{
 		cfg:   cfg,
-		model: m,
+		model: agent.NewModel(),
 		done:  make(chan Result, 1),
 	}, nil
 }
