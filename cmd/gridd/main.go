@@ -583,7 +583,7 @@ type serveAddrs struct {
 // Concentrator Agents between the Utility Agent and the TCP-bridged fleet:
 // the UA negotiates with the concentrators on a private root bus, while each
 // concentrator fans out to its shard of remote customers over the shared
-// bridged bus by targeted send. With rootAddr set the root bus is itself a
+// bridged bus by name (bus.SendTo). With rootAddr set the root bus is itself a
 // TCP server and the concentrators are separate gridd worker processes that
 // dial in before the negotiation starts. Cancelling ctx aborts cleanly at
 // any phase.

@@ -277,7 +277,7 @@ func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Sto
 		return fmt.Errorf("agent error: %w", e)
 	}
 	fmt.Print(loadbalance.Render(&loadbalance.Result{Result: res.Result.Result, Bus: sumShardStats(&res.Result)}))
-	fmt.Printf("\ndistributed over %d concentrator connection pairs (wire protocol v2)\n", res.Shards)
+	fmt.Printf("\ndistributed over %d concentrator connection pairs (wire protocol v3)\n", res.Shards)
 	fmt.Printf("wire: root %d frames in / %d out; member %d in / %d out; %d dropped, %d malformed\n",
 		res.RootWire.FramesIn, res.RootWire.FramesOut,
 		res.MemberWire.FramesIn, res.MemberWire.FramesOut,

@@ -158,14 +158,35 @@ func (rt *Runtime) Send(to, session string, p message.Payload) error {
 // the other, so the receiving runtime's context must travel with the
 // payload).
 func (rt *Runtime) SendCtx(tc trace.Context, to, session string, p message.Payload) error {
-	env, err := message.NewEnvelope(rt.name, to, session, p)
+	env, err := rt.envelope(tc, to, session, p)
 	if err != nil {
 		return err
+	}
+	return rt.bus.Send(env)
+}
+
+// SendAllCtx sends one payload to every agent named in to, as SendCtx to
+// each in order would, from one envelope: the payload is validated and
+// marshalled once and the bus fans it out (bus.SendTo). Every recipient is
+// attempted; the first delivery error is returned.
+func (rt *Runtime) SendAllCtx(tc trace.Context, to []string, session string, p message.Payload) error {
+	env, err := rt.envelope(tc, "", session, p)
+	if err != nil {
+		return err
+	}
+	return bus.SendTo(rt.bus, env, to)
+}
+
+// envelope wraps a payload in an envelope from this agent, stamped with tc.
+func (rt *Runtime) envelope(tc trace.Context, to, session string, p message.Payload) (message.Envelope, error) {
+	env, err := message.NewEnvelope(rt.name, to, session, p)
+	if err != nil {
+		return message.Envelope{}, err
 	}
 	if tc.Valid() && trace.Enabled() {
 		env.TraceID, env.SpanID = tc.Trace, tc.Span
 	}
-	return rt.bus.Send(env)
+	return env, nil
 }
 
 // Broadcast sends a payload to every other agent on the bus.

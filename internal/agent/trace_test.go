@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -122,5 +123,86 @@ func TestUntracedEnvelopeStaysUntraced(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no reply")
+	}
+}
+
+// TestSendAllCtxEqualsSendCtxToEach: one payload to a list of agents arrives
+// as SendCtx to each in order would deliver it — same routing, body and trace
+// stamp, the same bus counts — and every recipient reads the one payload the
+// sender validated.
+func TestSendAllCtxEqualsSendCtxToEach(t *testing.T) {
+	tr := trace.Enable("test", 64)
+	t.Cleanup(trace.Disable)
+	root := tr.Root("relay")
+	tc := root.Context()
+	table := message.RewardTable{
+		Window:  message.Window{Start: time.Unix(0, 0).UTC(), End: time.Unix(3600, 0).UTC()},
+		Round:   1,
+		Entries: []message.RewardEntry{{CutDown: 0.1, Reward: 4.25}},
+	}
+	to := []string{"c1", "c2", "ghost", "c3"}
+
+	run := func(send func(rt *Runtime) error) (map[string]message.Envelope, bus.Stats, error) {
+		b, err := bus.NewInProc(bus.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		boxes := make(map[string]<-chan message.Envelope)
+		for _, name := range []string{"c1", "c2", "c3"} {
+			if boxes[name], err = b.Register(name, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt, err := Start("cc", b, HandlerFuncs{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Stop()
+		sendErr := send(rt)
+		got := make(map[string]message.Envelope)
+		for name, box := range boxes {
+			if len(box) != 1 {
+				t.Fatalf("%s holds %d envelopes, want 1", name, len(box))
+			}
+			got[name] = <-box
+		}
+		return got, b.Stats(), sendErr
+	}
+	want, wantStats, wantErr := run(func(rt *Runtime) error {
+		var firstErr error
+		for _, n := range to {
+			if err := rt.SendCtx(tc, n, "s1", table); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	})
+	got, gotStats, gotErr := run(func(rt *Runtime) error { return rt.SendAllCtx(tc, to, "s1", table) })
+
+	if gotStats != wantStats {
+		t.Fatalf("bus stats %+v, want %+v", gotStats, wantStats)
+	}
+	if !errors.Is(gotErr, bus.ErrUnknownAgent) || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("error %v, want %v", gotErr, wantErr)
+	}
+	var shared *message.RewardEntry
+	for name, w := range want {
+		g := got[name]
+		if g.From != w.From || g.To != w.To || g.Session != w.Session || g.Kind != w.Kind ||
+			string(g.Body) != string(w.Body) || g.TraceID != tc.Trace || g.SpanID != tc.Span {
+			t.Fatalf("%s received %+v, want %+v", name, g, w)
+		}
+		p, err := g.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := &p.(message.RewardTable).Entries[0]
+		if shared == nil {
+			shared = entry
+		}
+		if entry != shared || entry != &table.Entries[0] {
+			t.Fatalf("%s decoded its own copy of the table", name)
+		}
 	}
 }

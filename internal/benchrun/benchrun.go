@@ -234,8 +234,8 @@ func codecEnvelope(b *testing.B, kind string, withCtx bool) message.Envelope {
 	return env
 }
 
-// runWireCodec measures one encode+decode round trip through the v2 binary
-// TCP framing.
+// runWireCodec measures one encode+decode round trip through the binary TCP
+// framing.
 func runWireCodec(b *testing.B, env message.Envelope) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,7 +1,8 @@
 // Package bus provides the message transport connecting agents: a
 // deterministic in-process bus built on channels (the default substrate for
-// simulations and tests) and a TCP/JSON transport for running the Utility
-// Agent and Customer Agents as separate OS processes.
+// simulations and tests) and a TCP transport of binary frames (wire.go) for
+// running the Utility Agent, the concentrators and the Customer Agents as
+// separate OS processes.
 //
 // All inter-agent communication in this system flows through a Bus; agents
 // never share memory. The in-process bus supports seeded failure injection
@@ -40,6 +41,47 @@ type Bus interface {
 	// Agents returns the registered agent names, sorted.
 	Agents() []string
 }
+
+// SendTo delivers env to each agent named in to, in order, exactly as that
+// many targeted Sends would: the same Stats, the same per-delivery
+// fault-injection draws, every recipient attempted and the first error
+// returned. env.To is ignored and every name must be non-empty (an empty To
+// would mean broadcast, which a fan-out never is). The recipients share the
+// one envelope and the payload it carries.
+//
+// A bus with a cheaper way to do that than len(to) Sends provides it — InProc
+// takes its lock once, Client and Remote put one frame on the wire — and the
+// loop below is what those are tested against.
+func SendTo(b Bus, env message.Envelope, to []string) error {
+	if f, ok := b.(fanOuter); ok {
+		return f.SendTo(env, to)
+	}
+	var firstErr error
+	for _, n := range to {
+		var err error
+		if env.To = n; n == "" {
+			err = fmt.Errorf("%w: empty recipient", ErrUnknownAgent)
+		} else {
+			err = b.Send(env)
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// fanOuter is a Bus with its own SendTo. The assertions keep a signature
+// change from silently demoting a bus to the loop.
+type fanOuter interface {
+	SendTo(env message.Envelope, to []string) error
+}
+
+var (
+	_ fanOuter = (*InProc)(nil)
+	_ fanOuter = (*Client)(nil)
+	_ fanOuter = (*Remote)(nil)
+)
 
 // Stats counts bus traffic. All counters are cumulative.
 type Stats struct {
@@ -141,6 +183,23 @@ func (b *InProc) Send(env message.Envelope) error {
 	sort.Strings(names)
 	var firstErr error
 	for _, n := range names {
+		if err := b.deliverLocked(n, env); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// SendTo is the package-level SendTo under one acquisition of the bus lock.
+func (b *InProc) SendTo(env message.Envelope, to []string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return ErrClosed
+	}
+	var firstErr error
+	for _, n := range to {
+		b.stats.Sent++
 		if err := b.deliverLocked(n, env); err != nil && firstErr == nil {
 			firstErr = err
 		}

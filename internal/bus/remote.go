@@ -99,13 +99,32 @@ func (r *Remote) Unregister(name string) {
 // routing (including broadcast for an empty To) happens on the server's
 // bridged bus.
 func (r *Remote) Send(env message.Envelope) error {
-	r.mu.Lock()
-	cli, ok := r.clients[env.From]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q is not registered here", ErrUnknownAgent, env.From)
+	cli, err := r.client(env.From)
+	if err != nil {
+		return err
 	}
 	return cli.Send(env)
+}
+
+// SendTo carries the fan-out as one frame over its sender's connection; the
+// server's bridged bus delivers it (see the package-level SendTo).
+func (r *Remote) SendTo(env message.Envelope, to []string) error {
+	cli, err := r.client(env.From)
+	if err != nil {
+		return err
+	}
+	return cli.SendTo(env, to)
+}
+
+// client returns the connection registered here under name.
+func (r *Remote) client(name string) (*Client, error) {
+	r.mu.Lock()
+	cli, ok := r.clients[name]
+	r.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q is not registered here", ErrUnknownAgent, name)
+	}
+	return cli, nil
 }
 
 // Agents implements Bus: the locally registered agent names, sorted. Remote

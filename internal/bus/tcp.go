@@ -122,8 +122,8 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 
-	// Preamble: magic + the client's highest supported version. The server
-	// answers with the negotiated version (currently always 2) in the ack.
+	// Preamble: magic + the client's version. The server speaks exactly
+	// WireVersion and says so in the ack.
 	var preamble [2]byte
 	if _, err := io.ReadFull(r, preamble[:]); err != nil {
 		return
@@ -231,22 +231,33 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.stats.framesIn.Add(1)
 		s.stats.bytesIn.Add(uint64(n))
-		if kind != frameEnvelope {
+		var env message.Envelope
+		var to []string
+		switch kind {
+		case frameEnvelope:
+			env, err = message.UnmarshalBinary(payload)
+		case frameFanOut:
+			to, env, err = decodeFanOut(payload)
+		default:
 			continue // unknown frame kinds are ignored for forward compatibility
 		}
-		env, err := message.UnmarshalBinary(payload)
+		if err == nil {
+			env.From = name // trust boundary: the connection owns its identity
+			// The payload checked here travels on with the envelope, so the
+			// local agents it is delivered to do not parse the body again —
+			// and a fan-out is decoded and checked once for all of them.
+			env, err = env.Validated()
+		}
 		if err != nil {
 			s.stats.malformed.Add(1)
 			continue // skip malformed frames rather than killing the session
 		}
-		env.From = name // trust boundary: the connection owns its identity
-		// The payload checked here travels on with the envelope, so the
-		// local agent it is delivered to does not parse the body again.
-		if env, err = env.Validated(); err != nil {
-			s.stats.malformed.Add(1)
-			continue
+		// Delivery errors are the protocol layer's concern.
+		if kind == frameFanOut {
+			_ = SendTo(s.bus, env, to)
+		} else {
+			_ = s.bus.Send(env)
 		}
-		_ = s.bus.Send(env) // delivery errors are the protocol layer's concern
 	}
 }
 
@@ -300,7 +311,8 @@ type ClientConfig struct {
 	WriteTimeout time.Duration
 	// HelloTimeout bounds the dial handshake round trip (default 5s).
 	HelloTimeout time.Duration
-	// MaxFrame bounds one inbound frame in bytes (default DefaultMaxFrame).
+	// MaxFrame bounds one inbound frame in bytes (default DefaultMaxFrame);
+	// a fan-out that would make a larger outbound frame is split.
 	MaxFrame int
 }
 
@@ -325,11 +337,10 @@ func (c ClientConfig) withDefaults() ClientConfig {
 type ClientStats struct {
 	Received uint64 // envelopes decoded off the wire
 	Dropped  uint64 // envelopes discarded at a full inbox
-	Sent     uint64 // envelopes written to the wire
+	Sent     uint64 // frames written to the wire: one per Send, one per fan-out
 }
 
-// Client is a remote agent's connection to a Server. It speaks wire
-// protocol v2.
+// Client is a remote agent's connection to a Server.
 type Client struct {
 	name    string
 	conn    net.Conn
@@ -492,8 +503,31 @@ func (c *Client) setTermErr(err error) {
 // stalled peer delays Send by at most WriteTimeout and never blocks Close.
 func (c *Client) Send(env message.Envelope) error {
 	env.From = c.name
-	buf := EncodeEnvelopeFrame(nil, env)
+	return c.write(EncodeEnvelopeFrame(nil, env))
+}
 
+// SendTo transmits one envelope for every agent named in to as a single
+// fan-out frame; the server's bus does the per-recipient deliveries (see the
+// package-level SendTo). A list too long for one frame goes as two halves.
+func (c *Client) SendTo(env message.Envelope, to []string) error {
+	if len(to) == 0 {
+		return nil
+	}
+	env.From = c.name
+	frame := encodeFanOutFrame(nil, env, to)
+	if len(frame) > c.cfg.MaxFrame && len(to) > 1 {
+		half := len(to) / 2
+		err := c.SendTo(env, to[:half])
+		if err2 := c.SendTo(env, to[half:]); err == nil {
+			err = err2
+		}
+		return err
+	}
+	return c.write(frame)
+}
+
+// write puts one encoded frame on the wire.
+func (c *Client) write(frame []byte) error {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -504,7 +538,7 @@ func (c *Client) Send(env message.Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	_, err := c.conn.Write(buf) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock; encode happens outside it and Close aborts in-flight writes)
+	_, err := c.conn.Write(frame) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock; encode happens outside it and Close aborts in-flight writes)
 	_ = c.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("bus: send: %w", err)

@@ -111,9 +111,9 @@ func TestNonMagicFirstByteClosedAndCounted(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation checks the hello ack carries the negotiated
-// version, and that a client offering a higher version is accepted at the
-// server's level.
+// TestVersionNegotiation checks the hello ack carries the version the server
+// speaks, and that a client offering a higher version is answered with it
+// (TestOldWireVersionRefused covers a lower one).
 func TestVersionNegotiation(t *testing.T) {
 	srv, _, _ := newServer(t, ServerConfig{})
 	cli, err := Dial(srv.Addr(), "c1")
@@ -125,7 +125,7 @@ func TestVersionNegotiation(t *testing.T) {
 		t.Fatalf("version = %d, want %d", v, WireVersion)
 	}
 
-	// A future client offering version 9 is negotiated down to 2.
+	// A future client offering version 9 is acked at the server's version.
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +219,13 @@ func TestOversizedFrameKillsSession(t *testing.T) {
 // TestDecodeEnvelopeFrameHugeLength feeds the exported decoder a crafted
 // 2^63-scale length varint: it must error, not overflow int and panic.
 func TestDecodeEnvelopeFrameHugeLength(t *testing.T) {
-	data := appendUvarint(nil, 1<<63)
+	data := binary.AppendUvarint(nil, 1<<63)
 	data = append(data, frameEnvelope)
 	if _, _, err := DecodeEnvelopeFrame(data); err == nil {
 		t.Fatal("huge declared length must be rejected")
 	}
 	// And a merely-large length that exceeds the buffer.
-	data = appendUvarint(nil, 1<<20)
+	data = binary.AppendUvarint(nil, 1<<20)
 	data = append(data, frameEnvelope)
 	if _, _, err := DecodeEnvelopeFrame(data); err == nil {
 		t.Fatal("length beyond the buffer must be rejected")

@@ -11,23 +11,30 @@ import (
 	"loadbalance/internal/message"
 )
 
-// Wire protocol v2: length-prefixed binary frames. A connection opens with a
+// Wire protocol v3: length-prefixed binary frames. A connection opens with a
 // two-byte preamble (magic, version), then exchanges frames:
 //
 //	uvarint(1+len(payload))  kind byte  payload bytes
 //
 // Frame kinds are hello (client → server: agent name), hello-ack (server →
-// client: negotiated version), envelope (either direction: a binary
-// message.Envelope) and error (server → client: terminal error text, the
-// connection closes after it). Envelope payloads use the single-pass binary
-// codec in internal/message, so nothing on the wire is JSON-in-JSON. A
-// connection whose first byte is not the magic is closed unanswered and
-// counted as a protocol error.
+// client: the version spoken), envelope (either direction: a binary
+// message.Envelope), error (server → client: terminal error text, the
+// connection closes after it) and fan-out (client → server: one envelope for
+// several named recipients):
+//
+//	uvarint(count)  count × (uvarint(len) recipient bytes)  binary envelope
+//
+// Envelope payloads use the single-pass binary codec in internal/message, so
+// nothing on the wire is JSON-in-JSON. A connection whose first byte is not
+// the magic is closed unanswered and counted as a protocol error. Exactly one
+// version is spoken: a receiver skips frame kinds it does not know, so a v2
+// server would silently lose every fan-out, and a peer announcing anything
+// below WireVersion is refused at the hello instead.
 
 // Protocol constants.
 const (
-	// WireVersion is the highest protocol version this build speaks.
-	WireVersion = 2
+	// WireVersion is the protocol version this build speaks.
+	WireVersion = 3
 	// wireMagic opens every connection. 0xB5 ("bus") can begin neither UTF-8
 	// text nor a JSON document, so a stray text client is told apart at once.
 	wireMagic byte = 0xB5
@@ -42,6 +49,7 @@ const (
 	frameHelloAck byte = 2
 	frameEnvelope byte = 3
 	frameError    byte = 4
+	frameFanOut   byte = 5
 )
 
 // Wire protocol errors.
@@ -51,31 +59,31 @@ var (
 	ErrRemote        = errors.New("bus: remote error")
 )
 
-// appendUvarint appends the varint encoding of v to dst.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
+// appendFrameHeader appends the length and kind of a frame whose payload is
+// size bytes, first growing dst — once — to hold the whole frame, so the
+// payload appended next does not reallocate.
+func appendFrameHeader(dst []byte, kind byte, size int) []byte {
+	n := uint64(1 + size)
+	if need := len(dst) + uvarintLen(n) + int(n); need > cap(dst) {
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	dst = binary.AppendUvarint(dst, n)
+	return append(dst, kind)
 }
 
 // appendFrame appends one wire frame to dst.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = appendUvarint(dst, uint64(1+len(payload)))
-	dst = append(dst, kind)
-	return append(dst, payload...)
+	return append(appendFrameHeader(dst, kind, len(payload)), payload...)
 }
 
-// EncodeEnvelopeFrame appends env as one v2 envelope frame to dst: varint
+// EncodeEnvelopeFrame appends env as one envelope frame to dst: varint
 // length, kind byte, then the envelope's binary encoding, written in a
-// single pass.
+// single pass into a single allocation.
 func EncodeEnvelopeFrame(dst []byte, env message.Envelope) []byte {
-	size := env.BinarySize()
-	dst = appendUvarint(dst, uint64(1+size))
-	dst = append(dst, frameEnvelope)
-	return env.AppendBinary(dst)
+	return env.AppendBinary(appendFrameHeader(dst, frameEnvelope, env.BinarySize()))
 }
 
-// DecodeEnvelopeFrame parses one v2 envelope frame produced by
+// DecodeEnvelopeFrame parses one envelope frame produced by
 // EncodeEnvelopeFrame and returns the number of bytes consumed.
 func DecodeEnvelopeFrame(data []byte) (message.Envelope, int, error) {
 	n, used := binary.Uvarint(data)
@@ -96,6 +104,60 @@ func DecodeEnvelopeFrame(data []byte) (message.Envelope, int, error) {
 		return message.Envelope{}, 0, err
 	}
 	return env, end, nil
+}
+
+// errBadFanOut reports a fan-out payload whose recipient list is malformed.
+var errBadFanOut = errors.New("bus: malformed fan-out frame")
+
+// encodeFanOutFrame appends one fan-out frame to dst: env for every name in
+// to. The envelope's own To travels empty; the receiving bus concretises it
+// per recipient, as it does for a broadcast.
+func encodeFanOutFrame(dst []byte, env message.Envelope, to []string) []byte {
+	env.To = ""
+	size := uvarintLen(uint64(len(to))) + env.BinarySize()
+	for _, n := range to {
+		size += message.LenPrefixedSize(len(n))
+	}
+	dst = appendFrameHeader(dst, frameFanOut, size)
+	dst = binary.AppendUvarint(dst, uint64(len(to)))
+	for _, n := range to {
+		dst = message.AppendLenPrefixed(dst, n)
+	}
+	return env.AppendBinary(dst)
+}
+
+// decodeFanOut parses a fan-out frame's payload. Like UnmarshalBinary it
+// retains nothing of payload: the recipients leave as substrings of one
+// string. Every recipient is non-empty — an empty To means broadcast, which
+// a fan-out never is.
+func decodeFanOut(payload []byte) ([]string, message.Envelope, error) {
+	count, used := binary.Uvarint(payload)
+	// A recipient is at least two bytes, so a count the remaining bytes
+	// cannot hold is refused before anything is sized by it.
+	if used <= 0 || count > uint64(len(payload)-used)/2 {
+		return nil, message.Envelope{}, fmt.Errorf("%w: recipient count", errBadFanOut)
+	}
+	rest := payload[used:]
+	for i := uint64(0); i < count; i++ {
+		name, after, err := message.ReadLenPrefixed(rest)
+		if err != nil || len(name) == 0 {
+			return nil, message.Envelope{}, fmt.Errorf("%w: recipient %d", errBadFanOut, i)
+		}
+		rest = after
+	}
+	env, err := message.UnmarshalBinary(rest)
+	if err != nil {
+		return nil, message.Envelope{}, err
+	}
+	list := payload[used : len(payload)-len(rest)]
+	names := string(list)
+	to := make([]string, count)
+	for i := range to {
+		name, after, _ := message.ReadLenPrefixed(list) // well-formed: the pass above read it
+		hi := len(names) - len(after)
+		to[i], list = names[hi-len(name):hi], after
+	}
+	return to, env, nil
 }
 
 // readFrame reads one frame from r, rejecting frames above max bytes.

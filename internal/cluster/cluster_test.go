@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
+	"loadbalance/internal/message"
 	"loadbalance/internal/protocol"
 	"loadbalance/internal/store"
 	"loadbalance/internal/utilityagent"
@@ -313,5 +316,85 @@ func TestRunJournalsOutcome(t *testing.T) {
 	}
 	if len(out.Awards) == 0 {
 		t.Fatal("no awards journaled")
+	}
+}
+
+// gatedBus is a shard bus whose session-end deliveries wait for the test.
+type gatedBus struct {
+	bus.Bus
+	entered chan struct{} // receives once per session-end Send, on entry
+	release chan struct{} // closed to let them through
+}
+
+func (g gatedBus) Send(env message.Envelope) error {
+	if env.Kind == message.KindSessionEnd {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Bus.Send(env)
+}
+
+// TestDoneOnlyAfterSessionEndRelayed blocks the shard bus inside the
+// session-end fan-out: Done must stay false until the relay has returned.
+// Run's drain loop and RunWorker tear the tier down on Done, and when Done
+// turned true on receipt of the session end they could do so with a shard's
+// session ends still unsent.
+func TestDoneOnlyAfterSessionEndRelayed(t *testing.T) {
+	parent, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	shard, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close()
+	members := map[string]protocol.CustomerLoad{"c1": {}, "c2": {}, "c3": {}}
+	boxes := make(map[string]<-chan message.Envelope)
+	for name := range members {
+		if boxes[name], err = shard.Register(name, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: members})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := gatedBus{Bus: shard, entered: make(chan struct{}, len(members)), release: make(chan struct{})}
+	if err := cc.Start(parent, gate, 16); err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Stop()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // a failing test must still let the runtime out of the bus
+
+	end, err := message.NewEnvelope("ua", "cc-000", "s1", message.SessionEnd{Round: 1, Reason: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Send(end); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the session end never reached the shard bus")
+	}
+	if cc.Done() {
+		t.Fatal("Done() is true while the session-end fan-out is still inside the shard bus")
+	}
+	release()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cc.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("Done() never turned true after the fan-out was released")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for name, box := range boxes {
+		if len(box) != 1 {
+			t.Fatalf("Done() is true but %s holds %d session ends", name, len(box))
+		}
 	}
 }

@@ -62,7 +62,8 @@ type Concentrator struct {
 	lastBids  map[string]float64
 	responded map[string]bool
 	lastUp    float64 // last upward bid (monotonic floor)
-	ended     bool
+	ended     bool    // session end received: nothing more is relayed or recorded
+	relayed   bool    // session end fanned out to the shard (Done)
 	awarded   bool
 
 	// tctx is the trace context of the last relayed announcement; timer
@@ -104,7 +105,8 @@ func NewConcentrator(cfg ConcentratorConfig) (*Concentrator, error) {
 // two must be distinct buses (each registers the concentrator under its
 // name), but several concentrators may share one downward bus — the TCP
 // deployment bridges every remote customer onto a single bus — so member
-// fan-out is always by targeted send, never broadcast.
+// fan-out names its recipients (one envelope through bus.SendTo) and is
+// never a broadcast.
 func (c *Concentrator) Start(parent, shard bus.Bus, inboxSize int) error {
 	up, err := agent.Start(c.cfg.Name, parent, upSide{c}, inboxSize)
 	if err != nil {
@@ -163,12 +165,13 @@ func (c *Concentrator) WaitUp() {
 	}
 }
 
-// Done reports whether the concentrator has seen the session end and, when an
-// aggregate award was due, distributed the member awards.
+// Done reports whether the concentrator has relayed the session end to its
+// shard: every member's copy has been handed to the shard bus. Awards, when
+// any were due, went before it on the same runtime.
 func (c *Concentrator) Done() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ended
+	return c.relayed
 }
 
 // MemberBids returns each member's current cut-down commitment.
@@ -260,13 +263,10 @@ func (c *Concentrator) relayAnnouncement(tc trace.Context, from string, m messag
 	c.tctx = tc
 	down := c.downRT
 	c.mu.Unlock()
-	members := c.members
 
-	for _, n := range members {
-		// A failed targeted send (member gone, inbox full) is equivalent to
-		// a lost announcement: the quorum/timeout rules absorb it.
-		_ = down.SendCtx(tc, n, c.cfg.SessionID, m)
-	}
+	// A failed delivery (member gone, inbox full) is equivalent to a lost
+	// announcement: the quorum/timeout rules absorb it.
+	_ = down.SendAllCtx(tc, c.members, c.cfg.SessionID, m)
 	if c.cfg.RoundTimeout > 0 {
 		round := m.Round
 		time.AfterFunc(c.cfg.RoundTimeout, func() { //gridlint:allow walltime(round liveness timeout; closes a round on silence, never changes a collected bid)
@@ -413,6 +413,9 @@ func (c *Concentrator) distributeAwards(tc trace.Context, m message.Award) error
 }
 
 // forwardSessionEnd relays the termination downward and closes the shard.
+// ended stops the negotiation (and a second relay) at once; relayed, which is
+// what Done reports, is set only when the fan-out has returned, so a caller
+// that tears the tier down on Done cannot cut the relay short.
 func (c *Concentrator) forwardSessionEnd(tc trace.Context, m message.SessionEnd) error {
 	c.mu.Lock()
 	if c.ended {
@@ -422,13 +425,13 @@ func (c *Concentrator) forwardSessionEnd(tc trace.Context, m message.SessionEnd)
 	c.ended = true
 	down := c.downRT
 	c.mu.Unlock()
-	var firstErr error
-	for _, n := range c.members {
-		if err := down.SendCtx(tc, n, c.cfg.SessionID, m); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+
+	err := down.SendAllCtx(tc, c.members, c.cfg.SessionID, m)
+
+	c.mu.Lock()
+	c.relayed = true
+	c.mu.Unlock()
+	return err
 }
 
 var (

@@ -197,3 +197,28 @@ func TestRunWorker(t *testing.T) {
 		t.Fatal("worker never finished")
 	}
 }
+
+// TestRunDistributedAllocationBudget holds a whole negotiation over the TCP
+// tier — 34 dials, every table, bid, award and session end through the frame
+// codec, tear-down — to 110 allocations per customer at 256 customers in 16
+// shards (measured 82; 172 when a concentrator marshalled, framed and sent
+// the announcement once per member and the member server parsed each copy).
+// It is the unit `go run ./bench -workload tcp_256` reports as
+// allocs_per_unit.
+func TestRunDistributedAllocationBudget(t *testing.T) {
+	const n = 256
+	s, err := core.SyntheticScenario(core.SyntheticConfig{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := testing.AllocsPerRun(3, func() {
+		if res, err := RunDistributed(DistributedConfig{Scenario: s, Shards: 16}); err != nil || res.Rounds == 0 || len(res.AgentErrors) != 0 {
+			t.Errorf("RunDistributed = %+v, %v", res, err)
+		}
+	})
+	if got := perRun / n; got > 110 {
+		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget 110", n, got)
+	} else {
+		t.Logf("%.1f allocations per customer", got)
+	}
+}

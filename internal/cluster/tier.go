@@ -34,7 +34,8 @@ type Tier struct {
 
 // StartTier starts one Concentrator per shard of the topology: upward-facing
 // on parent, downward-facing on shardBus(i). shardBus may return the same
-// bus for every shard (fan-out is targeted), but never the parent bus.
+// bus for every shard (fan-out names its recipients), but never the parent
+// bus.
 func StartTier(parent bus.Bus, shardBus func(i int) bus.Bus, topo Topology, cfg TierConfig) (*Tier, error) {
 	t := &Tier{Topology: topo}
 	for i := 0; i < topo.Shards(); i++ {

@@ -6,11 +6,11 @@ import (
 	"fmt"
 )
 
-// Binary envelope codec for the TCP transport's v2 wire format. The JSON
-// codec (Marshal/Unmarshal) stays the interchange format for persistence and
-// for v1 connections; the binary codec exists so an envelope crossing the
-// network is encoded in a single pass — five length-prefixed byte strings —
-// instead of being re-marshalled as a JSON document inside a JSON frame.
+// Binary envelope codec: the form an envelope takes inside a frame of the
+// TCP transport (internal/bus/wire.go). The JSON codec (Marshal/Unmarshal)
+// stays the interchange format for persistence; this one exists so that an
+// envelope crossing the network is written in a single pass into a buffer
+// sized up front, and read back with two copies.
 //
 // Layout (all lengths are unsigned varints):
 //
@@ -24,14 +24,9 @@ import (
 // The Body stays JSON: payload schemas evolve faster than routing metadata,
 // and the frame-level decoder never needs to look inside it.
 //
-// The trailing trace field was added after v2 shipped, so it is optional in
-// both directions: an envelope without a trace context encodes exactly as
-// before (five fields, byte-identical), and the decoder accepts both the
-// five-field and six-field layouts. Peers running the original five-field
-// decoder reject a traced envelope as malformed and drop that frame — the
-// frame counter records it and the negotiation's quorum/timeout rules
-// absorb the loss, the same degradation as any dropped announcement —
-// while every untraced envelope interoperates unchanged.
+// The trailing trace field is optional in both directions: an envelope
+// without a trace context encodes as five fields, and the decoder accepts
+// both the five-field and six-field layouts.
 
 // ErrTruncated reports a binary envelope that ends mid-field.
 var ErrTruncated = errors.New("message: truncated binary envelope")
@@ -42,31 +37,26 @@ const traceFieldLen = 16
 
 // BinarySize returns the exact encoded size of the envelope in bytes.
 func (e Envelope) BinarySize() int {
-	n := varintStringSize(len(e.From)) +
-		varintStringSize(len(e.To)) +
-		varintStringSize(len(e.Session)) +
-		varintStringSize(len(string(e.Kind))) +
-		varintStringSize(len(e.Body))
+	n := LenPrefixedSize(len(e.From)) +
+		LenPrefixedSize(len(e.To)) +
+		LenPrefixedSize(len(e.Session)) +
+		LenPrefixedSize(len(e.Kind)) +
+		LenPrefixedSize(len(e.Body))
 	if e.Traced() {
-		n += varintStringSize(traceFieldLen)
+		n += LenPrefixedSize(traceFieldLen)
 	}
 	return n
 }
 
-// varintStringSize is the encoded size of one length-prefixed byte string.
-func varintStringSize(n int) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], uint64(n)) + n
-}
-
 // AppendBinary appends the binary encoding of the envelope to dst and
-// returns the extended slice.
+// returns the extended slice. A dst with BinarySize spare bytes is not
+// reallocated.
 func (e Envelope) AppendBinary(dst []byte) []byte {
-	dst = appendVarintString(dst, e.From)
-	dst = appendVarintString(dst, e.To)
-	dst = appendVarintString(dst, e.Session)
-	dst = appendVarintString(dst, string(e.Kind))
-	dst = appendVarintString(dst, string(e.Body))
+	dst = AppendLenPrefixed(dst, e.From)
+	dst = AppendLenPrefixed(dst, e.To)
+	dst = AppendLenPrefixed(dst, e.Session)
+	dst = AppendLenPrefixed(dst, e.Kind)
+	dst = AppendLenPrefixed(dst, e.Body)
 	if e.Traced() {
 		dst = append(dst, traceFieldLen) // uvarint(16) is one byte
 		dst = binary.BigEndian.AppendUint64(dst, e.TraceID)
@@ -75,91 +65,81 @@ func (e Envelope) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary renders the envelope in the v2 binary layout.
+// MarshalBinary renders the envelope in the binary layout.
 func (e Envelope) MarshalBinary() ([]byte, error) {
 	return e.AppendBinary(make([]byte, 0, e.BinarySize())), nil
 }
 
-// appendVarintString appends one length-prefixed byte string.
-func appendVarintString(dst []byte, s string) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(s)))
-	dst = append(dst, tmp[:n]...)
-	return append(dst, s...)
-}
-
 // UnmarshalBinary parses a binary envelope. It checks structure only (five
-// well-formed fields consuming exactly data); callers validate content with
-// Envelope.Decode, mirroring the JSON transport's split between framing and
+// or six well-formed fields consuming exactly data); callers validate content
+// with Envelope.Decode, mirroring the JSON codec's split between framing and
 // payload validation.
+//
+// The returned envelope retains nothing of data — a transport may overwrite
+// its read buffer as soon as the call returns. It is two copies: the four
+// header fields leave as substrings of one string, the Body as one slice.
 func UnmarshalBinary(data []byte) (Envelope, error) {
-	var e Envelope
-	var err error
-	if e.From, data, err = readVarintString(data); err != nil {
-		return Envelope{}, fmt.Errorf("%w: from", err)
+	// First pass: find the fields, copying nothing. The header is everything
+	// before the Body's length prefix, length prefixes included.
+	var at [4]struct{ lo, hi int } // each header field's bytes in data
+	rest := data
+	for i, field := range [...]string{"from", "to", "session", "kind"} {
+		val, after, err := ReadLenPrefixed(rest)
+		if err != nil {
+			return Envelope{}, fmt.Errorf("%w: %s", err, field)
+		}
+		rest = after
+		at[i].hi = len(data) - len(rest)
+		at[i].lo = at[i].hi - len(val)
 	}
-	if e.To, data, err = readVarintString(data); err != nil {
-		return Envelope{}, fmt.Errorf("%w: to", err)
-	}
-	if e.Session, data, err = readVarintString(data); err != nil {
-		return Envelope{}, fmt.Errorf("%w: session", err)
-	}
-	var kind string
-	if kind, data, err = readVarintString(data); err != nil {
-		return Envelope{}, fmt.Errorf("%w: kind", err)
-	}
-	e.Kind = Kind(kind)
-	var body string
-	if body, data, err = readVarintString(data); err != nil {
+	body, rest, err := ReadLenPrefixed(rest)
+	if err != nil {
 		return Envelope{}, fmt.Errorf("%w: body", err)
 	}
-	if len(body) > 0 {
-		e.Body = []byte(body)
-	}
-	if len(data) > 0 {
+	var e Envelope
+	if len(rest) > 0 {
 		// Optional sixth field: the trace context.
-		var tc string
-		if tc, data, err = readVarintString(data); err != nil {
+		var tc []byte
+		if tc, rest, err = ReadLenPrefixed(rest); err != nil {
 			return Envelope{}, fmt.Errorf("%w: trace", err)
 		}
 		if len(tc) != traceFieldLen {
 			return Envelope{}, fmt.Errorf("message: trace field is %d bytes, want %d", len(tc), traceFieldLen)
 		}
-		e.TraceID = binary.BigEndian.Uint64([]byte(tc[:8]))
-		e.SpanID = binary.BigEndian.Uint64([]byte(tc[8:]))
+		e.TraceID = binary.BigEndian.Uint64(tc[:8])
+		e.SpanID = binary.BigEndian.Uint64(tc[8:])
 	}
-	if len(data) != 0 {
-		return Envelope{}, fmt.Errorf("message: %d trailing bytes after binary envelope", len(data))
+	if len(rest) != 0 {
+		return Envelope{}, fmt.Errorf("message: %d trailing bytes after binary envelope", len(rest))
+	}
+
+	header := string(data[:at[3].hi])
+	e.From = header[at[0].lo:at[0].hi]
+	e.To = header[at[1].lo:at[1].hi]
+	e.Session = header[at[2].lo:at[2].hi]
+	e.Kind = Kind(header[at[3].lo:at[3].hi])
+	if len(body) > 0 {
+		e.Body = make([]byte, len(body))
+		copy(e.Body, body)
 	}
 	return e, nil
 }
 
-// readVarintString consumes one length-prefixed byte string.
-func readVarintString(data []byte) (string, []byte, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return "", nil, ErrTruncated
-	}
-	data = data[used:]
-	if uint64(len(data)) < n {
-		return "", nil, ErrTruncated
-	}
-	return string(data[:n]), data[n:], nil
-}
-
 // AppendLenPrefixed appends one uvarint-length-prefixed byte string — the
 // primitive the envelope codec above is built from, exported so other binary
-// formats (the durability journal's record frames) share the exact encoding.
-func AppendLenPrefixed(dst, val []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(val)))
-	dst = append(dst, tmp[:n]...)
+// formats (the durability journal's record frames, the bus's fan-out frame)
+// share the exact encoding.
+func AppendLenPrefixed[T ~string | ~[]byte](dst []byte, val T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	return append(dst, val...)
 }
 
 // LenPrefixedSize returns the encoded size of a length-prefixed byte string
 // of n bytes.
-func LenPrefixedSize(n int) int { return varintStringSize(n) }
+func LenPrefixedSize(n int) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(tmp[:], uint64(n)) + n
+}
 
 // ReadLenPrefixed consumes one uvarint-length-prefixed byte string and
 // returns it alongside the remaining data. The returned value aliases data.

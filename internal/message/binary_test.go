@@ -2,7 +2,9 @@ package message
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -114,4 +116,91 @@ func TestBinaryAppendUsesPrefix(t *testing.T) {
 	if got.Session != "s1" {
 		t.Fatalf("session = %q", got.Session)
 	}
+}
+
+// TestBinaryPinnedBytes holds the encoding of a bid and a table to the bytes
+// captured before the codec was rewritten (PR 15): targeted envelopes are on
+// the wire what they were, whatever the encoder and decoder do inside.
+func TestBinaryPinnedBytes(t *testing.T) {
+	bid, err := NewEnvelope("c1", "ua", "s1", CutDownBid{Round: 2, CutDown: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := binEnv(t, RewardTable{Window: binWindow(), Round: 2, Entries: []RewardEntry{{0, 0}, {0.1, 4.25}, {0.2, 8.5}}})
+	traced := table
+	traced.TraceID, traced.SpanID = 0xdeadbeefcafe0001, 0x1122334455667788
+	const tableHex = "0275610263310273310c7265776172645f7461626c65b2017b2277696e646f77223a7b227374617274223a22323032362d30372d32395431383a30303a30305a222c22656e64223a22323032362d30372d32395432303a30303a30305a227d2c22726f756e64223a322c22656e7472696573223a5b7b22637574446f776e223a302c22726577617264223a307d2c7b22637574446f776e223a302e312c22726577617264223a342e32357d2c7b22637574446f776e223a302e322c22726577617264223a382e357d5d7d"
+	for _, c := range []struct {
+		name string
+		env  Envelope
+		want string
+	}{
+		{"bid", bid, "0263310275610273310b637574646f776e5f626964197b22726f756e64223a322c22637574446f776e223a302e327d"},
+		{"table", table, tableHex},
+		{"traced table", traced, tableHex + "10deadbeefcafe00011122334455667788"},
+	} {
+		want, err := hex.DecodeString(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.env.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s encodes as\n%x, pinned\n%x", c.name, got, want)
+		}
+		got, err := UnmarshalBinary(want)
+		if err != nil {
+			t.Fatalf("%s: pinned bytes do not decode: %v", c.name, err)
+		}
+		sameEnvelope(t, c.name, got, c.env)
+	}
+}
+
+// sameEnvelope compares what the codecs carry: routing, body bytes, trace.
+func sameEnvelope(t *testing.T, name string, got, want Envelope) {
+	t.Helper()
+	if got.From != want.From || got.To != want.To || got.Session != want.Session || got.Kind != want.Kind ||
+		!bytes.Equal(got.Body, want.Body) || got.TraceID != want.TraceID || got.SpanID != want.SpanID {
+		t.Fatalf("%s: envelope %+v, want %+v", name, got, want)
+	}
+}
+
+// FuzzUnmarshalBinary: the decoder never panics; what it accepts re-encodes
+// to BinarySize bytes that decode to the same envelope; and the result keeps
+// nothing of the input, so a transport may reuse its read buffer.
+func FuzzUnmarshalBinary(f *testing.F) {
+	for _, p := range onePerKind() {
+		e, err := NewEnvelope("ua", "c1", "s1", p)
+		if err != nil {
+			f.Fatalf("%s: %v", p.Kind(), err)
+		}
+		f.Add(e.AppendBinary(nil))
+		e.To, e.TraceID, e.SpanID = "", 1, 2
+		f.Add(e.AppendBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := UnmarshalBinary(data)
+		if err != nil {
+			return
+		}
+		kept := env
+		kept.From, kept.To = strings.Clone(env.From), strings.Clone(env.To)
+		kept.Session, kept.Kind = strings.Clone(env.Session), Kind(strings.Clone(string(env.Kind)))
+		kept.Body = bytes.Clone(env.Body)
+		for i := range data {
+			data[i] ^= 0xff
+		}
+		sameEnvelope(t, "after the input was overwritten", env, kept)
+
+		again := env.AppendBinary(nil)
+		if len(again) != env.BinarySize() {
+			t.Fatalf("re-encoded to %d bytes, BinarySize says %d", len(again), env.BinarySize())
+		}
+		back, err := UnmarshalBinary(again)
+		if err != nil {
+			t.Fatalf("re-encoded bytes do not decode: %v", err)
+		}
+		if !env.Traced() {
+			env.SpanID = 0 // a span id without a trace id is no context and is not re-encoded
+		}
+		sameEnvelope(t, "round trip", back, env)
+	})
 }

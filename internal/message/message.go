@@ -648,7 +648,7 @@ type Envelope struct {
 	// TraceID/SpanID carry the distributed-tracing context across process
 	// boundaries (internal/trace). Zero means untraced; the fields are
 	// omitted from both codecs so untraced envelopes stay byte-identical
-	// to the pre-tracing wire format and v1 JSON peers never see them.
+	// to the pre-tracing wire format.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
 

