@@ -87,13 +87,14 @@ var absoluteBudgets = map[string]float64{
 // upgrade to move it a little: one customer's round-2 inference on the kb
 // measured 18 (352 before the fact store was hash-indexed) — the floor of the
 // reference oracle, internal/desiremodel, since production stopped deciding
-// by inference; one customer's two-round session 19 (2605 before the hash
-// index, 167 while each React parsed the table and activated a composition);
+// by inference; one customer's two-round session 6 (19 while the agent kept a
+// kb-backed model, 2605 before the hash index, 167 while each React parsed the
+// table and activated a composition);
 // an envelope frame's encode and decode 3 — the frame, the header string, the
 // body — where it was 9 while the codec copied field by field.
 var allocBudgets = map[string]int64{
 	"kb_infer_ca_round": 30,
-	"ca_react":          60,
+	"ca_react":          20,
 	"wire_codec_bid":    4,
 	"wire_codec_table":  4,
 }

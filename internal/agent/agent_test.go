@@ -2,6 +2,7 @@ package agent
 
 import (
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -212,10 +213,52 @@ func TestStopIsIdempotentAndUnregisters(t *testing.T) {
 	}
 }
 
+// TestStopWaitAfterSelfExit covers the goroutine's two exits that no Stop
+// asked for: Wait and any number of Stops must return after either.
+func TestStopWaitAfterSelfExit(t *testing.T) {
+	returns := func(t *testing.T, rt *Runtime) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			rt.Wait()
+			rt.Stop()
+			rt.Stop()
+			rt.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Wait/Stop did not return after the agent goroutine exited")
+		}
+	}
+	t.Run("start error", func(t *testing.T) {
+		rt, err := Start("ua", newBus(t), HandlerFuncs{
+			Start: func(rt *Runtime) error { return errors.New("no start") },
+		}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returns(t, rt)
+	})
+	t.Run("inbox closed", func(t *testing.T) {
+		b := newBus(t)
+		rt, err := Start("ua", b, HandlerFuncs{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+		returns(t, rt)
+	})
+}
+
 func TestModelResponseTracking(t *testing.T) {
-	m := NewModel()
+	m := NewModel(2)
 	if _, ok := m.ResponseRate("c1"); ok {
 		t.Fatal("fresh model should have no rate")
+	}
+	if _, ok := m.OverallResponseRate(); ok {
+		t.Fatal("fresh model should have no overall rate")
 	}
 	steps := []struct {
 		peer     string
@@ -225,9 +268,7 @@ func TestModelResponseTracking(t *testing.T) {
 		{"c2", true},
 	}
 	for _, s := range steps {
-		if err := m.RecordResponse(s.peer, s.positive); err != nil {
-			t.Fatal(err)
-		}
+		m.RecordResponse(s.peer, s.positive)
 	}
 	rate, ok := m.ResponseRate("c1")
 	if !ok || !units.NearlyEqual(rate, 2.0/3, 1e-12) {
@@ -244,24 +285,73 @@ func TestModelResponseTracking(t *testing.T) {
 }
 
 func TestModelWorldValues(t *testing.T) {
-	m := NewModel()
+	m := NewModel(0)
 	if _, ok := m.WorldValue("temperature_c"); ok {
 		t.Fatal("fresh model should have no world values")
 	}
-	if err := m.SetWorldValue("temperature_c", -5); err != nil {
-		t.Fatal(err)
-	}
+	m.SetWorldValue("temperature_c", -5)
 	if v, ok := m.WorldValue("temperature_c"); !ok || v != -5 {
 		t.Fatalf("value = %v, %v", v, ok)
 	}
-	// Overwrite replaces rather than accumulates.
-	if err := m.SetWorldValue("temperature_c", 3); err != nil {
-		t.Fatal(err)
-	}
+	// Overwrite replaces rather than accumulates, and touches no other topic.
+	m.SetWorldValue("predicted_use_kwh", 120)
+	m.SetWorldValue("temperature_c", 3)
 	if v, _ := m.WorldValue("temperature_c"); v != 3 {
 		t.Fatalf("value after overwrite = %v", v)
 	}
-	if m.WorldInfo.Len() != 1 {
-		t.Fatalf("store len = %d, want 1", m.WorldInfo.Len())
+	if v, ok := m.WorldValue("predicted_use_kwh"); !ok || v != 120 {
+		t.Fatalf("other topic = %v, %v", v, ok)
+	}
+}
+
+// TestModelZeroValue: a Model needs no constructor.
+func TestModelZeroValue(t *testing.T) {
+	var m Model
+	if _, ok := m.ResponseRate("c1"); ok {
+		t.Fatal("zero model should have no rate")
+	}
+	if _, ok := m.WorldValue("temperature_c"); ok {
+		t.Fatal("zero model should have no world values")
+	}
+	m.RecordResponse("c1", true)
+	m.RecordResponse("c1", false)
+	m.SetWorldValue("temperature_c", -5)
+	m.SetWorldValue("temperature_c", 3)
+	if rate, ok := m.ResponseRate("c1"); !ok || rate != 0.5 {
+		t.Fatalf("c1 rate = %v, %v", rate, ok)
+	}
+	if rate, ok := m.OverallResponseRate(); !ok || rate != 0.5 {
+		t.Fatalf("overall = %v, %v", rate, ok)
+	}
+	if v, ok := m.WorldValue("temperature_c"); !ok || v != 3 {
+		t.Fatalf("value = %v, %v", v, ok)
+	}
+}
+
+// TestModelAllocs pins what a Utility Agent pays per bid: nothing, once the
+// model is sized for its fleet.
+func TestModelAllocs(t *testing.T) {
+	const peers = 1000
+	names := make([]string, peers)
+	for i := range names {
+		names[i] = "c" + strconv.Itoa(i)
+	}
+	// AllocsPerRun(1, f) calls f twice, a warm-up and the measured run; each
+	// needs a model that has seen nobody.
+	models := []*Model{NewModel(peers), NewModel(peers)}
+	call := 0
+	firstTime := testing.AllocsPerRun(1, func() {
+		m := models[call]
+		call++
+		for _, n := range names {
+			m.RecordResponse(n, true)
+		}
+	})
+	if firstTime != 0 {
+		t.Errorf("%d first-time peers on a model sized for them: %v allocs, want 0", peers, firstTime)
+	}
+	seen := testing.AllocsPerRun(100, func() { models[0].RecordResponse(names[7], false) })
+	if seen != 0 {
+		t.Errorf("RecordResponse for a seen peer: %v allocs, want 0", seen)
 	}
 }

@@ -10,8 +10,8 @@
 // reproduction:
 //
 //   - agent interaction management is the Runtime (mailbox, send/broadcast);
-//   - maintenance of agent/world information is the Model (two kb stores
-//     with domain helpers);
+//   - maintenance of agent/world information is the Model (typed response
+//     counters and world values);
 //   - the remaining tasks are methods on the concrete agents
 //     (internal/utilityagent, internal/customeragent), named after the tasks
 //     they implement.
@@ -54,7 +54,7 @@ type Runtime struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
+	exited   sync.WaitGroup // the agent goroutine
 
 	// curTrace/curSpan hold the trace context of the work this agent is
 	// doing right now — the handling span of the envelope currently in
@@ -86,8 +86,8 @@ func Start(name string, b bus.Bus, h Handler, inboxSize int) (*Runtime, error) {
 		inbox:   inbox,
 		handler: h,
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
+	rt.exited.Add(1)
 	go rt.loop()
 	return rt, nil
 }
@@ -97,7 +97,7 @@ func (rt *Runtime) Name() string { return rt.name }
 
 // loop is the agent goroutine: start hook, then the mailbox loop.
 func (rt *Runtime) loop() {
-	defer close(rt.done)
+	defer rt.exited.Done()
 	if err := rt.handler.OnStart(rt); err != nil {
 		rt.recordErr(fmt.Errorf("agent %q: start: %w", rt.name, err))
 		return
@@ -201,12 +201,12 @@ func (rt *Runtime) Stop() {
 		close(rt.stop)
 		rt.bus.Unregister(rt.name)
 	})
-	<-rt.done
+	rt.exited.Wait()
 }
 
 // Wait blocks until the agent goroutine exits (without requesting a stop) —
 // used when the handler terminates itself by returning after a session ends.
-func (rt *Runtime) Wait() { <-rt.done }
+func (rt *Runtime) Wait() { rt.exited.Wait() }
 
 // Errors returns the handler errors recorded so far.
 func (rt *Runtime) Errors() []error {

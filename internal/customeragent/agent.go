@@ -22,7 +22,8 @@ func unitsEnergy(kwh float64) units.Energy {
 type sessionState struct {
 	lastCutDownBid float64
 	committedYMin  float64
-	award          *message.Award
+	award          message.Award
+	awarded        bool
 	ended          bool
 }
 
@@ -33,7 +34,6 @@ type Agent struct {
 	name     string
 	prefs    Preferences
 	strategy Strategy
-	model    *agent.Model
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState
@@ -53,7 +53,6 @@ func New(name string, prefs Preferences, strategy Strategy) (*Agent, error) {
 		name:     name,
 		prefs:    prefs,
 		strategy: strategy,
-		model:    agent.NewModel(),
 		sessions: make(map[string]*sessionState),
 	}, nil
 }
@@ -100,14 +99,14 @@ func (a *Agent) React(env message.Envelope) (message.Payload, bool, error) {
 	}
 	switch m := p.(type) {
 	case message.RewardTable:
-		return a.reactRewardTable(env.From, st, m)
+		return a.reactRewardTable(st, m)
 	case message.OfferTerms:
-		return a.reactOffer(env.From, m)
+		return a.reactOffer(m)
 	case message.BidRequest:
 		return a.reactBidRequest(st, m)
 	case message.Award:
 		a.mu.Lock()
-		st.award = &m
+		st.award, st.awarded = m, true
 		a.mu.Unlock()
 		return nil, false, nil
 	case message.SessionEnd:
@@ -121,7 +120,7 @@ func (a *Agent) React(env message.Envelope) (message.Payload, bool, error) {
 }
 
 // reactRewardTable is the CA's "determine bid" for the reward-table method.
-func (a *Agent) reactRewardTable(from string, st *sessionState, table message.RewardTable) (message.Payload, bool, error) {
+func (a *Agent) reactRewardTable(st *sessionState, table message.RewardTable) (message.Payload, bool, error) {
 	a.mu.Lock()
 	last := st.lastCutDownBid
 	a.mu.Unlock()
@@ -132,19 +131,12 @@ func (a *Agent) reactRewardTable(from string, st *sessionState, table message.Re
 	a.mu.Lock()
 	st.lastCutDownBid = bid
 	a.mu.Unlock()
-	if err := a.model.RecordResponse(from, bid > 0); err != nil {
-		return nil, false, err
-	}
 	return message.CutDownBid{Round: table.Round, CutDown: bid}, true, nil
 }
 
 // reactOffer answers a take-it-or-leave-it offer.
-func (a *Agent) reactOffer(from string, terms message.OfferTerms) (message.Payload, bool, error) {
-	accept := DecideOffer(a.prefs, terms)
-	if err := a.model.RecordResponse(from, accept); err != nil {
-		return nil, false, err
-	}
-	return message.OfferReply{Round: 1, Accept: accept}, true, nil
+func (a *Agent) reactOffer(terms message.OfferTerms) (message.Payload, bool, error) {
+	return message.OfferReply{Round: 1, Accept: DecideOffer(a.prefs, terms)}, true, nil
 }
 
 // reactBidRequest answers a request-for-bids round.
@@ -176,10 +168,10 @@ func (a *Agent) AwardFor(session string) (message.Award, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st, ok := a.sessions[session]
-	if !ok || st.award == nil {
+	if !ok || !st.awarded {
 		return message.Award{}, false
 	}
-	return *st.award, true
+	return st.award, true
 }
 
 // LastBid returns the customer's current cut-down bid in a session.

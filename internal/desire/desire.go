@@ -16,6 +16,11 @@
 // retrieval, optimisation"). Composed components contain sub-components,
 // information links that move facts between information states, and task
 // control that sequences activations.
+//
+// It is part of the reference specification (with internal/kb and
+// internal/desiremodel): tests and ./bench run it, but no production binary
+// links this package, and CI (.github/scripts/orphan-packages.sh) enforces
+// that.
 package desire
 
 import (

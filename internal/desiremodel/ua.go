@@ -11,6 +11,11 @@
 // internal/customeragent) implement the same decisions in plain Go for the
 // hot path; the tests in this package check the two stay consistent — the
 // compositional-verification discipline of the companion ICMAS'98 paper.
+//
+// It is the reference specification, reached from tests only
+// (customeragent's TestDecisionMatchesReferenceOracles holds every production
+// bid equal to DecideBid): no production binary links this package, and CI
+// (.github/scripts/orphan-packages.sh) enforces that.
 package desiremodel
 
 import (

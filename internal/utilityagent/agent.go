@@ -122,7 +122,7 @@ func New(cfg Config) (*Agent, error) {
 	}
 	return &Agent{
 		cfg:   cfg,
-		model: agent.NewModel(),
+		model: agent.NewModel(len(cfg.Loads)),
 		done:  make(chan Result, 1),
 	}, nil
 }
@@ -143,9 +143,7 @@ func (a *Agent) OnStart(rt *agent.Runtime) error {
 
 	ratio, negotiate := EvaluatePrediction(a.cfg.Loads, a.cfg.NormalUse, a.cfg.WarrantRatio)
 	a.initial = protocol.PredictedOveruse(a.cfg.Loads, a.cfg.NormalUse)
-	if err := a.model.SetWorldValue("predicted_overuse_ratio", ratio); err != nil {
-		return err
-	}
+	a.model.SetWorldValue("predicted_overuse_ratio", ratio)
 	if !negotiate {
 		a.finish(Result{
 			SessionID:         a.cfg.SessionID,
@@ -160,6 +158,9 @@ func (a *Agent) OnStart(rt *agent.Runtime) error {
 
 	a.method = a.cfg.Method
 	if a.method == MethodAuto {
+		// New built the model empty and nothing seeds it from an earlier
+		// session, so this reads "no observations" (0) and ChooseMethod
+		// falls back to the paper's prior.
 		rate, _ := a.model.OverallResponseRate()
 		a.method = ChooseMethod(Situation{
 			LeadTime:     a.cfg.LeadTime,
@@ -370,9 +371,7 @@ func (a *Agent) handleCutDownBid(rt *agent.Runtime, from string, bid message.Cut
 		// protocol-stopping event: note it and move on.
 		return err
 	}
-	if err := a.model.RecordResponse(from, bid.CutDown > 0); err != nil {
-		return err
-	}
+	a.model.RecordResponse(from, bid.CutDown > 0)
 	if a.rts.QuorumReached() {
 		return a.closeRTRound(rt)
 	}
@@ -438,9 +437,7 @@ func (a *Agent) handleOfferReply(rt *agent.Runtime, from string, reply message.O
 		}
 		return err
 	}
-	if err := a.model.RecordResponse(from, reply.Accept); err != nil {
-		return err
-	}
+	a.model.RecordResponse(from, reply.Accept)
 	if a.offer.ResponseCount() >= len(a.cfg.Loads) {
 		return a.closeOffer(rt)
 	}

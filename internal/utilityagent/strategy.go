@@ -11,7 +11,8 @@
 //   - cooperation management → determine announcement / determine bid
 //     acceptance (the session drivers in agent.go);
 //   - agent interaction management → the agent.Runtime;
-//   - maintenance of agent information → agent.Model (response statistics).
+//   - maintenance of agent information → agent.Model (response statistics,
+//     kept for the one session a Utility Agent lives).
 package utilityagent
 
 import (
@@ -70,7 +71,11 @@ type Situation struct {
 	// Customers is the number of Customer Agents addressed.
 	Customers int
 	// ResponseRate is the historically observed positive-response rate;
-	// the paper's rule of thumb is "normally about 70%".
+	// zero means no history, for which ChooseMethod assumes the paper's
+	// rule of thumb, "normally about 70%". A Utility Agent lives for one
+	// session and starts with an empty agent.Model, so MethodAuto passes
+	// zero here today: no response statistics carry from one session's
+	// Result into the next session's Config.
 	ResponseRate float64
 }
 

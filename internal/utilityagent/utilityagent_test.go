@@ -113,6 +113,65 @@ func TestChooseMethod(t *testing.T) {
 	}
 }
 
+// TestAutoMethodUsesPriorOnFreshAgent pins what MethodAuto decides with
+// today: a Utility Agent lives for one session and starts with an empty
+// model, so it chooses exactly what ChooseMethod chooses with no response
+// history. The 0.13 cases sit where any observed rate below 0.46 would
+// choose differently.
+func TestAutoMethodUsesPriorOnFreshAgent(t *testing.T) {
+	tests := []struct {
+		name      string
+		normalUse units.Energy // tenLoads predicts 135 kWh
+		leadTime  time.Duration
+	}{
+		{name: "imminent", normalUse: 100, leadTime: 5 * time.Minute},
+		{name: "small peak inside the prior's offer range", normalUse: 135 / 1.13, leadTime: 2 * time.Hour},
+		{name: "same peak, long horizon", normalUse: 135 / 1.13, leadTime: 12 * time.Hour},
+		{name: "large peak", normalUse: 100, leadTime: 2 * time.Hour},
+		{name: "large peak, long horizon, small fleet", normalUse: 100, leadTime: 12 * time.Hour},
+	}
+	chosen := make(map[Method]bool)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b, err := bus.NewInProc(bus.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			cfg := baseConfig()
+			cfg.Method = MethodAuto
+			cfg.NormalUse = tt.normalUse
+			cfg.LeadTime = tt.leadTime
+			ua, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := agentrt.Start("ua", b, ua, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Stop() // OnStart has run and the goroutine has exited: ua.method is safe to read
+			if errs := rt.Errors(); len(errs) != 0 {
+				t.Fatal(errs)
+			}
+			ratio, _ := EvaluatePrediction(cfg.Loads, cfg.NormalUse, cfg.WarrantRatio)
+			want := ChooseMethod(Situation{
+				LeadTime:     cfg.LeadTime,
+				OveruseRatio: ratio,
+				Customers:    len(cfg.Loads),
+				ResponseRate: 0,
+			})
+			if ua.method != want {
+				t.Fatalf("fresh UA under MethodAuto chose %v, ChooseMethod with no history chooses %v", ua.method, want)
+			}
+			chosen[want] = true
+		})
+	}
+	if len(chosen) != 3 {
+		t.Fatalf("cases reached %d of the 3 methods: %v", len(chosen), chosen)
+	}
+}
+
 func TestEvaluatePrediction(t *testing.T) {
 	ratio, negotiate := EvaluatePrediction(tenLoads(), 100, 0.05)
 	if !units.NearlyEqual(ratio, 0.35, 1e-12) || !negotiate {
