@@ -5,9 +5,12 @@
 #
 # Also fails when a production binary links the inference stack. internal/kb,
 # internal/desire and internal/desiremodel are the paper's Figure 4/5
-# reference specification: tests, ./bench and cmd/benchrec reach them, to hold
-# production equal to them and to time them; gridd, loadsim, experiments and
-# gridctl must not.
+# reference specification: tests and ./bench reach them, to hold production
+# equal to them and to time them; gridd, loadsim, experiments and gridctl must
+# not.
+#
+# Also fails when a Go file outside bench/ declares a benchmark: `go run
+# ./bench` is the one thing that times the grid.
 set -eu
 cd "$(dirname "$0")/../.."
 module=$(go list -m)
@@ -26,7 +29,12 @@ for pkg in $(go list ./internal/...); do
 	fi
 done
 for pkg in $(go list -deps ./cmd/gridd ./cmd/loadsim ./cmd/experiments ./cmd/gridctl | grep -E "^$module/internal/(kb|desire|desiremodel)$"); do
-	echo "reference specification in a production binary: $pkg is linked by gridd, loadsim, experiments or gridctl; it may be imported from tests, ./bench and cmd/benchrec only" >&2
+	echo "reference specification in a production binary: $pkg is linked by gridd, loadsim, experiments or gridctl; it may be imported from tests and ./bench only" >&2
 	status=1
 done
+if found=$(grep -rnE --include='*.go' 'func Benchmark|testing\.Benchmark\(' . | grep -v '^\./bench/'); then
+	printf '%s\n' "$found" >&2
+	echo "benchmark outside bench/: what times the grid is a probe in bench/ (go run ./bench), not a Benchmark function" >&2
+	status=1
+fi
 exit $status

@@ -53,7 +53,7 @@ func Run(s Scenario) (*Result, error) {
 		}
 	}()
 	cas := make(map[string]*customeragent.Agent, len(s.Customers))
-	inboxSize := 4 * maxInt(len(s.Customers), 16)
+	inboxSize := 4 * max(len(s.Customers), 16)
 	for _, spec := range s.Customers {
 		var handler agentrt.Handler
 		if spec.Silent {
@@ -141,13 +141,6 @@ func allAwarded(cas map[string]*customeragent.Agent, s Scenario, r utilityagent.
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // BidsOf extracts one customer's bid per round from a reward-table history —

@@ -6,6 +6,7 @@ import (
 
 	"loadbalance/internal/desire"
 	"loadbalance/internal/kb"
+	"loadbalance/internal/protocol"
 	"loadbalance/internal/units"
 	"loadbalance/internal/utilityagent"
 )
@@ -187,4 +188,48 @@ func TestDecideBidNothingAcceptable(t *testing.T) {
 	if len(bid.Instructions) != 0 {
 		t.Fatalf("instructions = %v, want none", bid.Instructions)
 	}
+}
+
+// TestRound2InferenceAllocs holds the reference oracle's floor: the inference
+// one customer runs in the second round of a negotiation — ten required_reward
+// facts, the announced_reward facts of two ten-entry tables, the model's
+// "generate bids" rule, to its fixpoint on a clone of the store — allocates at
+// most 30 times (measured 18; 352 before the fact store was hash-indexed). A
+// ceiling with room for a runtime upgrade, not an exact count.
+func TestRound2InferenceAllocs(t *testing.T) {
+	first, err := protocol.StandardTable(42.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := first.Update(0.35, protocol.Params{Beta: 1.85, MaxRewardSlope: 125, Epsilon: 1, AllowedOveruseRatio: 0.13})
+	store := kb.NewStore(nil)
+	assert := func(a kb.Atom) {
+		if err := store.AssertTrue(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, l := range first.Levels() {
+		// Requirements that stay finite through all ten levels, the live
+		// fleet's shape: 0, 4, 9, 15, 22, 30, 39, 49, 60, 72.
+		assert(kb.A("required_reward", kb.N(l), kb.N(float64(i*(i+7))/2)))
+	}
+	for _, tab := range []protocol.Table{first, second} {
+		for _, e := range tab.Entries {
+			assert(kb.A("announced_reward", kb.N(e.CutDown), kb.N(e.Reward)))
+		}
+	}
+	base, err := generateBidsRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := kb.NewEngine(base)
+	got := testing.AllocsPerRun(100, func() {
+		if derived, err := engine.Infer(store.Clone()); err != nil || len(derived) == 0 {
+			t.Fatalf("Infer derived %d facts: %v", len(derived), err)
+		}
+	})
+	if got > 30 {
+		t.Fatalf("round-2 inference allocates %v times, budget 30", got)
+	}
+	t.Logf("round-2 inference allocates %v times", got)
 }

@@ -48,6 +48,25 @@ func TestLevelGate(t *testing.T) {
 	}
 }
 
+// TestGatedLogAllocs pins what a log site costs while its level is gated off,
+// the default state of the Debug sites on the hot paths: one atomic load, and
+// typed fields that keep the variadic slice off the heap. Exact — the logger
+// runs no goroutine.
+func TestGatedLogAllocs(t *testing.T) {
+	l := newTestLogger(t, Config{MinLevel: Warn})
+	var i int64
+	got := testing.AllocsPerRun(1000, func() {
+		i++
+		l.Log(Debug, "bus", "client inbox full", Str("client", "c01"), Int("dropped", i))
+	})
+	if got != 0 {
+		t.Errorf("a below-level Log with two fields allocates %v times, want 0", got)
+	}
+	if total, _, _ := l.Stats(); total != 0 {
+		t.Errorf("a below-level Log recorded %d events", total)
+	}
+}
+
 func TestRingWrapAndDropCount(t *testing.T) {
 	l := newTestLogger(t, Config{MinLevel: Debug, RingSize: 16})
 	for i := 0; i < 40; i++ {

@@ -16,8 +16,8 @@
 //   - Engine.Infer runs the rules to a fixpoint.
 //
 // It is part of the reference specification (with internal/desire and
-// internal/desiremodel): tests hold production equal to it and ./bench and
-// cmd/benchrec time it, but no production binary links this package, and CI
+// internal/desiremodel): tests hold production equal to it and ./bench times
+// it, but no production binary links this package, and CI
 // (.github/scripts/orphan-packages.sh) enforces that.
 package kb
 

@@ -7,8 +7,7 @@ import (
 )
 
 // Binary envelope codec: the form an envelope takes inside a frame of the
-// TCP transport (internal/bus/wire.go). The JSON codec (Marshal/Unmarshal)
-// stays the interchange format for persistence; this one exists so that an
+// TCP transport (internal/bus/wire.go), and the only envelope codec: an
 // envelope crossing the network is written in a single pass into a buffer
 // sized up front, and read back with two copies.
 //
@@ -72,8 +71,8 @@ func (e Envelope) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary parses a binary envelope. It checks structure only (five
 // or six well-formed fields consuming exactly data); callers validate content
-// with Envelope.Decode, mirroring the JSON codec's split between framing and
-// payload validation.
+// with Envelope.Decode or Validated: framing and payload validation are
+// separate steps.
 //
 // The returned envelope retains nothing of data — a transport may overwrite
 // its read buffer as soon as the call returns. It is two copies: the four

@@ -762,18 +762,3 @@ func (e Envelope) Validated() (Envelope, error) {
 	}
 	return e.carry(p), nil
 }
-
-// Marshal renders the envelope as a single JSON document.
-func (e Envelope) Marshal() ([]byte, error) {
-	return json.Marshal(e)
-}
-
-// Unmarshal parses an envelope from JSON and checks the kind tag is known
-// and the body decodes.
-func Unmarshal(data []byte) (Envelope, error) {
-	var e Envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Envelope{}, fmt.Errorf("message: unmarshal envelope: %w", err)
-	}
-	return e.Validated()
-}

@@ -190,6 +190,20 @@ func TestMeterBatchValidation(t *testing.T) {
 	}
 }
 
+// wireRoundTrip takes an envelope over one TCP hop: the binary codec, then the
+// receiving server's trust-boundary check.
+func wireRoundTrip(env Envelope) (Envelope, error) {
+	data, err := env.MarshalBinary()
+	if err != nil {
+		return Envelope{}, err
+	}
+	back, err := UnmarshalBinary(data)
+	if err != nil {
+		return Envelope{}, err
+	}
+	return back.Validated()
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	payloads := []Payload{
 		OfferTerms{Window: window(), XMax: 0.8, AllowanceKWh: 10, LowPrice: 1, NormalPrice: 2, HighPrice: 3},
@@ -209,13 +223,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewEnvelope: %v", err)
 			}
-			data, err := env.Marshal()
+			back, err := wireRoundTrip(env)
 			if err != nil {
-				t.Fatalf("Marshal: %v", err)
-			}
-			back, err := Unmarshal(data)
-			if err != nil {
-				t.Fatalf("Unmarshal: %v", err)
+				t.Fatalf("wire round trip: %v", err)
 			}
 			if back.From != "ua" || back.To != "c1" || back.Session != "s1" || back.Kind != p.Kind() {
 				t.Fatalf("envelope metadata = %+v", back)
@@ -236,11 +246,7 @@ func TestEnvelopeDecodedValuesSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := env.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(data)
+	back, err := wireRoundTrip(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,16 +283,12 @@ func TestDecodeUnknownKind(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not json")); err == nil {
+	if _, err := UnmarshalBinary([]byte("not an envelope")); err == nil {
 		t.Fatal("garbage should fail")
 	}
-	// Valid JSON envelope but invalid body for the kind.
+	// A well-formed envelope but an invalid body for the kind.
 	env := Envelope{From: "ua", Session: "s", Kind: KindCutDownBid, Body: []byte(`{"round":0,"cutDown":2}`)}
-	data, err := env.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(data); err == nil {
+	if _, err := wireRoundTrip(env); err == nil {
 		t.Fatal("invalid body should fail validation on unmarshal")
 	}
 }
@@ -300,11 +302,7 @@ func TestCutDownBidRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		data, err := env.Marshal()
-		if err != nil {
-			return false
-		}
-		back, err := Unmarshal(data)
+		back, err := wireRoundTrip(env)
 		if err != nil {
 			return false
 		}

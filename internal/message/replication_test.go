@@ -41,8 +41,9 @@ func TestReplicationPayloadValidation(t *testing.T) {
 }
 
 // TestReplicationEnvelopeRoundTrip runs every replication kind through the
-// envelope's JSON and binary codecs: the payload must survive byte-exactly
-// (frames are raw journal bytes — any mangling corrupts the replica journal).
+// envelope's binary codec and the trust-boundary check: the payload must
+// survive byte-exactly (frames are raw journal bytes — any mangling corrupts
+// the replica journal).
 func TestReplicationEnvelopeRoundTrip(t *testing.T) {
 	frames := []byte{0x04, 0x03, 0xAA, 0xBB, 0xCC, 0x01, 0x02, 0x03, 0x04}
 	payloads := []Payload{
@@ -58,55 +59,28 @@ func TestReplicationEnvelopeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, codec := range []string{"json", "binary"} {
-				var got Envelope
-				switch codec {
-				case "json":
-					data, err := env.Marshal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err = Unmarshal(data)
-					if err != nil {
-						t.Fatal(err)
-					}
-				case "binary":
-					data, err := env.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err = UnmarshalBinary(data)
-					if err != nil {
-						t.Fatal(err)
-					}
+			got, err := wireRoundTrip(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp, err := got.Decode()
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			switch want := p.(type) {
+			case ReplBatch:
+				gb, ok := dp.(ReplBatch)
+				if !ok || gb.FirstSeq != want.FirstSeq || gb.Count != want.Count || !bytes.Equal(gb.Frames, want.Frames) {
+					t.Fatalf("round trip = %+v, want %+v", dp, want)
 				}
-				dp, err := got.Decode()
-				if err != nil {
-					t.Fatalf("%s decode: %v", codec, err)
+			case ReplSnapshot:
+				gs, ok := dp.(ReplSnapshot)
+				if !ok || gs.Seq != want.Seq || !bytes.Equal(gs.Blob, want.Blob) {
+					t.Fatalf("round trip = %+v, want %+v", dp, want)
 				}
-				switch want := p.(type) {
-				case ReplBatch:
-					gb, ok := dp.(ReplBatch)
-					if !ok || gb.FirstSeq != want.FirstSeq || gb.Count != want.Count || !bytes.Equal(gb.Frames, want.Frames) {
-						t.Fatalf("%s round trip = %+v, want %+v", codec, dp, want)
-					}
-				case ReplSnapshot:
-					gs, ok := dp.(ReplSnapshot)
-					if !ok || gs.Seq != want.Seq || !bytes.Equal(gs.Blob, want.Blob) {
-						t.Fatalf("%s round trip = %+v, want %+v", codec, dp, want)
-					}
-				case ReplSubscribe:
-					if dp != want {
-						t.Fatalf("%s round trip = %+v, want %+v", codec, dp, want)
-					}
-				case ReplAck:
-					if dp != want {
-						t.Fatalf("%s round trip = %+v, want %+v", codec, dp, want)
-					}
-				case ReplHeartbeat:
-					if dp != want {
-						t.Fatalf("%s round trip = %+v, want %+v", codec, dp, want)
-					}
+			case ReplSubscribe, ReplAck, ReplHeartbeat:
+				if dp != want {
+					t.Fatalf("round trip = %+v, want %+v", dp, want)
 				}
 			}
 		})

@@ -644,3 +644,59 @@ func TestRelabel(t *testing.T) {
 		t.Fatalf("relabel of a proc-labelled series = %s", got)
 	}
 }
+
+// TestWorkloadAllocs pins the instrumented per-tick path — a session-labelled
+// root span, four shard children, one histogram observation and, one operation
+// in 64, an Info event (the path's one allocation) — at zero allocations an
+// operation by AllocsPerRun's integer division: bare, and while a live Emitter
+// drains the same rings to a Hub over loopback. Streamed, 0 is a ceiling: the
+// emitter's and the hub's goroutines allocate each batch on the counter
+// AllocsPerRun reads (about a thousand a batch of these small rings, against
+// tens of thousands of operations), and the division drops that share too.
+func TestWorkloadAllocs(t *testing.T) {
+	for _, mode := range []string{"bare", "streamed"} {
+		t.Run(mode, func(t *testing.T) {
+			streamed := mode == "streamed"
+			tr, l := trace.NewTracer("alloc", 64), testLogger(t, "alloc", 16)
+			defer l.Close()
+			h := trace.NewRegistry().Histogram("obs_alloc_seconds")
+			batches := func() uint64 { return 0 }
+			if streamed {
+				hub, err := StartHub(HubConfig{Addr: "127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hub.Close()
+				em := StartEmitter(EmitterConfig{Hub: hub.Addr(), Proc: "alloc", Role: "test", Interval: 100 * time.Millisecond,
+					Logger: l, Tracer: func() *trace.Tracer { return tr }})
+				defer em.Close()
+				batches = func() uint64 { return em.Stats().Batches }
+			}
+			i := 0
+			// Measure until a drain has landed inside a measured window.
+			for before, windows := batches(), 0; windows < 1000; windows++ {
+				got := testing.AllocsPerRun(20000, func() {
+					sp := tr.Root("alloc.tick")
+					sp.SetSession("alloc")
+					for s := 0; s < 4; s++ {
+						child := tr.Child(sp.Context(), "alloc.shard")
+						child.End()
+					}
+					h.Observe(time.Duration(1000 + i%1000))
+					if i%64 == 0 {
+						l.Log(health.Info, "alloc", "op complete", health.Int("op", int64(i)))
+					}
+					sp.End()
+					i++
+				})
+				if got != 0 {
+					t.Fatalf("the traced and logged workload allocates %v times an operation, want 0", got)
+				}
+				if !streamed || batches() > before {
+					return
+				}
+			}
+			t.Fatal("the emitter never drained")
+		})
+	}
+}

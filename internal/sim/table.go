@@ -1,8 +1,8 @@
 // Package sim is the experiment harness: it runs the scenarios that
 // regenerate every figure of the paper (and the parameter studies its
 // Discussion calls for) and renders the results as aligned text or CSV.
-// cmd/experiments and the repository's benchmarks are thin wrappers around
-// the E1…E10 functions in this package; EXPERIMENTS.md records their output.
+// cmd/experiments is a thin wrapper around the E1…E10 functions in this
+// package; the README's "Experiment index" lists them.
 package sim
 
 import (

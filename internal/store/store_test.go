@@ -411,3 +411,34 @@ func TestAppendTickFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendTickAllocs pins the durability hot path in steady state — a
+// tick's 16-shard checkpoint appended at the live loop's commit cadence, one
+// flush per 64 records — at zero allocations per record, with the tracer off
+// and on. Exact: the store runs no goroutine of its own.
+func TestAppendTickAllocs(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		st, _ := mustOpen(t, t.TempDir(), Options{})
+		if traced {
+			trace.Enable("alloc", 4096)
+		}
+		cp := sampleTick(0, 16)
+		got := testing.AllocsPerRun(1000, func() {
+			cp.Tick++
+			err := st.AppendTick(cp)
+			if err == nil && cp.Tick%64 == 0 {
+				err = st.Commit()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		trace.Disable()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != 0 {
+			t.Errorf("AppendTick (tracing %v) allocates %v times a record, want 0", traced, got)
+		}
+	}
+}

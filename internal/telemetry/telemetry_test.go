@@ -359,12 +359,15 @@ func TestMeterBatchRoundTripOnBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := env.Marshal()
+	data, err := env.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := message.Unmarshal(data)
+	back, err := message.UnmarshalBinary(data)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err = back.Validated(); err != nil {
 		t.Fatal(err)
 	}
 	p, err := back.Decode()

@@ -251,30 +251,32 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := &Histogram{family: "bench_seconds"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(i) * time.Nanosecond)
-	}
-}
-
-func BenchmarkSpanStartEnd(b *testing.B) {
-	Enable("bench", 1024)
-	defer Disable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := Root("bench")
+// TestInstrumentAllocs pins what an instrumented operation costs the heap:
+// nothing, whether the tracer is on or off. The counts are exact — the
+// package runs no goroutine of its own.
+func TestInstrumentAllocs(t *testing.T) {
+	h := &Histogram{family: "alloc_seconds"}
+	span := func() {
+		sp := Root("alloc.op")
 		sp.End()
 	}
-}
-
-func BenchmarkSpanDisabled(b *testing.B) {
-	Disable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := Root("bench")
-		sp.End()
+	i := 0
+	for _, c := range []struct {
+		name   string
+		traced bool
+		f      func()
+	}{
+		{"Span start+end, tracer enabled", true, span},
+		{"Span start+end, tracer disabled", false, span},
+		{"Histogram.Observe", false, func() { i++; h.Observe(time.Duration(1000 + i%1000)) }},
+	} {
+		if c.traced {
+			Enable("alloc", 1024)
+		}
+		got := testing.AllocsPerRun(1000, c.f)
+		Disable()
+		if got != 0 {
+			t.Errorf("%s allocates %v times, want 0", c.name, got)
+		}
 	}
 }

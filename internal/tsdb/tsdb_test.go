@@ -384,3 +384,46 @@ func TestScrapeAtFillsStoreDeterministically(t *testing.T) {
 		t.Fatalf("duplicate-stamp scrape not dropped: %+v", s)
 	}
 }
+
+// TestAppendAllocs pins an Append to a series the store already holds,
+// round-robin over 16, beside the histogram observation a scrape reads, at
+// zero allocations: alone, which is exact, and with a live Scraper
+// snapshotting that registry into that store. Scraped, 0 is a ceiling: the
+// scraper's goroutine allocates on the counter AllocsPerRun reads (tens a
+// scrape, thousands of appends between scrapes) and the integer division by
+// the runs drops that share.
+func TestAppendAllocs(t *testing.T) {
+	for _, mode := range []string{"alone", "scraped"} {
+		t.Run(mode, func(t *testing.T) {
+			scraped := mode == "scraped"
+			st, reg := New(Config{}), trace.NewRegistry()
+			h := reg.Histogram("tsdb_alloc_seconds")
+			names := make([]string, 16)
+			for i := range names {
+				names[i] = "alloc_series_" + string(rune('a'+i))
+				st.Append(names[i], 1, 0)
+			}
+			sc := NewScraper(ScrapeConfig{Store: st, Interval: 5 * time.Millisecond, Registry: reg})
+			if scraped {
+				sc.Start()
+				defer sc.Close()
+			}
+			i := 0
+			// Measure until a scrape has landed inside a measured window.
+			for before, windows := sc.dur.Count(), 0; windows < 1000; windows++ {
+				got := testing.AllocsPerRun(20000, func() {
+					i++
+					h.Observe(time.Duration(1000 + i%1000))
+					st.Append(names[i%len(names)], int64(i/len(names)+2), float64(i))
+				})
+				if got != 0 {
+					t.Fatalf("Observe + Append allocates %v times, want 0", got)
+				}
+				if !scraped || sc.dur.Count() > before {
+					return
+				}
+			}
+			t.Fatal("the scraper never scraped")
+		})
+	}
+}

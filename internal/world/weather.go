@@ -6,7 +6,7 @@
 // of both.
 //
 // The paper's prototype consumed Swedish utility field data, which is not
-// available; the substitution (see DESIGN.md) is a deterministic, seedable
+// available; the substitution is a deterministic, seedable
 // simulator of domestic demand that reproduces the canonical two-peak daily
 // demand curve of Figure 1. Every stochastic choice flows from an injected
 // seed, so experiments are reproducible bit-for-bit.
