@@ -56,7 +56,10 @@ func TestTracedEnvelopePropagatesThroughRuntime(t *testing.T) {
 		if got.SpanID == root.Context().Span || got.SpanID == 0 {
 			t.Fatalf("reply span id %x should be the handling span, not the root", got.SpanID)
 		}
-		// The handling span must be in the ring with the root as parent.
+		// The handling span must be in the ring with the root as parent. It
+		// ends after the handler that sent the reply returns, so wait for
+		// the agent goroutine before reading the ring.
+		echo.Stop()
 		root.End()
 		recs := tr.Records(trace.Filter{})
 		var handle trace.Record

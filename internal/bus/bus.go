@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"loadbalance/internal/message"
@@ -103,8 +103,13 @@ type Config struct {
 
 // InProc is the channel-based bus. It is safe for concurrent use.
 type InProc struct {
-	mu       sync.Mutex
-	boxes    map[string]chan message.Envelope
+	mu    sync.Mutex
+	boxes map[string]chan message.Envelope
+	// roster is the sorted names of boxes, or nil when a Register,
+	// Unregister or Close has changed boxes since it was built. A session
+	// registers everyone before its first broadcast and unregisters after
+	// its last, so it sorts once.
+	roster   []string
 	closed   bool
 	stats    Stats
 	dropRate float64
@@ -149,6 +154,7 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 	}
 	ch := make(chan message.Envelope, inboxSize)
 	b.boxes[name] = ch
+	b.roster = nil
 	return ch, nil
 }
 
@@ -158,8 +164,22 @@ func (b *InProc) Unregister(name string) {
 	defer b.mu.Unlock()
 	if ch, ok := b.boxes[name]; ok {
 		delete(b.boxes, name)
+		b.roster = nil
 		close(ch)
 	}
+}
+
+// rosterLocked returns the registered names, sorted. The caller holds b.mu
+// and must not modify the result.
+func (b *InProc) rosterLocked() []string {
+	if b.roster == nil {
+		b.roster = make([]string, 0, len(b.boxes))
+		for n := range b.boxes {
+			b.roster = append(b.roster, n)
+		}
+		slices.Sort(b.roster)
+	}
+	return b.roster
 }
 
 // Send implements Bus. Broadcast delivery order is deterministic
@@ -174,15 +194,11 @@ func (b *InProc) Send(env message.Envelope) error {
 	if env.To != "" {
 		return b.deliverLocked(env.To, env)
 	}
-	names := make([]string, 0, len(b.boxes))
-	for n := range b.boxes {
-		if n != env.From {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
 	var firstErr error
-	for _, n := range names {
+	for _, n := range b.rosterLocked() {
+		if n == env.From {
+			continue
+		}
 		if err := b.deliverLocked(n, env); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -236,12 +252,7 @@ func (b *InProc) deliverLocked(to string, env message.Envelope) error {
 func (b *InProc) Agents() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.boxes))
-	for n := range b.boxes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(b.rosterLocked())
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -260,6 +271,7 @@ func (b *InProc) Close() {
 		return
 	}
 	b.closed = true
+	b.roster = nil
 	for n, ch := range b.boxes {
 		delete(b.boxes, n)
 		close(ch)

@@ -2,6 +2,10 @@ package bus
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -199,6 +203,99 @@ func TestInProcDropDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed produced different stats: %+v vs %+v", a, b)
+	}
+}
+
+// TestBroadcastRosterTracksMembership drives a seeded interleaving of
+// Register, Unregister and broadcast over 64 names against the sorted roster
+// the bus caches. Which inbox an envelope reached is visible directly; the
+// order the recipients were visited in is visible through the fault
+// injection, which draws once per delivery: a model generator on the bus's
+// seed, stepped over sort(live names) − sender, must predict every drop.
+func TestBroadcastRosterTracksMembership(t *testing.T) {
+	const names, steps, dropRate, seed = 64, 2000, 0.3, 11
+	b, err := NewInProc(Config{DropRate: dropRate, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	model := rand.New(rand.NewSource(seed))
+	ops := rand.New(rand.NewSource(seed + 1))
+	name := func(i int) string { return fmt.Sprintf("n%02d", i) }
+	live := make(map[string]<-chan message.Envelope)
+	for step := 0; step < steps; step++ {
+		if n := name(ops.Intn(names)); live[n] != nil {
+			b.Unregister(n)
+			delete(live, n)
+		} else if live[n], err = b.Register(n, 1); err != nil {
+			t.Fatal(err)
+		}
+		if ops.Intn(4) == 0 {
+			continue // several membership changes between two broadcasts
+		}
+		sender := name(ops.Intn(names)) // registered or not
+		if err := b.Send(env(t, sender, "")); err != nil {
+			t.Fatalf("step %d: broadcast: %v", step, err)
+		}
+		want := make([]string, 0, len(live))
+		for n := range live {
+			want = append(want, n)
+		}
+		sort.Strings(want)
+		if got := b.Agents(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Agents() = %v, want %v", step, got, want)
+		}
+		for _, n := range want {
+			if n == sender {
+				continue
+			}
+			dropped := model.Float64() < dropRate
+			select {
+			case e := <-live[n]:
+				if dropped || e.To != n || e.From != sender {
+					t.Fatalf("step %d: %s received %+v (dropped by the model: %v)", step, n, e, dropped)
+				}
+			default:
+				if !dropped {
+					t.Fatalf("step %d: %s received nothing, the model delivers", step, n)
+				}
+			}
+		}
+		if box, ok := live[sender]; ok && len(box) != 0 {
+			t.Fatalf("step %d: sender %s received its own broadcast", step, sender)
+		}
+	}
+	if st := b.Stats(); st.Rejected != 0 || st.Dropped == 0 || st.Delivered == 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSteadyStateBroadcastAllocs: with the membership unchanged a broadcast
+// to 64 inboxes allocates nothing (it built and sorted a 64-name slice per
+// call before the roster was cached).
+func TestSteadyStateBroadcastAllocs(t *testing.T) {
+	b, err := NewInProc(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var boxes [64]<-chan message.Envelope
+	for i := range boxes {
+		if boxes[i], err = b.Register(fmt.Sprintf("c%02d", i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := env(t, "ua", "")
+	got := testing.AllocsPerRun(100, func() {
+		if err := b.Send(e); err != nil {
+			t.Error(err)
+		}
+		for _, box := range boxes {
+			<-box
+		}
+	})
+	if got != 0 {
+		t.Fatalf("a steady-state broadcast allocates %v times, want 0", got)
 	}
 }
 

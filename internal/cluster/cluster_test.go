@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +68,38 @@ func TestFlatVsShardedEquivalence(t *testing.T) {
 		if shards < len(paperScenario(t).Customers) && res.ParentBus.Sent >= flat.Bus.Sent {
 			t.Fatalf("shards=%d: parent traffic %d not below flat %d", shards, res.ParentBus.Sent, flat.Bus.Sent)
 		}
+	}
+}
+
+// TestFullQuorumNeverFillsAnInbox is core's guard of the same name through the
+// tree: no delivery on the root bus or on any shard bus is Rejected, so no
+// hosted customer was ever more than its four-envelope inbox behind — and,
+// the scenario listing its customers in the reverse of the Topology's order,
+// every customer was hosted on the bus its concentrator fans out on.
+func TestFullQuorumNeverFillsAnInbox(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			s, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Reverse(s.Customers)
+			res, err := Run(Config{Scenario: s, Shards: 16})
+			if err != nil || res.Rounds == 0 || len(res.AgentErrors) != 0 {
+				t.Fatalf("Run = %+v, %v", res, err)
+			}
+			if len(res.FinalBids) != len(s.Customers) {
+				t.Fatalf("%d of %d customers hosted", len(res.FinalBids), len(s.Customers))
+			}
+			if res.ParentBus.Rejected != 0 {
+				t.Fatalf("root bus rejected %d deliveries", res.ParentBus.Rejected)
+			}
+			for i, b := range res.ShardBuses {
+				if b.Rejected != 0 {
+					t.Fatalf("shard %d bus rejected %d deliveries of %d sent", i, b.Rejected, b.Sent)
+				}
+			}
+		})
 	}
 }
 

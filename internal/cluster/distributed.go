@@ -8,7 +8,6 @@ import (
 	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
-	"loadbalance/internal/customeragent"
 	"loadbalance/internal/message"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/utilityagent"
@@ -176,10 +175,6 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make(map[string]core.CustomerSpec, len(s.Customers))
-	for _, spec := range s.Customers {
-		specs[spec.Name] = spec
-	}
 
 	memberBus, err := bus.NewInProc(bus.Config{})
 	if err != nil {
@@ -205,7 +200,12 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
 
-	var runtimes []*agentrt.Runtime
+	// Every member shares the one bus behind memberSrv; fan-outs name their
+	// recipients, so the shards need no bus of their own.
+	cas, runtimes, err := core.HostCustomers(memberBus, s.Customers)
+	if err != nil {
+		return nil, err
+	}
 	var tier *Tier
 	defer func() {
 		if tier != nil {
@@ -216,39 +216,11 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 		}
 	}()
 
-	maxShardSize := 0
-	cas := make(map[string]*customeragent.Agent, len(s.Customers))
-	for i := 0; i < topo.Shards(); i++ {
-		members := topo.Members(i)
-		if len(members) > maxShardSize {
-			maxShardSize = len(members)
-		}
-		for _, name := range members {
-			spec := specs[name]
-			var handler agentrt.Handler
-			if spec.Silent {
-				handler = agentrt.HandlerFuncs{}
-			} else {
-				ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: customer %q: %w", spec.Name, err)
-				}
-				cas[spec.Name] = ca
-				handler = ca
-			}
-			rt, err := agentrt.Start(spec.Name, memberBus, handler, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: start %q: %w", spec.Name, err)
-			}
-			runtimes = append(runtimes, rt)
-		}
-	}
-
 	tier, _, _, err = DialTier(rootSrv.Addr(), memberSrv.Addr(), topo, TierConfig{
 		SessionID:         s.SessionID,
 		FleetMinResponses: s.Params.MinResponses,
 		RoundTimeout:      cfg.ShardRoundTimeout,
-		InboxSize:         4 * max(maxShardSize, 16),
+		InboxSize:         4 * max(topo.maxShardSize(), 16),
 	})
 	if err != nil {
 		return nil, err

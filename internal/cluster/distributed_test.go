@@ -200,12 +200,13 @@ func TestRunWorker(t *testing.T) {
 
 // TestRunDistributedAllocationBudget holds a whole negotiation over the TCP
 // tier — 34 dials, every table, bid, award and session end through the frame
-// codec, tear-down — to 95 allocations per customer at 256 customers in 16
-// shards (measured 68; 82 while every agent mirrored its response counters
-// into two kb stores; 172 when a concentrator marshalled, framed and sent the
-// announcement once per member and the member server parsed each copy).
-// It is the unit `go run ./bench -workload tcp_256` reports as
-// allocs_per_unit.
+// codec, tear-down — to 90 allocations per customer at 256 customers in 16
+// shards, ≈ 1.4× the measured 64 (68 while a customer made a session map and
+// its first state apart from the Agent; 82 while every agent mirrored its
+// response counters into two kb stores; 172 when a concentrator marshalled,
+// framed and sent the announcement once per member and the member server
+// parsed each copy). It is the unit `go run ./bench -workload tcp_256` reports
+// as allocs_per_unit.
 func TestRunDistributedAllocationBudget(t *testing.T) {
 	const n = 256
 	s, err := core.SyntheticScenario(core.SyntheticConfig{N: n, Seed: 1})
@@ -217,8 +218,8 @@ func TestRunDistributedAllocationBudget(t *testing.T) {
 			t.Errorf("RunDistributed = %+v, %v", res, err)
 		}
 	})
-	if got := perRun / n; got > 95 {
-		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget 95", n, got)
+	if got := perRun / n; got > 90 {
+		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget 90", n, got)
 	} else {
 		t.Logf("%.1f allocations per customer", got)
 	}

@@ -21,6 +21,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	agentrt "loadbalance/internal/agent"
@@ -115,10 +118,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make(map[string]core.CustomerSpec, len(s.Customers))
-	for _, spec := range s.Customers {
-		specs[spec.Name] = spec
-	}
 
 	// The root tier is lossless: concentrator links model the utility's own
 	// backbone, while the scenario's DropRate injects loss on the customer
@@ -146,45 +145,31 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}()
 
-	maxShardSize := 0
-	cas := make(map[string]*customeragent.Agent, len(s.Customers))
-	for i := 0; i < topo.Shards(); i++ {
-		members := topo.Members(i)
-		if len(members) > maxShardSize {
-			maxShardSize = len(members)
-		}
+	// Shard i hosts block i of the fleet sorted by name — the Topology's
+	// partition — on a bus of its own.
+	fleet := slices.Clone(s.Customers)
+	slices.SortFunc(fleet, func(a, b core.CustomerSpec) int { return strings.Compare(a.Name, b.Name) })
+	cas := make(map[string]*customeragent.Agent, len(fleet))
+	for i, members := range topo.shards {
 		shardBus, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed + int64(i) + 1})
 		if err != nil {
 			return nil, err
 		}
 		shardBuses = append(shardBuses, shardBus)
-
-		for _, name := range members {
-			spec := specs[name]
-			var handler agentrt.Handler
-			if spec.Silent {
-				handler = agentrt.HandlerFuncs{}
-			} else {
-				ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: customer %q: %w", spec.Name, err)
-				}
-				cas[spec.Name] = ca
-				handler = ca
-			}
-			rt, err := agentrt.Start(spec.Name, shardBus, handler, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: start %q: %w", spec.Name, err)
-			}
-			runtimes = append(runtimes, rt)
+		agents, rts, err := core.HostCustomers(shardBus, fleet[:len(members)])
+		if err != nil {
+			return nil, err
 		}
+		fleet = fleet[len(members):]
+		maps.Copy(cas, agents)
+		runtimes = append(runtimes, rts...)
 	}
 
 	tier, err = StartTier(parent, func(i int) bus.Bus { return shardBuses[i] }, topo, TierConfig{
 		SessionID:         s.SessionID,
 		FleetMinResponses: s.Params.MinResponses,
 		RoundTimeout:      cfg.ShardRoundTimeout,
-		InboxSize:         4 * max(maxShardSize, 16),
+		InboxSize:         4 * max(topo.maxShardSize(), 16),
 	})
 	if err != nil {
 		return nil, err

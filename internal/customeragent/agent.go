@@ -29,14 +29,20 @@ type sessionState struct {
 
 // Agent is a Customer Agent. Its OnMessage runs on the hosting Runtime's
 // goroutine; the mutex only guards the result accessors other goroutines
-// may call (Awards, SessionCount).
+// may call (AwardFor, LastBid).
 type Agent struct {
 	name     string
 	prefs    Preferences
 	strategy Strategy
 
-	mu       sync.Mutex
-	sessions map[string]*sessionState
+	mu sync.Mutex
+	// An engine-hosted agent serves exactly one session, so the first
+	// session's state lives in the Agent; later holds the sessions of an
+	// agent that outlives its first (made on the second session id).
+	started bool // firstID and first are in use
+	firstID string
+	first   sessionState
+	later   map[string]*sessionState
 }
 
 // New constructs a Customer Agent.
@@ -53,7 +59,6 @@ func New(name string, prefs Preferences, strategy Strategy) (*Agent, error) {
 		name:     name,
 		prefs:    prefs,
 		strategy: strategy,
-		sessions: make(map[string]*sessionState),
 	}, nil
 }
 
@@ -155,20 +160,35 @@ func (a *Agent) reactBidRequest(st *sessionState, req message.BidRequest) (messa
 func (a *Agent) session(id string) *sessionState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st, ok := a.sessions[id]
-	if !ok {
-		st = &sessionState{}
-		a.sessions[id] = st
+	if !a.started {
+		a.started, a.firstID = true, id
 	}
+	if st := a.seenLocked(id); st != nil {
+		return st
+	}
+	if a.later == nil {
+		a.later = make(map[string]*sessionState)
+	}
+	st := &sessionState{}
+	a.later[id] = st
 	return st
+}
+
+// seenLocked returns the state of a session the agent has taken part in, or
+// nil. The caller holds a.mu.
+func (a *Agent) seenLocked(id string) *sessionState {
+	if a.started && id == a.firstID {
+		return &a.first
+	}
+	return a.later[id]
 }
 
 // AwardFor returns the award received in a session, if any.
 func (a *Agent) AwardFor(session string) (message.Award, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st, ok := a.sessions[session]
-	if !ok || !st.awarded {
+	st := a.seenLocked(session)
+	if st == nil || !st.awarded {
 		return message.Award{}, false
 	}
 	return st.award, true
@@ -178,8 +198,8 @@ func (a *Agent) AwardFor(session string) (message.Award, bool) {
 func (a *Agent) LastBid(session string) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st, ok := a.sessions[session]
-	if !ok {
+	st := a.seenLocked(session)
+	if st == nil {
 		return 0
 	}
 	return st.lastCutDownBid

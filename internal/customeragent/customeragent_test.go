@@ -567,6 +567,39 @@ func TestReactAllocationBudget(t *testing.T) {
 	t.Logf("round-2 React allocates %v times", got)
 }
 
+// TestFirstSessionAllocations holds what an engine-hosted customer costs
+// before its first bid leaves: New plus the first React of a table allocate at
+// most 3 times (measured 2 — the Agent and the boxed bid; 6 while New made a
+// session map and the first React a state and a map bucket). The first
+// session's state lives in the Agent; only a second session id makes the map.
+func TestFirstSessionAllocations(t *testing.T) {
+	prefs := paperCustomer(t)
+	env, err := message.NewEnvelope("ua", "c1", "s", linearTable(1, 42.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		a, err := New("c1", prefs, StrategyGreedy)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, ok := a.AwardFor(""); ok || a.LastBid("") != 0 {
+			t.Error("an agent that has seen no session reports one")
+		}
+		if _, ok, err := a.React(env); err != nil || !ok {
+			t.Errorf("first React = %v, %v", ok, err)
+		}
+		if a.later != nil {
+			t.Error("the first session made the session map")
+		}
+	})
+	if got > 3 {
+		t.Fatalf("New + first React allocate %v times, budget 3", got)
+	}
+	t.Logf("New + first React allocate %v times", got)
+}
+
 // TestBroadcastTableIsSharedReadOnly runs under -race: one announced table is
 // one value in 64 inboxes, read by 64 agent goroutines while the announcer is
 // already building the next round's. Every round's bids must be the bids that

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"loadbalance/internal/agent"
+	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
 	"loadbalance/internal/protocol"
 	"loadbalance/internal/trace"
@@ -205,7 +206,7 @@ func (a *Agent) announceRT(rt *agent.Runtime) error {
 	sp := trace.Child(a.sessionSpan.Context(), "round.announce")
 	sp.SetAgent(a.cfg.Name)
 	sp.SetSession(a.cfg.SessionID)
-	err = rt.SendCtx(sp.Context(), "", a.cfg.SessionID, msg)
+	err = ignoreLost(rt.SendCtx(sp.Context(), "", a.cfg.SessionID, msg))
 	sp.End()
 	if err != nil {
 		return err
@@ -229,7 +230,7 @@ func (a *Agent) openOffer(rt *agent.Runtime) error {
 	if err != nil {
 		return err
 	}
-	if err := rt.Broadcast(a.cfg.SessionID, announce); err != nil {
+	if err := ignoreLost(rt.Broadcast(a.cfg.SessionID, announce)); err != nil {
 		return err
 	}
 	a.armTimeout(rt, 1)
@@ -298,11 +299,31 @@ func (a *Agent) announceRFB(rt *agent.Runtime) error {
 	if err != nil {
 		return err
 	}
-	if err := rt.Broadcast(a.cfg.SessionID, req); err != nil {
+	if err := ignoreLost(rt.Broadcast(a.cfg.SessionID, req)); err != nil {
 		return err
 	}
 	a.armTimeout(rt, a.rfb.Round())
 	return nil
+}
+
+// ignoreLost filters the result of a send to customers — every
+// announcement, award and session end goes through it. A recipient whose
+// inbox is full, or that has left the bus, has lost a message: the bus counts
+// the delivery as Rejected, and to the negotiation that customer is silent —
+// the round still arms its timeout, every other award is still sent, the
+// session still ends. (A broadcast attempts every recipient and reports the
+// first failure.) Any other error — a closed bus, a payload that does not
+// validate — is returned to abort the step.
+func ignoreLost(err error) error {
+	if errors.Is(err, bus.ErrInboxFull) || errors.Is(err, bus.ErrUnknownAgent) {
+		return nil
+	}
+	return err
+}
+
+// endSession broadcasts the termination that closes every method's session.
+func (a *Agent) endSession(rt *agent.Runtime, round int, reason string) error {
+	return ignoreLost(rt.Broadcast(a.cfg.SessionID, message.SessionEnd{Round: round, Reason: reason}))
 }
 
 // timeoutTopic marks self-addressed round timeout nudges.
@@ -398,16 +419,13 @@ func (a *Agent) closeRTRound(rt *agent.Runtime) error {
 	sp.SetAgent(a.cfg.Name)
 	sp.SetSession(a.cfg.SessionID)
 	for _, aw := range awards {
-		if err := rt.SendCtx(sp.Context(), aw.Customer, a.cfg.SessionID, aw.Award); err != nil {
+		if err := ignoreLost(rt.SendCtx(sp.Context(), aw.Customer, a.cfg.SessionID, aw.Award)); err != nil {
 			sp.End()
 			return err
 		}
 	}
 	sp.End()
-	if err := rt.Broadcast(a.cfg.SessionID, message.SessionEnd{
-		Round:  rec.Round,
-		Reason: rec.Outcome.String(),
-	}); err != nil {
+	if err := a.endSession(rt, rec.Round, rec.Outcome.String()); err != nil {
 		return err
 	}
 	history := a.rts.History()
@@ -450,7 +468,7 @@ func (a *Agent) closeOffer(rt *agent.Runtime) error {
 	if err != nil {
 		return err
 	}
-	if err := rt.Broadcast(a.cfg.SessionID, message.SessionEnd{Round: 1, Reason: "offer closed"}); err != nil {
+	if err := a.endSession(rt, 1, "offer closed"); err != nil {
 		return err
 	}
 	a.finish(Result{
@@ -493,10 +511,7 @@ func (a *Agent) closeRFBRound(rt *agent.Runtime) error {
 	if !rec.Outcome.Terminal() {
 		return a.announceRFB(rt)
 	}
-	if err := rt.Broadcast(a.cfg.SessionID, message.SessionEnd{
-		Round:  rec.Round,
-		Reason: rec.Outcome.String(),
-	}); err != nil {
+	if err := a.endSession(rt, rec.Round, rec.Outcome.String()); err != nil {
 		return err
 	}
 	history := a.rfb.History()

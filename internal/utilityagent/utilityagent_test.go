@@ -411,6 +411,28 @@ func TestRFBNegotiation(t *testing.T) {
 // customers never answer, quorum is never reached, and the timeout closes
 // each round anyway.
 func TestRoundTimeoutClosesWithSilentCustomers(t *testing.T) {
+	if st := convergeDespiteSilentPair(t, 64); st.Rejected != 0 {
+		t.Fatalf("bus stats = %+v, want nothing rejected", st)
+	}
+}
+
+// TestFullInboxIsALostAnnouncement gives the silent pair one-slot inboxes, so
+// from round 2 on every announcement to them — and the session end — is
+// rejected with bus.ErrInboxFull. To the negotiation that is a lost message:
+// the timeout is still armed, the round still closes, the outcome is the one
+// the roomy inboxes reach. (A UA that returned on the first delivery error
+// never armed round 2's timeout and hung.)
+func TestFullInboxIsALostAnnouncement(t *testing.T) {
+	if st := convergeDespiteSilentPair(t, 1); st.Rejected < 2 {
+		t.Fatalf("bus stats = %+v, want the full inboxes' deliveries counted as rejected", st)
+	}
+}
+
+// convergeDespiteSilentPair negotiates with eight scripted customers and two
+// that register an inbox of the given size and never read it, requires the
+// converged outcome, and returns the bus counters.
+func convergeDespiteSilentPair(t *testing.T, silentInbox int) bus.Stats {
+	t.Helper()
 	b, err := bus.NewInProc(bus.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +448,7 @@ func TestRoundTimeoutClosesWithSilentCustomers(t *testing.T) {
 	for name := range cfg.Loads {
 		if i < 2 {
 			// Silent customers: register but never answer.
-			if _, err := b.Register(name, 64); err != nil {
+			if _, err := b.Register(name, silentInbox); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -457,7 +479,103 @@ func TestRoundTimeoutClosesWithSilentCustomers(t *testing.T) {
 			t.Fatalf("outcome = %q", res.Outcome)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("timed-out negotiation never finished")
+		t.Fatalf("timed-out negotiation never finished; UA errors: %v", rt.Errors())
+	}
+	for _, err := range rt.Errors() {
+		if errors.Is(err, bus.ErrInboxFull) {
+			t.Fatalf("a full inbox reached the UA as a handler error: %v", err)
+		}
+	}
+	return b.Stats()
+}
+
+// TestUndeliverableAwardDoesNotStopTheOthers has the first customer in award
+// order leave the bus just before its last bid closes the negotiation. Its
+// award is undeliverable (bus.ErrUnknownAgent); every other award and the
+// session end must still arrive and the result must still publish. (A UA that
+// returned on the first delivery error sent no award at all, no session end,
+// and never finished.)
+func TestUndeliverableAwardDoesNotStopTheOthers(t *testing.T) {
+	b, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	cfg := baseConfig()
+	ua, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Everyone concedes 0.1 per round, so round 2 converges (see
+	// TestRewardTableNegotiationConverges) and all ten are awarded.
+	const leaver = "a"
+	awards := make(chan string, len(cfg.Loads))
+	ends := make(chan string, len(cfg.Loads))
+	for name := range cfg.Loads {
+		name := name
+		rt, err := agentrt.Start(name, b, agentrt.HandlerFuncs{
+			Message: func(rt *agentrt.Runtime, env message.Envelope) error {
+				p, err := env.Decode()
+				if err != nil {
+					return err
+				}
+				switch m := p.(type) {
+				case message.RewardTable:
+					if name == leaver && m.Round == 2 {
+						// Gone before the bid that completes the quorum is
+						// sent, so the close finds no such agent.
+						b.Unregister(name)
+					}
+					return rt.Send(env.From, env.Session, message.CutDownBid{Round: m.Round, CutDown: 0.1 * float64(m.Round)})
+				case message.Award:
+					awards <- name
+				case message.SessionEnd:
+					ends <- name
+				}
+				return nil
+			},
+		}, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Stop)
+	}
+	rt, err := agentrt.Start("ua", b, ua, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	select {
+	case res := <-ua.Done():
+		if res.Outcome != protocol.OutcomeConverged.String() || len(res.Awards) != len(cfg.Loads) {
+			t.Fatalf("outcome = %q with %d awards, want converged with %d", res.Outcome, len(res.Awards), len(cfg.Loads))
+		}
+		if res.Awards[0].Customer != leaver {
+			t.Fatalf("first award goes to %q, want the leaver %q first", res.Awards[0].Customer, leaver)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("negotiation never finished; UA errors: %v", rt.Errors())
+	}
+	for what, ch := range map[string]chan string{"award": awards, "session end": ends} {
+		got := make(map[string]bool)
+		for len(got) < len(cfg.Loads)-1 {
+			select {
+			case name := <-ch:
+				got[name] = true
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s reached %d of %d remaining customers", what, len(got), len(cfg.Loads)-1)
+			}
+		}
+		if got[leaver] {
+			t.Fatalf("%s reached %q after it left the bus", what, leaver)
+		}
+	}
+	if errs := rt.Errors(); len(errs) != 0 {
+		t.Fatalf("UA errors: %v", errs)
+	}
+	if st := b.Stats(); st.Rejected != 1 {
+		t.Fatalf("bus stats = %+v, want the leaver's award rejected and counted", st)
 	}
 }
 
