@@ -552,11 +552,12 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 	serverErr := make(chan error, 1)
 	go func() {
 		serverErr <- serve(ctx, serveConfig{
-			addr:      "127.0.0.1:0",
-			rootAddr:  "127.0.0.1:0",
-			customers: 4,
-			shards:    2,
-			timeout:   30 * time.Second,
+			addr:        "127.0.0.1:0",
+			rootAddr:    "127.0.0.1:0",
+			metricsAddr: "127.0.0.1:0",
+			customers:   4,
+			shards:      2,
+			timeout:     30 * time.Second,
 		}, ready)
 	}()
 	var addrs serveAddrs
@@ -565,6 +566,13 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never became ready")
 	}
+	// The daemon the workers dial hosts no hub: no /fleet view either.
+	auditEndpoints(t, addrs.metrics, []endpointRow{
+		{"/healthz", "application/json"},
+		{"/fleet/status", ""},
+		{"/awards", ""},
+		{"/debug/pprof/", ""},
+	})
 
 	// Both workers in-process; the first one serves HTTP. The daemon waits
 	// for customers that never come, so the endpoints stay scrapeable until
@@ -574,7 +582,7 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		opts := concOptions{
 			up: addrs.root, down: addrs.member,
-			shard: i, shards: 2, customers: 4, session: "gridd",
+			shard: i, shards: 2, customers: 4,
 		}
 		var ready chan<- string
 		if i == 0 {
@@ -595,44 +603,27 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 		t.Fatal("worker metrics endpoint never became ready")
 	}
 
-	tests := []struct {
-		path string
-		want string
-	}{
+	bodies := auditEndpoints(t, workerAddr, []endpointRow{
 		{"/healthz", "application/json"},
 		{"/metrics", "text/plain; version=0.0.4"},
 		{"/logs", "application/json"},
 		{"/trace", "application/json"},
 		{"/query?series=tsdb_points", "application/json"},
+		// A worker hosts no hub and runs no live grid; -pprof is off.
+		{"/fleet/status", ""},
+		{"/awards", ""},
+		{"/debug/pprof/", ""},
+	})
+	checkGolden(t, "worker", bodies["/metrics"])
+	var doc struct {
+		Role  string `json:"role"`
+		Shard int    `json:"shard"`
 	}
-	for _, tt := range tests {
-		resp, err := http.Get("http://" + workerAddr + tt.path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", tt.path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", tt.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Content-Type"); got != tt.want {
-			t.Errorf("GET %s: Content-Type %q, want %q", tt.path, got, tt.want)
-		}
-		if tt.path == "/metrics" {
-			checkGolden(t, "worker", string(body))
-		}
-		if tt.path == "/healthz" {
-			var doc struct {
-				Role  string `json:"role"`
-				Shard int    `json:"shard"`
-			}
-			if err := json.Unmarshal(body, &doc); err != nil {
-				t.Fatalf("/healthz: %v", err)
-			}
-			if doc.Role != "worker" || doc.Shard != 0 {
-				t.Errorf("/healthz = %s, want role worker shard 0", body)
-			}
-		}
+	if err := json.Unmarshal([]byte(bodies["/healthz"]), &doc); err != nil {
+		t.Fatalf("/healthz: %v", err)
+	}
+	if doc.Role != "worker" || doc.Shard != 0 {
+		t.Errorf("/healthz = %s, want role worker shard 0", bodies["/healthz"])
 	}
 
 	// Unwind: cancelled workers and daemon all return nil.
@@ -688,7 +679,7 @@ func TestFleetQueryParity(t *testing.T) {
 			customers:   4,
 			shards:      2,
 			timeout:     60 * time.Second,
-			history:     hist,
+			roleOptions: roleOptions{history: hist},
 		}, ready)
 	}()
 	var addrs serveAddrs
@@ -703,11 +694,11 @@ func TestFleetQueryParity(t *testing.T) {
 	// fleet idles while both histories fill.
 	workerReady := make(chan string, 1)
 	workerErrs := make(chan error, 2)
-	workerMetrics := roleMetrics(nil)
+	workerMetrics := trace.DefaultRegistry().Scope()
 	for i := 0; i < 2; i++ {
 		opts := concOptions{
 			up: addrs.root, down: addrs.member,
-			shard: i, shards: 2, customers: 4, session: "gridd",
+			shard: i, shards: 2, customers: 4,
 		}
 		var ready chan<- string
 		if i == 0 {
@@ -785,9 +776,14 @@ func TestFleetQueryParity(t *testing.T) {
 		return doc.Points[len(doc.Points)-1].Value
 	}
 
-	// Poll until both histories hold enough of the counter to evaluate a
-	// positive rate at the latest step, then compare that step. The 2s rate
-	// window spans ~40 samples per store at the 50ms cadence.
+	// Poll until both histories evaluate a positive rate at the latest step
+	// and the two agree. Both stores sample the same monotone counter; once
+	// each holds a full 2s window (~40 samples at the 50ms cadence) the
+	// windows are offset by at most one scrape interval at each edge, so the
+	// rates must come well inside 20% of each other even with scheduler
+	// jitter on top. The first positive readings are not compared on their
+	// own: each store then holds two or three samples taken at its own
+	// start, and 3/s beside 5/s is the offset of those starts, not parity.
 	localSeries := "rate(negotiation_session_seconds_count[2s])"
 	fleetSeries := `rate(negotiation_session_seconds_count{proc="gridd-cc-000"}[2s])`
 	var local, fleet parityDoc
@@ -795,22 +791,15 @@ func TestFleetQueryParity(t *testing.T) {
 	for {
 		l, lerr := queryHistory(workerAddr, "/query", localSeries)
 		f, ferr := queryHistory(addrs.metrics, "/fleet/query", fleetSeries)
-		if lerr == nil && ferr == nil && last(l) > 0 && last(f) > 0 {
+		lv, fv := last(l), last(f)
+		if lerr == nil && ferr == nil && lv > 0 && fv > 0 && math.Abs(lv-fv) <= 0.2*math.Max(lv, fv) {
 			local, fleet = l, f
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("histories never converged:\nlocal: %+v (%v)\nfleet: %+v (%v)", l, lerr, f, ferr)
+			t.Fatalf("histories never agreed: fleet rate %g, local rate %g\nlocal: %+v (%v)\nfleet: %+v (%v)", fv, lv, l, lerr, f, ferr)
 		}
 		time.Sleep(scrape)
-	}
-
-	// Both stores sample the same monotone counter; their windows can be
-	// offset by at most one scrape interval at each edge, so the rates must
-	// match well inside 20% even with scheduler jitter on top.
-	lv, fv := last(local), last(fleet)
-	if diff := math.Abs(lv - fv); diff > 0.2*math.Max(lv, fv) {
-		t.Fatalf("fleet rate %g diverges from local rate %g (diff %g)", fv, lv, diff)
 	}
 	if !strings.Contains(local.Series, "negotiation_session_seconds_count") ||
 		!strings.Contains(fleet.Series, `proc="gridd-cc-000"`) {
@@ -854,7 +843,7 @@ func TestServeEndpointContentTypes(t *testing.T) {
 			customers:   4,
 			shards:      1,
 			timeout:     30 * time.Second,
-			history:     historyOptions{interval: 50 * time.Millisecond, retention: time.Minute},
+			roleOptions: roleOptions{history: historyOptions{interval: 50 * time.Millisecond, retention: time.Minute}},
 		}, ready)
 	}()
 	var addrs serveAddrs
@@ -864,10 +853,7 @@ func TestServeEndpointContentTypes(t *testing.T) {
 		t.Fatal("server never became ready")
 	}
 
-	tests := []struct {
-		path string
-		want string
-	}{
+	auditEndpoints(t, addrs.metrics, []endpointRow{
 		{"/healthz", "application/json"},
 		{"/metrics", "text/plain; version=0.0.4"},
 		{"/logs", "application/json"},
@@ -878,21 +864,10 @@ func TestServeEndpointContentTypes(t *testing.T) {
 		{"/fleet/metrics", "text/plain; version=0.0.4"},
 		{"/query?series=tsdb_points", "application/json"},
 		{"/fleet/query?series=tsdb_points", "application/json"},
-	}
-	for _, tt := range tests {
-		resp, err := http.Get("http://" + addrs.metrics + tt.path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", tt.path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", tt.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Content-Type"); got != tt.want {
-			t.Errorf("GET %s: Content-Type %q, want %q", tt.path, got, tt.want)
-		}
-	}
+		// A serve daemon runs no live grid; -pprof is off.
+		{"/awards", ""},
+		{"/debug/pprof/", ""},
+	})
 
 	cancel()
 	select {

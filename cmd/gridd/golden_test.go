@@ -241,7 +241,7 @@ func liveGolden(t *testing.T, state *gridState, dataDir string) *liveHealth {
 	reg := trace.NewRegistry()
 	observeFixed(reg)
 	h, err := newLiveHealth(context.Background(), liveOptions{
-		metrics: reg, dataDir: dataDir, history: goldenHistory,
+		dataDir: dataDir, roleOptions: roleOptions{metrics: reg, history: goldenHistory},
 	}, state)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestGoldenServePage(t *testing.T) {
 	reg := trace.NewRegistry()
 	observeFixed(reg)
 	registerServeMetrics(reg, f.member, f.root, f.hub, f.sender)
-	sc := startHistoryScraper(goldenHistory, newHistoryStore(goldenHistory), reg)
+	_, sc := startHistory(goldenHistory, reg)
 	t.Cleanup(sc.Close)
 	sc.ScrapeAt(1_000_000)
 	checkGolden(t, "serve", renderPage(reg))

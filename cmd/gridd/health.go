@@ -92,7 +92,7 @@ type liveHealth struct {
 // feedback responder when -feedback-addr is set and arms the flight recorder
 // when a data dir exists.
 func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*liveHealth, error) {
-	reg := roleMetrics(opts.metrics)
+	reg := opts.registry()
 	h := &liveHealth{metrics: reg, logger: health.Default()}
 
 	h.scorer = health.NewScorer(health.Sources{
@@ -123,10 +123,8 @@ func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*li
 	// Metrics history: scrape the registry into the embedded store each
 	// interval; windowed and burn-rate alert rules evaluate against it, and
 	// /query serves it.
-	if h.history = newHistoryStore(opts.history); h.history != nil {
-		h.alerts.History = h.history
-		h.scraper = startHistoryScraper(opts.history, h.history, reg)
-	}
+	h.history, h.scraper = startHistory(opts.history, reg)
+	h.alerts.History = h.history
 	if hub := state.obs; hub != nil {
 		reg.Register(hub.Samples)
 		reg.Register(func(dst []trace.Sample) []trace.Sample {
@@ -209,7 +207,7 @@ func (h *liveHealth) close() {
 	if h == nil {
 		return
 	}
-	closeScraper(h.scraper)
+	h.scraper.Close()
 	if h.responder != nil {
 		_ = h.responder.Close()
 	}

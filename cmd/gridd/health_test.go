@@ -54,13 +54,9 @@ func TestEndpointContentTypes(t *testing.T) {
 	addr := startDrillGrid(t, liveOptions{
 		addr: "127.0.0.1:0", customers: 16, shards: 4,
 		tick: 20 * time.Millisecond, seed: 1, spikeTick: -1,
-		history: historyOptions{interval: 50 * time.Millisecond, retention: time.Minute},
+		roleOptions: roleOptions{history: historyOptions{interval: 50 * time.Millisecond, retention: time.Minute}},
 	})
-
-	tests := []struct {
-		path string
-		want string
-	}{
+	auditEndpoints(t, addr, []endpointRow{
 		{"/healthz", "application/json"},
 		{"/metrics", "text/plain; version=0.0.4"},
 		{"/replication", "application/json"},
@@ -70,19 +66,68 @@ func TestEndpointContentTypes(t *testing.T) {
 		{"/alerts", "application/json"},
 		{"/feedback", "text/plain; charset=utf-8"},
 		{"/query?series=feedback_score", "application/json"},
-	}
-	for _, tt := range tests {
-		resp, err := http.Get("http://" + addr + tt.path)
+		// This grid hosts no hub; -pprof is off.
+		{"/fleet/status", ""},
+		{"/debug/pprof/", ""},
+	})
+}
+
+// endpointRow is one line of a role's endpoint contract: the Content-Type a
+// path answers 200 with, or "" for a path the role must not serve (404).
+type endpointRow struct{ path, contentType string }
+
+// auditEndpoints checks one role's HTTP surface against its table and returns
+// the bodies by path. endpoints.mux mounts every role's paths, so the three
+// role tables differ only in their rows.
+func auditEndpoints(t *testing.T, addr string, table []endpointRow) map[string]string {
+	t.Helper()
+	bodies := make(map[string]string, len(table))
+	for _, row := range table {
+		resp, err := http.Get("http://" + addr + row.path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", tt.path, err)
+			t.Fatalf("GET %s: %v", row.path, err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", tt.path, resp.StatusCode)
+		bodies[row.path] = string(body)
+		wantStatus := http.StatusOK
+		if row.contentType == "" {
+			wantStatus = http.StatusNotFound
 		}
-		if got := resp.Header.Get("Content-Type"); got != tt.want {
-			t.Errorf("GET %s: Content-Type %q, want %q", tt.path, got, tt.want)
+		if resp.StatusCode != wantStatus {
+			t.Errorf("GET %s: status %d, want %d", row.path, resp.StatusCode, wantStatus)
+		}
+		if got := resp.Header.Get("Content-Type"); row.contentType != "" && got != row.contentType {
+			t.Errorf("GET %s: Content-Type %q, want %q", row.path, got, row.contentType)
+		}
+	}
+	return bodies
+}
+
+// TestOneMux keeps endpoints.go the only place in the command that builds an
+// HTTP mux, binds an HTTP listener, hosts an obs hub or starts a replication
+// sender — what makes a path's presence on a role a row of one function.
+func TestOneMux(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, call := range []string{"http.NewServeMux(", `net.Listen("tcp"`, "obsplane.StartHub(", "replica.StartSender("} {
+		var sites []string
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < strings.Count(string(src), call); i++ {
+				sites = append(sites, f)
+			}
+		}
+		if len(sites) != 1 || sites[0] != "endpoints.go" {
+			t.Errorf("%s is called in %v, want only endpoints.go once", call, sites)
 		}
 	}
 }

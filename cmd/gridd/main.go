@@ -72,9 +72,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
-	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -169,7 +167,6 @@ func run(ctx context.Context, args []string) error {
 		upAddr    = fs.String("up", "", "root-tier server address (concentrator role)")
 		downAddr  = fs.String("down", "", "member-tier server address (concentrator role)")
 		shard     = fs.Int("shard", 0, "shard index this worker fronts (concentrator role)")
-		session   = fs.String("session", "gridd", "negotiation session id (concentrator role)")
 		spikeEnd  = fs.Int("spike-end", 0, "tick the injected demand spike ends on (0 = never)")
 		logLevel  = fs.String("log-level", "info", "structured log level: debug, info, warn, error or off; the ring serves /logs on the HTTP endpoint")
 		logFile   = fs.String("log-file", "", "append structured log events as JSON lines to this file (default: <data-dir>/gridd.log when -data-dir is set)")
@@ -189,7 +186,7 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	proc := traceProc(*role, *shard, *serveAddr, *connect, *name, *replicaOf, *replicaID, *live)
+	obsRole, proc := identity(*role, *shard, *serveAddr, *connect, *name, *replicaOf, *replicaID, *live)
 	logger, err := initHealthLogging(proc, *logLevel, *logFile, *dataDir)
 	if err != nil {
 		return err
@@ -198,12 +195,11 @@ func run(ctx context.Context, args []string) error {
 	// The one registry this process publishes on: the role below registers
 	// its collectors, and /metrics, the flight recorder, the history scraper,
 	// the alert engine and the obs stream all read it.
-	reg := roleMetrics(nil)
+	reg := trace.DefaultRegistry().Scope()
+	shared := roleOptions{metrics: reg, pprof: *pprofOn, history: historyOptions{interval: *tsdbInt, retention: *tsdbRet}}
 	// One identity event per process at startup: the line every process
 	// contributes to the merged fleet log, tying its proc label to its role.
-	logger.Log(health.Info, "gridd", "process started",
-		health.Str("proc", proc),
-		health.Str("role", obsRole(*role, *serveAddr, *connect, *live, *replicaOf)))
+	logger.Log(health.Info, "gridd", "process started", health.Str("proc", proc), health.Str("role", obsRole))
 	if *traceOn || *traceDump != "" {
 		trace.Enable(proc, *traceRing)
 		if *traceDump != "" {
@@ -238,7 +234,7 @@ func run(ctx context.Context, args []string) error {
 		em := obsplane.StartEmitter(obsplane.EmitterConfig{
 			Hub:      *obsTarget,
 			Proc:     proc,
-			Role:     obsRole(*role, *serveAddr, *connect, *live, *replicaOf),
+			Role:     obsRole,
 			Addr:     *serveAddr,
 			MinLevel: lvl,
 			Metrics:  reg,
@@ -259,11 +255,8 @@ func run(ctx context.Context, args []string) error {
 			shard:       *shard,
 			shards:      *shards,
 			customers:   *customers,
-			session:     *session,
 			metricsAddr: *metrics,
-			pprof:       *pprofOn,
-			history:     historyOptions{interval: *tsdbInt, retention: *tsdbRet},
-			metrics:     reg,
+			roleOptions: shared,
 		}, nil)
 	case *role != "":
 		return fmt.Errorf("unknown -role %q (want \"concentrator\")", *role)
@@ -312,10 +305,8 @@ func run(ctx context.Context, args []string) error {
 				replicaID:       *replicaID,
 				peers:           bus.SplitAddrList(*peers),
 				failoverTimeout: *failover,
-				pprof:           *pprofOn,
-				history:         historyOptions{interval: *tsdbInt, retention: *tsdbRet},
 				profileOnAlert:  *profAlert,
-				metrics:         reg,
+				roleOptions:     shared,
 			}, nil)
 		}
 		if *replicaOf != "" {
@@ -337,9 +328,7 @@ func run(ctx context.Context, args []string) error {
 			timeout:     *timeout,
 			dataDir:     *dataDir,
 			replAddr:    *replAddr,
-			pprof:       *pprofOn,
-			history:     historyOptions{interval: *tsdbInt, retention: *tsdbRet},
-			metrics:     reg,
+			roleOptions: shared,
 		}, nil)
 	case *connect != "":
 		if *name == "" {
@@ -352,28 +341,6 @@ func run(ctx context.Context, args []string) error {
 	}
 }
 
-// traceProc derives the per-process label stamped on every span this process
-// records — what stitches a multi-process trace back together on inspection.
-func traceProc(role string, shard int, serveAddr, connect, name, replicaOf, replicaID string, live bool) string {
-	switch {
-	case role == "concentrator":
-		return fmt.Sprintf("gridd-cc-%03d", shard)
-	case serveAddr != "" && live && replicaOf != "":
-		// Standbys carry their replica id so a primary and its standbys
-		// streaming to one fleet hub never collide on the proc label (the
-		// name survives promotion, keeping the process's history in one
-		// lane).
-		return "gridd-live-" + replicaID
-	case serveAddr != "" && live:
-		return "gridd-live"
-	case serveAddr != "":
-		return "gridd-serve"
-	case connect != "":
-		return "gridd-" + name
-	}
-	return "gridd"
-}
-
 // dumpTraceFile writes the trace ring as JSON — the export path for worker
 // and client processes that have no HTTP endpoint to serve /trace from.
 func dumpTraceFile(path string) {
@@ -381,19 +348,6 @@ func dumpTraceFile(path string) {
 	trace.WriteDump(&buf, trace.Filter{})
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		health.Logf(health.Error, "trace", "trace dump to %s failed: %v", path, err)
-	}
-}
-
-// mountObservability adds the trace endpoint (always; it reports disabled
-// until -trace) and, behind -pprof, the net/http/pprof handlers.
-func mountObservability(mux *http.ServeMux, pprofOn bool) {
-	mux.Handle("/trace", trace.Handler())
-	if pprofOn {
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 }
 
@@ -430,45 +384,14 @@ func fleetLoads(names []string) map[string]protocol.CustomerLoad {
 	return loads
 }
 
-// obsRole names what kind of process this is for the fleet registry.
-func obsRole(role, serveAddr, connect string, live bool, replicaOf string) string {
-	switch {
-	case role == "concentrator":
-		return "worker"
-	case serveAddr != "" && live && replicaOf != "":
-		return "standby"
-	case serveAddr != "" && live:
-		return "live"
-	case serveAddr != "":
-		return "serve"
-	case connect != "":
-		return "client"
-	}
-	return "gridd"
-}
-
-// roleMetrics is the registry a role publishes on: the one run() also
-// handed to the process's obs stream and flight recorder, or — for a role
-// assembled directly (tests run several in one process) — its own fresh scope
-// of the process-wide histograms.
-func roleMetrics(reg *trace.Registry) *trace.Registry {
-	if reg == nil {
-		reg = trace.DefaultRegistry().Scope()
-	}
-	return reg
-}
-
 // concOptions parameterises one concentrator worker process.
 type concOptions struct {
 	up, down    string
 	shard       int
 	shards      int
 	customers   int
-	session     string
 	metricsAddr string // non-empty: HTTP /healthz, /metrics, /logs, /trace, /query
-	pprof       bool
-	history     historyOptions
-	metrics     *trace.Registry // nil: the role publishes on its own (see roleMetrics)
+	roleOptions
 }
 
 // runConcentrator is the worker process: it fronts one shard of the fleet,
@@ -484,39 +407,24 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 		return err
 	}
 	name := topo.ConcentratorName(opts.shard)
-	reg := roleMetrics(opts.metrics)
+	reg := opts.registry()
 	reg.Register(health.Default().Samples)
 
 	if opts.metricsAddr != "" {
-		ln, err := net.Listen("tcp", opts.metricsAddr)
+		history, scraper := startHistory(opts.history, reg)
+		defer scraper.Close()
+		addr, _, stop, err := endpoints{
+			healthz: func() map[string]any {
+				return map[string]any{"status": "ok", "role": "worker", "shard": opts.shard, "customers": len(topo.Members(opts.shard))}
+			},
+			reg: reg, logger: health.Default(), history: history, pprof: opts.pprof,
+		}.listen(opts.metricsAddr)
 		if err != nil {
 			return err
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{
-				"status":    "ok",
-				"role":      "worker",
-				"shard":     opts.shard,
-				"customers": len(topo.Members(opts.shard)),
-			})
-		})
-		history := newHistoryStore(opts.history)
-		mux.HandleFunc("/metrics", trace.MetricsHandler(reg.Gather))
-		mux.HandleFunc("/logs", health.LogHandler(health.Default()))
-		mountQuery(mux, history)
-		defer closeScraper(startHistoryScraper(opts.history, history, reg))
-		mountObservability(mux, opts.pprof)
-		httpSrv := &http.Server{Handler: mux}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer func() {
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = httpSrv.Shutdown(shutdownCtx)
-		}()
+		defer stop()
 		if ready != nil {
-			ready <- ln.Addr().String()
+			ready <- addr
 		}
 	}
 
@@ -527,7 +435,7 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 		DownAddr: opts.down,
 		Concentrator: cluster.ConcentratorConfig{
 			Name:         name,
-			SessionID:    opts.session,
+			SessionID:    session,
 			Members:      topo.MemberLoads(opts.shard),
 			RoundTimeout: serveRoundTimeout / 2,
 		},
@@ -541,6 +449,10 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 	}
 	return err
 }
+
+// session is the one negotiation session a serve daemon runs. Its workers
+// relay only envelopes of this session, so it is not theirs to choose.
+const session = "gridd"
 
 // serveRoundTimeout is the UA's round timeout; concentrators must answer
 // upward well inside it, so their own shard timeout is half of it. Worker
@@ -558,9 +470,7 @@ type serveConfig struct {
 	timeout     time.Duration
 	dataDir     string // non-empty: journal the session outcome (or its abort)
 	replAddr    string // non-empty: stream the journal to hot standbys (requires dataDir)
-	pprof       bool   // mount /debug/pprof/ on the metrics endpoint
-	history     historyOptions
-	metrics     *trace.Registry // nil: the role publishes on its own (see roleMetrics)
+	roleOptions
 
 	// linger, when non-nil, keeps the HTTP and obs endpoints up after the
 	// session completes until the channel closes (or ctx is cancelled) —
@@ -606,7 +516,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 			return fmt.Errorf("replAddr streams the journal and requires dataDir")
 		}
 		var err error
-		sender, err = replica.StartSender(replica.SenderConfig{Dir: cfg.dataDir, Addr: cfg.replAddr})
+		sender, err = startSender(cfg.dataDir, cfg.replAddr, "replicating the journal")
 		if err != nil {
 			return err
 		}
@@ -616,10 +526,6 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 			_ = sender.WaitDrain(journal.Stats().LastSeq, 5*time.Second)
 			sender.Close()
 		}()
-		if err := writeReplAddrFile(cfg.dataDir, sender.Addr()); err != nil {
-			return err
-		}
-		fmt.Printf("gridd: replicating the journal to standbys on %s\n", sender.Addr())
 	}
 	inner, err := bus.NewInProc(bus.Config{})
 	if err != nil {
@@ -653,68 +559,43 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		addrs.root = rootSrv.Addr()
 	}
 
-	// Fleet observability hub: workers (and any standby tailing this
-	// daemon's journal) stream their metric/log/span state here; the
-	// metrics mux below serves the merged /fleet view.
 	var hub *obsplane.Hub
 	if cfg.obsAddr != "" {
-		hub, err = obsplane.StartHub(obsplane.HubConfig{Addr: cfg.obsAddr, History: newHistoryStore(cfg.history)})
-		if err != nil {
+		if hub, err = startHub(cfg.obsAddr, cfg.dataDir, cfg.history); err != nil {
 			return err
 		}
 		defer hub.Close()
 		addrs.obs = hub.Addr()
-		if cfg.dataDir != "" {
-			if err := writeObsAddrFile(cfg.dataDir, hub.Addr()); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("gridd: fleet observability hub on %s\n", hub.Addr())
 	}
 
-	reg := roleMetrics(cfg.metrics)
+	reg := cfg.registry()
 	registerServeMetrics(reg, srv, rootSrv, hub, sender)
 
-	// Transport observability: /healthz and /metrics.
 	if cfg.metricsAddr != "" {
-		ln, err := net.Listen("tcp", cfg.metricsAddr)
+		history, scraper := startHistory(cfg.history, reg)
+		defer scraper.Close()
+		var stop func()
+		addrs.metrics, _, stop, err = endpoints{
+			healthz: func() map[string]any {
+				doc := map[string]any{"status": "ok", "role": "primary", "customers": len(customerAgents(inner.Agents()))}
+				if journal != nil {
+					stats := journal.Stats()
+					doc["lastAppliedSeq"] = stats.LastSeq
+					doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
+				}
+				return doc
+			},
+			reg: reg, logger: health.Default(), history: history, hub: hub, pprof: cfg.pprof,
+		}.listen(cfg.metricsAddr)
 		if err != nil {
 			return err
 		}
-		addrs.metrics = ln.Addr().String()
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			doc := map[string]any{"status": "ok", "role": "primary", "customers": len(customerAgents(inner.Agents()))}
-			if journal != nil {
-				stats := journal.Stats()
-				doc["lastAppliedSeq"] = stats.LastSeq
-				doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
-			}
-			_ = json.NewEncoder(w).Encode(doc)
-		})
-		history := newHistoryStore(cfg.history)
-		mux.HandleFunc("/metrics", trace.MetricsHandler(reg.Gather))
-		mux.HandleFunc("/logs", health.LogHandler(health.Default()))
-		if hub != nil {
-			hub.Mount(mux)
-		}
-		mountQuery(mux, history)
-		defer closeScraper(startHistoryScraper(cfg.history, history, reg))
-		mountObservability(mux, cfg.pprof)
-		httpSrv := &http.Server{Handler: mux}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer func() {
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = httpSrv.Shutdown(shutdownCtx)
-		}()
+		defer stop()
 	}
 
 	if ready != nil {
 		ready <- addrs
 	}
-	const session = "gridd"
 	fmt.Printf("gridd: listening on %s, waiting for %d customers\n", srv.Addr(), cfg.customers)
 
 	// Wait for the fleet to dial in. Worker concentrators register their
@@ -975,9 +856,6 @@ type liveOptions struct {
 	flightrecKeep  int
 	profileOnAlert bool // add heap + 2s CPU profiles to alert bundles
 
-	// Metrics history: the embedded tsdb behind /query and windowed rules.
-	history historyOptions
-
 	// Replication (requires dataDir).
 	replAddr        string   // non-empty: stream the journal to standbys here
 	replicaOf       []string // non-empty: run as a hot standby following this dial list
@@ -985,14 +863,11 @@ type liveOptions struct {
 	peers           []string
 	failoverTimeout time.Duration
 
-	// Fleet observability (the tentpole): host the obs hub here and serve
-	// the /fleet endpoints on the live HTTP address.
-	obsAddr string        // non-empty: accept obs streams from the fleet on this address
-	obsHub  *obsplane.Hub // set internally once the hub is up
+	// Fleet observability: host the obs hub here and serve the /fleet
+	// endpoints on the live HTTP address.
+	obsAddr string // non-empty: accept obs streams from the fleet on this address
 
-	pprof bool // mount /debug/pprof/ on the live endpoint
-
-	metrics *trace.Registry // nil: the role publishes on its own (see roleMetrics)
+	roleOptions
 }
 
 // liveConfig derives the engine configuration. It must be identical on
@@ -1058,15 +933,6 @@ func (g *gridState) publish(snap telemetry.Snapshot, profile []byte) {
 	g.mu.Unlock()
 }
 
-// promote swaps the state holder from standby to serving primary.
-func (g *gridState) promote(st *store.Store, sender *replica.Sender, snap telemetry.Snapshot, profile []byte) {
-	g.mu.Lock()
-	g.role, g.stby = "primary", nil
-	g.st, g.sender = st, sender
-	g.snap, g.profile = snap, profile
-	g.mu.Unlock()
-}
-
 // healthDoc renders the /healthz body: role, recovery state, replication
 // state and the last applied/committed journal position — the operator
 // contract an external health checker (or a failover drill) consumes.
@@ -1126,67 +992,65 @@ func (g *gridState) healthDoc() map[string]any {
 	return doc
 }
 
-// liveMux builds the live daemon's HTTP surface over the state holder.
-func liveMux(state *gridState, pprofOn bool) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(state.healthDoc())
-	})
-	mux.HandleFunc("/metrics", trace.MetricsHandler(state.health.metrics.Gather))
-	mux.HandleFunc("/replication", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		role, _, _, stby, sender := state.view()
-		doc := map[string]any{"role": role}
-		if stby != nil {
-			doc["receiver"] = stby.Receiver().Status()
-			doc["promotable"] = stby.Promotable()
-			doc["peers"] = stby.PeerList()
-		}
-		if sender != nil {
-			doc["sender"] = sender.Status()
-		}
-		_ = json.NewEncoder(w).Encode(doc)
-	})
-	mux.HandleFunc("/awards", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _, profile, stby, _ := state.view()
-		if stby != nil {
-			// Read replica: the profile is computed from the replica state
-			// at request time.
-			p, err := json.Marshal(stby.Eng.Profile())
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			_, _ = w.Write(p)
-			return
-		}
-		_, _ = w.Write(profile)
-	})
-	if h := state.health; h != nil {
-		mux.HandleFunc("/logs", health.LogHandler(h.logger))
-		mux.HandleFunc("/alerts", health.AlertsHandler(h.alerts))
-		mux.HandleFunc("/feedback", health.FeedbackHandler(h.scorer))
-		mountQuery(mux, h.history)
+// replicationDoc renders the /replication body: the receiver's view on a
+// standby, the sender's on a streaming primary.
+func (g *gridState) replicationDoc() map[string]any {
+	role, _, _, stby, sender := g.view()
+	doc := map[string]any{"role": role}
+	if stby != nil {
+		doc["receiver"] = stby.Receiver().Status()
+		doc["promotable"] = stby.Promotable()
+		doc["peers"] = stby.PeerList()
 	}
-	if state.obs != nil {
-		state.obs.Mount(mux)
+	if sender != nil {
+		doc["sender"] = sender.Status()
 	}
-	mountObservability(mux, pprofOn)
-	return mux
+	return doc
 }
 
-// startLiveHTTP binds the live daemon's endpoint address.
-func startLiveHTTP(addr string, state *gridState, pprofOn bool) (net.Listener, *http.Server, chan error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, nil, err
+// serveAwards answers /awards with the canonical grid profile: the last
+// published one on a primary; on a read replica, computed from the replica
+// state at request time.
+func (g *gridState) serveAwards(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _, profile, stby, _ := g.view()
+	if stby != nil {
+		var err error
+		if profile, err = json.Marshal(stby.Eng.Profile()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
-	httpSrv := &http.Server{Handler: liveMux(state, pprofOn)}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.Serve(ln) }()
-	return ln, httpSrv, httpErr, nil
+	_, _ = w.Write(profile)
+}
+
+// endpoints is the live daemon's HTTP surface over the state holder, the
+// same for a primary and a standby: the server survives the role change.
+func (g *gridState) endpoints(pprof bool) endpoints {
+	h := g.health
+	return endpoints{healthz: g.healthDoc, reg: h.metrics, logger: h.logger, history: h.history, hub: g.obs, pprof: pprof, live: g}
+}
+
+// lead makes the daemon the serving primary over eng — at start on a
+// primary, after promotion on a standby: it starts the replication sender
+// when one is configured and publishes the engine's state to the handlers.
+// The engine is shut down on error.
+func (g *gridState) lead(eng *telemetry.LiveEngine, opts liveOptions, who string) error {
+	profile, err := json.Marshal(eng.Profile())
+	var sender *replica.Sender
+	if err == nil && opts.replAddr != "" {
+		sender, err = startSender(opts.dataDir, opts.replAddr, who)
+	}
+	if err != nil {
+		_ = eng.Shutdown()
+		return err
+	}
+	g.mu.Lock()
+	g.role, g.stby = "primary", nil
+	g.st, g.sender = eng.Store(), sender
+	g.snap, g.profile = eng.Snapshot(), profile
+	g.mu.Unlock()
+	return nil
 }
 
 // runLive operates the grid continuously: an in-process elastic fleet is
@@ -1213,25 +1077,17 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	state := &gridState{role: "primary", start: time.Now()}
 	if opts.obsAddr != "" {
-		hub, err := obsplane.StartHub(obsplane.HubConfig{Addr: opts.obsAddr, History: newHistoryStore(opts.history)})
-		if err != nil {
+		if state.obs, err = startHub(opts.obsAddr, opts.dataDir, opts.history); err != nil {
 			return err
 		}
-		defer hub.Close()
-		opts.obsHub = hub
-		if opts.dataDir != "" {
-			if err := writeObsAddrFile(opts.dataDir, hub.Addr()); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("gridd: fleet observability hub on %s\n", hub.Addr())
+		defer state.obs.Close()
 	}
 	if len(opts.replicaOf) > 0 {
-		return runStandby(ctx, opts, cfg, ready)
+		return runStandby(ctx, opts, cfg, state, ready)
 	}
 
-	state := &gridState{role: "primary", start: time.Now(), obs: opts.obsHub}
 	var eng *telemetry.LiveEngine
 	if opts.dataDir != "" {
 		var info *telemetry.RecoveryInfo
@@ -1260,7 +1116,6 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 			return err
 		}
 	}
-	state.st = eng.Store() // stable handle for the handlers; nil when volatile
 
 	h, err := newLiveHealth(ctx, opts, state)
 	if err != nil {
@@ -1270,29 +1125,10 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 	defer h.close()
 	state.health = h
 
-	if opts.replAddr != "" {
-		sender, err := replica.StartSender(replica.SenderConfig{Dir: opts.dataDir, Addr: opts.replAddr})
-		if err != nil {
-			_ = eng.Shutdown()
-			return err
-		}
-		state.sender = sender
-		if err := writeReplAddrFile(opts.dataDir, sender.Addr()); err != nil {
-			sender.Close()
-			_ = eng.Shutdown()
-			return err
-		}
-		fmt.Printf("gridd: replicating the journal to standbys on %s\n", sender.Addr())
-	}
-
-	profile, err := json.Marshal(eng.Profile())
-	if err != nil {
-		_ = eng.Shutdown()
+	if err := state.lead(eng, opts, "replicating the journal"); err != nil {
 		return err
 	}
-	state.publish(eng.Snapshot(), profile)
-
-	ln, httpSrv, httpErr, err := startLiveHTTP(opts.addr, state, opts.pprof)
+	addr, httpErr, stop, err := state.endpoints(opts.pprof).listen(opts.addr)
 	if err != nil {
 		if state.sender != nil {
 			state.sender.Close()
@@ -1300,16 +1136,12 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 		_ = eng.Shutdown()
 		return err
 	}
-	defer func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
+	defer stop()
 	if ready != nil {
-		ready <- ln.Addr().String()
+		ready <- addr
 	}
 	fmt.Printf("gridd: live grid of %d customers in %d shards; /healthz, /metrics, /replication and /awards on %s\n",
-		opts.customers, opts.shards, ln.Addr())
+		opts.customers, opts.shards, addr)
 	return tickLoop(ctx, eng, opts, state, httpErr)
 }
 
@@ -1389,8 +1221,8 @@ func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts liveOptions, 
 // read-only on the HTTP endpoints while the receiver applies the primary's
 // stream; on primary silence the lowest-id standby promotes in place and
 // continues the run as the serving primary.
-func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig, ready chan<- string) error {
-	state := &gridState{role: "standby", start: time.Now(), obs: opts.obsHub}
+func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig, state *gridState, ready chan<- string) error {
+	state.role = "standby"
 	stby, info, err := replica.StartStandby(replica.StandbyConfig{
 		ID:              opts.replicaID,
 		Peers:           opts.peers,
@@ -1419,21 +1251,17 @@ func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig,
 	stopEval := h.startStandbyEval(opts.tick)
 	defer stopEval()
 
-	ln, httpSrv, httpErr, err := startLiveHTTP(opts.addr, state, opts.pprof)
+	addr, httpErr, stop, err := state.endpoints(opts.pprof).listen(opts.addr)
 	if err != nil {
 		_ = stby.Close()
 		return err
 	}
-	defer func() {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
+	defer stop()
 	if ready != nil {
-		ready <- ln.Addr().String()
+		ready <- addr
 	}
 	fmt.Printf("gridd: hot standby %s following %v; read-only /healthz, /metrics, /replication and /awards on %s\n",
-		opts.replicaID, opts.replicaOf, ln.Addr())
+		opts.replicaID, opts.replicaOf, addr)
 
 	type result struct {
 		outcome replica.Outcome
@@ -1482,41 +1310,10 @@ func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig,
 		health.Str("id", opts.replicaID),
 		health.Int("fromSeq", int64(pinfo.FromSeq)),
 		health.Int("resumeTick", int64(pinfo.ResumeTick)))
-	var sender *replica.Sender
-	if opts.replAddr != "" {
-		sender, err = replica.StartSender(replica.SenderConfig{Dir: opts.dataDir, Addr: opts.replAddr})
-		if err != nil {
-			_ = eng.Shutdown()
-			return err
-		}
-		if err := writeReplAddrFile(opts.dataDir, sender.Addr()); err != nil {
-			sender.Close()
-			_ = eng.Shutdown()
-			return err
-		}
-		fmt.Printf("gridd: promoted primary replicating to standbys on %s\n", sender.Addr())
-	}
-	profile, err := json.Marshal(eng.Profile())
-	if err != nil {
-		_ = eng.Shutdown()
+	if err := state.lead(eng, opts, "promoted primary replicating"); err != nil {
 		return err
 	}
-	state.promote(eng.Store(), sender, eng.Snapshot(), profile)
 	return tickLoop(ctx, eng, opts, state, httpErr)
-}
-
-// writeReplAddrFile publishes the replication listener's bound address as
-// <dir>/repl-addr (atomically), so operators and tests using ":0" can find
-// it.
-func writeReplAddrFile(dir, addr string) error {
-	return atomicWriteFile(dir, "repl-addr", []byte(addr))
-}
-
-// writeObsAddrFile publishes the fleet obs hub's bound address as
-// <dir>/obs-addr, the same contract as repl-addr: workers started with ":0"
-// hubs read it to find their -obs target.
-func writeObsAddrFile(dir, addr string) error {
-	return atomicWriteFile(dir, "obs-addr", []byte(addr))
 }
 
 // atomicWriteFile publishes <dir>/<name> via temp file + rename, so a

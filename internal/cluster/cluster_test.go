@@ -368,6 +368,65 @@ func (g gatedBus) Send(env message.Envelope) error {
 	return g.Bus.Send(env)
 }
 
+// registerHookBus runs a hook around each registration on the wrapped bus.
+type registerHookBus struct {
+	bus.Bus
+	registered func() // runs after the registration, before Register returns
+}
+
+func (b registerHookBus) Register(name string, size int) (<-chan message.Envelope, error) {
+	box, err := b.Bus.Register(name, size)
+	b.registered()
+	return box, err
+}
+
+// TestEarlyAnnouncementWaitsForBothSides puts a session end into the
+// concentrator's root-side inbox before Start has returned, with a shard bus
+// that is slow to register — a gridd worker whose root announced while the
+// worker was still dialing its shard. The root-side handler used to run with
+// the shard-side runtime still nil and take the worker process down.
+func TestEarlyAnnouncementWaitsForBothSides(t *testing.T) {
+	parent, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	shard, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close()
+	box, err := shard.Register("c1", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: map[string]protocol.CustomerLoad{"c1": {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := registerHookBus{Bus: parent, registered: func() {
+		end, err := message.NewEnvelope("ua", "cc-000", "s1", message.SessionEnd{Round: 1, Reason: "test"})
+		if err != nil {
+			t.Error(err)
+		} else if err := parent.Send(end); err != nil {
+			t.Error(err)
+		}
+	}}
+	slow := registerHookBus{Bus: shard, registered: func() { time.Sleep(20 * time.Millisecond) }}
+	if err := cc.Start(early, slow, 16); err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Stop()
+	select {
+	case env := <-box:
+		if env.Kind != message.KindSessionEnd {
+			t.Fatalf("member received %s, want the session end", env.Kind)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the early session end never reached the member")
+	}
+}
+
 // TestDoneOnlyAfterSessionEndRelayed blocks the shard bus inside the
 // session-end fan-out: Done must stay false until the relay has returned.
 // Run's drain loop and RunWorker tear the tier down on Done, and when Done

@@ -108,21 +108,24 @@ func NewConcentrator(cfg ConcentratorConfig) (*Concentrator, error) {
 // fan-out names its recipients (one envelope through bus.SendTo) and is
 // never a broadcast.
 func (c *Concentrator) Start(parent, shard bus.Bus, inboxSize int) error {
-	up, err := agent.Start(c.cfg.Name, parent, upSide{c}, inboxSize)
-	if err != nil {
-		return err
-	}
 	down, err := agent.Start(c.cfg.Name, shard, downSide{c}, inboxSize)
 	if err != nil {
-		up.Stop()
 		return err
 	}
-	// Both handles are stored before Start returns; callers start the root
-	// Utility Agent only afterwards, so no announcement can race them.
+	// The root may announce the moment it sees this concentrator on the
+	// parent bus — a TCP root counts a worker as connected while the worker
+	// is still dialing its shard — so the shard side is up first, and the
+	// lock is held across the parent registration: the handler of an early
+	// announcement waits at its first state read until both handles are
+	// stored, instead of relaying through a nil runtime.
 	c.mu.Lock()
+	up, err := agent.Start(c.cfg.Name, parent, upSide{c}, inboxSize)
 	c.upRT, c.downRT = up, down
 	c.mu.Unlock()
-	return nil
+	if err != nil {
+		down.Stop()
+	}
+	return err
 }
 
 // Stop tears down both runtimes.

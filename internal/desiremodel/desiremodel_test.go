@@ -66,35 +66,43 @@ func TestDecideMethodMatchesFigure2Cases(t *testing.T) {
 }
 
 // TestSpecificationMatchesImplementation is the consistency check between
-// the declarative Figure 2 model and the operational ChooseMethod, sampled
-// away from threshold boundaries.
+// the declarative Figure 2 model and the operational ChooseMethod, by search:
+// a grid over lead time, overuse ratio and fleet size with every threshold
+// (15 and 360 minutes, 50 customers, overuse 0.1 / (1 − 0.7·0.5) ≈ 0.154)
+// one step to either side. Five hand-picked situations used to stand here,
+// and the two disagreed on every overuse in (0.10, 0.15] they did not sample.
 func TestSpecificationMatchesImplementation(t *testing.T) {
-	cases := []UASituation{
-		{LeadTimeMinutes: 5, OveruseRatio: 0.4, Customers: 10},
-		{LeadTimeMinutes: 30, OveruseRatio: 0.05, Customers: 400},
-		{LeadTimeMinutes: 120, OveruseRatio: 0.35, Customers: 1000},
-		{LeadTimeMinutes: 720, OveruseRatio: 0.35, Customers: 20},
-		{LeadTimeMinutes: 720, OveruseRatio: 0.35, Customers: 900},
-	}
 	implName := map[utilityagent.Method]string{
 		utilityagent.MethodOffer:          MethodOffer,
 		utilityagent.MethodRequestForBids: MethodRFB,
 		utilityagent.MethodRewardTable:    MethodRewardTable,
 	}
-	for _, s := range cases {
-		spec, _, err := DecideMethod(s)
-		if err != nil {
-			t.Fatal(err)
+	situations, differ := 0, 0
+	for _, lead := range []float64{0, 5, 14, 15, 16, 120, 359, 360, 361, 720} {
+		for pct := 0; pct <= 50; pct++ {
+			for _, customers := range []float64{1, 49, 50, 51, 1000} {
+				s := UASituation{LeadTimeMinutes: lead, OveruseRatio: float64(pct) / 100, Customers: customers}
+				spec, _, err := DecideMethod(s)
+				if err != nil {
+					t.Fatalf("situation %+v: %v", s, err)
+				}
+				impl := utilityagent.ChooseMethod(utilityagent.Situation{
+					LeadTime:     time.Duration(s.LeadTimeMinutes) * time.Minute,
+					OveruseRatio: s.OveruseRatio,
+					Customers:    int(s.Customers),
+					ResponseRate: 0.7,
+				})
+				situations++
+				if implName[impl] != spec {
+					if differ++; differ <= 5 {
+						t.Errorf("situation %+v: spec %q vs implementation %q", s, spec, implName[impl])
+					}
+				}
+			}
 		}
-		impl := utilityagent.ChooseMethod(utilityagent.Situation{
-			LeadTime:     time.Duration(s.LeadTimeMinutes) * time.Minute,
-			OveruseRatio: s.OveruseRatio,
-			Customers:    int(s.Customers),
-			ResponseRate: 0.7,
-		})
-		if implName[impl] != spec {
-			t.Fatalf("situation %+v: spec %q vs implementation %q", s, spec, implName[impl])
-		}
+	}
+	if differ > 0 {
+		t.Errorf("spec and implementation differ on %d of %d situations", differ, situations)
 	}
 }
 

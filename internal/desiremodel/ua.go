@@ -75,11 +75,17 @@ func uaOntology() (*kb.Ontology, error) {
 	return o, nil
 }
 
+// smallPeak is the largest overuse ratio the offer method is expected to
+// clear: internal/utilityagent predicts an offer to remove half of what the
+// responders (the paper's 70% prior) carry and wants what is left to be at
+// most 0.1, so the peak itself may be 0.1 / (1 − 0.7·0.5) ≈ 0.154.
+const smallPeak = 0.1 / (1 - 0.7*0.5)
+
 // strategyRules encodes "determine announcement method": the Section 3.2.4
 // evaluation as knowledge. Thresholds mirror internal/utilityagent: the
-// offer when time is short (< 15 minutes) or the peak small (≤ 0.1 at the
-// paper's 70% response prior); request-for-bids with a long horizon (≥ 360
-// minutes) and a small fleet (≤ 50); reward tables otherwise.
+// offer when time is short (< 15 minutes) or the peak small (≤ smallPeak);
+// request-for-bids with a long horizon (≥ 360 minutes) and a small fleet
+// (≤ 50); reward tables otherwise.
 func strategyRules() (*kb.Base, error) {
 	return kb.NewBase("determine_announcement_method",
 		kb.Rule{
@@ -98,7 +104,7 @@ func strategyRules() (*kb.Base, error) {
 			},
 			Guards: []kb.Guard{
 				{Op: kb.OpGeq, Left: kb.V("T"), Right: kb.N(15)},
-				{Op: kb.OpLeq, Left: kb.V("O"), Right: kb.N(0.1)},
+				{Op: kb.OpLeq, Left: kb.V("O"), Right: kb.N(smallPeak)},
 			},
 			Then: []kb.Atom{kb.A("chosen_method", kb.C(MethodOffer))},
 		},
@@ -111,7 +117,7 @@ func strategyRules() (*kb.Base, error) {
 			},
 			Guards: []kb.Guard{
 				{Op: kb.OpGeq, Left: kb.V("T"), Right: kb.N(360)},
-				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(0.1)},
+				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(smallPeak)},
 				{Op: kb.OpLeq, Left: kb.V("N"), Right: kb.N(50)},
 			},
 			Then: []kb.Atom{kb.A("chosen_method", kb.C(MethodRFB))},
@@ -125,7 +131,7 @@ func strategyRules() (*kb.Base, error) {
 			Guards: []kb.Guard{
 				{Op: kb.OpGeq, Left: kb.V("T"), Right: kb.N(15)},
 				{Op: kb.OpLt, Left: kb.V("T"), Right: kb.N(360)},
-				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(0.1)},
+				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(smallPeak)},
 			},
 			Then: []kb.Atom{kb.A("chosen_method", kb.C(MethodRewardTable))},
 		},
@@ -138,7 +144,7 @@ func strategyRules() (*kb.Base, error) {
 			},
 			Guards: []kb.Guard{
 				{Op: kb.OpGeq, Left: kb.V("T"), Right: kb.N(360)},
-				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(0.1)},
+				{Op: kb.OpGt, Left: kb.V("O"), Right: kb.N(smallPeak)},
 				{Op: kb.OpGt, Left: kb.V("N"), Right: kb.N(50)},
 			},
 			Then: []kb.Atom{kb.A("chosen_method", kb.C(MethodRewardTable))},

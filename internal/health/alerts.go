@@ -504,17 +504,17 @@ func writeAlertsJSON(w io.Writer, alerts []AlertStatus) {
 
 func appendAlertJSON(b []byte, a *AlertStatus) []byte {
 	b = append(b, `{"name":`...)
-	b = strconv.AppendQuote(b, a.Rule.Name)
+	b = trace.AppendJSONString(b, a.Rule.Name)
 	b = append(b, `,"metric":`...)
-	b = strconv.AppendQuote(b, a.Rule.Metric)
+	b = trace.AppendJSONString(b, a.Rule.Metric)
 	b = append(b, `,"op":`...)
-	b = strconv.AppendQuote(b, a.Rule.Op)
+	b = trace.AppendJSONString(b, a.Rule.Op)
 	b = append(b, `,"threshold":`...)
 	b = strconv.AppendFloat(b, a.Rule.Threshold, 'g', -1, 64)
 	b = append(b, `,"for":`...)
 	b = strconv.AppendInt(b, int64(a.Rule.For), 10)
 	b = append(b, `,"state":`...)
-	b = strconv.AppendQuote(b, a.State)
+	b = trace.AppendJSONString(b, a.State)
 	b = append(b, `,"value":`...)
 	b = strconv.AppendFloat(b, a.Value, 'g', -1, 64)
 	b = append(b, `,"breach":`...)

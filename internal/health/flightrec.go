@@ -225,25 +225,25 @@ func writeBundleFile(path string, write func(w io.Writer) error) error {
 func writeMetaJSON(w io.Writer, m *BundleMeta) error {
 	b := make([]byte, 0, 256)
 	b = append(b, `{"proc":`...)
-	b = strconv.AppendQuote(b, m.Proc)
+	b = trace.AppendJSONString(b, m.Proc)
 	b = append(b, `,"reason":`...)
-	b = strconv.AppendQuote(b, m.Reason)
+	b = trace.AppendJSONString(b, m.Reason)
 	if m.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = strconv.AppendQuote(b, m.Detail)
+		b = trace.AppendJSONString(b, m.Detail)
 	}
 	b = append(b, `,"whenUs":`...)
 	b = strconv.AppendInt(b, m.WhenUs, 10)
 	if m.Slowest != "" {
 		b = append(b, `,"slowestSession":`...)
-		b = strconv.AppendQuote(b, m.Slowest)
+		b = trace.AppendJSONString(b, m.Slowest)
 	}
 	b = append(b, `,"feedbackScore":`...)
 	b = strconv.AppendFloat(b, m.Score, 'g', -1, 64)
 	b = append(b, `,"alertsFiring":`...)
 	b = strconv.AppendInt(b, int64(m.Firing), 10)
 	b = append(b, `,"layout":`...)
-	b = strconv.AppendQuote(b, m.Layout)
+	b = trace.AppendJSONString(b, m.Layout)
 	b = append(b, "}\n"...)
 	_, err := w.Write(b)
 	return err

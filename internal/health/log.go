@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"loadbalance/internal/ring"
 )
 
 // Level orders event severities. The zero value is Debug so a zero Config
@@ -131,12 +133,9 @@ type Logger struct {
 	level atomic.Int32
 	proc  string
 
-	mu      sync.Mutex
-	ring    []event
-	next    int
-	total   uint64
-	dropped uint64
-	sink    *os.File
+	mu   sync.Mutex
+	ring *ring.Buffer[event]
+	sink *os.File
 
 	counts [int(Off)]atomic.Uint64 // recorded events per level
 
@@ -154,7 +153,7 @@ func New(cfg Config) (*Logger, error) {
 	}
 	l := &Logger{
 		proc:        cfg.Proc,
-		ring:        make([]event, 0, cfg.RingSize),
+		ring:        ring.New[event](cfg.RingSize),
 		stderrLevel: cfg.StderrLevel,
 	}
 	l.level.Store(int32(cfg.MinLevel))
@@ -241,17 +240,7 @@ func (l *Logger) record(lv Level, component, msg string, fields []Field) {
 
 	var line []byte
 	l.mu.Lock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.dropped++
-	}
-	l.next++
-	if l.next == cap(l.ring) {
-		l.next = 0
-	}
-	l.total++
+	l.ring.Push(ev)
 	if l.sink != nil {
 		line = appendEventJSON(nil, l.proc, &ev)
 		line = append(line, '\n')
@@ -292,14 +281,9 @@ func (l *Logger) Events(f LogFilter) []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	n := len(l.ring)
-	start := 0
-	if n == cap(l.ring) {
-		start = l.next
-	}
-	for i := 0; i < n; i++ {
-		ev := &l.ring[(start+i)%n]
+	out := make([]Event, 0, l.ring.Len())
+	for i := 0; i < l.ring.Len(); i++ {
+		ev := l.ring.At(i)
 		if ev.level < f.MinLevel {
 			continue
 		}
@@ -340,33 +324,17 @@ func (l *Logger) DrainSince(cursor uint64, min Level) (evs []StreamEvent, newCur
 	if l == nil {
 		return nil, cursor, 0
 	}
-	l.mu.Lock()
-	newCursor = l.total
-	if cursor >= l.total {
-		l.mu.Unlock()
-		return nil, newCursor, 0
-	}
-	pending := l.total - cursor
-	if max := uint64(len(l.ring)); pending > max {
-		missed = pending - max
-		pending = max
-	}
-	n := len(l.ring)
-	start := 0
-	if n == cap(l.ring) {
-		start = l.next
-	}
 	// Copy raw entries under the lock, render outside it: field-JSON
 	// encoding allocates, and a full-ring drain must not stall Log on the
 	// hot path. Each entry owns its fields slice and nothing mutates it
 	// after record, so shallow copies stay valid after unlock.
-	first := uint64(n) - pending
-	raw := make([]event, 0, pending)
-	for i := first; i < uint64(n); i++ {
-		raw = append(raw, l.ring[(start+int(i))%n])
-	}
+	l.mu.Lock()
+	raw, missed := l.ring.Since(cursor)
+	newCursor = l.ring.Total()
 	l.mu.Unlock()
-
+	if len(raw) == 0 {
+		return nil, newCursor, missed
+	}
 	evs = make([]StreamEvent, 0, len(raw))
 	for i := range raw {
 		ev := &raw[i]
@@ -393,7 +361,7 @@ func (l *Logger) Stats() (total, dropped uint64, perLevel [int(Off)]uint64) {
 		return 0, 0, perLevel
 	}
 	l.mu.Lock()
-	total, dropped = l.total, l.dropped
+	total, dropped = l.ring.Total(), l.ring.Dropped()
 	l.mu.Unlock()
 	for i := range l.counts {
 		perLevel[i] = l.counts[i].Load()

@@ -17,15 +17,15 @@ func appendEventJSON(b []byte, proc string, ev *event) []byte {
 	b = append(b, `{"tsUs":`...)
 	b = strconv.AppendInt(b, ev.timeUs, 10)
 	b = append(b, `,"level":`...)
-	b = strconv.AppendQuote(b, ev.level.String())
+	b = trace.AppendJSONString(b, ev.level.String())
 	if proc != "" {
 		b = append(b, `,"proc":`...)
-		b = strconv.AppendQuote(b, proc)
+		b = trace.AppendJSONString(b, proc)
 	}
 	b = append(b, `,"component":`...)
-	b = strconv.AppendQuote(b, ev.component)
+	b = trace.AppendJSONString(b, ev.component)
 	b = append(b, `,"msg":`...)
-	b = strconv.AppendQuote(b, ev.msg)
+	b = trace.AppendJSONString(b, ev.msg)
 	for _, f := range ev.fields {
 		b = append(b, ',')
 		b = appendFieldJSON(b, &f)
@@ -36,12 +36,12 @@ func appendEventJSON(b []byte, proc string, ev *event) []byte {
 
 // appendFieldJSON renders one field as `"key":value`.
 func appendFieldJSON(b []byte, f *Field) []byte {
-	b = strconv.AppendQuote(b, f.Key)
+	b = trace.AppendJSONString(b, f.Key)
 	b = append(b, ':')
 	if f.isInt {
 		b = strconv.AppendInt(b, f.Int, 10)
 	} else {
-		b = strconv.AppendQuote(b, f.Str)
+		b = trace.AppendJSONString(b, f.Str)
 	}
 	return b
 }
@@ -74,7 +74,7 @@ func WriteLogDump(w io.Writer, l *Logger, f LogFilter) error {
 	total, dropped, _ := l.Stats()
 	b := make([]byte, 0, 256+128*len(events))
 	b = append(b, `{"proc":`...)
-	b = strconv.AppendQuote(b, l.Proc())
+	b = trace.AppendJSONString(b, l.Proc())
 	b = append(b, `,"total":`...)
 	b = strconv.AppendUint(b, total, 10)
 	b = append(b, `,"dropped":`...)

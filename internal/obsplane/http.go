@@ -61,11 +61,12 @@ func (h *Hub) mergedLogs(f logFilter) FleetLogsDoc {
 	doc.Procs = names
 	for _, n := range names {
 		p := h.procs[n]
-		doc.Missed += p.missedLogs + p.logDropped
+		doc.Missed += p.missedLogs + p.logRing.Dropped()
 		if f.proc != "" && n != f.proc {
 			continue
 		}
-		for _, fl := range ringOrdered(p.logRing, p.logNext, h.cfg.LogRing) {
+		for i := 0; i < p.logRing.Len(); i++ {
+			fl := p.logRing.At(i)
 			lv, err := health.ParseLevel(fl.ev.Level)
 			if err != nil || lv < f.minLevel {
 				continue
@@ -125,8 +126,9 @@ func (h *Hub) mergedTrace(f trace.Filter) FleetTraceDoc {
 	sort.Strings(names)
 	for _, n := range names {
 		p := h.procs[n]
-		doc.Missed += p.missedSpans + p.spanDropped
-		for _, r := range ringOrdered(p.spanRing, p.spanNext, h.cfg.SpanRing) {
+		doc.Missed += p.missedSpans + p.spanRing.Dropped()
+		for i := 0; i < p.spanRing.Len(); i++ {
+			r := p.spanRing.At(i)
 			if f.Session != "" && r.Session != f.Session {
 				continue
 			}

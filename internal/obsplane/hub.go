@@ -22,6 +22,7 @@ import (
 	"loadbalance/internal/bus"
 	"loadbalance/internal/health"
 	"loadbalance/internal/message"
+	"loadbalance/internal/ring"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/tsdb"
 )
@@ -40,11 +41,6 @@ var ErrClosed = errors.New("obsplane: closed")
 type HubConfig struct {
 	// Addr is the TCP listen address emitters dial (":0" for tests).
 	Addr string
-	// LogRing bounds one process's merged log events held by the hub
-	// (default 2048).
-	LogRing int
-	// SpanRing bounds one process's spans held by the hub (default 8192).
-	SpanRing int
 	// MaxFrame bounds one wire frame (default bus.DefaultMaxFrame).
 	MaxFrame int
 	// Logger receives the hub's own health events (default health.Default()).
@@ -58,17 +54,18 @@ type HubConfig struct {
 
 // withDefaults fills unset fields.
 func (c HubConfig) withDefaults() HubConfig {
-	if c.LogRing <= 0 {
-		c.LogRing = 2048
-	}
-	if c.SpanRing <= 0 {
-		c.SpanRing = 8192
-	}
 	if c.Logger == nil {
 		c.Logger = health.Default()
 	}
 	return c
 }
+
+// logRingSize and spanRingSize bound one process's merged log events and
+// spans held by the hub.
+const (
+	logRingSize  = 2048
+	spanRingSize = 8192
+)
 
 // fleetLog is one streamed log event with its sender's identity attached.
 type fleetLog struct {
@@ -90,12 +87,8 @@ type procState struct {
 	missedLogs, missedSpans uint64
 	duplicates              uint64
 	metrics                 []message.ObsMetricSample // latest full sample set
-	logRing                 []fleetLog
-	logNext                 int
-	logDropped              uint64
-	spanRing                []trace.Record
-	spanNext                int
-	spanDropped             uint64
+	logRing                 *ring.Buffer[fleetLog]
+	spanRing                *ring.Buffer[trace.Record]
 }
 
 // sample returns the process's latest value for one metric series name.
@@ -204,15 +197,7 @@ func (h *Hub) subscribe(conn string, m message.ObsSubscribe) {
 		h.mu.Unlock()
 		return
 	}
-	p := h.procs[conn]
-	if p == nil {
-		p = &procState{
-			proc:     conn,
-			logRing:  make([]fleetLog, 0, h.cfg.LogRing),
-			spanRing: make([]trace.Record, 0, h.cfg.SpanRing),
-		}
-		h.procs[conn] = p
-	}
+	p := h.procLocked(conn)
 	p.role, p.addr = m.Role, m.Addr
 	p.lastBatch = time.Now()
 	p.closed = false
@@ -231,17 +216,9 @@ func (h *Hub) merge(conn string, m message.ObsBatch) {
 		h.mu.Unlock()
 		return
 	}
-	p := h.procs[conn]
-	if p == nil {
-		// A batch before any subscription: a protocol error from the peer,
-		// but harmless — register a bare identity rather than losing data.
-		p = &procState{
-			proc:     conn,
-			logRing:  make([]fleetLog, 0, h.cfg.LogRing),
-			spanRing: make([]trace.Record, 0, h.cfg.SpanRing),
-		}
-		h.procs[conn] = p
-	}
+	// A batch before any subscription is a protocol error from the peer, but
+	// harmless: it registers a bare identity rather than losing data.
+	p := h.procLocked(conn)
 	if m.Seq <= p.lastSeq {
 		p.duplicates++
 		h.mu.Unlock()
@@ -264,7 +241,7 @@ func (h *Hub) merge(conn string, m message.ObsBatch) {
 		}
 	}
 	for _, ev := range m.Logs {
-		pushRing(&p.logRing, &p.logNext, &p.logDropped, h.cfg.LogRing, fleetLog{proc: conn, ev: ev})
+		p.logRing.Push(fleetLog{proc: conn, ev: ev})
 		p.logs++
 	}
 	for _, sp := range m.Spans {
@@ -280,36 +257,21 @@ func (h *Hub) merge(conn string, m message.ObsBatch) {
 			StartUs: sp.StartUs,
 			DurUs:   sp.DurUs,
 		}
-		pushRing(&p.spanRing, &p.spanNext, &p.spanDropped, h.cfg.SpanRing, rec)
+		p.spanRing.Push(rec)
 		p.spans++
 	}
 	h.mu.Unlock()
 	h.ack(conn, m.Seq)
 }
 
-// pushRing appends into a bounded ring, overwriting the oldest entry once
-// the ring is full — the same wrap discipline the trace and log rings use.
-func pushRing[T any](ring *[]T, next *int, dropped *uint64, capHint int, v T) {
-	if len(*ring) < capHint {
-		*ring = append(*ring, v)
-	} else {
-		(*ring)[*next] = v
-		*dropped++
+// procLocked returns conn's state, registering it on first sight.
+func (h *Hub) procLocked(conn string) *procState {
+	p := h.procs[conn]
+	if p == nil {
+		p = &procState{proc: conn, logRing: ring.New[fleetLog](logRingSize), spanRing: ring.New[trace.Record](spanRingSize)}
+		h.procs[conn] = p
 	}
-	*next++
-	if *next == capHint {
-		*next = 0
-	}
-}
-
-// ringOrdered returns a ring's entries oldest-first.
-func ringOrdered[T any](ring []T, next, capHint int) []T {
-	out := make([]T, 0, len(ring))
-	if len(ring) < capHint {
-		return append(out, ring...)
-	}
-	out = append(out, ring[next:]...)
-	return append(out, ring[:next]...)
+	return p
 }
 
 // SilenceAge is the fleet's worst last-batch age in seconds over processes

@@ -340,6 +340,40 @@ func TestEmitterReconnectAfterHubRestart(t *testing.T) {
 	}
 }
 
+// TestHostileLogFieldDoesNotWedgeTheStream streams an event whose field holds
+// an escape byte and an invalid one — a peer-influenced err.Error() — and a
+// clean event after it. Rendered in Go syntax the field was not JSON, the
+// batch carrying it could not be enveloped, and the emitter redialled and
+// resent that batch for good: nothing after it ever reached the hub.
+func TestHostileLogFieldDoesNotWedgeTheStream(t *testing.T) {
+	hub, err := StartHub(HubConfig{Addr: "127.0.0.1:0", Logger: testLogger(t, "hub", 16)})
+	if err != nil {
+		t.Fatalf("StartHub: %v", err)
+	}
+	defer hub.Close()
+	logger := testLogger(t, "w1", 16)
+	logger.Log(health.Warn, "client", "dial tcp: \x1b[31mrefused", health.Str("err", "bad \xff \a"))
+	em := StartEmitter(EmitterConfig{
+		Hub: hub.Addr(), Proc: "w1", Role: "client",
+		Interval: 10 * time.Millisecond, Redial: 20 * time.Millisecond,
+		Logger: logger, Tracer: func() *trace.Tracer { return nil },
+	})
+	defer em.Close()
+	waitFor(t, 5*time.Second, func() bool { return len(hub.mergedLogs(logFilter{}).Events) == 1 }, "the hostile event reaching the hub")
+	logger.Log(health.Info, "client", "clean")
+	waitFor(t, 5*time.Second, func() bool { return len(hub.mergedLogs(logFilter{}).Events) == 2 }, "the clean event after it reaching the hub")
+
+	evs := hub.mergedLogs(logFilter{}).Events
+	var fields map[string]string
+	if err := json.Unmarshal(evs[0].Fields, &fields); err != nil || fields["err"] != "bad \ufffd \a" || evs[0].Msg != "dial tcp: \x1b[31mrefused" {
+		t.Errorf("hostile event arrived as msg %q fields %s (%v)", evs[0].Msg, evs[0].Fields, err)
+	}
+	waitFor(t, 5*time.Second, func() bool { st := em.Stats(); return st.Acked == st.Batches }, "every batch acked")
+	if st := em.Stats(); st.Dials != 1 || st.Resubscribes != 0 {
+		t.Errorf("emitter stats %+v: want one connection, every batch acked", st)
+	}
+}
+
 // TestEmitterShedsUnderBackpressure points an emitter at a hub that never
 // acks: the resend window must fill, further flushes must shed (counted),
 // and the pending buffer must stay bounded at the window size.
@@ -438,6 +472,31 @@ func TestMissedCountersAccounted(t *testing.T) {
 	es := em.Stats()
 	if es.MissedLogs != 84 || es.MissedSpans != 24 {
 		t.Fatalf("emitter stats missed = %d/%d, want 84/24", es.MissedLogs, es.MissedSpans)
+	}
+}
+
+// TestHubLogRingWrapCountsMissed covers the loss the hub itself causes: a
+// process that streams more events than its hub-side ring holds has the
+// overwritten ones reported in /fleet/logs' missed, beside the newest
+// logRingSize.
+func TestHubLogRingWrapCountsMissed(t *testing.T) {
+	hub, err := StartHub(HubConfig{Addr: "127.0.0.1:0", Logger: testLogger(t, "hub", 16)})
+	if err != nil {
+		t.Fatalf("StartHub: %v", err)
+	}
+	defer hub.Close()
+	const over = 5
+	batch := message.ObsBatch{Seq: 1, MissedLogs: 2}
+	for i := 0; i < logRingSize+over; i++ {
+		batch.Logs = append(batch.Logs, message.ObsLogEvent{TsUs: int64(i), Level: "info", Component: "burst", Msg: "event"})
+	}
+	hub.merge("w1", batch)
+	doc := hub.mergedLogs(logFilter{})
+	if doc.Missed != 2+over {
+		t.Errorf("/fleet/logs missed = %d, want %d (2 lost at the sender + %d overwritten here)", doc.Missed, 2+over, over)
+	}
+	if len(doc.Events) != logRingSize || doc.Events[0].TsUs != over {
+		t.Errorf("/fleet/logs holds %d events from ts %d, want the newest %d from ts %d", len(doc.Events), doc.Events[0].TsUs, logRingSize, over)
 	}
 }
 

@@ -190,7 +190,9 @@ func TestSnapshotBootstrapAfterPrune(t *testing.T) {
 	}
 	defer rx.Close()
 
-	waitFor(t, 5*time.Second, "snapshot bootstrap + tail", func() bool { return tap.LastSeq() == 400 })
+	// The receiver counts the snapshot after the tap has applied it, so the
+	// tap's position alone does not say the counter has moved yet.
+	waitFor(t, 5*time.Second, "snapshot bootstrap + tail", func() bool { return tap.LastSeq() == 400 && rx.Status().AppliedSeq == 400 })
 	st := rx.Status()
 	if st.Snapshots != 1 {
 		t.Fatalf("receiver applied %d snapshots, want 1", st.Snapshots)

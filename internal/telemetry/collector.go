@@ -1,6 +1,19 @@
+// Package telemetry is the live-grid feedback loop: meters stream measured
+// consumption over the bus, a collector aggregates it into per-shard time
+// series, a deviation detector compares measured against negotiated profiles,
+// and a live engine reacts to sustained drift by re-negotiating only the
+// breaching shards through the cluster tier — the pattern of feedback agents
+// streaming health measurements to a load balancer that adjusts weights
+// online, brought to the agent grid.
+//
+// The paper's negotiation (Brazier et al., ICDCS '98) balances a *predicted*
+// profile once per period; this package closes the loop for continuous
+// operation, where actual consumption drifts from the agreement and the
+// system must notice and react without re-running the fleet negotiation.
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -8,6 +21,13 @@ import (
 	"loadbalance/internal/agent"
 	"loadbalance/internal/message"
 	"loadbalance/internal/prediction"
+	"loadbalance/internal/ring"
+)
+
+// Errors reported by the package.
+var (
+	ErrBadConfig = errors.New("telemetry: invalid configuration")
+	ErrNoData    = errors.New("telemetry: no data")
 )
 
 // CollectorConfig parameterises a collector.
@@ -30,7 +50,7 @@ type CollectorConfig struct {
 type Collector struct {
 	mu      sync.Mutex
 	shardOf map[string]int
-	rings   []*Ring
+	rings   []*ring.Buffer[float64] // per-shard series of closed-tick energies
 	// acc accumulates per-shard energy and reading counts for ticks that are
 	// still open (readings may arrive interleaved across batches).
 	acc      map[int]*tickAcc
@@ -58,7 +78,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	}
 	c := &Collector{
 		shardOf: make(map[string]int, len(cfg.ShardOf)),
-		rings:   make([]*Ring, cfg.Shards),
+		rings:   make([]*ring.Buffer[float64], cfg.Shards),
 		acc:     make(map[int]*tickAcc),
 	}
 	for name, s := range cfg.ShardOf {
@@ -68,11 +88,7 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 		c.shardOf[name] = s
 	}
 	for i := range c.rings {
-		r, err := NewRing(cfg.RingTicks)
-		if err != nil {
-			return nil, err
-		}
-		c.rings[i] = r
+		c.rings[i] = ring.New[float64](cfg.RingTicks)
 	}
 	return c, nil
 }
@@ -193,10 +209,7 @@ func (c *Collector) RestoreState(series [][]float64, stats CollectorStats) error
 		return fmt.Errorf("%w: restoring %d shard series into %d", ErrBadConfig, len(series), len(c.rings))
 	}
 	for i, s := range series {
-		r, err := NewRing(c.rings[i].Cap())
-		if err != nil {
-			return err
-		}
+		r := ring.New[float64](c.rings[i].Cap())
 		for _, v := range s {
 			r.Push(v)
 		}
@@ -206,11 +219,14 @@ func (c *Collector) RestoreState(series [][]float64, stats CollectorStats) error
 	return nil
 }
 
-// ShardSeries copies shard i's closed-tick series, oldest first.
+// ShardSeries copies shard i's closed-tick series, oldest first — the form
+// the prediction package's estimators consume. An empty series is empty, not
+// nil: it is marshalled into snapshots and the grid profile.
 func (c *Collector) ShardSeries(i int) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rings[i].Series()
+	series, _ := c.rings[i].Since(0)
+	return series
 }
 
 // ShardLast returns shard i's newest closed-tick energy without copying the
@@ -218,7 +234,11 @@ func (c *Collector) ShardSeries(i int) []float64 {
 func (c *Collector) ShardLast(i int) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rings[i].Last()
+	r := c.rings[i]
+	if r.Len() == 0 {
+		return 0, false
+	}
+	return r.At(r.Len() - 1), true
 }
 
 // ForecastShard feeds shard i's series to a prediction estimator and returns

@@ -13,38 +13,6 @@ import (
 	"loadbalance/internal/prediction"
 )
 
-func TestRing(t *testing.T) {
-	if _, err := NewRing(0); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero capacity err = %v", err)
-	}
-	r, err := NewRing(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Last(); ok {
-		t.Fatal("empty ring has no last")
-	}
-	for i := 1; i <= 5; i++ {
-		r.Push(float64(i))
-	}
-	if r.Len() != 3 || r.Cap() != 3 {
-		t.Fatalf("len/cap = %d/%d", r.Len(), r.Cap())
-	}
-	got := r.Series()
-	want := []float64{3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("series = %v, want %v", got, want)
-		}
-	}
-	if last, _ := r.Last(); last != 5 {
-		t.Fatalf("last = %v", last)
-	}
-	if r.Sum() != 12 || r.Mean() != 4 {
-		t.Fatalf("sum/mean = %v/%v", r.Sum(), r.Mean())
-	}
-}
-
 func TestMeterDeterministicAndEventful(t *testing.T) {
 	mk := func() *Meter {
 		m, err := NewMeter(MeterConfig{

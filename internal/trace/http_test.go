@@ -107,3 +107,22 @@ func TestHandlerBadParams(t *testing.T) {
 		t.Fatalf("unmatched trace id: code=%d spans=%d, want 200/0", code, len(d.Spans))
 	}
 }
+
+// TestAppendJSONStringReadsBack holds the hand-rolled string writer to
+// encoding/json: whatever bytes go in, json.Unmarshal accepts the literal and
+// returns the string, each byte that is not UTF-8 replaced by U+FFFD.
+func TestAppendJSONStringReadsBack(t *testing.T) {
+	cases := []string{"", "plain", `q"b\`, "\a\b\f\n\r\t\v", "é 日本   \U0001F600", "a\xc3", "\xed\xa0\x80", "�"}
+	for b := 0; b < 256; b++ {
+		cases = append(cases, "x"+string([]byte{byte(b)})+"y")
+	}
+	for _, s := range cases {
+		lit := AppendJSONString([]byte("k:"), s)
+		var got string
+		if err := json.Unmarshal(lit[2:], &got); err != nil || string(lit[:2]) != "k:" {
+			t.Errorf("%q rendered as %s: %v", s, lit, err)
+		} else if want := string([]rune(s)); got != want {
+			t.Errorf("%q read back as %q, want %q", s, got, want)
+		}
+	}
+}

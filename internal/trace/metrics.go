@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // A process publishes its numbers in one place: each package that owns
@@ -215,4 +216,27 @@ func MetricsHandler(gather func() []Sample) http.HandlerFunc {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = WriteMetrics(w, gather()) // a scraper that hung up mid-page has nothing to be told
 	}
+}
+
+// AppendJSONString appends s to dst as a JSON string literal. It is the one
+// string writer of the hand-rolled JSON documents (/logs and the log file,
+// /alerts, /query, flight-recorder bundles, streamed log fields):
+// strconv.AppendQuote writes Go syntax there (\x1b, \a, \xff), which no JSON
+// parser accepts. A quote and a backslash are escaped, a control byte becomes
+// \u00XX and a byte that is not valid UTF-8 becomes \ufffd.
+func AppendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case r < ' ':
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[r>>4], hexDigits[r&0xf])
+		case r == utf8.RuneError: // what ranging over an invalid byte yields
+			dst = append(dst, `\ufffd`...)
+		default:
+			dst = utf8.AppendRune(dst, r)
+		}
+	}
+	return append(dst, '"')
 }

@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"loadbalance/internal/ring"
 )
 
 // Context is the propagated trace state: the trace a span belongs to and
@@ -119,11 +121,8 @@ type Tracer struct {
 	seed uint64
 	ids  atomic.Uint64
 
-	mu      sync.Mutex
-	ring    []ringRec
-	next    int    // ring write cursor
-	total   uint64 // spans ever recorded
-	dropped uint64 // spans overwritten by ring wrap
+	mu   sync.Mutex
+	ring *ring.Buffer[ringRec]
 }
 
 // NewTracer builds a tracer with a fixed ring of ringSize completed spans
@@ -135,7 +134,7 @@ func NewTracer(proc string, ringSize int) *Tracer {
 	return &Tracer{
 		proc: proc,
 		seed: uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32,
-		ring: make([]ringRec, 0, ringSize),
+		ring: ring.New[ringRec](ringSize),
 	}
 }
 
@@ -204,17 +203,7 @@ func (t *Tracer) record(s *Span) {
 		durUs:   time.Since(s.start).Microseconds(),
 	}
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, rec)
-	} else {
-		t.ring[t.next] = rec
-		t.dropped++
-	}
-	t.next++
-	if t.next == cap(t.ring) {
-		t.next = 0
-	}
-	t.total++
+	t.ring.Push(rec)
 	t.mu.Unlock()
 }
 
@@ -239,37 +228,35 @@ func (f Filter) match(r *ringRec, traceID uint64, traceOK bool) bool {
 	return true
 }
 
+// render is the served form of a ring entry: ids to hex, proc attached.
+func (t *Tracer) render(r *ringRec) Record {
+	rec := Record{
+		Trace:   hexID(r.trace),
+		Span:    hexID(r.span),
+		Name:    r.name,
+		Proc:    t.proc,
+		Agent:   r.agent,
+		Session: r.session,
+		Shard:   r.shard,
+		StartUs: r.startUs,
+		DurUs:   r.durUs,
+	}
+	if r.parent != 0 {
+		rec.Parent = hexID(r.parent)
+	}
+	return rec
+}
+
 // Records returns matching spans oldest-first, rendering ids to hex.
 func (t *Tracer) Records(f Filter) []Record {
 	traceID, traceOK := ParseID(f.Trace)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Record, 0, len(t.ring))
-	n := len(t.ring)
-	start := 0
-	if n == cap(t.ring) {
-		start = t.next // ring has wrapped; t.next is the oldest entry
-	}
-	for i := 0; i < n; i++ {
-		r := &t.ring[(start+i)%n]
-		if !f.match(r, traceID, traceOK) {
-			continue
+	out := make([]Record, 0, t.ring.Len())
+	for i := 0; i < t.ring.Len(); i++ {
+		if r := t.ring.At(i); f.match(&r, traceID, traceOK) {
+			out = append(out, t.render(&r))
 		}
-		rec := Record{
-			Trace:   hexID(r.trace),
-			Span:    hexID(r.span),
-			Name:    r.name,
-			Proc:    t.proc,
-			Agent:   r.agent,
-			Session: r.session,
-			Shard:   r.shard,
-			StartUs: r.startUs,
-			DurUs:   r.durUs,
-		}
-		if r.parent != 0 {
-			rec.Parent = hexID(r.parent)
-		}
-		out = append(out, rec)
 	}
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[len(out)-f.Limit:]
@@ -281,7 +268,7 @@ func (t *Tracer) Records(f Filter) []Record {
 func (t *Tracer) Stats() (total, dropped uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total, t.dropped
+	return t.ring.Total(), t.ring.Dropped()
 }
 
 // DrainSince returns every span recorded after the cursor (a total-count
@@ -291,53 +278,20 @@ func (t *Tracer) Stats() (total, dropped uint64) {
 // an obsplane emitter keeps the cursor between flushes and ships exactly
 // the new spans, with losses accounted rather than silent.
 func (t *Tracer) DrainSince(cursor uint64) (recs []Record, newCursor, missed uint64) {
+	// Only the raw entry copy happens under the lock: hex rendering allocates
+	// per record, and a full-ring drain must not stall Span.End on the hot
+	// path. Entries are value types whose strings are never mutated in place,
+	// so shallow copies stay valid after unlock.
 	t.mu.Lock()
-	newCursor = t.total
-	if cursor >= t.total {
-		t.mu.Unlock()
-		return nil, newCursor, 0
-	}
-	pending := t.total - cursor
-	if max := uint64(len(t.ring)); pending > max {
-		missed = pending - max
-		pending = max
-	}
-	n := len(t.ring)
-	start := 0
-	if n == cap(t.ring) {
-		start = t.next // ring has wrapped; t.next is the oldest entry
-	}
-	// The newest entry sits just before the write position; the pending
-	// run is the last `pending` entries in ring order. Only the raw entry
-	// copy happens under the lock: hex rendering allocates per record, and
-	// a full-ring drain must not stall Span.End on the hot path. Entries
-	// are value types whose strings are never mutated in place, so shallow
-	// copies stay valid after unlock.
-	first := uint64(n) - pending
-	raw := make([]ringRec, 0, pending)
-	for i := first; i < uint64(n); i++ {
-		raw = append(raw, t.ring[(start+int(i))%n])
-	}
+	raw, missed := t.ring.Since(cursor)
+	newCursor = t.ring.Total()
 	t.mu.Unlock()
-
-	recs = make([]Record, 0, len(raw))
+	if len(raw) == 0 {
+		return nil, newCursor, missed
+	}
+	recs = make([]Record, len(raw))
 	for i := range raw {
-		r := &raw[i]
-		rec := Record{
-			Trace:   hexID(r.trace),
-			Span:    hexID(r.span),
-			Name:    r.name,
-			Proc:    t.proc,
-			Agent:   r.agent,
-			Session: r.session,
-			Shard:   r.shard,
-			StartUs: r.startUs,
-			DurUs:   r.durUs,
-		}
-		if r.parent != 0 {
-			rec.Parent = hexID(r.parent)
-		}
-		recs = append(recs, rec)
+		recs[i] = t.render(&raw[i])
 	}
 	return recs, newCursor, missed
 }

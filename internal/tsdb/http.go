@@ -3,6 +3,8 @@ package tsdb
 import (
 	"net/http"
 	"strconv"
+
+	"loadbalance/internal/trace"
 )
 
 // maxQueryPoints caps one response; step is the client's tool to stay
@@ -67,7 +69,7 @@ func Handler(st *Store, nowUs func() int64) http.HandlerFunc {
 func writeQueryJSON(w http.ResponseWriter, e Expr, fromUs, toUs, stepUs int64, pts []Point) {
 	b := make([]byte, 0, 128+32*len(pts))
 	b = append(b, `{"series":`...)
-	b = strconv.AppendQuote(b, e.String())
+	b = trace.AppendJSONString(b, e.String())
 	b = append(b, `,"fromUs":`...)
 	b = strconv.AppendInt(b, fromUs, 10)
 	b = append(b, `,"toUs":`...)

@@ -71,8 +71,12 @@ func (sc *Scraper) run() {
 	}
 }
 
-// Close stops the loop and waits for it to exit.
+// Close stops the loop and waits for it to exit. A nil Scraper — a role
+// with history disabled — has nothing to stop.
 func (sc *Scraper) Close() {
+	if sc == nil {
+		return
+	}
 	sc.closeOnce.Do(func() { close(sc.stop) })
 	<-sc.done
 }

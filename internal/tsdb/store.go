@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"loadbalance/internal/ring"
 	"loadbalance/internal/trace"
 )
 
@@ -51,15 +52,11 @@ func rawPoint(tsUs int64, v float64) agg {
 
 // series is one named ring pair plus the fold accumulator bridging them.
 type series struct {
-	raw      []agg // fixed-capacity ring of raw points
-	rawStart int
-	rawLen   int
-	ds       []agg // tier-2 ring of downsampled aggregates (lazily allocated)
-	dsStart  int
-	dsLen    int
-	acc      agg // partial tier-2 aggregate being accumulated
-	accN     int // raw evictions folded into acc so far
-	lastTs   int64
+	raw    *ring.Buffer[agg] // raw points
+	ds     *ring.Buffer[agg] // tier 2: downsampled aggregates (nil until the first one)
+	acc    agg               // partial tier-2 aggregate being accumulated
+	accN   int               // raw evictions folded into acc so far
+	lastTs int64
 }
 
 // Config bounds a Store. Zero fields take defaults.
@@ -137,24 +134,19 @@ func (st *Store) appendLocked(name string, tsUs int64, v float64) {
 			st.dropped++
 			return
 		}
-		s = &series{raw: make([]agg, st.cfg.RawCapacity)}
+		s = &series{raw: ring.New[agg](st.cfg.RawCapacity)}
 		st.series[name] = s
 		st.names = append(st.names, name)
 	}
-	if s.rawLen > 0 && tsUs <= s.lastTs {
+	if s.raw.Len() > 0 && tsUs <= s.lastTs {
 		st.dropped++
 		return
 	}
 	s.lastTs = tsUs
-	if s.rawLen == len(s.raw) {
-		old := s.raw[s.rawStart]
-		s.rawStart = (s.rawStart + 1) % len(s.raw)
-		s.rawLen--
+	if old, wrapped := s.raw.Push(rawPoint(tsUs, v)); wrapped {
 		st.evicted++
 		st.foldLocked(s, old)
 	}
-	s.raw[(s.rawStart+s.rawLen)%len(s.raw)] = rawPoint(tsUs, v)
-	s.rawLen++
 }
 
 // foldLocked merges one evicted raw point into the series' tier-2
@@ -179,14 +171,9 @@ func (st *Store) foldLocked(s *series, p agg) {
 		return
 	}
 	if s.ds == nil {
-		s.ds = make([]agg, st.cfg.DownsampleCapacity)
+		s.ds = ring.New[agg](st.cfg.DownsampleCapacity)
 	}
-	if s.dsLen == len(s.ds) {
-		s.dsStart = (s.dsStart + 1) % len(s.ds)
-		s.dsLen--
-	}
-	s.ds[(s.dsStart+s.dsLen)%len(s.ds)] = s.acc
-	s.dsLen++
+	s.ds.Push(s.acc)
 	s.accN = 0
 }
 
@@ -199,20 +186,20 @@ func (st *Store) window(name string, fromUs, toUs int64) []agg {
 	if s == nil {
 		return nil
 	}
-	out := make([]agg, 0, s.dsLen+s.rawLen+1)
+	out := make([]agg, 0, s.ds.Len()+s.raw.Len()+1)
 	take := func(p agg) {
 		if p.tsUs > fromUs && p.tsUs <= toUs {
 			out = append(out, p)
 		}
 	}
-	for i := 0; i < s.dsLen; i++ {
-		take(s.ds[(s.dsStart+i)%len(s.ds)])
+	for i := 0; i < s.ds.Len(); i++ {
+		take(s.ds.At(i))
 	}
 	if s.accN > 0 {
 		take(s.acc)
 	}
-	for i := 0; i < s.rawLen; i++ {
-		take(s.raw[(s.rawStart+i)%len(s.raw)])
+	for i := 0; i < s.raw.Len(); i++ {
+		take(s.raw.At(i))
 	}
 	return out
 }
@@ -240,7 +227,7 @@ func (st *Store) Stats() Stats {
 	defer st.mu.Unlock()
 	n := 0
 	for _, s := range st.series {
-		n += s.rawLen + s.dsLen
+		n += s.raw.Len() + s.ds.Len()
 	}
 	return Stats{Series: len(st.series), Points: n, Evictions: st.evicted, Dropped: st.dropped}
 }
