@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,8 +33,11 @@ func TestRunSingleExperiment(t *testing.T) {
 
 // TestRunRecordsExperimentHistogram: each experiment's wall time lands in
 // the experiment_duration_seconds histogram under its id, served on -metrics.
+// The registry is the process's, so the run adds one to whatever earlier runs
+// (-count > 1) left there.
 func TestRunRecordsExperimentHistogram(t *testing.T) {
 	dir := t.TempDir()
+	before := trace.GetHistogramL("experiment_duration_seconds", "exp", "e3").Count()
 	if err := run([]string{"-exp", "e3", "-out", dir}); err != nil {
 		t.Fatalf("e3: %v", err)
 	}
@@ -42,7 +46,7 @@ func TestRunRecordsExperimentHistogram(t *testing.T) {
 	metrics := buf.String()
 	for _, want := range []string{
 		"# TYPE experiment_duration_seconds histogram",
-		`experiment_duration_seconds_count{exp="e3"} 1`,
+		fmt.Sprintf(`experiment_duration_seconds_count{exp="e3"} %d`, before+1),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)

@@ -9,7 +9,8 @@
 // agent information and maintenance of world information. In this
 // reproduction:
 //
-//   - agent interaction management is the Runtime (mailbox, send/broadcast);
+//   - agent interaction management is the Runtime (mailbox, send/broadcast),
+//     hosted one goroutine each (Start) or many to a worker (StartFleet);
 //   - maintenance of agent/world information is the Model (typed response
 //     counters and world values);
 //   - the remaining tasks are methods on the concrete agents
@@ -34,8 +35,9 @@ var (
 	ErrNilHandler = errors.New("agent: handler must not be nil")
 )
 
-// Handler reacts to the agent's inbox. Implementations run on the agent's
-// own goroutine, so they may freely mutate agent state without locks.
+// Handler reacts to the agent's inbox. Implementations run on the one
+// goroutine that hosts the agent — its own, or its fleet's worker — so they
+// may freely mutate agent state without locks.
 type Handler interface {
 	// OnStart runs once before the first message — the hook for
 	// pro-active behaviour (the UA starting a negotiation).
@@ -44,8 +46,10 @@ type Handler interface {
 	OnMessage(rt *Runtime, env message.Envelope) error
 }
 
-// Runtime owns one agent goroutine: its registration on the bus, its inbox
-// loop and its shutdown. Every agent in the system is hosted by a Runtime.
+// Runtime is one hosted agent: its name on the bus, its handler, its trace
+// context and its recorded errors. Start gives it a goroutine, an inbox and a
+// stop channel of its own; a Fleet member has none of the three (they are
+// nil) and is driven by the fleet's worker.
 type Runtime struct {
 	name    string
 	bus     bus.Bus
@@ -195,10 +199,14 @@ func (rt *Runtime) Broadcast(session string, p message.Payload) error {
 }
 
 // Stop signals the goroutine, unregisters from the bus and waits for exit.
-// It is idempotent.
+// It is idempotent. A Fleet member has no goroutine of its own: Stop takes its
+// name off the bus (what the fleet already queued for it is still handled) and
+// returns, and the fleet's worker is the Fleet's to stop.
 func (rt *Runtime) Stop() {
 	rt.stopOnce.Do(func() {
-		close(rt.stop)
+		if rt.stop != nil {
+			close(rt.stop)
+		}
 		rt.bus.Unregister(rt.name)
 	})
 	rt.exited.Wait()
@@ -206,6 +214,7 @@ func (rt *Runtime) Stop() {
 
 // Wait blocks until the agent goroutine exits (without requesting a stop) —
 // used when the handler terminates itself by returning after a session ends.
+// It returns at once for a Fleet member.
 func (rt *Runtime) Wait() { rt.exited.Wait() }
 
 // Errors returns the handler errors recorded so far.

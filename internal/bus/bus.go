@@ -14,6 +14,7 @@ package bus
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -27,6 +28,7 @@ var (
 	ErrUnknownAgent   = errors.New("bus: unknown agent")
 	ErrClosed         = errors.New("bus: closed")
 	ErrInboxFull      = errors.New("bus: inbox full")
+	ErrNoGroups       = errors.New("bus: transport cannot register a group")
 )
 
 // Bus is the transport abstraction agents communicate through.
@@ -83,6 +85,36 @@ var (
 	_ fanOuter = (*Remote)(nil)
 )
 
+// GroupSink takes the deliveries of a set of names registered together:
+// member indexes the recipient in the names RegisterGroup was given, and env
+// is addressed to it. The bus calls it with its lock held, so it must neither
+// block nor call the bus; false means the member has no room — the delivery
+// is Rejected and the sender sees ErrInboxFull, as with a full inbox.
+type GroupSink func(member int, env message.Envelope) bool
+
+// RegisterGroup registers names on b together, with no inbox each: their
+// deliveries go to sink, in the order and with the fault-injection draws and
+// Stats that len(names) Registers would have given. It is all or nothing — on
+// a duplicate or empty name none is registered. Unregister removes one of the
+// names like any other (envelopes the sink already took are the sink's); the
+// returned function removes those that remain, under one lock acquisition.
+//
+// A bus that cannot do this (only InProc can: a TCP connection is one name)
+// returns ErrNoGroups.
+func RegisterGroup(b Bus, names []string, sink GroupSink) (unregister func(), err error) {
+	if g, ok := b.(groupHost); ok {
+		return g.RegisterGroup(names, sink)
+	}
+	return nil, ErrNoGroups
+}
+
+// groupHost is a Bus with RegisterGroup.
+type groupHost interface {
+	RegisterGroup(names []string, sink GroupSink) (unregister func(), err error)
+}
+
+var _ groupHost = (*InProc)(nil)
+
 // Stats counts bus traffic. All counters are cumulative.
 type Stats struct {
 	Sent      int
@@ -104,7 +136,7 @@ type Config struct {
 // InProc is the channel-based bus. It is safe for concurrent use.
 type InProc struct {
 	mu    sync.Mutex
-	boxes map[string]chan message.Envelope
+	boxes map[string]box
 	// roster is the sorted names of boxes, or nil when a Register,
 	// Unregister or Close has changed boxes since it was built. A session
 	// registers everyone before its first broadcast and unregisters after
@@ -119,6 +151,18 @@ type InProc struct {
 
 var _ Bus = (*InProc)(nil)
 
+// box is where a registered name's deliveries go: its inbox channel, or
+// member i of the group it was registered with.
+type box struct {
+	ch     chan message.Envelope
+	group  *group
+	member int
+}
+
+// group is one RegisterGroup call; boxes point at it, which is how its
+// unregister tells its own names from a later registration of the same name.
+type group struct{ sink GroupSink }
+
 // NewInProc constructs an in-process bus.
 func NewInProc(cfg Config) (*InProc, error) {
 	if cfg.DropRate < 0 || cfg.DropRate > 1 {
@@ -129,7 +173,7 @@ func NewInProc(cfg Config) (*InProc, error) {
 		size = 64
 	}
 	return &InProc{
-		boxes:    make(map[string]chan message.Envelope),
+		boxes:    make(map[string]box),
 		dropRate: cfg.DropRate,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		defSize:  size,
@@ -153,19 +197,55 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateAgent, name)
 	}
 	ch := make(chan message.Envelope, inboxSize)
-	b.boxes[name] = ch
+	b.boxes[name] = box{ch: ch}
 	b.roster = nil
 	return ch, nil
+}
+
+// RegisterGroup is the package-level RegisterGroup on this bus.
+func (b *InProc) RegisterGroup(names []string, sink GroupSink) (func(), error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, ErrClosed
+	}
+	// One map sized for everyone, instead of growing it a name at a time.
+	boxes := make(map[string]box, len(b.boxes)+len(names))
+	maps.Copy(boxes, b.boxes)
+	g := &group{sink: sink}
+	for i, name := range names {
+		if name == "" {
+			return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
+		}
+		if _, ok := boxes[name]; ok {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateAgent, name)
+		}
+		boxes[name] = box{group: g, member: i}
+	}
+	b.boxes = boxes
+	b.roster = nil
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for _, name := range names {
+			if b.boxes[name].group == g {
+				delete(b.boxes, name)
+			}
+		}
+		b.roster = nil
+	}, nil
 }
 
 // Unregister implements Bus.
 func (b *InProc) Unregister(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if ch, ok := b.boxes[name]; ok {
+	if bx, ok := b.boxes[name]; ok {
 		delete(b.boxes, name)
 		b.roster = nil
-		close(ch)
+		if bx.ch != nil {
+			close(bx.ch)
+		}
 	}
 }
 
@@ -223,9 +303,10 @@ func (b *InProc) SendTo(env message.Envelope, to []string) error {
 	return firstErr
 }
 
-// deliverLocked pushes an envelope into one mailbox. The caller holds b.mu.
+// deliverLocked pushes an envelope into one mailbox, or hands it to the sink
+// of the recipient's group. The caller holds b.mu.
 func (b *InProc) deliverLocked(to string, env message.Envelope) error {
-	ch, ok := b.boxes[to]
+	bx, ok := b.boxes[to]
 	if !ok {
 		b.stats.Rejected++
 		return fmt.Errorf("%w: %q", ErrUnknownAgent, to)
@@ -238,14 +319,22 @@ func (b *InProc) deliverLocked(to string, env message.Envelope) error {
 		return nil // silently lost, like a real lossy network
 	}
 	env.To = to // concretise broadcast recipient
-	select {
-	case ch <- env:
-		b.stats.Delivered++
-		return nil
-	default:
+	accepted := false
+	if bx.group != nil {
+		accepted = bx.group.sink(bx.member, env)
+	} else {
+		select {
+		case bx.ch <- env:
+			accepted = true
+		default:
+		}
+	}
+	if !accepted {
 		b.stats.Rejected++
 		return fmt.Errorf("%w: %q", ErrInboxFull, to)
 	}
+	b.stats.Delivered++
+	return nil
 }
 
 // Agents implements Bus.
@@ -262,8 +351,9 @@ func (b *InProc) Stats() Stats {
 	return b.stats
 }
 
-// Close shuts the bus; subsequent Register/Send calls fail and all inboxes
-// are closed.
+// Close shuts the bus; subsequent Register/Send calls fail, all inboxes are
+// closed and every group's names are dropped (a group's sink is not told: what
+// it took before the close is its to finish).
 func (b *InProc) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -272,8 +362,10 @@ func (b *InProc) Close() {
 	}
 	b.closed = true
 	b.roster = nil
-	for n, ch := range b.boxes {
+	for n, bx := range b.boxes {
 		delete(b.boxes, n)
-		close(ch)
+		if bx.ch != nil {
+			close(bx.ch)
+		}
 	}
 }

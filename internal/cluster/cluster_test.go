@@ -3,8 +3,10 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,6 +199,85 @@ func TestLossyShards(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("expected injected loss on the shard buses")
+	}
+}
+
+// TestLossySessionDoesNotWaitOutADrain is core's test of the same name
+// through the tree: the session is over when every concentrator has relayed
+// the session end and every shard's fleet has handled what reached it. An
+// award a lossy shard bus dropped used to keep Run polling for 200 ms.
+func TestLossySessionDoesNotWaitOutADrain(t *testing.T) {
+	s, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.DropRate = 0.2
+	s.RoundTimeout = 20 * time.Millisecond
+	res, err := Run(Config{Scenario: s, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, b := range res.ShardBuses {
+		dropped += b.Dropped
+	}
+	if res.Rounds == 0 || dropped == 0 {
+		t.Fatalf("not a lossy negotiation: %d rounds, %d dropped", res.Rounds, dropped)
+	}
+	t.Logf("%d rounds in %v", res.Rounds, res.Elapsed)
+	if res.Elapsed >= 200*time.Millisecond {
+		t.Fatalf("a lossy session of %d rounds with a %v round timeout took %v", res.Rounds, s.RoundTimeout, res.Elapsed)
+	}
+}
+
+// TestHundredThousandCustomers is the scale the north star names: 100 000
+// customers over 16 shards converge in two rounds with nothing rejected, on
+// sixteen workers — the process never has more than a hundred goroutines,
+// where it had one per customer.
+func TestHundredThousandCustomers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N = 100 000")
+	}
+	s, err := core.SyntheticScenario(core.SyntheticConfig{N: 100000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak atomic.Int64
+	sampled := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			peak.Store(max(peak.Load(), int64(runtime.NumGoroutine())))
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	res, err := Run(Config{Scenario: s, Shards: 16})
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d rounds in %v, peak %d goroutines", res.Rounds, res.Elapsed, peak.Load())
+	if res.Rounds != 2 || res.Outcome != protocol.OutcomeConverged.String() || len(res.AgentErrors) != 0 {
+		t.Fatalf("%d rounds, outcome %q, agent errors %v", res.Rounds, res.Outcome, res.AgentErrors)
+	}
+	if len(res.FinalBids) != len(s.Customers) {
+		t.Fatalf("%d of %d customers hosted", len(res.FinalBids), len(s.Customers))
+	}
+	for i, b := range append([]bus.Stats{res.ParentBus}, res.ShardBuses...) {
+		if b.Rejected != 0 {
+			t.Fatalf("bus %d rejected %d deliveries of %d sent", i, b.Rejected, b.Sent)
+		}
+	}
+	if peak.Load() > 100 {
+		t.Fatalf("peak of %d goroutines for 16 shards, want at most 100", peak.Load())
 	}
 }
 
@@ -428,10 +509,10 @@ func TestEarlyAnnouncementWaitsForBothSides(t *testing.T) {
 }
 
 // TestDoneOnlyAfterSessionEndRelayed blocks the shard bus inside the
-// session-end fan-out: Done must stay false until the relay has returned.
-// Run's drain loop and RunWorker tear the tier down on Done, and when Done
-// turned true on receipt of the session end they could do so with a shard's
-// session ends still unsent.
+// session-end fan-out: Done must stay false (Relayed open) until the relay has
+// returned. Run and RunWorker tear the tier down on it, and when it turned
+// true on receipt of the session end they could do so with a shard's session
+// ends still unsent.
 func TestDoneOnlyAfterSessionEndRelayed(t *testing.T) {
 	parent, err := bus.NewInProc(bus.Config{})
 	if err != nil {
@@ -478,12 +559,13 @@ func TestDoneOnlyAfterSessionEndRelayed(t *testing.T) {
 		t.Fatal("Done() is true while the session-end fan-out is still inside the shard bus")
 	}
 	release()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cc.Done() {
-		if time.Now().After(deadline) {
-			t.Fatal("Done() never turned true after the fan-out was released")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-cc.Relayed():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Relayed() never closed after the fan-out was released")
+	}
+	if !cc.Done() {
+		t.Fatal("Done() is false with Relayed() closed")
 	}
 	for name, box := range boxes {
 		if len(box) != 1 {

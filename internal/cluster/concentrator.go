@@ -48,7 +48,8 @@ type ConcentratorConfig struct {
 // timer goroutines.
 type Concentrator struct {
 	cfg     ConcentratorConfig
-	members []string // sorted member names; immutable after construction
+	members []string      // sorted member names; immutable after construction
+	relayed chan struct{} // closed once the session end is fanned out to the shard
 
 	mu       sync.Mutex
 	upRT     *agent.Runtime // registered on the parent (root) bus
@@ -63,7 +64,6 @@ type Concentrator struct {
 	responded map[string]bool
 	lastUp    float64 // last upward bid (monotonic floor)
 	ended     bool    // session end received: nothing more is relayed or recorded
-	relayed   bool    // session end fanned out to the shard (Done)
 	awarded   bool
 
 	// tctx is the trace context of the last relayed announcement; timer
@@ -97,6 +97,7 @@ func NewConcentrator(cfg ConcentratorConfig) (*Concentrator, error) {
 		heard:     make(map[string]bool),
 		lastBids:  make(map[string]float64),
 		responded: make(map[string]bool),
+		relayed:   make(chan struct{}),
 	}, nil
 }
 
@@ -168,13 +169,19 @@ func (c *Concentrator) WaitUp() {
 	}
 }
 
-// Done reports whether the concentrator has relayed the session end to its
+// Relayed is closed once the concentrator has relayed the session end to its
 // shard: every member's copy has been handed to the shard bus. Awards, when
 // any were due, went before it on the same runtime.
+func (c *Concentrator) Relayed() <-chan struct{} { return c.relayed }
+
+// Done reports whether Relayed is closed.
 func (c *Concentrator) Done() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.relayed
+	select {
+	case <-c.relayed:
+		return true
+	default:
+		return false
+	}
 }
 
 // MemberBids returns each member's current cut-down commitment.
@@ -189,8 +196,9 @@ func (c *Concentrator) MemberBids() map[string]float64 {
 }
 
 // RespondedMembers returns the members that have bid at least once, in no
-// particular order. The engine's teardown drain polls this every
-// millisecond, so it stays a plain snapshot — no sorting under the mutex.
+// particular order. RunDistributed's wait for awards still on the wire polls
+// this every millisecond, so it stays a plain snapshot — no sorting under the
+// mutex.
 func (c *Concentrator) RespondedMembers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -416,9 +424,9 @@ func (c *Concentrator) distributeAwards(tc trace.Context, m message.Award) error
 }
 
 // forwardSessionEnd relays the termination downward and closes the shard.
-// ended stops the negotiation (and a second relay) at once; relayed, which is
-// what Done reports, is set only when the fan-out has returned, so a caller
-// that tears the tier down on Done cannot cut the relay short.
+// ended stops the negotiation (and a second relay) at once; relayed is closed
+// only when the fan-out has returned, so a caller that tears the tier down on
+// it cannot cut the relay short.
 func (c *Concentrator) forwardSessionEnd(tc trace.Context, m message.SessionEnd) error {
 	c.mu.Lock()
 	if c.ended {
@@ -430,10 +438,7 @@ func (c *Concentrator) forwardSessionEnd(tc trace.Context, m message.SessionEnd)
 	c.mu.Unlock()
 
 	err := down.SendAllCtx(tc, c.members, c.cfg.SessionID, m)
-
-	c.mu.Lock()
-	c.relayed = true
-	c.mu.Unlock()
+	close(c.relayed)
 	return err
 }
 

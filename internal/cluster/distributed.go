@@ -8,6 +8,7 @@ import (
 	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
+	"loadbalance/internal/customeragent"
 	"loadbalance/internal/message"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/utilityagent"
@@ -93,19 +94,15 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		close(upDead)
 	}()
 
-	tick := time.NewTicker(5 * time.Millisecond) //gridlint:allow walltime(worker-liveness poll ticker; gates startup, not negotiation values)
-	defer tick.Stop()
-	for !cc.Done() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-upDead:
-			// The root connection died. Everything it delivered has been
-			// handled by now, so a pending session end has already landed.
-			if !cc.Done() {
-				return fmt.Errorf("cluster: worker %q lost the root connection before session end", cfg.Concentrator.Name)
-			}
-		case <-tick.C:
+	select {
+	case <-cc.Relayed():
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-upDead:
+		// The root connection died. Everything it delivered has been
+		// handled by now, so a pending session end has already landed.
+		if !cc.Done() {
+			return fmt.Errorf("cluster: worker %q lost the root connection before session end", cfg.Concentrator.Name)
 		}
 	}
 	// The session end is relayed; awards were written synchronously before
@@ -202,7 +199,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 
 	// Every member shares the one bus behind memberSrv; fan-outs name their
 	// recipients, so the shards need no bus of their own.
-	cas, runtimes, err := core.HostCustomers(memberBus, s.Customers)
+	cas, fleet, err := core.HostCustomers(memberBus, s.Customers)
 	if err != nil {
 		return nil, err
 	}
@@ -211,9 +208,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 		if tier != nil {
 			tier.Stop()
 		}
-		for _, rt := range runtimes {
-			rt.Stop()
-		}
+		fleet.Stop()
 	}()
 
 	tier, _, _, err = DialTier(rootSrv.Addr(), memberSrv.Addr(), topo, TierConfig{
@@ -247,27 +242,34 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	runtimes = append(runtimes, uaRT)
+	defer uaRT.Stop()
 
+	stalled := time.After(timeout) //gridlint:allow walltime(liveness timeout for a stalled distributed fleet; fires only when the run already failed)
 	var uaResult utilityagent.Result
 	select {
 	case uaResult = <-ua.Done():
-	case <-time.After(timeout): //gridlint:allow walltime(liveness timeout for a stalled distributed fleet; fires only when the run already failed)
+	case <-stalled:
 		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
 	}
 
 	// Awards and the session end cross two TCP hops before reaching the
-	// customers; drain until every in-process member saw them (bounded, like
-	// the in-proc engine's drain).
+	// customers. A concentrator has relayed once its frames are written, not
+	// once the member server has read them, so wait (bounded) until every
+	// in-process member that is owed an award has it; the fleet then finishes
+	// what has arrived.
 	if len(uaResult.History) > 0 {
-		drainDeadline := time.Now().Add(2 * time.Second) //gridlint:allow walltime(bounded award-drain deadline; liveness only, awards are already decided)
-		for time.Now().Before(drainDeadline) {           //gridlint:allow walltime(bounded award-drain deadline; liveness only, awards are already decided)
-			if allRelayed(tier.Concentrators) && allAwarded(tier.Concentrators, cas, s.SessionID) {
+		if err := tier.awaitRelay(stalled); err != nil {
+			return nil, fmt.Errorf("%w after %v", err, timeout)
+		}
+		onTheWire := time.Now().Add(2 * time.Second) //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
+		for time.Now().Before(onTheWire) {           //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
+			if allAwarded(tier.Concentrators, cas, s.SessionID) {
 				break
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
+	fleet.Quiesce()
 
 	res := &DistributedResult{
 		Result: Result{
@@ -286,11 +288,26 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 			res.MemberAwards[name] = award
 		}
 	}
-	for _, rt := range runtimes {
-		res.AgentErrors = append(res.AgentErrors, rt.Errors()...)
-	}
+	res.AgentErrors = append(fleet.Errors(), uaRT.Errors()...)
 	res.AgentErrors = append(res.AgentErrors, tier.Errors()...)
 	res.RootWire = rootSrv.WireStats()
 	res.MemberWire = memberSrv.WireStats()
 	return res, nil
+}
+
+// allAwarded reports whether every responding member hosted in-process has
+// seen its award.
+func allAwarded(ccs []*Concentrator, cas map[string]*customeragent.Agent, session string) bool {
+	for _, c := range ccs {
+		for _, name := range c.RespondedMembers() {
+			ca, ok := cas[name]
+			if !ok {
+				continue
+			}
+			if _, got := ca.AwardFor(session); !got {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -130,23 +130,23 @@ func Run(cfg Config) (*Result, error) {
 
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
 
-	var runtimes []*agentrt.Runtime
 	var tier *Tier
+	var fleets []*agentrt.Fleet
 	var shardBuses []*bus.InProc
 	defer func() {
 		if tier != nil {
 			tier.Stop()
 		}
-		for _, rt := range runtimes {
-			rt.Stop()
+		for _, f := range fleets {
+			f.Stop()
 		}
 		for _, b := range shardBuses {
 			b.Close()
 		}
 	}()
 
-	// Shard i hosts block i of the fleet sorted by name — the Topology's
-	// partition — on a bus of its own.
+	// Shard i hosts block i of the customers sorted by name — the Topology's
+	// partition — as one fleet on a bus of its own.
 	fleet := slices.Clone(s.Customers)
 	slices.SortFunc(fleet, func(a, b core.CustomerSpec) int { return strings.Compare(a.Name, b.Name) })
 	cas := make(map[string]*customeragent.Agent, len(fleet))
@@ -156,13 +156,13 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		shardBuses = append(shardBuses, shardBus)
-		agents, rts, err := core.HostCustomers(shardBus, fleet[:len(members)])
+		agents, hosted, err := core.HostCustomers(shardBus, fleet[:len(members)])
 		if err != nil {
 			return nil, err
 		}
 		fleet = fleet[len(members):]
 		maps.Copy(cas, agents)
-		runtimes = append(runtimes, rts...)
+		fleets = append(fleets, hosted)
 	}
 
 	tier, err = StartTier(parent, func(i int) bus.Bus { return shardBuses[i] }, topo, TierConfig{
@@ -197,26 +197,28 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	runtimes = append(runtimes, uaRT)
+	defer uaRT.Stop()
 
+	stalled := time.After(timeout) //gridlint:allow walltime(liveness timeout for a stalled fleet; fires only when the run already failed)
 	var uaResult utilityagent.Result
 	select {
 	case uaResult = <-ua.Done():
-	case <-time.After(timeout): //gridlint:allow walltime(liveness timeout for a stalled fleet; fires only when the run already failed)
+	case <-stalled:
 		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
 	}
 
-	// Let awards and session-end relays propagate down the tree before
-	// teardown, so member awards are consistent. A below-warrant prediction
-	// ends without any announcement, so there is nothing to relay.
+	// The awards and the session end are still on their way down the tree:
+	// each concentrator hands its shard's awards and then the session end to
+	// the shard bus, and what that bus did not lose is then in the shard
+	// fleet's queue. A below-warrant prediction ends without any
+	// announcement, so there is nothing to relay.
 	if len(uaResult.History) > 0 {
-		drainDeadline := time.Now().Add(200 * time.Millisecond) //gridlint:allow walltime(bounded message-drain deadline; liveness only, awards are already decided)
-		for time.Now().Before(drainDeadline) {                  //gridlint:allow walltime(bounded message-drain deadline; liveness only, awards are already decided)
-			if allRelayed(tier.Concentrators) && allAwarded(tier.Concentrators, cas, s.SessionID) {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if err := tier.awaitRelay(stalled); err != nil {
+			return nil, fmt.Errorf("%w after %v", err, timeout)
 		}
+	}
+	for _, f := range fleets {
+		f.Quiesce()
 	}
 
 	res := &Result{
@@ -232,9 +234,10 @@ func Run(cfg Config) (*Result, error) {
 	for _, b := range shardBuses {
 		res.ShardBuses = append(res.ShardBuses, b.Stats())
 	}
-	for _, rt := range runtimes {
-		res.AgentErrors = append(res.AgentErrors, rt.Errors()...)
+	for _, f := range fleets {
+		res.AgentErrors = append(res.AgentErrors, f.Errors()...)
 	}
+	res.AgentErrors = append(res.AgentErrors, uaRT.Errors()...)
 	res.AgentErrors = append(res.AgentErrors, tier.Errors()...)
 	if cfg.Journal != nil {
 		if err := journalOutcome(cfg.Journal, s.SessionID, cfg.JournalConfig, res, cas); err != nil {
@@ -273,35 +276,6 @@ func journalOutcome(j *store.Store, session, config string, res *Result, cas map
 		return err
 	}
 	return j.Sync()
-}
-
-// allRelayed reports whether every concentrator has forwarded the session
-// end to its shard.
-func allRelayed(ccs []*Concentrator) bool {
-	for _, c := range ccs {
-		if !c.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// allAwarded reports whether every responding member hosted in-process has
-// seen its award. Lossy shard buses may legitimately drop awards, so this
-// only gates the drain loop, never the result.
-func allAwarded(ccs []*Concentrator, cas map[string]*customeragent.Agent, session string) bool {
-	for _, c := range ccs {
-		for _, name := range c.RespondedMembers() {
-			ca, ok := cas[name]
-			if !ok {
-				continue
-			}
-			if _, got := ca.AwardFor(session); !got {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // shardQuorum scales the fleet-level "acceptable number of bids" to one

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"loadbalance/internal/bus"
@@ -64,6 +65,19 @@ func (t *Tier) Stop() {
 	for _, c := range t.Concentrators {
 		c.Stop()
 	}
+}
+
+// awaitRelay blocks until every concentrator has relayed the session end to
+// its shard, or stalled fires.
+func (t *Tier) awaitRelay(stalled <-chan time.Time) error {
+	for _, c := range t.Concentrators {
+		select {
+		case <-c.Relayed():
+		case <-stalled:
+			return fmt.Errorf("%w: %s never relayed the session end", ErrTimeout, c.cfg.Name)
+		}
+	}
+	return nil
 }
 
 // Errors collects handler errors from every concentrator.

@@ -46,15 +46,11 @@ func Run(s Scenario) (*Result, error) {
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
 
 	// Customer Agents first so the UA's opening broadcast reaches everyone.
-	cas, runtimes, err := HostCustomers(b, s.Customers)
+	cas, fleet, err := HostCustomers(b, s.Customers)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.Stop()
-		}
-	}()
+	defer fleet.Stop()
 
 	ua, err := utilityagent.New(utilityagent.Config{
 		Name:         "ua",
@@ -78,7 +74,7 @@ func Run(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	runtimes = append(runtimes, uaRT)
+	defer uaRT.Stop()
 
 	var uaResult utilityagent.Result
 	select {
@@ -87,15 +83,10 @@ func Run(s Scenario) (*Result, error) {
 		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
 	}
 
-	// Give in-flight awards/session-end messages a moment to land before
-	// tearing the runtimes down, so FinalBids and awards are consistent.
-	drainDeadline := time.Now().Add(200 * time.Millisecond) //gridlint:allow walltime(bounded message-drain deadline; liveness only, awards are already decided)
-	for time.Now().Before(drainDeadline) {                  //gridlint:allow walltime(bounded message-drain deadline; liveness only, awards are already decided)
-		if allAwarded(cas, s, uaResult) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The Utility Agent sent every award and the session end before it
+	// reported; what the bus did not lose of them is in the fleet's queue.
+	// Once that is handled, FinalBids and the awards are consistent.
+	fleet.Quiesce()
 
 	res := &Result{
 		Result:    uaResult,
@@ -105,22 +96,20 @@ func Run(s Scenario) (*Result, error) {
 	for name, ca := range cas {
 		res.FinalBids[name] = ca.LastBid(s.SessionID)
 	}
-	for _, rt := range runtimes {
-		res.AgentErrors = append(res.AgentErrors, rt.Errors()...)
-	}
+	res.AgentErrors = append(fleet.Errors(), uaRT.Errors()...)
 	res.Bus = b.Stats()
 	return res, nil
 }
 
-// customerInbox is a hosted Customer Agent's mailbox, in envelopes: the only
-// place that size is written. The reward-table negotiation is lock-step
-// (Section 3.2.3) — announce, one answer each, close, and at the end the
-// award and the session end — so with a full quorum and no round timeout a
-// customer has at most two envelopes queued; over 3.4 M deliveries in the
-// four benchmark workloads the queue after a delivery held 0 or 1, never 2.
-// Four is that bound doubled, and 4 × 128 B is the largest pointer-bearing
-// buffer Go allocates without a header word: 512 + 96 B, where 8 slots cost
-// 1 152 + 96 B and the former 64 cost 9.6 KB of a customer's 12.1 KB.
+// customerInbox is how far behind a hosted Customer Agent may fall, in
+// envelopes queued for it on its fleet's worker: the only place that bound is
+// written. The reward-table negotiation is lock-step (Section 3.2.3) —
+// announce, one answer each, close, and at the end the award and the session
+// end — so with a full quorum and no round timeout a customer has at most two
+// envelopes waiting; over 3.4 M deliveries in the four benchmark workloads a
+// customer had 0 or 1 waiting after a delivery, never 2. Four is that bound
+// doubled. It bounds a count, not a buffer: the fleet's queue is sized by its
+// traffic (agentrt.Fleet), not at 4 slots a customer.
 //
 // A customer further behind — possible only after round timeouts or under a
 // partial quorum, where its bids for closed rounds are stale anyway — is a
@@ -129,53 +118,34 @@ func Run(s Scenario) (*Result, error) {
 // closes on quorum or timeout.
 const customerInbox = 4
 
-// HostCustomers starts one runtime per spec on b — a Customer Agent, or for a
-// silent customer a handler that drains its inbox and never answers — and
-// returns the agents by name with every runtime started, for the caller to
-// Stop. The three engines (Run, cluster.Run, cluster.RunDistributed) host
-// their fleets through it. On error nothing is left running.
-func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, []*agentrt.Runtime, error) {
+// HostCustomers hosts the specs' customers on b as one fleet — a Customer
+// Agent each, or for a silent customer a handler that takes its envelopes and
+// never answers — behind one worker goroutine, and returns the agents by name
+// and the fleet, for the caller to Quiesce and Stop. The three engines (Run,
+// cluster.Run, cluster.RunDistributed) host their customers through it. On
+// error nothing is left running.
+func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, *agentrt.Fleet, error) {
 	cas := make(map[string]*customeragent.Agent, len(specs))
-	runtimes := make([]*agentrt.Runtime, 0, len(specs))
-	fail := func(err error) (map[string]*customeragent.Agent, []*agentrt.Runtime, error) {
-		for _, rt := range runtimes {
-			rt.Stop()
-		}
-		return nil, nil, err
-	}
-	for _, spec := range specs {
-		var handler agentrt.Handler
+	names := make([]string, len(specs))
+	handlers := make([]agentrt.Handler, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
 		if spec.Silent {
-			handler = agentrt.HandlerFuncs{} // drains its inbox, never answers
-		} else {
-			ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-			if err != nil {
-				return fail(fmt.Errorf("core: customer %q: %w", spec.Name, err))
-			}
-			cas[spec.Name] = ca
-			handler = ca
-		}
-		rt, err := agentrt.Start(spec.Name, b, handler, customerInbox)
-		if err != nil {
-			return fail(fmt.Errorf("core: start %q: %w", spec.Name, err))
-		}
-		runtimes = append(runtimes, rt)
-	}
-	return cas, runtimes, nil
-}
-
-// allAwarded reports whether every awarded customer has seen its award.
-func allAwarded(cas map[string]*customeragent.Agent, s Scenario, r utilityagent.Result) bool {
-	for _, aw := range r.Awards {
-		ca, ok := cas[aw.Customer]
-		if !ok {
+			handlers[i] = agentrt.HandlerFuncs{}
 			continue
 		}
-		if _, got := ca.AwardFor(s.SessionID); !got {
-			return false
+		ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: customer %q: %w", spec.Name, err)
 		}
+		cas[spec.Name] = ca
+		handlers[i] = ca
 	}
-	return true
+	fleet, err := agentrt.StartFleet(b, names, handlers, customerInbox)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
+	return cas, fleet, nil
 }
 
 // BidsOf extracts one customer's bid per round from a reward-table history —

@@ -16,7 +16,7 @@
 // Quickstart:
 //
 //	s, _ := loadbalance.PaperScenario()     // the paper's Figures 6-9 setup
-//	res, _ := loadbalance.Run(s)            // goroutine-per-agent negotiation
+//	res, _ := loadbalance.Run(s)            // message-passing negotiation
 //	fmt.Println(loadbalance.Render(res))    // per-round tables, bids, awards
 //
 // Synthetic fleets come from the household simulator:
@@ -110,8 +110,8 @@ func PopulationScenario(cfg PopulationConfig) (Scenario, error) {
 	return core.PopulationScenario(cfg)
 }
 
-// Run executes a scenario: one goroutine per agent, message passing on an
-// in-process bus, and a full trace in the result.
+// Run executes a scenario: the Utility Agent and the fleet of Customer Agents
+// passing messages on an in-process bus, and a full trace in the result.
 func Run(s Scenario) (*Result, error) { return core.Run(s) }
 
 // ClusterConfig parameterises a hierarchical (sharded) negotiation: the flat
