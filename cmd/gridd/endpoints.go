@@ -22,93 +22,61 @@ import (
 // replication sender — is written once here, and a role differs only in
 // which of them it asks for.
 
-// identity names the process to the fleet: its role in the obs hub's
-// registry and the proc label on every span, log line and streamed batch —
-// what stitches a multi-process trace back together on inspection.
-func identity(role string, shard int, serveAddr, connect, name, replicaOf, replicaID string, live bool) (obsRole, proc string) {
-	switch {
-	case role == "concentrator":
-		return "worker", fmt.Sprintf("gridd-cc-%03d", shard)
-	case serveAddr != "" && live && replicaOf != "":
+// proc names the process to the fleet: the label on every span, log line and
+// streamed batch — what stitches a multi-process trace back together on
+// inspection. (Its role in the obs hub's registry is r's own name.)
+func (o options) proc(r role) string {
+	switch r {
+	case roleWorker:
+		return fmt.Sprintf("gridd-cc-%03d", o.shard)
+	case roleStandby:
 		// Standbys carry their replica id so a primary and its standbys
 		// streaming to one fleet hub never collide on the proc label (the
 		// name survives promotion, keeping the process's history in one
 		// lane).
-		return "standby", "gridd-live-" + replicaID
-	case serveAddr != "" && live:
-		return "live", "gridd-live"
-	case serveAddr != "":
-		return "serve", "gridd-serve"
-	case connect != "":
-		return "client", "gridd-" + name
+		return "gridd-live-" + o.replicaID
+	case roleLive:
+		return "gridd-live"
+	case roleServe:
+		return "gridd-serve"
+	default:
+		return "gridd-" + o.name
 	}
-	return "gridd", "gridd"
 }
 
-// roleOptions is what the flag layer hands every HTTP-serving role alike.
-type roleOptions struct {
-	// metrics is the registry the role publishes on: the one run() also
-	// handed to the process's obs stream and flight recorder. Nil — a role
-	// assembled directly, as the tests do, several to a process — means its
-	// own fresh scope of the process-wide histograms.
-	metrics *trace.Registry
-	pprof   bool // mount /debug/pprof/ on the role's HTTP endpoint
-	history historyOptions
-}
-
-func (o roleOptions) registry() *trace.Registry {
-	if o.metrics != nil {
-		return o.metrics
-	}
-	return trace.DefaultRegistry().Scope()
-}
-
-// historyOptions carries the -tsdb-interval/-tsdb-retention flags: every
-// role with an HTTP endpoint scrapes its own registry into a tsdb store
-// served on /query, and a hub host retains the fleet's streamed samples in a
-// second one behind /fleet/query.
-type historyOptions struct {
-	interval  time.Duration // 0 disables history entirely
-	retention time.Duration
-}
-
-// store builds a store whose raw ring spans the retention at the scrape
-// interval, clamped to keep per-series memory bounded (older points continue
-// into the downsampled tier), or nil when history is disabled.
-func (o historyOptions) store() *tsdb.Store {
-	if o.interval <= 0 {
+// historyStore builds a metrics-history store for a role that scrapes every
+// interval, or nil when history is disabled (-tsdb-interval 0): every role
+// with an HTTP endpoint scrapes its own registry into one behind /query, and
+// a hub host retains the fleet's streamed samples in a second one behind
+// /fleet/query. The raw ring holds tsdb's default 1024 points a series
+// (17 minutes at the default 1s interval); older points continue into the
+// downsampled tier.
+func historyStore(interval time.Duration) *tsdb.Store {
+	if interval <= 0 {
 		return nil
 	}
-	return tsdb.New(tsdb.Config{RawCapacity: min(max(int(o.retention/o.interval), 64), 65536)})
+	return tsdb.New(tsdb.Config{})
 }
 
 // startHistory builds the role's history store and starts the scraper that
 // fills it from reg; both are nil when history is disabled.
-func startHistory(o historyOptions, reg *trace.Registry) (*tsdb.Store, *tsdb.Scraper) {
-	store := o.store()
+func startHistory(interval time.Duration, reg *trace.Registry) (*tsdb.Store, *tsdb.Scraper) {
+	store := historyStore(interval)
 	if store == nil {
 		return nil, nil
 	}
-	sc := tsdb.NewScraper(tsdb.ScrapeConfig{Store: store, Interval: o.interval, Registry: reg})
+	sc := tsdb.NewScraper(tsdb.ScrapeConfig{Store: store, Interval: interval, Registry: reg})
 	sc.Start()
 	return store, sc
 }
 
 // startHub hosts the fleet observability hub on addr: workers, standbys and
 // serve processes stream their metric/log/span state to it and the host's
-// mux serves the merged /fleet view. The bound address is published as
-// <dataDir>/obs-addr, the same contract as repl-addr: processes started
-// against a ":0" hub read it to find their -obs target.
-func startHub(addr, dataDir string, history historyOptions) (*obsplane.Hub, error) {
-	hub, err := obsplane.StartHub(obsplane.HubConfig{Addr: addr, History: history.store()})
+// mux serves the merged /fleet view.
+func startHub(addr string, historyInterval time.Duration) (*obsplane.Hub, error) {
+	hub, err := obsplane.StartHub(obsplane.HubConfig{Addr: addr, History: historyStore(historyInterval)})
 	if err != nil {
 		return nil, err
-	}
-	if dataDir != "" {
-		if err := atomicWriteFile(dataDir, "obs-addr", []byte(hub.Addr())); err != nil {
-			hub.Close()
-			return nil, err
-		}
 	}
 	fmt.Printf("gridd: fleet observability hub on %s\n", hub.Addr())
 	return hub, nil
@@ -136,7 +104,6 @@ func startSender(dataDir, addr, who string) (*replica.Sender, error) {
 type endpoints struct {
 	healthz func() map[string]any // the role's /healthz document
 	reg     *trace.Registry
-	logger  *health.Logger
 	history *tsdb.Store   // nil: no /query
 	hub     *obsplane.Hub // nil: no /fleet/*
 	pprof   bool
@@ -155,7 +122,7 @@ func (e endpoints) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", jsonDoc(e.healthz))
 	mux.HandleFunc("/metrics", trace.MetricsHandler(e.reg.Gather))
-	mux.HandleFunc("/logs", health.LogHandler(e.logger))
+	mux.HandleFunc("/logs", health.LogHandler(health.Default()))
 	mux.Handle("/trace", trace.Handler())
 	if e.history != nil {
 		mux.HandleFunc("/query", tsdb.Handler(e.history, func() int64 { return time.Now().UnixMicro() }))

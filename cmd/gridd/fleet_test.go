@@ -51,7 +51,7 @@ func startFleet(t *testing.T, customers, shards int, base string) *fleetRun {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr:        "127.0.0.1:0",
 			rootAddr:    "127.0.0.1:0",
 			metricsAddr: "127.0.0.1:0",
@@ -551,7 +551,7 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr:        "127.0.0.1:0",
 			rootAddr:    "127.0.0.1:0",
 			metricsAddr: "127.0.0.1:0",
@@ -580,19 +580,19 @@ func TestWorkerEndpointContentTypes(t *testing.T) {
 	workerReady := make(chan string, 1)
 	workerErrs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		opts := concOptions{
+		opts := options{
 			up: addrs.root, down: addrs.member,
 			shard: i, shards: 2, customers: 4,
 		}
 		var ready chan<- string
 		if i == 0 {
 			opts.metricsAddr = "127.0.0.1:0"
-			opts.history = goldenHistory
+			opts.tsdbInterval = goldenHistory
 			opts.metrics = trace.NewRegistry()
 			observeFixed(opts.metrics)
 			ready = workerReady
 		}
-		go func(opts concOptions, ready chan<- string) {
+		go func(opts options, ready chan<- string) {
 			workerErrs <- runConcentrator(ctx, opts, ready)
 		}(opts, ready)
 	}
@@ -664,22 +664,21 @@ type parityDoc struct {
 // view, one hop later.
 func TestFleetQueryParity(t *testing.T) {
 	const scrape = 50 * time.Millisecond
-	hist := historyOptions{interval: scrape, retention: time.Minute}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
-			addr:        "127.0.0.1:0",
-			rootAddr:    "127.0.0.1:0",
-			metricsAddr: "127.0.0.1:0",
-			obsAddr:     "127.0.0.1:0",
-			customers:   4,
-			shards:      2,
-			timeout:     60 * time.Second,
-			roleOptions: roleOptions{history: hist},
+		serverErr <- serve(ctx, options{
+			addr:         "127.0.0.1:0",
+			rootAddr:     "127.0.0.1:0",
+			metricsAddr:  "127.0.0.1:0",
+			obsAddr:      "127.0.0.1:0",
+			customers:    4,
+			shards:       2,
+			timeout:      60 * time.Second,
+			tsdbInterval: scrape,
 		}, ready)
 	}()
 	var addrs serveAddrs
@@ -696,18 +695,18 @@ func TestFleetQueryParity(t *testing.T) {
 	workerErrs := make(chan error, 2)
 	workerMetrics := trace.DefaultRegistry().Scope()
 	for i := 0; i < 2; i++ {
-		opts := concOptions{
+		opts := options{
 			up: addrs.root, down: addrs.member,
 			shard: i, shards: 2, customers: 4,
 		}
 		var ready chan<- string
 		if i == 0 {
 			opts.metricsAddr = "127.0.0.1:0"
-			opts.history = hist
+			opts.tsdbInterval = scrape
 			opts.metrics = workerMetrics
 			ready = workerReady
 		}
-		go func(opts concOptions, ready chan<- string) {
+		go func(opts options, ready chan<- string) {
 			workerErrs <- runConcentrator(ctx, opts, ready)
 		}(opts, ready)
 	}
@@ -836,14 +835,14 @@ func TestServeEndpointContentTypes(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
-			addr:        "127.0.0.1:0",
-			metricsAddr: "127.0.0.1:0",
-			obsAddr:     "127.0.0.1:0",
-			customers:   4,
-			shards:      1,
-			timeout:     30 * time.Second,
-			roleOptions: roleOptions{history: historyOptions{interval: 50 * time.Millisecond, retention: time.Minute}},
+		serverErr <- serve(ctx, options{
+			addr:         "127.0.0.1:0",
+			metricsAddr:  "127.0.0.1:0",
+			obsAddr:      "127.0.0.1:0",
+			customers:    4,
+			shards:       1,
+			timeout:      30 * time.Second,
+			tsdbInterval: 50 * time.Millisecond,
 		}, ready)
 	}()
 	var addrs serveAddrs

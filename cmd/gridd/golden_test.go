@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -224,7 +223,7 @@ func newGoldenFleet(t *testing.T) *goldenFleet {
 }
 
 // goldenHistory is a scrape schedule that never fires on its own.
-var goldenHistory = historyOptions{interval: time.Hour, retention: 2 * time.Hour}
+const goldenHistory = time.Hour
 
 // observeFixed puts one observed and one idle histogram on a fresh registry,
 // so each page pins where the histogram block and its quantile gauges go.
@@ -240,9 +239,7 @@ func liveGolden(t *testing.T, state *gridState, dataDir string) *liveHealth {
 	t.Helper()
 	reg := trace.NewRegistry()
 	observeFixed(reg)
-	h, err := newLiveHealth(context.Background(), liveOptions{
-		dataDir: dataDir, roleOptions: roleOptions{metrics: reg, history: goldenHistory},
-	}, state)
+	h, err := newLiveHealth(options{dataDir: dataDir, metrics: reg, tsdbInterval: goldenHistory}, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +252,14 @@ func liveGolden(t *testing.T, state *gridState, dataDir string) *liveHealth {
 
 func TestGoldenLivePrimaryPage(t *testing.T) {
 	f := newGoldenFleet(t)
-	state := &gridState{
-		role: "primary", start: time.Now(), st: f.st, sender: f.sender, obs: f.hub,
+	state := &gridState{obs: f.hub, gridView: gridView{
+		role: "primary", start: time.Now(), st: f.st, sender: f.sender,
 		snap: telemetry.Snapshot{
 			Tick: 3, FleetKWh: 108.5, TargetKWh: 1234567.25, Readings: 48, Renegotiations: 1,
 			ShardMeasured: []float64{54.25, 54.25}, ShardExpected: []float64{50, 60},
 			ShardBreached: []bool{false, true}, ShardRenegotiations: []int{0, 1},
 		},
-	}
+	}}
 	dataDir := t.TempDir()
 	h := liveGolden(t, state, dataDir)
 	page := renderPage(h.metrics)
@@ -283,7 +280,7 @@ func TestGoldenLivePrimaryPage(t *testing.T) {
 }
 
 func TestGoldenLiveStandbyPage(t *testing.T) {
-	cfg, err := liveOptions{customers: 8, shards: 2, seed: 1, spikeTick: -1}.liveConfig()
+	cfg, err := options{customers: 8, shards: 2, seed: 1, spikeTick: -1}.liveConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +293,7 @@ func TestGoldenLiveStandbyPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stby.Close() })
-	state := &gridState{role: "standby", start: time.Now(), stby: stby}
+	state := &gridState{gridView: gridView{role: "standby", start: time.Now(), stby: stby}}
 	checkGolden(t, "live_standby", renderPage(liveGolden(t, state, "").metrics))
 }
 

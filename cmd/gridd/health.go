@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
@@ -70,34 +69,30 @@ func resolveAlertRules(flagVal string) ([]health.RuleConfig, error) {
 }
 
 // liveHealth bundles the live daemon's health layer: the score, the alert
-// engine, the optional feedback responder and the optional flight
-// recorder. One instance serves both roles — a standby evaluates it from
-// a side ticker, a primary from the tick loop.
+// engine and the optional flight recorder. One instance serves both roles —
+// a standby evaluates it from a side ticker, a primary from the tick loop.
 type liveHealth struct {
-	metrics   *trace.Registry // the role's registry: every reader below gathers it
-	logger    *health.Logger
-	scorer    *health.Scorer
-	alerts    *health.Engine
-	recorder  *health.Recorder // nil without a data dir
-	responder *health.Responder
-	history   *tsdb.Store   // nil when -tsdb-interval is 0
-	scraper   *tsdb.Scraper // fills history from the registry
+	metrics  *trace.Registry // the role's registry: every reader below gathers it
+	scorer   *health.Scorer
+	alerts   *health.Engine
+	recorder *health.Recorder // nil without a data dir
+	history  *tsdb.Store      // nil when -tsdb-interval is 0
+	scraper  *tsdb.Scraper    // fills history from the registry
 }
 
 // newLiveHealth wires the health layer over the live state holder and is
 // where the live role registers what it publishes, in page order: the grid
 // snapshot, the journal and replication stream of whichever role the daemon
 // currently holds, the gauges the alert rules reference, the score, the
-// alerts, the log, the history store and the fleet hub. It starts the
-// feedback responder when -feedback-addr is set and arms the flight recorder
-// when a data dir exists.
-func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*liveHealth, error) {
-	reg := opts.registry()
-	h := &liveHealth{metrics: reg, logger: health.Default()}
+// alerts, the log, the history store and the fleet hub. It arms the flight
+// recorder when a data dir exists.
+func newLiveHealth(opts options, state *gridState) (*liveHealth, error) {
+	reg, logger := opts.registry(), health.Default()
+	h := &liveHealth{metrics: reg}
 
 	h.scorer = health.NewScorer(health.Sources{
 		Utilization: func() float64 {
-			_, snap, _, _, _ := state.view()
+			snap := state.view().snapshot()
 			if snap.TargetKWh <= 0 {
 				return 0
 			}
@@ -110,7 +105,7 @@ func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*li
 	if err != nil {
 		return nil, err
 	}
-	h.alerts = health.NewEngine(rules, h.logger)
+	h.alerts = health.NewEngine(rules, logger)
 	h.alerts.Metrics = reg
 
 	reg.Register(state.samples)
@@ -118,12 +113,12 @@ func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*li
 	reg.RegisterGauge("journal_append_age_seconds", func() float64 { return journalAppendAge(state) })
 	reg.Register(h.scorer.Samples)
 	reg.Register(h.alerts.Samples)
-	reg.Register(h.logger.Samples)
+	reg.Register(logger.Samples)
 
 	// Metrics history: scrape the registry into the embedded store each
 	// interval; windowed and burn-rate alert rules evaluate against it, and
 	// /query serves it.
-	h.history, h.scraper = startHistory(opts.history, reg)
+	h.history, h.scraper = startHistory(opts.tsdbInterval, reg)
 	h.alerts.History = h.history
 	if hub := state.obs; hub != nil {
 		reg.Register(hub.Samples)
@@ -133,44 +128,26 @@ func newLiveHealth(ctx context.Context, opts liveOptions, state *gridState) (*li
 	}
 
 	if opts.dataDir != "" {
-		h.recorder = health.NewRecorder(filepath.Join(opts.dataDir, "flightrec"), opts.flightrecKeep, h.logger, reg)
+		h.recorder = health.NewRecorder(filepath.Join(opts.dataDir, "flightrec"), health.DefaultKeep, logger, reg)
 		h.recorder.Bind(h.scorer, h.alerts)
-		if opts.profileOnAlert {
-			h.recorder.ProfileDur = 2 * time.Second
-		}
+		// Every bundle of a live grid carries heap.pprof and a 2s cpu.pprof:
+		// what an overload alert most often needs explained is where the
+		// time and the memory went.
+		h.recorder.ProfileDur = 2 * time.Second
 		health.SetRecorder(h.recorder)
 		h.alerts.OnFire = func(a health.AlertStatus) {
 			if _, err := h.recorder.Dump("alert", a.Rule.Name); err != nil {
-				h.logger.Logf(health.Error, "flightrec", "alert dump failed: %v", err)
+				logger.Logf(health.Error, "flightrec", "alert dump failed: %v", err)
 			}
 		}
 	}
 
-	if opts.feedbackAddr != "" {
-		resp, err := health.NewResponder(opts.feedbackAddr, h.scorer)
-		if err != nil {
-			h.close()
-			return nil, err
-		}
-		h.responder = resp
-		go resp.Serve(ctx)
-		if opts.dataDir != "" {
-			if err := atomicWriteFile(opts.dataDir, "feedback-addr", []byte(resp.Addr())); err != nil {
-				h.close()
-				return nil, err
-			}
-		}
-		fmt.Printf("gridd: feedback responder on %s\n", resp.Addr())
-	}
 	return h, nil
 }
 
 // evalTick recomputes the score and evaluates the alert rules — once per
 // engine tick on a primary, once per ticker interval on a standby.
 func (h *liveHealth) evalTick() {
-	if h == nil {
-		return
-	}
 	h.scorer.Compute()
 	h.alerts.Eval()
 }
@@ -180,37 +157,25 @@ func (h *liveHealth) evalTick() {
 // function halts it — call it before promotion hands evaluation to the
 // tick loop.
 func (h *liveHealth) startStandbyEval(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-done:
+			case <-ctx.Done():
 				return
 			case <-t.C:
 				h.evalTick()
 			}
 		}
 	}()
-	var once bool
-	return func() {
-		if !once {
-			once = true
-			close(done)
-		}
-	}
+	return cancel
 }
 
-// close releases the listeners and stops the scraper.
+// close stops the scraper and disarms the flight recorder.
 func (h *liveHealth) close() {
-	if h == nil {
-		return
-	}
 	h.scraper.Close()
-	if h.responder != nil {
-		_ = h.responder.Close()
-	}
 	if h.recorder != nil {
 		health.SetRecorder(nil)
 		h.recorder.WaitProfiles()
@@ -222,7 +187,7 @@ func (h *liveHealth) close() {
 // lag (unknowable against a dead primary, so it reports 0 and the
 // receiver's own staleness signals take over).
 func worstStandbyLag(state *gridState) float64 {
-	_, _, _, _, sender := state.view()
+	sender := state.view().sender
 	if sender == nil {
 		return 0
 	}
@@ -239,14 +204,11 @@ func worstStandbyLag(state *gridState) float64 {
 // the process journals nothing).
 func journalAppendAge(state *gridState) float64 {
 	var stats store.Stats
-	state.mu.Lock()
-	stby, st := state.stby, state.st
-	state.mu.Unlock()
-	switch {
-	case stby != nil:
-		stats = stby.Eng.StoreStats()
-	case st != nil:
-		stats = st.Stats()
+	switch v := state.view(); {
+	case v.stby != nil:
+		stats = v.stby.Eng.StoreStats()
+	case v.st != nil:
+		stats = v.st.Stats()
 	default:
 		return 0
 	}
@@ -261,20 +223,17 @@ func journalAppendAge(state *gridState) float64 {
 // the role it currently holds — a promotion changes the page, not the
 // registration.
 func (g *gridState) samples(dst []trace.Sample) []trace.Sample {
-	_, snap, _, stby, sender := g.view()
-	dst = gridSamples(dst, snap)
-	if stby != nil {
-		dst = stby.Eng.StoreStats().Samples(dst)
-		return stby.Receiver().Status().Samples(dst)
+	v := g.view()
+	dst = gridSamples(dst, v.snapshot())
+	if v.stby != nil {
+		dst = v.stby.Eng.StoreStats().Samples(dst)
+		return v.stby.Receiver().Status().Samples(dst)
 	}
-	g.mu.Lock()
-	st := g.st
-	g.mu.Unlock()
-	if st != nil {
-		dst = st.Stats().Samples(dst)
+	if v.st != nil {
+		dst = v.st.Stats().Samples(dst)
 	}
-	if sender != nil {
-		dst = sender.Status().Samples(dst)
+	if v.sender != nil {
+		dst = v.sender.Status().Samples(dst)
 	}
 	return dst
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -21,7 +20,7 @@ import (
 // startDrillGrid runs an in-process live grid with the given options and
 // returns its HTTP address. The grid is cancelled (and its clean shutdown
 // asserted) on test cleanup.
-func startDrillGrid(t *testing.T, opts liveOptions) string {
+func startDrillGrid(t *testing.T, opts options) string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -49,12 +48,12 @@ func startDrillGrid(t *testing.T, opts liveOptions) string {
 
 // TestEndpointContentTypes audits every HTTP endpoint's Content-Type:
 // Prometheus exposition text on /metrics, JSON documents everywhere else,
-// plain text on the feedback responder's HTTP mirror.
+// plain text on /feedback.
 func TestEndpointContentTypes(t *testing.T) {
-	addr := startDrillGrid(t, liveOptions{
+	addr := startDrillGrid(t, options{
 		addr: "127.0.0.1:0", customers: 16, shards: 4,
 		tick: 20 * time.Millisecond, seed: 1, spikeTick: -1,
-		roleOptions: roleOptions{history: historyOptions{interval: 50 * time.Millisecond, retention: time.Minute}},
+		tsdbInterval: 50 * time.Millisecond,
 	})
 	auditEndpoints(t, addr, []endpointRow{
 		{"/healthz", "application/json"},
@@ -156,8 +155,8 @@ type drillHealthz struct {
 // sustain window and writes a flight-recorder bundle, and once the spike
 // ends and the grid re-negotiates, the score recovers and the alert
 // resolves. Along the way the drill checks the score's utilization
-// component maps load to health monotonically and that the feedback
-// responder speaks the agent-check line protocol.
+// component maps load to health monotonically and that /feedback speaks the
+// agent-check line protocol.
 func TestOverloadDrill(t *testing.T) {
 	trace.Disable()
 	t.Cleanup(trace.Disable)
@@ -172,7 +171,7 @@ func TestOverloadDrill(t *testing.T) {
 	} else if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		t.Fatalf("GRIDD_DRILL_DIR: %v", err)
 	}
-	addr := startDrillGrid(t, liveOptions{
+	addr := startDrillGrid(t, options{
 		addr: "127.0.0.1:0", customers: 16, shards: 4,
 		tick: 20 * time.Millisecond, seed: 3,
 		dataDir:      dataDir,
@@ -180,13 +179,11 @@ func TestOverloadDrill(t *testing.T) {
 		spikeTick:    3,
 		spikeEndTick: 10,
 		spikeFactor:  3.0,
-		feedbackAddr: "127.0.0.1:0",
 		// The drill threshold sits between the healthy score (~100) and the
 		// spike-degraded score (utilization health 0 caps it near 57 under
 		// the default weights), so it must fire during the spike and
 		// resolve after it.
-		alerts:        "overload:feedback_score<80:for=2",
-		flightrecKeep: 4,
+		alerts: "overload:feedback_score<80:for=2",
 	})
 
 	// On failure, capture the daemon's /logs next to the flightrec bundles
@@ -320,19 +317,19 @@ func TestOverloadDrill(t *testing.T) {
 		t.Fatalf("bundle meta = %+v, want reason=alert and a slowest session", meta)
 	}
 
-	// The feedback responder published its bound address and answers the
-	// agent-check line protocol: one "NN%" line, then close.
-	fbAddr, err := os.ReadFile(filepath.Join(dataDir, "feedback-addr"))
-	if err != nil {
-		t.Fatalf("feedback-addr file: %v", err)
+	// A live grid's bundles carry runtime profiles. The heap is written
+	// inline; the CPU capture is skipped when one is already running.
+	if _, err := os.Stat(filepath.Join(bundle, "heap.pprof")); err != nil {
+		t.Errorf("alert bundle has no heap profile: %v", err)
 	}
-	conn, err := net.DialTimeout("tcp", string(fbAddr), 2*time.Second)
+
+	// /feedback answers the agent-check line protocol: one "NN%" line.
+	resp, err := http.Get("http://" + addr + "/feedback")
 	if err != nil {
-		t.Fatalf("dial feedback responder: %v", err)
+		t.Fatalf("GET /feedback: %v", err)
 	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := io.ReadAll(conn)
+	defer resp.Body.Close()
+	line, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("read feedback line: %v", err)
 	}

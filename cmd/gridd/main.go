@@ -55,8 +55,12 @@
 //
 //	gridd -connect localhost:9340 -name c01 -seed 1
 //
-// With -metrics ADDR the server also answers HTTP /healthz and /metrics,
-// exposing the wire transport's frame/drop/reject counters.
+// With -metrics ADDR a server or a worker also answers HTTP /healthz,
+// /metrics, /logs, /trace and /query.
+//
+// Every flag is one row of flagTable in flags.go: its name, the roles that
+// read it, its destination, default and help. A flag set on a role that does
+// not read it is an error, not a silent no-op.
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: serve loops unwind, the
 // HTTP listener drains, in-flight live ticks finish and the journal is
@@ -70,7 +74,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -100,25 +103,6 @@ import (
 	"loadbalance/internal/utilityagent"
 )
 
-// parseShardList parses a comma-separated list of shard indices.
-func parseShardList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("shard index %d", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -139,55 +123,12 @@ func main() {
 }
 
 func run(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("gridd", flag.ContinueOnError)
-	var (
-		serveAddr = fs.String("serve", "", "listen address for the Utility Agent daemon")
-		customers = fs.Int("customers", 10, "customer count (daemon waits for this many; live mode synthesises them)")
-		shards    = fs.Int("shards", 1, "concentrator agents fronting the fleet (server mode; 1 = flat)")
-		rootAddr  = fs.String("root-addr", "", "listen address for the root tier: concentrators run as separate worker processes that dial in (requires -shards > 1)")
-		metrics   = fs.String("metrics", "", "optional HTTP listen address answering /healthz and /metrics with wire transport counters (server mode)")
-		live      = fs.Bool("live", false, "run the live grid: negotiate once, then meter, detect drift and re-negotiate incrementally; -serve's address answers HTTP /healthz, /metrics, /replication and /awards")
-		replAddr  = fs.String("repl-addr", "", "replication listen address: stream the journal to hot standbys (live and serve modes; requires -data-dir); the bound address is written to <data-dir>/repl-addr")
-		replicaOf = fs.String("replica-of", "", "run as a hot standby replicating from this comma-separated dial list of replication addresses (live mode; requires -data-dir)")
-		replicaID = fs.String("replica-id", "r0", "this standby's replica id — the lowest id among -peers promotes on primary loss")
-		peers     = fs.String("peers", "", "comma-separated standby ids in the replica set (promotion rule input; empty = this standby always promotes)")
-		failover  = fs.Duration("failover-timeout", 3*time.Second, "how long the primary may be silent before a standby promotes")
-		tick      = fs.Duration("tick", time.Second, "live metering interval")
-		liveTicks = fs.Int("live-ticks", 0, "stop once the grid's tick counter reaches this (0 = run until SIGINT/SIGTERM); a recovered run counts the ticks already journaled")
-		dataDir   = fs.String("data-dir", "", "journal negotiated state and telemetry under this directory; a restart recovers the run mid-flight (live and serve modes)")
-		snapEvery = fs.Int("snapshot-every", 0, "ticks between snapshots in the data dir (0 = the engine default)")
-		spikeSh   = fs.String("spike-shards", "", "comma-separated shard indices to hit with a demand spike (live mode; for demos and recovery drills)")
-		spikeTick = fs.Int("spike-tick", -1, "tick the demand spike starts on (-1 = no spike)")
-		spikeFac  = fs.Float64("spike-factor", 2.5, "demand multiplier of the injected spike")
-		connect   = fs.String("connect", "", "daemon address (or comma-separated failover dial list) to join as a Customer Agent")
-		name      = fs.String("name", "", "customer name (client mode)")
-		seed      = fs.Int64("seed", 1, "preference randomisation seed (client and live modes)")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "overall negotiation timeout")
-		role      = fs.String("role", "", "process role: empty (server/client) or \"concentrator\" (worker process)")
-		upAddr    = fs.String("up", "", "root-tier server address (concentrator role)")
-		downAddr  = fs.String("down", "", "member-tier server address (concentrator role)")
-		shard     = fs.Int("shard", 0, "shard index this worker fronts (concentrator role)")
-		spikeEnd  = fs.Int("spike-end", 0, "tick the injected demand spike ends on (0 = never)")
-		logLevel  = fs.String("log-level", "info", "structured log level: debug, info, warn, error or off; the ring serves /logs on the HTTP endpoint")
-		logFile   = fs.String("log-file", "", "append structured log events as JSON lines to this file (default: <data-dir>/gridd.log when -data-dir is set)")
-		fbAddr    = fs.String("feedback-addr", "", "TCP listen address answering every connection with the feedback score as \"NN%\\n\" — the lbfeedback/agent-check contract HAProxy-style balancers consume (live mode); the bound address is written to <data-dir>/feedback-addr")
-		alerts    = fs.String("alerts", "", "comma-separated alert rules name:metric<threshold[:for=N] evaluated each tick and served on /alerts (live mode; empty = built-in rule set, \"none\" disables)")
-		frKeep    = fs.Int("flightrec-keep", 8, "flight-recorder bundles to keep under <data-dir>/flightrec/ (oldest pruned)")
-		traceOn   = fs.Bool("trace", false, "record negotiation spans in an in-process ring, served as JSON on /trace (?session=&shard=&trace=&limit=)")
-		traceRing = fs.Int("trace-ring", 4096, "trace ring capacity in spans; the oldest spans are dropped when it wraps")
-		traceDump = fs.String("trace-dump", "", "write the trace ring as JSON to this file on exit (implies -trace; the span-export path for processes without an HTTP endpoint)")
-		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the HTTP endpoint")
-		obsAddr   = fs.String("obs-addr", "", "fleet observability hub listen address: worker, standby and serve processes stream metrics, logs and spans here and the root serves /fleet/metrics, /fleet/logs, /fleet/trace and /fleet/status (server modes; the bound address is written to <data-dir>/obs-addr)")
-		obsTarget = fs.String("obs", "", "stream this process's observability state (metric samples, log events, trace spans) to the fleet hub at this address (any role)")
-		tsdbInt   = fs.Duration("tsdb-interval", time.Second, "metrics-history scrape interval: each tick the process samples its own metrics page into the embedded time-series store behind /query and windowed alert rules (0 disables history)")
-		tsdbRet   = fs.Duration("tsdb-retention", 15*time.Minute, "metrics-history raw retention: the per-series raw ring spans this much history at -tsdb-interval; older points survive downsampled")
-		profAlert = fs.Bool("profile-on-alert", false, "capture runtime profiles into each alert-triggered flight-recorder bundle: heap.pprof inline plus a 2s cpu.pprof in the background (live mode with -data-dir)")
-	)
-	if err := fs.Parse(args); err != nil {
+	r, o, err := parseArgs(args, os.Stderr)
+	if err != nil {
 		return err
 	}
-	obsRole, proc := identity(*role, *shard, *serveAddr, *connect, *name, *replicaOf, *replicaID, *live)
-	logger, err := initHealthLogging(proc, *logLevel, *logFile, *dataDir)
+	proc := o.proc(r)
+	logger, err := initHealthLogging(proc, o.logLevel, o.logFile, o.dataDir)
 	if err != nil {
 		return err
 	}
@@ -196,14 +137,14 @@ func run(ctx context.Context, args []string) error {
 	// its collectors, and /metrics, the flight recorder, the history scraper,
 	// the alert engine and the obs stream all read it.
 	reg := trace.DefaultRegistry().Scope()
-	shared := roleOptions{metrics: reg, pprof: *pprofOn, history: historyOptions{interval: *tsdbInt, retention: *tsdbRet}}
+	o.metrics = reg
 	// One identity event per process at startup: the line every process
 	// contributes to the merged fleet log, tying its proc label to its role.
-	logger.Log(health.Info, "gridd", "process started", health.Str("proc", proc), health.Str("role", obsRole))
-	if *traceOn || *traceDump != "" {
-		trace.Enable(proc, *traceRing)
-		if *traceDump != "" {
-			defer dumpTraceFile(*traceDump)
+	logger.Log(health.Info, "gridd", "process started", health.Str("proc", proc), health.Str("role", r.String()))
+	if o.traceOn || o.traceDump != "" {
+		trace.Enable(proc, o.traceRing)
+		if o.traceDump != "" {
+			defer dumpTraceFile(o.traceDump)
 		}
 	}
 	// SIGQUIT is the on-demand flight-recorder trigger on every role: dump a
@@ -220,124 +161,37 @@ func run(ctx context.Context, args []string) error {
 	}()
 	// Roles that run no health layer of their own (serve daemons, workers,
 	// clients) still get a flight recorder when a data dir exists, so SIGQUIT
-	// and crash dumps work on every role. Live mode arms its richer
+	// and crash dumps work on every role. A live grid arms its richer
 	// score-and-alert-bound recorder inside newLiveHealth.
-	if *dataDir != "" && !*live {
-		health.SetRecorder(health.NewRecorder(filepath.Join(*dataDir, "flightrec"), *frKeep, logger, reg))
+	if o.dataDir != "" && r&grid == 0 {
+		health.SetRecorder(health.NewRecorder(filepath.Join(o.dataDir, "flightrec"), health.DefaultKeep, logger, reg))
 		defer health.SetRecorder(nil)
 	}
 	// The observability stream runs on any role: it drains the process-wide
 	// log ring and trace ring, and gathers the registry, so the wiring needs
 	// nothing mode-specific.
-	if *obsTarget != "" {
-		lvl, _ := health.ParseLevel(*logLevel) // validated by initHealthLogging above
+	if o.obs != "" {
+		lvl, _ := health.ParseLevel(o.logLevel) // validated by initHealthLogging above
 		em := obsplane.StartEmitter(obsplane.EmitterConfig{
-			Hub:      *obsTarget,
+			Hub:      o.obs,
 			Proc:     proc,
-			Role:     obsRole,
-			Addr:     *serveAddr,
+			Role:     r.String(),
+			Addr:     o.addr,
 			MinLevel: lvl,
 			Metrics:  reg,
 		})
 		defer em.Close()
 	}
-	switch {
-	case *role == "concentrator":
-		if *upAddr == "" || *downAddr == "" {
-			return fmt.Errorf("-role concentrator requires -up and -down")
-		}
-		if *shard < 0 || *shard >= *shards {
-			return fmt.Errorf("-shard %d out of range for %d shards", *shard, *shards)
-		}
-		return runConcentrator(ctx, concOptions{
-			up:          *upAddr,
-			down:        *downAddr,
-			shard:       *shard,
-			shards:      *shards,
-			customers:   *customers,
-			metricsAddr: *metrics,
-			roleOptions: shared,
-		}, nil)
-	case *role != "":
-		return fmt.Errorf("unknown -role %q (want \"concentrator\")", *role)
-	case *serveAddr != "" && *connect != "":
-		return fmt.Errorf("-serve and -connect are mutually exclusive")
-	case *serveAddr != "":
-		if *shards < 1 {
-			return fmt.Errorf("-shards must be at least 1")
-		}
-		if *rootAddr != "" && *shards < 2 {
-			return fmt.Errorf("-root-addr requires -shards > 1")
-		}
-		if *live {
-			if *rootAddr != "" || *metrics != "" {
-				return fmt.Errorf("-live runs in-process and serves its own /healthz and /metrics on -serve; it cannot combine with -root-addr or -metrics")
-			}
-			if *replAddr != "" && *dataDir == "" {
-				return fmt.Errorf("-repl-addr streams the journal and requires -data-dir")
-			}
-			if *replicaOf != "" && *dataDir == "" {
-				return fmt.Errorf("-replica-of persists the replicated journal and requires -data-dir")
-			}
-			spikeShards, err := parseShardList(*spikeSh)
-			if err != nil {
-				return fmt.Errorf("-spike-shards: %w", err)
-			}
-			return runLive(ctx, liveOptions{
-				addr:            *serveAddr,
-				obsAddr:         *obsAddr,
-				customers:       *customers,
-				shards:          *shards,
-				tick:            *tick,
-				maxTicks:        *liveTicks,
-				seed:            *seed,
-				dataDir:         *dataDir,
-				snapshotEvery:   *snapEvery,
-				spikeShards:     spikeShards,
-				spikeTick:       *spikeTick,
-				spikeFactor:     *spikeFac,
-				spikeEndTick:    *spikeEnd,
-				feedbackAddr:    *fbAddr,
-				alerts:          *alerts,
-				flightrecKeep:   *frKeep,
-				replAddr:        *replAddr,
-				replicaOf:       bus.SplitAddrList(*replicaOf),
-				replicaID:       *replicaID,
-				peers:           bus.SplitAddrList(*peers),
-				failoverTimeout: *failover,
-				profileOnAlert:  *profAlert,
-				roleOptions:     shared,
-			}, nil)
-		}
-		if *replicaOf != "" {
-			return fmt.Errorf("-replica-of requires -live")
-		}
-		if *replAddr != "" && *dataDir == "" {
-			return fmt.Errorf("-repl-addr streams the journal and requires -data-dir")
-		}
-		if *obsAddr != "" && *metrics == "" {
-			return fmt.Errorf("-obs-addr serves the /fleet endpoints on -metrics; set both")
-		}
-		return serve(ctx, serveConfig{
-			addr:        *serveAddr,
-			rootAddr:    *rootAddr,
-			metricsAddr: *metrics,
-			obsAddr:     *obsAddr,
-			customers:   *customers,
-			shards:      *shards,
-			timeout:     *timeout,
-			dataDir:     *dataDir,
-			replAddr:    *replAddr,
-			roleOptions: shared,
-		}, nil)
-	case *connect != "":
-		if *name == "" {
-			return fmt.Errorf("-connect requires -name")
-		}
-		reg.Register(logger.Samples)
-		return runClient(ctx, *connect, *name, *seed)
+	switch r {
+	case roleWorker:
+		return runConcentrator(ctx, o, nil)
+	case roleServe:
+		return serve(ctx, o, nil)
+	case roleLive, roleStandby:
+		return runLive(ctx, o, nil)
 	default:
-		return fmt.Errorf("pass -serve ADDR or -connect ADDR")
+		reg.Register(logger.Samples)
+		return runClient(ctx, o.connect, o.name, o.seed)
 	}
 }
 
@@ -384,16 +238,6 @@ func fleetLoads(names []string) map[string]protocol.CustomerLoad {
 	return loads
 }
 
-// concOptions parameterises one concentrator worker process.
-type concOptions struct {
-	up, down    string
-	shard       int
-	shards      int
-	customers   int
-	metricsAddr string // non-empty: HTTP /healthz, /metrics, /logs, /trace, /query
-	roleOptions
-}
-
 // runConcentrator is the worker process: it fronts one shard of the fleet,
 // dialing the root tier upward and the member tier downward. Membership is
 // derived from the shared c01..cNN convention, so the worker and the root
@@ -401,7 +245,7 @@ type concOptions struct {
 // worker serves the same endpoint contract as the server roles (/healthz,
 // /metrics, /logs, /trace); the optional ready channel receives the bound
 // address (tests binding to ":0").
-func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string) error {
+func runConcentrator(ctx context.Context, opts options, ready chan<- string) error {
 	topo, err := cluster.NewTopology(fleetLoads(fleetNames(opts.customers)), opts.shards)
 	if err != nil {
 		return err
@@ -411,13 +255,13 @@ func runConcentrator(ctx context.Context, opts concOptions, ready chan<- string)
 	reg.Register(health.Default().Samples)
 
 	if opts.metricsAddr != "" {
-		history, scraper := startHistory(opts.history, reg)
+		history, scraper := startHistory(opts.tsdbInterval, reg)
 		defer scraper.Close()
 		addr, _, stop, err := endpoints{
 			healthz: func() map[string]any {
 				return map[string]any{"status": "ok", "role": "worker", "shard": opts.shard, "customers": len(topo.Members(opts.shard))}
 			},
-			reg: reg, logger: health.Default(), history: history, pprof: opts.pprof,
+			reg: reg, history: history, pprof: opts.pprof,
 		}.listen(opts.metricsAddr)
 		if err != nil {
 			return err
@@ -459,26 +303,6 @@ const session = "gridd"
 // processes share the constant through runConcentrator.
 const serveRoundTimeout = 5 * time.Second
 
-// serveConfig parameterises one negotiation daemon.
-type serveConfig struct {
-	addr        string // member-tier listen address
-	rootAddr    string // non-empty: concentrators are separate worker processes dialing in here
-	metricsAddr string // non-empty: HTTP /healthz and /metrics
-	obsAddr     string // non-empty: fleet observability hub; /fleet/* served on metricsAddr
-	customers   int
-	shards      int
-	timeout     time.Duration
-	dataDir     string // non-empty: journal the session outcome (or its abort)
-	replAddr    string // non-empty: stream the journal to hot standbys (requires dataDir)
-	roleOptions
-
-	// linger, when non-nil, keeps the HTTP and obs endpoints up after the
-	// session completes until the channel closes (or ctx is cancelled) —
-	// how tests and drills scrape the merged fleet view of a one-shot
-	// negotiation after every process has flushed its final spans.
-	linger <-chan struct{}
-}
-
 // serveAddrs reports the daemon's bound addresses to tests using ":0".
 type serveAddrs struct {
 	member  string
@@ -497,12 +321,11 @@ type serveAddrs struct {
 // TCP server and the concentrators are separate gridd worker processes that
 // dial in before the negotiation starts. Cancelling ctx aborts cleanly at
 // any phase.
-func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error {
+func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
+	var err error
 	var journal *store.Store
 	if cfg.dataDir != "" {
-		var err error
-		journal, _, err = store.Open(cfg.dataDir, store.Options{})
-		if err != nil {
+		if journal, _, err = store.Open(cfg.dataDir, store.Options{}); err != nil {
 			return err
 		}
 		defer journal.Close()
@@ -512,12 +335,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	// process is gone.
 	var sender *replica.Sender
 	if cfg.replAddr != "" {
-		if journal == nil {
-			return fmt.Errorf("replAddr streams the journal and requires dataDir")
-		}
-		var err error
-		sender, err = startSender(cfg.dataDir, cfg.replAddr, "replicating the journal")
-		if err != nil {
+		if sender, err = startSender(cfg.dataDir, cfg.replAddr, "replicating the journal"); err != nil {
 			return err
 		}
 		defer func() {
@@ -538,8 +356,8 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	}
 	defer srv.Close()
 
-	var addrs serveAddrs
-	addrs.member = srv.Addr()
+	addrs := serveAddrs{member: srv.Addr()}
+	tiers := []bus.Bus{inner} // every bus a remote process hangs on: what an abort must drain
 
 	// Distributed root tier: a second TCP server the worker concentrators
 	// dial into.
@@ -557,11 +375,12 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		}
 		defer rootSrv.Close()
 		addrs.root = rootSrv.Addr()
+		tiers = append(tiers, rootInner)
 	}
 
 	var hub *obsplane.Hub
 	if cfg.obsAddr != "" {
-		if hub, err = startHub(cfg.obsAddr, cfg.dataDir, cfg.history); err != nil {
+		if hub, err = startHub(cfg.obsAddr, cfg.tsdbInterval); err != nil {
 			return err
 		}
 		defer hub.Close()
@@ -572,7 +391,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	registerServeMetrics(reg, srv, rootSrv, hub, sender)
 
 	if cfg.metricsAddr != "" {
-		history, scraper := startHistory(cfg.history, reg)
+		history, scraper := startHistory(cfg.tsdbInterval, reg)
 		defer scraper.Close()
 		var stop func()
 		addrs.metrics, _, stop, err = endpoints{
@@ -585,7 +404,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 				}
 				return doc
 			},
-			reg: reg, logger: health.Default(), history: history, hub: hub, pprof: cfg.pprof,
+			reg: reg, history: history, hub: hub, pprof: cfg.pprof,
 		}.listen(cfg.metricsAddr)
 		if err != nil {
 			return err
@@ -602,15 +421,21 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	// cc-NNN names on this same bridged bus (their downward connection), so
 	// only non-concentrator names count toward — and model — the fleet.
 	deadline := time.Now().Add(cfg.timeout)
-	for len(customerAgents(inner.Agents())) < cfg.customers {
-		if err := ctx.Err(); err != nil {
-			fmt.Println("gridd: interrupted while waiting for customers")
-			return abortServe(journal, session, "interrupted before negotiation", inner)
+	await := func(what string, want int, count func() int) (stop bool, err error) {
+		for count() < want {
+			switch {
+			case ctx.Err() != nil:
+				fmt.Printf("gridd: interrupted while waiting for %s\n", what)
+				return true, abortServe(journal, session, "interrupted before negotiation", tiers...)
+			case time.Now().After(deadline):
+				return true, fmt.Errorf("only %d of %d %s connected", count(), want, what)
+			}
+			time.Sleep(50 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("only %d of %d customers connected", len(customerAgents(inner.Agents())), cfg.customers)
-		}
-		time.Sleep(50 * time.Millisecond)
+		return false, nil
+	}
+	if stop, err := await("customers", cfg.customers, func() int { return len(customerAgents(inner.Agents())) }); stop {
+		return err
 	}
 	names := customerAgents(inner.Agents())
 	fmt.Printf("gridd: customers connected: %v\n", names)
@@ -629,59 +454,41 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	loads := fleetLoads(names)
 	totalPredicted := units.Energy(13.5 * float64(len(names)))
 
-	params := core.PaperParams()
-	uaBus := bus.Bus(inner)
-	uaLoads := loads
-	var parent *bus.InProc
-	switch {
-	case rootInner != nil:
-		// Worker concentrators: wait until every shard's worker has dialed
-		// the root tier, then negotiate with them over TCP.
+	// With shards > 1 the UA negotiates with that many concentrators on a
+	// tier bus of its own — the root tier's when they are worker processes —
+	// and sees their aggregated loads.
+	params, uaBus, uaLoads := core.PaperParams(), bus.Bus(inner), loads
+	tierBus := rootInner
+	if cfg.shards > 1 {
 		topo, err := cluster.NewTopology(loads, cfg.shards)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("gridd: root tier on %s, waiting for %d concentrator workers\n", rootSrv.Addr(), cfg.shards)
-		for len(rootInner.Agents()) < cfg.shards {
-			if err := ctx.Err(); err != nil {
-				fmt.Println("gridd: interrupted while waiting for concentrators")
-				return abortServe(journal, session, "interrupted before negotiation", inner, rootInner)
+		if rootInner != nil {
+			fmt.Printf("gridd: root tier on %s, waiting for %d concentrator workers\n", rootSrv.Addr(), cfg.shards)
+			if stop, err := await("concentrators", cfg.shards, func() int { return len(rootInner.Agents()) }); stop {
+				return err
 			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("only %d of %d concentrators connected", len(rootInner.Agents()), cfg.shards)
+			fmt.Printf("gridd: concentrators connected: %v\n", rootInner.Agents())
+		} else {
+			// In-process tier: the concentrators reach their remote shards
+			// over the bridged bus.
+			if tierBus, err = bus.NewInProc(bus.Config{}); err != nil {
+				return err
 			}
-			time.Sleep(50 * time.Millisecond)
+			defer tierBus.Close()
+			tier, err := cluster.StartTier(tierBus, func(int) bus.Bus { return inner }, topo, cluster.TierConfig{
+				SessionID:    session,
+				RoundTimeout: serveRoundTimeout / 2,
+				InboxSize:    4 * cfg.customers,
+			})
+			if err != nil {
+				return err
+			}
+			defer tier.Stop()
+			fmt.Printf("gridd: fronting the fleet with %d concentrators\n", topo.Shards())
 		}
-		fmt.Printf("gridd: concentrators connected: %v\n", rootInner.Agents())
-		params = cluster.RootParams(params)
-		uaBus = rootInner
-		uaLoads = topo.AggregateLoads()
-	case cfg.shards > 1:
-		// In-process tier: the UA talks to concentrators on a private bus;
-		// the concentrators reach their remote shards over the bridged bus.
-		var err error
-		parent, err = bus.NewInProc(bus.Config{})
-		if err != nil {
-			return err
-		}
-		defer parent.Close()
-		topo, err := cluster.NewTopology(loads, cfg.shards)
-		if err != nil {
-			return err
-		}
-		tier, err := cluster.StartTier(parent, func(int) bus.Bus { return inner }, topo, cluster.TierConfig{
-			SessionID:    session,
-			RoundTimeout: serveRoundTimeout / 2,
-			InboxSize:    4 * cfg.customers,
-		})
-		if err != nil {
-			return err
-		}
-		defer tier.Stop()
-		params = cluster.RootParams(params)
-		uaBus = parent
-		uaLoads = topo.AggregateLoads()
-		fmt.Printf("gridd: fronting the fleet with %d concentrators\n", topo.Shards())
+		params, uaBus, uaLoads = cluster.RootParams(params), tierBus, topo.AggregateLoads()
 	}
 
 	ua, err := utilityagent.New(utilityagent.Config{
@@ -711,14 +518,9 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		// TCP connections.
 		time.Sleep(300 * time.Millisecond)
 		stats := inner.Stats()
-		if parent != nil || rootInner != nil {
+		if tierBus != nil {
 			// Count both tiers, so flat and sharded runs compare fairly.
-			var p bus.Stats
-			if parent != nil {
-				p = parent.Stats()
-			} else {
-				p = rootInner.Stats()
-			}
+			p := tierBus.Stats()
 			stats.Sent += p.Sent
 			stats.Delivered += p.Delivered
 			stats.Dropped += p.Dropped
@@ -753,11 +555,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		// connection, and the journal records the session as aborted so
 		// recovery never replays it as half-committed.
 		fmt.Println("gridd: interrupted, draining in-flight session")
-		drained := []bus.Bus{inner}
-		if rootInner != nil {
-			drained = append(drained, rootInner)
-		}
-		return abortServe(journal, session, "interrupted", drained...)
+		return abortServe(journal, session, "interrupted", tiers...)
 	case <-time.After(cfg.timeout):
 		return fmt.Errorf("negotiation timed out after %v", cfg.timeout)
 	}
@@ -835,45 +633,10 @@ func journalServeOutcome(journal *store.Store, session string, res utilityagent.
 	return journal.Seal()
 }
 
-// liveOptions parameterises one live grid daemon.
-type liveOptions struct {
-	addr          string
-	customers     int
-	shards        int
-	tick          time.Duration
-	maxTicks      int // stop once the grid's tick counter reaches this; 0 = run until cancelled
-	seed          int64
-	dataDir       string // non-empty: durable operation with crash recovery
-	snapshotEvery int
-	spikeShards   []int
-	spikeTick     int // -1 = no spike
-	spikeFactor   float64
-	spikeEndTick  int // 0 = the spike never ends
-
-	// Health layer.
-	feedbackAddr   string // non-empty: TCP feedback responder (lbfeedback contract)
-	alerts         string // -alerts flag value ("" = defaults, "none" = off)
-	flightrecKeep  int
-	profileOnAlert bool // add heap + 2s CPU profiles to alert bundles
-
-	// Replication (requires dataDir).
-	replAddr        string   // non-empty: stream the journal to standbys here
-	replicaOf       []string // non-empty: run as a hot standby following this dial list
-	replicaID       string
-	peers           []string
-	failoverTimeout time.Duration
-
-	// Fleet observability: host the obs hub here and serve the /fleet
-	// endpoints on the live HTTP address.
-	obsAddr string // non-empty: accept obs streams from the fleet on this address
-
-	roleOptions
-}
-
 // liveConfig derives the engine configuration. It must be identical on
 // every start against the same data dir — recovery validates it against the
 // journal's scenario registration.
-func (o liveOptions) liveConfig() (telemetry.LiveConfig, error) {
+func (o options) liveConfig() (telemetry.LiveConfig, error) {
 	s, err := telemetry.ElasticFleetScenario(o.customers, o.seed)
 	if err != nil {
 		return telemetry.LiveConfig{}, err
@@ -897,11 +660,8 @@ func (o liveOptions) liveConfig() (telemetry.LiveConfig, error) {
 	return cfg, nil
 }
 
-// gridState is what the live HTTP endpoints serve, shared between the tick
-// loop (or the replication receiver) and the handlers, and swapped in place
-// when a standby promotes — the HTTP server itself survives the role change.
-type gridState struct {
-	mu       sync.Mutex
+// gridView is the endpoint-visible state of a live daemon at one instant.
+type gridView struct {
 	role     string // "primary" | "standby"
 	start    time.Time
 	snap     telemetry.Snapshot
@@ -910,52 +670,65 @@ type gridState struct {
 	st       *store.Store     // primary journal (nil when volatile)
 	sender   *replica.Sender  // non-nil when streaming to standbys
 	stby     *replica.Standby // non-nil while role == standby
-	health   *liveHealth      // set once before the HTTP server starts
-	obs      *obsplane.Hub    // non-nil when this daemon hosts the fleet obs hub
 }
 
-// view reads the endpoint-visible state in one consistent snapshot. A
-// standby's snapshot and profile come from the replica engine on demand (the
-// receiver applies records between HTTP requests, not between ticks).
-func (g *gridState) view() (role string, snap telemetry.Snapshot, profile []byte, stby *replica.Standby, sender *replica.Sender) {
+// gridState is what the live HTTP endpoints serve, shared between the tick
+// loop (or the replication receiver) and the handlers, and swapped in place
+// when a standby promotes — the HTTP server itself survives the role change.
+type gridState struct {
+	mu       sync.Mutex
+	gridView               // guarded by mu; handlers read it through view()
+	health   *liveHealth   // set once before the HTTP server starts
+	obs      *obsplane.Hub // non-nil when this daemon hosts the fleet obs hub
+}
+
+// view reads the endpoint-visible state in one consistent snapshot under one
+// lock.
+func (g *gridState) view() gridView {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.stby != nil {
-		return g.role, g.stby.Eng.ReplicaSnapshot(), nil, g.stby, g.sender
-	}
-	return g.role, g.snap, g.profile, nil, g.sender
+	return g.gridView
 }
 
-// publish stores a tick's outcome for the handlers.
-func (g *gridState) publish(snap telemetry.Snapshot, profile []byte) {
+// snapshot is the grid snapshot to serve: the last published one on a
+// primary; on a standby the replica engine's, read on demand (the receiver
+// applies records between HTTP requests, not between ticks).
+func (v gridView) snapshot() telemetry.Snapshot {
+	if v.stby != nil {
+		return v.stby.Eng.ReplicaSnapshot()
+	}
+	return v.snap
+}
+
+// publish stores the engine's state after a tick for the handlers.
+func (g *gridState) publish(eng *telemetry.LiveEngine) error {
+	profile, err := json.Marshal(eng.Profile())
+	if err != nil {
+		return err
+	}
 	g.mu.Lock()
-	g.snap, g.profile = snap, profile
+	g.snap, g.profile = eng.Snapshot(), profile
 	g.mu.Unlock()
+	return nil
 }
 
 // healthDoc renders the /healthz body: role, recovery state, replication
 // state and the last applied/committed journal position — the operator
 // contract an external health checker (or a failover drill) consumes.
 func (g *gridState) healthDoc() map[string]any {
-	role, snap, _, stby, sender := g.view()
-	g.mu.Lock()
-	rec := g.recovery
-	st := g.st
-	start := g.start
-	g.mu.Unlock()
+	v := g.view()
+	rec, stby, snap := v.recovery, v.stby, v.snapshot()
 	doc := map[string]any{
 		"status":         "ok",
-		"role":           role,
+		"role":           v.role,
 		"tick":           snap.Tick,
-		"uptimeSeconds":  time.Since(start).Seconds(),
+		"uptimeSeconds":  time.Since(v.start).Seconds(),
 		"renegotiations": snap.Renegotiations,
 	}
-	if h := g.health; h != nil {
-		sc := h.scorer.Latest()
-		doc["feedbackScore"] = sc.Value
-		doc["feedbackComponents"] = sc.Components
-		doc["alertsFiring"] = h.alerts.FiringCount()
-	}
+	sc := g.health.scorer.Latest()
+	doc["feedbackScore"] = sc.Value
+	doc["feedbackComponents"] = sc.Components
+	doc["alertsFiring"] = g.health.alerts.FiringCount()
 	if rec != nil {
 		doc["recovery"] = map[string]any{
 			"recovered":  rec.Recovered,
@@ -977,12 +750,12 @@ func (g *gridState) healthDoc() map[string]any {
 			"promotable": stby.Promotable(),
 			"peers":      stby.PeerList(),
 		}
-	case st != nil:
-		stats := st.Stats()
+	case v.st != nil:
+		stats := v.st.Stats()
 		doc["lastAppliedSeq"] = stats.LastSeq
 		doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
-		if sender != nil {
-			sst := sender.Status()
+		if v.sender != nil {
+			sst := v.sender.Status()
 			doc["replication"] = map[string]any{
 				"addr":     sst.Addr,
 				"standbys": len(sst.Standbys),
@@ -995,15 +768,15 @@ func (g *gridState) healthDoc() map[string]any {
 // replicationDoc renders the /replication body: the receiver's view on a
 // standby, the sender's on a streaming primary.
 func (g *gridState) replicationDoc() map[string]any {
-	role, _, _, stby, sender := g.view()
-	doc := map[string]any{"role": role}
-	if stby != nil {
-		doc["receiver"] = stby.Receiver().Status()
-		doc["promotable"] = stby.Promotable()
-		doc["peers"] = stby.PeerList()
+	v := g.view()
+	doc := map[string]any{"role": v.role}
+	if v.stby != nil {
+		doc["receiver"] = v.stby.Receiver().Status()
+		doc["promotable"] = v.stby.Promotable()
+		doc["peers"] = v.stby.PeerList()
 	}
-	if sender != nil {
-		doc["sender"] = sender.Status()
+	if v.sender != nil {
+		doc["sender"] = v.sender.Status()
 	}
 	return doc
 }
@@ -1013,30 +786,44 @@ func (g *gridState) replicationDoc() map[string]any {
 // state at request time.
 func (g *gridState) serveAwards(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_, _, profile, stby, _ := g.view()
-	if stby != nil {
+	v := g.view()
+	if v.stby != nil {
 		var err error
-		if profile, err = json.Marshal(stby.Eng.Profile()); err != nil {
+		if v.profile, err = json.Marshal(v.stby.Eng.Profile()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 	}
-	_, _ = w.Write(profile)
+	_, _ = w.Write(v.profile)
 }
 
-// endpoints is the live daemon's HTTP surface over the state holder, the
-// same for a primary and a standby: the server survives the role change.
-func (g *gridState) endpoints(pprof bool) endpoints {
-	h := g.health
-	return endpoints{healthz: g.healthDoc, reg: h.metrics, logger: h.logger, history: h.history, hub: g.obs, pprof: pprof, live: g}
+// open wires the health layer over the state and starts the HTTP surface —
+// the same for a primary and a standby: the server survives the role change
+// — handing the bound address to ready (tests bind ":0"). The returned close
+// drains in-flight requests, then stops the health layer.
+func (g *gridState) open(opts options, ready chan<- string) (addr string, exited <-chan error, close func(), err error) {
+	h, err := newLiveHealth(opts, g)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	g.health = h
+	addr, exited, stop, err := endpoints{healthz: g.healthDoc, reg: h.metrics, history: h.history, hub: g.obs, pprof: opts.pprof, live: g}.listen(opts.addr)
+	if err != nil {
+		h.close()
+		return "", nil, nil, err
+	}
+	if ready != nil {
+		ready <- addr
+	}
+	return addr, exited, func() { stop(); h.close() }, nil
 }
 
 // lead makes the daemon the serving primary over eng — at start on a
 // primary, after promotion on a standby: it starts the replication sender
 // when one is configured and publishes the engine's state to the handlers.
 // The engine is shut down on error.
-func (g *gridState) lead(eng *telemetry.LiveEngine, opts liveOptions, who string) error {
-	profile, err := json.Marshal(eng.Profile())
+func (g *gridState) lead(eng *telemetry.LiveEngine, opts options, who string) error {
+	err := g.publish(eng)
 	var sender *replica.Sender
 	if err == nil && opts.replAddr != "" {
 		sender, err = startSender(opts.dataDir, opts.replAddr, who)
@@ -1048,7 +835,6 @@ func (g *gridState) lead(eng *telemetry.LiveEngine, opts liveOptions, who string
 	g.mu.Lock()
 	g.role, g.stby = "primary", nil
 	g.st, g.sender = eng.Store(), sender
-	g.snap, g.profile = eng.Snapshot(), profile
 	g.mu.Unlock()
 	return nil
 }
@@ -1069,17 +855,14 @@ func (g *gridState) lead(eng *telemetry.LiveEngine, opts liveOptions, who string
 // daemon IS a hot standby: it serves its replica state read-only and
 // promotes itself into this same live loop when the primary goes silent (if
 // it holds the lowest id among -peers).
-func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
-	if opts.tick <= 0 {
-		return fmt.Errorf("-tick must be positive")
-	}
+func runLive(ctx context.Context, opts options, ready chan<- string) error {
 	cfg, err := opts.liveConfig()
 	if err != nil {
 		return err
 	}
-	state := &gridState{role: "primary", start: time.Now()}
+	state := &gridState{gridView: gridView{role: "primary", start: time.Now()}}
 	if opts.obsAddr != "" {
-		if state.obs, err = startHub(opts.obsAddr, opts.dataDir, opts.history); err != nil {
+		if state.obs, err = startHub(opts.obsAddr, opts.tsdbInterval); err != nil {
 			return err
 		}
 		defer state.obs.Close()
@@ -1117,18 +900,10 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 		}
 	}
 
-	h, err := newLiveHealth(ctx, opts, state)
-	if err != nil {
-		_ = eng.Shutdown()
-		return err
-	}
-	defer h.close()
-	state.health = h
-
 	if err := state.lead(eng, opts, "replicating the journal"); err != nil {
 		return err
 	}
-	addr, httpErr, stop, err := state.endpoints(opts.pprof).listen(opts.addr)
+	addr, httpErr, closeHTTP, err := state.open(opts, ready)
 	if err != nil {
 		if state.sender != nil {
 			state.sender.Close()
@@ -1136,10 +911,7 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 		_ = eng.Shutdown()
 		return err
 	}
-	defer stop()
-	if ready != nil {
-		ready <- addr
-	}
+	defer closeHTTP()
 	fmt.Printf("gridd: live grid of %d customers in %d shards; /healthz, /metrics, /replication and /awards on %s\n",
 		opts.customers, opts.shards, addr)
 	return tickLoop(ctx, eng, opts, state, httpErr)
@@ -1147,7 +919,7 @@ func runLive(ctx context.Context, opts liveOptions, ready chan<- string) error {
 
 // tickLoop is the serving primary's main loop — entered at start by a
 // primary daemon and after promotion by a standby.
-func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts liveOptions, state *gridState, httpErr <-chan error) error {
+func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts options, state *gridState, httpErr <-chan error) error {
 	st := eng.Store()
 	shutdown := func() error {
 		err := eng.Shutdown()
@@ -1163,15 +935,22 @@ func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts liveOptions, 
 		if opts.dataDir == "" {
 			return err
 		}
-		if werr := writeAwardsFile(opts.dataDir, eng); werr != nil && err == nil {
+		// awards.json is the canonical profile /awards last answered with.
+		if werr := atomicWriteFile(opts.dataDir, "awards.json", state.view().profile); werr != nil && err == nil {
 			err = werr
 		}
 		return err
 	}
+	reached := func(tick int) bool {
+		if opts.maxTicks <= 0 || tick < opts.maxTicks {
+			return false
+		}
+		fmt.Printf("gridd: live grid reached tick %d\n", tick)
+		return true
+	}
 
 	// A recovered (or just-promoted) run may already be at the tick target.
-	if done, ok := liveDone(eng.Snapshot().Tick, opts.maxTicks); ok {
-		fmt.Println(done)
+	if reached(eng.Snapshot().Tick) {
 		return shutdown()
 	}
 	ticker := time.NewTicker(opts.tick)
@@ -1202,15 +981,12 @@ func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts liveOptions, 
 					rep.Tick, rep.Renegotiated.Shards, rep.Renegotiated.Outcome, rep.Renegotiated.Members)
 				logRenegotiation(rep)
 			}
-			p, err := json.Marshal(eng.Profile())
-			if err != nil {
+			if err := state.publish(eng); err != nil {
 				_ = shutdown()
 				return err
 			}
-			state.publish(eng.Snapshot(), p)
 			state.health.evalTick()
-			if done, ok := liveDone(rep.Tick+1, opts.maxTicks); ok {
-				fmt.Println(done)
+			if reached(rep.Tick + 1) {
 				return shutdown()
 			}
 		}
@@ -1221,7 +997,7 @@ func tickLoop(ctx context.Context, eng *telemetry.LiveEngine, opts liveOptions, 
 // read-only on the HTTP endpoints while the receiver applies the primary's
 // stream; on primary silence the lowest-id standby promotes in place and
 // continues the run as the serving primary.
-func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig, state *gridState, ready chan<- string) error {
+func runStandby(ctx context.Context, opts options, cfg telemetry.LiveConfig, state *gridState, ready chan<- string) error {
 	state.role = "standby"
 	stby, info, err := replica.StartStandby(replica.StandbyConfig{
 		ID:              opts.replicaID,
@@ -1241,25 +1017,14 @@ func runStandby(ctx context.Context, opts liveOptions, cfg telemetry.LiveConfig,
 			opts.replicaID, stby.Eng.LastSeq(), info.ResumeTick)
 	}
 
-	h, err := newLiveHealth(ctx, opts, state)
+	addr, httpErr, closeHTTP, err := state.open(opts, ready)
 	if err != nil {
 		_ = stby.Close()
 		return err
 	}
-	defer h.close()
-	state.health = h
-	stopEval := h.startStandbyEval(opts.tick)
+	defer closeHTTP()
+	stopEval := state.health.startStandbyEval(opts.tick)
 	defer stopEval()
-
-	addr, httpErr, stop, err := state.endpoints(opts.pprof).listen(opts.addr)
-	if err != nil {
-		_ = stby.Close()
-		return err
-	}
-	defer stop()
-	if ready != nil {
-		ready <- addr
-	}
 	fmt.Printf("gridd: hot standby %s following %v; read-only /healthz, /metrics, /replication and /awards on %s\n",
 		opts.replicaID, opts.replicaOf, addr)
 
@@ -1336,24 +1101,6 @@ func atomicWriteFile(dir, name string, data []byte) error {
 	return os.Rename(tmpName, filepath.Join(dir, name))
 }
 
-// liveDone reports whether the grid reached its tick target.
-func liveDone(tick, maxTicks int) (string, bool) {
-	if maxTicks > 0 && tick >= maxTicks {
-		return fmt.Sprintf("gridd: live grid reached tick %d", tick), true
-	}
-	return "", false
-}
-
-// writeAwardsFile atomically publishes the engine's canonical profile as
-// <dir>/awards.json. Call it after the engine has stopped ticking.
-func writeAwardsFile(dir string, eng *telemetry.LiveEngine) error {
-	data, err := json.Marshal(eng.Profile())
-	if err != nil {
-		return err
-	}
-	return atomicWriteFile(dir, "awards.json", data)
-}
-
 // gridSamples appends a live snapshot's grid_* series: the fleet totals,
 // then one series per shard in each per-shard family.
 func gridSamples(dst []trace.Sample, snap telemetry.Snapshot) []trace.Sample {
@@ -1394,16 +1141,8 @@ func runClient(ctx context.Context, addr, name string, seed int64) error {
 	defer cli.Close()
 
 	// A cancelled context closes the connection, which unblocks the inbox
-	// loop below; done stops this watcher on normal return.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cli.Close()
-		case <-done:
-		}
-	}()
+	// loop below.
+	defer context.AfterFunc(ctx, func() { cli.Close() })()
 
 	prefs, err := clientPreferences(seed)
 	if err != nil {

@@ -36,26 +36,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestRunFlagValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{name: "no mode", args: nil, want: "-serve ADDR or -connect ADDR"},
-		{name: "both modes", args: []string{"-serve", ":1", "-connect", "x:1"}, want: "mutually exclusive"},
-		{name: "connect without name", args: []string{"-connect", "x:1"}, want: "requires -name"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			err := run(context.Background(), tt.args)
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("error = %v, want %q", err, tt.want)
-			}
-		})
-	}
-}
-
 func TestClientPreferencesDeterministic(t *testing.T) {
 	p1, err := clientPreferences(3)
 	if err != nil {
@@ -97,7 +77,7 @@ func TestServerClientEndToEnd(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{addr: "127.0.0.1:0", customers: 3, shards: 1, timeout: 30 * time.Second}, ready)
+		serverErr <- serve(ctx, options{addr: "127.0.0.1:0", customers: 3, shards: 1, timeout: 30 * time.Second}, ready)
 	}()
 	var addr string
 	select {
@@ -140,7 +120,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{addr: "127.0.0.1:0", customers: 4, shards: 2, timeout: 30 * time.Second}, ready)
+		serverErr <- serve(ctx, options{addr: "127.0.0.1:0", customers: 4, shards: 2, timeout: 30 * time.Second}, ready)
 	}()
 	var addr string
 	select {
@@ -194,7 +174,7 @@ func TestDistributedServerEndToEnd(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr:        "127.0.0.1:0",
 			rootAddr:    "127.0.0.1:0",
 			metricsAddr: "127.0.0.1:0",
@@ -338,7 +318,7 @@ func TestDistributedTraceStitch(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr:        "127.0.0.1:0",
 			rootAddr:    "127.0.0.1:0",
 			metricsAddr: "127.0.0.1:0",
@@ -362,7 +342,7 @@ func TestDistributedTraceStitch(t *testing.T) {
 	// shared in-process ring.
 	standbyErr := make(chan error, 1)
 	go func() {
-		standbyErr <- runLive(ctx, liveOptions{
+		standbyErr <- runLive(ctx, options{
 			addr: "127.0.0.1:0", customers: 16, shards: 4,
 			tick: 50 * time.Millisecond, seed: 1, spikeTick: -1,
 			dataDir: dirS, replicaOf: []string{replAddr}, replicaID: "r0",
@@ -601,7 +581,7 @@ func TestServeShutsDownOnCancel(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{addr: "127.0.0.1:0", customers: 3, shards: 1, timeout: 30 * time.Second}, ready)
+		serverErr <- serve(ctx, options{addr: "127.0.0.1:0", customers: 3, shards: 1, timeout: 30 * time.Second}, ready)
 	}()
 	select {
 	case <-ready:
@@ -627,7 +607,7 @@ func TestLiveGridServesHealthAndMetrics(t *testing.T) {
 	ready := make(chan string, 1)
 	liveErr := make(chan error, 1)
 	go func() {
-		liveErr <- runLive(ctx, liveOptions{
+		liveErr <- runLive(ctx, options{
 			addr: "127.0.0.1:0", customers: 16, shards: 4,
 			tick: 20 * time.Millisecond, seed: 1, spikeTick: -1,
 		}, ready)
@@ -802,7 +782,7 @@ func TestServeDrainsClientsOnInterrupt(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr: "127.0.0.1:0", customers: 3, shards: 1,
 			timeout: 30 * time.Second, dataDir: dataDir,
 		}, ready)
@@ -867,7 +847,7 @@ func TestServeJournalsOutcome(t *testing.T) {
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
 	go func() {
-		serverErr <- serve(ctx, serveConfig{
+		serverErr <- serve(ctx, options{
 			addr: "127.0.0.1:0", customers: 2, shards: 1,
 			timeout: 30 * time.Second, dataDir: dataDir,
 		}, ready)
@@ -1092,7 +1072,7 @@ func TestFailoverDrillServesAwards(t *testing.T) {
 	ready := make(chan string, 1)
 	standbyErr := make(chan error, 1)
 	go func() {
-		standbyErr <- runLive(ctx, liveOptions{
+		standbyErr <- runLive(ctx, options{
 			addr: "127.0.0.1:0", customers: 16, shards: 4,
 			tick: 50 * time.Millisecond, maxTicks: 0, seed: 5,
 			dataDir: dirS, snapshotEvery: 8,
@@ -1184,7 +1164,7 @@ func TestFailoverDrillServesAwards(t *testing.T) {
 
 // TestLiveGridBoundedTicks runs the live grid to its -live-ticks limit.
 func TestLiveGridBoundedTicks(t *testing.T) {
-	err := runLive(context.Background(), liveOptions{
+	err := runLive(context.Background(), options{
 		addr: "127.0.0.1:0", customers: 8, shards: 2,
 		tick: time.Millisecond, maxTicks: 3, seed: 1, spikeTick: -1,
 	}, nil)

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -89,8 +90,10 @@ func ParseRule(s string) (RuleConfig, error) {
 	}
 	rc.Metric = cond[:opIdx]
 	rc.Op = string(cond[opIdx])
+	// NaN compares false with everything and ±Inf with nearly everything: a
+	// rule with such a threshold would be accepted and never fire.
 	thr, err := strconv.ParseFloat(cond[opIdx+1:], 64)
-	if err != nil {
+	if err != nil || math.IsNaN(thr) || math.IsInf(thr, 0) {
 		return rc, fmt.Errorf("health: rule %q: bad threshold %q", s, cond[opIdx+1:])
 	}
 	rc.Threshold = thr
@@ -137,10 +140,10 @@ func parseBurnExpr(rc *RuleConfig, expr string) error {
 	}
 	dl, errL := time.ParseDuration(strings.TrimSpace(long))
 	ds, errS := time.ParseDuration(strings.TrimSpace(short))
-	if errL != nil || errS != nil || dl <= 0 || ds <= 0 || ds > dl {
-		return fmt.Errorf("burn rule %s: bad windows [%s,%s] (want long >= short > 0)", expr, long, short)
-	}
 	rc.WindowUs, rc.ShortWindowUs = dl.Microseconds(), ds.Microseconds()
+	if errL != nil || errS != nil || rc.ShortWindowUs <= 0 || rc.ShortWindowUs > rc.WindowUs {
+		return fmt.Errorf("burn rule %s: bad windows [%s,%s] (want long >= short >= 1µs)", expr, long, short)
+	}
 	for i, arg := range strings.Split(expr[len("burn("):close], ",") {
 		arg = strings.TrimSpace(arg)
 		if i == 0 {
@@ -177,6 +180,13 @@ func ParseRules(s string) ([]RuleConfig, error) {
 		rc, err := ParseRule(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
+		}
+		// /alerts, the transition events and the bundle names tell rules
+		// apart by name alone.
+		for _, prev := range out {
+			if prev.Name == rc.Name {
+				return nil, fmt.Errorf("health: rule name %q is used twice", rc.Name)
+			}
 		}
 		out = append(out, rc)
 	}

@@ -1,7 +1,9 @@
 package health
 
 import (
+	"fmt"
 	"math"
+	"net/http"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -220,4 +222,19 @@ func (s *Scorer) Samples(dst []trace.Sample) []trace.Sample {
 		dst = append(dst, trace.Gauge("feedback_component_health", trace.Label("component", c.Name), c.Health))
 	}
 	return dst
+}
+
+// feedbackLine renders a score as the one plain-text line — "NN%\n", the
+// score rounded to an integer — that agent-check style balancers weight a
+// node by.
+func feedbackLine(score float64) string {
+	return fmt.Sprintf("%d%%\n", int(math.Round(min(max(score, 0), 100))))
+}
+
+// FeedbackHandler serves the feedback line over HTTP (/feedback).
+func FeedbackHandler(scorer *Scorer) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, feedbackLine(scorer.Value()))
+	}
 }

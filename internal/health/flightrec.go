@@ -59,11 +59,15 @@ type Recorder struct {
 	profileWG sync.WaitGroup
 }
 
+// DefaultKeep is how many bundles a recorder keeps unless told otherwise —
+// what every gridd role runs with.
+const DefaultKeep = 8
+
 // NewRecorder builds a recorder rooted at dir (created on first dump) that
-// snapshots metrics into each bundle. keep <= 0 means keep 8.
+// snapshots metrics into each bundle. keep <= 0 means DefaultKeep.
 func NewRecorder(dir string, keep int, logger *Logger, metrics *trace.Registry) *Recorder {
 	if keep <= 0 {
-		keep = 8
+		keep = DefaultKeep
 	}
 	return &Recorder{dir: dir, keep: keep, logger: logger, metrics: metrics}
 }

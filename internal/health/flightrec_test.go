@@ -1,9 +1,8 @@
 package health
 
 import (
-	"context"
 	"encoding/json"
-	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,49 +159,23 @@ func TestResponderLine(t *testing.T) {
 			t.Errorf("feedbackLine(%g) = %q, want %q", score, got, want)
 		}
 	}
-}
 
-func TestResponderServes(t *testing.T) {
+	// /feedback serves that line for the scorer's current value.
 	util := 0.5
 	s := NewScorer(Sources{Utilization: func() float64 { return util }}, DefaultBudgets(), Weights{Utilization: 1})
 	s.gcStats = func() (float64, float64) { return 0, 0 }
-	s.Compute()
-
-	r, err := NewResponder("127.0.0.1:0", s)
-	if err != nil {
-		t.Fatalf("NewResponder: %v", err)
+	get := func() string {
+		s.Compute()
+		rec := httptest.NewRecorder()
+		FeedbackHandler(s)(rec, httptest.NewRequest("GET", "/feedback", nil))
+		return rec.Body.String()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { r.Serve(ctx); close(done) }()
-
-	read := func() string {
-		conn, err := net.DialTimeout("tcp", r.Addr(), 2*time.Second)
-		if err != nil {
-			t.Fatalf("dial responder: %v", err)
-		}
-		defer conn.Close()
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		buf := make([]byte, 16)
-		n, _ := conn.Read(buf)
-		return string(buf[:n])
-	}
-
-	if got := read(); got != "100%\n" {
-		t.Fatalf("healthy responder line = %q", got)
+	if got := get(); got != "100%\n" {
+		t.Fatalf("healthy /feedback line = %q", got)
 	}
 	util = 2.0
-	s.Compute()
-	if got := read(); got != "0%\n" {
-		t.Fatalf("overloaded responder line = %q", got)
-	}
-
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not exit on cancel")
+	if got := get(); got != "0%\n" {
+		t.Fatalf("overloaded /feedback line = %q", got)
 	}
 }
 

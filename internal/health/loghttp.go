@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"loadbalance/internal/trace"
@@ -91,29 +92,32 @@ func WriteLogDump(w io.Writer, l *Logger, f LogFilter) error {
 	return err
 }
 
-// LogHandler serves the logger's ring as JSON. Query params: level
-// (minimum level name), component (exact match), limit (newest N).
-// Malformed params are a 400, not a silent full dump.
+// ParseLogFilter reads a log filter from the query parameters /logs and
+// /fleet/logs share: level (minimum level name), component (exact match),
+// limit (newest N). A malformed one is an error the handlers answer as a
+// 400, not a silent full dump.
+func ParseLogFilter(q url.Values) (LogFilter, error) {
+	f := LogFilter{Component: q.Get("component")}
+	if s := q.Get("level"); s != "" {
+		lv, err := ParseLevel(s)
+		if err != nil {
+			return LogFilter{}, fmt.Errorf("bad level %q: want debug, info, warn, error or off", s)
+		}
+		f.MinLevel = lv
+	}
+	var err error
+	f.Limit, err = trace.ParseLimitParam(q.Get("limit"), 0)
+	return f, err
+}
+
+// LogHandler serves the logger's ring as JSON under ParseLogFilter's query
+// parameters.
 func LogHandler(l *Logger) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var f LogFilter
-		q := r.URL.Query()
-		if s := q.Get("level"); s != "" {
-			lv, err := ParseLevel(s)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad level %q", s), http.StatusBadRequest)
-				return
-			}
-			f.MinLevel = lv
-		}
-		f.Component = q.Get("component")
-		if s := q.Get("limit"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n <= 0 {
-				http.Error(w, fmt.Sprintf("bad limit %q", s), http.StatusBadRequest)
-				return
-			}
-			f.Limit = n
+		f, err := ParseLogFilter(r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = WriteLogDump(w, l, f)

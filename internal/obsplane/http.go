@@ -40,13 +40,12 @@ type FleetTraceDoc struct {
 	Spans  []trace.Record `json:"spans"`
 }
 
-// logFilter selects events for /fleet/logs.
+// logFilter selects events for /fleet/logs: /logs' filter plus the two
+// parameters only a merged view has.
 type logFilter struct {
-	proc      string
-	minLevel  health.Level
-	component string
-	afterUs   int64
-	limit     int
+	health.LogFilter
+	proc    string // exact process label
+	afterUs int64  // only events strictly newer — the gridctl logs -f cursor
 }
 
 // MergedLogs returns the fleet's log events oldest-first under the filter.
@@ -68,10 +67,10 @@ func (h *Hub) mergedLogs(f logFilter) FleetLogsDoc {
 		for i := 0; i < p.logRing.Len(); i++ {
 			fl := p.logRing.At(i)
 			lv, err := health.ParseLevel(fl.ev.Level)
-			if err != nil || lv < f.minLevel {
+			if err != nil || lv < f.MinLevel {
 				continue
 			}
-			if f.component != "" && fl.ev.Component != f.component {
+			if f.Component != "" && fl.ev.Component != f.Component {
 				continue
 			}
 			if fl.ev.TsUs <= f.afterUs {
@@ -94,8 +93,8 @@ func (h *Hub) mergedLogs(f logFilter) FleetLogsDoc {
 		}
 		return doc.Events[i].Proc < doc.Events[j].Proc
 	})
-	if f.limit > 0 && len(doc.Events) > f.limit {
-		doc.Events = doc.Events[len(doc.Events)-f.limit:]
+	if f.Limit > 0 && len(doc.Events) > f.Limit {
+		doc.Events = doc.Events[len(doc.Events)-f.Limit:]
 	}
 	return doc
 }
@@ -105,12 +104,6 @@ func (h *Hub) mergedLogs(f logFilter) FleetLogsDoc {
 func (h *Hub) mergedTrace(f trace.Filter) FleetTraceDoc {
 	doc := FleetTraceDoc{Spans: []trace.Record{}}
 	procSet := make(map[string]bool)
-	if f.Trace != "" {
-		if id, ok := trace.ParseID(f.Trace); ok {
-			f.Trace = fmt.Sprintf("%016x", id) // records render ids zero-padded
-		}
-	}
-
 	if t := trace.Active(); t != nil {
 		for _, r := range t.Records(trace.Filter{Session: f.Session, Trace: f.Trace, Shard: f.Shard}) {
 			doc.Spans = append(doc.Spans, r)
@@ -160,54 +153,35 @@ func (h *Hub) mergedTrace(f trace.Filter) FleetTraceDoc {
 	return doc
 }
 
-// FleetLogsHandler serves the merged fleet log view. Query params: proc
-// (exact), level (minimum level name), component (exact), afterUs (only
-// events strictly newer — the gridctl logs -f cursor), limit (newest N).
-// Malformed params are a 400, not a silent full dump.
+// FleetLogsHandler serves the merged fleet log view. Query params: those of
+// /logs (health.ParseLogFilter) plus proc and afterUs. Malformed params are
+// a 400, not a silent full dump.
 func (h *Hub) FleetLogsHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		f := logFilter{proc: q.Get("proc"), component: q.Get("component")}
-		if s := q.Get("level"); s != "" {
-			lv, err := health.ParseLevel(s)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad level %q", s), http.StatusBadRequest)
-				return
-			}
-			f.minLevel = lv
-		}
-		if s := q.Get("afterUs"); s != "" {
-			us, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad afterUs %q", s), http.StatusBadRequest)
-				return
-			}
-			f.afterUs = us
-		}
-		var err error
-		if f.limit, err = tsdb.ParseLimitParam(q.Get("limit"), 0); err != nil {
+		lf, err := health.ParseLogFilter(q)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
+		}
+		f := logFilter{LogFilter: lf, proc: q.Get("proc")}
+		if s := q.Get("afterUs"); s != "" {
+			if f.afterUs, err = strconv.ParseInt(s, 10, 64); err != nil {
+				http.Error(w, fmt.Sprintf("bad afterUs %q: want unix microseconds", s), http.StatusBadRequest)
+				return
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(h.mergedLogs(f))
 	}
 }
 
-// FleetTraceHandler serves the stitched cross-process trace view. Query
-// params match /trace: session, shard, trace (hex), limit.
+// FleetTraceHandler serves the stitched cross-process trace view under
+// /trace's query params (trace.ParseFilter).
 func (h *Hub) FleetTraceHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		f := trace.Filter{Session: q.Get("session"), Shard: q.Get("shard"), Trace: q.Get("trace")}
-		if f.Trace != "" {
-			if _, ok := trace.ParseID(f.Trace); !ok {
-				http.Error(w, "bad trace id (want hex)", http.StatusBadRequest)
-				return
-			}
-		}
-		var err error
-		if f.Limit, err = tsdb.ParseLimitParam(q.Get("limit"), 0); err != nil {
+		f, err := trace.ParseFilter(r.URL.Query())
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -245,7 +245,11 @@ func TestHubMergeAndEndpoints(t *testing.T) {
 		t.Fatalf("/fleet/metrics carries a histogram bucket:\n%s", page)
 	}
 
-	// Malformed query params are 400s, not silent full dumps.
+	// Malformed query params are 400s, not silent full dumps — and the
+	// parameters /fleet/logs and /fleet/trace share with /logs and /trace are
+	// refused in the local endpoint's words: one parser per filter type.
+	mux.HandleFunc("/logs", health.LogHandler(log2))
+	mux.Handle("/trace", trace.Handler())
 	for _, path := range []string{
 		"/fleet/logs?level=nope",
 		"/fleet/logs?afterUs=abc",
@@ -253,13 +257,21 @@ func TestHubMergeAndEndpoints(t *testing.T) {
 		"/fleet/trace?trace=zzz",
 		"/fleet/trace?limit=0",
 	} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+		refusal := func(path string) string {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("GET %s = %s, want 400", path, resp.Status)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			return string(body)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s = %s, want 400", path, resp.Status)
+		fleet := refusal(path)
+		if local := strings.TrimPrefix(path, "/fleet"); !strings.Contains(path, "afterUs") && refusal(local) != fleet {
+			t.Errorf("GET %s refused with %q, GET %s with %q", path, fleet, local, refusal(local))
 		}
 	}
 

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 )
 
@@ -42,7 +44,23 @@ func WriteDump(w io.Writer, f Filter) error {
 	return enc.Encode(Snapshot(f))
 }
 
-// Handler serves the active tracer's ring as JSON. Query parameters:
+// ParseLimitParam parses a limit query parameter: "" yields def, and any
+// other value must be a positive integer. Every endpoint that takes a limit
+// (/trace, /logs, /query and their /fleet twins) parses it here, so a bad one
+// reads the same everywhere.
+func ParseLimitParam(s string, def int) (int, error) {
+	if s == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad limit %q: want a positive integer", s)
+	}
+	return n, nil
+}
+
+// ParseFilter reads a span filter from the query parameters /trace and
+// /fleet/trace share:
 //
 //	session=ID   only spans of one negotiation session
 //	shard=NAME   only spans labeled with the shard (or whose agent name
@@ -51,30 +69,30 @@ func WriteDump(w io.Writer, f Filter) error {
 //	limit=N      newest N matching spans
 //
 // A malformed parameter (non-hex trace, non-positive or non-numeric limit)
-// is a 400, not a silently unfiltered dump. When tracing is disabled the
-// response is {"enabled":false,...} with status 200, so scrapers need no
-// special-casing.
+// is an error the handlers answer as a 400, not a silently unfiltered dump.
+func ParseFilter(q url.Values) (Filter, error) {
+	f := Filter{Session: q.Get("session"), Shard: q.Get("shard"), Trace: q.Get("trace")}
+	if f.Trace != "" {
+		id, ok := ParseID(f.Trace)
+		if !ok {
+			return Filter{}, fmt.Errorf("bad trace %q: want a hex id", f.Trace)
+		}
+		f.Trace = hexID(id) // the zero-padded form records render ids in
+	}
+	var err error
+	f.Limit, err = ParseLimitParam(q.Get("limit"), 0)
+	return f, err
+}
+
+// Handler serves the active tracer's ring as JSON under ParseFilter's query
+// parameters. When tracing is disabled the response is {"enabled":false,...}
+// with status 200, so scrapers need no special-casing.
 func Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		f := Filter{
-			Session: q.Get("session"),
-			Shard:   q.Get("shard"),
-			Trace:   q.Get("trace"),
-		}
-		if f.Trace != "" {
-			if _, ok := ParseID(f.Trace); !ok {
-				http.Error(w, "bad trace id (want hex)", http.StatusBadRequest)
-				return
-			}
-		}
-		if s := q.Get("limit"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n <= 0 {
-				http.Error(w, "bad limit (want a positive integer)", http.StatusBadRequest)
-				return
-			}
-			f.Limit = n
+		f, err := ParseFilter(r.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = WriteDump(w, f)

@@ -42,7 +42,7 @@ func Handler(st *Store, nowUs func() int64) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		limit, err := ParseLimitParam(q.Get("limit"), maxQueryPoints)
+		limit, err := trace.ParseLimitParam(q.Get("limit"), maxQueryPoints)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

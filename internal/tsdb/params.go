@@ -1,29 +1,15 @@
 package tsdb
 
-// Shared query-parameter parsing for every history/observability
-// endpoint: /query, /fleet/query and the PR-9 fleet endpoints all accept
-// the same from/to/step/limit shapes and must reject malformed values
-// with the same 400 text, so the helpers live here and the handlers stay
-// one-liners.
+// Query-parameter parsing shared by /query and /fleet/query: both accept the
+// same from/to/step shapes and reject malformed values with the same 400
+// text. The limit parameter, which /trace and /logs take too, is parsed by
+// trace.ParseLimitParam — tsdb imports trace, not the other way round.
 
 import (
 	"fmt"
 	"strconv"
 	"time"
 )
-
-// ParseLimitParam parses a limit query parameter: "" yields def, and any
-// other value must be a positive integer.
-func ParseLimitParam(s string, def int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad limit %q: want a positive integer", s)
-	}
-	return n, nil
-}
 
 // ParseTimeParam parses a from/to query parameter into absolute
 // microseconds: "" yields def, a bare integer is an absolute unix-µs

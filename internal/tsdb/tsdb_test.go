@@ -215,14 +215,14 @@ func TestParseExpr(t *testing.T) {
 
 func TestParamHelpers(t *testing.T) {
 	const now = 1_000 * secUs
-	if n, err := ParseLimitParam("", 7); err != nil || n != 7 {
+	if n, err := trace.ParseLimitParam("", 7); err != nil || n != 7 {
 		t.Fatalf("empty limit = %d, %v", n, err)
 	}
-	if n, err := ParseLimitParam("50", 7); err != nil || n != 50 {
+	if n, err := trace.ParseLimitParam("50", 7); err != nil || n != 50 {
 		t.Fatalf("limit 50 = %d, %v", n, err)
 	}
 	for _, bad := range []string{"0", "-3", "x", "1.5"} {
-		if _, err := ParseLimitParam(bad, 7); err == nil {
+		if _, err := trace.ParseLimitParam(bad, 7); err == nil {
 			t.Errorf("limit %q parsed", bad)
 		}
 	}
