@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -287,7 +286,7 @@ func TestOldWireVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	kind, payload, _, err := readFrame(bufio.NewReader(conn), DefaultMaxFrame)
+	kind, payload, _, err := newFrameReader(conn, DefaultMaxFrame).next()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,6 +149,7 @@ func (r *Remote) Stats() ClientStats {
 		s := cli.Stats()
 		total.Received += s.Received
 		total.Dropped += s.Dropped
+		total.Malformed += s.Malformed
 		total.Sent += s.Sent
 	}
 	return total

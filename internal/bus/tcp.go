@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -21,12 +20,12 @@ import (
 
 // ServerConfig tunes the TCP server's overload behaviour.
 type ServerConfig struct {
-	// WriteTimeout bounds each frame write to a client, so one stalled peer
-	// cannot wedge its writer goroutine (default 10s).
+	// WriteTimeout bounds each write to a client, so one stalled peer cannot
+	// wedge its writer goroutine (default 10s).
 	WriteTimeout time.Duration
-	// OutboundQueue is the per-connection bounded queue of encoded frames
-	// awaiting transmission; envelopes arriving at a full queue are shed and
-	// counted in WireStats.Dropped (default 256).
+	// OutboundQueue bounds the encoded frames a connection may have awaiting
+	// its writer; envelopes arriving at a full queue are shed and counted in
+	// WireStats.Dropped (default 256).
 	OutboundQueue int
 	// MaxFrame bounds one inbound frame in bytes (default DefaultMaxFrame).
 	MaxFrame int
@@ -98,13 +97,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// writeRaw writes buf to conn under the server's write deadline.
-func (s *Server) writeRaw(conn net.Conn, buf []byte) error {
+// writeRaw writes buf — whole frames, as many as frames says — to conn under
+// the server's write deadline.
+func (s *Server) writeRaw(conn net.Conn, buf []byte, frames int) error {
 	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	_, err := conn.Write(buf)
 	_ = conn.SetWriteDeadline(time.Time{})
 	if err == nil {
-		s.stats.framesOut.Add(1)
+		s.stats.framesOut.Add(uint64(frames))
 		s.stats.bytesOut.Add(uint64(len(buf)))
 	}
 	return err
@@ -113,19 +113,89 @@ func (s *Server) writeRaw(conn net.Conn, buf []byte) error {
 // rejectBinary sends a terminal error frame and gives up on the connection.
 func (s *Server) rejectBinary(conn net.Conn, reason string) {
 	s.stats.rejected.Add(1)
-	_ = s.writeRaw(conn, appendFrame(nil, frameError, []byte(reason)))
+	_ = s.writeRaw(conn, appendFrame(nil, frameError, []byte(reason)), 1)
+}
+
+// outbound is the output one server connection has pending: whole frames, back
+// to back in one buffer. Whoever has a frame for the peer (the forwarder; the
+// reader, for a terminal error) appends it under the lock, so frames never
+// interleave; the writer takes everything pending in one piece, leaves the
+// buffer it wrote last to collect what comes next, and makes one write of it.
+// The two buffers are all a connection's output ever allocates, however many
+// envelopes cross it, and while a write is in flight the frames behind it
+// coalesce into the next one.
+type outbound struct {
+	mu     sync.Mutex
+	more   sync.Cond // signalled when frames arrive or the state below changes
+	buf    []byte    // the pending frames
+	frames int       // how many; add refuses more than limit
+	limit  int
+	closed bool // nothing more will be added: take drains, then reports done
+	failed bool // the writer gave up: add refuses everything
+}
+
+func newOutbound(limit int) *outbound {
+	o := &outbound{buf: make([]byte, 0, minFrameBuf), limit: limit}
+	o.more.L = &o.mu
+	return o
+}
+
+// add appends one frame, written by encode, to the pending output. It reports
+// false, having called nothing, when the queue is full or the writer has
+// failed: the frame is shed — overload is the one time shedding must be cheap,
+// so a shed envelope is not even encoded.
+func (o *outbound) add(encode func(dst []byte) []byte) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.frames >= o.limit || o.failed {
+		return false
+	}
+	o.buf = encode(o.buf)
+	o.frames++
+	o.more.Signal()
+	return true
+}
+
+// take waits for pending frames and returns them with their count, leaving
+// spare (emptied) in their place. It reports false once the queue is closed
+// and drained.
+func (o *outbound) take(spare []byte) (buf []byte, frames int, ok bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for o.frames == 0 && !o.closed {
+		o.more.Wait()
+	}
+	buf, frames = o.buf, o.frames
+	o.buf, o.frames = spare[:0], 0
+	return buf, frames, frames > 0
+}
+
+// close marks the end of the output; fail marks the writer's death and
+// returns the frames that were pending, which nobody will write now.
+func (o *outbound) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	o.more.Signal()
+}
+
+func (o *outbound) fail() (shed int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	shed, o.frames, o.failed = o.frames, 0, true
+	return shed
 }
 
 // handle serves one client connection for its lifetime.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	r := bufio.NewReader(conn)
+	fr := newFrameReader(conn, s.cfg.MaxFrame)
 
 	// Preamble: magic + the client's version. The server speaks exactly
 	// WireVersion and says so in the ack.
 	var preamble [2]byte
-	if _, err := io.ReadFull(r, preamble[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, preamble[:]); err != nil {
 		return
 	}
 	if preamble[0] != wireMagic {
@@ -136,7 +206,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.rejectBinary(conn, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", preamble[1], WireVersion))
 		return
 	}
-	kind, payload, n, err := readFrame(r, s.cfg.MaxFrame)
+	kind, payload, n, err := fr.next()
 	if err != nil || kind != frameHello {
 		s.rejectBinary(conn, "expected hello frame")
 		return
@@ -153,7 +223,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.stats.hellos.Add(1)
-	if err := s.writeRaw(conn, appendFrame(nil, frameHelloAck, []byte{WireVersion})); err != nil {
+	if err := s.writeRaw(conn, appendFrame(nil, frameHelloAck, []byte{WireVersion}), 1); err != nil {
 		s.bus.Unregister(name)
 		return
 	}
@@ -164,43 +234,40 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer s.untrack(name)
 
-	// Outbound pipeline: the forwarder moves bus inbox envelopes into a
-	// bounded queue of encoded frames (shedding on overflow), the writer
-	// drains the queue onto the wire under a per-frame deadline. Unregister
+	// Outbound pipeline: the forwarder encodes bus inbox envelopes into the
+	// connection's pending output (shedding on overflow), the writer puts
+	// what is pending on the wire, one write under one deadline. Unregister
 	// closes the inbox, which unwinds both in order.
-	out := make(chan []byte, s.cfg.OutboundQueue)
+	out := newOutbound(s.cfg.OutboundQueue)
 	writerDone := make(chan struct{})
 	forwarderDone := make(chan struct{})
 	go func() {
 		defer close(forwarderDone)
-		defer close(out)
+		defer out.close()
 		for env := range inbox {
-			// Shedding at a full queue must skip the encode too — overload
-			// is the one time shedding needs to be cheap. The reader may
-			// also enqueue a terminal error frame, so the capacity check is
-			// a fast path, not a guarantee; the non-blocking send decides.
-			if len(out) == cap(out) {
-				s.stats.dropped.Add(1)
-				continue
-			}
-			select {
-			case out <- EncodeEnvelopeFrame(nil, env):
-			default:
+			if !out.add(func(dst []byte) []byte { return EncodeEnvelopeFrame(dst, env) }) {
 				s.stats.dropped.Add(1)
 			}
 		}
 	}()
 	go func() {
 		defer close(writerDone)
-		for buf := range out {
-			if err := s.writeRaw(conn, buf); err != nil {
-				// A dead or stalled peer: cut the connection so the reader
-				// unblocks, then keep draining so the forwarder never does.
-				_ = conn.Close()
-				for range out {
-					s.stats.dropped.Add(1)
-				}
+		spare := make([]byte, 0, minFrameBuf)
+		for {
+			buf, frames, ok := out.take(spare)
+			if !ok {
 				return
+			}
+			if err := s.writeRaw(conn, buf, frames); err != nil {
+				// A dead or stalled peer: cut the connection so the reader
+				// unblocks. Nothing waits on the writer — from here on the
+				// forwarder sheds whatever the bus still delivers.
+				s.stats.dropped.Add(uint64(frames + out.fail()))
+				_ = conn.Close()
+				return
+			}
+			if spare = buf; cap(spare) > retainedFrameBuf {
+				spare = nil
 			}
 		}
 	}()
@@ -214,18 +281,17 @@ func (s *Server) handle(conn net.Conn) {
 
 	// Reader: forward connection envelopes to the bus.
 	for {
-		kind, payload, n, err := readFrame(r, s.cfg.MaxFrame)
+		kind, payload, n, err := fr.next()
 		if err != nil {
 			if err == ErrFrameTooLarge || (err != io.EOF && err != io.ErrUnexpectedEOF) {
-				// The writer goroutine owns the connection now; enqueue the
+				// The writer goroutine owns the connection now; queue the
 				// terminal error so it cannot interleave with an in-flight
-				// envelope frame. The deferred teardown closes the queue
-				// behind it.
+				// envelope frame (a full queue sheds it like any other). The
+				// deferred teardown closes the queue behind it.
 				s.stats.protoErrs.Add(1)
-				select {
-				case out <- appendFrame(nil, frameError, []byte(fmt.Sprintf("closing: %v", err))):
-				default:
-				}
+				out.add(func(dst []byte) []byte {
+					return appendFrame(dst, frameError, []byte(fmt.Sprintf("closing: %v", err)))
+				})
 			}
 			return
 		}
@@ -311,8 +377,9 @@ type ClientConfig struct {
 	WriteTimeout time.Duration
 	// HelloTimeout bounds the dial handshake round trip (default 5s).
 	HelloTimeout time.Duration
-	// MaxFrame bounds one inbound frame in bytes (default DefaultMaxFrame);
-	// a fan-out that would make a larger outbound frame is split.
+	// MaxFrame bounds one frame in bytes, inbound and outbound (default
+	// DefaultMaxFrame): a fan-out that would make a larger frame is split, an
+	// envelope that would is refused with ErrFrameTooLarge.
 	MaxFrame int
 }
 
@@ -335,9 +402,10 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 // ClientStats counts a client connection's traffic.
 type ClientStats struct {
-	Received uint64 // envelopes decoded off the wire
-	Dropped  uint64 // envelopes discarded at a full inbox
-	Sent     uint64 // frames written to the wire: one per Send, one per fan-out
+	Received  uint64 // envelopes decoded off the wire
+	Dropped   uint64 // envelopes discarded at a full inbox
+	Malformed uint64 // envelope frames skipped as undecodable
+	Sent      uint64 // frames written to the wire: one per Send, one per fan-out
 }
 
 // Client is a remote agent's connection to a Server.
@@ -346,17 +414,18 @@ type Client struct {
 	conn    net.Conn
 	cfg     ClientConfig
 	version int
-	reader  *bufio.Reader
+	reader  *frameReader
 
 	inbox chan message.Envelope
 	done  chan struct{}
 
 	mu     sync.Mutex // guards closed
-	wmu    sync.Mutex // serialises connection writes
+	wmu    sync.Mutex // serialises connection writes; guards wbuf
+	wbuf   []byte     // the frame being written; the next overwrites it
 	closed bool
 
-	statReceived, statDropped, statSent atomic.Uint64
-	dropOnce                            sync.Once
+	statReceived, statDropped, statMalformed, statSent atomic.Uint64
+	dropOnce                                           sync.Once
 
 	errMu   sync.Mutex
 	termErr error
@@ -405,8 +474,8 @@ func (c *Client) handshake() error {
 	if _, err := c.conn.Write(buf); err != nil {
 		return fmt.Errorf("bus: hello: %w", err)
 	}
-	r := bufio.NewReader(c.conn)
-	kind, payload, _, err := readFrame(r, c.cfg.MaxFrame)
+	r := newFrameReader(c.conn, c.cfg.MaxFrame)
+	kind, payload, _, err := r.next()
 	if err != nil {
 		return fmt.Errorf("%w: no hello ack: %v", ErrBadHandshake, err)
 	}
@@ -432,9 +501,8 @@ func (c *Client) handshake() error {
 func (c *Client) readLoop() {
 	defer close(c.inbox)
 	defer close(c.done)
-	r := c.reader
 	for {
-		kind, payload, _, err := readFrame(r, c.cfg.MaxFrame)
+		kind, payload, _, err := c.reader.next()
 		if err != nil {
 			return
 		}
@@ -442,7 +510,8 @@ func (c *Client) readLoop() {
 		case frameEnvelope:
 			env, err := message.UnmarshalBinary(payload)
 			if err != nil {
-				continue
+				c.statMalformed.Add(1)
+				continue // skip a malformed frame rather than kill the session
 			}
 			select {
 			case c.inbox <- env:
@@ -476,9 +545,10 @@ func (c *Client) RemoteAddr() string { return c.conn.RemoteAddr().String() }
 // Stats returns a snapshot of the connection's traffic counters.
 func (c *Client) Stats() ClientStats {
 	return ClientStats{
-		Received: c.statReceived.Load(),
-		Dropped:  c.statDropped.Load(),
-		Sent:     c.statSent.Load(),
+		Received:  c.statReceived.Load(),
+		Dropped:   c.statDropped.Load(),
+		Malformed: c.statMalformed.Load(),
+		Sent:      c.statSent.Load(),
 	}
 }
 
@@ -498,24 +568,33 @@ func (c *Client) setTermErr(err error) {
 	c.errMu.Unlock()
 }
 
-// Send transmits an envelope. From is forced to the client's identity. The
-// envelope is encoded outside any lock and written under a deadline, so a
-// stalled peer delays Send by at most WriteTimeout and never blocks Close.
+// Send transmits an envelope. From is forced to the client's identity. An
+// envelope whose frame would exceed MaxFrame fails with ErrFrameTooLarge and
+// nothing is written: the peer would answer such a frame by closing the
+// connection, and every later message with it. The write is under a deadline,
+// so a stalled peer delays Send by at most WriteTimeout and never blocks
+// Close.
 func (c *Client) Send(env message.Envelope) error {
 	env.From = c.name
-	return c.write(EncodeEnvelopeFrame(nil, env))
+	if size := 1 + env.BinarySize(); size > c.cfg.MaxFrame {
+		return fmt.Errorf("%w: %s envelope of %d bytes (limit %d)", ErrFrameTooLarge, env.Kind, size, c.cfg.MaxFrame)
+	}
+	return c.write(env, nil)
 }
 
 // SendTo transmits one envelope for every agent named in to as a single
 // fan-out frame; the server's bus does the per-recipient deliveries (see the
-// package-level SendTo). A list too long for one frame goes as two halves.
+// package-level SendTo). A list too long for one frame goes as two halves; an
+// envelope too large for one recipient fails like Send's.
 func (c *Client) SendTo(env message.Envelope, to []string) error {
 	if len(to) == 0 {
 		return nil
 	}
 	env.From = c.name
-	frame := encodeFanOutFrame(nil, env, to)
-	if len(frame) > c.cfg.MaxFrame && len(to) > 1 {
+	if size := 1 + fanOutSize(env, to); size > c.cfg.MaxFrame {
+		if len(to) == 1 {
+			return fmt.Errorf("%w: %s fan-out of %d bytes (limit %d)", ErrFrameTooLarge, env.Kind, size, c.cfg.MaxFrame)
+		}
 		half := len(to) / 2
 		err := c.SendTo(env, to[:half])
 		if err2 := c.SendTo(env, to[half:]); err == nil {
@@ -523,11 +602,12 @@ func (c *Client) SendTo(env message.Envelope, to []string) error {
 		}
 		return err
 	}
-	return c.write(frame)
+	return c.write(env, to)
 }
 
-// write puts one encoded frame on the wire.
-func (c *Client) write(frame []byte) error {
+// write puts env on the wire: as an envelope frame, or as a fan-out frame
+// when there are recipients.
+func (c *Client) write(env message.Envelope, to []string) error {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -537,9 +617,20 @@ func (c *Client) write(frame []byte) error {
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, 0, minFrameBuf)
+	}
+	if to == nil {
+		c.wbuf = EncodeEnvelopeFrame(c.wbuf[:0], env)
+	} else {
+		c.wbuf = encodeFanOutFrame(c.wbuf[:0], env, to)
+	}
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	_, err := c.conn.Write(frame) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock; encode happens outside it and Close aborts in-flight writes)
+	_, err := c.conn.Write(c.wbuf) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock: it guards only the connection's write half and the one buffer frames are encoded into, and Close aborts in-flight writes)
 	_ = c.conn.SetWriteDeadline(time.Time{})
+	if cap(c.wbuf) > retainedFrameBuf {
+		c.wbuf = nil
+	}
 	if err != nil {
 		return fmt.Errorf("bus: send: %w", err)
 	}

@@ -30,6 +30,17 @@ import (
 // version is spoken: a receiver skips frame kinds it does not know, so a v2
 // server would silently lose every fan-out, and a peer announcing anything
 // below WireVersion is refused at the hello instead.
+//
+// What a frame costs. Neither end allocates for the frame itself, only for
+// what the envelope keeps. Reading: every frame of a connection lands in that
+// connection's one buffer (frameReader), which the next frame overwrites —
+// UnmarshalBinary and decodeFanOut copy out the two pieces an envelope keeps
+// (header string, Body) and retain nothing else. Writing: a Client encodes
+// into its one buffer under its write gate; a Server connection's forwarder
+// appends frame after frame to the pending half of a buffer pair and its
+// writer puts everything pending on the wire in one write (outbound, tcp.go).
+// A buffer one big frame grew past retainedFrameBuf is dropped after that
+// frame instead of being kept for the connection's life.
 
 // Protocol constants.
 const (
@@ -41,6 +52,17 @@ const (
 	// DefaultMaxFrame bounds a single frame (kind + payload). Reward tables
 	// are a few kB; a megabyte frame is a protocol error, not a message.
 	DefaultMaxFrame = 1 << 20
+	// minFrameBuf is the size a connection's frame buffers start at: a bid or
+	// an award frame is under 100 bytes and a ten-entry reward table under
+	// 600, so a negotiating connection never grows them.
+	minFrameBuf = 512
+	// retainedFrameBuf is the largest frame buffer a connection keeps between
+	// frames. MaxFrame only says what a peer may send once — replication's is
+	// 64 MB, for a snapshot bootstrap — and a connection that kept what its
+	// largest frame grew would hold that for life; the frames that recur
+	// (meter batches, journal batches, obs batches of a tick) are well under
+	// 64 KB, so they reuse the buffer and the rare giant pays its own way.
+	retainedFrameBuf = 64 << 10
 )
 
 // Frame kinds.
@@ -61,11 +83,13 @@ var (
 
 // appendFrameHeader appends the length and kind of a frame whose payload is
 // size bytes, first growing dst — once — to hold the whole frame, so the
-// payload appended next does not reallocate.
+// payload appended next does not reallocate: to the frame's exact size from
+// nothing, by doubling when dst is a buffer that collects frames, which is
+// then not copied per frame.
 func appendFrameHeader(dst []byte, kind byte, size int) []byte {
 	n := uint64(1 + size)
 	if need := len(dst) + uvarintLen(n) + int(n); need > cap(dst) {
-		dst = append(make([]byte, 0, need), dst...)
+		dst = append(make([]byte, 0, max(need, 2*cap(dst))), dst...)
 	}
 	dst = binary.AppendUvarint(dst, n)
 	return append(dst, kind)
@@ -114,16 +138,22 @@ var errBadFanOut = errors.New("bus: malformed fan-out frame")
 // per recipient, as it does for a broadcast.
 func encodeFanOutFrame(dst []byte, env message.Envelope, to []string) []byte {
 	env.To = ""
-	size := uvarintLen(uint64(len(to))) + env.BinarySize()
-	for _, n := range to {
-		size += message.LenPrefixedSize(len(n))
-	}
-	dst = appendFrameHeader(dst, frameFanOut, size)
+	dst = appendFrameHeader(dst, frameFanOut, fanOutSize(env, to))
 	dst = binary.AppendUvarint(dst, uint64(len(to)))
 	for _, n := range to {
 		dst = message.AppendLenPrefixed(dst, n)
 	}
 	return env.AppendBinary(dst)
+}
+
+// fanOutSize is the payload size of the fan-out frame carrying env to to.
+func fanOutSize(env message.Envelope, to []string) int {
+	env.To = ""
+	size := uvarintLen(uint64(len(to))) + env.BinarySize()
+	for _, n := range to {
+		size += message.LenPrefixedSize(len(n))
+	}
+	return size
 }
 
 // decodeFanOut parses a fan-out frame's payload. Like UnmarshalBinary it
@@ -160,20 +190,39 @@ func decodeFanOut(payload []byte) ([]string, message.Envelope, error) {
 	return to, env, nil
 }
 
-// readFrame reads one frame from r, rejecting frames above max bytes.
-func readFrame(r *bufio.Reader, max int) (kind byte, payload []byte, n int, err error) {
-	length, err := binary.ReadUvarint(r)
+// frameReader reads one connection's frames into one buffer.
+type frameReader struct {
+	r     *bufio.Reader
+	limit int    // frames above limit bytes are refused
+	buf   []byte // the last frame read; the next overwrites it
+}
+
+func newFrameReader(conn io.Reader, limit int) *frameReader {
+	return &frameReader{r: bufio.NewReader(conn), limit: limit}
+}
+
+// next reads one frame and returns its kind, its payload and its size on the
+// wire. The payload is the reader's buffer: it is valid until the next call,
+// and whatever outlives that must be copied out of it.
+func (fr *frameReader) next() (kind byte, payload []byte, n int, err error) {
+	if cap(fr.buf) > retainedFrameBuf {
+		fr.buf = nil // before the wait for the next frame, not after it
+	}
+	length, err := binary.ReadUvarint(fr.r)
 	if err != nil {
 		return 0, nil, 0, err
 	}
 	if length == 0 {
 		return 0, nil, 0, fmt.Errorf("%w: empty frame", ErrBadHandshake)
 	}
-	if length > uint64(max) {
-		return 0, nil, 0, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, length, max)
+	if length > uint64(fr.limit) {
+		return 0, nil, 0, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, length, fr.limit)
 	}
-	buf := make([]byte, length)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if uint64(cap(fr.buf)) < length {
+		fr.buf = make([]byte, max(int(length), minFrameBuf))
+	}
+	buf := fr.buf[:length]
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

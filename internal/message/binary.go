@@ -23,6 +23,14 @@ import (
 // The Body stays JSON: payload schemas evolve faster than routing metadata,
 // and the frame-level decoder never needs to look inside it.
 //
+// Cost. Encoding allocates nothing when the caller brings a buffer
+// (AppendBinary; the transport keeps one per connection). Decoding allocates
+// the two things an envelope keeps — one string holding From, To, Session and
+// Kind, and the Body — and reads the rest of its input in place, retaining
+// none of it, so a transport reads every frame of a connection into one
+// buffer. Decode then turns the Body into a payload; for the kinds of a
+// negotiation that is one or two more allocations (schema.go).
+//
 // The trailing trace field is optional in both directions: an envelope
 // without a trace context encodes as five fields, and the decoder accepts
 // both the five-field and six-field layouts.

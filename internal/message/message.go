@@ -11,6 +11,13 @@
 // agents as one shared value, and only an envelope that came off a wire (or
 // was written as a literal) has its Body parsed.
 //
+// Parsing costs what the value keeps for the four kinds a reward-table session
+// sends — CutDownBid, Award, SessionEnd, RewardTable: their decoders (schema.go)
+// read the JSON json.Marshal writes in place — one allocation for a bid or an
+// award (6 through encoding/json), two for a session end (7) or a ten-entry
+// table (14) — and hand any other spelling of the same JSON to encoding/json.
+// The other fifteen kinds go through encoding/json always.
+//
 // That sharing makes a rule of what used to be a copy: a payload handed to
 // NewEnvelope (or Runtime.Send) is immutable from then on, as is everything
 // it references — RewardTable.Entries, MeterBatch.Readings, ReplBatch.Frames,
@@ -706,17 +713,19 @@ func (e Envelope) carried() (Payload, bool) {
 }
 
 // decoders parses and validates a Body for every kind the package declares.
+// The four kinds of a reward-table session have schema decoders (schema.go),
+// which hand any body they do not recognise to the decodeAs the others use.
 var decoders = map[Kind]func(body []byte) (Payload, error){
 	KindOffer:         decodeAs[OfferTerms],
 	KindBidRequest:    decodeAs[BidRequest],
-	KindRewardTable:   decodeAs[RewardTable],
+	KindRewardTable:   decodeRewardTable,
 	KindOfferReply:    decodeAs[OfferReply],
 	KindEnergyBid:     decodeAs[EnergyBid],
-	KindCutDownBid:    decodeAs[CutDownBid],
-	KindAward:         decodeAs[Award],
+	KindCutDownBid:    decodeCutDownBid,
+	KindAward:         decodeAward,
 	KindInfoRequest:   decodeAs[InfoRequest],
 	KindInfoReply:     decodeAs[InfoReply],
-	KindSessionEnd:    decodeAs[SessionEnd],
+	KindSessionEnd:    decodeSessionEnd,
 	KindMeterBatch:    decodeAs[MeterBatch],
 	KindReplSubscribe: decodeAs[ReplSubscribe],
 	KindReplBatch:     decodeAs[ReplBatch],

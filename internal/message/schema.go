@@ -1,0 +1,306 @@
+package message
+
+import (
+	"bytes"
+	"strconv"
+	"unicode/utf8"
+)
+
+// Schema decoders: the decoders entries of the four kinds a negotiation
+// session is made of — CutDownBid, Award, SessionEnd and RewardTable, every
+// body a reward-table session puts on a wire. A body of these kinds is,
+// in the bytes json.Marshal writes, an object of known keys holding numbers,
+// an escape-free string, or (the table) one nested object of two times and one
+// array of two-number objects, with no whitespace anywhere. A schema decoder
+// reads exactly that grammar in place — no reflection, no token buffer — runs
+// the kind's Validate and allocates what the value keeps: the box the Payload
+// interface needs, plus SessionEnd's Reason and RewardTable's Entries.
+//
+// Everything else is not this file's business: a body with whitespace, an
+// escape, an unknown, repeated or differently-cased key, a null, a number
+// outside JSON's grammar or one strconv refuses, a time time.UnmarshalJSON
+// refuses — any byte outside the grammar — is handed to decodeAs[T] unread,
+// so what is accepted, what is refused with which error, and what value comes
+// out are encoding/json's by construction. Numbers and times are converted by
+// the calls encoding/json itself makes (strconv.ParseInt / ParseFloat on the
+// literal, Time.UnmarshalJSON), so the bits agree too; FuzzFlatPayloadDecode
+// holds both to that.
+
+var (
+	cutDownBidKeys  = []string{"round", "cutDown"}
+	awardKeys       = []string{"round", "cutDown", "reward"}
+	sessionEndKeys  = []string{"round", "reason"}
+	rewardTableKeys = []string{"window", "round", "entries"}
+	windowKeys      = []string{"start", "end"}
+	rewardEntryKeys = []string{"cutDown", "reward"}
+)
+
+func decodeCutDownBid(body []byte) (Payload, error) {
+	var v CutDownBid
+	if !eachField(body, cutDownBidKeys, func(i int, val []byte) bool {
+		if i == 0 {
+			return readInt(val, &v.Round)
+		}
+		return readFloat(val, &v.CutDown)
+	}) {
+		return decodeAs[CutDownBid](body)
+	}
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func decodeAward(body []byte) (Payload, error) {
+	var v Award
+	if !eachField(body, awardKeys, func(i int, val []byte) bool {
+		switch i {
+		case 0:
+			return readInt(val, &v.Round)
+		case 1:
+			return readFloat(val, &v.CutDown)
+		}
+		return readFloat(val, &v.Reward)
+	}) {
+		return decodeAs[Award](body)
+	}
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func decodeSessionEnd(body []byte) (Payload, error) {
+	var v SessionEnd
+	if !eachField(body, sessionEndKeys, func(i int, val []byte) bool {
+		if i == 0 {
+			return readInt(val, &v.Round)
+		}
+		if stringEnd(val) != len(val) {
+			return false
+		}
+		v.Reason = string(val[1 : len(val)-1])
+		return true
+	}) {
+		return decodeAs[SessionEnd](body)
+	}
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func decodeRewardTable(body []byte) (Payload, error) {
+	var v RewardTable
+	if !eachField(body, rewardTableKeys, func(i int, val []byte) bool {
+		switch i {
+		case 0:
+			return eachField(val, windowKeys, func(i int, val []byte) bool {
+				t := &v.Window.Start
+				if i == 1 {
+					t = &v.Window.End
+				}
+				return stringEnd(val) == len(val) && t.UnmarshalJSON(val) == nil
+			})
+		case 1:
+			return readInt(val, &v.Round)
+		}
+		// An entry is at least `{}`, so the count of '{' sizes Entries exactly.
+		v.Entries = make([]RewardEntry, 0, bytes.Count(val, []byte{'{'}))
+		return eachElement(val, func(el []byte) bool {
+			var e RewardEntry
+			ok := eachField(el, rewardEntryKeys, func(i int, val []byte) bool {
+				if i == 0 {
+					return readFloat(val, &e.CutDown)
+				}
+				return readFloat(val, &e.Reward)
+			})
+			v.Entries = append(v.Entries, e)
+			return ok
+		})
+	}) {
+		return decodeAs[RewardTable](body)
+	}
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// eachField walks obj as `{"key":value,...}` and calls set with each member's
+// index in keys and its value's bytes (never empty). It reports false — the
+// caller falls back to encoding/json — when obj is not exactly that: a key not
+// in keys or met twice, a byte between tokens, a value valueEnd cannot
+// delimit, or set refusing the value. Members may come in any order and may be
+// missing, as for encoding/json. There are at most 8 keys (seen is a byte).
+func eachField(obj []byte, keys []string, set func(i int, val []byte) bool) bool {
+	if len(obj) < 2 || obj[0] != '{' {
+		return false
+	}
+	rest := obj[1:]
+	if rest[0] == '}' {
+		return len(rest) == 1
+	}
+	var seen uint8
+	for {
+		n := stringEnd(rest)
+		if n == 0 {
+			return false
+		}
+		i := 0
+		for i < len(keys) && string(rest[1:n-1]) != keys[i] {
+			i++
+		}
+		if i == len(keys) || seen&(1<<i) != 0 || n == len(rest) || rest[n] != ':' {
+			return false
+		}
+		seen |= 1 << i
+		rest = rest[n+1:]
+		if n = valueEnd(rest); n == 0 || !set(i, rest[:n]) {
+			return false
+		}
+		// valueEnd stopped in front of a ',', a '}' or a ']'.
+		switch rest = rest[n:]; rest[0] {
+		case ',':
+			rest = rest[1:]
+		case '}':
+			return len(rest) == 1
+		default:
+			return false
+		}
+	}
+}
+
+// eachElement walks arr as `[value,...]` the way eachField walks an object.
+func eachElement(arr []byte, each func(el []byte) bool) bool {
+	if len(arr) < 2 || arr[0] != '[' {
+		return false
+	}
+	rest := arr[1:]
+	if rest[0] == ']' {
+		return len(rest) == 1
+	}
+	for {
+		n := valueEnd(rest)
+		if n == 0 || !each(rest[:n]) {
+			return false
+		}
+		switch rest = rest[n:]; rest[0] {
+		case ',':
+			rest = rest[1:]
+		case ']':
+			return len(rest) == 1
+		default:
+			return false
+		}
+	}
+}
+
+// valueEnd returns the length of the value b starts with — every byte up to
+// the ',', '}' or ']' that follows it at its own nesting depth — or 0 when
+// there is no such byte or the value is empty. It only delimits: a string must
+// pass stringEnd, but brackets are merely counted, and whoever is handed the
+// bytes checks them against its own grammar.
+func valueEnd(b []byte) int {
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			n := stringEnd(b[i:])
+			if n == 0 {
+				return 0
+			}
+			i += n - 1
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return i
+			}
+			depth--
+		case ',':
+			if depth == 0 {
+				return i
+			}
+		}
+	}
+	return 0
+}
+
+// stringEnd returns the length of the string literal b starts with, quotes
+// included, or 0 unless it is one whose bytes are its value: no escape, no
+// control character (a syntax error to encoding/json) and valid UTF-8 (which
+// encoding/json would otherwise repair).
+func stringEnd(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			if !utf8.Valid(b[1:i]) {
+				return 0
+			}
+			return i + 1
+		case c == '\\' || c < ' ':
+			return 0
+		}
+	}
+	return 0
+}
+
+// readInt sets *dst from a JSON number the way encoding/json fills an int
+// field; false for what it refuses (a fraction, an exponent, an overflow).
+func readInt(val []byte, dst *int) bool {
+	if !jsonNumber(val) {
+		return false
+	}
+	n, err := strconv.ParseInt(string(val), 10, strconv.IntSize)
+	*dst = int(n)
+	return err == nil
+}
+
+// readFloat sets *dst from a JSON number the way encoding/json fills a
+// float64 field; false for a magnitude float64 cannot hold.
+func readFloat(val []byte, dst *float64) bool {
+	if !jsonNumber(val) {
+		return false
+	}
+	var err error
+	*dst, err = strconv.ParseFloat(string(val), 64)
+	return err == nil
+}
+
+// jsonNumber reports whether b is a number in JSON's grammar, which is
+// narrower than strconv's: no "+1", ".5", "5.", "01", "0x10", "1_0", "Inf".
+func jsonNumber(b []byte) bool {
+	digits := func() bool {
+		n := 0
+		for len(b) > 0 && '0' <= b[0] && b[0] <= '9' {
+			b, n = b[1:], n+1
+		}
+		return n > 0
+	}
+	if len(b) > 0 && b[0] == '-' {
+		b = b[1:]
+	}
+	if len(b) > 0 && b[0] == '0' {
+		b = b[1:]
+	} else if !digits() {
+		return false
+	}
+	if len(b) > 0 && b[0] == '.' {
+		if b = b[1:]; !digits() {
+			return false
+		}
+	}
+	if len(b) > 0 && (b[0] == 'e' || b[0] == 'E') {
+		if b = b[1:]; len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+			b = b[1:]
+		}
+		if !digits() {
+			return false
+		}
+	}
+	return len(b) == 0
+}
