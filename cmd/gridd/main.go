@@ -85,7 +85,6 @@ import (
 	"syscall"
 	"time"
 
-	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/cluster"
 	"loadbalance/internal/core"
@@ -93,7 +92,6 @@ import (
 	"loadbalance/internal/health"
 	"loadbalance/internal/message"
 	"loadbalance/internal/obsplane"
-	"loadbalance/internal/protocol"
 	"loadbalance/internal/replica"
 	"loadbalance/internal/sim"
 	"loadbalance/internal/store"
@@ -229,13 +227,25 @@ func fleetNames(n int) []string {
 	return names
 }
 
-// fleetLoads returns the daemon's uniform load model over the fleet.
-func fleetLoads(names []string) map[string]protocol.CustomerLoad {
-	loads := make(map[string]protocol.CustomerLoad, len(names))
-	for _, n := range names {
-		loads[n] = protocol.CustomerLoad{Predicted: 13.5, Allowed: 13.5}
+// fleetScenario is the one negotiation a serve daemon and its workers run
+// over the named fleet: 13.5 kWh predicted and allowed per customer, capacity
+// for the paper's 35% initial overuse, the paper's parameters and a round
+// timeout of serveRoundTimeout.
+func fleetScenario(names []string) core.Scenario {
+	s := core.Scenario{
+		SessionID:    session,
+		Window:       windowNow(),
+		NormalUse:    units.Energy(13.5 * float64(len(names))).Scale(1 / 1.35),
+		Method:       utilityagent.MethodRewardTable,
+		Params:       core.PaperParams(),
+		InitialSlope: 42.5,
+		RoundTimeout: serveRoundTimeout,
+		Customers:    make([]core.CustomerSpec, len(names)),
 	}
-	return loads
+	for i, n := range names {
+		s.Customers[i] = core.CustomerSpec{Name: n, Predicted: 13.5, Allowed: 13.5}
+	}
+	return s
 }
 
 // runConcentrator is the worker process: it fronts one shard of the fleet,
@@ -246,7 +256,8 @@ func fleetLoads(names []string) map[string]protocol.CustomerLoad {
 // /metrics, /logs, /trace); the optional ready channel receives the bound
 // address (tests binding to ":0").
 func runConcentrator(ctx context.Context, opts options, ready chan<- string) error {
-	topo, err := cluster.NewTopology(fleetLoads(fleetNames(opts.customers)), opts.shards)
+	fleet := fleetScenario(fleetNames(opts.customers))
+	topo, err := cluster.NewTopology(fleet.Loads(), opts.shards)
 	if err != nil {
 		return err
 	}
@@ -279,9 +290,9 @@ func runConcentrator(ctx context.Context, opts options, ready chan<- string) err
 		DownAddr: opts.down,
 		Concentrator: cluster.ConcentratorConfig{
 			Name:         name,
-			SessionID:    session,
+			SessionID:    fleet.SessionID,
 			Members:      topo.MemberLoads(opts.shard),
-			RoundTimeout: serveRoundTimeout / 2,
+			RoundTimeout: fleet.RoundTimeout / 2,
 		},
 	})
 	if err != nil && ctx.Err() != nil {
@@ -451,13 +462,12 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 		}
 	}
 
-	loads := fleetLoads(names)
-	totalPredicted := units.Energy(13.5 * float64(len(names)))
-
 	// With shards > 1 the UA negotiates with that many concentrators on a
 	// tier bus of its own — the root tier's when they are worker processes —
 	// and sees their aggregated loads.
-	params, uaBus, uaLoads := core.PaperParams(), bus.Bus(inner), loads
+	fleet := fleetScenario(names)
+	loads := fleet.Loads()
+	uaCfg, uaBus := fleet.UAConfig(loads), bus.Bus(inner)
 	tierBus := rootInner
 	if cfg.shards > 1 {
 		topo, err := cluster.NewTopology(loads, cfg.shards)
@@ -478,9 +488,8 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 			}
 			defer tierBus.Close()
 			tier, err := cluster.StartTier(tierBus, func(int) bus.Bus { return inner }, topo, cluster.TierConfig{
-				SessionID:    session,
-				RoundTimeout: serveRoundTimeout / 2,
-				InboxSize:    4 * cfg.customers,
+				SessionID:    fleet.SessionID,
+				RoundTimeout: fleet.RoundTimeout / 2,
 			})
 			if err != nil {
 				return err
@@ -488,24 +497,10 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 			defer tier.Stop()
 			fmt.Printf("gridd: fronting the fleet with %d concentrators\n", topo.Shards())
 		}
-		params, uaBus, uaLoads = cluster.RootParams(params), tierBus, topo.AggregateLoads()
+		uaCfg, uaBus = cluster.RootConfig(fleet, topo, trace.Context{}), tierBus
 	}
 
-	ua, err := utilityagent.New(utilityagent.Config{
-		SessionID: session,
-		Window:    windowNow(),
-		// Capacity set for the paper's 35% initial overuse.
-		NormalUse:    totalPredicted.Scale(1 / 1.35),
-		Loads:        uaLoads,
-		Method:       utilityagent.MethodRewardTable,
-		Params:       params,
-		InitialSlope: 42.5,
-		RoundTimeout: serveRoundTimeout,
-	})
-	if err != nil {
-		return err
-	}
-	rt, err := agentrt.Start("ua", uaBus, ua, 4*cfg.customers)
+	ua, rt, err := core.StartUtilityAgent(uaBus, uaCfg)
 	if err != nil {
 		return err
 	}

@@ -11,13 +11,11 @@ import (
 	"sync"
 	"time"
 
-	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
 	"loadbalance/internal/message"
 	"loadbalance/internal/sim"
-	"loadbalance/internal/utilityagent"
 )
 
 func main() {
@@ -89,20 +87,8 @@ func run() error {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	ua, err := utilityagent.New(utilityagent.Config{
-		SessionID:    scenario.SessionID,
-		Window:       scenario.Window,
-		NormalUse:    scenario.NormalUse,
-		Loads:        scenario.Loads(),
-		Method:       utilityagent.MethodRewardTable,
-		Params:       scenario.Params,
-		InitialSlope: scenario.InitialSlope,
-		RoundTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	rt, err := agentrt.Start("ua", inner, ua, 64)
+	scenario.RoundTimeout = 2 * time.Second
+	ua, rt, err := core.StartUtilityAgent(inner, scenario.UAConfig(scenario.Loads()))
 	if err != nil {
 		return err
 	}

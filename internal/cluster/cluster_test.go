@@ -181,9 +181,8 @@ func TestLossyShards(t *testing.T) {
 	s.RoundTimeout = 50 * time.Millisecond
 	s.Timeout = 60 * time.Second
 	res, err := Run(Config{
-		Scenario:          s,
-		Shards:            3,
-		ShardRoundTimeout: 25 * time.Millisecond,
+		Scenario: s,
+		Shards:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,10 +280,9 @@ func TestHundredThousandCustomers(t *testing.T) {
 	}
 }
 
-// TestSilentMembers puts silent customers in the shards and leaves
-// ShardRoundTimeout at its default (half the root's RoundTimeout): the shard
-// timeouts must fire inside the root's round window, so the live members'
-// bids still count toward the root's balance prediction.
+// TestSilentMembers puts silent customers in the shards: the shard timeouts
+// (half the root's RoundTimeout) must fire inside the root's round window, so
+// the live members' bids still count toward the root's balance prediction.
 func TestSilentMembers(t *testing.T) {
 	s := paperScenario(t)
 	s.Customers[0].Silent = true

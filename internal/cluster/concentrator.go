@@ -184,21 +184,10 @@ func (c *Concentrator) Done() bool {
 	}
 }
 
-// MemberBids returns each member's current cut-down commitment.
-func (c *Concentrator) MemberBids() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.lastBids))
-	for n, b := range c.lastBids {
-		out[n] = b
-	}
-	return out
-}
-
 // RespondedMembers returns the members that have bid at least once, in no
-// particular order. RunDistributed's wait for awards still on the wire polls
-// this every millisecond, so it stays a plain snapshot — no sorting under the
-// mutex.
+// particular order. The TCP layout's wait for awards still on the wire
+// (awaitWire) polls this every millisecond, so it stays a plain snapshot — no
+// sorting under the mutex.
 func (c *Concentrator) RespondedMembers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

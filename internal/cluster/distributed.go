@@ -10,46 +10,10 @@ import (
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
 	"loadbalance/internal/message"
-	"loadbalance/internal/trace"
-	"loadbalance/internal/utilityagent"
 )
 
-// Distributed cluster mode: the concentrator tier runs behind real TCP
-// connections instead of in-process buses, so each concentrator can live in
-// its own OS process (cmd/gridd -role concentrator) or behind its own
-// loopback connection pair. Two servers bridge the tiers: the root server
-// carries the Utility Agent's announcements to the concentrators, the member
-// server carries each concentrator's fan-out to its shard. Because the
-// binary wire codec is content-preserving and the aggregation arithmetic is
-// order-independent under full quorum, a seeded scenario negotiated this way
-// produces byte-identical awards to the flat in-process run.
-
-// DialTier starts one Concentrator per shard of the topology with every
-// concentrator behind its own pair of TCP connections (bus.Dial under the
-// hood): upward to rootAddr, downward to memberAddr. The returned remotes
-// own the connections; Tier.Stop closes them via the runtimes.
-func DialTier(rootAddr, memberAddr string, topo Topology, cfg TierConfig) (*Tier, *bus.Remote, *bus.Remote, error) {
-	return DialTierList([]string{rootAddr}, []string{memberAddr}, topo, cfg)
-}
-
-// DialTierList is DialTier over dial lists: each tier names its primary
-// address first and failover addresses after it, so a worker tier started
-// against a replicated grid head finds whichever replica is serving. Every
-// Register tries the lists in order.
-func DialTierList(rootAddrs, memberAddrs []string, topo Topology, cfg TierConfig) (*Tier, *bus.Remote, *bus.Remote, error) {
-	up := bus.NewRemoteList(rootAddrs, bus.ClientConfig{})
-	down := bus.NewRemoteList(memberAddrs, bus.ClientConfig{})
-	tier, err := StartTier(up, func(int) bus.Bus { return down }, topo, cfg)
-	if err != nil {
-		up.Close()
-		down.Close()
-		return nil, nil, nil, err
-	}
-	return tier, up, down, nil
-}
-
-// WorkerConfig parameterises one concentrator worker (typically its own OS
-// process).
+// WorkerConfig parameterises one concentrator worker: a concentrator in its
+// own OS process (cmd/gridd -role concentrator), dialing both tiers.
 type WorkerConfig struct {
 	// UpAddr is the root tier's TCP server (the Utility Agent's side). It
 	// may be a comma-separated dial list; addresses are tried in order.
@@ -59,9 +23,6 @@ type WorkerConfig struct {
 	DownAddr string
 	// Concentrator is the shard configuration.
 	Concentrator ConcentratorConfig
-	// InboxSize sizes both connection inboxes (0 picks a size from the
-	// shard's member count).
-	InboxSize int
 }
 
 // RunWorker hosts one concentrator behind dialed connections until the
@@ -75,15 +36,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	inbox := cfg.InboxSize
-	if inbox <= 0 {
-		inbox = 4 * max(len(cfg.Concentrator.Members), 16)
-	}
 	up := bus.NewRemoteList(bus.SplitAddrList(cfg.UpAddr), bus.ClientConfig{})
 	down := bus.NewRemoteList(bus.SplitAddrList(cfg.DownAddr), bus.ClientConfig{})
 	defer up.Close()
 	defer down.Close()
-	if err := cc.Start(up, down, inbox); err != nil {
+	if err := cc.Start(up, down, core.FanInInbox(len(cfg.Concentrator.Members))); err != nil {
 		return err
 	}
 	defer cc.Stop()
@@ -115,20 +72,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return nil
 }
 
-// DistributedConfig parameterises a negotiation with the concentrator tier
-// behind TCP.
-type DistributedConfig struct {
-	// Scenario is the flat scenario to negotiate (reward-table method only,
-	// like Config). DropRate must be zero: loss injection is seeded per
-	// shard bus, which a shared TCP bridge cannot reproduce.
-	Scenario core.Scenario
-	// Shards is the number of concentrator connections (default 4).
-	Shards int
-	// ShardRoundTimeout mirrors Config.ShardRoundTimeout.
-	ShardRoundTimeout time.Duration
-	// TraceParent mirrors Config.TraceParent.
-	TraceParent trace.Context
-}
+// DistributedConfig is RunDistributed's Config; its scenario must be lossless
+// (loss is seeded per shard bus, which a shared TCP bridge cannot reproduce).
+type DistributedConfig = Config
 
 // DistributedResult extends Result with the transport's view of the run.
 type DistributedResult struct {
@@ -142,172 +88,84 @@ type DistributedResult struct {
 
 // RunDistributed executes a scenario through a 2-level concentrator tree
 // whose tiers are joined by TCP: root bus ⇄ root server ⇄ K concentrator
-// connections ⇄ member server ⇄ member bus carrying the customers.
+// connections ⇄ member server ⇄ member bus carrying the customers. The binary
+// wire codec preserves content and the aggregation is order-independent under
+// full quorum, so a seeded scenario's awards are byte-identical to Run's.
 func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
-	s := cfg.Scenario
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if cfg.Scenario.DropRate != 0 {
+		return nil, fmt.Errorf("%w: distributed negotiation is lossless (DropRate %v)", ErrBadConfig, cfg.Scenario.DropRate)
 	}
-	if s.Method != utilityagent.MethodRewardTable {
-		return nil, fmt.Errorf("%w: distributed negotiation requires the reward-table method, got %v", ErrBadConfig, s.Method)
-	}
-	if s.DropRate != 0 {
-		return nil, fmt.Errorf("%w: distributed negotiation is lossless (DropRate %v)", ErrBadConfig, s.DropRate)
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("%w: shard count %d", ErrBadConfig, cfg.Shards)
-	}
-	if cfg.ShardRoundTimeout <= 0 {
-		cfg.ShardRoundTimeout = s.RoundTimeout / 2
-	}
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-
-	topo, err := NewTopology(s.Loads(), cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-
-	memberBus, err := bus.NewInProc(bus.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer memberBus.Close()
-	memberSrv, err := bus.ListenAndServe("127.0.0.1:0", memberBus)
-	if err != nil {
-		return nil, err
-	}
-	defer memberSrv.Close()
-
-	rootBus, err := bus.NewInProc(bus.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer rootBus.Close()
-	rootSrv, err := bus.ListenAndServe("127.0.0.1:0", rootBus)
-	if err != nil {
-		return nil, err
-	}
-	defer rootSrv.Close()
-
-	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-
-	// Every member shares the one bus behind memberSrv; fan-outs name their
-	// recipients, so the shards need no bus of their own.
-	cas, fleet, err := core.HostCustomers(memberBus, s.Customers)
-	if err != nil {
-		return nil, err
-	}
-	var tier *Tier
-	defer func() {
-		if tier != nil {
-			tier.Stop()
-		}
-		fleet.Stop()
-	}()
-
-	tier, _, _, err = DialTier(rootSrv.Addr(), memberSrv.Addr(), topo, TierConfig{
-		SessionID:         s.SessionID,
-		FleetMinResponses: s.Params.MinResponses,
-		RoundTimeout:      cfg.ShardRoundTimeout,
-		InboxSize:         4 * max(topo.maxShardSize(), 16),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	ua, err := utilityagent.New(utilityagent.Config{
-		Name:         "ua",
-		SessionID:    s.SessionID,
-		Window:       s.Window,
-		NormalUse:    s.NormalUse,
-		Loads:        topo.AggregateLoads(),
-		Method:       utilityagent.MethodRewardTable,
-		Params:       RootParams(s.Params),
-		LeadTime:     s.LeadTime,
-		InitialSlope: s.InitialSlope,
-		RoundTimeout: s.RoundTimeout,
-		WarrantRatio: s.Params.AllowedOveruseRatio,
-		TraceParent:  cfg.TraceParent,
-	})
-	if err != nil {
-		return nil, err
-	}
-	uaRT, err := agentrt.Start("ua", rootBus, ua, 4*max(topo.Shards(), 16))
-	if err != nil {
-		return nil, err
-	}
-	defer uaRT.Stop()
-
-	stalled := time.After(timeout) //gridlint:allow walltime(liveness timeout for a stalled distributed fleet; fires only when the run already failed)
-	var uaResult utilityagent.Result
-	select {
-	case uaResult = <-ua.Done():
-	case <-stalled:
-		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
-	}
-
-	// Awards and the session end cross two TCP hops before reaching the
-	// customers. A concentrator has relayed once its frames are written, not
-	// once the member server has read them, so wait (bounded) until every
-	// in-process member that is owed an award has it; the fleet then finishes
-	// what has arrived.
-	if len(uaResult.History) > 0 {
-		if err := tier.awaitRelay(stalled); err != nil {
-			return nil, fmt.Errorf("%w after %v", err, timeout)
-		}
-		onTheWire := time.Now().Add(2 * time.Second) //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
-		for time.Now().Before(onTheWire) {           //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
-			if allAwarded(tier.Concentrators, cas, s.SessionID) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	fleet.Quiesce()
-
-	res := &DistributedResult{
-		Result: Result{
-			Result:    uaResult,
-			Shards:    topo.Shards(),
-			ParentBus: rootBus.Stats(),
-			FinalBids: make(map[string]float64, len(cas)),
-			Elapsed:   time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-		},
-		MemberAwards: make(map[string]message.Award, len(cas)),
-	}
-	res.ShardBuses = []bus.Stats{memberBus.Stats()}
-	for name, ca := range cas {
-		res.FinalBids[name] = ca.LastBid(s.SessionID)
-		if award, ok := ca.AwardFor(s.SessionID); ok {
-			res.MemberAwards[name] = award
-		}
-	}
-	res.AgentErrors = append(fleet.Errors(), uaRT.Errors()...)
-	res.AgentErrors = append(res.AgentErrors, tier.Errors()...)
-	res.RootWire = rootSrv.WireStats()
-	res.MemberWire = memberSrv.WireStats()
-	return res, nil
+	return negotiate(cfg, overTCP)
 }
 
-// allAwarded reports whether every responding member hosted in-process has
-// seen its award.
-func allAwarded(ccs []*Concentrator, cas map[string]*customeragent.Agent, session string) bool {
-	for _, c := range ccs {
-		for _, name := range c.RespondedMembers() {
-			ca, ok := cas[name]
-			if !ok {
-				continue
-			}
-			if _, got := ca.AwardFor(session); !got {
-				return false
+// overTCP is RunDistributed's layout: a root and a member bus, each behind a
+// loopback server, every customer hosted on the member bus — fan-outs name
+// their recipients, so the shards need no bus of their own — and every
+// concentrator behind its own pair of dialed connections, upward to the root
+// server and downward to the member server.
+func overTCP(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
+	memberBus, memberSrv, err := serveLoopback(t)
+	if err != nil {
+		return err
+	}
+	rootBus, rootSrv, err := serveLoopback(t)
+	if err != nil {
+		return err
+	}
+	t.root = rootBus
+	cas, fleet, err := core.HostCustomers(memberBus, s.Customers)
+	if err != nil {
+		return err
+	}
+	t.cas, t.fleets = cas, []*agentrt.Fleet{fleet}
+	up, down := bus.NewRemote(rootSrv.Addr()), bus.NewRemote(memberSrv.Addr())
+	t.closers = append(t.closers, up.Close, down.Close)
+	t.settle = func() { awaitWire(t.tier, cas, s.SessionID) }
+	t.report = func(res *DistributedResult) {
+		res.ParentBus, res.ShardBuses = rootBus.Stats(), []bus.Stats{memberBus.Stats()}
+		res.RootWire, res.MemberWire = rootSrv.WireStats(), memberSrv.WireStats()
+		res.MemberAwards = make(map[string]message.Award, len(cas))
+		for name, ca := range cas {
+			if award, ok := ca.AwardFor(s.SessionID); ok {
+				res.MemberAwards[name] = award
 			}
 		}
 	}
-	return true
+	t.tier, err = StartTier(up, func(int) bus.Bus { return down }, topo, tc)
+	return err
+}
+
+// serveLoopback opens a bus behind a server on a loopback port.
+func serveLoopback(t *tree) (*bus.InProc, *bus.Server, error) {
+	b, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	t.closers = append(t.closers, b.Close)
+	srv, err := bus.ListenAndServe("127.0.0.1:0", b)
+	if err != nil {
+		return nil, nil, err
+	}
+	t.closers = append(t.closers, srv.Close)
+	return b, srv, nil
+}
+
+// awaitWire covers the second TCP hop: a concentrator has relayed once its
+// frames are written, not once the member server has read them, so it waits
+// (bounded) until every member a concentrator heard from has its award; the
+// fleet then finishes what has arrived.
+func awaitWire(tier *Tier, cas map[string]*customeragent.Agent, session string) {
+	onTheWire := time.Now().Add(2 * time.Second) //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
+wait:
+	for time.Now().Before(onTheWire) { //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
+		for _, c := range tier.Concentrators {
+			for _, name := range c.RespondedMembers() {
+				if _, got := cas[name].AwardFor(session); !got {
+					time.Sleep(time.Millisecond)
+					continue wait
+				}
+			}
+		}
+		return
+	}
 }

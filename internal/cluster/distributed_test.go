@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"loadbalance/internal/core"
 	"loadbalance/internal/message"
 	"loadbalance/internal/protocol"
+	"loadbalance/internal/store"
 )
 
 // awardsJSON renders customer awards as canonical JSON (sorted by name) so
@@ -224,5 +226,55 @@ func TestRunDistributedAllocationBudget(t *testing.T) {
 		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget 40", n, got)
 	} else {
 		t.Logf("%.1f allocations per customer", got)
+	}
+}
+
+// TestDistributedJournalsTheInProcessRecord: one session engine journals
+// whatever carries the tree, so RunDistributed with a Journal writes the
+// session record cluster.Run writes for the same Config, byte for byte.
+func TestDistributedJournalsTheInProcessRecord(t *testing.T) {
+	synthetic, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		scenario core.Scenario
+		shards   int
+	}{
+		{"paper/4", paperScenario(t), 4},
+		{"synthetic-256/16", synthetic, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journaled := func(run func(Config) error) []byte {
+				dir := t.TempDir()
+				st, _, err := store.Open(dir, store.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run(Config{Scenario: tc.scenario, Shards: tc.shards, Journal: st, JournalConfig: tc.name}); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rec, err := store.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.Records) != 1 || rec.Records[0].Kind != store.KindSession {
+					t.Fatalf("journal holds %d records, want 1 session record", len(rec.Records))
+				}
+				if out, err := store.DecodeSession(rec.Records[0]); err != nil || len(out.Awards) == 0 {
+					t.Fatalf("session record %+v, %v: want awards", out, err)
+				}
+				return rec.Records[0].Body
+			}
+			inProcess := journaled(func(cfg Config) error { _, err := Run(cfg); return err })
+			overTCP := journaled(func(cfg Config) error { _, err := RunDistributed(cfg); return err })
+			if !bytes.Equal(overTCP, inProcess) {
+				t.Fatalf("session records differ:\nRunDistributed %s\nRun            %s", overTCP, inProcess)
+			}
+		})
 	}
 }

@@ -17,6 +17,9 @@
 // a seeded scenario negotiated flat and negotiated through the tree reaches
 // the same terminal outcome with the same aggregate predicted overuse (up to
 // floating-point rounding).
+//
+// Run and RunDistributed are one session engine over two layouts of the tree:
+// in-process buses, or tiers joined by loopback TCP.
 package cluster
 
 import (
@@ -35,21 +38,19 @@ import (
 	"loadbalance/internal/utilityagent"
 )
 
-// Config parameterises a hierarchical negotiation run.
+// Config parameterises a hierarchical negotiation run, in process (Run) or
+// over TCP (RunDistributed).
 type Config struct {
 	// Scenario is the flat scenario to negotiate through the tree. Only the
 	// reward-table method is supported (the prototype's method; the offer
-	// and request-for-bids methods have no additive aggregate).
+	// and request-for-bids methods have no additive aggregate). A lossy
+	// scenario or one with silent customers needs a RoundTimeout, like the
+	// flat engine's; each concentrator closes its shard round after half of
+	// it, so a forced shard answer still reaches the root inside the root's
+	// round window.
 	Scenario core.Scenario
 	// Shards is the number of concentrators (default 4).
 	Shards int
-	// ShardRoundTimeout closes a shard round without full quorum; it must
-	// be comfortably shorter than the scenario's RoundTimeout so a forced
-	// shard answer still reaches the root inside the root's round window
-	// (defaults to half the scenario's RoundTimeout). Required, like the
-	// flat engine's, whenever the scenario is lossy or has silent
-	// customers.
-	ShardRoundTimeout time.Duration
 	// Journal optionally records the negotiation's terminal outcome — the
 	// per-member bids and awards — as a durable session record before Run
 	// returns, making a long scenario run resumable from its data dir.
@@ -93,6 +94,46 @@ func (r *Result) Messages() int {
 // carrying the Utility Agent and K concentrators, and K independent
 // in-process shard buses each carrying one concentrator and its customers.
 func Run(cfg Config) (*Result, error) {
+	res, err := negotiate(cfg, inProcess)
+	if res == nil {
+		return nil, err
+	}
+	return &res.Result, err
+}
+
+// tree is one session's running parts, as a layout placed them.
+type tree struct {
+	root    bus.Bus // the Utility Agent's bus
+	tier    *Tier
+	fleets  []*agentrt.Fleet
+	cas     map[string]*customeragent.Agent
+	closers []func()                 // the layout's buses and servers, closed in reverse after the agents stop
+	settle  func()                   // if set, waits (bounded) for what the tier relayed to reach the fleet's bus
+	report  func(*DistributedResult) // copies the transport's counters while everything is up
+}
+
+func (t *tree) stop() {
+	if t.tier != nil {
+		t.tier.Stop()
+	}
+	for _, f := range t.fleets {
+		f.Stop()
+	}
+	for i := len(t.closers) - 1; i >= 0; i-- {
+		t.closers[i]()
+	}
+}
+
+// A layout places a session's tiers — the one step Run and RunDistributed
+// take differently: it builds the buses into t, hosts the fleet and starts the
+// tier under tc, registering whatever it opened in t.closers even when it
+// fails halfway.
+type layout func(t *tree, s core.Scenario, topo Topology, tc TierConfig) error
+
+// negotiate is the session engine: validation, defaults, the topology, the
+// tier and the Utility Agent, the stall timer, the relay, the fleet's
+// quiescence, the result and the journal. Where the buses live is place's.
+func negotiate(cfg Config, place layout) (*DistributedResult, error) {
 	s := cfg.Scenario
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -106,99 +147,26 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("%w: shard count %d", ErrBadConfig, cfg.Shards)
 	}
-	if cfg.ShardRoundTimeout <= 0 {
-		cfg.ShardRoundTimeout = s.RoundTimeout / 2
-	}
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-
 	topo, err := NewTopology(s.Loads(), cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
 
-	// The root tier is lossless: concentrator links model the utility's own
-	// backbone, while the scenario's DropRate injects loss on the customer
-	// links, one seeded stream per shard.
-	parent, err := bus.NewInProc(bus.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer parent.Close()
-
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-
-	var tier *Tier
-	var fleets []*agentrt.Fleet
-	var shardBuses []*bus.InProc
-	defer func() {
-		if tier != nil {
-			tier.Stop()
-		}
-		for _, f := range fleets {
-			f.Stop()
-		}
-		for _, b := range shardBuses {
-			b.Close()
-		}
-	}()
-
-	// Shard i hosts block i of the customers sorted by name — the Topology's
-	// partition — as one fleet on a bus of its own.
-	fleet := slices.Clone(s.Customers)
-	slices.SortFunc(fleet, func(a, b core.CustomerSpec) int { return strings.Compare(a.Name, b.Name) })
-	cas := make(map[string]*customeragent.Agent, len(fleet))
-	for i, members := range topo.shards {
-		shardBus, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed + int64(i) + 1})
-		if err != nil {
-			return nil, err
-		}
-		shardBuses = append(shardBuses, shardBus)
-		agents, hosted, err := core.HostCustomers(shardBus, fleet[:len(members)])
-		if err != nil {
-			return nil, err
-		}
-		fleet = fleet[len(members):]
-		maps.Copy(cas, agents)
-		fleets = append(fleets, hosted)
-	}
-
-	tier, err = StartTier(parent, func(i int) bus.Bus { return shardBuses[i] }, topo, TierConfig{
-		SessionID:         s.SessionID,
-		FleetMinResponses: s.Params.MinResponses,
-		RoundTimeout:      cfg.ShardRoundTimeout,
-		InboxSize:         4 * max(topo.maxShardSize(), 16),
-	})
-	if err != nil {
+	var t tree
+	defer t.stop()
+	tc := TierConfig{SessionID: s.SessionID, FleetMinResponses: s.Params.MinResponses, RoundTimeout: s.RoundTimeout / 2}
+	if err := place(&t, s, topo, tc); err != nil {
 		return nil, err
 	}
-
 	// The root negotiates with the K concentrators over aggregated loads.
-	ua, err := utilityagent.New(utilityagent.Config{
-		Name:         "ua",
-		SessionID:    s.SessionID,
-		Window:       s.Window,
-		NormalUse:    s.NormalUse,
-		Loads:        topo.AggregateLoads(),
-		Method:       utilityagent.MethodRewardTable,
-		Params:       RootParams(s.Params),
-		LeadTime:     s.LeadTime,
-		InitialSlope: s.InitialSlope,
-		RoundTimeout: s.RoundTimeout,
-		WarrantRatio: s.Params.AllowedOveruseRatio,
-		TraceParent:  cfg.TraceParent,
-	})
-	if err != nil {
-		return nil, err
-	}
-	uaRT, err := agentrt.Start("ua", parent, ua, 4*max(topo.Shards(), 16))
+	ua, uaRT, err := core.StartUtilityAgent(t.root, RootConfig(s, topo, cfg.TraceParent))
 	if err != nil {
 		return nil, err
 	}
 	defer uaRT.Stop()
 
+	timeout := s.RunTimeout()
 	stalled := time.After(timeout) //gridlint:allow walltime(liveness timeout for a stalled fleet; fires only when the run already failed)
 	var uaResult utilityagent.Result
 	select {
@@ -209,42 +177,84 @@ func Run(cfg Config) (*Result, error) {
 
 	// The awards and the session end are still on their way down the tree:
 	// each concentrator hands its shard's awards and then the session end to
-	// the shard bus, and what that bus did not lose is then in the shard
+	// its downward bus, and what reaches the fleet's bus is then in the
 	// fleet's queue. A below-warrant prediction ends without any
 	// announcement, so there is nothing to relay.
 	if len(uaResult.History) > 0 {
-		if err := tier.awaitRelay(stalled); err != nil {
+		if err := t.tier.awaitRelay(stalled); err != nil {
 			return nil, fmt.Errorf("%w after %v", err, timeout)
 		}
+		if t.settle != nil {
+			t.settle()
+		}
 	}
-	for _, f := range fleets {
+	for _, f := range t.fleets {
 		f.Quiesce()
 	}
 
-	res := &Result{
+	res := &DistributedResult{Result: Result{
 		Result:    uaResult,
 		Shards:    topo.Shards(),
-		ParentBus: parent.Stats(),
-		FinalBids: make(map[string]float64, len(cas)),
+		FinalBids: make(map[string]float64, len(t.cas)),
 		Elapsed:   time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-	}
-	for name, ca := range cas {
+	}}
+	for name, ca := range t.cas {
 		res.FinalBids[name] = ca.LastBid(s.SessionID)
 	}
-	for _, b := range shardBuses {
-		res.ShardBuses = append(res.ShardBuses, b.Stats())
-	}
-	for _, f := range fleets {
+	t.report(res)
+	for _, f := range t.fleets {
 		res.AgentErrors = append(res.AgentErrors, f.Errors()...)
 	}
-	res.AgentErrors = append(res.AgentErrors, uaRT.Errors()...)
-	res.AgentErrors = append(res.AgentErrors, tier.Errors()...)
+	res.AgentErrors = append(append(res.AgentErrors, uaRT.Errors()...), t.tier.Errors()...)
 	if cfg.Journal != nil {
-		if err := journalOutcome(cfg.Journal, s.SessionID, cfg.JournalConfig, res, cas); err != nil {
+		if err := journalOutcome(cfg.Journal, s.SessionID, cfg.JournalConfig, &res.Result, t.cas); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
+}
+
+// inProcess is Run's layout: a lossless root bus for the Utility Agent and
+// the concentrators — the utility's own backbone — and one bus per shard
+// carrying a concentrator and its members, the scenario's DropRate injected
+// there as one seeded stream per shard.
+func inProcess(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
+	parent, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		return err
+	}
+	t.closers = append(t.closers, parent.Close)
+	t.root = parent
+
+	// Shard i hosts block i of the customers sorted by name — the Topology's
+	// partition — as one fleet on a bus of its own.
+	fleet := slices.Clone(s.Customers)
+	slices.SortFunc(fleet, func(a, b core.CustomerSpec) int { return strings.Compare(a.Name, b.Name) })
+	t.cas = make(map[string]*customeragent.Agent, len(fleet))
+	var shards []*bus.InProc
+	for i, members := range topo.shards {
+		shardBus, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed + int64(i) + 1})
+		if err != nil {
+			return err
+		}
+		t.closers = append(t.closers, shardBus.Close)
+		shards = append(shards, shardBus)
+		agents, hosted, err := core.HostCustomers(shardBus, fleet[:len(members)])
+		if err != nil {
+			return err
+		}
+		fleet = fleet[len(members):]
+		maps.Copy(t.cas, agents)
+		t.fleets = append(t.fleets, hosted)
+	}
+	t.report = func(res *DistributedResult) {
+		res.ParentBus = parent.Stats()
+		for _, b := range shards {
+			res.ShardBuses = append(res.ShardBuses, b.Stats())
+		}
+	}
+	t.tier, err = StartTier(parent, func(i int) bus.Bus { return shards[i] }, topo, tc)
+	return err
 }
 
 // journalOutcome appends the session's terminal record: every in-process
@@ -257,11 +267,8 @@ func journalOutcome(j *store.Store, session, config string, res *Result, cas map
 		Outcome:   res.Outcome,
 		Rounds:    res.Rounds,
 		Config:    config,
-		Bids:      make(map[string]float64, len(res.FinalBids)),
+		Bids:      maps.Clone(res.FinalBids),
 		Awards:    make(map[string]store.AwardEntry, len(cas)),
-	}
-	for name, bid := range res.FinalBids {
-		out.Bids[name] = bid
 	}
 	for name, ca := range cas {
 		if award, ok := ca.AwardFor(session); ok {
@@ -276,20 +283,4 @@ func journalOutcome(j *store.Store, session, config string, res *Result, cas map
 		return err
 	}
 	return j.Sync()
-}
-
-// shardQuorum scales the fleet-level "acceptable number of bids" to one
-// shard, rounding up so shards are never laxer than the flat session.
-func shardQuorum(fleetMin, fleetSize, shardSize int) int {
-	if fleetMin <= 0 || fleetSize <= 0 || shardSize == 0 {
-		return 0
-	}
-	q := (fleetMin*shardSize + fleetSize - 1) / fleetSize
-	if q > shardSize {
-		q = shardSize
-	}
-	if q < 1 {
-		q = 1
-	}
-	return q
 }

@@ -50,8 +50,10 @@ func SubScenario(s core.Scenario, members []string, scale map[string]float64, no
 		sub.Customers = append(sub.Customers, spec)
 		delete(want, spec.Name)
 	}
-	if len(want) > 0 {
-		for n := range want {
+	// Name the first unknown member in the caller's order: a map range would
+	// name a different one from run to run.
+	for _, n := range members {
+		if want[n] {
 			return core.Scenario{}, fmt.Errorf("%w: member %q not in parent scenario", ErrBadConfig, n)
 		}
 	}

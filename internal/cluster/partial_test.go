@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"loadbalance/internal/core"
@@ -92,11 +93,20 @@ func TestSubScenarioErrors(t *testing.T) {
 		{"empty session", []string{"c000000"}, nil, 5, ""},
 		{"bad normal", []string{"c000000"}, nil, 0, "x"},
 		{"unknown member", []string{"nope"}, nil, 5, "x"},
+		{"two unknown members", []string{"c000000", "nope", "nada"}, nil, 5, "x"},
 		{"negative scale", []string{"c000000"}, map[string]float64{"c000000": -1}, 5, "x"},
 	}
 	for _, tc := range cases {
 		if _, err := SubScenario(s, tc.members, tc.scale, units.Energy(tc.normal), tc.session); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", tc.name, err)
+		}
+	}
+	// With two unknown members the error names the first in the caller's
+	// order, every time — not whichever a map range visits first.
+	for i := 0; i < 100; i++ {
+		_, err := SubScenario(s, []string{"c000000", "nope", "nada"}, nil, 5, "x")
+		if want := `member "nope" not in parent scenario`; err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("call %d: err = %v, want it to end %q", i, err, want)
 		}
 	}
 }

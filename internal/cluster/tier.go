@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"loadbalance/internal/bus"
+	"loadbalance/internal/core"
 	"loadbalance/internal/protocol"
+	"loadbalance/internal/trace"
+	"loadbalance/internal/utilityagent"
 )
 
 // TierConfig parameterises StartTier.
@@ -19,15 +22,17 @@ type TierConfig struct {
 	// RoundTimeout is each concentrator's shard round timeout; it must be
 	// comfortably shorter than the root's round timeout.
 	RoundTimeout time.Duration
-	// InboxSize sizes each concentrator's mailboxes.
+	// InboxSize sizes each concentrator's mailboxes; 0 — what every caller
+	// outside bench/ passes — sizes them for the largest shard.
 	InboxSize int
 }
 
-// Tier is a started concentrator tier fronting a fleet. Both negotiation
-// engines build their trees through it — the in-process engine (Run) with
-// one bus per shard, cmd/gridd with all shards sharing the TCP-bridged bus —
-// so the root-tier contract (quorum scaling, concentrator naming, parameter
-// overrides) lives in exactly one place.
+// Tier is a started concentrator tier fronting a fleet. Every tree is built
+// through it — the session engine's two layouts (Run: one bus per shard;
+// RunDistributed: every shard on one TCP-bridged member bus) and cmd/gridd's
+// in-process tier over its bridged bus — so the root-tier contract (quorum
+// scaling, concentrator naming, mailbox sizing, the root's configuration in
+// RootParams and RootConfig) lives in exactly one place.
 type Tier struct {
 	Topology      Topology
 	Concentrators []*Concentrator
@@ -39,6 +44,10 @@ type Tier struct {
 // bus.
 func StartTier(parent bus.Bus, shardBus func(i int) bus.Bus, topo Topology, cfg TierConfig) (*Tier, error) {
 	t := &Tier{Topology: topo}
+	inbox := cfg.InboxSize
+	if inbox <= 0 {
+		inbox = core.FanInInbox(topo.maxShardSize())
+	}
 	for i := 0; i < topo.Shards(); i++ {
 		cc, err := NewConcentrator(ConcentratorConfig{
 			Name:         topo.ConcentratorName(i),
@@ -51,7 +60,7 @@ func StartTier(parent bus.Bus, shardBus func(i int) bus.Bus, topo Topology, cfg 
 			t.Stop()
 			return nil, err
 		}
-		if err := cc.Start(parent, shardBus(i), cfg.InboxSize); err != nil {
+		if err := cc.Start(parent, shardBus(i), inbox); err != nil {
 			t.Stop()
 			return nil, err
 		}
@@ -97,4 +106,25 @@ func RootParams(p protocol.Params) protocol.Params {
 	p.ContinuousBids = true
 	p.MinResponses = 0
 	return p
+}
+
+// RootConfig is the Utility Agent at the root of a concentrator tree: the
+// scenario's own (core.Scenario.UAConfig) over the tier's aggregated loads,
+// with the root's parameters and the reward-table method, its session span
+// under parent. The session engine and cmd/gridd configure a tree's root here.
+func RootConfig(s core.Scenario, topo Topology, parent trace.Context) utilityagent.Config {
+	cfg := s.UAConfig(topo.AggregateLoads())
+	cfg.Method = utilityagent.MethodRewardTable
+	cfg.Params = RootParams(s.Params)
+	cfg.TraceParent = parent
+	return cfg
+}
+
+// shardQuorum scales the fleet-level "acceptable number of bids" to one
+// shard, rounding up so shards are never laxer than the flat session.
+func shardQuorum(fleetMin, fleetSize, shardSize int) int {
+	if fleetMin <= 0 || fleetSize <= 0 || shardSize == 0 {
+		return 0
+	}
+	return min(max((fleetMin*shardSize+fleetSize-1)/fleetSize, 1), shardSize)
 }

@@ -32,10 +32,7 @@ func Run(s Scenario) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
+	timeout := s.RunTimeout()
 
 	b, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed})
 	if err != nil {
@@ -52,25 +49,7 @@ func Run(s Scenario) (*Result, error) {
 	}
 	defer fleet.Stop()
 
-	ua, err := utilityagent.New(utilityagent.Config{
-		Name:         "ua",
-		SessionID:    s.SessionID,
-		Window:       s.Window,
-		NormalUse:    s.NormalUse,
-		Loads:        s.Loads(),
-		Method:       s.Method,
-		LeadTime:     s.LeadTime,
-		Params:       s.Params,
-		InitialSlope: s.InitialSlope,
-		Offer:        s.Offer,
-		RFB:          s.RFB,
-		RoundTimeout: s.RoundTimeout,
-		WarrantRatio: s.Params.AllowedOveruseRatio,
-	})
-	if err != nil {
-		return nil, err
-	}
-	uaRT, err := agentrt.Start("ua", b, ua, 4*max(len(s.Customers), 16))
+	ua, uaRT, err := StartUtilityAgent(b, s.UAConfig(s.Loads()))
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +97,34 @@ func Run(s Scenario) (*Result, error) {
 // closes on quorum or timeout.
 const customerInbox = 4
 
+// FanInInbox sizes the mailbox of an agent that n others answer every round —
+// the Utility Agent over its customers or concentrators, a concentrator over
+// its members: four envelopes a sender, at least 64. It is the only place
+// that bound is written.
+func FanInInbox(n int) int { return 4 * max(n, 16) }
+
+// StartUtilityAgent starts a Utility Agent on b under cfg (named cfg.Name, as
+// Scenario.UAConfig sets it), its mailbox sized for the loads it models, and
+// returns it with its runtime for the caller to Stop. Every engine starts its
+// Utility Agent here.
+func StartUtilityAgent(b bus.Bus, cfg utilityagent.Config) (*utilityagent.Agent, *agentrt.Runtime, error) {
+	ua, err := utilityagent.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt, err := agentrt.Start(cfg.Name, b, ua, FanInInbox(len(cfg.Loads)))
+	if err != nil {
+		return nil, nil, err
+	}
+	return ua, rt, nil
+}
+
 // HostCustomers hosts the specs' customers on b as one fleet — a Customer
 // Agent each, or for a silent customer a handler that takes its envelopes and
 // never answers — behind one worker goroutine, and returns the agents by name
-// and the fleet, for the caller to Quiesce and Stop. The three engines (Run,
-// cluster.Run, cluster.RunDistributed) host their customers through it. On
-// error nothing is left running.
+// and the fleet, for the caller to Quiesce and Stop. Run and the cluster
+// session engine (cluster.Run, cluster.RunDistributed) host their customers
+// through it. On error nothing is left running.
 func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, *agentrt.Fleet, error) {
 	cas := make(map[string]*customeragent.Agent, len(specs))
 	names := make([]string, len(specs))

@@ -66,7 +66,7 @@ type Scenario struct {
 	DropRate float64
 	// Seed drives the loss randomness.
 	Seed int64
-	// Timeout bounds the whole run (default 30s).
+	// Timeout bounds the whole run (default 30s, RunTimeout).
 	Timeout time.Duration
 }
 
@@ -108,6 +108,36 @@ func (s Scenario) Loads() map[string]protocol.CustomerLoad {
 		loads[c.Name] = protocol.CustomerLoad{Predicted: c.Predicted, Allowed: c.Allowed}
 	}
 	return loads
+}
+
+// UAConfig is the Utility Agent that negotiates the scenario over loads —
+// s.Loads() when it faces the customers themselves, a concentrator tier's
+// aggregates at the root of a tree (cluster.RootConfig). Every engine
+// configures its Utility Agent here.
+func (s Scenario) UAConfig(loads map[string]protocol.CustomerLoad) utilityagent.Config {
+	return utilityagent.Config{
+		Name:         "ua",
+		SessionID:    s.SessionID,
+		Window:       s.Window,
+		NormalUse:    s.NormalUse,
+		Loads:        loads,
+		Method:       s.Method,
+		LeadTime:     s.LeadTime,
+		Params:       s.Params,
+		InitialSlope: s.InitialSlope,
+		Offer:        s.Offer,
+		RFB:          s.RFB,
+		RoundTimeout: s.RoundTimeout,
+		WarrantRatio: s.Params.AllowedOveruseRatio,
+	}
+}
+
+// RunTimeout bounds a run of the scenario: Timeout, or 30 s when unset.
+func (s Scenario) RunTimeout() time.Duration {
+	if s.Timeout <= 0 {
+		return 30 * time.Second
+	}
+	return s.Timeout
 }
 
 // paperWindow is the canonical evening peak window.

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -161,6 +162,52 @@ func TestOneCustomerInboxSite(t *testing.T) {
 	}
 	if len(perCustomer) != 0 {
 		t.Fatalf("customers are started one runtime each in %v", perCustomer)
+	}
+}
+
+// TestOneUtilityAgentSite keeps Scenario.UAConfig the only place outside
+// bench/ that writes a Utility Agent's configuration, and FanInInbox the only
+// place that writes a fan-in mailbox's bound — five engines each used to spell
+// out both, and drifted (a root inbox sized for N customers while it hears K
+// concentrators).
+func TestOneUtilityAgentSite(t *testing.T) {
+	inboxBound := regexp.MustCompile(`4\s*\*\s*(max\(|cfg\.customers)`)
+	var literals, bounds []string
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < strings.Count(string(src), "utilityagent.Config{"); i++ {
+			literals = append(literals, path)
+		}
+		for range inboxBound.FindAllIndex(src, -1) {
+			bounds = append(bounds, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario, engine := filepath.Join(root, "internal", "core", "scenario.go"), filepath.Join(root, "internal", "core", "engine.go")
+	if !slices.Equal(literals, []string{scenario}) {
+		t.Errorf("utilityagent.Config{ appears in %v, want only %s (Scenario.UAConfig)", literals, scenario)
+	}
+	if !slices.Equal(bounds, []string{engine}) {
+		t.Errorf("an inbox bound is written in %v, want only %s (FanInInbox)", bounds, engine)
 	}
 }
 

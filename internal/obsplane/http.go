@@ -122,13 +122,7 @@ func (h *Hub) mergedTrace(f trace.Filter) FleetTraceDoc {
 		doc.Missed += p.missedSpans + p.spanRing.Dropped()
 		for i := 0; i < p.spanRing.Len(); i++ {
 			r := p.spanRing.At(i)
-			if f.Session != "" && r.Session != f.Session {
-				continue
-			}
-			if f.Trace != "" && r.Trace != f.Trace {
-				continue
-			}
-			if f.Shard != "" && r.Shard != f.Shard && !strings.Contains(r.Agent, f.Shard) {
+			if id, _ := trace.ParseID(r.Trace); !f.Match(id, r.Session, r.Shard, r.Agent) {
 				continue
 			}
 			doc.Spans = append(doc.Spans, r)

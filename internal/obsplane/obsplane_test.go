@@ -703,6 +703,86 @@ func TestFleetQueryUnmountedWithoutHistory(t *testing.T) {
 	}
 }
 
+// TestFleetTraceMatchesTracerRecords: /fleet/trace over a process's streamed
+// spans selects exactly what that process's Tracer.Records selects under the
+// same filter — one span predicate (trace.Filter.Match) behind both, where the
+// hub used to re-implement it on rendered records.
+func TestFleetTraceMatchesTracerRecords(t *testing.T) {
+	tr := trace.NewTracer("w1", 256)
+	var traces []string
+	// Spans end in the order they start, at distinct microseconds, so the
+	// ring's order (by end) and the hub's (by start) agree and Limit keeps the
+	// same newest spans on both sides.
+	span := func(parent trace.Context, name, session, shard, agent string) trace.Context {
+		sp := tr.Child(parent, name)
+		sp.SetSession(session)
+		sp.SetShard(shard)
+		sp.SetAgent(agent)
+		sp.End()
+		time.Sleep(2 * time.Microsecond)
+		return sp.Context()
+	}
+	for i, session := range []string{"s1", "s2", "s1"} {
+		root := span(trace.Context{}, "session.open", session, "", "ua")
+		traces = append(traces, fmt.Sprintf("%016x", root.Trace))
+		for shard := 0; shard < 3; shard++ {
+			span(root, "round.announce", session, fmt.Sprint(shard), "")
+			span(root, "handle.cutdown_bid", session, "", fmt.Sprintf("conc-s%d-up", shard+i))
+		}
+	}
+
+	hub, err := StartHub(HubConfig{Addr: "127.0.0.1:0", Logger: testLogger(t, "hub", 16)})
+	if err != nil {
+		t.Fatalf("StartHub: %v", err)
+	}
+	defer hub.Close()
+	batch := message.ObsBatch{Seq: 1}
+	for _, r := range tr.Records(trace.Filter{}) {
+		batch.Spans = append(batch.Spans, message.ObsSpan{Trace: r.Trace, Span: r.Span, Parent: r.Parent, Name: r.Name,
+			Agent: r.Agent, Session: r.Session, Shard: r.Shard, StartUs: r.StartUs, DurUs: r.DurUs})
+	}
+	hub.merge("w1", batch)
+	mux := http.NewServeMux()
+	hub.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	spanIDs := func(recs []trace.Record) []string {
+		ids := make([]string, len(recs))
+		for i, r := range recs {
+			ids[i] = r.Span
+		}
+		return ids
+	}
+	for _, f := range []trace.Filter{
+		{},
+		{Session: "s1"},
+		{Trace: traces[1]},
+		{Trace: strings.TrimLeft(traces[2], "0")},
+		{Shard: "1"},
+		{Shard: "s2"},
+		{Session: "s1", Shard: "s3"},
+		{Limit: 4},
+		{Session: "s2", Limit: 2},
+	} {
+		q := url.Values{}
+		for k, v := range map[string]string{"session": f.Session, "trace": f.Trace, "shard": f.Shard} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		if f.Limit > 0 {
+			q.Set("limit", fmt.Sprint(f.Limit))
+		}
+		var doc FleetTraceDoc
+		getJSON(t, srv.URL+"/fleet/trace?"+q.Encode(), &doc)
+		want, got := spanIDs(tr.Records(f)), spanIDs(doc.Spans)
+		if len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("filter %+v: /fleet/trace %v, Tracer.Records %v", f, got, want)
+		}
+	}
+}
+
 // TestRelabel checks proc-label injection on plain and labelled series.
 func TestRelabel(t *testing.T) {
 	if got := relabel(message.ObsMetricSample{Name: "foo", Value: 2}, "w1"); got.Series() != `foo{proc="w1"}` || got.Value != 2 || got.Kind != trace.KindUntyped {

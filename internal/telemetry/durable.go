@@ -46,6 +46,8 @@ type RecoveryInfo struct {
 	ResumeTick int
 	// Elapsed is the wall time of open + replay — the recovery latency.
 	Elapsed time.Duration
+
+	opened time.Time // when the open began; stopClock sets Elapsed from it
 }
 
 // liveState is the snapshot blob: the engine's and collector's full mutable
@@ -74,57 +76,27 @@ type liveState struct {
 // the next tick. The same configuration must be presented on every open —
 // recovery validates it against the journal's scenario registration.
 func OpenDurable(cfg LiveConfig, dcfg DurableConfig) (*LiveEngine, *RecoveryInfo, error) {
-	start := time.Now() //gridlint:allow walltime(recovery latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
-	if dcfg.SnapshotEvery == 0 {
-		dcfg.SnapshotEvery = 32
-	}
-	if dcfg.SnapshotEvery < 0 {
-		return nil, nil, fmt.Errorf("%w: snapshot every %d ticks", ErrBadConfig, dcfg.SnapshotEvery)
-	}
-	st, rec, err := store.Open(dcfg.Dir, dcfg.Store)
+	e, info, negotiated, err := openReplayed(cfg, dcfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := NewLiveEngine(cfg)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	e.st = st
-	e.snapshotEvery = dcfg.SnapshotEvery
-
-	info := &RecoveryInfo{
-		Recovered:   !rec.Empty(),
-		CleanStart:  rec.Sealed,
-		SnapshotSeq: rec.SnapshotSeq,
-		Replayed:    len(rec.Records),
-	}
-	negotiated := false
 	if info.Recovered {
-		negotiated, err = e.restore(rec)
-		if err != nil {
-			st.Close()
-			return nil, nil, err
-		}
+		e.finishReplay()
 	}
-	if !negotiated {
-		// Fresh directory (or a crash before the initial outcome was
-		// durable — negotiation is deterministic, so re-running it lands on
-		// the same awards): register the run, then negotiate.
-		if err := e.journalRegistration(); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-		if err := e.Start(); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-	} else if err := e.openTelemetry(); err != nil {
-		st.Close()
+	// A fresh directory (or a crash before the initial outcome was durable —
+	// negotiation is deterministic, so re-running it lands on the same awards)
+	// registers the run, then negotiates; a recovered outcome opens telemetry.
+	if negotiated {
+		err = e.openTelemetry()
+	} else if err = e.journalRegistration(); err == nil {
+		err = e.Start()
+	}
+	if err != nil {
+		e.st.Close()
 		return nil, nil, err
 	}
 	info.ResumeTick = e.tick
-	info.Elapsed = time.Since(start) //gridlint:allow walltime(recovery latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
+	info.stopClock()
 	if info.Recovered {
 		health.Log(health.Info, "telemetry", "recovered journaled run",
 			health.Str("session", cfg.Scenario.SessionID),
@@ -133,6 +105,44 @@ func OpenDurable(cfg LiveConfig, dcfg DurableConfig) (*LiveEngine, *RecoveryInfo
 			health.Int("snapshotSeq", int64(info.SnapshotSeq)))
 	}
 	return e, info, nil
+}
+
+// openReplayed is OpenDurable's and OpenStandby's one open-and-replay: it
+// opens the data directory under a new engine and restores what it holds,
+// leaving the meters' fast-forward (finishReplay) to the caller — OpenDurable
+// at once, a standby at promotion. negotiated reports whether the restored
+// state holds an initial outcome. The info's clock runs from the call.
+func openReplayed(cfg LiveConfig, dcfg DurableConfig) (e *LiveEngine, info *RecoveryInfo, negotiated bool, err error) {
+	opened := time.Now() //gridlint:allow walltime(recovery latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
+	if dcfg.SnapshotEvery == 0 {
+		dcfg.SnapshotEvery = 32
+	}
+	if dcfg.SnapshotEvery < 0 {
+		return nil, nil, false, fmt.Errorf("%w: snapshot every %d ticks", ErrBadConfig, dcfg.SnapshotEvery)
+	}
+	st, rec, err := store.Open(dcfg.Dir, dcfg.Store)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if e, err = NewLiveEngine(cfg); err != nil {
+		st.Close()
+		return nil, nil, false, err
+	}
+	e.st = st
+	e.snapshotEvery = dcfg.SnapshotEvery
+	info = &RecoveryInfo{Recovered: !rec.Empty(), CleanStart: rec.Sealed, SnapshotSeq: rec.SnapshotSeq, Replayed: len(rec.Records), opened: opened}
+	if info.Recovered {
+		if negotiated, err = e.restore(rec); err != nil {
+			st.Close()
+			return nil, nil, false, err
+		}
+	}
+	return e, info, negotiated, nil
+}
+
+// stopClock sets Elapsed: the wall time since openReplayed began.
+func (info *RecoveryInfo) stopClock() {
+	info.Elapsed = time.Since(info.opened) //gridlint:allow walltime(recovery latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
 }
 
 // Store exposes the engine's backing store (nil on a volatile engine) for
@@ -290,7 +300,9 @@ func (e *LiveEngine) snapshotBlob() []byte {
 
 // restore applies recovered state: the snapshot first, then the journal
 // tail, record by record, exactly as the live loop produced it. It returns
-// whether an initial negotiation outcome is part of the restored state.
+// whether an initial negotiation outcome is part of the restored state. The
+// meters are not fast-forwarded: that is finishReplay, once no more ticks are
+// coming.
 func (e *LiveEngine) restore(rec *store.Recovered) (negotiated bool, err error) {
 	if len(rec.Snapshot) > 0 {
 		negotiated, err = e.applySnapshotState(rec.Snapshot)
@@ -305,7 +317,6 @@ func (e *LiveEngine) restore(rec *store.Recovered) (negotiated bool, err error) 
 		}
 		negotiated = negotiated || n
 	}
-	e.finishReplay()
 	return negotiated, nil
 }
 

@@ -576,12 +576,6 @@ func (e *LiveEngine) Events() []RenegotiateEvent {
 // Renegotiations returns the number of re-negotiation events so far.
 func (e *LiveEngine) Renegotiations() int { return e.renegs }
 
-// AwardOf returns a customer's current standing award.
-func (e *LiveEngine) AwardOf(name string) (Award, bool) {
-	a, ok := e.awards[name]
-	return a, ok
-}
-
 // ShardAwards returns shard i's standing awards keyed by member name.
 func (e *LiveEngine) ShardAwards(i int) map[string]Award {
 	out := make(map[string]Award)
@@ -593,9 +587,6 @@ func (e *LiveEngine) ShardAwards(i int) map[string]Award {
 
 // Topology returns the engine's shard partition.
 func (e *LiveEngine) Topology() cluster.Topology { return e.topo }
-
-// NormalPerTick returns the fleet's per-tick normal capacity in kWh.
-func (e *LiveEngine) NormalPerTick() float64 { return e.normalPerTick }
 
 // Snapshot captures the observable state for health/metrics endpoints.
 func (e *LiveEngine) Snapshot() Snapshot {

@@ -32,7 +32,6 @@ type StandbyEngine struct {
 	negotiated bool
 	sealed     bool
 	promoted   bool
-	applied    uint64 // records applied by this process (not counting recovery)
 
 	// Promotion freezes the replica view: after Promote, the LiveEngine
 	// belongs to its tick loop and is mutated without this mutex, so reads
@@ -48,54 +47,15 @@ type StandbyEngine struct {
 // replicated records. The configuration must match the primary's: replay
 // validates it against the replicated scenario registration.
 func OpenStandby(cfg LiveConfig, dcfg DurableConfig) (*StandbyEngine, *RecoveryInfo, error) {
-	start := time.Now() //gridlint:allow walltime(standby replay latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
-	if dcfg.SnapshotEvery == 0 {
-		dcfg.SnapshotEvery = 32
-	}
-	if dcfg.SnapshotEvery < 0 {
-		return nil, nil, fmt.Errorf("%w: snapshot every %d ticks", ErrBadConfig, dcfg.SnapshotEvery)
-	}
-	st, rec, err := store.Open(dcfg.Dir, dcfg.Store)
+	// The meter fast-forward is left to promotion: SkipTicks is relative,
+	// and more ticks are coming.
+	e, info, negotiated, err := openReplayed(cfg, dcfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := NewLiveEngine(cfg)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	e.st = st
-	e.snapshotEvery = dcfg.SnapshotEvery
-
-	s := &StandbyEngine{e: e, st: st}
-	info := &RecoveryInfo{
-		Recovered:   !rec.Empty(),
-		CleanStart:  rec.Sealed,
-		SnapshotSeq: rec.SnapshotSeq,
-		Replayed:    len(rec.Records),
-	}
-	if info.Recovered {
-		// Replay the local prefix, but leave the meter fast-forward to
-		// promotion: SkipTicks is relative, and more ticks are coming.
-		if len(rec.Snapshot) > 0 {
-			s.negotiated, err = e.applySnapshotState(rec.Snapshot)
-			if err != nil {
-				st.Close()
-				return nil, nil, err
-			}
-		}
-		for _, r := range rec.Records {
-			n, err := e.applyJournalRecord(r)
-			if err != nil {
-				st.Close()
-				return nil, nil, err
-			}
-			s.negotiated = s.negotiated || n
-		}
-		s.sealed = rec.Sealed
-	}
+	s := &StandbyEngine{e: e, st: e.st, negotiated: negotiated, sealed: info.CleanStart}
 	info.ResumeTick = e.tick
-	info.Elapsed = time.Since(start) //gridlint:allow walltime(standby replay latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
+	info.stopClock()
 	return s, info, nil
 }
 
@@ -120,14 +80,6 @@ func (s *StandbyEngine) Sealed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sealed
-}
-
-// Applied returns the number of records this process has applied from the
-// stream (recovery of a prior local prefix not included).
-func (s *StandbyEngine) Applied() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
 }
 
 // ApplySnapshot bootstraps an empty standby from the primary's shipped
@@ -177,7 +129,6 @@ func (s *StandbyEngine) ApplyFrames(firstSeq uint64, frames []byte) (n int, seal
 		}
 		s.negotiated = s.negotiated || negotiated
 	}
-	s.applied += uint64(n)
 	s.sealed = s.sealed || sealed
 	return n, sealed, nil
 }

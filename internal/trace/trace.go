@@ -20,6 +20,7 @@ package trace
 import (
 	"math/bits"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,17 +216,22 @@ type Filter struct {
 	Limit   int    // keep only the newest N matches (0 = all)
 }
 
-func (f Filter) match(r *ringRec, traceID uint64, traceOK bool) bool {
-	if f.Session != "" && r.session != f.Session {
+// Match reports whether a span of trace traceID, labelled session, shard and
+// agent, passes the filter; a Shard passes the span's shard label or an agent
+// name containing it (agent names embed shard tokens like "conc-s3-up"). It is
+// the one span predicate: the tracer's ring and the fleet hub's merged rings
+// both select through it. Limit is the caller's: keep the newest Limit
+// matches.
+func (f Filter) Match(traceID uint64, session, shard, agent string) bool {
+	if f.Session != "" && session != f.Session {
 		return false
 	}
-	if f.Trace != "" && (!traceOK || r.trace != traceID) {
-		return false
+	if f.Trace != "" {
+		if id, ok := ParseID(f.Trace); !ok || id != traceID {
+			return false
+		}
 	}
-	if f.Shard != "" && r.shard != f.Shard && !containsToken(r.agent, f.Shard) {
-		return false
-	}
-	return true
+	return f.Shard == "" || shard == f.Shard || strings.Contains(agent, f.Shard)
 }
 
 // render is the served form of a ring entry: ids to hex, proc attached.
@@ -249,12 +255,11 @@ func (t *Tracer) render(r *ringRec) Record {
 
 // Records returns matching spans oldest-first, rendering ids to hex.
 func (t *Tracer) Records(f Filter) []Record {
-	traceID, traceOK := ParseID(f.Trace)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Record, 0, t.ring.Len())
 	for i := 0; i < t.ring.Len(); i++ {
-		if r := t.ring.At(i); f.match(&r, traceID, traceOK) {
+		if r := t.ring.At(i); f.Match(r.trace, r.session, r.shard, r.agent) {
 			out = append(out, t.render(&r))
 		}
 	}
@@ -294,20 +299,6 @@ func (t *Tracer) DrainSince(cursor uint64) (recs []Record, newCursor, missed uin
 		recs[i] = t.render(&raw[i])
 	}
 	return recs, newCursor, missed
-}
-
-// containsToken reports whether s contains sub (plain substring; agent
-// names embed shard tokens like "conc-s3-up").
-func containsToken(s, sub string) bool {
-	if len(sub) == 0 || len(sub) > len(s) {
-		return false
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 const hexDigits = "0123456789abcdef"
