@@ -139,7 +139,7 @@ func (o *options) flagTable() []flagDef {
 		{"down", roleWorker, &o.down, "", "member-tier server address (concentrator role)"},
 		{"shard", roleWorker, &o.shard, 0, "shard index this worker fronts (concentrator role)"},
 		{"customers", fleet, &o.customers, 10, "customer count (daemon waits for this many; live mode synthesises them)"},
-		{"shards", fleet, &o.shards, 1, "concentrator agents fronting the fleet (1 = flat)"},
+		{"shards", fleet, &o.shards, 1, "concentrator agents fronting the fleet (serve: 1 = flat, the Utility Agent faces the clients itself; live, standby and worker: a tree of this many, 1 = one concentrator)"},
 		{"seed", grid | roleClient, &o.seed, int64(1), "preference randomisation seed (client and live modes)"},
 		{"timeout", roleServe, &o.timeout, 2 * time.Minute, "overall negotiation timeout (serve mode)"},
 		{"root-addr", roleServe, &o.rootAddr, "", "listen address for the root tier: concentrators run as separate worker processes that dial in (requires -shards > 1)"},

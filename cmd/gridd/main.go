@@ -3,7 +3,8 @@
 // the "large open distributed industrial systems" deployment the paper's
 // Discussion aims at.
 //
-// Server (waits for -customers clients, then negotiates):
+// Server (waits for the -customers clients c01..cNN to dial in, then
+// negotiates through the session engine, cluster.RunDialIn):
 //
 //	gridd -serve :9340 -customers 10
 //
@@ -51,7 +52,8 @@
 //	gridd -role concentrator -up localhost:9341 -down localhost:9340 \
 //	      -shard 0 -shards 4 -customers 100
 //
-// Clients (one per customer; names must be c01..cNN):
+// Clients (one per customer, named c01..cNN: the roster the server waits for
+// and the workers derive their shards from; other names are not its fleet):
 //
 //	gridd -connect localhost:9340 -name c01 -seed 1
 //
@@ -64,10 +66,11 @@
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: serve loops unwind, the
 // HTTP listener drains, in-flight live ticks finish and the journal is
-// sealed. A serve-mode daemon interrupted mid-negotiation drains the fleet
-// with an aborting session end (and journals the session as aborted when
-// -data-dir is set) so no client hangs and recovery never replays a
-// half-committed session.
+// sealed. A serve-mode daemon interrupted at any phase takes the session
+// engine's one error path: the fleet (and any worker concentrators) gets an
+// aborting session end, flushed before the connections close, and with
+// -data-dir the session is journaled as aborted, so no client hangs and
+// recovery never replays a half-committed session.
 package main
 
 import (
@@ -80,7 +83,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -203,47 +205,25 @@ func dumpTraceFile(path string) {
 	}
 }
 
-// customerAgents filters a bridged bus's agent list down to customers,
-// dropping worker concentrators (cluster.Topology names them cc-NNN), which
-// share the member-tier bus with the fleet they front.
-func customerAgents(agents []string) []string {
-	out := agents[:0:0]
-	for _, n := range agents {
-		if !strings.HasPrefix(n, "cc-") {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// fleetNames returns the daemon's conventional customer names c01..cNN —
-// the contract that lets worker processes derive their shard membership
-// without any exchange with the root.
-func fleetNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("c%02d", i+1)
-	}
-	return names
-}
-
 // fleetScenario is the one negotiation a serve daemon and its workers run
-// over the named fleet: 13.5 kWh predicted and allowed per customer, capacity
-// for the paper's 35% initial overuse, the paper's parameters and a round
-// timeout of serveRoundTimeout.
-func fleetScenario(names []string) core.Scenario {
+// over n customers named c01..cNN — the roster the daemon waits for, and the
+// contract that lets worker processes derive their shard membership without
+// any exchange with the root: 13.5 kWh predicted and allowed per customer,
+// capacity for the paper's 35% initial overuse, the paper's parameters and a
+// round timeout of serveRoundTimeout.
+func fleetScenario(n int) core.Scenario {
 	s := core.Scenario{
 		SessionID:    session,
 		Window:       windowNow(),
-		NormalUse:    units.Energy(13.5 * float64(len(names))).Scale(1 / 1.35),
+		NormalUse:    units.Energy(13.5 * float64(n)).Scale(1 / 1.35),
 		Method:       utilityagent.MethodRewardTable,
 		Params:       core.PaperParams(),
 		InitialSlope: 42.5,
 		RoundTimeout: serveRoundTimeout,
-		Customers:    make([]core.CustomerSpec, len(names)),
+		Customers:    make([]core.CustomerSpec, n),
 	}
-	for i, n := range names {
-		s.Customers[i] = core.CustomerSpec{Name: n, Predicted: 13.5, Allowed: 13.5}
+	for i := range s.Customers {
+		s.Customers[i] = core.CustomerSpec{Name: fmt.Sprintf("c%02d", i+1), Predicted: 13.5, Allowed: 13.5}
 	}
 	return s
 }
@@ -256,7 +236,7 @@ func fleetScenario(names []string) core.Scenario {
 // /metrics, /logs, /trace); the optional ready channel receives the bound
 // address (tests binding to ":0").
 func runConcentrator(ctx context.Context, opts options, ready chan<- string) error {
-	fleet := fleetScenario(fleetNames(opts.customers))
+	fleet := fleetScenario(opts.customers)
 	topo, err := cluster.NewTopology(fleet.Loads(), opts.shards)
 	if err != nil {
 		return err
@@ -322,16 +302,13 @@ type serveAddrs struct {
 	obs     string
 }
 
-// serve hosts the UA, bridges remote customers onto a local bus and
-// negotiates once. The optional ready channel receives the bound addresses
-// (used by tests binding to :0). With shards > 1 it interposes that many
-// Concentrator Agents between the Utility Agent and the TCP-bridged fleet:
-// the UA negotiates with the concentrators on a private root bus, while each
-// concentrator fans out to its shard of remote customers over the shared
-// bridged bus by name (bus.SendTo). With rootAddr set the root bus is itself a
-// TCP server and the concentrators are separate gridd worker processes that
-// dial in before the negotiation starts. Cancelling ctx aborts cleanly at
-// any phase.
+// serve hosts the Utility Agent, bridges remote customers onto a local bus and
+// negotiates once through the session engine (cluster.RunDialIn). The
+// optional ready channel receives the bound addresses (used by tests binding
+// to :0). With shards > 1 the engine interposes that many Concentrator Agents
+// between the Utility Agent and the TCP-bridged fleet; with rootAddr set the
+// root bus is itself a TCP server and the concentrators are separate gridd
+// worker processes that dial in. Cancelling ctx aborts cleanly at any phase.
 func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 	var err error
 	var journal *store.Store
@@ -341,54 +318,32 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 		}
 		defer journal.Close()
 	}
-	// One-shot daemons stream their journal too: a standby tailing the
-	// session outcome is what lets a replica answer /awards after this
-	// process is gone.
+	// A standby tailing the outcome answers /awards after this process is gone.
 	var sender *replica.Sender
 	if cfg.replAddr != "" {
 		if sender, err = startSender(cfg.dataDir, cfg.replAddr, "replicating the journal"); err != nil {
 			return err
 		}
-		defer func() {
-			// Let connected standbys receive the outcome (and the seal, so
-			// they shut down cleanly) before the stream drops.
+		defer func() { // standbys get the outcome and the seal before the stream drops
 			_ = sender.WaitDrain(journal.Stats().LastSeq, 5*time.Second)
 			sender.Close()
 		}()
 	}
-	inner, err := bus.NewInProc(bus.Config{})
+	member, srv, stop, err := serveBus(cfg.addr)
 	if err != nil {
 		return err
 	}
-	defer inner.Close()
-	srv, err := bus.ListenAndServe(cfg.addr, inner)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
+	defer stop()
 	addrs := serveAddrs{member: srv.Addr()}
-	tiers := []bus.Bus{inner} // every bus a remote process hangs on: what an abort must drain
-
-	// Distributed root tier: a second TCP server the worker concentrators
-	// dial into.
-	var rootInner *bus.InProc
+	var root *bus.InProc
 	var rootSrv *bus.Server
 	if cfg.rootAddr != "" {
-		rootInner, err = bus.NewInProc(bus.Config{})
-		if err != nil {
+		if root, rootSrv, stop, err = serveBus(cfg.rootAddr); err != nil {
 			return err
 		}
-		defer rootInner.Close()
-		rootSrv, err = bus.ListenAndServe(cfg.rootAddr, rootInner)
-		if err != nil {
-			return err
-		}
-		defer rootSrv.Close()
+		defer stop()
 		addrs.root = rootSrv.Addr()
-		tiers = append(tiers, rootInner)
 	}
-
 	var hub *obsplane.Hub
 	if cfg.obsAddr != "" {
 		if hub, err = startHub(cfg.obsAddr, cfg.tsdbInterval); err != nil {
@@ -397,23 +352,14 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 		defer hub.Close()
 		addrs.obs = hub.Addr()
 	}
-
 	reg := cfg.registry()
 	registerServeMetrics(reg, srv, rootSrv, hub, sender)
-
 	if cfg.metricsAddr != "" {
 		history, scraper := startHistory(cfg.tsdbInterval, reg)
 		defer scraper.Close()
-		var stop func()
 		addrs.metrics, _, stop, err = endpoints{
 			healthz: func() map[string]any {
-				doc := map[string]any{"status": "ok", "role": "primary", "customers": len(customerAgents(inner.Agents()))}
-				if journal != nil {
-					stats := journal.Stats()
-					doc["lastAppliedSeq"] = stats.LastSeq
-					doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
-				}
-				return doc
+				return journalDoc(map[string]any{"status": "ok", "role": "primary", "customers": cfg.customers, "connected": len(member.Agents())}, journal)
 			},
 			reg: reg, history: history, hub: hub, pprof: cfg.pprof,
 		}.listen(cfg.metricsAddr)
@@ -422,138 +368,49 @@ func serve(ctx context.Context, cfg options, ready chan<- serveAddrs) error {
 		}
 		defer stop()
 	}
-
 	if ready != nil {
 		ready <- addrs
 	}
 	fmt.Printf("gridd: listening on %s, waiting for %d customers\n", srv.Addr(), cfg.customers)
-
-	// Wait for the fleet to dial in. Worker concentrators register their
-	// cc-NNN names on this same bridged bus (their downward connection), so
-	// only non-concentrator names count toward — and model — the fleet.
-	deadline := time.Now().Add(cfg.timeout)
-	await := func(what string, want int, count func() int) (stop bool, err error) {
-		for count() < want {
-			switch {
-			case ctx.Err() != nil:
-				fmt.Printf("gridd: interrupted while waiting for %s\n", what)
-				return true, abortServe(journal, session, "interrupted before negotiation", tiers...)
-			case time.Now().After(deadline):
-				return true, fmt.Errorf("only %d of %d %s connected", count(), want, what)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		return false, nil
-	}
-	if stop, err := await("customers", cfg.customers, func() int { return len(customerAgents(inner.Agents())) }); stop {
+	fleet := fleetScenario(cfg.customers)
+	fleet.Timeout = cfg.timeout
+	res, err := cluster.RunDialIn(ctx, cluster.Config{Scenario: fleet, Shards: cfg.shards, Journal: journal}, member, root)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		fmt.Println("gridd: interrupted; the fleet was sent an aborting session end")
+		return nil
+	case err != nil:
 		return err
+	case cfg.shards > 1:
+		fmt.Println("note: awards below are per-concentrator aggregates; each customer's own award was delivered to its process")
 	}
-	names := customerAgents(inner.Agents())
-	fmt.Printf("gridd: customers connected: %v\n", names)
-	if cfg.rootAddr != "" {
-		// Workers derive their shard membership from the c01..cNN naming
-		// convention; a fleet dialed in under other names would negotiate
-		// against nonexistent members. Fail fast instead of timing out.
-		expected := fleetNames(cfg.customers)
-		for i, n := range names {
-			if i >= len(expected) || n != expected[i] {
-				return fmt.Errorf("distributed mode requires customers named c01..c%02d (the workers' membership convention); got %v", cfg.customers, names)
-			}
-		}
-	}
-
-	// With shards > 1 the UA negotiates with that many concentrators on a
-	// tier bus of its own — the root tier's when they are worker processes —
-	// and sees their aggregated loads.
-	fleet := fleetScenario(names)
-	loads := fleet.Loads()
-	uaCfg, uaBus := fleet.UAConfig(loads), bus.Bus(inner)
-	tierBus := rootInner
-	if cfg.shards > 1 {
-		topo, err := cluster.NewTopology(loads, cfg.shards)
-		if err != nil {
+	fmt.Print(sim.RenderResult(res.Flat()))
+	if journal != nil {
+		if err := journal.Seal(); err != nil {
 			return err
 		}
-		if rootInner != nil {
-			fmt.Printf("gridd: root tier on %s, waiting for %d concentrator workers\n", rootSrv.Addr(), cfg.shards)
-			if stop, err := await("concentrators", cfg.shards, func() int { return len(rootInner.Agents()) }); stop {
-				return err
-			}
-			fmt.Printf("gridd: concentrators connected: %v\n", rootInner.Agents())
-		} else {
-			// In-process tier: the concentrators reach their remote shards
-			// over the bridged bus.
-			if tierBus, err = bus.NewInProc(bus.Config{}); err != nil {
-				return err
-			}
-			defer tierBus.Close()
-			tier, err := cluster.StartTier(tierBus, func(int) bus.Bus { return inner }, topo, cluster.TierConfig{
-				SessionID:    fleet.SessionID,
-				RoundTimeout: fleet.RoundTimeout / 2,
-			})
-			if err != nil {
-				return err
-			}
-			defer tier.Stop()
-			fmt.Printf("gridd: fronting the fleet with %d concentrators\n", topo.Shards())
-		}
-		uaCfg, uaBus = cluster.RootConfig(fleet, topo, trace.Context{}), tierBus
 	}
+	if cfg.linger != nil {
+		select {
+		case <-cfg.linger:
+		case <-ctx.Done():
+		}
+	}
+	return nil
+}
 
-	ua, rt, err := core.StartUtilityAgent(uaBus, uaCfg)
-	if err != nil {
-		return err
+// serveBus serves a fresh bus on addr for remote agents to dial onto. stop
+// closes the server — which first flushes what it queued for its peers, the
+// awards and a session end included — and then the bus.
+func serveBus(addr string) (b *bus.InProc, srv *bus.Server, stop func(), err error) {
+	if b, err = bus.NewInProc(bus.Config{}); err != nil {
+		return nil, nil, nil, err
 	}
-	defer rt.Stop()
-
-	select {
-	case res := <-ua.Done():
-		// Give the per-connection writers a moment to flush the awards and
-		// the session-end broadcast before the deferred teardown cuts the
-		// TCP connections.
-		time.Sleep(300 * time.Millisecond)
-		stats := inner.Stats()
-		if tierBus != nil {
-			// Count both tiers, so flat and sharded runs compare fairly.
-			p := tierBus.Stats()
-			stats.Sent += p.Sent
-			stats.Delivered += p.Delivered
-			stats.Dropped += p.Dropped
-			stats.Rejected += p.Rejected
-			fmt.Printf("note: awards below are per-concentrator aggregates; each customer's own award was delivered to its process\n")
-		}
-		full := &core.Result{Result: res, Bus: stats}
-		fmt.Print(sim.RenderResult(full))
-		ws := srv.WireStats()
-		fmt.Printf("wire: member tier %d frames in / %d out, %d dropped, %d rejected\n",
-			ws.FramesIn, ws.FramesOut, ws.Dropped, ws.Rejected)
-		if rootSrv != nil {
-			rs := rootSrv.WireStats()
-			fmt.Printf("wire: root tier %d frames in / %d out, %d dropped, %d rejected\n",
-				rs.FramesIn, rs.FramesOut, rs.Dropped, rs.Rejected)
-		}
-		if journal != nil {
-			if err := journalServeOutcome(journal, session, res); err != nil {
-				return err
-			}
-		}
-		if cfg.linger != nil {
-			select {
-			case <-cfg.linger:
-			case <-ctx.Done():
-			}
-		}
-		return nil
-	case <-ctx.Done():
-		// Drain before teardown: the fleet (and any worker concentrators)
-		// get an aborting session end so no client hangs on a dead TCP
-		// connection, and the journal records the session as aborted so
-		// recovery never replays it as half-committed.
-		fmt.Println("gridd: interrupted, draining in-flight session")
-		return abortServe(journal, session, "interrupted", tiers...)
-	case <-time.After(cfg.timeout):
-		return fmt.Errorf("negotiation timed out after %v", cfg.timeout)
+	if srv, err = bus.ListenAndServe(addr, b); err != nil {
+		b.Close()
+		return nil, nil, nil, err
 	}
+	return b, srv, func() { srv.Close(); b.Close() }, nil
 }
 
 // registerServeMetrics is what a serve daemon publishes, in page order: the
@@ -577,55 +434,6 @@ func registerServeMetrics(reg *trace.Registry, srv, rootSrv *bus.Server, hub *ob
 	if hub != nil {
 		reg.Register(hub.Samples)
 	}
-}
-
-// abortServe broadcasts an aborting session end on each bus, waits for the
-// per-connection writers to flush it, and journals the abort.
-func abortServe(journal *store.Store, session, reason string, buses ...bus.Bus) error {
-	for _, b := range buses {
-		env, err := message.NewEnvelope("ua", "", session, message.SessionEnd{Round: 0, Reason: "aborted: " + reason})
-		if err == nil {
-			_ = b.Send(env)
-		}
-	}
-	// Give the per-connection writers a moment to flush the broadcast
-	// before the deferred teardown cuts the TCP connections.
-	time.Sleep(300 * time.Millisecond)
-	if journal == nil {
-		return nil
-	}
-	rec, err := store.NewAbortRecord(store.AbortInfo{SessionID: session, Reason: reason})
-	if err != nil {
-		return err
-	}
-	if err := journal.Append(rec); err != nil {
-		return err
-	}
-	return journal.Sync()
-}
-
-// journalServeOutcome records the daemon's one-shot negotiation outcome and
-// seals the journal (the daemon exits after one session).
-func journalServeOutcome(journal *store.Store, session string, res utilityagent.Result) error {
-	out := store.SessionOutcome{
-		SessionID: session,
-		Outcome:   res.Outcome,
-		Rounds:    res.Rounds,
-		Bids:      make(map[string]float64, len(res.Awards)),
-		Awards:    make(map[string]store.AwardEntry, len(res.Awards)),
-	}
-	for _, a := range res.Awards {
-		out.Bids[a.Customer] = a.Award.CutDown
-		out.Awards[a.Customer] = store.AwardEntry{CutDown: a.Award.CutDown, Reward: a.Award.Reward}
-	}
-	rec, err := store.NewSessionRecord(out)
-	if err != nil {
-		return err
-	}
-	if err := journal.Append(rec); err != nil {
-		return err
-	}
-	return journal.Seal()
 }
 
 // liveConfig derives the engine configuration. It must be identical on
@@ -746,9 +554,7 @@ func (g *gridState) healthDoc() map[string]any {
 			"peers":      stby.PeerList(),
 		}
 	case v.st != nil:
-		stats := v.st.Stats()
-		doc["lastAppliedSeq"] = stats.LastSeq
-		doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
+		journalDoc(doc, v.st)
 		if v.sender != nil {
 			sst := v.sender.Status()
 			doc["replication"] = map[string]any{
@@ -756,6 +562,17 @@ func (g *gridState) healthDoc() map[string]any {
 				"standbys": len(sst.Standbys),
 			}
 		}
+	}
+	return doc
+}
+
+// journalDoc adds a primary's last applied journal position to a /healthz
+// document, when it journals.
+func journalDoc(doc map[string]any, st *store.Store) map[string]any {
+	if st != nil {
+		stats := st.Stats()
+		doc["lastAppliedSeq"] = stats.LastSeq
+		doc["lastAppliedAge"] = trace.AgeSeconds(stats.LastAppend)
 	}
 	return doc
 }

@@ -17,6 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"loadbalance/internal/bus"
+	"loadbalance/internal/cluster"
+	"loadbalance/internal/customeragent"
+	"loadbalance/internal/message"
 	"loadbalance/internal/store"
 	"loadbalance/internal/trace"
 )
@@ -317,6 +321,9 @@ func TestDistributedTraceStitch(t *testing.T) {
 	ctx := context.Background()
 	ready := make(chan serveAddrs, 1)
 	serverErr := make(chan error, 1)
+	// The session takes milliseconds; the daemon's endpoints stay up after it
+	// until /trace has been read.
+	linger := make(chan struct{})
 	go func() {
 		serverErr <- serve(ctx, options{
 			addr:        "127.0.0.1:0",
@@ -327,6 +334,7 @@ func TestDistributedTraceStitch(t *testing.T) {
 			timeout:     60 * time.Second,
 			dataDir:     dirP,
 			replAddr:    "127.0.0.1:0",
+			linger:      linger,
 		}, ready)
 	}()
 	var addrs serveAddrs
@@ -392,7 +400,7 @@ func TestDistributedTraceStitch(t *testing.T) {
 		}(i)
 	}
 
-	// While the session runs, /trace must answer with session-filtered spans.
+	// Once the session has run, /trace must answer with session-filtered spans.
 	traceDeadline := time.Now().Add(30 * time.Second)
 	for {
 		var dump trace.Dump
@@ -413,10 +421,11 @@ func TestDistributedTraceStitch(t *testing.T) {
 			break
 		}
 		if time.Now().After(traceDeadline) {
-			t.Fatal("/trace never served a session span while the negotiation ran")
+			t.Fatal("/trace never served a session span")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	close(linger)
 
 	wg.Wait()
 	for i, err := range clientErrs {
@@ -548,22 +557,6 @@ func procKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TestCustomerAgentsFiltersConcentrators guards the distributed serve path:
-// worker concentrators share the member-tier bus with the fleet, and must
-// never count toward — or be modelled in — the customer quorum.
-func TestCustomerAgentsFiltersConcentrators(t *testing.T) {
-	agents := []string{"c01", "c02", "cc-000", "cc-001", "c03"}
-	got := customerAgents(agents)
-	if len(got) != 3 {
-		t.Fatalf("customerAgents = %v, want the 3 customers", got)
-	}
-	for _, n := range got {
-		if strings.HasPrefix(n, "cc-") {
-			t.Fatalf("concentrator %q leaked into the fleet model", n)
-		}
-	}
 }
 
 // TestShardsFlagValidation rejects nonsensical shard counts.
@@ -897,6 +890,162 @@ func TestServeJournalsOutcome(t *testing.T) {
 	}
 	if outcome == nil || outcome.SessionID != "gridd" || len(outcome.Awards) == 0 {
 		t.Fatalf("journaled outcome = %+v, want the gridd session with awards", outcome)
+	}
+}
+
+// startServe runs serve under ctx and returns its member address and the
+// channel its error arrives on.
+func startServe(t *testing.T, ctx context.Context, opts options) (string, <-chan error) {
+	t.Helper()
+	ready := make(chan serveAddrs, 1)
+	serverErr := make(chan error, 1)
+	go func() { serverErr <- serve(ctx, opts, ready) }()
+	select {
+	case a := <-ready:
+		return a.member, serverErr
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never became ready")
+		return "", nil
+	}
+}
+
+// journalRecords reads a data dir's records of one kind.
+func journalRecords(t *testing.T, dir string, kind store.Kind) []store.Record {
+	t.Helper()
+	rec, err := store.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []store.Record
+	for _, r := range rec.Records {
+		if r.Kind == kind {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestShardedServeJournalsTheEngineRecord: serve -shards 2 journals each
+// member's bid and award as its in-process tier delivered them — the record
+// cluster.Run writes over the same roster and client preferences, byte for
+// byte — and not the two concentrators' aggregates as if they were customers.
+func TestShardedServeJournalsTheEngineRecord(t *testing.T) {
+	const customers, shards = 4, 2
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	addr, serverErr := startServe(t, ctx, options{
+		addr: "127.0.0.1:0", customers: customers, shards: shards,
+		timeout: 30 * time.Second, dataDir: dataDir,
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < customers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := runClient(ctx, addr, fmt.Sprintf("c%02d", i+1), int64(i+1)); err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := <-serverErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	served := journalRecords(t, dataDir, store.KindSession)
+
+	fleet := fleetScenario(customers)
+	for i := range fleet.Customers {
+		prefs, err := clientPreferences(int64(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Customers[i].Prefs, fleet.Customers[i].Strategy = prefs, customeragent.StrategyGreedy
+	}
+	refDir := t.TempDir()
+	st, _, err := store.Open(refDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Run(cluster.Config{Scenario: fleet, Shards: shards, Journal: st}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ran := journalRecords(t, refDir, store.KindSession)
+	if len(served) != 1 || len(ran) != 1 || !bytes.Equal(served[0].Body, ran[0].Body) {
+		t.Fatalf("session records differ:\nserve       %s\ncluster.Run %s", served, ran)
+	}
+}
+
+// TestServeAbortsMidNegotiation: a -shards 2 serve cancelled after its first
+// announcement ends through the engine's one error path — every client gets
+// the aborting session end and returns nil, and the journal holds one aborted
+// record naming the session and the reason.
+func TestServeAbortsMidNegotiation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dataDir := t.TempDir()
+	addr, serverErr := startServe(t, ctx, options{
+		addr: "127.0.0.1:0", customers: 4, shards: 2,
+		timeout: 30 * time.Second, dataDir: dataDir,
+	})
+	clientErrs := make(chan error, 4)
+	for i := 0; i < 3; i++ {
+		go func(i int) {
+			clientErrs <- runClient(context.Background(), addr, fmt.Sprintf("c%02d", i+1), int64(i+1))
+		}(i)
+	}
+	// c04 never bids, so its shard's first round stays open (for half the
+	// 5 s round timeout) and the session with it.
+	silent, err := bus.Dial(addr, "c04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	select {
+	case env := <-silent.Inbox():
+		if env.Kind != message.KindRewardTable {
+			t.Fatalf("first envelope to c04 is a %s, want the announcement", env.Kind)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first announcement never reached c04")
+	}
+	cancel()
+	go func() {
+		for env := range silent.Inbox() {
+			if env.Kind != message.KindSessionEnd {
+				continue
+			}
+			p, err := env.Decode()
+			if end, ok := p.(message.SessionEnd); err == nil && !(ok && strings.HasPrefix(end.Reason, "aborted: ")) {
+				err = fmt.Errorf("session end %+v, want an aborting one", p)
+			}
+			clientErrs <- err
+			return
+		}
+		clientErrs <- fmt.Errorf("c04's connection closed before the session end")
+	}()
+	for i := 0; i < 4; i++ {
+		select {
+		case err := <-clientErrs:
+			if err != nil {
+				t.Fatalf("client: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a client hung after the abort")
+		}
+	}
+	if err := <-serverErr; err != nil {
+		t.Fatalf("interrupted serve returned %v", err)
+	}
+	aborted := journalRecords(t, dataDir, store.KindAborted)
+	if len(aborted) != 1 || len(journalRecords(t, dataDir, store.KindSession)) != 0 {
+		t.Fatalf("journal holds %d aborted records, want 1 and no session record", len(aborted))
+	}
+	info, err := store.DecodeAbort(aborted[0])
+	if err != nil || info.SessionID != "gridd" || info.Reason != context.Canceled.Error() {
+		t.Fatalf("aborted record %+v, %v: want session gridd, reason %q", info, err, context.Canceled.Error())
 	}
 }
 

@@ -262,7 +262,7 @@ func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Sto
 		for _, e := range res.AgentErrors {
 			return fmt.Errorf("agent error: %w", e)
 		}
-		fmt.Print(loadbalance.Render(&loadbalance.Result{Result: res.Result, Bus: sumShardStats(res)}))
+		fmt.Print(loadbalance.Render(res.Flat()))
 		fmt.Printf("\nsharded over %d concentrators; awards above are per-concentrator aggregates\n", res.Shards)
 		if journal != nil {
 			return journal.Seal()
@@ -276,7 +276,7 @@ func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Sto
 	for _, e := range res.AgentErrors {
 		return fmt.Errorf("agent error: %w", e)
 	}
-	fmt.Print(loadbalance.Render(&loadbalance.Result{Result: res.Result.Result, Bus: sumShardStats(&res.Result)}))
+	fmt.Print(loadbalance.Render(res.Flat()))
 	fmt.Printf("\ndistributed over %d concentrator connection pairs (wire protocol v3)\n", res.Shards)
 	fmt.Printf("wire: root %d frames in / %d out; member %d in / %d out; %d dropped, %d malformed\n",
 		res.RootWire.FramesIn, res.RootWire.FramesOut,
@@ -284,17 +284,4 @@ func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Sto
 		res.RootWire.Dropped+res.MemberWire.Dropped,
 		res.RootWire.Malformed+res.MemberWire.Malformed)
 	return nil
-}
-
-// sumShardStats folds both tiers' bus counters into one, so flat and
-// sharded renders compare fairly.
-func sumShardStats(res *loadbalance.ClusterResult) loadbalance.BusStats {
-	total := res.ParentBus
-	for _, s := range res.ShardBuses {
-		total.Sent += s.Sent
-		total.Delivered += s.Delivered
-		total.Dropped += s.Dropped
-		total.Rejected += s.Rejected
-	}
-	return total
 }

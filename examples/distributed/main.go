@@ -6,15 +6,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
+	"loadbalance/internal/agent"
 	"loadbalance/internal/bus"
+	"loadbalance/internal/cluster"
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
-	"loadbalance/internal/message"
 	"loadbalance/internal/sim"
 )
 
@@ -29,6 +30,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	scenario.RoundTimeout = 2 * time.Second
+	scenario.Timeout = time.Minute
 
 	// Server side: a local bus bridged onto TCP.
 	inner, err := bus.NewInProc(bus.Config{})
@@ -43,65 +46,29 @@ func run() error {
 	defer srv.Close()
 	fmt.Printf("utility agent daemon on %s\n", srv.Addr())
 
-	// Client side: each customer dials in and reacts from its own
-	// goroutine, exactly as a separate process would.
-	var wg sync.WaitGroup
+	// Client side: a bus.Remote registers each Customer Agent by dialing the
+	// server as it, so every customer reacts over its own connection, exactly
+	// as a separate process would.
+	fleet := bus.NewRemote(srv.Addr())
+	defer fleet.Close()
 	for _, spec := range scenario.Customers {
 		ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
 		if err != nil {
 			return err
 		}
-		cli, err := bus.Dial(srv.Addr(), spec.Name)
+		rt, err := agent.Start(spec.Name, fleet, ca, 0)
 		if err != nil {
 			return err
 		}
-		wg.Add(1)
-		go func(name string, ca *customeragent.Agent, cli *bus.Client) {
-			defer wg.Done()
-			defer cli.Close()
-			for env := range cli.Inbox() {
-				reply, ok, err := ca.React(env)
-				if err != nil {
-					log.Printf("%s: %v", name, err)
-					continue
-				}
-				if ok {
-					out, err := message.NewEnvelope(name, env.From, env.Session, reply)
-					if err != nil {
-						log.Printf("%s: %v", name, err)
-						return
-					}
-					if err := cli.Send(out); err != nil {
-						return
-					}
-				}
-				if env.Kind == message.KindSessionEnd {
-					return
-				}
-			}
-		}(spec.Name, ca, cli)
+		defer rt.Stop()
 	}
 
-	// Wait until all ten customers are bridged onto the bus.
-	for len(inner.Agents()) < len(scenario.Customers) {
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	scenario.RoundTimeout = 2 * time.Second
-	ua, rt, err := core.StartUtilityAgent(inner, scenario.UAConfig(scenario.Loads()))
+	// The session engine waits for the ten customers to dial in; with one
+	// shard and no root bus the Utility Agent faces them itself.
+	res, err := cluster.RunDialIn(context.Background(), cluster.Config{Scenario: scenario, Shards: 1}, inner, nil)
 	if err != nil {
 		return err
 	}
-	defer rt.Stop()
-
-	select {
-	case res := <-ua.Done():
-		wg.Wait() // all clients saw the session end
-		full := &core.Result{Result: res, Bus: inner.Stats()}
-		fmt.Print(sim.RenderResult(full))
-		fmt.Println("\nall customer connections closed cleanly")
-		return nil
-	case <-time.After(time.Minute):
-		return fmt.Errorf("negotiation timed out")
-	}
+	fmt.Print(sim.RenderResult(res.Flat()))
+	return nil
 }

@@ -12,6 +12,7 @@
 package bus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -142,6 +143,7 @@ type InProc struct {
 	// registers everyone before its first broadcast and unregisters after
 	// its last, so it sorts once.
 	roster   []string
+	changed  chan struct{} // closed at the next registration change; nil while nobody awaits one
 	closed   bool
 	stats    Stats
 	dropRate float64
@@ -198,7 +200,7 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 	}
 	ch := make(chan message.Envelope, inboxSize)
 	b.boxes[name] = box{ch: ch}
-	b.roster = nil
+	b.rosterChangedLocked()
 	return ch, nil
 }
 
@@ -223,7 +225,7 @@ func (b *InProc) RegisterGroup(names []string, sink GroupSink) (func(), error) {
 		boxes[name] = box{group: g, member: i}
 	}
 	b.boxes = boxes
-	b.roster = nil
+	b.rosterChangedLocked()
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -232,7 +234,7 @@ func (b *InProc) RegisterGroup(names []string, sink GroupSink) (func(), error) {
 				delete(b.boxes, name)
 			}
 		}
-		b.roster = nil
+		b.rosterChangedLocked()
 	}, nil
 }
 
@@ -242,9 +244,55 @@ func (b *InProc) Unregister(name string) {
 	defer b.mu.Unlock()
 	if bx, ok := b.boxes[name]; ok {
 		delete(b.boxes, name)
-		b.roster = nil
+		b.rosterChangedLocked()
 		if bx.ch != nil {
 			close(bx.ch)
+		}
+	}
+}
+
+// rosterChangedLocked drops the sorted roster and wakes AwaitNames. The
+// caller holds b.mu.
+func (b *InProc) rosterChangedLocked() {
+	b.roster = nil
+	if b.changed != nil {
+		close(b.changed)
+		b.changed = nil
+	}
+}
+
+// AwaitNames blocks until every one of names is registered — or, with present
+// false, none is — re-checking at each registration change, or until ctx ends:
+// how a host learns that peers have dialed in, or that a server has forwarded
+// all a connection carried and unregistered it.
+func (b *InProc) AwaitNames(ctx context.Context, names []string, present bool) error {
+	want := "registered"
+	if !present {
+		want = "unregistered"
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for {
+		pending := 0
+		for _, n := range names {
+			if _, ok := b.boxes[n]; ok != present {
+				pending++
+			}
+		}
+		if pending == 0 {
+			return nil
+		}
+		if b.changed == nil {
+			b.changed = make(chan struct{})
+		}
+		changed := b.changed
+		b.mu.Unlock()
+		select {
+		case <-changed:
+			b.mu.Lock()
+		case <-ctx.Done():
+			b.mu.Lock()
+			return fmt.Errorf("bus: %d of %d agents not %s: %w", pending, len(names), want, context.Cause(ctx))
 		}
 	}
 }
@@ -361,7 +409,7 @@ func (b *InProc) Close() {
 		return
 	}
 	b.closed = true
-	b.roster = nil
+	b.rosterChangedLocked()
 	for n, bx := range b.boxes {
 		delete(b.boxes, n)
 		if bx.ch != nil {

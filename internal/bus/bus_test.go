@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -272,6 +273,49 @@ func TestBroadcastRosterTracksMembership(t *testing.T) {
 
 // TestSteadyStateBroadcastAllocs: with the membership unchanged a broadcast
 // to 64 inboxes allocates nothing (it built and sorted a 64-name slice per
+// TestAwaitNames: the wait ends on the registration change that completes
+// it — names arriving from several goroutines, then leaving — and a wait that
+// cannot complete ends with ctx, counting the names still missing.
+func TestAwaitNames(t *testing.T) {
+	b, err := NewInProc(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	names := []string{"a", "b", "c"}
+	errc := make(chan error, len(names))
+	for _, n := range names {
+		go func(n string) {
+			_, err := b.Register(n, 1)
+			errc <- err
+		}(n)
+	}
+	if err := b.AwaitNames(context.Background(), names, true); err != nil {
+		t.Fatal(err)
+	}
+	for range names {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		go b.Unregister(n)
+	}
+	if err := b.AwaitNames(context.Background(), names, false); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := b.Register("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	err = b.AwaitNames(ctx, names, true)
+	if !errors.Is(err, context.DeadlineExceeded) || err.Error() != "bus: 2 of 3 agents not registered: context deadline exceeded" {
+		t.Fatalf("AwaitNames past its deadline = %v", err)
+	}
+}
+
 // call before the roster was cached).
 func TestSteadyStateBroadcastAllocs(t *testing.T) {
 	b, err := NewInProc(Config{})

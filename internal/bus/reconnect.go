@@ -95,6 +95,7 @@ type Reconn struct {
 
 	inbox chan message.Envelope
 	done  chan struct{}
+	stop  chan struct{} // closed by Close: a pause between dial rounds ends at once
 
 	mu     sync.Mutex
 	cur    *Client
@@ -118,6 +119,7 @@ func DialReconnecting(addrs []string, name string, cfg ReconnConfig) (*Reconn, e
 		cfg:   cfg,
 		inbox: make(chan message.Envelope, max(cfg.Client.InboxSize, 64)),
 		done:  make(chan struct{}),
+		stop:  make(chan struct{}),
 	}
 	r.cur = cli
 	go r.pump(cli)
@@ -172,7 +174,11 @@ func (r *Reconn) redial() *Client {
 			r.reconnects.Add(1)
 			return cli
 		}
-		time.Sleep(r.cfg.Redial)
+		select {
+		case <-time.After(r.cfg.Redial):
+		case <-r.stop:
+			return nil
+		}
 	}
 }
 
@@ -223,6 +229,7 @@ func (r *Reconn) Close() {
 		return
 	}
 	r.closed = true
+	close(r.stop)
 	cli := r.cur
 	r.mu.Unlock()
 	if cli != nil {

@@ -314,6 +314,34 @@ func TestReconnGivesUpWhenNobodyAnswers(t *testing.T) {
 	}
 }
 
+// TestReconnCloseEndsTheRedialPause: a server that closes right after its
+// last frame leaves the client pausing between dial rounds; Close must end
+// that pause at once instead of sitting it out.
+func TestReconnCloseEndsTheRedialPause(t *testing.T) {
+	inner, err := NewInProc(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	srv, err := ListenAndServe("127.0.0.1:0", inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := DialReconnecting([]string{srv.Addr()}, "c1", ReconnConfig{Redial: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	// Give the first dial round time to fail against the closed listener; if
+	// Close comes first instead, it must be just as quick.
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	cli.Close()
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Close took %v: it sat out the redial pause", d)
+	}
+}
+
 // waitClosed drains a channel until it closes, forwarding the closed state.
 func waitClosed(in <-chan message.Envelope) <-chan message.Envelope {
 	out := make(chan message.Envelope)

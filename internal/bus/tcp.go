@@ -1,9 +1,11 @@
 package bus
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -283,6 +285,9 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		kind, payload, n, err := fr.next()
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return // Close stopped the read; the teardown flushes what is queued
+			}
 			if err == ErrFrameTooLarge || (err != io.EOF && err != io.ErrUnexpectedEOF) {
 				// The writer goroutine owns the connection now; queue the
 				// terminal error so it cannot interleave with an in-flight
@@ -346,7 +351,10 @@ func (s *Server) untrack(name string) {
 	s.mu.Unlock()
 }
 
-// Close stops accepting, drops all connections and waits for handlers.
+// Close stops accepting and reading, and waits for each connection to write
+// what was already queued for its peer — each write bounded by WriteTimeout —
+// before it is cut. A caller that has handed a session end to the bus can
+// close straight after: its peers receive it.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -354,16 +362,12 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
 	for _, c := range s.conns {
-		conns = append(conns, c)
+		_ = c.SetReadDeadline(time.Now()) // the reader returns; its teardown drains the writer
 	}
 	s.mu.Unlock()
 
 	_ = s.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
 	s.wg.Wait()
 }
 

@@ -299,6 +299,34 @@ func TestServerCloseRacesHandlers(t *testing.T) {
 }
 
 // fmt_c names a test client.
+// TestServerCloseFlushesQueuedFrames: what the bus handed a connection before
+// Close reaches the peer — a host can send a session end and close at once.
+func TestServerCloseFlushesQueuedFrames(t *testing.T) {
+	srv, inner, _ := newServer(t, ServerConfig{})
+	cli, err := DialConfig(srv.Addr(), "c1", ClientConfig{InboxSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const n = 60 // within the bus inbox (64) the server registered for c1
+	for i := 0; i < n; i++ {
+		if err := inner.Send(ping("ua", "c1", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	got := 0
+	for range cli.Inbox() {
+		got++
+	}
+	if got != n {
+		t.Fatalf("peer received %d of the %d frames queued before Close", got, n)
+	}
+	if err := cli.Err(); err != nil {
+		t.Fatalf("a closing server sent a terminal error: %v", err)
+	}
+}
+
 func fmt_c(i int) string { return "c" + string(rune('a'+i)) }
 
 // TestClientInboxOverflowCounted floods a one-slot inbox and expects the

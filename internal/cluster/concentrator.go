@@ -65,6 +65,7 @@ type Concentrator struct {
 	lastUp    float64 // last upward bid (monotonic floor)
 	ended     bool    // session end received: nothing more is relayed or recorded
 	awarded   bool
+	awards    []protocol.CustomerAward // what distributeAwards sent
 
 	// tctx is the trace context of the last relayed announcement; timer
 	// goroutines (shard round timeouts) attribute their upward bids to it
@@ -185,9 +186,7 @@ func (c *Concentrator) Done() bool {
 }
 
 // RespondedMembers returns the members that have bid at least once, in no
-// particular order. The TCP layout's wait for awards still on the wire
-// (awaitWire) polls this every millisecond, so it stays a plain snapshot — no
-// sorting under the mutex.
+// particular order. Its one caller is bench/'s frozen twin of the engine.
 func (c *Concentrator) RespondedMembers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,11 +384,7 @@ func (c *Concentrator) distributeAwards(tc trace.Context, m message.Award) error
 	c.awarded = true
 	table := c.table
 	down := c.downRT
-	type memberAward struct {
-		name  string
-		award message.Award
-	}
-	awards := make([]memberAward, 0, len(c.responded))
+	awards := make([]protocol.CustomerAward, 0, len(c.responded))
 	for _, n := range c.members {
 		if !c.responded[n] {
 			continue
@@ -399,13 +394,14 @@ func (c *Concentrator) distributeAwards(tc trace.Context, m message.Award) error
 		if !ok {
 			reward = table.InterpolatedReward(cut)
 		}
-		awards = append(awards, memberAward{n, message.Award{Round: m.Round, CutDown: cut, Reward: reward}})
+		awards = append(awards, protocol.CustomerAward{Customer: n, Award: message.Award{Round: m.Round, CutDown: cut, Reward: reward}})
 	}
+	c.awards = awards
 	c.mu.Unlock()
 
 	var firstErr error
 	for _, a := range awards {
-		if err := down.SendCtx(tc, a.name, c.cfg.SessionID, a.award); err != nil && firstErr == nil {
+		if err := down.SendCtx(tc, a.Customer, c.cfg.SessionID, a.Award); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

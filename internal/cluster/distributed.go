@@ -3,12 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
+	"slices"
 
 	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
-	"loadbalance/internal/customeragent"
 	"loadbalance/internal/message"
 )
 
@@ -63,9 +62,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 	}
 	// The session end is relayed; awards were written synchronously before
-	// it, so the shard has everything. Give the server-side writers a beat
-	// to flush anything still queued toward us, then unwind.
-	time.Sleep(50 * time.Millisecond)
+	// it, so the shard has everything: unwind.
 	for _, err := range cc.Errors() {
 		return fmt.Errorf("cluster: worker %q: %w", cfg.Concentrator.Name, err)
 	}
@@ -95,7 +92,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	if cfg.Scenario.DropRate != 0 {
 		return nil, fmt.Errorf("%w: distributed negotiation is lossless (DropRate %v)", ErrBadConfig, cfg.Scenario.DropRate)
 	}
-	return negotiate(cfg, overTCP)
+	return negotiate(context.Background(), cfg, overTCP)
 }
 
 // overTCP is RunDistributed's layout: a root and a member bus, each behind a
@@ -103,7 +100,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 // their recipients, so the shards need no bus of their own — and every
 // concentrator behind its own pair of dialed connections, upward to the root
 // server and downward to the member server.
-func overTCP(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
+func overTCP(_ context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
 	memberBus, memberSrv, err := serveLoopback(t)
 	if err != nil {
 		return err
@@ -120,7 +117,14 @@ func overTCP(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
 	t.cas, t.fleets = cas, []*agentrt.Fleet{fleet}
 	up, down := bus.NewRemote(rootSrv.Addr()), bus.NewRemote(memberSrv.Addr())
 	t.closers = append(t.closers, up.Close, down.Close)
-	t.settle = func() { awaitWire(t.tier, cas, s.SessionID) }
+	// A concentrator has relayed once its frames are written, not once the
+	// member server has read them: closing the downward connections and
+	// waiting for them to leave the member bus is waiting for that server to
+	// have forwarded all they carried.
+	t.settle = func(ctx context.Context) error {
+		down.Close()
+		return memberBus.AwaitNames(ctx, topo.concentratorNames(), false)
+	}
 	t.report = func(res *DistributedResult) {
 		res.ParentBus, res.ShardBuses = rootBus.Stats(), []bus.Stats{memberBus.Stats()}
 		res.RootWire, res.MemberWire = rootSrv.WireStats(), memberSrv.WireStats()
@@ -150,22 +154,56 @@ func serveLoopback(t *tree) (*bus.InProc, *bus.Server, error) {
 	return b, srv, nil
 }
 
-// awaitWire covers the second TCP hop: a concentrator has relayed once its
-// frames are written, not once the member server has read them, so it waits
-// (bounded) until every member a concentrator heard from has its award; the
-// fleet then finishes what has arrived.
-func awaitWire(tier *Tier, cas map[string]*customeragent.Agent, session string) {
-	onTheWire := time.Now().Add(2 * time.Second) //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
-wait:
-	for time.Now().Before(onTheWire) { //gridlint:allow walltime(bounded wait for award frames still on the wire; liveness only, awards are already decided)
-		for _, c := range tier.Concentrators {
-			for _, name := range c.RespondedMembers() {
-				if _, got := cas[name].AwardFor(session); !got {
-					time.Sleep(time.Millisecond)
-					continue wait
-				}
-			}
-		}
-		return
+// RunDialIn negotiates with a fleet that dials in over buses the caller serves:
+// the scenario's customers register on member and, with root set, one worker
+// concentrator per shard (RunWorker) on root and member. It waits for them
+// under ctx and the scenario's timeout. With one shard and no root the Utility
+// Agent faces the customers itself; with more it starts the tier in process
+// over member. The network, not DropRate, decides what is lost.
+func RunDialIn(ctx context.Context, cfg Config, member, root *bus.InProc) (*DistributedResult, error) {
+	return negotiate(ctx, cfg, func(ctx context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
+		return dialIn(ctx, t, topo, tc, member, root)
+	})
+}
+
+// dialIn is RunDialIn's layout.
+func dialIn(ctx context.Context, t *tree, topo Topology, tc TierConfig, member, root *bus.InProc) error {
+	t.exposed = []bus.Bus{member}
+	if root != nil {
+		t.exposed = append(t.exposed, root)
 	}
+	if err := member.AwaitNames(ctx, slices.Concat(topo.shards...), true); err != nil {
+		return fmt.Errorf("waiting for the customers: %w", err)
+	}
+	up := member
+	switch {
+	case root != nil:
+		ccs := topo.concentratorNames()
+		if err := root.AwaitNames(ctx, ccs, true); err != nil {
+			return fmt.Errorf("waiting for the concentrator workers: %w", err)
+		}
+		// A worker leaves the member bus once the member server has forwarded
+		// all it sent there: its awards, then the session end behind them.
+		t.settle = func(ctx context.Context) error { return member.AwaitNames(ctx, ccs, false) }
+		up = root
+	case topo.Shards() == 1:
+		t.flat = true
+	default:
+		tierBus, err := bus.NewInProc(bus.Config{})
+		if err != nil {
+			return err
+		}
+		t.closers = append(t.closers, tierBus.Close)
+		if t.tier, err = StartTier(tierBus, func(int) bus.Bus { return member }, topo, tc); err != nil {
+			return err
+		}
+		up = tierBus
+	}
+	t.root = up
+	t.report = func(res *DistributedResult) {
+		if res.ParentBus = up.Stats(); up != member {
+			res.ShardBuses = []bus.Stats{member.Stats()}
+		}
+	}
+	return nil
 }

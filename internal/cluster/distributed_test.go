@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -276,5 +278,48 @@ func TestDistributedJournalsTheInProcessRecord(t *testing.T) {
 				t.Fatalf("session records differ:\nRunDistributed %s\nRun            %s", overTCP, inProcess)
 			}
 		})
+	}
+}
+
+// TestDialInAbortsAnIncompleteRoster: a roster still incomplete at the
+// scenario's timeout ends on the engine's one error path — ErrTimeout, an
+// aborting session end to whoever did dial in, and an aborted record.
+func TestDialInAbortsAnIncompleteRoster(t *testing.T) {
+	s := paperScenario(t)
+	s.Timeout = 50 * time.Millisecond
+	member, err := bus.NewInProc(bus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer member.Close()
+	inbox, err := member.Register(s.Customers[0].Name, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := RunDialIn(context.Background(), Config{Scenario: s, Shards: 1, Journal: st}, member, nil)
+	if !errors.Is(runErr, ErrTimeout) {
+		t.Fatalf("RunDialIn with 1 of %d customers = %v, want ErrTimeout", len(s.Customers), runErr)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	env := <-inbox
+	if p, err := env.Decode(); err != nil || !strings.HasPrefix(p.(message.SessionEnd).Reason, "aborted: ") {
+		t.Fatalf("the customer that dialed in got %+v, %v; want an aborting session end", p, err)
+	}
+	rec, err := store.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 1 || rec.Records[0].Kind != store.KindAborted {
+		t.Fatalf("journal holds %d records, want 1 aborted record", len(rec.Records))
+	}
+	if info, err := store.DecodeAbort(rec.Records[0]); err != nil || info.SessionID != s.SessionID || info.Reason != runErr.Error() {
+		t.Fatalf("aborted record %+v, %v; want session %s, reason %q", info, err, s.SessionID, runErr)
 	}
 }

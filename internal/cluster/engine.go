@@ -18,11 +18,14 @@
 // the same terminal outcome with the same aggregate predicted overuse (up to
 // floating-point rounding).
 //
-// Run and RunDistributed are one session engine over two layouts of the tree:
-// in-process buses, or tiers joined by loopback TCP.
+// Run, RunDistributed and RunDialIn are one session engine over three layouts
+// of the tree: in-process buses; tiers joined by loopback TCP; or a fleet, and
+// optionally its concentrators, that dials in over buses the caller serves.
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -33,13 +36,15 @@ import (
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
+	"loadbalance/internal/message"
+	"loadbalance/internal/protocol"
 	"loadbalance/internal/store"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/utilityagent"
 )
 
-// Config parameterises a hierarchical negotiation run, in process (Run) or
-// over TCP (RunDistributed).
+// Config parameterises a hierarchical negotiation run: in process (Run), over
+// loopback TCP (RunDistributed) or with a fleet that dials in (RunDialIn).
 type Config struct {
 	// Scenario is the flat scenario to negotiate through the tree. Only the
 	// reward-table method is supported (the prototype's method; the offer
@@ -52,8 +57,9 @@ type Config struct {
 	// Shards is the number of concentrators (default 4).
 	Shards int
 	// Journal optionally records the negotiation's terminal outcome — the
-	// per-member bids and awards — as a durable session record before Run
-	// returns, making a long scenario run resumable from its data dir.
+	// per-member bids and awards — as a durable session record before the run
+	// returns, making a long scenario run resumable from its data dir; a
+	// session that ends without an outcome is recorded as aborted.
 	Journal *store.Store
 	// JournalConfig fingerprints the parameters this run executes under;
 	// it is copied into the session record so a resume can refuse an
@@ -73,7 +79,9 @@ type Result struct {
 	ParentBus bus.Stats
 	// ShardBuses holds each shard bus's counters.
 	ShardBuses []bus.Stats
-	// FinalBids maps each non-silent customer to its last cut-down bid.
+	// FinalBids maps each member to its last cut-down bid: every non-silent
+	// customer, or each worker concentrator's aggregate when the root only
+	// sees those (RunDialIn with a root bus).
 	FinalBids map[string]float64
 	// Elapsed is the wall time of the run.
 	Elapsed time.Duration
@@ -82,19 +90,26 @@ type Result struct {
 }
 
 // Messages sums the traffic across both tiers.
-func (r *Result) Messages() int {
-	total := r.ParentBus.Sent
+func (r *Result) Messages() int { return r.Flat().Bus.Sent }
+
+// Flat reports the run as the flat engine reports one: the root's result with
+// both tiers' bus counters summed, so flat and sharded renders compare fairly.
+func (r *Result) Flat() *core.Result {
+	total := r.ParentBus
 	for _, s := range r.ShardBuses {
-		total += s.Sent
+		total.Sent += s.Sent
+		total.Delivered += s.Delivered
+		total.Dropped += s.Dropped
+		total.Rejected += s.Rejected
 	}
-	return total
+	return &core.Result{Result: r.Result, Bus: total, FinalBids: r.FinalBids, Elapsed: r.Elapsed, AgentErrors: r.AgentErrors}
 }
 
 // Run executes a scenario through a 2-level concentrator tree: a root bus
 // carrying the Utility Agent and K concentrators, and K independent
 // in-process shard buses each carrying one concentrator and its customers.
 func Run(cfg Config) (*Result, error) {
-	res, err := negotiate(cfg, inProcess)
+	res, err := negotiate(context.Background(), cfg, inProcess)
 	if res == nil {
 		return nil, err
 	}
@@ -104,15 +119,21 @@ func Run(cfg Config) (*Result, error) {
 // tree is one session's running parts, as a layout placed them.
 type tree struct {
 	root    bus.Bus // the Utility Agent's bus
-	tier    *Tier
+	flat    bool    // the Utility Agent faces the customers itself: no concentrators
+	tier    *Tier   // the in-process concentrators, if any
+	ua      *agentrt.Runtime
 	fleets  []*agentrt.Fleet
-	cas     map[string]*customeragent.Agent
-	closers []func()                 // the layout's buses and servers, closed in reverse after the agents stop
-	settle  func()                   // if set, waits (bounded) for what the tier relayed to reach the fleet's bus
-	report  func(*DistributedResult) // copies the transport's counters while everything is up
+	cas     map[string]*customeragent.Agent // the fleet, when it is hosted in process
+	exposed []bus.Bus                       // the buses other processes hang on: where an abort goes
+	closers []func()                        // the layout's buses and servers, closed in reverse after the agents stop
+	settle  func(context.Context) error     // if set, waits for what the concentrators relayed to reach the fleet's bus
+	report  func(*DistributedResult)        // copies the transport's counters while everything is up
 }
 
 func (t *tree) stop() {
+	if t.ua != nil {
+		t.ua.Stop()
+	}
 	if t.tier != nil {
 		t.tier.Stop()
 	}
@@ -124,16 +145,18 @@ func (t *tree) stop() {
 	}
 }
 
-// A layout places a session's tiers — the one step Run and RunDistributed
-// take differently: it builds the buses into t, hosts the fleet and starts the
-// tier under tc, registering whatever it opened in t.closers even when it
-// fails halfway.
-type layout func(t *tree, s core.Scenario, topo Topology, tc TierConfig) error
+// A layout places a session's tiers — the one step the entry points take
+// differently: it builds the buses into t, finds or hosts the fleet and starts
+// the tier under tc, registering whatever it opened in t.closers even when it
+// fails halfway. It waits for remote parts under ctx.
+type layout func(ctx context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error
 
 // negotiate is the session engine: validation, defaults, the topology, the
-// tier and the Utility Agent, the stall timer, the relay, the fleet's
-// quiescence, the result and the journal. Where the buses live is place's.
-func negotiate(cfg Config, place layout) (*DistributedResult, error) {
+// stall timer, the session itself, the result and the journal. Where the buses
+// live is place's. A session that ends without an outcome — ctx ended, the
+// scenario's timeout passed, a part failed to start — takes the one error path,
+// abort, whatever the layout.
+func negotiate(ctx context.Context, cfg Config, place layout) (*DistributedResult, error) {
 	s := cfg.Scenario
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -153,26 +176,72 @@ func negotiate(cfg Config, place layout) (*DistributedResult, error) {
 	}
 
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
+	timeout := s.RunTimeout()
+	ctx, cancel := context.WithTimeoutCause(ctx, timeout, fmt.Errorf("%w after %v", ErrTimeout, timeout))
+	defer cancel()
 	var t tree
 	defer t.stop()
-	tc := TierConfig{SessionID: s.SessionID, FleetMinResponses: s.Params.MinResponses, RoundTimeout: s.RoundTimeout / 2}
-	if err := place(&t, s, topo, tc); err != nil {
-		return nil, err
-	}
-	// The root negotiates with the K concentrators over aggregated loads.
-	ua, uaRT, err := core.StartUtilityAgent(t.root, RootConfig(s, topo, cfg.TraceParent))
+	uaResult, err := t.session(ctx, cfg, topo, place)
 	if err != nil {
-		return nil, err
+		return nil, t.abort(cfg, err)
 	}
-	defer uaRT.Stop()
 
-	timeout := s.RunTimeout()
-	stalled := time.After(timeout) //gridlint:allow walltime(liveness timeout for a stalled fleet; fires only when the run already failed)
-	var uaResult utilityagent.Result
+	res := &DistributedResult{Result: Result{
+		Result:  uaResult,
+		Shards:  topo.Shards(),
+		Elapsed: time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
+	}}
+	// What each member last bid and was awarded is known to its own agent;
+	// failing that, to the in-process tier that relayed to it; failing that,
+	// the Utility Agent faced its bidders itself.
+	var award func(string) (message.Award, bool)
+	switch {
+	case t.cas != nil:
+		res.FinalBids, award = hosted(t.cas, s.SessionID)
+	case t.tier != nil:
+		res.FinalBids, award = faced(t.tier.awarded())
+	default:
+		res.FinalBids, award = faced(uaResult.Awards)
+	}
+	t.report(res)
+	for _, f := range t.fleets {
+		res.AgentErrors = append(res.AgentErrors, f.Errors()...)
+	}
+	res.AgentErrors = append(res.AgentErrors, t.ua.Errors()...)
+	if t.tier != nil {
+		res.AgentErrors = append(res.AgentErrors, t.tier.Errors()...)
+	}
+	if cfg.Journal != nil {
+		return res, cfg.journalOutcome(&res.Result, award)
+	}
+	return res, nil
+}
+
+// session places the tree, starts the Utility Agent at its root and waits,
+// under ctx, for the outcome and for what it sent to reach every member.
+func (t *tree) session(ctx context.Context, cfg Config, topo Topology, place layout) (utilityagent.Result, error) {
+	s := cfg.Scenario
+	var res utilityagent.Result
+	tc := TierConfig{SessionID: s.SessionID, FleetMinResponses: s.Params.MinResponses, RoundTimeout: s.RoundTimeout / 2}
+	if err := place(ctx, t, s, topo, tc); err != nil {
+		return res, err
+	}
+	// The root negotiates with the K concentrators over aggregated loads, or
+	// on a flat layout with the customers themselves.
+	uaCfg := RootConfig(s, topo, cfg.TraceParent)
+	if t.flat {
+		uaCfg = s.UAConfig(s.Loads())
+		uaCfg.TraceParent = cfg.TraceParent
+	}
+	ua, rt, err := core.StartUtilityAgent(t.root, uaCfg)
+	if err != nil {
+		return res, err
+	}
+	t.ua = rt
 	select {
-	case uaResult = <-ua.Done():
-	case <-stalled:
-		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
+	case res = <-ua.Done():
+	case <-ctx.Done():
+		return res, context.Cause(ctx)
 	}
 
 	// The awards and the session end are still on their way down the tree:
@@ -180,45 +249,48 @@ func negotiate(cfg Config, place layout) (*DistributedResult, error) {
 	// its downward bus, and what reaches the fleet's bus is then in the
 	// fleet's queue. A below-warrant prediction ends without any
 	// announcement, so there is nothing to relay.
-	if len(uaResult.History) > 0 {
-		if err := t.tier.awaitRelay(stalled); err != nil {
-			return nil, fmt.Errorf("%w after %v", err, timeout)
+	if len(res.History) > 0 {
+		if t.tier != nil {
+			if err := t.tier.awaitRelay(ctx); err != nil {
+				return res, err
+			}
 		}
 		if t.settle != nil {
-			t.settle()
+			if err := t.settle(ctx); err != nil {
+				return res, err
+			}
 		}
 	}
 	for _, f := range t.fleets {
 		f.Quiesce()
 	}
+	return res, nil
+}
 
-	res := &DistributedResult{Result: Result{
-		Result:    uaResult,
-		Shards:    topo.Shards(),
-		FinalBids: make(map[string]float64, len(t.cas)),
-		Elapsed:   time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-	}}
-	for name, ca := range t.cas {
-		res.FinalBids[name] = ca.LastBid(s.SessionID)
-	}
-	t.report(res)
-	for _, f := range t.fleets {
-		res.AgentErrors = append(res.AgentErrors, f.Errors()...)
-	}
-	res.AgentErrors = append(append(res.AgentErrors, uaRT.Errors()...), t.tier.Errors()...)
-	if cfg.Journal != nil {
-		if err := journalOutcome(cfg.Journal, s.SessionID, cfg.JournalConfig, &res.Result, t.cas); err != nil {
-			return res, err
+// abort ends a session that has no outcome, whatever its layout: one aborting
+// session end on each bus other processes hang on, so none of them waits for
+// a negotiation that is over, and with a journal an aborted record, so
+// recovery never replays a half-committed session. It returns cause.
+func (t *tree) abort(cfg Config, cause error) error {
+	session, reason := cfg.Scenario.SessionID, cause.Error()
+	for _, b := range t.exposed {
+		if end, err := message.NewEnvelope("ua", "", session, message.SessionEnd{Reason: "aborted: " + reason}); err == nil {
+			_ = b.Send(end)
 		}
 	}
-	return res, nil
+	if cfg.Journal != nil {
+		if err := cfg.journal(store.NewAbortRecord(store.AbortInfo{SessionID: session, Reason: reason})); err != nil {
+			return errors.Join(cause, err)
+		}
+	}
+	return cause
 }
 
 // inProcess is Run's layout: a lossless root bus for the Utility Agent and
 // the concentrators — the utility's own backbone — and one bus per shard
 // carrying a concentrator and its members, the scenario's DropRate injected
 // there as one seeded stream per shard.
-func inProcess(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
+func inProcess(_ context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
 	parent, err := bus.NewInProc(bus.Config{})
 	if err != nil {
 		return err
@@ -239,13 +311,13 @@ func inProcess(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
 		}
 		t.closers = append(t.closers, shardBus.Close)
 		shards = append(shards, shardBus)
-		agents, hosted, err := core.HostCustomers(shardBus, fleet[:len(members)])
+		agents, f, err := core.HostCustomers(shardBus, fleet[:len(members)])
 		if err != nil {
 			return err
 		}
 		fleet = fleet[len(members):]
 		maps.Copy(t.cas, agents)
-		t.fleets = append(t.fleets, hosted)
+		t.fleets = append(t.fleets, f)
 	}
 	t.report = func(res *DistributedResult) {
 		res.ParentBus = parent.Stats()
@@ -257,30 +329,55 @@ func inProcess(t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
 	return err
 }
 
-// journalOutcome appends the session's terminal record: every in-process
-// member's final bid and delivered award. A journaling failure surfaces as
-// the run's error — durable mode must never report success for an outcome
-// that is not on disk.
-func journalOutcome(j *store.Store, session, config string, res *Result, cas map[string]*customeragent.Agent) error {
+// hosted reads a session off the Customer Agents hosted in process: each one's
+// last bid, and a lookup of the award it received.
+func hosted(cas map[string]*customeragent.Agent, session string) (map[string]float64, func(string) (message.Award, bool)) {
+	bids := make(map[string]float64, len(cas))
+	for name, ca := range cas {
+		bids[name] = ca.LastBid(session)
+	}
+	return bids, func(name string) (message.Award, bool) { return cas[name].AwardFor(session) }
+}
+
+// faced reads a session off the awards its bidders were sent: an award's
+// cut-down is the bidder's last bid.
+func faced(awards []protocol.CustomerAward) (map[string]float64, func(string) (message.Award, bool)) {
+	bids := make(map[string]float64, len(awards))
+	sent := make(map[string]message.Award, len(awards))
+	for _, a := range awards {
+		bids[a.Customer], sent[a.Customer] = a.Award.CutDown, a.Award
+	}
+	return bids, func(name string) (message.Award, bool) { a, ok := sent[name]; return a, ok }
+}
+
+// journalOutcome appends the session's terminal record — every member's final
+// bid and delivered award — and is the one writer of session records. A
+// journaling failure surfaces as the run's error: durable mode must never
+// report success for an outcome that is not on disk.
+func (cfg Config) journalOutcome(res *Result, award func(string) (message.Award, bool)) error {
 	out := store.SessionOutcome{
-		SessionID: session,
+		SessionID: cfg.Scenario.SessionID,
 		Outcome:   res.Outcome,
 		Rounds:    res.Rounds,
-		Config:    config,
-		Bids:      maps.Clone(res.FinalBids),
-		Awards:    make(map[string]store.AwardEntry, len(cas)),
+		Config:    cfg.JournalConfig,
+		Bids:      res.FinalBids,
+		Awards:    make(map[string]store.AwardEntry, len(res.FinalBids)),
 	}
-	for name, ca := range cas {
-		if award, ok := ca.AwardFor(session); ok {
-			out.Awards[name] = store.AwardEntry{CutDown: award.CutDown, Reward: award.Reward}
+	for name := range res.FinalBids {
+		if a, ok := award(name); ok {
+			out.Awards[name] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
 		}
 	}
-	rec, err := store.NewSessionRecord(out)
-	if err != nil {
-		return err
+	return cfg.journal(store.NewSessionRecord(out))
+}
+
+// journal appends rec, unless making it failed, and syncs it.
+func (cfg Config) journal(rec store.Record, err error) error {
+	if err == nil {
+		err = cfg.Journal.Append(rec)
 	}
-	if err := j.Append(rec); err != nil {
-		return err
+	if err == nil {
+		err = cfg.Journal.Sync()
 	}
-	return j.Sync()
+	return err
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -27,12 +28,12 @@ type TierConfig struct {
 	InboxSize int
 }
 
-// Tier is a started concentrator tier fronting a fleet. Every tree is built
-// through it — the session engine's two layouts (Run: one bus per shard;
-// RunDistributed: every shard on one TCP-bridged member bus) and cmd/gridd's
-// in-process tier over its bridged bus — so the root-tier contract (quorum
-// scaling, concentrator naming, mailbox sizing, the root's configuration in
-// RootParams and RootConfig) lives in exactly one place.
+// Tier is a started concentrator tier fronting a fleet. Every in-process tier
+// is built through it — the session engine's layouts (Run: one bus per shard;
+// RunDistributed: every shard on one TCP-bridged member bus; RunDialIn: every
+// shard on the bus the dialed-in fleet hangs on) — so the root-tier contract
+// (quorum scaling, concentrator naming, mailbox sizing, the root's
+// configuration in RootParams and RootConfig) lives in exactly one place.
 type Tier struct {
 	Topology      Topology
 	Concentrators []*Concentrator
@@ -77,16 +78,27 @@ func (t *Tier) Stop() {
 }
 
 // awaitRelay blocks until every concentrator has relayed the session end to
-// its shard, or stalled fires.
-func (t *Tier) awaitRelay(stalled <-chan time.Time) error {
+// its shard, or ctx ends.
+func (t *Tier) awaitRelay(ctx context.Context) error {
 	for _, c := range t.Concentrators {
 		select {
 		case <-c.Relayed():
-		case <-stalled:
-			return fmt.Errorf("%w: %s never relayed the session end", ErrTimeout, c.cfg.Name)
+		case <-ctx.Done():
+			return fmt.Errorf("%s never relayed the session end: %w", c.cfg.Name, context.Cause(ctx))
 		}
 	}
 	return nil
+}
+
+// awarded is every member's award as its concentrator sent it.
+func (t *Tier) awarded() []protocol.CustomerAward {
+	var out []protocol.CustomerAward
+	for _, c := range t.Concentrators {
+		c.mu.Lock()
+		out = append(out, c.awards...)
+		c.mu.Unlock()
+	}
+	return out
 }
 
 // Errors collects handler errors from every concentrator.

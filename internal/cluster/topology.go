@@ -79,6 +79,15 @@ func (t Topology) ConcentratorName(i int) string {
 	return fmt.Sprintf("cc-%03d", i)
 }
 
+// concentratorNames returns every shard's concentrator name, in shard order.
+func (t Topology) concentratorNames() []string {
+	names := make([]string, len(t.shards))
+	for i := range names {
+		names[i] = t.ConcentratorName(i)
+	}
+	return names
+}
+
 // MemberLoads returns the Utility-Agent-style model of shard i's customers,
 // which seeds the shard's concentrator.
 func (t Topology) MemberLoads(i int) map[string]protocol.CustomerLoad {

@@ -165,15 +165,13 @@ func TestOneCustomerInboxSite(t *testing.T) {
 	}
 }
 
-// TestOneUtilityAgentSite keeps Scenario.UAConfig the only place outside
-// bench/ that writes a Utility Agent's configuration, and FanInInbox the only
-// place that writes a fan-in mailbox's bound — five engines each used to spell
-// out both, and drifted (a root inbox sized for N customers while it hears K
-// concentrators).
-func TestOneUtilityAgentSite(t *testing.T) {
-	inboxBound := regexp.MustCompile(`4\s*\*\s*(max\(|cfg\.customers)`)
-	var literals, bounds []string
-	root := filepath.Join("..", "..")
+// nonTestSources reads every non-test Go file of the repository outside
+// bench/ (whose twin of the engines is frozen until ROADMAP item 1), keyed by
+// its path from here, in walk order.
+func nonTestSources(t *testing.T) (root string, paths []string, src map[string]string) {
+	t.Helper()
+	root = filepath.Join("..", "..")
+	src = make(map[string]string)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -187,20 +185,32 @@ func TestOneUtilityAgentSite(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < strings.Count(string(src), "utilityagent.Config{"); i++ {
-			literals = append(literals, path)
-		}
-		for range inboxBound.FindAllIndex(src, -1) {
-			bounds = append(bounds, path)
-		}
-		return nil
+		b, err := os.ReadFile(path)
+		paths, src[path] = append(paths, path), string(b)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return root, paths, src
+}
+
+// TestOneUtilityAgentSite keeps Scenario.UAConfig the only place outside
+// bench/ that writes a Utility Agent's configuration, and FanInInbox the only
+// place that writes a fan-in mailbox's bound — five engines each used to spell
+// out both, and drifted (a root inbox sized for N customers while it hears K
+// concentrators).
+func TestOneUtilityAgentSite(t *testing.T) {
+	inboxBound := regexp.MustCompile(`4\s*\*\s*(max\(|cfg\.customers)`)
+	var literals, bounds []string
+	root, paths, src := nonTestSources(t)
+	for _, path := range paths {
+		for i := 0; i < strings.Count(src[path], "utilityagent.Config{"); i++ {
+			literals = append(literals, path)
+		}
+		for range inboxBound.FindAllStringIndex(src[path], -1) {
+			bounds = append(bounds, path)
+		}
 	}
 	scenario, engine := filepath.Join(root, "internal", "core", "scenario.go"), filepath.Join(root, "internal", "core", "engine.go")
 	if !slices.Equal(literals, []string{scenario}) {
@@ -208,6 +218,38 @@ func TestOneUtilityAgentSite(t *testing.T) {
 	}
 	if !slices.Equal(bounds, []string{engine}) {
 		t.Errorf("an inbox bound is written in %v, want only %s (FanInInbox)", bounds, engine)
+	}
+}
+
+// TestOneSessionRoot keeps a session's root assembled in two places: Run and
+// the cluster session engine are the only callers of StartUtilityAgent, and
+// no command or example starts a Utility Agent or a tier, or sleeps waiting
+// for one — gridd's serve and examples/distributed each used to, and drifted
+// (serve journaled its concentrators as if they were customers).
+func TestOneSessionRoot(t *testing.T) {
+	var starters, hand []string
+	root, paths, src := nonTestSources(t)
+	for _, path := range paths {
+		for n := strings.Count(src[path], "StartUtilityAgent(") - strings.Count(src[path], "func StartUtilityAgent("); n > 0; n-- {
+			starters = append(starters, path)
+		}
+		// gridctl reads the HTTP surface; its sleeps pace a watch loop.
+		rel, _ := filepath.Rel(root, path)
+		if dir := strings.Split(filepath.ToSlash(rel), "/"); (dir[0] != "cmd" && dir[0] != "examples") || dir[1] == "gridctl" {
+			continue
+		}
+		for _, call := range []string{"StartUtilityAgent(", "StartTier(", "time.Sleep("} {
+			if strings.Contains(src[path], call) {
+				hand = append(hand, path+": "+call)
+			}
+		}
+	}
+	want := []string{filepath.Join(root, "internal", "cluster", "engine.go"), filepath.Join(root, "internal", "core", "engine.go")}
+	if !slices.Equal(starters, want) {
+		t.Errorf("StartUtilityAgent is called from %v, want only %v (cluster's negotiate, core.Run)", starters, want)
+	}
+	if len(hand) > 0 {
+		t.Errorf("a command or example assembles its own session: %v", hand)
 	}
 }
 

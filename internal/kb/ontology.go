@@ -85,12 +85,6 @@ func (o *Ontology) DeclarePred(name string, argSorts ...string) error {
 	return nil
 }
 
-// HasSort reports whether the sort is declared.
-func (o *Ontology) HasSort(name string) bool {
-	_, ok := o.parents[name]
-	return ok
-}
-
 // SortOfConst returns the sort of a declared constant.
 func (o *Ontology) SortOfConst(name string) (string, error) {
 	s, ok := o.constSorts[name]

@@ -91,9 +91,6 @@ func appendFrame(dst []byte, r Record) []byte {
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
-// frameSize returns the encoded size of a record with an n-byte body.
-func frameSize(n int) int { return 1 + message.LenPrefixedSize(n) + 4 }
-
 // decodeFrame parses one frame from the head of data, returning the record
 // and the bytes consumed. ErrTruncated reports a frame that ends mid-field
 // (the crash-torn tail); ErrCorrupt a structurally complete frame whose

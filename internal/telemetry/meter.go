@@ -39,7 +39,7 @@ type MeterConfig struct {
 	// per-tick series from a world profile may replace it via Series.
 	BaseKWh float64
 	// Series optionally replaces the flat BaseKWh with a per-tick baseline
-	// (e.g. world.Profile.TickSeries()); ticks beyond its length wrap around.
+	// (one kWh value per tick); ticks beyond its length wrap around.
 	Series []float64
 	// Jitter is the relative amplitude of the stochastic measurement noise:
 	// each sample is scaled by 1 + Jitter·u with u uniform in [-1,1].

@@ -128,17 +128,6 @@ func (p *Profile) EnergyIn(iv units.Interval) units.Energy {
 	return total
 }
 
-// TickSeries returns the profile's per-slot energies in kWh, oldest first —
-// the form live telemetry consumes: one value per tick for meter baselines
-// and collector ring buffers.
-func (p *Profile) TickSeries() []float64 {
-	out := make([]float64, len(p.Samples))
-	for i, s := range p.Samples {
-		out[i] = s.Energy().KWhs()
-	}
-	return out
-}
-
 // CSV renders the profile as "start,kw" rows for the experiment harness.
 func (p *Profile) CSV() string {
 	var b strings.Builder
