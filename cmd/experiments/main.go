@@ -147,7 +147,7 @@ func run(args []string) error {
 		{"e11", func() (*sim.Table, error) { return sim.E11DayPeakShaving(min(*n, 40), *seed) }},
 		{"e12", func() (*sim.Table, error) { return sim.E12MarketComparison(*n, *seed) }},
 		{"e13", func() (*sim.Table, error) { return sim.E13ForecastDrivenNegotiation(min(*n, 40), *seed) }},
-		{"e11c", func() (*sim.Table, error) { return sim.E11ClusterScale(clusterSizes, shardList, *seed) }},
+		{"e11c", func() (*sim.Table, error) { return sim.E11cClusterScale(clusterSizes, shardList, *seed) }},
 		{"e14", func() (*sim.Table, error) { return sim.E14LiveGrid(min(*n, 64), 8, *ticks, *seed) }},
 		{"e15", func() (*sim.Table, error) { return sim.E15DistributedNegotiation(min(*n, 64), 4, *seed) }},
 		{"e16", func() (*sim.Table, error) {

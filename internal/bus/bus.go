@@ -130,9 +130,11 @@ type Config struct {
 	DropRate float64
 	// Seed drives the fault-injection randomness.
 	Seed int64
-	// DefaultInboxSize is used when Register is called with size <= 0.
-	DefaultInboxSize int
 }
+
+// defaultInboxSize is an inbox's bound when its owner gives none: a Register
+// with size <= 0, a Client, a Reconn.
+const defaultInboxSize = 64
 
 // InProc is the channel-based bus. It is safe for concurrent use.
 type InProc struct {
@@ -148,7 +150,6 @@ type InProc struct {
 	stats    Stats
 	dropRate float64
 	rng      *rand.Rand
-	defSize  int
 }
 
 var _ Bus = (*InProc)(nil)
@@ -170,15 +171,10 @@ func NewInProc(cfg Config) (*InProc, error) {
 	if cfg.DropRate < 0 || cfg.DropRate > 1 {
 		return nil, fmt.Errorf("bus: drop rate %v out of [0,1]", cfg.DropRate)
 	}
-	size := cfg.DefaultInboxSize
-	if size <= 0 {
-		size = 64
-	}
 	return &InProc{
 		boxes:    make(map[string]box),
 		dropRate: cfg.DropRate,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		defSize:  size,
 	}, nil
 }
 
@@ -188,7 +184,7 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 		return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
 	}
 	if inboxSize <= 0 {
-		inboxSize = b.defSize
+		inboxSize = defaultInboxSize
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -57,8 +57,6 @@ func DialListConfig(addrs []string, name string, cfg ClientConfig) (*Client, err
 
 // ReconnConfig tunes a reconnecting client.
 type ReconnConfig struct {
-	// Client tunes each underlying connection.
-	Client ClientConfig
 	// Redial is the pause between failed dial rounds (default 200ms).
 	Redial time.Duration
 	// GiveUp abandons the session after this long without a connection
@@ -109,7 +107,7 @@ type Reconn struct {
 // succeed (a misconfigured list fails fast).
 func DialReconnecting(addrs []string, name string, cfg ReconnConfig) (*Reconn, error) {
 	cfg = cfg.withDefaults()
-	cli, err := DialListConfig(addrs, name, cfg.Client)
+	cli, err := DialList(addrs, name)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +115,7 @@ func DialReconnecting(addrs []string, name string, cfg ReconnConfig) (*Reconn, e
 		name:  name,
 		addrs: append([]string(nil), addrs...),
 		cfg:   cfg,
-		inbox: make(chan message.Envelope, max(cfg.Client.InboxSize, 64)),
+		inbox: make(chan message.Envelope, defaultInboxSize),
 		done:  make(chan struct{}),
 		stop:  make(chan struct{}),
 	}
@@ -161,7 +159,7 @@ func (r *Reconn) redial() *Client {
 		if closed || time.Now().After(deadline) {
 			return nil
 		}
-		cli, err := DialListConfig(r.addrs, r.name, r.cfg.Client)
+		cli, err := DialList(r.addrs, r.name)
 		if err == nil {
 			r.mu.Lock()
 			if r.closed {

@@ -20,6 +20,14 @@ import (
 // remote agent; the server answers with a hello-ack or, on rejection, a
 // terminal error frame, then both sides exchange message envelopes.
 
+// Connection deadlines: writeTimeout bounds one write to a peer, so a
+// stalled peer cannot wedge a writer (a server's default, every client's
+// bound), and helloTimeout a client's dial handshake round trip.
+const (
+	writeTimeout = 10 * time.Second
+	helloTimeout = 5 * time.Second
+)
+
 // ServerConfig tunes the TCP server's overload behaviour.
 type ServerConfig struct {
 	// WriteTimeout bounds each write to a client, so one stalled peer cannot
@@ -36,7 +44,7 @@ type ServerConfig struct {
 // withDefaults fills unset fields.
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
+		c.WriteTimeout = writeTimeout
 	}
 	if c.OutboundQueue <= 0 {
 		c.OutboundQueue = 256
@@ -377,10 +385,6 @@ type ClientConfig struct {
 	// at a full inbox are dropped and counted, matching InProc overload
 	// semantics.
 	InboxSize int
-	// WriteTimeout bounds each Send's network write (default 10s).
-	WriteTimeout time.Duration
-	// HelloTimeout bounds the dial handshake round trip (default 5s).
-	HelloTimeout time.Duration
 	// MaxFrame bounds one frame in bytes, inbound and outbound (default
 	// DefaultMaxFrame): a fan-out that would make a larger frame is split, an
 	// envelope that would is refused with ErrFrameTooLarge.
@@ -390,13 +394,7 @@ type ClientConfig struct {
 // withDefaults fills unset fields.
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.InboxSize <= 0 {
-		c.InboxSize = 64
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 5 * time.Second
+		c.InboxSize = defaultInboxSize
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
@@ -470,7 +468,7 @@ func DialConfig(addr, name string, cfg ClientConfig) (*Client, error) {
 
 // handshake sends the preamble and hello, then waits for the ack.
 func (c *Client) handshake() error {
-	deadline := time.Now().Add(c.cfg.HelloTimeout)
+	deadline := time.Now().Add(helloTimeout)
 	_ = c.conn.SetDeadline(deadline)
 	defer c.conn.SetDeadline(time.Time{})
 
@@ -576,7 +574,7 @@ func (c *Client) setTermErr(err error) {
 // envelope whose frame would exceed MaxFrame fails with ErrFrameTooLarge and
 // nothing is written: the peer would answer such a frame by closing the
 // connection, and every later message with it. The write is under a deadline,
-// so a stalled peer delays Send by at most WriteTimeout and never blocks
+// so a stalled peer delays Send by at most writeTimeout and never blocks
 // Close.
 func (c *Client) Send(env message.Envelope) error {
 	env.From = c.name
@@ -629,7 +627,7 @@ func (c *Client) write(env message.Envelope, to []string) error {
 	} else {
 		c.wbuf = encodeFanOutFrame(c.wbuf[:0], env, to)
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.conn.Write(c.wbuf) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock: it guards only the connection's write half and the one buffer frames are encoded into, and Close aborts in-flight writes)
 	_ = c.conn.SetWriteDeadline(time.Time{})
 	if cap(c.wbuf) > retainedFrameBuf {

@@ -351,9 +351,13 @@ func faced(awards []protocol.CustomerAward) (map[string]float64, func(string) (m
 }
 
 // journalOutcome appends the session's terminal record — every member's final
-// bid and delivered award — and is the one writer of session records. A
-// journaling failure surfaces as the run's error: durable mode must never
-// report success for an outcome that is not on disk.
+// bid and delivered award — and is the one writer of a cluster session's
+// record, whichever layout ran it. The other session records come from other
+// engines: telemetry's LiveEngine.journalSession records a live grid's
+// initial negotiation, loadsim's journalFlatResult a flat run, and
+// cmd/experiments one record per completed experiment. A journaling failure
+// surfaces as the run's error: durable mode must never report success for an
+// outcome that is not on disk.
 func (cfg Config) journalOutcome(res *Result, award func(string) (message.Award, bool)) error {
 	out := store.SessionOutcome{
 		SessionID: cfg.Scenario.SessionID,

@@ -14,8 +14,8 @@ var replayRestoreFuncs = regexp.MustCompile(
 // every append/fold/query path takes injected timestamps and must never
 // read the clock, or replaying the same scrape sequence would produce a
 // different history. The scraper's own run loop (NewScraper/Start/run)
-// stays unmatched — its ticker and wall-clock default are the one place
-// time legitimately enters.
+// stays unmatched — its ticker and wall clock are the one place time
+// legitimately enters.
 var tsdbDeterministicFuncs = regexp.MustCompile(
 	`^(Append|AppendBatch|appendLocked|foldLocked|window|Query|Instant|ScrapeAt|evalWindow|thin)$`)
 

@@ -36,8 +36,6 @@ type EmitterConfig struct {
 	// Redial is the reconnect backoff after a lost hub connection
 	// (default 200ms).
 	Redial time.Duration
-	// MaxFrame bounds one wire frame (default bus.DefaultMaxFrame).
-	MaxFrame int
 	// Metrics is this process's registry; each flush streams what it
 	// gathers (histogram _bucket series are skipped to keep batches lean).
 	// Nil streams no metrics.
@@ -153,10 +151,7 @@ func (e *Emitter) loop() {
 // (nil return).
 func (e *Emitter) dial() *bus.Client {
 	for {
-		cli, err := bus.DialConfig(e.cfg.Hub, e.cfg.Proc, bus.ClientConfig{
-			InboxSize: 64,
-			MaxFrame:  e.cfg.MaxFrame,
-		})
+		cli, err := bus.Dial(e.cfg.Hub, e.cfg.Proc)
 		if err == nil {
 			e.mu.Lock()
 			e.stats.Dials++

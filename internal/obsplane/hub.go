@@ -41,8 +41,6 @@ var ErrClosed = errors.New("obsplane: closed")
 type HubConfig struct {
 	// Addr is the TCP listen address emitters dial (":0" for tests).
 	Addr string
-	// MaxFrame bounds one wire frame (default bus.DefaultMaxFrame).
-	MaxFrame int
 	// Logger receives the hub's own health events (default health.Default()).
 	Logger *health.Logger
 	// History, when set, retains every streamed metric sample as a
@@ -125,7 +123,7 @@ func StartHub(cfg HubConfig) (*Hub, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := bus.ListenAndServeConfig(cfg.Addr, inner, bus.ServerConfig{MaxFrame: cfg.MaxFrame})
+	srv, err := bus.ListenAndServe(cfg.Addr, inner)
 	if err != nil {
 		inner.Close()
 		return nil, err

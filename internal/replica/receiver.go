@@ -80,10 +80,13 @@ type ReceiverConfig struct {
 	FailoverTimeout time.Duration
 	// Redial is the pause between dial attempts (default 200ms).
 	Redial time.Duration
-	// Client tunes the underlying connection; MaxFrame must fit a snapshot
-	// bootstrap (default 64 MiB).
-	Client bus.ClientConfig
 }
+
+// receiverClient is a standby's stream connection: frames up to maxFrame,
+// the sender's bound, and an inbox of 256 — replication batches are
+// flow-controlled by acks, so the inbox bounds in-flight batches, not
+// throughput.
+var receiverClient = bus.ClientConfig{InboxSize: 256, MaxFrame: maxFrame}
 
 // withDefaults fills unset fields.
 func (c ReceiverConfig) withDefaults() (ReceiverConfig, error) {
@@ -98,14 +101,6 @@ func (c ReceiverConfig) withDefaults() (ReceiverConfig, error) {
 	}
 	if c.Redial <= 0 {
 		c.Redial = 200 * time.Millisecond
-	}
-	if c.Client.MaxFrame <= 0 {
-		c.Client.MaxFrame = 64 << 20
-	}
-	if c.Client.InboxSize <= 0 {
-		// Replication batches are flow-controlled by acks, so the inbox
-		// bounds in-flight batches, not throughput.
-		c.Client.InboxSize = 256
 	}
 	return c, nil
 }
@@ -287,7 +282,7 @@ func (r *Receiver) dialNext(from int) (*bus.Client, string, int) {
 	for i := 0; i < len(r.cfg.Addrs); i++ {
 		idx := (from + i) % len(r.cfg.Addrs)
 		addr := r.cfg.Addrs[idx]
-		cli, err := bus.DialConfig(addr, r.cfg.ID, r.cfg.Client)
+		cli, err := bus.DialConfig(addr, r.cfg.ID, receiverClient)
 		if err == nil {
 			return cli, addr, idx
 		}

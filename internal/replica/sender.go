@@ -39,6 +39,19 @@ var (
 // senderName is the replication agent's name on the primary's stream bus.
 const senderName = "repl"
 
+// maxFrame bounds one replication wire frame at both ends — the sender's
+// server and the receiver's client — and must fit a snapshot bootstrap.
+const maxFrame = 64 << 20
+
+// Stream flow control: batchBytes caps one batch's raw frame bytes, and
+// windowRecords bounds how far a streamer runs ahead of a standby's acks
+// before pausing, which keeps the per-connection outbound queue from
+// shedding replication frames.
+const (
+	batchBytes    = 256 << 10
+	windowRecords = 65536
+)
+
 // SenderConfig parameterises a primary's replication sender.
 type SenderConfig struct {
 	// Dir is the primary's data directory — the journal being streamed.
@@ -50,15 +63,6 @@ type SenderConfig struct {
 	// Poll is the journal tail poll interval (default 15ms) — the upper
 	// bound replication adds to a standby's staleness beyond batch size.
 	Poll time.Duration
-	// BatchBytes caps one batch's raw frame bytes (default 256 KiB).
-	BatchBytes int
-	// WindowRecords bounds how far a streamer runs ahead of a standby's acks
-	// before pausing (default 65536 records) — flow control that keeps the
-	// per-connection outbound queue from shedding replication frames.
-	WindowRecords int
-	// MaxFrame bounds one wire frame; it must fit a snapshot bootstrap
-	// (default 64 MiB).
-	MaxFrame int
 }
 
 // withDefaults fills unset fields.
@@ -71,15 +75,6 @@ func (c SenderConfig) withDefaults() (SenderConfig, error) {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 15 * time.Millisecond
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 256 << 10
-	}
-	if c.WindowRecords <= 0 {
-		c.WindowRecords = 65536
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 64 << 20
 	}
 	return c, nil
 }
@@ -150,7 +145,7 @@ func StartSender(cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := bus.ListenAndServeConfig(cfg.Addr, inner, bus.ServerConfig{MaxFrame: cfg.MaxFrame})
+	srv, err := bus.ListenAndServeConfig(cfg.Addr, inner, bus.ServerConfig{MaxFrame: maxFrame})
 	if err != nil {
 		inner.Close()
 		return nil, err
@@ -317,11 +312,11 @@ func (s *Sender) stream(conn string, sb *sub, fromSeq uint64) {
 				sb.mu.Lock()
 				inFlight := sb.shippedSeq - sb.ackedSeq
 				sb.mu.Unlock()
-				if inFlight >= uint64(s.cfg.WindowRecords) {
+				if inFlight >= windowRecords {
 					break
 				}
 				t0 := time.Now()
-				batch, err := tl.Next(s.cfg.BatchBytes)
+				batch, err := tl.Next(batchBytes)
 				if err != nil {
 					// The standby lagged past a prune (ErrGap) or the journal
 					// turned unreadable: drop the stream; the standby will

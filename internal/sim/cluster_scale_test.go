@@ -9,7 +9,7 @@ import (
 // agree on the final overuse (the overuse_match column) and that every run
 // terminates.
 func TestE11ClusterScale(t *testing.T) {
-	tab, err := E11ClusterScale([]int{40}, []int{2, 8}, 1)
+	tab, err := E11cClusterScale([]int{40}, []int{2, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +24,10 @@ func TestE11ClusterScale(t *testing.T) {
 			t.Fatalf("sharded overuse diverged from flat: %v", row)
 		}
 	}
-	if !strings.Contains(tab.String(), "E11ClusterScale") {
+	if !strings.Contains(tab.String(), "E11cClusterScale") {
 		t.Fatal("table name missing")
 	}
-	if _, err := E11ClusterScale(nil, nil, 1); err == nil {
+	if _, err := E11cClusterScale(nil, nil, 1); err == nil {
 		t.Fatal("empty sweep should fail")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"loadbalance/internal/core"
 )
 
-// E11ClusterScale measures the hierarchical sharded negotiation against the
+// E11cClusterScale measures the hierarchical sharded negotiation against the
 // flat engine: for each fleet size it negotiates the same seeded synthetic
 // scenario once flat and once per shard count, and reports rounds, total
 // messages, wall time, the speedup over flat and the convergence outcome.
@@ -20,12 +20,12 @@ import (
 // Sized for the ROADMAP's scaling question: sizes of 1k/10k/100k customers
 // show the root's per-round cost dropping from O(N) to O(K) while shards run
 // in parallel.
-func E11ClusterScale(sizes, shardCounts []int, seed int64) (*Table, error) {
+func E11cClusterScale(sizes, shardCounts []int, seed int64) (*Table, error) {
 	if len(sizes) == 0 || len(shardCounts) == 0 {
 		return nil, fmt.Errorf("cluster scale: empty sweep")
 	}
 	t := &Table{
-		Name:    "E11ClusterScale: flat vs hierarchical sharded negotiation",
+		Name:    "E11cClusterScale: flat vs hierarchical sharded negotiation",
 		Columns: []string{"customers", "shards", "rounds", "messages", "elapsed_ms", "speedup", "final_overuse_ratio", "overuse_match", "outcome"},
 		Notes:   "shards=flat is the single-bus baseline; overuse_match compares each tree's final overuse to flat within 1e-6 kWh",
 	}

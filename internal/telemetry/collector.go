@@ -1,10 +1,12 @@
-// Package telemetry is the live-grid feedback loop: meters stream measured
-// consumption over the bus, a collector aggregates it into per-shard time
-// series, a deviation detector compares measured against negotiated profiles,
-// and a live engine reacts to sustained drift by re-negotiating only the
-// breaching shards through the cluster tier — the pattern of feedback agents
-// streaming health measurements to a load balancer that adjusts weights
-// online, brought to the agent grid.
+// Package telemetry is the live-grid feedback loop: each tick the live engine
+// reads its meters straight into a collector, which aggregates the readings
+// into per-shard time series; a deviation detector compares measured against
+// negotiated profiles, and the engine reacts to sustained drift by
+// re-negotiating only the breaching shards through the cluster tier — the
+// pattern of feedback agents streaming health measurements to a load balancer
+// that adjusts weights online, brought to the agent grid. Reading a meter is
+// the agents' interaction with the world, not with each other (Section 5 of
+// the paper keeps the two apart), so no bus or agent runtime carries it.
 //
 // The paper's negotiation (Brazier et al., ICDCS '98) balances a *predicted*
 // profile once per period; this package closes the loop for continuous
@@ -37,16 +39,16 @@ type CollectorConfig struct {
 	// Shards is the shard count.
 	Shards int
 	// RingTicks is the per-shard time-series capacity (how much history the
-	// forecasters see); default 64.
+	// forecasters see); default 64, what the live engine keeps.
 	RingTicks int
 }
 
 // Collector is the utility-side sink of the metering stream: it ingests
-// MeterBatch messages (directly or via its bus Handler), accumulates each
-// tick's readings into per-shard running loads, and maintains a ring-buffer
-// time series per shard that prediction estimators forecast from. It is safe
-// for concurrent use — the bus handler runs on the collector agent's
-// goroutine while the live engine reads from its own.
+// MeterBatch readings, accumulates each tick's readings into per-shard
+// running loads, and maintains a ring-buffer time series per shard that
+// prediction estimators forecast from. The live engine ingests and reads on
+// its ticking goroutine; the mutex is there for Handler, which ingests on an
+// agent's goroutine while WaitTick polls from another.
 type Collector struct {
 	mu      sync.Mutex
 	shardOf map[string]int
@@ -124,7 +126,7 @@ func (c *Collector) Ingest(b message.MeterBatch) error {
 
 // Handler adapts the collector to the agent runtime: MeterBatch envelopes
 // are ingested, everything else is ignored (the collector may share a bus
-// with negotiation traffic).
+// with negotiation traffic). Its one caller is bench/probes.go.
 func (c *Collector) Handler() agent.Handler {
 	return agent.HandlerFuncs{
 		Message: func(rt *agent.Runtime, env message.Envelope) error {
@@ -141,6 +143,7 @@ func (c *Collector) Handler() agent.Handler {
 }
 
 // ReadingsAt returns how many readings have arrived for a still-open tick.
+// Its one caller outside WaitTick is bench/probes.go.
 func (c *Collector) ReadingsAt(tick int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,8 +154,9 @@ func (c *Collector) ReadingsAt(tick int) int {
 }
 
 // WaitTick blocks until want readings have arrived for the tick or the
-// deadline passes — the live engine's barrier between publishing a tick and
-// closing it, which keeps the loop deterministic over the asynchronous bus.
+// deadline passes — the barrier between publishing a tick over a bus and
+// closing it. Its one caller is bench/probes.go; the live engine ingests on
+// its own goroutine and has nothing to wait for.
 func (c *Collector) WaitTick(tick, want int, deadline time.Duration) error {
 	limit := time.Now().Add(deadline)
 	for {
@@ -172,11 +176,12 @@ func (c *Collector) WaitTick(tick, want int, deadline time.Duration) error {
 func (c *Collector) CloseTick(tick int) []float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	perShard := make([]float64, len(c.rings))
-	if acc, ok := c.acc[tick]; ok {
-		copy(perShard, acc.perShard)
-		delete(c.acc, tick)
+	acc, ok := c.acc[tick]
+	if !ok {
+		acc = &tickAcc{perShard: make([]float64, len(c.rings))}
 	}
+	delete(c.acc, tick)
+	perShard := acc.perShard
 	for i, v := range perShard {
 		c.rings[i].Push(v)
 	}
@@ -185,7 +190,7 @@ func (c *Collector) CloseTick(tick int) []float64 {
 
 // RestoreTick replays one closed tick into the collector during recovery:
 // the per-shard energies enter the ring series and the counters advance as
-// if the readings had crossed the bus.
+// if the readings had been ingested.
 func (c *Collector) RestoreTick(perShard []float64, readings, batches int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

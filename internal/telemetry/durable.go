@@ -26,8 +26,6 @@ type DurableConfig struct {
 	Dir string
 	// SnapshotEvery writes a snapshot every this many ticks (default 32).
 	SnapshotEvery int
-	// Store tunes the underlying journal (segment size, fsync cadence).
-	Store store.Options
 }
 
 // RecoveryInfo reports what OpenDurable found and restored.
@@ -87,7 +85,7 @@ func OpenDurable(cfg LiveConfig, dcfg DurableConfig) (*LiveEngine, *RecoveryInfo
 	// negotiation is deterministic, so re-running it lands on the same awards)
 	// registers the run, then negotiates; a recovered outcome opens telemetry.
 	if negotiated {
-		err = e.openTelemetry()
+		e.openTelemetry()
 	} else if err = e.journalRegistration(); err == nil {
 		err = e.Start()
 	}
@@ -120,7 +118,7 @@ func openReplayed(cfg LiveConfig, dcfg DurableConfig) (e *LiveEngine, info *Reco
 	if dcfg.SnapshotEvery < 0 {
 		return nil, nil, false, fmt.Errorf("%w: snapshot every %d ticks", ErrBadConfig, dcfg.SnapshotEvery)
 	}
-	st, rec, err := store.Open(dcfg.Dir, dcfg.Store)
+	st, rec, err := store.Open(dcfg.Dir, store.Options{})
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"loadbalance/internal/agent"
-	"loadbalance/internal/bus"
 	"loadbalance/internal/cluster"
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
@@ -27,15 +25,6 @@ var (
 	journalHist = trace.GetHistogram("grid_tick_journal_seconds")
 )
 
-// Names on the live engine's telemetry bus.
-const (
-	collectorName = "collector"
-	meteringName  = "metering"
-)
-
-// ingestDeadline bounds the wait for one tick's readings to cross the bus.
-const ingestDeadline = 10 * time.Second
-
 // LiveConfig parameterises a live grid.
 type LiveConfig struct {
 	// Scenario is the fleet to operate: it is negotiated once at start and
@@ -48,24 +37,12 @@ type LiveConfig struct {
 	// per-tick baseline is its predicted window use over this count
 	// (default 16).
 	TicksPerWindow int
-	// RingTicks is the collector's per-shard history depth (default 64).
-	RingTicks int
 	// Jitter is the meters' stochastic measurement noise amplitude.
 	Jitter float64
 	// Seed drives all randomness (meter jitter streams).
 	Seed int64
-	// Detector holds the deviation thresholds; zero thresholds default to
-	// Rel 0.25 with an absolute floor of 5% of an average shard's share of
-	// the per-tick normal use.
-	Detector DeviationConfig
-	// Forecast estimates a shard's next-tick load from its measured series
-	// when re-negotiating (default: moving average over the breach window,
-	// so the estimate sees only post-change samples).
-	Forecast prediction.Predictor
 	// ShardEvents injects demand disturbances into every meter of a shard.
 	ShardEvents map[int][]Event
-	// BatchSize caps readings per published envelope (default 128).
-	BatchSize int
 }
 
 // Award is a customer's current standing agreement in the live grid.
@@ -122,10 +99,8 @@ type LiveEngine struct {
 	cfg  LiveConfig
 	topo cluster.Topology
 
-	bus       *bus.InProc
 	fleet     *Fleet
 	collector *Collector
-	colRT     *agent.Runtime
 	det       *DeviationDetector
 
 	// origLoads is the scenario's demand model (never rescaled); the live
@@ -151,8 +126,8 @@ type LiveEngine struct {
 	batchesPerTick int64
 }
 
-// NewLiveEngine validates the configuration and builds the grid (buses,
-// meters, collector, detector). Start runs the initial negotiation.
+// NewLiveEngine validates the configuration and builds the grid (meters,
+// collector, detector). Start runs the initial negotiation.
 func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	if err := cfg.Scenario.Validate(); err != nil {
 		return nil, err
@@ -175,21 +150,13 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	}
 
 	normalPerTick := cfg.Scenario.NormalUse.KWhs() / float64(cfg.TicksPerWindow)
-	if cfg.Detector.AbsKWh == 0 && cfg.Detector.Rel == 0 {
-		// The absolute floor guards against relative triggers on near-zero
-		// expectations, so it must be small against a SHARD's load, not the
-		// fleet's — at 256 shards a fleet-scaled floor would swallow even a
-		// whole-shard outage.
-		cfg.Detector.Rel = 0.25
-		cfg.Detector.AbsKWh = 0.05 * normalPerTick / float64(cfg.Shards)
-	}
-	cfg.Detector = cfg.Detector.withDefaults()
-	det, err := NewDeviationDetector(cfg.Shards, cfg.Detector)
+	// The absolute floor guards against relative triggers on near-zero
+	// expectations, so it must be small against a SHARD's load, not the
+	// fleet's — at 256 shards a fleet-scaled floor would swallow even a
+	// whole-shard outage.
+	det, err := NewDeviationDetector(cfg.Shards, DeviationConfig{Rel: 0.25, AbsKWh: 0.05 * normalPerTick / float64(cfg.Shards)})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Forecast == nil {
-		cfg.Forecast = prediction.MovingAverage{Window: cfg.Detector.BreachTicks}
 	}
 
 	shardOf := make(map[string]int, topo.FleetSize())
@@ -213,16 +180,11 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 		}
 		meters = append(meters, m)
 	}
-	fleet, err := NewFleet(meters, cfg.BatchSize)
+	fleet, err := NewFleet(meters, defaultBatchSize)
 	if err != nil {
 		return nil, err
 	}
-
-	col, err := NewCollector(CollectorConfig{ShardOf: shardOf, Shards: cfg.Shards, RingTicks: cfg.RingTicks})
-	if err != nil {
-		return nil, err
-	}
-	b, err := bus.NewInProc(bus.Config{})
+	col, err := NewCollector(CollectorConfig{ShardOf: shardOf, Shards: cfg.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +196,6 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	return &LiveEngine{
 		cfg:           cfg,
 		topo:          topo,
-		bus:           b,
 		fleet:         fleet,
 		collector:     col,
 		det:           det,
@@ -264,36 +225,21 @@ func (e *LiveEngine) Start() error {
 			return err
 		}
 	}
-	return e.openTelemetry()
-}
-
-// openTelemetry starts the collector runtime over the metering bus — the
-// part of Start shared with recovery, which must not re-negotiate.
-func (e *LiveEngine) openTelemetry() error {
-	// Collector inbox sized for several ticks of batches in flight.
-	batchesPerTick := (e.fleet.Size() + defaultBatchSize - 1) / defaultBatchSize
-	if e.cfg.BatchSize > 0 {
-		batchesPerTick = (e.fleet.Size() + e.cfg.BatchSize - 1) / e.cfg.BatchSize
-	}
-	e.batchesPerTick = int64(batchesPerTick)
-	rt, err := agent.Start(collectorName, e.bus, e.collector.Handler(), max(64, 8*batchesPerTick))
-	if err != nil {
-		return err
-	}
-	e.colRT = rt
-	e.started = true
+	e.openTelemetry()
 	return nil
 }
 
-// Stop tears the telemetry stream down. A durable engine's journal is left
-// exactly as the last tick committed it — indistinguishable from a crash,
-// which is what crash tests rely on; a clean exit goes through Shutdown.
+// openTelemetry lets the engine tick — the part of Start shared with
+// recovery and promotion, which must not re-negotiate.
+func (e *LiveEngine) openTelemetry() {
+	e.batchesPerTick = int64((e.fleet.Size() + defaultBatchSize - 1) / defaultBatchSize)
+	e.started = true
+}
+
+// Stop ends ticking. A durable engine's journal is left exactly as the last
+// tick committed it — indistinguishable from a crash, which is what crash
+// tests rely on; a clean exit goes through Shutdown.
 func (e *LiveEngine) Stop() {
-	if e.colRT != nil {
-		e.colRT.Stop()
-		e.colRT = nil
-	}
-	e.bus.Close()
 	e.started = false
 }
 
@@ -369,8 +315,9 @@ func (e *LiveEngine) expectedTick(i int) float64 {
 	return sum / float64(e.cfg.TicksPerWindow)
 }
 
-// Tick runs one live iteration: meters publish, the collector closes the
-// tick, deviations are screened, and any fired shards re-negotiate.
+// Tick runs one live iteration: the meters are read straight into the
+// collector, which closes the tick, deviations are screened, and any fired
+// shards re-negotiate.
 func (e *LiveEngine) Tick() (TickReport, error) {
 	if !e.started {
 		return TickReport{}, fmt.Errorf("%w: engine not started", ErrBadConfig)
@@ -388,14 +335,13 @@ func (e *LiveEngine) Tick() (TickReport, error) {
 
 	collectSpan := trace.Child(tickSpan.Context(), "tick.collect")
 	collectSpan.SetSession(e.cfg.Scenario.SessionID)
-	n, err := e.fleet.PublishTick(e.bus, meteringName, collectorName, e.cfg.Scenario.SessionID, t)
-	if err != nil {
-		collectSpan.End()
-		return TickReport{}, err
-	}
-	if err := e.collector.WaitTick(t, n, ingestDeadline); err != nil {
-		collectSpan.End()
-		return TickReport{}, err
+	n := 0
+	for _, batch := range e.fleet.SampleTick(t) {
+		if err := e.collector.Ingest(batch); err != nil {
+			collectSpan.End()
+			return TickReport{}, err
+		}
+		n += len(batch.Readings)
 	}
 	measured := e.collector.CloseTick(t)
 	collectSpan.End()
@@ -475,7 +421,9 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 		if len(ms) == 0 {
 			continue // an empty shard has nobody to re-bid
 		}
-		forecast, err := e.collector.ForecastShard(i, e.cfg.Forecast)
+		// A moving average over the breach window sees only post-change
+		// samples.
+		forecast, err := e.collector.ForecastShard(i, prediction.MovingAverage{Window: e.det.cfg.BreachTicks})
 		if err != nil {
 			return nil, err
 		}

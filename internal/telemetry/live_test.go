@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -246,5 +248,71 @@ func TestLiveEngineLifecycleErrors(t *testing.T) {
 	}
 	if _, err := eng.Tick(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSteadyTickCost pins what a steady live tick costs and what an engine
+// leaves running. The meters are read straight into the collector on the
+// ticking goroutine, so opening, starting and promoting an engine start
+// nothing that outlives the call, and a tick of a small durable fleet —
+// sampling, ingest, detection and the journal record; snapshots are held out
+// — stays within budgets 1.25× what it reads (0.035 allocations, 55.6 B per
+// reading). Publishing each tick over a private bus to a collector agent read
+// 0.063 and 140 B, and left that agent's goroutine behind.
+func TestSteadyTickCost(t *testing.T) {
+	const (
+		n, shards, ticks = 256, 4, 64
+		allocsBudget     = 0.044 // per reading
+		bytesBudget      = 70.0  // per reading
+	)
+	s, err := ElasticFleetScenario(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := LiveConfig{Scenario: s, Shards: shards, Jitter: 0.01, Seed: 3}
+	base := t.TempDir()
+
+	before := runtime.NumGoroutine()
+	eng, _, err := OpenDurable(cfg, DurableConfig{Dir: filepath.Join(base, "primary"), SnapshotEvery: 2 * ticks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("opening and starting an engine left %d goroutines behind", g-before)
+	}
+	sb, _, err := OpenStandby(cfg, DurableConfig{Dir: filepath.Join(base, "standby")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, _, err := sb.Promote("r0", "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("opening and promoting a standby left %d goroutines behind", g-before)
+	}
+	promoted.Stop()
+
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < ticks; i++ {
+		rep, err := eng.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Breached) > 0 {
+			t.Fatalf("tick %d breached %v: not a steady tick", rep.Tick, rep.Breached)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	readings := float64(ticks * n)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / readings
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / readings
+	t.Logf("a steady tick of %d meters: %.3f allocations and %.1f B per reading", n, allocs, bytes)
+	if allocs > allocsBudget || bytes > bytesBudget {
+		t.Errorf("a steady tick costs %.3f allocations and %.1f B per reading, budgets %.3f and %.0f B",
+			allocs, bytes, allocsBudget, bytesBudget)
 	}
 }

@@ -140,9 +140,9 @@ func (m *Meter) SkipTicks(n int) {
 	}
 }
 
-// defaultBatchSize bounds readings per published envelope: envelopes stay a
-// few KB, and the bus carries fleet_size/batch envelopes per tick rather
-// than one per customer.
+// defaultBatchSize bounds readings per batch — the live engine's batch size:
+// a published envelope stays a few KB, and a tick is fleet_size/batch
+// batches rather than one per customer.
 const defaultBatchSize = 128
 
 // Fleet is the set of meters attached to one customer fleet.
@@ -191,25 +191,25 @@ func (f *Fleet) Actuate(bids map[string]float64) {
 	}
 }
 
-// SampleTick measures every meter once and packs the readings into batches.
+// SampleTick measures every meter once and packs the readings into batches,
+// which share one backing array.
 func (f *Fleet) SampleTick(tick int) []message.MeterBatch {
-	batches := make([]message.MeterBatch, 0, (len(f.meters)+f.batchSize-1)/f.batchSize)
-	cur := message.MeterBatch{Tick: tick, Readings: make([]message.MeterReading, 0, f.batchSize)}
-	for _, m := range f.meters {
-		cur.Readings = append(cur.Readings, m.Sample(tick))
-		if len(cur.Readings) == f.batchSize {
-			batches = append(batches, cur)
-			cur = message.MeterBatch{Tick: tick, Readings: make([]message.MeterReading, 0, f.batchSize)}
-		}
+	readings := make([]message.MeterReading, len(f.meters))
+	for i, m := range f.meters {
+		readings[i] = m.Sample(tick)
 	}
-	if len(cur.Readings) > 0 {
-		batches = append(batches, cur)
+	batches := make([]message.MeterBatch, 0, (len(readings)+f.batchSize-1)/f.batchSize)
+	for start := 0; start < len(readings); start += f.batchSize {
+		end := min(start+f.batchSize, len(readings))
+		batches = append(batches, message.MeterBatch{Tick: tick, Readings: readings[start:end:end]})
 	}
 	return batches
 }
 
-// PublishTick samples the fleet and streams the batches over the bus to the
-// collector agent. It returns the number of readings published.
+// PublishTick samples the fleet and streams the batches over the bus to a
+// collector agent. It returns the number of readings published. Its one
+// caller is bench/probes.go; the live engine ingests SampleTick's batches
+// directly.
 func (f *Fleet) PublishTick(b bus.Bus, from, to, session string, tick int) (int, error) {
 	published := 0
 	for _, batch := range f.SampleTick(tick) {

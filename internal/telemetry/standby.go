@@ -184,9 +184,7 @@ func (s *StandbyEngine) Promote(replica, reason string) (*LiveEngine, *Promotion
 	}
 	if s.negotiated {
 		s.e.finishReplay()
-		if err := s.e.openTelemetry(); err != nil {
-			return nil, nil, err
-		}
+		s.e.openTelemetry()
 	} else if err := s.e.Start(); err != nil {
 		// The primary never committed an outcome; negotiate it ourselves
 		// (Start journals the session and opens telemetry).

@@ -13,6 +13,12 @@ import (
 	"loadbalance/internal/prediction"
 )
 
+// Names the tests that publish over a bus give the meters and the collector.
+const (
+	collectorName = "collector"
+	meteringName  = "metering"
+)
+
 func TestMeterDeterministicAndEventful(t *testing.T) {
 	mk := func() *Meter {
 		m, err := NewMeter(MeterConfig{

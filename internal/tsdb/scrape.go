@@ -16,13 +16,10 @@ type ScrapeConfig struct {
 	// histograms. The scraper publishes the store's own accounting and its
 	// scrape latency there too.
 	Registry *trace.Registry
-	// NowUs stamps each scrape (default wall clock). Tests inject a fake
-	// clock here; ScrapeAt bypasses it entirely.
-	NowUs func() int64
 }
 
-// Scraper periodically samples the registry into the store. One
-// goroutine; Close is idempotent.
+// Scraper periodically samples the registry into the store, stamping each
+// scrape with the wall clock. One goroutine; Close is idempotent.
 type Scraper struct {
 	cfg       ScrapeConfig
 	dur       *trace.Histogram
@@ -34,9 +31,6 @@ type Scraper struct {
 // NewScraper builds a scraper (not yet started); ScrapeAt can be driven
 // manually for deterministic tests.
 func NewScraper(cfg ScrapeConfig) *Scraper {
-	if cfg.NowUs == nil {
-		cfg.NowUs = func() int64 { return time.Now().UnixMicro() }
-	}
 	cfg.Registry.Register(cfg.Store.Samples)
 	return &Scraper{
 		cfg:  cfg,
@@ -64,9 +58,9 @@ func (sc *Scraper) run() {
 		case <-sc.stop:
 			return
 		case <-t.C:
-			start := sc.cfg.NowUs()
-			sc.ScrapeAt(start)
-			sc.dur.Observe(time.Duration(sc.cfg.NowUs()-start) * time.Microsecond)
+			start := time.Now()
+			sc.ScrapeAt(start.UnixMicro())
+			sc.dur.Observe(time.Since(start))
 		}
 	}
 }
