@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
 	"loadbalance/internal/message"
@@ -92,7 +91,7 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 	if cfg.Scenario.DropRate != 0 {
 		return nil, fmt.Errorf("%w: distributed negotiation is lossless (DropRate %v)", ErrBadConfig, cfg.Scenario.DropRate)
 	}
-	return negotiate(context.Background(), cfg, overTCP)
+	return negotiate(context.Background(), cfg, true, overTCP)
 }
 
 // overTCP is RunDistributed's layout: a root and a member bus, each behind a
@@ -100,57 +99,56 @@ func RunDistributed(cfg DistributedConfig) (*DistributedResult, error) {
 // their recipients, so the shards need no bus of their own — and every
 // concentrator behind its own pair of dialed connections, upward to the root
 // server and downward to the member server.
-func overTCP(_ context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
-	memberBus, memberSrv, err := serveLoopback(t)
+func overTCP(_ context.Context, t *tree) error {
+	memberBus, memberSrv, err := t.serveLoopback()
 	if err != nil {
 		return err
 	}
-	rootBus, rootSrv, err := serveLoopback(t)
+	rootBus, rootSrv, err := t.serveLoopback()
 	if err != nil {
 		return err
 	}
-	t.root = rootBus
-	cas, fleet, err := core.HostCustomers(memberBus, s.Customers)
-	if err != nil {
+	t.Bus = rootBus
+	if err := t.Host(memberBus, t.s.Customers); err != nil {
 		return err
 	}
-	t.cas, t.fleets = cas, []*agentrt.Fleet{fleet}
 	up, down := bus.NewRemote(rootSrv.Addr()), bus.NewRemote(memberSrv.Addr())
-	t.closers = append(t.closers, up.Close, down.Close)
+	t.Stops = append(t.Stops, up.Close, down.Close)
+	t.Report = func(*core.Result) {
+		t.res.ParentBus, t.res.ShardBuses = rootBus.Stats(), []bus.Stats{memberBus.Stats()}
+		t.res.RootWire, t.res.MemberWire = rootSrv.WireStats(), memberSrv.WireStats()
+		t.res.MemberAwards = make(map[string]message.Award, len(t.Agents))
+		for name, ca := range t.Agents {
+			if award, ok := ca.AwardFor(t.s.SessionID); ok {
+				t.res.MemberAwards[name] = award
+			}
+		}
+	}
+	if err := t.startTier(up, func(int) bus.Bus { return down }); err != nil {
+		return err
+	}
 	// A concentrator has relayed once its frames are written, not once the
 	// member server has read them: closing the downward connections and
 	// waiting for them to leave the member bus is waiting for that server to
 	// have forwarded all they carried.
-	t.settle = func(ctx context.Context) error {
+	t.Settle = append(t.Settle, func(ctx context.Context) error {
 		down.Close()
-		return memberBus.AwaitNames(ctx, topo.concentratorNames(), false)
-	}
-	t.report = func(res *DistributedResult) {
-		res.ParentBus, res.ShardBuses = rootBus.Stats(), []bus.Stats{memberBus.Stats()}
-		res.RootWire, res.MemberWire = rootSrv.WireStats(), memberSrv.WireStats()
-		res.MemberAwards = make(map[string]message.Award, len(cas))
-		for name, ca := range cas {
-			if award, ok := ca.AwardFor(s.SessionID); ok {
-				res.MemberAwards[name] = award
-			}
-		}
-	}
-	t.tier, err = StartTier(up, func(int) bus.Bus { return down }, topo, tc)
-	return err
+		return memberBus.AwaitNames(ctx, t.topo.concentratorNames(), false)
+	})
+	return nil
 }
 
 // serveLoopback opens a bus behind a server on a loopback port.
-func serveLoopback(t *tree) (*bus.InProc, *bus.Server, error) {
-	b, err := bus.NewInProc(bus.Config{})
+func (t *tree) serveLoopback() (*bus.InProc, *bus.Server, error) {
+	b, err := t.newBus(bus.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
-	t.closers = append(t.closers, b.Close)
 	srv, err := bus.ListenAndServe("127.0.0.1:0", b)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.closers = append(t.closers, srv.Close)
+	t.Stops = append(t.Stops, srv.Close)
 	return b, srv, nil
 }
 
@@ -158,51 +156,49 @@ func serveLoopback(t *tree) (*bus.InProc, *bus.Server, error) {
 // the scenario's customers register on member and, with root set, one worker
 // concentrator per shard (RunWorker) on root and member. It waits for them
 // under ctx and the scenario's timeout. With one shard and no root the Utility
-// Agent faces the customers itself; with more it starts the tier in process
-// over member. The network, not DropRate, decides what is lost.
+// Agent faces the customers itself, under any announcement method; with more
+// it starts the tier in process over member. The network, not DropRate,
+// decides what is lost.
 func RunDialIn(ctx context.Context, cfg Config, member, root *bus.InProc) (*DistributedResult, error) {
-	return negotiate(ctx, cfg, func(ctx context.Context, t *tree, s core.Scenario, topo Topology, tc TierConfig) error {
-		return dialIn(ctx, t, topo, tc, member, root)
+	return negotiate(ctx, cfg, root != nil || cfg.Shards != 1, func(ctx context.Context, t *tree) error {
+		return dialIn(ctx, t, member, root)
 	})
 }
 
 // dialIn is RunDialIn's layout.
-func dialIn(ctx context.Context, t *tree, topo Topology, tc TierConfig, member, root *bus.InProc) error {
-	t.exposed = []bus.Bus{member}
+func dialIn(ctx context.Context, t *tree, member, root *bus.InProc) error {
+	t.Exposed = []bus.Bus{member}
 	if root != nil {
-		t.exposed = append(t.exposed, root)
+		t.Exposed = append(t.Exposed, root)
 	}
-	if err := member.AwaitNames(ctx, slices.Concat(topo.shards...), true); err != nil {
+	if err := member.AwaitNames(ctx, slices.Concat(t.topo.shards...), true); err != nil {
 		return fmt.Errorf("waiting for the customers: %w", err)
 	}
 	up := member
 	switch {
 	case root != nil:
-		ccs := topo.concentratorNames()
+		ccs := t.topo.concentratorNames()
 		if err := root.AwaitNames(ctx, ccs, true); err != nil {
 			return fmt.Errorf("waiting for the concentrator workers: %w", err)
 		}
 		// A worker leaves the member bus once the member server has forwarded
 		// all it sent there: its awards, then the session end behind them.
-		t.settle = func(ctx context.Context) error { return member.AwaitNames(ctx, ccs, false) }
+		t.Settle = append(t.Settle, func(ctx context.Context) error { return member.AwaitNames(ctx, ccs, false) })
 		up = root
-	case topo.Shards() == 1:
-		t.flat = true
-	default:
-		tierBus, err := bus.NewInProc(bus.Config{})
+	case t.topo.Shards() > 1:
+		tierBus, err := t.newBus(bus.Config{})
 		if err != nil {
 			return err
 		}
-		t.closers = append(t.closers, tierBus.Close)
-		if t.tier, err = StartTier(tierBus, func(int) bus.Bus { return member }, topo, tc); err != nil {
+		if err := t.startTier(tierBus, func(int) bus.Bus { return member }); err != nil {
 			return err
 		}
 		up = tierBus
 	}
-	t.root = up
-	t.report = func(res *DistributedResult) {
-		if res.ParentBus = up.Stats(); up != member {
-			res.ShardBuses = []bus.Stats{member.Stats()}
+	t.Bus = up
+	t.Report = func(*core.Result) {
+		if t.res.ParentBus = up.Stats(); up != member {
+			t.res.ShardBuses = []bus.Stats{member.Stats()}
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -281,6 +282,52 @@ func TestDistributedJournalsTheInProcessRecord(t *testing.T) {
 	}
 }
 
+// TestDialInFlatMatchesRun is a differential test of the engine's two flat
+// entry points: a fleet hosted on a member bus and negotiated through
+// RunDialIn with one shard and no root — the Utility Agent facing the
+// customers over a bus it did not build — reaches what core.Run reaches on
+// its own bus: the same awards, final bids, rounds and outcome.
+func TestDialInFlatMatchesRun(t *testing.T) {
+	synthetic, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    core.Scenario
+	}{{"paper", paperScenario(t)}, {"synthetic-256", synthetic}} {
+		t.Run(tc.name, func(t *testing.T) {
+			flat, err := core.Run(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			member, err := bus.NewInProc(bus.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer member.Close()
+			_, fleet, err := core.HostCustomers(member, tc.s.Customers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Stop()
+			res, err := RunDialIn(context.Background(), Config{Scenario: tc.s, Shards: 1}, member, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcome != flat.Outcome || res.Rounds != flat.Rounds {
+				t.Fatalf("outcome %q in %d rounds, core.Run %q in %d", res.Outcome, res.Rounds, flat.Outcome, flat.Rounds)
+			}
+			if got, want := awardsJSON(t, res.Awards), awardsJSON(t, flat.Awards); !bytes.Equal(got, want) {
+				t.Fatalf("awards differ:\nRunDialIn %s\ncore.Run  %s", got, want)
+			}
+			if !maps.Equal(res.FinalBids, flat.FinalBids) {
+				t.Fatalf("final bids differ:\nRunDialIn %v\ncore.Run  %v", res.FinalBids, flat.FinalBids)
+			}
+		})
+	}
+}
+
 // TestDialInAbortsAnIncompleteRoster: a roster still incomplete at the
 // scenario's timeout ends on the engine's one error path — ErrTimeout, an
 // aborting session end to whoever did dial in, and an aborted record.
@@ -302,7 +349,7 @@ func TestDialInAbortsAnIncompleteRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, runErr := RunDialIn(context.Background(), Config{Scenario: s, Shards: 1, Journal: st}, member, nil)
-	if !errors.Is(runErr, ErrTimeout) {
+	if !errors.Is(runErr, core.ErrTimeout) {
 		t.Fatalf("RunDialIn with 1 of %d customers = %v, want ErrTimeout", len(s.Customers), runErr)
 	}
 	if err := st.Close(); err != nil {

@@ -29,7 +29,7 @@ type TierConfig struct {
 }
 
 // Tier is a started concentrator tier fronting a fleet. Every in-process tier
-// is built through it — the session engine's layouts (Run: one bus per shard;
+// is built through it — the tree's layouts (Run: one bus per shard;
 // RunDistributed: every shard on one TCP-bridged member bus; RunDialIn: every
 // shard on the bus the dialed-in fleet hangs on) — so the root-tier contract
 // (quorum scaling, concentrator naming, mailbox sizing, the root's
@@ -123,7 +123,7 @@ func RootParams(p protocol.Params) protocol.Params {
 // RootConfig is the Utility Agent at the root of a concentrator tree: the
 // scenario's own (core.Scenario.UAConfig) over the tier's aggregated loads,
 // with the root's parameters and the reward-table method, its session span
-// under parent. The session engine and cmd/gridd configure a tree's root here.
+// under parent. Every tree layout configures its root here.
 func RootConfig(s core.Scenario, topo Topology, parent trace.Context) utilityagent.Config {
 	cfg := s.UAConfig(topo.AggregateLoads())
 	cfg.Method = utilityagent.MethodRewardTable

@@ -13,7 +13,6 @@ import (
 var (
 	ErrBadTopology = errors.New("cluster: invalid topology")
 	ErrBadConfig   = errors.New("cluster: invalid configuration")
-	ErrTimeout     = errors.New("cluster: negotiation timed out")
 )
 
 // Topology is a deterministic K-shard partition of a customer fleet: sorted

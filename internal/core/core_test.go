@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -266,6 +267,39 @@ func TestSilentCustomersRun(t *testing.T) {
 				t.Fatalf("silent customer %d has a recorded bid", i)
 			}
 		}
+	}
+}
+
+// TestRunTimesOutOnTheEngineErrorPath: a fleet that never answers, under a
+// round timeout longer than the run's, ends on the engine's one error path —
+// ErrTimeout within a few of the scenario's timeouts, and nothing of the
+// session left running.
+func TestRunTimesOutOnTheEngineErrorPath(t *testing.T) {
+	s, err := PaperScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.Customers {
+		s.Customers[i].Silent = true
+	}
+	s.RoundTimeout = time.Hour
+	s.Timeout = 50 * time.Millisecond
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	res, err := Run(s)
+	took := time.Since(start)
+	if !errors.Is(err, ErrTimeout) || res != nil {
+		t.Fatalf("Run of a silent fleet = %+v, %v; want ErrTimeout", res, err)
+	}
+	if took > 5*s.Timeout {
+		t.Fatalf("Run took %v to time out after %v", took, s.Timeout)
+	}
+	// An exiting goroutine may still be unwinding when Run returns.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before Run, %d after it timed out", before, after)
 	}
 }
 

@@ -1,22 +1,28 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	agentrt "loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/customeragent"
+	"loadbalance/internal/message"
 	"loadbalance/internal/protocol"
+	"loadbalance/internal/store"
 	"loadbalance/internal/utilityagent"
 )
 
-// Result is the outcome of one full negotiation run.
+// Result is the outcome of one negotiation session, whatever its layout.
 type Result struct {
 	utilityagent.Result
-	// Bus holds the transport counters (messages, drops).
+	// Bus holds the transport counters (messages, drops), summed over every
+	// in-process bus of the session.
 	Bus bus.Stats
-	// FinalBids maps each non-silent customer to its last cut-down bid.
+	// FinalBids maps each of the Utility Agent's non-silent bidders to its
+	// last cut-down bid.
 	FinalBids map[string]float64
 	// Elapsed is the wall time of the run.
 	Elapsed time.Duration
@@ -25,59 +31,257 @@ type Result struct {
 	AgentErrors []error
 }
 
-// Run executes a scenario to completion: it builds the bus, starts every
-// Customer Agent and the Utility Agent, waits for the negotiation result and
-// tears everything down.
+// Run executes a scenario on the flat layout: one in-process bus carrying the
+// scenario's seeded loss, every Customer Agent hosted on it, and the Utility
+// Agent facing them itself, under any announcement method.
 func Run(s Scenario) (*Result, error) {
+	return Negotiate(context.Background(), s, func(_ context.Context, p *Placement) error {
+		b, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed})
+		if err != nil {
+			return err
+		}
+		p.Stops = append(p.Stops, b.Close)
+		p.Bus, p.UA = b, s.UAConfig(s.Loads())
+		p.Report = func(r *Result) { r.Bus = b.Stats() }
+		return p.Host(b, s.Customers)
+	}, nil, "")
+}
+
+// A Layout places one session's parts — the one step the entry points take
+// differently. It builds the buses into p, finds or hosts the fleet, chooses
+// the Utility Agent's bus and configuration, and registers whatever it opened
+// in p.Stops even when it fails halfway. It waits for remote parts under ctx.
+// The Utility Agent starts only once it returns, so its opening announcement
+// reaches every customer the layout hosted.
+type Layout func(ctx context.Context, p *Placement) error
+
+// A Placement is one session's parts as its layout placed them. The engine
+// starts the Utility Agent on Bus under UA, runs the session and takes it
+// down, calling Stops in reverse; an abort goes to the Exposed buses, the
+// ones other processes hang on. Once the Utility Agent reports, each Settle
+// in turn waits for what it sent to reach its bidders' buses. Each bidder's
+// last bid and award are read off the hosted Agents; failing those, off
+// Awarded, if set (what a relay sent them); failing both, off the Utility
+// Agent's awards. Errors are the handler-error sources of the session's
+// agents, and Report, if set, copies the transport's counters into the
+// result while everything is still up.
+type Placement struct {
+	Bus     bus.Bus
+	UA      utilityagent.Config
+	Agents  map[string]*customeragent.Agent
+	Exposed []bus.Bus
+	Stops   []func()
+	Settle  []func(context.Context) error
+	Awarded func() []protocol.CustomerAward
+	Errors  []func() []error
+	Report  func(*Result)
+
+	fleets []*agentrt.Fleet
+}
+
+// Host hosts specs' customers on b as one fleet of the session — a Customer
+// Agent each, or for a silent customer a handler that takes its envelopes and
+// never answers — behind one worker goroutine, which the engine quiesces and
+// stops. Its agents join Agents, which a layout hosting several fleets sizes
+// for all of them. On error nothing of the fleet is left running.
+func (p *Placement) Host(b bus.Bus, specs []CustomerSpec) error {
+	if p.Agents == nil {
+		p.Agents = make(map[string]*customeragent.Agent, len(specs))
+	}
+	names := make([]string, len(specs))
+	handlers := make([]agentrt.Handler, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
+		if spec.Silent {
+			handlers[i] = agentrt.HandlerFuncs{}
+			continue
+		}
+		ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
+		if err != nil {
+			return fmt.Errorf("core: customer %q: %w", spec.Name, err)
+		}
+		p.Agents[spec.Name] = ca
+		handlers[i] = ca
+	}
+	f, err := agentrt.StartFleet(b, names, handlers, customerInbox)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	p.fleets, p.Stops, p.Errors = append(p.fleets, f), append(p.Stops, f.Stop), append(p.Errors, f.Errors)
+	return nil
+}
+
+// HostCustomers hosts specs on b as one fleet outside any session
+// (Placement.Host) and returns its agents by name and the fleet, for the
+// caller to Quiesce and Stop.
+func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, *agentrt.Fleet, error) {
+	var p Placement
+	if err := p.Host(b, specs); err != nil {
+		return nil, nil, err
+	}
+	return p.Agents, p.fleets[0], nil
+}
+
+// Negotiate is the session engine every entry point runs: validation, the
+// stall timer, the parts place lays out, the Utility Agent, the wait for its
+// outcome and for what it sent to reach every bidder, the result and the
+// journal. A session that ends without an outcome — ctx ended, the
+// scenario's timeout passed, a part failed to start — takes the one error
+// path, abort, whatever the layout. With a journal the outcome, or the abort,
+// is recorded under journalConfig before Negotiate returns.
+func Negotiate(ctx context.Context, s Scenario, place Layout, st *store.Store, journalConfig string) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	timeout := s.RunTimeout()
-
-	b, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed})
-	if err != nil {
-		return nil, err
-	}
-	defer b.Close()
-
 	start := time.Now() //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
-
-	// Customer Agents first so the UA's opening broadcast reaches everyone.
-	cas, fleet, err := HostCustomers(b, s.Customers)
-	if err != nil {
-		return nil, err
+	timeout := s.RunTimeout()
+	ctx, cancel := context.WithTimeoutCause(ctx, timeout, fmt.Errorf("%w after %v", ErrTimeout, timeout))
+	defer cancel()
+	j := journal{st, journalConfig, s.SessionID}
+	var p Placement
+	defer func() {
+		for i := len(p.Stops) - 1; i >= 0; i-- {
+			p.Stops[i]()
+		}
+	}()
+	fail := func(err error) (*Result, error) { return nil, p.abort(j, err) }
+	if err := place(ctx, &p); err != nil {
+		return fail(err)
 	}
-	defer fleet.Stop()
-
-	ua, uaRT, err := StartUtilityAgent(b, s.UAConfig(s.Loads()))
+	ua, rt, err := startUtilityAgent(p.Bus, p.UA)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	defer uaRT.Stop()
-
+	p.Stops, p.Errors = append(p.Stops, rt.Stop), append(p.Errors, rt.Errors)
 	var uaResult utilityagent.Result
 	select {
 	case uaResult = <-ua.Done():
-	case <-time.After(timeout): //gridlint:allow walltime(liveness timeout for a stalled fleet; fires only when the run already failed)
-		return nil, fmt.Errorf("%w after %v", ErrTimeout, timeout)
+	case <-ctx.Done():
+		return fail(context.Cause(ctx))
 	}
-
 	// The Utility Agent sent every award and the session end before it
-	// reported; what the bus did not lose of them is in the fleet's queue.
-	// Once that is handled, FinalBids and the awards are consistent.
-	fleet.Quiesce()
+	// reported. Whatever relays them may still be on its way down; what
+	// reaches a hosted fleet's bus is then in the fleet's queue. A
+	// below-warrant prediction ends without any announcement, so there is
+	// nothing to relay.
+	if len(uaResult.History) > 0 {
+		for _, settle := range p.Settle {
+			if err := settle(ctx); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	for _, f := range p.fleets {
+		f.Quiesce()
+	}
 
 	res := &Result{
-		Result:    uaResult,
-		FinalBids: make(map[string]float64, len(cas)),
-		Elapsed:   time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
+		Result:  uaResult,
+		Elapsed: time.Since(start), //gridlint:allow walltime(wall-duration measurement for Result.Elapsed; never feeds negotiated state)
 	}
-	for name, ca := range cas {
-		res.FinalBids[name] = ca.LastBid(s.SessionID)
+	// What each bidder last bid and was awarded is known to its own agent
+	// when it is hosted; failing that, to whatever relayed to it; failing
+	// that, the Utility Agent faced its bidders itself.
+	var award func(string) (message.Award, bool)
+	switch {
+	case p.Agents != nil:
+		res.FinalBids, award = hosted(p.Agents, s.SessionID)
+	case p.Awarded != nil:
+		res.FinalBids, award = faced(p.Awarded())
+	default:
+		res.FinalBids, award = faced(uaResult.Awards)
 	}
-	res.AgentErrors = append(fleet.Errors(), uaRT.Errors()...)
-	res.Bus = b.Stats()
+	if p.Report != nil {
+		p.Report(res)
+	}
+	for _, errs := range p.Errors {
+		res.AgentErrors = append(res.AgentErrors, errs()...)
+	}
+	if st != nil {
+		return res, j.outcome(res, award)
+	}
 	return res, nil
+}
+
+// abort ends a session that has no outcome, whatever its layout: one aborting
+// session end on each bus other processes hang on, so none of them waits for
+// a negotiation that is over, and with a journal an aborted record, so
+// recovery never replays a half-committed session. It returns cause.
+func (p *Placement) abort(j journal, cause error) error {
+	reason := cause.Error()
+	for _, b := range p.Exposed {
+		if end, err := message.NewEnvelope("ua", "", j.session, message.SessionEnd{Reason: "aborted: " + reason}); err == nil {
+			_ = b.Send(end)
+		}
+	}
+	if j.st != nil {
+		if err := j.append(store.NewAbortRecord(store.AbortInfo{SessionID: j.session, Reason: reason})); err != nil {
+			return errors.Join(cause, err)
+		}
+	}
+	return cause
+}
+
+// hosted reads a session off the Customer Agents hosted in process: each
+// one's last bid, and a lookup of the award it received.
+func hosted(cas map[string]*customeragent.Agent, session string) (map[string]float64, func(string) (message.Award, bool)) {
+	bids := make(map[string]float64, len(cas))
+	for name, ca := range cas {
+		bids[name] = ca.LastBid(session)
+	}
+	return bids, func(name string) (message.Award, bool) { return cas[name].AwardFor(session) }
+}
+
+// faced reads a session off the awards its bidders were sent: an award's
+// cut-down is the bidder's last bid.
+func faced(awards []protocol.CustomerAward) (map[string]float64, func(string) (message.Award, bool)) {
+	bids := make(map[string]float64, len(awards))
+	sent := make(map[string]message.Award, len(awards))
+	for _, a := range awards {
+		bids[a.Customer], sent[a.Customer] = a.Award.CutDown, a.Award
+	}
+	return bids, func(name string) (message.Award, bool) { a, ok := sent[name]; return a, ok }
+}
+
+// journal is where the engine records a session: its store, if any, and the
+// fingerprint of the parameters the session ran under.
+type journal struct {
+	st              *store.Store
+	config, session string
+}
+
+// outcome appends the session's terminal record — every bidder's final bid
+// and delivered award — and is the one writer of an engine session's record,
+// whichever layout ran it (telemetry's LiveEngine.journalSession, loadsim's
+// journalFlatResult and cmd/experiments write theirs beside the engine). A
+// journaling failure surfaces as the run's error: durable mode must never
+// report success for an outcome that is not on disk.
+func (j journal) outcome(res *Result, award func(string) (message.Award, bool)) error {
+	out := store.SessionOutcome{
+		SessionID: j.session,
+		Outcome:   res.Outcome,
+		Rounds:    res.Rounds,
+		Config:    j.config,
+		Bids:      res.FinalBids,
+		Awards:    make(map[string]store.AwardEntry, len(res.FinalBids)),
+	}
+	for name := range res.FinalBids {
+		if a, ok := award(name); ok {
+			out.Awards[name] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
+		}
+	}
+	return j.append(store.NewSessionRecord(out))
+}
+
+// append appends rec, unless making it failed, and syncs it.
+func (j journal) append(rec store.Record, err error) error {
+	if err == nil {
+		err = j.st.Append(rec)
+	}
+	if err == nil {
+		err = j.st.Sync()
+	}
+	return err
 }
 
 // customerInbox is how far behind a hosted Customer Agent may fall, in
@@ -103,11 +307,11 @@ const customerInbox = 4
 // that bound is written.
 func FanInInbox(n int) int { return 4 * max(n, 16) }
 
-// StartUtilityAgent starts a Utility Agent on b under cfg (named cfg.Name, as
+// startUtilityAgent starts a Utility Agent on b under cfg (named cfg.Name, as
 // Scenario.UAConfig sets it), its mailbox sized for the loads it models, and
-// returns it with its runtime for the caller to Stop. Every engine starts its
-// Utility Agent here.
-func StartUtilityAgent(b bus.Bus, cfg utilityagent.Config) (*utilityagent.Agent, *agentrt.Runtime, error) {
+// returns it with its runtime for the caller to Stop. The engine is its one
+// caller: every session's Utility Agent starts here.
+func startUtilityAgent(b bus.Bus, cfg utilityagent.Config) (*utilityagent.Agent, *agentrt.Runtime, error) {
 	ua, err := utilityagent.New(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -117,36 +321,6 @@ func StartUtilityAgent(b bus.Bus, cfg utilityagent.Config) (*utilityagent.Agent,
 		return nil, nil, err
 	}
 	return ua, rt, nil
-}
-
-// HostCustomers hosts the specs' customers on b as one fleet — a Customer
-// Agent each, or for a silent customer a handler that takes its envelopes and
-// never answers — behind one worker goroutine, and returns the agents by name
-// and the fleet, for the caller to Quiesce and Stop. Run and the cluster
-// session engine (cluster.Run, cluster.RunDistributed) host their customers
-// through it. On error nothing is left running.
-func HostCustomers(b bus.Bus, specs []CustomerSpec) (map[string]*customeragent.Agent, *agentrt.Fleet, error) {
-	cas := make(map[string]*customeragent.Agent, len(specs))
-	names := make([]string, len(specs))
-	handlers := make([]agentrt.Handler, len(specs))
-	for i, spec := range specs {
-		names[i] = spec.Name
-		if spec.Silent {
-			handlers[i] = agentrt.HandlerFuncs{}
-			continue
-		}
-		ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: customer %q: %w", spec.Name, err)
-		}
-		cas[spec.Name] = ca
-		handlers[i] = ca
-	}
-	fleet, err := agentrt.StartFleet(b, names, handlers, customerInbox)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	return cas, fleet, nil
 }
 
 // BidsOf extracts one customer's bid per round from a reward-table history —

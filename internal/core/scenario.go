@@ -3,6 +3,14 @@
 // a message bus into a running negotiation, and exposes the canonical
 // scenarios the experiments replay.
 //
+// It holds the one session engine, Negotiate: one Utility Agent conceding in
+// lock-step to its bidders (Section 3.2.3), whatever carries the messages. A
+// Layout places the parts — Run's flat layout puts the Utility Agent and the
+// fleet on one bus; package cluster's layouts put concentrator trees in
+// process, over TCP or dialed in — and the engine starts the Utility Agent,
+// bounds the session by the scenario's timeout, takes the one error path for
+// a session without an outcome and journals the outcome.
+//
 // The PaperScenario reproduces the exact situation of Figures 6-9: normal
 // capacity 100, predicted usage 135 (ten customers at 13.5 kWh), a linear
 // round-1 reward table with slope 42.5 (reward 17 at cut-down 0.4), and a

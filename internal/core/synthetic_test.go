@@ -72,7 +72,7 @@ func TestSyntheticScenarioNegotiates(t *testing.T) {
 
 // TestRunAllocationBudget holds a whole flat negotiation — set-up, every
 // round's broadcast, bids and awards, tear-down — to 12.5 allocations and
-// 3 000 bytes per customer: the measured 8.8 and 2 670 B (11.3 and 2 870 B
+// 3 000 bytes per customer: the measured 9.1 and 2 640 B (11.7 and 2 860 B
 // under -race) pass, the 13.7 and 3 100 B of a goroutine, an inbox and a stop
 // channel per customer do not (17 and 12 000 B while that inbox had 64 slots,
 // every customer made a session map and the bus sorted its roster per
@@ -130,7 +130,7 @@ func TestFullQuorumNeverFillsAnInbox(t *testing.T) {
 	}
 }
 
-// TestOneCustomerInboxSite keeps HostCustomers the only place in the tree
+// TestOneCustomerInboxSite keeps Placement.Host the only place in the tree
 // that hosts a fleet, and so customerInbox the only bound a hosted customer
 // has — and keeps the goroutine-per-customer loop it replaced from coming
 // back beside it.
@@ -155,10 +155,10 @@ func TestOneCustomerInboxSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The definition in internal/agent and the one call in HostCustomers.
+	// The definition in internal/agent and the one call in Placement.Host.
 	want := []string{filepath.Join("..", "agent", "fleet.go"), filepath.Join("..", "core", "engine.go")}
 	if !slices.Equal(fleets, want) {
-		t.Fatalf("StartFleet( appears in %v, want %v (its definition and HostCustomers)", fleets, want)
+		t.Fatalf("StartFleet( appears in %v, want %v (its definition and Placement.Host)", fleets, want)
 	}
 	if len(perCustomer) != 0 {
 		t.Fatalf("customers are started one runtime each in %v", perCustomer)
@@ -221,32 +221,40 @@ func TestOneUtilityAgentSite(t *testing.T) {
 	}
 }
 
-// TestOneSessionRoot keeps a session's root assembled in two places: Run and
-// the cluster session engine are the only callers of StartUtilityAgent, and
-// no command or example starts a Utility Agent or a tier, or sleeps waiting
-// for one — gridd's serve and examples/distributed each used to, and drifted
-// (serve journaled its concentrators as if they were customers).
+// TestOneSessionRoot keeps a session's root assembled in one place: the
+// engine (Negotiate) is the one caller of startUtilityAgent, Run and the
+// cluster layouts (cluster's negotiate) are the only callers of the engine,
+// and no command or example starts a tier or sleeps waiting for a session —
+// gridd's serve and examples/distributed each used to, and drifted (serve
+// journaled its concentrators as if they were customers), and Run used to be
+// a second session loop beside the engine.
 func TestOneSessionRoot(t *testing.T) {
-	var starters, hand []string
+	var starters, engines, hand []string
 	root, paths, src := nonTestSources(t)
 	for _, path := range paths {
-		for n := strings.Count(src[path], "StartUtilityAgent(") - strings.Count(src[path], "func StartUtilityAgent("); n > 0; n-- {
+		for n := strings.Count(src[path], "startUtilityAgent(") - strings.Count(src[path], "func startUtilityAgent("); n > 0; n-- {
 			starters = append(starters, path)
+		}
+		for n := strings.Count(src[path], "Negotiate(") - strings.Count(src[path], "func Negotiate("); n > 0; n-- {
+			engines = append(engines, path)
 		}
 		// gridctl reads the HTTP surface; its sleeps pace a watch loop.
 		rel, _ := filepath.Rel(root, path)
 		if dir := strings.Split(filepath.ToSlash(rel), "/"); (dir[0] != "cmd" && dir[0] != "examples") || dir[1] == "gridctl" {
 			continue
 		}
-		for _, call := range []string{"StartUtilityAgent(", "StartTier(", "time.Sleep("} {
+		for _, call := range []string{"StartTier(", "time.Sleep("} {
 			if strings.Contains(src[path], call) {
 				hand = append(hand, path+": "+call)
 			}
 		}
 	}
-	want := []string{filepath.Join(root, "internal", "cluster", "engine.go"), filepath.Join(root, "internal", "core", "engine.go")}
-	if !slices.Equal(starters, want) {
-		t.Errorf("StartUtilityAgent is called from %v, want only %v (cluster's negotiate, core.Run)", starters, want)
+	engine := filepath.Join(root, "internal", "core", "engine.go")
+	if !slices.Equal(starters, []string{engine}) {
+		t.Errorf("startUtilityAgent is called from %v, want only %v (the engine)", starters, engine)
+	}
+	if want := []string{filepath.Join(root, "internal", "cluster", "layout.go"), engine}; !slices.Equal(engines, want) {
+		t.Errorf("Negotiate is called from %v, want only %v (cluster's negotiate, Run)", engines, want)
 	}
 	if len(hand) > 0 {
 		t.Errorf("a command or example assembles its own session: %v", hand)

@@ -55,7 +55,7 @@ func E11cClusterScale(sizes, shardCounts []int, seed int64) (*Table, error) {
 			if res.Elapsed > 0 {
 				speedup = float64(flat.Elapsed) / float64(res.Elapsed)
 			}
-			t.AddRowF(n, k, res.Rounds, res.Messages(), float64(res.Elapsed.Microseconds())/1000,
+			t.AddRowF(n, k, res.Rounds, res.Bus.Sent, float64(res.Elapsed.Microseconds())/1000,
 				speedup, res.FinalOveruseRatio, match, res.Outcome)
 		}
 	}

@@ -60,7 +60,7 @@ func E15DistributedNegotiation(n, shards int, seed int64) (*Table, error) {
 		return nil, err
 	}
 	t.AddRowF("sharded", inproc.Outcome, inproc.Rounds, inproc.FinalOveruseKWh,
-		protocol.TotalRewardPaid(inproc.Awards), inproc.Messages(), "-", "-", "(bids match)")
+		protocol.TotalRewardPaid(inproc.Awards), inproc.Bus.Sent, "-", "-", "(bids match)")
 
 	s, err = scenario()
 	if err != nil {
@@ -93,7 +93,7 @@ func E15DistributedNegotiation(n, shards int, seed int64) (*Table, error) {
 	frames := dist.RootWire.FramesIn + dist.RootWire.FramesOut + dist.MemberWire.FramesIn + dist.MemberWire.FramesOut
 	kb := float64(dist.RootWire.BytesIn+dist.RootWire.BytesOut+dist.MemberWire.BytesIn+dist.MemberWire.BytesOut) / 1024
 	t.AddRowF("distributed", dist.Outcome, dist.Rounds, dist.FinalOveruseKWh,
-		protocol.TotalRewardPaid(distAwards), dist.Messages(), frames, kb, match)
+		protocol.TotalRewardPaid(distAwards), dist.Bus.Sent, frames, kb, match)
 	return t, nil
 }
 

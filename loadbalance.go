@@ -110,8 +110,10 @@ func PopulationScenario(cfg PopulationConfig) (Scenario, error) {
 	return core.PopulationScenario(cfg)
 }
 
-// Run executes a scenario: the Utility Agent and the fleet of Customer Agents
-// passing messages on an in-process bus, and a full trace in the result.
+// Run executes a scenario on the session engine's flat layout: the Utility
+// Agent and the fleet of Customer Agents passing messages on one in-process
+// bus, under any announcement method, and a full trace in the result. The
+// engine is the one RunSharded and RunDistributed run, timeout included.
 func Run(s Scenario) (*Result, error) { return core.Run(s) }
 
 // ClusterConfig parameterises a hierarchical (sharded) negotiation: the flat

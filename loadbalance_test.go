@@ -88,7 +88,7 @@ func TestPublicAPISharded(t *testing.T) {
 	if res.Outcome != flat.Outcome {
 		t.Fatalf("outcome %q, flat %q", res.Outcome, flat.Outcome)
 	}
-	if res.Messages() == 0 || res.Shards != 4 {
+	if res.Bus.Sent == 0 || res.Shards != 4 {
 		t.Fatalf("bad cluster result: %+v", res)
 	}
 }
