@@ -2,10 +2,15 @@ package agent
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
@@ -250,6 +255,112 @@ func TestStopWaitAfterSelfExit(t *testing.T) {
 		b.Close()
 		returns(t, rt)
 	})
+}
+
+// TestRingMailboxMatchesChannel starts one recording agent by Start on an
+// InProc, where its mailbox is a fleet-of-one ring, and one on the same bus
+// behind a wrapper without groups, where it reads an inbox channel. One
+// seeded sequence of bursts of up to bound sends, each burst waited out, must
+// be handled in the same order. Then the agent is held inside a handler while bound+2 more are sent:
+// on both, the first bound wait and the next two are Rejected with
+// bus.ErrInboxFull, with equal Stats. Last its name is unregistered while
+// those bound still wait: both handle them and end, and Wait returns.
+func TestRingMailboxMatchesChannel(t *testing.T) {
+	const bound, steps, seed = 3, 200, 9
+	type result struct {
+		handled []string
+		errs    []string
+		stats   bus.Stats
+	}
+	run := func(channel bool) result {
+		b, err := bus.NewInProc(bus.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		var (
+			res           result
+			done                  = make(chan struct{}, steps+bound+1)
+			entered, gate         = make(chan struct{}), make(chan struct{})
+			host          bus.Bus = b
+		)
+		if channel {
+			host = channelOnly{b}
+		}
+		rt, err := Start("rec", host, HandlerFuncs{
+			Start: func(rt *Runtime) error {
+				res.handled = append(res.handled, "start")
+				return nil
+			},
+			Message: func(rt *Runtime, env message.Envelope) error {
+				if env.Session == "hold" {
+					entered <- struct{}{}
+					<-gate
+				}
+				res.handled = append(res.handled, fmt.Sprintf("%s %s %s", env.Session, env.Kind, env.Body))
+				done <- struct{}{}
+				return nil
+			},
+		}, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Stop()
+		send := func(session string, round int) {
+			env, err := message.NewEnvelope("ua", "rec", session, message.CutDownBid{Round: round, CutDown: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.errs = append(res.errs, fmt.Sprint(b.Send(env)))
+		}
+		ops := rand.New(rand.NewSource(seed))
+		delivered := 0
+		for step := 0; step < steps; step++ {
+			for burst := 1 + ops.Intn(bound); burst > 0; burst-- {
+				send("s1", step+1)
+			}
+			for now := b.Stats().Delivered; delivered < now; delivered++ {
+				<-done
+			}
+		}
+		send("hold", 1)
+		<-entered
+		for i := 0; i < bound+2; i++ {
+			send("s2", i+1)
+		}
+		b.Unregister("rec")
+		close(gate)
+		rt.Wait()
+		res.stats = b.Stats()
+		return res
+	}
+	ring, channel := run(false), run(true)
+	if !slices.Equal(ring.handled, channel.handled) {
+		t.Errorf("the ring handled\n%v\nthe channel\n%v", ring.handled, channel.handled)
+	}
+	if !slices.Equal(ring.errs, channel.errs) {
+		t.Errorf("sends to the ring returned\n%v\nto the channel\n%v", ring.errs, channel.errs)
+	}
+	if ring.stats != channel.stats {
+		t.Errorf("ring stats %+v, channel %+v", ring.stats, channel.stats)
+	}
+	full := fmt.Sprint(fmt.Errorf("%w: %q", bus.ErrInboxFull, "rec"))
+	overflow, want := ring.errs[len(ring.errs)-bound-2:], []string{"<nil>", "<nil>", "<nil>", full, full}
+	if !slices.Equal(overflow, want) {
+		t.Errorf("a held agent's bound+2 sends returned %v, want %v", overflow, want)
+	}
+	if last := ring.handled[len(ring.handled)-1]; !strings.HasPrefix(last, "s2 ") {
+		t.Errorf("the ring's last handled envelope is %q, want one of those waiting when its name went", last)
+	}
+}
+
+// TestRuntimeSize: what a fleet member carries is its own state — Start's
+// goroutine, inbox and stop channel live in the fleet of one it is given.
+func TestRuntimeSize(t *testing.T) {
+	var rt Runtime
+	if size := unsafe.Sizeof(rt); size > 104 {
+		t.Fatalf("a Runtime is %d B, budget 104", size)
+	}
 }
 
 func TestModelResponseTracking(t *testing.T) {

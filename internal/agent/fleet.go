@@ -17,14 +17,18 @@ import (
 // through Runtime.dispatch. A member's Handler sees what Start would have
 // shown it — its own *Runtime, its envelopes in arrival order, its own trace
 // context — except that it shares the worker with the rest of the fleet: a
-// handler that blocks stalls every member.
+// handler that blocks stalls every member. Start's agent is a fleet of one.
 type Fleet struct {
 	members    []Runtime
+	one        [1]Runtime // the members of a fleet of one
 	inbox      int
 	unregister func()
+	// in is what Start's agent reads instead of the queue on a bus without
+	// groups.
+	in <-chan message.Envelope
 
 	mu   sync.Mutex
-	work sync.Cond // the queue is not empty, or the fleet is stopped
+	work sync.Cond // the queue is not empty, or the fleet is stopped or gone
 	idle sync.Cond // the queue is empty and the worker is in no handler
 	// pending[i] counts member i's envelopes in the queue. One that already
 	// has inbox of them is not given another (the delivery is Rejected),
@@ -36,8 +40,10 @@ type Fleet struct {
 	queue       []delivery
 	head, count int
 	busy        bool // the worker is starting the members or inside a handler
-	stopped     bool
-	exited      sync.WaitGroup // the worker
+	stopped     bool // Stop was called
+	gone        bool // the bus holds none of the members' names
+	done        bool // the worker exited
+	exited      sync.WaitGroup
 }
 
 // delivery is one queued envelope and the index of the member it is for.
@@ -58,14 +64,7 @@ func StartFleet(b bus.Bus, names []string, handlers []Handler, inbox int) (*Flee
 	if inbox <= 0 {
 		return nil, fmt.Errorf("agent: fleet inbox %d must be positive", inbox)
 	}
-	f := &Fleet{
-		members: make([]Runtime, len(names)),
-		inbox:   inbox,
-		pending: make([]int, len(names)),
-		queue:   make([]delivery, len(names)),
-		busy:    true,
-	}
-	f.work.L, f.idle.L = &f.mu, &f.mu
+	f := newFleet(len(names), inbox)
 	for i, h := range handlers {
 		if h == nil {
 			return nil, fmt.Errorf("agent %q: %w", names[i], ErrNilHandler)
@@ -73,14 +72,37 @@ func StartFleet(b bus.Bus, names []string, handlers []Handler, inbox int) (*Flee
 		rt := &f.members[i]
 		rt.name, rt.bus, rt.handler = names[i], b, h
 	}
-	unregister, err := bus.RegisterGroup(b, names, f.deliver)
-	if err != nil {
+	if err := f.group(b, names); err != nil {
 		return nil, fmt.Errorf("agent: fleet: %w", err)
 	}
-	f.unregister = unregister
 	f.exited.Add(1)
 	go f.run()
 	return f, nil
+}
+
+// newFleet lays out a fleet of n members, which its caller names.
+func newFleet(n, inbox int) *Fleet {
+	f := &Fleet{inbox: inbox, busy: true}
+	if f.members = f.one[:]; n != 1 {
+		f.members = make([]Runtime, n)
+	}
+	f.work.L, f.idle.L = &f.mu, &f.mu
+	return f
+}
+
+// group registers the members on b as names, one bus group whose deliveries
+// and departure come to f.
+func (f *Fleet) group(b bus.Bus, names []string) error {
+	f.pending = make([]int, len(names))
+	f.queue = make([]delivery, len(names))
+	unregister, err := bus.RegisterGroup(b, names, f.deliver, func() {
+		f.mu.Lock()
+		f.gone = true // nothing more will be queued
+		f.work.Signal()
+		f.mu.Unlock()
+	})
+	f.unregister = unregister
+	return err
 }
 
 // deliver is the fleet's bus.GroupSink: it queues env for a member that has
@@ -109,25 +131,40 @@ func (f *Fleet) deliver(member int, env message.Envelope) bool {
 	return true
 }
 
-// run is the worker: every member's start hook, then the queue until Stop.
+// run is the worker: every member's start hook, then the mailbox until Stop,
+// or until the bus holds none of the members' names and nothing is queued. A
+// fleet none of whose members started handles nothing, as Start's agent after
+// a failed OnStart.
 func (f *Fleet) run() {
 	defer f.exited.Done()
+	started := false
 	for i := range f.members {
 		rt := &f.members[i]
 		if err := rt.handler.OnStart(rt); err != nil {
 			rt.recordErr(fmt.Errorf("agent %q: start: %w", rt.name, err))
 			rt.handler = HandlerFuncs{} // as after Start: it handles nothing
+		} else {
+			started = true
+		}
+	}
+	if started && f.in != nil { // until Stop, or the bus closes the channel
+		for env := range f.in {
+			f.mu.Lock()
+			stopped := f.stopped
+			f.mu.Unlock()
+			if stopped {
+				break
+			}
+			f.one[0].dispatch(env)
 		}
 	}
 	f.mu.Lock()
-	for {
-		for f.count == 0 && !f.stopped {
+	for started && f.in == nil && !f.stopped && (f.count > 0 || !f.gone) {
+		if f.count == 0 {
 			f.busy = false
 			f.idle.Broadcast()
 			f.work.Wait()
-		}
-		if f.stopped {
-			break
+			continue
 		}
 		d := f.queue[f.head]
 		f.queue[f.head] = delivery{} // the queue outlives the envelope's payload
@@ -138,13 +175,10 @@ func (f *Fleet) run() {
 		f.pending[d.member]--
 		f.busy = true
 		f.mu.Unlock()
-		rt := &f.members[d.member]
-		if err := rt.dispatch(d.env); err != nil {
-			rt.recordErr(fmt.Errorf("agent %q: handle %s from %q: %w", rt.name, d.env.Kind, d.env.From, err))
-		}
+		f.members[d.member].dispatch(d.env)
 		f.mu.Lock()
 	}
-	f.busy = false
+	f.done, f.busy = true, false
 	f.idle.Broadcast()
 	f.mu.Unlock()
 }
@@ -156,7 +190,7 @@ func (f *Fleet) run() {
 func (f *Fleet) Quiesce() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for !f.stopped && (f.count > 0 || f.busy) {
+	for !f.stopped && !f.done && (f.count > 0 || f.busy) {
 		f.idle.Wait()
 	}
 }
@@ -164,11 +198,16 @@ func (f *Fleet) Quiesce() {
 // Stop unregisters the members from the bus and waits for the worker to exit;
 // envelopes still queued are dropped. It is idempotent.
 func (f *Fleet) Stop() {
-	f.unregister()
 	f.mu.Lock()
+	first := !f.stopped
 	f.stopped = true
 	f.work.Signal()
 	f.mu.Unlock()
+	if f.in == nil {
+		f.unregister()
+	} else if first { // which closes the inbox
+		f.one[0].bus.Unregister(f.one[0].name)
+	}
 	f.exited.Wait()
 }
 

@@ -20,11 +20,17 @@ import (
 // goroutine and an inbox each (Start), or one Fleet.
 type hosting func(t *testing.T, b bus.Bus, names []string, handlers []Handler, inbox int) (stop func())
 
+// channelOnly hides every method of a bus but the Bus interface's, so Start
+// takes the inbox channel the bus hands out, as over TCP.
+type channelOnly struct{ bus.Bus }
+
+// hostedByStart hosts each name by Start on an inbox channel of its own: the
+// goroutine-per-agent loop the fleet replaced.
 func hostedByStart(t *testing.T, b bus.Bus, names []string, handlers []Handler, inbox int) func() {
 	rts := make([]*Runtime, len(names))
 	for i, n := range names {
 		var err error
-		if rts[i], err = Start(n, b, handlers[i], inbox); err != nil {
+		if rts[i], err = Start(n, channelOnly{b}, handlers[i], inbox); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,9 +51,10 @@ func hostedByFleet(t *testing.T, b bus.Bus, names []string, handlers []Handler, 
 
 // TestFleetEqualsStartedRuntimes drives one seeded sequence of targeted
 // sends, SendTo fan-outs and broadcasts, at DropRate 0.3, at twelve names
-// hosted as a Fleet and at the same names hosted by twelve Start runtimes on
-// a bus of the same seed. Each step waits until what it delivered is handled,
-// so neither hosting falls behind; then one member's handler is held inside
+// hosted as a Fleet and at the same names hosted by twelve Start runtimes,
+// each reading an inbox channel, on a bus of the same seed. Each step waits
+// until what it delivered is handled, so neither hosting falls behind; then
+// one member's handler is held inside
 // an envelope while ten more are sent to it, so it falls more than its inbox
 // of four behind. Every send must return the same error, every member must
 // have handled the same envelopes in the same order, and the Stats — the

@@ -1,7 +1,7 @@
 // Package agent provides the generic agent machinery shared by the Utility
-// Agent and the Customer Agents: a goroutine runtime that owns an agent's
-// mailbox and lifecycle, and the information-maintenance model of the
-// generic agent tasks.
+// Agent and the Customer Agents: a runtime that owns an agent's mailbox and
+// lifecycle, and the information-maintenance model of the generic agent
+// tasks.
 //
 // The paper's generic agent model (Section 5, after [4]) decomposes an agent
 // into: own process control, agent specific tasks, cooperation management,
@@ -10,7 +10,9 @@
 // reproduction:
 //
 //   - agent interaction management is the Runtime (mailbox, send/broadcast),
-//     hosted one goroutine each (Start) or many to a worker (StartFleet);
+//     hosted many to a worker goroutine (StartFleet) or one (Start), in
+//     process a Fleet either way: a ring holding what is waiting, under a
+//     bound that counts envelopes (over TCP Start reads the inbox channel);
 //   - maintenance of agent/world information is the Model (typed response
 //     counters and world values);
 //   - the remaining tasks are methods on the concrete agents
@@ -29,11 +31,8 @@ import (
 	"loadbalance/internal/trace"
 )
 
-// Errors reported by the runtime.
-var (
-	ErrStopped    = errors.New("agent: runtime stopped")
-	ErrNilHandler = errors.New("agent: handler must not be nil")
-)
+// ErrNilHandler is returned for an agent without a handler.
+var ErrNilHandler = errors.New("agent: handler must not be nil")
 
 // Handler reacts to the agent's inbox. Implementations run on the one
 // goroutine that hosts the agent — its own, or its fleet's worker — so they
@@ -47,18 +46,13 @@ type Handler interface {
 }
 
 // Runtime is one hosted agent: its name on the bus, its handler, its trace
-// context and its recorded errors. Start gives it a goroutine, an inbox and a
-// stop channel of its own; a Fleet member has none of the three (they are
-// nil) and is driven by the fleet's worker.
+// context and its recorded errors. A Fleet member is driven by its fleet's
+// worker; Start's agent is the one member of a fleet of its own, its host.
 type Runtime struct {
 	name    string
 	bus     bus.Bus
-	inbox   <-chan message.Envelope
 	handler Handler
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	exited   sync.WaitGroup // the agent goroutine
+	host    *Fleet // the fleet Start gave this agent; nil for a StartFleet member
 
 	// curTrace/curSpan hold the trace context of the work this agent is
 	// doing right now — the handling span of the envelope currently in
@@ -75,67 +69,58 @@ type Runtime struct {
 	errs []error
 }
 
-// Start registers the agent on the bus and launches its goroutine.
+// Start registers the agent on the bus and launches its goroutine: OnStart,
+// then its messages in arrival order, at most inboxSize (bus.DefaultInboxSize
+// if not positive) waiting — the next is Rejected with bus.ErrInboxFull. They
+// wait in a fleet-of-one ring on a bus that hosts groups, else in the inbox
+// channel the bus hands out. A failed OnStart ends the goroutine, as does the
+// bus dropping the name once what was queued is handled.
 func Start(name string, b bus.Bus, h Handler, inboxSize int) (*Runtime, error) {
 	if h == nil {
 		return nil, ErrNilHandler
 	}
-	inbox, err := b.Register(name, inboxSize)
+	if inboxSize <= 0 {
+		inboxSize = bus.DefaultInboxSize
+	}
+	f := newFleet(1, inboxSize) // whichever mailbox the bus can give it
+	rt := &f.members[0]
+	rt.name, rt.bus, rt.handler, rt.host = name, b, h, f
+	var err error
+	if bus.HostsGroups(b) {
+		err = f.group(b, []string{name})
+	} else {
+		f.in, err = b.Register(name, inboxSize)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("agent %q: %w", name, err)
 	}
-	rt := &Runtime{
-		name:    name,
-		bus:     b,
-		inbox:   inbox,
-		handler: h,
-		stop:    make(chan struct{}),
-	}
-	rt.exited.Add(1)
-	go rt.loop()
+	f.exited.Add(1)
+	go f.run()
 	return rt, nil
 }
 
 // Name returns the agent's name.
 func (rt *Runtime) Name() string { return rt.name }
 
-// loop is the agent goroutine: start hook, then the mailbox loop.
-func (rt *Runtime) loop() {
-	defer rt.exited.Done()
-	if err := rt.handler.OnStart(rt); err != nil {
-		rt.recordErr(fmt.Errorf("agent %q: start: %w", rt.name, err))
-		return
-	}
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case env, ok := <-rt.inbox:
-			if !ok {
-				return
-			}
-			if err := rt.dispatch(env); err != nil {
-				rt.recordErr(fmt.Errorf("agent %q: handle %s from %q: %w", rt.name, env.Kind, env.From, err))
-			}
-		}
-	}
-}
-
-// dispatch runs one envelope through the handler. A traced envelope is
-// wrapped in a handling span that becomes the parent of everything the
-// handler sends in response, which is how a negotiation's span tree
-// chains through every agent it crosses.
-func (rt *Runtime) dispatch(env message.Envelope) error {
+// dispatch runs one envelope through the handler and records the error it
+// returns. A traced envelope is wrapped in a handling span that becomes the
+// parent of everything the handler sends in response, which is how a
+// negotiation's span tree chains through every agent it crosses.
+func (rt *Runtime) dispatch(env message.Envelope) {
+	var err error
 	if !env.Traced() || !trace.Enabled() {
-		return rt.handler.OnMessage(rt, env)
+		err = rt.handler.OnMessage(rt, env)
+	} else {
+		sp := trace.Child(trace.Context{Trace: env.TraceID, Span: env.SpanID}, "handle."+string(env.Kind))
+		sp.SetAgent(rt.name)
+		sp.SetSession(env.Session)
+		rt.SetTraceCtx(sp.Context())
+		err = rt.handler.OnMessage(rt, env)
+		sp.End()
 	}
-	sp := trace.Child(trace.Context{Trace: env.TraceID, Span: env.SpanID}, "handle."+string(env.Kind))
-	sp.SetAgent(rt.name)
-	sp.SetSession(env.Session)
-	rt.SetTraceCtx(sp.Context())
-	err := rt.handler.OnMessage(rt, env)
-	sp.End()
-	return err
+	if err != nil {
+		rt.recordErr(fmt.Errorf("agent %q: handle %s from %q: %w", rt.name, env.Kind, env.From, err))
+	}
 }
 
 // TraceCtx returns the agent's current trace context (invalid when the
@@ -198,24 +183,27 @@ func (rt *Runtime) Broadcast(session string, p message.Payload) error {
 	return rt.Send("", session, p)
 }
 
-// Stop signals the goroutine, unregisters from the bus and waits for exit.
-// It is idempotent. A Fleet member has no goroutine of its own: Stop takes its
-// name off the bus (what the fleet already queued for it is still handled) and
-// returns, and the fleet's worker is the Fleet's to stop.
+// Stop unregisters Start's agent, stops its goroutine and waits for it to
+// exit; what is still queued for it is dropped. It is idempotent. A Fleet
+// member has no goroutine of its own: Stop takes its name off the bus (what
+// the fleet already queued for it is still handled) and returns, and the
+// fleet's worker is the Fleet's to stop.
 func (rt *Runtime) Stop() {
-	rt.stopOnce.Do(func() {
-		if rt.stop != nil {
-			close(rt.stop)
-		}
+	if rt.host == nil {
 		rt.bus.Unregister(rt.name)
-	})
-	rt.exited.Wait()
+		return
+	}
+	rt.host.Stop()
 }
 
-// Wait blocks until the agent goroutine exits (without requesting a stop) —
+// Wait blocks until Start's goroutine exits (without requesting a stop) —
 // used when the handler terminates itself by returning after a session ends.
 // It returns at once for a Fleet member.
-func (rt *Runtime) Wait() { rt.exited.Wait() }
+func (rt *Runtime) Wait() {
+	if rt.host != nil {
+		rt.host.exited.Wait()
+	}
+}
 
 // Errors returns the handler errors recorded so far.
 func (rt *Runtime) Errors() []error {

@@ -96,22 +96,32 @@ type GroupSink func(member int, env message.Envelope) bool
 // RegisterGroup registers names on b together, with no inbox each: their
 // deliveries go to sink, in the order and with the fault-injection draws and
 // Stats that len(names) Registers would have given. It is all or nothing — on
-// a duplicate or empty name none is registered. Unregister removes one of the
-// names like any other (envelopes the sink already took are the sink's); the
-// returned function removes those that remain, under one lock acquisition.
+// a duplicate or empty name none is registered — and a group smaller than
+// the bus adds to its names without copying them. Unregister removes one of
+// the names like any other (envelopes the sink already took are the sink's);
+// the returned function removes those that remain, under one lock
+// acquisition. Once the bus holds none of the names — through Unregister,
+// that function or Close — it calls gone, if set, under the same rules as
+// sink: it is how the group's host learns that nothing more will come.
 //
 // A bus that cannot do this (only InProc can: a TCP connection is one name)
-// returns ErrNoGroups.
-func RegisterGroup(b Bus, names []string, sink GroupSink) (unregister func(), err error) {
+// returns ErrNoGroups, and HostsGroups tells so beforehand.
+func RegisterGroup(b Bus, names []string, sink GroupSink, gone func()) (unregister func(), err error) {
 	if g, ok := b.(groupHost); ok {
-		return g.RegisterGroup(names, sink)
+		return g.RegisterGroup(names, sink, gone)
 	}
 	return nil, ErrNoGroups
 }
 
+// HostsGroups reports whether RegisterGroup can register names on b.
+func HostsGroups(b Bus) bool {
+	_, ok := b.(groupHost)
+	return ok
+}
+
 // groupHost is a Bus with RegisterGroup.
 type groupHost interface {
-	RegisterGroup(names []string, sink GroupSink) (unregister func(), err error)
+	RegisterGroup(names []string, sink GroupSink, gone func()) (unregister func(), err error)
 }
 
 var _ groupHost = (*InProc)(nil)
@@ -132,9 +142,9 @@ type Config struct {
 	Seed int64
 }
 
-// defaultInboxSize is an inbox's bound when its owner gives none: a Register
-// with size <= 0, a Client, a Reconn.
-const defaultInboxSize = 64
+// DefaultInboxSize is an inbox's bound when its owner gives none: a Register
+// or an agent.Start with size <= 0, a Client, a Reconn.
+const DefaultInboxSize = 64
 
 // InProc is the channel-based bus. It is safe for concurrent use.
 type InProc struct {
@@ -164,7 +174,12 @@ type box struct {
 
 // group is one RegisterGroup call; boxes point at it, which is how its
 // unregister tells its own names from a later registration of the same name.
-type group struct{ sink GroupSink }
+// left counts its names still registered.
+type group struct {
+	sink GroupSink
+	gone func()
+	left int
+}
 
 // NewInProc constructs an in-process bus.
 func NewInProc(cfg Config) (*InProc, error) {
@@ -184,7 +199,7 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 		return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
 	}
 	if inboxSize <= 0 {
-		inboxSize = defaultInboxSize
+		inboxSize = DefaultInboxSize
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -201,33 +216,37 @@ func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, 
 }
 
 // RegisterGroup is the package-level RegisterGroup on this bus.
-func (b *InProc) RegisterGroup(names []string, sink GroupSink) (func(), error) {
+func (b *InProc) RegisterGroup(names []string, sink GroupSink, gone func()) (func(), error) {
+	if slices.Contains(names, "") {
+		return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, ErrClosed
 	}
-	// One map sized for everyone, instead of growing it a name at a time.
-	boxes := make(map[string]box, len(b.boxes)+len(names))
-	maps.Copy(boxes, b.boxes)
-	g := &group{sink: sink}
+	if len(names) > len(b.boxes) { // a fleet joining: one map sized for everyone
+		boxes := make(map[string]box, len(b.boxes)+len(names))
+		maps.Copy(boxes, b.boxes)
+		b.boxes = boxes
+	}
+	g := &group{sink: sink, gone: gone, left: len(names)}
 	for i, name := range names {
-		if name == "" {
-			return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
-		}
-		if _, ok := boxes[name]; ok {
+		if _, taken := b.boxes[name]; taken {
+			for _, n := range names[:i] { // all or nothing: each of these is the group's
+				delete(b.boxes, n)
+			}
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateAgent, name)
 		}
-		boxes[name] = box{group: g, member: i}
+		b.boxes[name] = box{group: g, member: i}
 	}
-	b.boxes = boxes
 	b.rosterChangedLocked()
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		for _, name := range names {
-			if b.boxes[name].group == g {
-				delete(b.boxes, name)
+			if bx := b.boxes[name]; bx.group == g {
+				b.dropLocked(name, bx)
 			}
 		}
 		b.rosterChangedLocked()
@@ -239,11 +258,19 @@ func (b *InProc) Unregister(name string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if bx, ok := b.boxes[name]; ok {
-		delete(b.boxes, name)
+		b.dropLocked(name, bx)
 		b.rosterChangedLocked()
-		if bx.ch != nil {
-			close(bx.ch)
-		}
+	}
+}
+
+// dropLocked takes a registered name off the bus: it closes the name's inbox,
+// or tells its group when it was the group's last. The caller holds b.mu.
+func (b *InProc) dropLocked(name string, bx box) {
+	delete(b.boxes, name)
+	if bx.ch != nil {
+		close(bx.ch)
+	} else if bx.group.left--; bx.group.left == 0 && bx.group.gone != nil {
+		bx.group.gone()
 	}
 }
 
@@ -396,8 +423,8 @@ func (b *InProc) Stats() Stats {
 }
 
 // Close shuts the bus; subsequent Register/Send calls fail, all inboxes are
-// closed and every group's names are dropped (a group's sink is not told: what
-// it took before the close is its to finish).
+// closed and every group's names are dropped (each group is told it is gone:
+// what its sink took before the close is its to finish).
 func (b *InProc) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -407,9 +434,6 @@ func (b *InProc) Close() {
 	b.closed = true
 	b.rosterChangedLocked()
 	for n, bx := range b.boxes {
-		delete(b.boxes, n)
-		if bx.ch != nil {
-			close(bx.ch)
-		}
+		b.dropLocked(n, bx)
 	}
 }

@@ -66,7 +66,7 @@ func TestGroupEqualsRegisters(t *testing.T) {
 		}
 	}
 	model := &groupModel{size: size, queued: make([][]message.Envelope, members)}
-	if _, err := RegisterGroup(grouped, names, model.sink); err != nil {
+	if _, err := RegisterGroup(grouped, names, model.sink, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,18 +149,18 @@ func TestRegisterGroupIsAllOrNothing(t *testing.T) {
 		{[]string{"c1", "c3", "c1"}, ErrDuplicateAgent},
 		{[]string{"c1", ""}, ErrUnknownAgent},
 	} {
-		if _, err := RegisterGroup(b, tc.names, sink); !errors.Is(err, tc.want) {
+		if _, err := RegisterGroup(b, tc.names, sink, nil); !errors.Is(err, tc.want) {
 			t.Fatalf("RegisterGroup(%q) = %v, want %v", tc.names, err, tc.want)
 		}
 		if got := b.Agents(); !slices.Equal(got, []string{"c2"}) {
 			t.Fatalf("a refused group left %v registered", got)
 		}
 	}
-	if _, err := RegisterGroup(plainBus{b}, []string{"c1"}, sink); !errors.Is(err, ErrNoGroups) {
+	if _, err := RegisterGroup(plainBus{b}, []string{"c1"}, sink, nil); !errors.Is(err, ErrNoGroups) {
 		t.Fatalf("a bus without groups returned %v", err)
 	}
 	b.Close()
-	if _, err := RegisterGroup(b, []string{"c1"}, sink); !errors.Is(err, ErrClosed) {
+	if _, err := RegisterGroup(b, []string{"c1"}, sink, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("a closed bus returned %v", err)
 	}
 }
@@ -168,17 +168,19 @@ func TestRegisterGroupIsAllOrNothing(t *testing.T) {
 // TestGroupUnregisterAndClose pins how a group's names leave the bus: one by
 // one through Unregister, the rest through the function RegisterGroup
 // returned — which never takes a name someone registered afterwards — or all
-// at once when the bus closes.
+// at once when the bus closes; and that the group is told once, when the last
+// of them goes.
 func TestGroupUnregisterAndClose(t *testing.T) {
 	b, err := NewInProc(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var took []string
+	gone := 0
 	unregister, err := RegisterGroup(b, []string{"c1", "c2", "c3"}, func(member int, e message.Envelope) bool {
 		took = append(took, fmt.Sprintf("%d %s", member, e.To))
 		return true
-	})
+	}, func() { gone++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,20 +201,57 @@ func TestGroupUnregisterAndClose(t *testing.T) {
 	if want := []string{"1 c2", "0 c1", "2 c3"}; !slices.Equal(took, want) || len(inbox) != 1 {
 		t.Fatalf("sink took %v, want %v; the new c2 holds %d", took, want, len(inbox))
 	}
+	b.Unregister("c1")
+	if gone != 0 {
+		t.Fatalf("the group was told it is gone with c3 still registered")
+	}
 	unregister()
 	unregister() // idempotent
-	if got := b.Agents(); !slices.Equal(got, []string{"c2"}) {
-		t.Fatalf("after the group left: %v", got)
+	if got := b.Agents(); !slices.Equal(got, []string{"c2"}) || gone != 1 {
+		t.Fatalf("after the group left: %v, told %d times", got, gone)
 	}
 
-	if _, err := RegisterGroup(b, []string{"c4", "c5"}, func(int, message.Envelope) bool { return true }); err != nil {
+	gone = 0
+	if _, err := RegisterGroup(b, []string{"c4", "c5"}, func(int, message.Envelope) bool { return true }, func() { gone++ }); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	if got := b.Agents(); len(got) != 0 {
-		t.Fatalf("after Close: %v", got)
+	if got := b.Agents(); len(got) != 0 || gone != 1 {
+		t.Fatalf("after Close: %v, the group told %d times", got, gone)
 	}
 	if err := b.Send(env(t, "ua", "c4")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close = %v", err)
+	}
+}
+
+// TestSmallGroupCopiesNoMap: a group of one joining a bus of a thousand names
+// costs its own registration, not a copy of the bus's mailbox map — the
+// Utility Agent joins its fleet's bus this way every session.
+func TestSmallGroupCopiesNoMap(t *testing.T) {
+	b, err := NewInProc(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	fleet := make([]string, 1000)
+	for i := range fleet {
+		fleet[i] = fmt.Sprintf("c%04d", i)
+	}
+	if _, err := RegisterGroup(b, fleet, func(int, message.Envelope) bool { return true }, nil); err != nil {
+		t.Fatal(err)
+	}
+	one, sink := []string{"ua"}, func(int, message.Envelope) bool { return true }
+	allocs := testing.AllocsPerRun(100, func() {
+		unregister, err := RegisterGroup(b, one, sink, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unregister()
+	})
+	if allocs > 2 { // the group and its unregister function
+		t.Fatalf("a one-name group on a bus of %d names makes %v allocations", len(fleet), allocs)
+	}
+	if !HostsGroups(b) || HostsGroups(plainBus{b}) {
+		t.Fatal("HostsGroups disagrees with RegisterGroup")
 	}
 }

@@ -115,7 +115,7 @@ func DialReconnecting(addrs []string, name string, cfg ReconnConfig) (*Reconn, e
 		name:  name,
 		addrs: append([]string(nil), addrs...),
 		cfg:   cfg,
-		inbox: make(chan message.Envelope, defaultInboxSize),
+		inbox: make(chan message.Envelope, DefaultInboxSize),
 		done:  make(chan struct{}),
 		stop:  make(chan struct{}),
 	}

@@ -394,7 +394,7 @@ type ClientConfig struct {
 // withDefaults fills unset fields.
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.InboxSize <= 0 {
-		c.InboxSize = defaultInboxSize
+		c.InboxSize = DefaultInboxSize
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
@@ -515,10 +515,12 @@ func (c *Client) readLoop() {
 				c.statMalformed.Add(1)
 				continue // skip a malformed frame rather than kill the session
 			}
-			select {
-			case c.inbox <- env:
+			// The one sender: room seen here is room at the send, and a
+			// reader never holds an envelope not yet counted.
+			if len(c.inbox) < cap(c.inbox) {
 				c.statReceived.Add(1)
-			default:
+				c.inbox <- env
+			} else {
 				// Inbox full: shed, matching InProc semantics under
 				// overload — but never silently.
 				c.statDropped.Add(1)

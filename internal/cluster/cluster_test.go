@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,6 +103,63 @@ func TestFullQuorumNeverFillsAnInbox(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunMakesNoInboxChannel: the Utility Agent and both sides of every
+// concentrator queue on their fleet-of-one rings, which hold what is waiting,
+// so a 4-shard N = 256 session has the bus make no inbox channel at all —
+// where the root's had room for 64 envelopes and each concentrator two of 256
+// (core.FanInInbox). Every allocation of the run is profiled.
+func TestRunMakesNoInboxChannel(t *testing.T) {
+	s, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := inboxAllocs()
+	if res, err := Run(Config{Scenario: s, Shards: 4}); err != nil || res.Rounds == 0 {
+		t.Fatalf("Run = %+v, %v", res, err)
+	}
+	for stack, after := range inboxAllocs() {
+		if made := after.AllocObjects - before[stack].AllocObjects; made > 0 {
+			t.Errorf("%d allocations of %d B by an inbox channel's registration at\n%s",
+				made, after.AllocBytes-before[stack].AllocBytes, frames(stack))
+		}
+	}
+}
+
+// inboxAllocs is what the heap profile has recorded allocated by
+// bus.InProc.Register — an inbox channel and its buffer — by call stack.
+func inboxAllocs() map[[32]uintptr]runtime.MemProfileRecord {
+	runtime.GC() // a profile is published two cycles after its allocations
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:min(n, len(recs))]
+	}
+	out := make(map[[32]uintptr]runtime.MemProfileRecord)
+	for _, r := range recs {
+		if strings.Contains(frames(r.Stack0), "bus.(*InProc).Register\n") {
+			out[r.Stack0] = r
+		}
+	}
+	return out
+}
+
+// frames names the functions of a profiled stack, one a line.
+func frames(stack [32]uintptr) string {
+	var b strings.Builder
+	r := runtime.MemProfileRecord{Stack0: stack}
+	fs := runtime.CallersFrames(r.Stack())
+	for f, more := fs.Next(); ; f, more = fs.Next() {
+		b.WriteString(f.Function + "\n")
+		if !more {
+			return b.String()
+		}
 	}
 }
 

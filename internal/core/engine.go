@@ -292,7 +292,8 @@ func (j journal) append(rec store.Record, err error) error {
 // envelopes waiting; over 3.4 M deliveries in the four benchmark workloads a
 // customer had 0 or 1 waiting after a delivery, never 2. Four is that bound
 // doubled. It bounds a count, not a buffer: the fleet's queue is sized by its
-// traffic (agentrt.Fleet), not at 4 slots a customer.
+// traffic (agentrt.Fleet), not at 4 slots a customer — as the rings of the
+// Utility Agent and the concentrators are (FanInInbox).
 //
 // A customer further behind — possible only after round timeouts or under a
 // partial quorum, where its bids for closed rounds are stale anyway — is a
@@ -301,10 +302,12 @@ func (j journal) append(rec store.Record, err error) error {
 // closes on quorum or timeout.
 const customerInbox = 4
 
-// FanInInbox sizes the mailbox of an agent that n others answer every round —
+// FanInInbox bounds the mailbox of an agent that n others answer every round —
 // the Utility Agent over its customers or concentrators, a concentrator over
 // its members: four envelopes a sender, at least 64. It is the only place
-// that bound is written.
+// that bound is written. It counts, it allocates nothing: in process
+// agentrt.Start makes the agent a fleet of one, whose ring grows to what is
+// waiting (one round of answers); only a TCP inbox channel has this size.
 func FanInInbox(n int) int { return 4 * max(n, 16) }
 
 // startUtilityAgent starts a Utility Agent on b under cfg (named cfg.Name, as
