@@ -1,8 +1,9 @@
 // Package bus provides the message transport connecting agents: a
-// deterministic in-process bus built on channels (the default substrate for
-// simulations and tests) and a TCP transport of binary frames (wire.go) for
-// running the Utility Agent, the concentrators and the Customer Agents as
-// separate OS processes.
+// deterministic in-process bus on which every name is a member of a group
+// whose sink takes its deliveries (the default substrate for simulations and
+// tests), and a TCP transport of binary frames (wire.go) for running the
+// Utility Agent, the concentrators and the Customer Agents as separate OS
+// processes.
 //
 // All inter-agent communication in this system flows through a Bus; agents
 // never share memory. The in-process bus supports seeded failure injection
@@ -146,7 +147,7 @@ type Config struct {
 // or an agent.Start with size <= 0, a Client, a Reconn.
 const DefaultInboxSize = 64
 
-// InProc is the channel-based bus. It is safe for concurrent use.
+// InProc is the in-process bus. It is safe for concurrent use.
 type InProc struct {
 	mu    sync.Mutex
 	boxes map[string]box
@@ -164,10 +165,9 @@ type InProc struct {
 
 var _ Bus = (*InProc)(nil)
 
-// box is where a registered name's deliveries go: its inbox channel, or
-// member i of the group it was registered with.
+// box is where a registered name's deliveries go: member i of the group it
+// was registered with.
 type box struct {
-	ch     chan message.Envelope
 	group  *group
 	member int
 }
@@ -193,25 +193,24 @@ func NewInProc(cfg Config) (*InProc, error) {
 	}, nil
 }
 
-// Register implements Bus.
+// Register implements Bus: the name is a group of one whose sink is the
+// returned channel, Rejected when full, and closed once the name is dropped.
 func (b *InProc) Register(name string, inboxSize int) (<-chan message.Envelope, error) {
-	if name == "" {
-		return nil, fmt.Errorf("%w: empty name", ErrUnknownAgent)
-	}
 	if inboxSize <= 0 {
 		inboxSize = DefaultInboxSize
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := b.boxes[name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateAgent, name)
-	}
 	ch := make(chan message.Envelope, inboxSize)
-	b.boxes[name] = box{ch: ch}
-	b.rosterChangedLocked()
+	_, err := b.RegisterGroup([]string{name}, func(_ int, env message.Envelope) bool {
+		select {
+		case ch <- env:
+			return true
+		default:
+			return false
+		}
+	}, func() { close(ch) })
+	if err != nil {
+		return nil, err
+	}
 	return ch, nil
 }
 
@@ -263,13 +262,11 @@ func (b *InProc) Unregister(name string) {
 	}
 }
 
-// dropLocked takes a registered name off the bus: it closes the name's inbox,
-// or tells its group when it was the group's last. The caller holds b.mu.
+// dropLocked takes a registered name off the bus and tells its group when it
+// was the group's last. The caller holds b.mu.
 func (b *InProc) dropLocked(name string, bx box) {
 	delete(b.boxes, name)
-	if bx.ch != nil {
-		close(bx.ch)
-	} else if bx.group.left--; bx.group.left == 0 && bx.group.gone != nil {
+	if bx.group.left--; bx.group.left == 0 && bx.group.gone != nil {
 		bx.group.gone()
 	}
 }
@@ -374,8 +371,8 @@ func (b *InProc) SendTo(env message.Envelope, to []string) error {
 	return firstErr
 }
 
-// deliverLocked pushes an envelope into one mailbox, or hands it to the sink
-// of the recipient's group. The caller holds b.mu.
+// deliverLocked hands an envelope to the sink of the recipient's group. The
+// caller holds b.mu.
 func (b *InProc) deliverLocked(to string, env message.Envelope) error {
 	bx, ok := b.boxes[to]
 	if !ok {
@@ -390,17 +387,7 @@ func (b *InProc) deliverLocked(to string, env message.Envelope) error {
 		return nil // silently lost, like a real lossy network
 	}
 	env.To = to // concretise broadcast recipient
-	accepted := false
-	if bx.group != nil {
-		accepted = bx.group.sink(bx.member, env)
-	} else {
-		select {
-		case bx.ch <- env:
-			accepted = true
-		default:
-		}
-	}
-	if !accepted {
+	if !bx.group.sink(bx.member, env) {
 		b.stats.Rejected++
 		return fmt.Errorf("%w: %q", ErrInboxFull, to)
 	}
@@ -422,9 +409,9 @@ func (b *InProc) Stats() Stats {
 	return b.stats
 }
 
-// Close shuts the bus; subsequent Register/Send calls fail, all inboxes are
-// closed and every group's names are dropped (each group is told it is gone:
-// what its sink took before the close is its to finish).
+// Close shuts the bus; subsequent Register/Send calls fail and every group's
+// names are dropped (each group is told it is gone — Register's closes its
+// inbox — and what its sink took before the close is its to finish).
 func (b *InProc) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -48,7 +48,7 @@ func pipeServer(t testing.TB, cfg ServerConfig) (srv *Server, b *countingBus, co
 		t.Fatal(err)
 	}
 	b = &countingBus{InProc: inner}
-	srv = &Server{bus: b, cfg: cfg.withDefaults(), conns: make(map[string]net.Conn)}
+	srv = &Server{bus: b, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
 	near, far := net.Pipe()
 	srv.wg.Add(1)
 	go srv.handle(far)

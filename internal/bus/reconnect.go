@@ -79,7 +79,7 @@ func (c ReconnConfig) withDefaults() ReconnConfig {
 // ReconnStats counts a reconnecting client's transport life.
 type ReconnStats struct {
 	Reconnects uint64 // successful re-dials after a connection loss
-	Dropped    uint64 // sends refused while disconnected
+	Dropped    uint64 // sends refused while disconnected, and inbound envelopes shed at a full stable inbox
 }
 
 // Reconn is a Client with a dial list and automatic reconnect-and-resume.

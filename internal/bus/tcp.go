@@ -22,7 +22,8 @@ import (
 
 // Connection deadlines: writeTimeout bounds one write to a peer, so a
 // stalled peer cannot wedge a writer (a server's default, every client's
-// bound), and helloTimeout a client's dial handshake round trip.
+// bound), and helloTimeout a handshake: a client's dial round trip, and the
+// server's read of a preamble and hello.
 const (
 	writeTimeout = 10 * time.Second
 	helloTimeout = 5 * time.Second
@@ -63,7 +64,7 @@ type Server struct {
 	cfg ServerConfig
 
 	mu     sync.Mutex
-	conns  map[string]net.Conn
+	conns  map[net.Conn]struct{} // every connection from its accept
 	closed bool
 	wg     sync.WaitGroup
 
@@ -76,13 +77,17 @@ func ListenAndServe(addr string, b Bus) (*Server, error) {
 	return ListenAndServeConfig(addr, b, ServerConfig{})
 }
 
-// ListenAndServeConfig starts a server with explicit overload tuning.
+// ListenAndServeConfig starts a server with explicit overload tuning. Each
+// connection's name is a group on b, so b must host groups (ErrNoGroups).
 func ListenAndServeConfig(addr string, b Bus, cfg ServerConfig) (*Server, error) {
+	if !HostsGroups(b) {
+		return nil, ErrNoGroups
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("bus: listen %s: %w", addr, err)
 	}
-	s := &Server{bus: b, ln: ln, cfg: cfg.withDefaults(), conns: make(map[string]net.Conn)}
+	s := &Server{bus: b, ln: ln, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -127,13 +132,14 @@ func (s *Server) rejectBinary(conn net.Conn, reason string) {
 }
 
 // outbound is the output one server connection has pending: whole frames, back
-// to back in one buffer. Whoever has a frame for the peer (the forwarder; the
-// reader, for a terminal error) appends it under the lock, so frames never
-// interleave; the writer takes everything pending in one piece, leaves the
-// buffer it wrote last to collect what comes next, and makes one write of it.
-// The two buffers are all a connection's output ever allocates, however many
-// envelopes cross it, and while a write is in flight the frames behind it
-// coalesce into the next one.
+// to back in one buffer, and the connection's one bound. Whoever has a frame
+// for the peer (the handshake, its ack; the bus, through the sink of the
+// connection's name; the reader, a terminal error) appends it under the lock,
+// so frames never interleave; the writer takes everything pending in one
+// piece, leaves the buffer it wrote last to collect what comes next, and makes
+// one write of it. The two buffers are all a connection's output ever
+// allocates, however many envelopes cross it, and while a write is in flight
+// the frames behind it coalesce into the next one.
 type outbound struct {
 	mu     sync.Mutex
 	more   sync.Cond // signalled when frames arrive or the state below changes
@@ -200,6 +206,10 @@ func (o *outbound) fail() (shed int) {
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	if !s.track(conn, time.Now().Add(helloTimeout)) {
+		return
+	}
+	defer s.untrack(conn)
 	fr := newFrameReader(conn, s.cfg.MaxFrame)
 
 	// Preamble: magic + the client's version. The server speaks exactly
@@ -221,11 +231,25 @@ func (s *Server) handle(conn net.Conn) {
 		s.rejectBinary(conn, "expected hello frame")
 		return
 	}
+	if !s.track(conn, time.Time{}) {
+		return
+	}
 	s.stats.framesIn.Add(1)
 	s.stats.bytesIn.Add(uint64(n))
 	name := string(payload)
 
-	inbox, err := s.bus.Register(name, 0)
+	// The hello-ack leads the pending output. The connection's name is a
+	// group of one whose sink encodes each envelope straight in behind it,
+	// shedding (counted) at a full queue, so the bus never finds the name
+	// full; the name leaving closes the queue.
+	out := newOutbound(s.cfg.OutboundQueue)
+	out.add(func(dst []byte) []byte { return appendFrame(dst, frameHelloAck, []byte{WireVersion}) })
+	unregister, err := RegisterGroup(s.bus, []string{name}, func(_ int, env message.Envelope) bool {
+		if !out.add(func(dst []byte) []byte { return EncodeEnvelopeFrame(dst, env) }) {
+			s.stats.dropped.Add(1)
+		}
+		return true
+	}, out.close)
 	if err != nil {
 		// A duplicate or invalid hello is answered, not silently dropped:
 		// the dialer learns its fate instead of hanging on the first read.
@@ -233,33 +257,10 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	s.stats.hellos.Add(1)
-	if err := s.writeRaw(conn, appendFrame(nil, frameHelloAck, []byte{WireVersion}), 1); err != nil {
-		s.bus.Unregister(name)
-		return
-	}
 
-	if !s.track(name, conn) {
-		s.bus.Unregister(name)
-		return
-	}
-	defer s.untrack(name)
-
-	// Outbound pipeline: the forwarder encodes bus inbox envelopes into the
-	// connection's pending output (shedding on overflow), the writer puts
-	// what is pending on the wire, one write under one deadline. Unregister
-	// closes the inbox, which unwinds both in order.
-	out := newOutbound(s.cfg.OutboundQueue)
+	// The writer puts what is pending on the wire, one write under one
+	// deadline.
 	writerDone := make(chan struct{})
-	forwarderDone := make(chan struct{})
-	go func() {
-		defer close(forwarderDone)
-		defer out.close()
-		for env := range inbox {
-			if !out.add(func(dst []byte) []byte { return EncodeEnvelopeFrame(dst, env) }) {
-				s.stats.dropped.Add(1)
-			}
-		}
-	}()
 	go func() {
 		defer close(writerDone)
 		spare := make([]byte, 0, minFrameBuf)
@@ -271,7 +272,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err := s.writeRaw(conn, buf, frames); err != nil {
 				// A dead or stalled peer: cut the connection so the reader
 				// unblocks. Nothing waits on the writer — from here on the
-				// forwarder sheds whatever the bus still delivers.
+				// sink sheds whatever the bus still delivers.
 				s.stats.dropped.Add(uint64(frames + out.fail()))
 				_ = conn.Close()
 				return
@@ -282,10 +283,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	defer func() {
-		// Single teardown path: unregistering closes the inbox, the
-		// forwarder closes the queue, the writer drains and exits.
-		s.bus.Unregister(name)
-		<-forwarderDone
+		// Single teardown path: unregistering closes the queue, the writer
+		// drains it and exits.
+		unregister()
 		<-writerDone
 	}()
 
@@ -340,29 +340,32 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// track records a live connection; it reports false when the server is
-// already closing.
-func (s *Server) track(name string, conn net.Conn) bool {
+// track records a live connection and sets its read deadline — the
+// handshake's from accept, none once the hello is in — unless the server is
+// closing, which it reports as false: Close's deadline is never overwritten.
+func (s *Server) track(conn net.Conn, readBy time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
-	s.conns[name] = conn
+	s.conns[conn] = struct{}{}
+	_ = conn.SetReadDeadline(readBy)
 	return true
 }
 
 // untrack forgets a connection.
-func (s *Server) untrack(name string) {
+func (s *Server) untrack(conn net.Conn) {
 	s.mu.Lock()
-	delete(s.conns, name)
+	delete(s.conns, conn)
 	s.mu.Unlock()
 }
 
-// Close stops accepting and reading, and waits for each connection to write
-// what was already queued for its peer — each write bounded by WriteTimeout —
-// before it is cut. A caller that has handed a session end to the bus can
-// close straight after: its peers receive it.
+// Close stops accepting and reading — a connection still in its handshake
+// included — and waits for each connection to write what was already queued
+// for its peer — each write bounded by WriteTimeout — before it is cut. A
+// caller that has handed a session end to the bus can close straight after:
+// its peers receive it.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -370,7 +373,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	for _, c := range s.conns {
+	for c := range s.conns {
 		_ = c.SetReadDeadline(time.Now()) // the reader returns; its teardown drains the writer
 	}
 	s.mu.Unlock()

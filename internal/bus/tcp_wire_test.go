@@ -298,7 +298,6 @@ func TestServerCloseRacesHandlers(t *testing.T) {
 	wg.Wait()
 }
 
-// fmt_c names a test client.
 // TestServerCloseFlushesQueuedFrames: what the bus handed a connection before
 // Close reaches the peer — a host can send a session end and close at once.
 func TestServerCloseFlushesQueuedFrames(t *testing.T) {
@@ -308,7 +307,7 @@ func TestServerCloseFlushesQueuedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	const n = 60 // within the bus inbox (64) the server registered for c1
+	const n = 60 // within the connection's outbound queue (256)
 	for i := 0; i < n; i++ {
 		if err := inner.Send(ping("ua", "c1", i+1)); err != nil {
 			t.Fatal(err)
@@ -327,6 +326,49 @@ func TestServerCloseFlushesQueuedFrames(t *testing.T) {
 	}
 }
 
+// TestCloseCutsASilentHandshake: a peer that connects and sends nothing is
+// cut by Close at once. Its handshake read had no deadline and Close cut only
+// connections past their hello, so Close waited until the peer hung up.
+func TestCloseCutsASilentHandshake(t *testing.T) {
+	srv, _, _ := newServer(t, ServerConfig{})
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts in order: a handshake done behind the silent dial
+	// means the silent connection is being served.
+	cli, err := Dial(srv.Addr(), "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close is still waiting on a peer that never sent its hello")
+	}
+}
+
+// TestListenAndServeNeedsGroups: each connection's name is a group on the bus
+// it is served onto, so a bus that cannot host one is refused at once.
+func TestListenAndServeNeedsGroups(t *testing.T) {
+	inner, err := NewInProc(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	if srv, err := ListenAndServe("127.0.0.1:0", plainBus{inner}); !errors.Is(err, ErrNoGroups) {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Fatalf("ListenAndServe over a bus without groups = %v, want ErrNoGroups", err)
+	}
+}
+
+// fmt_c names a test client.
 func fmt_c(i int) string { return "c" + string(rune('a'+i)) }
 
 // TestClientInboxOverflowCounted floods a one-slot inbox and expects the

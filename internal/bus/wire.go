@@ -36,9 +36,10 @@ import (
 // connection's one buffer (frameReader), which the next frame overwrites —
 // UnmarshalBinary and decodeFanOut copy out the two pieces an envelope keeps
 // (header string, Body) and retain nothing else. Writing: a Client encodes
-// into its one buffer under its write gate; a Server connection's forwarder
-// appends frame after frame to the pending half of a buffer pair and its
-// writer puts everything pending on the wire in one write (outbound, tcp.go).
+// into its one buffer under its write gate; the bus encodes each envelope for
+// a Server connection straight into the pending half of the connection's
+// buffer pair, and its writer puts everything pending on the wire in one
+// write (outbound, tcp.go).
 // A buffer one big frame grew past retainedFrameBuf is dropped after that
 // frame instead of being kept for the connection's life.
 

@@ -108,24 +108,40 @@ func TestFullQuorumNeverFillsAnInbox(t *testing.T) {
 
 // TestRunMakesNoInboxChannel: the Utility Agent and both sides of every
 // concentrator queue on their fleet-of-one rings, which hold what is waiting,
-// so a 4-shard N = 256 session has the bus make no inbox channel at all —
-// where the root's had room for 64 envelopes and each concentrator two of 256
-// (core.FanInInbox). Every allocation of the run is profiled.
+// and a TCP connection's name hands its envelopes straight to the
+// connection's outbound queue, so a 4-shard N = 256 session has the bus make
+// no inbox channel at all — in process, where the root's had room for 64
+// envelopes and each concentrator two of 256 (core.FanInInbox), or over TCP,
+// where each of the 8 concentrator connections had one of 64. Every
+// allocation of the run is profiled.
 func TestRunMakesNoInboxChannel(t *testing.T) {
 	s, err := core.SyntheticScenario(core.SyntheticConfig{N: 256, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := Config{Scenario: s, Shards: 4}
+	layouts := map[string]func() (*Result, error){
+		"Run": func() (*Result, error) { return Run(cfg) },
+		"RunDistributed": func() (*Result, error) {
+			res, err := RunDistributed(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		},
+	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := inboxAllocs()
-	if res, err := Run(Config{Scenario: s, Shards: 4}); err != nil || res.Rounds == 0 {
-		t.Fatalf("Run = %+v, %v", res, err)
-	}
-	for stack, after := range inboxAllocs() {
-		if made := after.AllocObjects - before[stack].AllocObjects; made > 0 {
-			t.Errorf("%d allocations of %d B by an inbox channel's registration at\n%s",
-				made, after.AllocBytes-before[stack].AllocBytes, frames(stack))
+	for name, run := range layouts {
+		before := inboxAllocs()
+		if res, err := run(); err != nil || res.Rounds == 0 {
+			t.Fatalf("%s = %+v, %v", name, res, err)
+		}
+		for stack, after := range inboxAllocs() {
+			if made := after.AllocObjects - before[stack].AllocObjects; made > 0 {
+				t.Errorf("%s: %d allocations of %d B by an inbox channel's registration at\n%s",
+					name, made, after.AllocBytes-before[stack].AllocBytes, frames(stack))
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/health"
 	"loadbalance/internal/message"
@@ -105,44 +106,29 @@ type Hub struct {
 	cfg   HubConfig
 	inner *bus.InProc
 	srv   *bus.Server
-	inbox <-chan message.Envelope
+	rt    *agent.Runtime // the control handler, hosted on inner
 
 	mu     sync.Mutex
 	procs  map[string]*procState
 	closed bool
-
-	done chan struct{}
 }
 
 // StartHub listens on cfg.Addr and merges emitter streams. The hosting role
 // registers Samples, which is how the root's alert engine sees the fleet_*
 // gauges (silence age, fleet score, process count).
 func StartHub(cfg HubConfig) (*Hub, error) {
-	cfg = cfg.withDefaults()
-	inner, err := bus.NewInProc(bus.Config{})
-	if err != nil {
+	h := &Hub{cfg: cfg.withDefaults(), procs: make(map[string]*procState)}
+	var err error
+	if h.inner, err = bus.NewInProc(bus.Config{}); err != nil {
 		return nil, err
 	}
-	srv, err := bus.ListenAndServe(cfg.Addr, inner)
-	if err != nil {
-		inner.Close()
+	if h.rt, err = agent.Start(hubName, h.inner, agent.HandlerFuncs{Message: h.control}, 1024); err != nil {
 		return nil, err
 	}
-	inbox, err := inner.Register(hubName, 1024)
-	if err != nil {
-		srv.Close()
-		inner.Close()
+	if h.srv, err = bus.ListenAndServe(h.cfg.Addr, h.inner); err != nil {
+		h.rt.Stop()
 		return nil, err
 	}
-	h := &Hub{
-		cfg:   cfg,
-		inner: inner,
-		srv:   srv,
-		inbox: inbox,
-		procs: make(map[string]*procState),
-		done:  make(chan struct{}),
-	}
-	go h.controlLoop()
 	return h, nil
 }
 
@@ -153,22 +139,18 @@ func (h *Hub) Addr() string { return h.srv.Addr() }
 // /metrics page.
 func (h *Hub) WireStats() bus.WireStats { return h.srv.WireStats() }
 
-// controlLoop merges subscribe and batch messages from emitters. Acks are
-// sent outside the registry lock.
-func (h *Hub) controlLoop() {
-	defer close(h.done)
-	for env := range h.inbox {
-		p, err := env.Decode()
-		if err != nil {
-			continue
-		}
-		switch m := p.(type) {
-		case message.ObsSubscribe:
-			h.subscribe(env.From, m)
-		case message.ObsBatch:
-			h.merge(env.From, m)
-		}
+// control merges one subscribe or batch message from an emitter; anything
+// else, an undecodable envelope included, is skipped. Acks are sent outside
+// the registry lock.
+func (h *Hub) control(_ *agent.Runtime, env message.Envelope) error {
+	p, _ := env.Decode()
+	switch m := p.(type) {
+	case message.ObsSubscribe:
+		h.subscribe(env.From, m)
+	case message.ObsBatch:
+		h.merge(env.From, m)
 	}
+	return nil
 }
 
 // ack confirms the highest merged batch to one emitter so it can trim its
@@ -365,7 +347,8 @@ func (h *Hub) Status() []ProcStatus {
 	return out
 }
 
-// Close tears the listener down.
+// Close tears the listener down, then drops the control handler's name and
+// waits for it.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -375,8 +358,7 @@ func (h *Hub) Close() {
 	h.closed = true
 	h.mu.Unlock()
 	h.srv.Close()
-	h.inner.Close() // closes the control inbox; controlLoop exits
-	<-h.done
+	h.rt.Stop()
 }
 
 // String implements fmt.Stringer for log lines.

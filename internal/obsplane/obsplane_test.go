@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -849,5 +850,27 @@ func TestWorkloadAllocs(t *testing.T) {
 			}
 			t.Fatal("the emitter never drained")
 		})
+	}
+}
+
+// TestHubStartCloseBytes: the hub's control handler is an agent whose
+// pending envelopes wait on a ring, not in a 1 024-envelope channel (128 KB),
+// so a hub started and closed costs a few KB. The first start pays the
+// package's one-time setup and is not measured.
+func TestHubStartCloseBytes(t *testing.T) {
+	startClose := func() {
+		hub, err := StartHub(HubConfig{Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub.Close()
+	}
+	startClose()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	startClose()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 32<<10 {
+		t.Fatalf("a second StartHub + Close allocated %d B, want under 32 KB", b)
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"loadbalance/internal/bus"
+	"loadbalance/internal/message"
 	"loadbalance/internal/store"
 	"loadbalance/internal/telemetry"
 	"loadbalance/internal/trace"
@@ -628,4 +631,97 @@ func TestReplicaMetricsRender(t *testing.T) {
 			"replica_applied_seq":           8,
 			"replica_records_applied_total": 10,
 		})
+}
+
+// TestSenderStartCloseBytes: the sender's control handler is an agent whose
+// pending envelopes wait on a ring, not in a 1 024-envelope channel (128 KB),
+// so a sender started and closed costs a few KB. The first start pays the
+// package's one-time setup and is not measured.
+func TestSenderStartCloseBytes(t *testing.T) {
+	dir := t.TempDir()
+	startClose := func() {
+		sender, err := StartSender(fastSender(dir, "127.0.0.1:0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sender.Close()
+	}
+	startClose()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	startClose()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 32<<10 {
+		t.Fatalf("a second StartSender + Close allocated %d B, want under 32 KB", b)
+	}
+}
+
+// TestWaitDrain: WaitDrain answers at once with no standby, returns once a
+// follower has acked the sequence, and gives up at its timeout on a follower
+// that never acks.
+func TestWaitDrain(t *testing.T) {
+	primDir := t.TempDir()
+	prim, _, err := store.Open(primDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := prim.Append(store.NewTickRecord(store.TickCheckpoint{Tick: i, Shard: []float64{1}, Readings: 1, Batches: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prim.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sender, err := StartSender(fastSender(primDir, "127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+
+	start := time.Now()
+	if !sender.WaitDrain(n, time.Minute) || time.Since(start) > 5*time.Second {
+		t.Fatalf("WaitDrain with no standby took %v, want true at once", time.Since(start))
+	}
+
+	repl, _, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Close()
+	tap := &StoreTap{St: repl}
+	rx, err := StartReceiver(ReceiverConfig{ID: "r0", Addrs: []string{sender.Addr()}, FailoverTimeout: 5 * time.Second, Redial: 20 * time.Millisecond}, tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	waitFor(t, 5*time.Second, "the follower to subscribe", func() bool { return len(sender.Status().Standbys) == 1 })
+	if !sender.WaitDrain(n, 5*time.Second) || tap.LastSeq() != n {
+		t.Fatalf("WaitDrain(%d) with a follower at seq %d = false", n, tap.LastSeq())
+	}
+
+	// A follower that subscribes from 0 and never acks.
+	mute, err := bus.Dial(sender.Addr(), "mute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	env, err := message.NewEnvelope("mute", senderName, "replication", message.ReplSubscribe{Replica: "mute"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mute.Send(env); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the mute follower to subscribe", func() bool { return len(sender.Status().Standbys) == 2 })
+	const timeout = 100 * time.Millisecond
+	start = time.Now()
+	if sender.WaitDrain(n, timeout) {
+		t.Fatal("WaitDrain returned true with a follower that never acked")
+	}
+	if waited := time.Since(start); waited < timeout {
+		t.Fatalf("WaitDrain gave up after %v, before its %v timeout", waited, timeout)
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"loadbalance/internal/agent"
 	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
 	"loadbalance/internal/store"
@@ -123,15 +124,14 @@ type Sender struct {
 	cfg   SenderConfig
 	inner *bus.InProc
 	srv   *bus.Server
-	inbox <-chan message.Envelope
+	rt    *agent.Runtime // the control handler, hosted on inner
 
-	mu     sync.Mutex
-	subs   map[string]*sub
-	closed bool
+	mu      sync.Mutex
+	subs    map[string]*sub
+	changed chan struct{} // closed at the next ack or streamer exit; nil while no WaitDrain awaits one
+	closed  bool
 
 	statBatches, statRecords, statBytes, statSnapshots, statResyncs uint64
-
-	done chan struct{}
 }
 
 // StartSender listens on cfg.Addr and serves the replication stream from
@@ -141,51 +141,34 @@ func StartSender(cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := bus.NewInProc(bus.Config{})
-	if err != nil {
+	s := &Sender{cfg: cfg, subs: make(map[string]*sub)}
+	if s.inner, err = bus.NewInProc(bus.Config{}); err != nil {
 		return nil, err
 	}
-	srv, err := bus.ListenAndServeConfig(cfg.Addr, inner, bus.ServerConfig{MaxFrame: maxFrame})
-	if err != nil {
-		inner.Close()
+	if s.rt, err = agent.Start(senderName, s.inner, agent.HandlerFuncs{Message: s.control}, 1024); err != nil {
 		return nil, err
 	}
-	inbox, err := inner.Register(senderName, 1024)
-	if err != nil {
-		srv.Close()
-		inner.Close()
+	if s.srv, err = bus.ListenAndServeConfig(cfg.Addr, s.inner, bus.ServerConfig{MaxFrame: maxFrame}); err != nil {
+		s.rt.Stop()
 		return nil, err
 	}
-	s := &Sender{
-		cfg:   cfg,
-		inner: inner,
-		srv:   srv,
-		inbox: inbox,
-		subs:  make(map[string]*sub),
-		done:  make(chan struct{}),
-	}
-	go s.controlLoop()
 	return s, nil
 }
 
 // Addr returns the sender's bound listen address.
 func (s *Sender) Addr() string { return s.srv.Addr() }
 
-// controlLoop handles subscribe and ack messages from standbys.
-func (s *Sender) controlLoop() {
-	defer close(s.done)
-	for env := range s.inbox {
-		p, err := env.Decode()
-		if err != nil {
-			continue
-		}
-		switch m := p.(type) {
-		case message.ReplSubscribe:
-			s.subscribe(env.From, m)
-		case message.ReplAck:
-			s.ack(env.From, m)
-		}
+// control handles one subscribe or ack message from a standby; anything else,
+// an undecodable envelope included, is skipped.
+func (s *Sender) control(_ *agent.Runtime, env message.Envelope) error {
+	p, _ := env.Decode()
+	switch m := p.(type) {
+	case message.ReplSubscribe:
+		s.subscribe(env.From, m)
+	case message.ReplAck:
+		s.ack(env.From, m)
 	}
+	return nil
 }
 
 // subscribe starts (or restarts) the streamer for one standby.
@@ -196,21 +179,16 @@ func (s *Sender) subscribe(conn string, m message.ReplSubscribe) {
 		return
 	}
 	if old, ok := s.subs[conn]; ok {
-		// A re-subscription replaces the cursor: stop the old streamer first
-		// so two goroutines never interleave frames to one standby.
+		// A re-subscription replaces the cursor: the old streamer stops, and
+		// leaves subs, first, so two never interleave frames to one standby.
 		old.halt()
 		s.mu.Unlock()
 		<-old.stopped
 		s.mu.Lock()
-		if s.subs[conn] == old {
-			delete(s.subs, conn)
-		}
 		s.statResyncs++
 	}
-	sb := &sub{id: m.Replica, stop: make(chan struct{}), stopped: make(chan struct{})}
-	sb.ackedSeq = m.FromSeq
-	sb.shippedSeq = m.FromSeq
-	sb.lastAck = time.Now()
+	sb := &sub{id: m.Replica, stop: make(chan struct{}), stopped: make(chan struct{}),
+		shippedSeq: m.FromSeq, ackedSeq: m.FromSeq, lastAck: time.Now()}
 	s.subs[conn] = sb
 	s.mu.Unlock()
 	go s.stream(conn, sb, m.FromSeq)
@@ -219,8 +197,8 @@ func (s *Sender) subscribe(conn string, m message.ReplSubscribe) {
 // ack records a standby's applied position.
 func (s *Sender) ack(conn string, m message.ReplAck) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sb := s.subs[conn]
-	s.mu.Unlock()
 	if sb == nil {
 		return
 	}
@@ -230,6 +208,15 @@ func (s *Sender) ack(conn string, m message.ReplAck) {
 	}
 	sb.lastAck = time.Now()
 	sb.mu.Unlock()
+	s.changedLocked()
+}
+
+// changedLocked wakes WaitDrain. The caller holds s.mu.
+func (s *Sender) changedLocked() {
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
 }
 
 // send ships one payload to a standby's connection. A delivery error means
@@ -252,6 +239,7 @@ func (s *Sender) stream(conn string, sb *sub, fromSeq uint64) {
 		s.mu.Lock()
 		if s.subs[conn] == sb {
 			delete(s.subs, conn)
+			s.changedLocked()
 		}
 		s.mu.Unlock()
 	}()
@@ -377,33 +365,42 @@ func (s *Sender) Status() SenderStatus {
 }
 
 // WaitDrain blocks until every subscribed standby has acknowledged seq (or
-// the timeout passes), reporting whether the fleet fully drained. A primary
-// shutting down cleanly calls it after sealing, so the seal reaches the
-// standbys before their connections drop.
+// the timeout passes), reporting whether the fleet fully drained. It looks
+// again at each ack and each streamer's exit, the only events that can drain
+// it. A primary shutting down cleanly calls it after sealing, so the seal
+// reaches the standbys before their connections drop.
 func (s *Sender) WaitDrain(seq uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
 		drained := true
-		s.mu.Lock()
 		for _, sb := range s.subs {
 			sb.mu.Lock()
-			if sb.ackedSeq < seq {
-				drained = false
-			}
+			drained = drained && sb.ackedSeq >= seq
 			sb.mu.Unlock()
 		}
-		s.mu.Unlock()
 		if drained {
 			return true
 		}
-		if time.Now().After(deadline) {
+		if s.changed == nil {
+			s.changed = make(chan struct{})
+		}
+		changed := s.changed
+		s.mu.Unlock()
+		select {
+		case <-changed:
+			s.mu.Lock()
+		case <-timer.C:
+			s.mu.Lock()
 			return false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// Close stops every streamer and tears the listener down.
+// Close stops every streamer, tears the listener down, then drops the control
+// handler's name and waits for it.
 func (s *Sender) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -421,6 +418,5 @@ func (s *Sender) Close() {
 		<-sb.stopped
 	}
 	s.srv.Close()
-	s.inner.Close() // closes the control inbox; controlLoop exits
-	<-s.done
+	s.rt.Stop()
 }
