@@ -237,7 +237,7 @@ func fleetScenario(n int) core.Scenario {
 // address (tests binding to ":0").
 func runConcentrator(ctx context.Context, opts options, ready chan<- string) error {
 	fleet := fleetScenario(opts.customers)
-	topo, err := cluster.NewTopology(fleet.Loads(), opts.shards)
+	topo, err := cluster.Partition(fleet.Roster(), opts.shards)
 	if err != nil {
 		return err
 	}
@@ -271,7 +271,7 @@ func runConcentrator(ctx context.Context, opts options, ready chan<- string) err
 		Concentrator: cluster.ConcentratorConfig{
 			Name:         name,
 			SessionID:    fleet.SessionID,
-			Members:      topo.MemberLoads(opts.shard),
+			Members:      topo.Shard(opts.shard),
 			RoundTimeout: fleet.RoundTimeout / 2,
 		},
 	})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"loadbalance/internal/message"
 	"loadbalance/internal/protocol"
 	"loadbalance/internal/store"
+	"loadbalance/internal/trace"
 	"loadbalance/internal/utilityagent"
 )
 
@@ -417,6 +419,56 @@ func TestTopologyPartitions(t *testing.T) {
 	}
 }
 
+// shardSink keeps TestShardViewsAllocateNothing's results live.
+var shardSink struct {
+	shard   protocol.Roster
+	members []string
+}
+
+// TestShardViewsAllocateNothing holds a shard to a view of the fleet's
+// roster: Shard and Members copy nothing, and a view is clipped, so appending
+// to one shard's members cannot overwrite the next shard's.
+func TestShardViewsAllocateNothing(t *testing.T) {
+	loads := make(map[string]protocol.CustomerLoad, 1000)
+	for i := 0; i < 1000; i++ {
+		loads[fmt.Sprintf("c%06d", i)] = protocol.CustomerLoad{Predicted: 13.5, Allowed: 13.5}
+	}
+	topo, err := NewTopology(loads, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { shardSink.shard = topo.Shard(3) }); a != 0 {
+		t.Errorf("Shard allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { shardSink.members = topo.Members(3) }); a != 0 {
+		t.Errorf("Members allocates %v times, want 0", a)
+	}
+	next := topo.Members(4)[0]
+	_ = append(topo.Members(3), "intruder")
+	if got := topo.Members(4)[0]; got != next {
+		t.Fatalf("appending to shard 3's members overwrote shard 4's first member: %q", got)
+	}
+}
+
+// TestConcentratorLookupBoundaries probes the shard roster's binary search: a
+// bid from a name sorting before the first member, between two members, after
+// the last, a member's prefix extended, or the empty name is from outside the
+// shard.
+func TestConcentratorLookupBoundaries(t *testing.T) {
+	c, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: protocol.NewRoster(map[string]protocol.CustomerLoad{"b": {}, "d": {}, "f": {}})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "c", "e", "g", "", "bb", "d\x00"} {
+		if err := c.recordMemberBid(trace.Context{}, name, message.CutDownBid{Round: 1, CutDown: 0.2}); !errors.Is(err, protocol.ErrUnknownCustomer) {
+			t.Errorf("bid from %q: %v, want ErrUnknownCustomer", name, err)
+		}
+	}
+	if c.nheard != 0 || slices.Contains(c.responded, true) {
+		t.Fatalf("a rejected bid was recorded: heard %d, responded %v", c.nheard, c.responded)
+	}
+}
+
 // TestConcentratorConfigValidation covers the constructor's rejections.
 func TestConcentratorConfigValidation(t *testing.T) {
 	valid := ConcentratorConfig{Name: "cc", SessionID: "s"}
@@ -427,7 +479,7 @@ func TestConcentratorConfigValidation(t *testing.T) {
 		{SessionID: "s"},
 		{Name: "cc"},
 		{Name: "cc", SessionID: "s", MinResponses: 1},
-		{Name: "cc", SessionID: "s", Members: map[string]protocol.CustomerLoad{"cc": {}}},
+		{Name: "cc", SessionID: "s", Members: protocol.NewRoster(map[string]protocol.CustomerLoad{"cc": {}})},
 	} {
 		if _, err := NewConcentrator(cfg); err == nil {
 			t.Fatalf("config %+v should fail", cfg)
@@ -553,7 +605,7 @@ func TestEarlyAnnouncementWaitsForBothSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: map[string]protocol.CustomerLoad{"c1": {}}})
+	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: protocol.NewRoster(map[string]protocol.CustomerLoad{"c1": {}})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +655,7 @@ func TestDoneOnlyAfterSessionEndRelayed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: members})
+	cc, err := NewConcentrator(ConcentratorConfig{Name: "cc-000", SessionID: "s1", Members: protocol.NewRoster(members)})
 	if err != nil {
 		t.Fatal(err)
 	}

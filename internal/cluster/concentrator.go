@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,9 +18,10 @@ type ConcentratorConfig struct {
 	Name string
 	// SessionID identifies the negotiation the concentrator relays.
 	SessionID string
-	// Members models the shard's customers the way a Utility Agent would
-	// (predicted and allowed use per name). May be empty.
-	Members map[string]protocol.CustomerLoad
+	// Members is the shard's roster (Topology.Shard): its customers sorted by
+	// name, each modelled the way a Utility Agent would (predicted and allowed
+	// use). May be empty.
+	Members protocol.Roster
 	// MinResponses is the shard's "acceptable number of bids" before the
 	// concentrator answers upward without waiting for stragglers; 0 means
 	// all members.
@@ -48,7 +48,6 @@ type ConcentratorConfig struct {
 // timer goroutines.
 type Concentrator struct {
 	cfg     ConcentratorConfig
-	members []string      // sorted member names; immutable after construction
 	relayed chan struct{} // closed once the session end is fanned out to the shard
 
 	mu       sync.Mutex
@@ -56,12 +55,14 @@ type Concentrator struct {
 	downRT   *agent.Runtime // registered on the shard's bus
 	upstream string         // root agent name, learned from the announcement
 
-	table     protocol.Table // last announced table (for award lookups)
-	round     int            // current root round being relayed
-	replied   bool           // upward bid already sent for this round
-	heard     map[string]bool
-	lastBids  map[string]float64
-	responded map[string]bool
+	table   protocol.Table // last announced table (for award lookups)
+	round   int            // current root round being relayed
+	replied bool           // upward bid already sent for this round
+	// Per-member state, by index into cfg.Members.
+	heard     []bool // bid this round
+	nheard    int    // the true entries of heard
+	lastBids  []float64
+	responded []bool
 	lastUp    float64 // last upward bid (monotonic floor)
 	ended     bool    // session end received: nothing more is relayed or recorded
 	awarded   bool
@@ -81,23 +82,18 @@ func NewConcentrator(cfg ConcentratorConfig) (*Concentrator, error) {
 	if cfg.SessionID == "" {
 		return nil, fmt.Errorf("%w: empty session id", ErrBadConfig)
 	}
-	if cfg.MinResponses < 0 || cfg.MinResponses > len(cfg.Members) {
-		return nil, fmt.Errorf("%w: min responses %d for %d members", ErrBadConfig, cfg.MinResponses, len(cfg.Members))
+	n := cfg.Members.Len()
+	if cfg.MinResponses < 0 || cfg.MinResponses > n {
+		return nil, fmt.Errorf("%w: min responses %d for %d members", ErrBadConfig, cfg.MinResponses, n)
 	}
-	members := make([]string, 0, len(cfg.Members))
-	for n := range cfg.Members {
-		if n == cfg.Name {
-			return nil, fmt.Errorf("%w: member %q shadows the concentrator", ErrBadConfig, n)
-		}
-		members = append(members, n)
+	if cfg.Members.Index(cfg.Name) >= 0 {
+		return nil, fmt.Errorf("%w: member %q shadows the concentrator", ErrBadConfig, cfg.Name)
 	}
-	sort.Strings(members) // deterministic fan-out order, sorted once
 	return &Concentrator{
 		cfg:       cfg,
-		members:   members,
-		heard:     make(map[string]bool),
-		lastBids:  make(map[string]float64),
-		responded: make(map[string]bool),
+		heard:     make([]bool, n),
+		lastBids:  make([]float64, n),
+		responded: make([]bool, n),
 		relayed:   make(chan struct{}),
 	}, nil
 }
@@ -185,14 +181,16 @@ func (c *Concentrator) Done() bool {
 	}
 }
 
-// RespondedMembers returns the members that have bid at least once, in no
-// particular order. Its one caller is bench/'s frozen twin of the engine.
+// RespondedMembers returns the members that have bid at least once, sorted.
+// Its one caller is bench/'s frozen twin of the engine.
 func (c *Concentrator) RespondedMembers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.responded))
-	for n := range c.responded {
-		out = append(out, n)
+	out := make([]string, 0, c.cfg.Members.Len())
+	for i, n := range c.cfg.Members.Names() {
+		if c.responded[i] {
+			out = append(out, n)
+		}
 	}
 	return out
 }
@@ -258,14 +256,15 @@ func (c *Concentrator) relayAnnouncement(tc trace.Context, from string, m messag
 	c.table = protocol.TableFromMessage(m)
 	c.round = m.Round
 	c.replied = false
-	c.heard = make(map[string]bool, len(c.cfg.Members))
+	clear(c.heard)
+	c.nheard = 0
 	c.tctx = tc
 	down := c.downRT
 	c.mu.Unlock()
 
 	// A failed delivery (member gone, inbox full) is equivalent to a lost
 	// announcement: the quorum/timeout rules absorb it.
-	_ = down.SendAllCtx(tc, c.members, c.cfg.SessionID, m)
+	_ = down.SendAllCtx(tc, c.cfg.Members.Names(), c.cfg.SessionID, m)
 	if c.cfg.RoundTimeout > 0 {
 		round := m.Round
 		time.AfterFunc(c.cfg.RoundTimeout, func() { //gridlint:allow walltime(round liveness timeout; closes a round on silence, never changes a collected bid)
@@ -283,7 +282,8 @@ func (c *Concentrator) recordMemberBid(tc trace.Context, from string, bid messag
 		c.mu.Unlock()
 		return nil
 	}
-	if _, ok := c.cfg.Members[from]; !ok {
+	i := c.cfg.Members.Index(from)
+	if i < 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: bid from %q outside shard", protocol.ErrUnknownCustomer, from)
 	}
@@ -297,11 +297,14 @@ func (c *Concentrator) recordMemberBid(tc trace.Context, from string, bid messag
 	}
 	// Monotonic concession: a member may stand still or step forward, never
 	// regress. A regressing bid keeps the previous commitment.
-	if bid.CutDown > c.lastBids[from] {
-		c.lastBids[from] = bid.CutDown
+	if bid.CutDown > c.lastBids[i] {
+		c.lastBids[i] = bid.CutDown
 	}
-	c.heard[from] = true
-	c.responded[from] = true
+	if !c.heard[i] {
+		c.heard[i] = true
+		c.nheard++
+	}
+	c.responded[i] = true
 	round := c.round
 	c.mu.Unlock()
 	return c.maybeReplyUpward(tc, round, false)
@@ -326,9 +329,9 @@ func (c *Concentrator) maybeReplyUpward(tc trace.Context, round int, force bool)
 	}
 	need := c.cfg.MinResponses
 	if need <= 0 {
-		need = len(c.cfg.Members)
+		need = c.cfg.Members.Len()
 	}
-	if !force && len(c.heard) < need {
+	if !force && c.nheard < need {
 		c.mu.Unlock()
 		return nil
 	}
@@ -349,13 +352,13 @@ func (c *Concentrator) maybeReplyUpward(tc trace.Context, round int, force bool)
 // reproduces the shard's true aggregate use exactly, so hierarchical and flat
 // balance predictions coincide.
 func (c *Concentrator) effectiveCutDownLocked() float64 {
-	// Sum over the sorted member list, not the map: float addition is not
-	// associative, so map-iteration order would make the aggregated bid —
-	// and everything the root derives from it — vary between runs.
+	// Sum in roster order, which is sorted-name order: float addition is not
+	// associative, so any other order would make the aggregated bid — and
+	// everything the root derives from it — vary between runs.
 	var use, allowed float64
-	for _, name := range c.members {
-		l := c.cfg.Members[name]
-		l.CutDown = c.lastBids[name]
+	for i, cut := range c.lastBids {
+		l := c.cfg.Members.Load(i)
+		l.CutDown = cut
 		use += protocol.UseWithCutDown(l).KWhs()
 		allowed += l.Allowed.KWhs()
 	}
@@ -384,12 +387,12 @@ func (c *Concentrator) distributeAwards(tc trace.Context, m message.Award) error
 	c.awarded = true
 	table := c.table
 	down := c.downRT
-	awards := make([]protocol.CustomerAward, 0, len(c.responded))
-	for _, n := range c.members {
-		if !c.responded[n] {
+	awards := make([]protocol.CustomerAward, 0, c.cfg.Members.Len())
+	for i, n := range c.cfg.Members.Names() {
+		if !c.responded[i] {
 			continue
 		}
-		cut := c.lastBids[n]
+		cut := c.lastBids[i]
 		reward, ok := table.RewardFor(cut)
 		if !ok {
 			reward = table.InterpolatedReward(cut)
@@ -422,7 +425,7 @@ func (c *Concentrator) forwardSessionEnd(tc trace.Context, m message.SessionEnd)
 	down := c.downRT
 	c.mu.Unlock()
 
-	err := down.SendAllCtx(tc, c.members, c.cfg.SessionID, m)
+	err := down.SendAllCtx(tc, c.cfg.Members.Names(), c.cfg.SessionID, m)
 	close(c.relayed)
 	return err
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"loadbalance/internal/bus"
 	"loadbalance/internal/core"
@@ -38,7 +37,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	down := bus.NewRemoteList(bus.SplitAddrList(cfg.DownAddr), bus.ClientConfig{})
 	defer up.Close()
 	defer down.Close()
-	if err := cc.Start(up, down, core.FanInInbox(len(cfg.Concentrator.Members))); err != nil {
+	if err := cc.Start(up, down, core.FanInInbox(cfg.Concentrator.Members.Len())); err != nil {
 		return err
 	}
 	defer cc.Stop()
@@ -171,7 +170,7 @@ func dialIn(ctx context.Context, t *tree, member, root *bus.InProc) error {
 	if root != nil {
 		t.Exposed = append(t.Exposed, root)
 	}
-	if err := member.AwaitNames(ctx, slices.Concat(t.topo.shards...), true); err != nil {
+	if err := member.AwaitNames(ctx, t.topo.roster.Names(), true); err != nil {
 		return fmt.Errorf("waiting for the customers: %w", err)
 	}
 	up := member

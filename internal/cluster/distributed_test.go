@@ -170,7 +170,7 @@ func TestRunWorker(t *testing.T) {
 			Concentrator: ConcentratorConfig{
 				Name:      topo.ConcentratorName(0),
 				SessionID: s.SessionID,
-				Members:   topo.MemberLoads(0),
+				Members:   topo.Shard(0),
 			},
 		})
 	}()

@@ -127,7 +127,7 @@ func negotiate(ctx context.Context, cfg Config, tiered bool, place layout) (*Dis
 	}
 	res := &DistributedResult{}
 	out, err := core.Negotiate(ctx, s, func(ctx context.Context, p *core.Placement) error {
-		topo, err := NewTopology(s.Loads(), cfg.Shards)
+		topo, err := Partition(s.Roster(), cfg.Shards)
 		if err != nil {
 			return err
 		}
@@ -198,16 +198,17 @@ func inProcess(_ context.Context, t *tree) error {
 	slices.SortFunc(fleet, func(a, b core.CustomerSpec) int { return strings.Compare(a.Name, b.Name) })
 	t.Agents = make(map[string]*customeragent.Agent, len(fleet))
 	var shards []*bus.InProc
-	for i, members := range t.topo.shards {
+	for i := 0; i < t.topo.Shards(); i++ {
 		shardBus, err := t.newBus(bus.Config{DropRate: t.s.DropRate, Seed: t.s.Seed + int64(i) + 1})
 		if err != nil {
 			return err
 		}
 		shards = append(shards, shardBus)
-		if err := t.Host(shardBus, fleet[:len(members)]); err != nil {
+		size := t.topo.Shard(i).Len()
+		if err := t.Host(shardBus, fleet[:size]); err != nil {
 			return err
 		}
-		fleet = fleet[len(members):]
+		fleet = fleet[size:]
 	}
 	t.Report = func(*core.Result) {
 		t.res.ParentBus = parent.Stats()

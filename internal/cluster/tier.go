@@ -50,11 +50,12 @@ func StartTier(parent bus.Bus, shardBus func(i int) bus.Bus, topo Topology, cfg 
 		inbox = core.FanInInbox(topo.maxShardSize())
 	}
 	for i := 0; i < topo.Shards(); i++ {
+		shard := topo.Shard(i)
 		cc, err := NewConcentrator(ConcentratorConfig{
 			Name:         topo.ConcentratorName(i),
 			SessionID:    cfg.SessionID,
-			Members:      topo.MemberLoads(i),
-			MinResponses: shardQuorum(cfg.FleetMinResponses, topo.FleetSize(), len(topo.Members(i))),
+			Members:      shard,
+			MinResponses: shardQuorum(cfg.FleetMinResponses, topo.FleetSize(), shard.Len()),
 			RoundTimeout: cfg.RoundTimeout,
 		})
 		if err != nil {

@@ -118,6 +118,17 @@ func (s Scenario) Loads() map[string]protocol.CustomerLoad {
 	return loads
 }
 
+// Roster derives the same customer models as Loads, as a session holds them:
+// sorted by name, in arrays rather than a map.
+func (s Scenario) Roster() protocol.Roster {
+	names := make([]string, len(s.Customers))
+	loads := make([]protocol.CustomerLoad, len(s.Customers))
+	for i, c := range s.Customers {
+		names[i], loads[i] = c.Name, protocol.CustomerLoad{Predicted: c.Predicted, Allowed: c.Allowed}
+	}
+	return protocol.RosterOf(names, loads)
+}
+
 // UAConfig is the Utility Agent that negotiates the scenario over loads —
 // s.Loads() when it faces the customers themselves, a concentrator tier's
 // aggregates at the root of a tree (cluster.RootConfig). Every engine

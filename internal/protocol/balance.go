@@ -58,6 +58,9 @@ func UseWithCutDown(c CustomerLoad) units.Energy {
 // associative, so summing in map-iteration order makes two runs of the same
 // seeded scenario disagree in the last ulp — and every reward table derived
 // from the overuse with them.
+//
+// A session sums over its Roster instead, whose index order is this sorted
+// order, so the two agree bit for bit.
 func PredictedOveruse(loads map[string]CustomerLoad, normalUse units.Energy) float64 {
 	total := 0.0
 	for _, n := range sortedLoadNames(loads) {
@@ -69,7 +72,8 @@ func PredictedOveruse(loads map[string]CustomerLoad, normalUse units.Energy) flo
 // sortedLoadNames returns the fleet's customer names in sorted order: every
 // float accumulation over a load map iterates these, never the map itself,
 // so repeated runs of the same scenario stay bitwise identical (enforced by
-// gridlint's floatmaprange analyzer).
+// gridlint's floatmaprange analyzer). It is also a Roster's order, which is
+// how NewRoster builds one.
 func sortedLoadNames(loads map[string]CustomerLoad) []string {
 	names := make([]string, 0, len(loads))
 	for n := range loads {

@@ -2,7 +2,7 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"loadbalance/internal/message"
@@ -74,10 +74,12 @@ type RTSession struct {
 	params    Params
 	normalUse units.Energy
 
-	loads     map[string]CustomerLoad
+	roster    Roster // the session's own copy: CloseRound merges bids into it
 	table     Table
 	round     int
-	bids      map[string]float64
+	bids      []float64 // this round's bids by roster index, read where bid[i]
+	bid       []bool
+	nbids     int // the customers that bid this round: the true entries of bid
 	history   []RoundRecord
 	outcome   Outcome
 	closed    bool
@@ -101,21 +103,20 @@ func NewRTSession(id string, window units.Interval, p Params, initial Table, loa
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("%w: no customers", ErrBadParams)
 	}
-	ls := make(map[string]CustomerLoad, len(loads))
-	for name, l := range loads {
-		l.CutDown = 0
-		l.Responded = false
-		ls[name] = l
+	r := NewRoster(loads)
+	for i := range r.loads {
+		r.loads[i].CutDown, r.loads[i].Responded = 0, false
 	}
 	return &RTSession{
 		id:        id,
 		window:    window,
 		params:    p,
 		normalUse: normalUse,
-		loads:     ls,
+		roster:    r,
 		table:     initial.Clone(),
 		round:     1,
-		bids:      make(map[string]float64),
+		bids:      make([]float64, r.Len()),
+		bid:       make([]bool, r.Len()),
 		betaScale: 1,
 	}, nil
 }
@@ -161,10 +162,11 @@ func (s *RTSession) RecordBid(customer string, bid message.CutDownBid) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	load, ok := s.loads[customer]
-	if !ok {
+	i := s.roster.Index(customer)
+	if i < 0 {
 		return fmt.Errorf("%w: %q", ErrUnknownCustomer, customer)
 	}
+	load := s.roster.loads[i]
 	if bid.Round != s.round {
 		return fmt.Errorf("%w: got %d, want %d", ErrWrongRound, bid.Round, s.round)
 	}
@@ -179,21 +181,25 @@ func (s *RTSession) RecordBid(customer string, bid message.CutDownBid) error {
 	if bid.CutDown < load.CutDown {
 		return fmt.Errorf("%w: %q bid %v after %v", ErrNonMonotonicBid, customer, bid.CutDown, load.CutDown)
 	}
-	s.bids[customer] = bid.CutDown
+	if !s.bid[i] {
+		s.bid[i] = true
+		s.nbids++
+	}
+	s.bids[i] = bid.CutDown
 	return nil
 }
 
 // ResponseCount returns how many customers have bid this round.
-func (s *RTSession) ResponseCount() int { return len(s.bids) }
+func (s *RTSession) ResponseCount() int { return s.nbids }
 
 // QuorumReached reports whether the "acceptable number of bids" has been
 // collected (all customers when MinResponses is 0).
 func (s *RTSession) QuorumReached() bool {
 	need := s.params.MinResponses
-	if need <= 0 || need > len(s.loads) {
-		need = len(s.loads)
+	if need <= 0 || need > s.roster.Len() {
+		need = s.roster.Len()
 	}
-	return len(s.bids) >= need
+	return s.nbids >= need
 }
 
 // CloseRound merges the round's bids into the customer models, predicts the
@@ -203,26 +209,33 @@ func (s *RTSession) CloseRound() (RoundRecord, error) {
 	if s.closed {
 		return RoundRecord{}, ErrSessionClosed
 	}
-	for customer, cd := range s.bids {
-		load := s.loads[customer]
-		load.CutDown = cd
-		load.Responded = true
-		s.loads[customer] = load
-	}
 	rec := RoundRecord{
 		Round:     s.round,
 		Table:     s.table.Clone(),
-		Bids:      s.bids,
-		Responses: len(s.bids),
+		Bids:      make(map[string]float64, s.nbids),
+		Responses: s.nbids,
 	}
+	for i, ok := range s.bid {
+		if ok {
+			s.roster.loads[i].CutDown, s.roster.loads[i].Responded = s.bids[i], true
+			rec.Bids[s.roster.names[i]] = s.bids[i]
+		}
+	}
+	clear(s.bid)
+	s.nbids = 0
 	if !s.announcedAt.IsZero() {
 		rec.Elapsed = time.Since(s.announcedAt) //gridlint:allow walltime(round latency measurement for RoundRecord.Elapsed; never feeds negotiated state)
 		s.announcedAt = time.Time{}
 	}
-	s.bids = make(map[string]float64)
 
-	rec.OveruseKWh = PredictedOveruse(s.loads, s.normalUse)
-	rec.OveruseRatio = OveruseRatio(s.loads, s.normalUse)
+	// PredictedOveruse and OveruseRatio, summed once in roster order.
+	for _, l := range s.roster.loads {
+		rec.OveruseKWh += UseWithCutDown(l).KWhs()
+	}
+	rec.OveruseKWh -= s.normalUse.KWhs()
+	if s.normalUse != 0 {
+		rec.OveruseRatio = rec.OveruseKWh / s.normalUse.KWhs()
+	}
 
 	effective := s.params
 	effective.Beta *= s.betaScale
@@ -280,19 +293,25 @@ func (s *RTSession) AwardFor(customer string) (message.Award, error) {
 	if !s.closed {
 		return message.Award{}, fmt.Errorf("protocol: session %q still open", s.id)
 	}
-	load, ok := s.loads[customer]
-	if !ok {
+	i := s.roster.Index(customer)
+	if i < 0 {
 		return message.Award{}, fmt.Errorf("%w: %q", ErrUnknownCustomer, customer)
 	}
-	reward, ok := s.table.RewardFor(load.CutDown)
+	return s.awardAt(i), nil
+}
+
+// awardAt is the award of the i-th customer of the roster.
+func (s *RTSession) awardAt(i int) message.Award {
+	cut := s.roster.loads[i].CutDown
+	reward, ok := s.table.RewardFor(cut)
 	if !ok {
 		if s.params.ContinuousBids {
-			reward = s.table.InterpolatedReward(load.CutDown)
+			reward = s.table.InterpolatedReward(cut)
 		} else {
 			reward = 0
 		}
 	}
-	return message.Award{Round: s.round, CutDown: load.CutDown, Reward: reward}, nil
+	return message.Award{Round: s.round, CutDown: cut, Reward: reward}
 }
 
 // Awards returns the award for every responding customer, sorted by name.
@@ -300,20 +319,11 @@ func (s *RTSession) Awards() ([]CustomerAward, error) {
 	if !s.closed {
 		return nil, fmt.Errorf("protocol: session %q still open", s.id)
 	}
-	names := make([]string, 0, len(s.loads))
-	for n, l := range s.loads {
+	out := make([]CustomerAward, 0, s.roster.Len())
+	for i, l := range s.roster.loads {
 		if l.Responded {
-			names = append(names, n)
+			out = append(out, CustomerAward{Customer: s.roster.names[i], Award: s.awardAt(i)})
 		}
-	}
-	sort.Strings(names)
-	out := make([]CustomerAward, 0, len(names))
-	for _, n := range names {
-		a, err := s.AwardFor(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CustomerAward{Customer: n, Award: a})
 	}
 	return out, nil
 }
@@ -336,16 +346,12 @@ func TotalRewardPaid(awards []CustomerAward) float64 {
 
 // LoadOf exposes the UA's current model of a customer (for tracing).
 func (s *RTSession) LoadOf(customer string) (CustomerLoad, bool) {
-	l, ok := s.loads[customer]
-	return l, ok
+	i := s.roster.Index(customer)
+	if i < 0 {
+		return CustomerLoad{}, false
+	}
+	return s.roster.loads[i], true
 }
 
 // Customers returns the customer names in the session, sorted.
-func (s *RTSession) Customers() []string {
-	out := make([]string, 0, len(s.loads))
-	for n := range s.loads {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *RTSession) Customers() []string { return slices.Clone(s.roster.names) }

@@ -96,16 +96,15 @@ type Snapshot struct {
 // tick, detect sustained deviation per shard, and re-negotiate only the
 // breaching shards — unaffected shards keep their awards untouched.
 type LiveEngine struct {
-	cfg  LiveConfig
+	cfg LiveConfig
+	// topo's shard rosters carry the scenario's demand model (never
+	// rescaled); the live demand estimate is that model × shardFactor.
 	topo cluster.Topology
 
 	fleet     *Fleet
 	collector *Collector
 	det       *DeviationDetector
 
-	// origLoads is the scenario's demand model (never rescaled); the live
-	// demand estimate is origLoads × shardFactor.
-	origLoads   map[string]protocol.CustomerLoad
 	bids        map[string]float64 // current committed cut-down per customer
 	awards      map[string]Award   // current standing award per customer
 	shardFactor []float64          // estimated demand factor per shard
@@ -144,7 +143,7 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	if cfg.TicksPerWindow < 1 {
 		return nil, fmt.Errorf("%w: ticks per window %d", ErrBadConfig, cfg.TicksPerWindow)
 	}
-	topo, err := cluster.NewTopology(cfg.Scenario.Loads(), cfg.Shards)
+	topo, err := cluster.Partition(cfg.Scenario.Roster(), cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +198,6 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 		fleet:         fleet,
 		collector:     col,
 		det:           det,
-		origLoads:     cfg.Scenario.Loads(),
 		bids:          make(map[string]float64, topo.FleetSize()),
 		awards:        make(map[string]Award, topo.FleetSize()),
 		shardFactor:   factors,
@@ -305,8 +303,9 @@ func (e *LiveEngine) applyOutcome(members []string, res *cluster.Result) {
 // spread over the window's ticks.
 func (e *LiveEngine) expectedTick(i int) float64 {
 	var sum float64
-	for _, n := range e.topo.Members(i) {
-		l := e.origLoads[n]
+	shard := e.topo.Shard(i)
+	for j, n := range shard.Names() {
+		l := shard.Load(j)
 		l.Predicted = l.Predicted.Scale(e.shardFactor[i])
 		l.Allowed = l.Allowed.Scale(e.shardFactor[i])
 		l.CutDown = e.bids[n]
@@ -417,7 +416,8 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 	var members []string
 	scale := make(map[string]float64)
 	for _, i := range shards {
-		ms := e.topo.Members(i)
+		shard := e.topo.Shard(i)
+		ms := shard.Names()
 		if len(ms) == 0 {
 			continue // an empty shard has nobody to re-bid
 		}
@@ -428,8 +428,8 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 			return nil, err
 		}
 		var baseTick float64
-		for _, n := range ms {
-			l := e.origLoads[n]
+		for j, n := range ms {
+			l := shard.Load(j)
 			l.CutDown = e.bids[n]
 			baseTick += protocol.UseWithCutDown(l).KWhs()
 		}
@@ -457,10 +457,11 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 	for _, n := range members {
 		subset[n] = true
 	}
-	current := make(map[string]protocol.CustomerLoad, len(e.origLoads))
+	current := make(map[string]protocol.CustomerLoad, e.topo.FleetSize())
 	for i := 0; i < e.topo.Shards(); i++ {
-		for _, n := range e.topo.Members(i) {
-			l := e.origLoads[n]
+		shard := e.topo.Shard(i)
+		for j, n := range shard.Names() {
+			l := shard.Load(j)
 			l.Predicted = l.Predicted.Scale(e.shardFactor[i])
 			l.Allowed = l.Allowed.Scale(e.shardFactor[i])
 			l.CutDown = e.bids[n]

@@ -36,7 +36,7 @@ func ParseExpr(s string) (Expr, error) {
 	}
 	open := strings.Index(s, "(")
 	if open < 0 {
-		if strings.ContainsAny(s, ")[] ") {
+		if strings.ContainsAny(s, seriesForbidden) {
 			return e, fmt.Errorf("tsdb: expression %q: stray bracket", s)
 		}
 		e.Series = s
@@ -69,8 +69,15 @@ func ParseExpr(s string) (Expr, error) {
 	if e.Series == "" {
 		return e, fmt.Errorf("tsdb: expression %q: empty series", s)
 	}
+	if strings.ContainsAny(e.Series, seriesForbidden) {
+		return e, fmt.Errorf("tsdb: expression %q: stray bracket in series %q", s, e.Series)
+	}
 	return e, nil
 }
+
+// seriesForbidden are the bytes a series name may not contain, inside a
+// function or out: the grammar's own brackets and the space.
+const seriesForbidden = "()[] "
 
 // cutWindow splits a trailing [duration] off s, returning the remainder
 // and the window in microseconds (0 when absent).
@@ -83,8 +90,10 @@ func cutWindow(s string) (string, int64, error) {
 	if open < 0 {
 		return s, 0, fmt.Errorf("stray ] in %q", s)
 	}
+	// A window under a microsecond would round to 0, which means "no window":
+	// an alert on it would never fire.
 	d, err := time.ParseDuration(s[open+1 : len(s)-1])
-	if err != nil || d <= 0 {
+	if err != nil || d < time.Microsecond {
 		return s, 0, fmt.Errorf("bad window %q", s[open+1:len(s)-1])
 	}
 	return strings.TrimSpace(s[:open]), d.Microseconds(), nil

@@ -194,6 +194,14 @@ func TestParseExpr(t *testing.T) {
 		{in: "rate(x_count[-5s])", bad: true},
 		{in: "rate([5s])", bad: true},
 		{in: "rate(x_count", bad: true},
+		// a function's series obeys the bare series' rule, and a window
+		// under a microsecond is not silently dropped
+		{in: "rate(a)b)", bad: true},
+		{in: "rate(a b)", bad: true},
+		{in: "rate(a(b)", bad: true},
+		{in: "rate(m[1ns])", bad: true},
+		{in: "rate(m)[999ns]", bad: true},
+		{in: "rate(m[1µs])", want: Expr{Fn: "rate", Series: "m", WindowUs: 1}},
 	}
 	for _, c := range cases {
 		got, err := ParseExpr(c.in)

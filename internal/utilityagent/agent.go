@@ -142,8 +142,11 @@ func (a *Agent) OnStart(rt *agent.Runtime) error {
 	// Everything the UA sends proactively belongs to the session span.
 	rt.SetTraceCtx(a.sessionSpan.Context())
 
-	ratio, negotiate := EvaluatePrediction(a.cfg.Loads, a.cfg.NormalUse, a.cfg.WarrantRatio)
+	// EvaluatePrediction's ratio, from the one fleet sum (New rejected a
+	// non-positive normal use).
 	a.initial = protocol.PredictedOveruse(a.cfg.Loads, a.cfg.NormalUse)
+	ratio := a.initial / a.cfg.NormalUse.KWhs()
+	negotiate := ratio > a.cfg.WarrantRatio
 	a.model.SetWorldValue("predicted_overuse_ratio", ratio)
 	if !negotiate {
 		a.finish(Result{
