@@ -14,9 +14,11 @@
 //	experiments -exp e17 -n 32 -ticks 14  # kill a replicated primary, fail over to its hot standby
 //	experiments -data-dir ./runs          # resumable: completed ids skip
 //
-// With -data-dir each completed experiment is journaled; re-running the same
-// command resumes where the previous invocation stopped instead of
-// recomputing finished experiments.
+// With -data-dir each completed experiment is journaled as a session record
+// whose outcome is "completed", fingerprinted with the parameter flags;
+// re-running the same command skips an experiment whose latest record
+// (store.Recovered.Session) carries this invocation's fingerprint, and
+// re-runs it under any other.
 package main
 
 import (
@@ -198,28 +200,18 @@ func run(args []string) error {
 
 	// With a data dir, completed experiment ids are journaled and skipped on
 	// re-runs, so a long -exp all invocation is resumable. The fingerprint
-	// covers the parameter flags: an id only skips when it completed under
-	// the parameters of this invocation.
+	// covers the parameter flags: an id only skips when it last completed
+	// under the parameters of this invocation, and re-runs otherwise.
 	fingerprint := fmt.Sprintf("n=%d seed=%d ticks=%d runs=%d sizes=%s betas=%s cluster-sizes=%s shards=%s",
 		*n, *seed, *ticks, *runs, *sizes, *betas, *csizes, *shards)
 	var journal *store.Store
-	done := make(map[string]string) // experiment id -> fingerprint it completed under
+	prior := &store.Recovered{} // without a data dir nothing has completed
 	if *dataDir != "" {
-		var rec *store.Recovered
 		var err error
-		journal, rec, err = store.Open(*dataDir, store.Options{})
-		if err != nil {
+		if journal, prior, err = store.Open(*dataDir, store.Options{}); err != nil {
 			return err
 		}
 		defer journal.Close()
-		for _, r := range rec.Records {
-			if r.Kind != store.KindSession {
-				continue
-			}
-			if o, err := store.DecodeSession(r); err == nil {
-				done[o.SessionID] = o.Config
-			}
-		}
 	}
 
 	ran := 0
@@ -228,7 +220,7 @@ func run(args []string) error {
 			continue
 		}
 		ran++
-		if fp, ok := done[e.id]; ok && fp == fingerprint {
+		if o, ok := prior.Session(e.id); ok && o.Config == fingerprint {
 			fmt.Printf("%s already completed in %s with these parameters, skipping (delete the directory to re-run)\n\n", e.id, *dataDir)
 			continue
 		}
@@ -246,14 +238,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %s (%s took %v)\n\n", file, e.id, elapsed.Round(time.Millisecond))
 		if journal != nil {
-			rec, err := store.NewSessionRecord(store.SessionOutcome{SessionID: e.id, Outcome: "completed", Config: fingerprint})
-			if err != nil {
-				return err
-			}
-			if err := journal.Append(rec); err != nil {
-				return err
-			}
-			if err := journal.Sync(); err != nil {
+			if err := journal.AppendSession(store.SessionOutcome{SessionID: e.id, Outcome: "completed", Config: fingerprint}); err != nil {
 				return err
 			}
 		}

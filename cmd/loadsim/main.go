@@ -13,25 +13,28 @@
 //	loadsim -shards 4 -tcp           # concentrators behind TCP connections
 //	loadsim -scenario population -n 5000 -data-dir ./run1   # resumable
 //
-// With -data-dir the negotiation outcome is journaled; re-running the same
-// scenario against the same directory resumes from the journal instead of
-// negotiating again — a long population run interrupted before its outcome
-// was durable restarts from scratch, one interrupted after it replays
-// instantly.
+// With -data-dir the session engine journals the outcome — flat or sharded,
+// one session record carrying the Utility Agent's whole trace, fingerprinted
+// with the flags that change it. Re-running the same scenario against the
+// same directory replays that record instead of negotiating again: the same
+// trace, verified the same way as a fresh run's. A record fingerprinted with
+// other flags is refused, and a run interrupted before its outcome was
+// durable restarts from scratch.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"time"
 
 	"loadbalance"
+	"loadbalance/internal/core"
 	"loadbalance/internal/health"
-	"loadbalance/internal/sim"
 	"loadbalance/internal/store"
 	"loadbalance/internal/trace"
 	"loadbalance/internal/utilityagent"
@@ -44,7 +47,10 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// run is loadsim printing to stdout.
+func run(args []string) error { return runTo(os.Stdout, args) }
+
+func runTo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
 	var (
 		scenario     = fs.String("scenario", "paper", "scenario: paper | population")
@@ -126,149 +132,87 @@ func run(args []string) error {
 	if *tcp && *shards < 1 {
 		return fmt.Errorf("-tcp requires -shards")
 	}
+	if *tcp {
+		if *dataDir != "" {
+			return fmt.Errorf("-data-dir does not combine with -tcp (the distributed runner owns its own processes)")
+		}
+		return runDistributed(w, s, *shards, *verifyTrace)
+	}
+
 	var journal *store.Store
 	// The fingerprint covers every flag that changes the outcome, so a
 	// resume can never replay an outcome negotiated under other parameters.
 	fingerprint := fmt.Sprintf("scenario=%s n=%d seed=%d method=%s beta=%g adaptive=%t drop=%g round-timeout=%s margin=%g shards=%d",
 		*scenario, *n, *seed, *method, s.Params.Beta, *adaptive, *drop, *roundTimeout, *margin, *shards)
 	if *dataDir != "" {
-		if *tcp {
-			return fmt.Errorf("-data-dir does not combine with -tcp (the distributed runner owns its own processes)")
-		}
-		var rec *store.Recovered
-		journal, rec, err = store.Open(*dataDir, store.Options{})
-		if err != nil {
+		var prior *store.Recovered
+		if journal, prior, err = store.Open(*dataDir, store.Options{}); err != nil {
 			return err
 		}
 		defer journal.Close()
-		done, err := resumeFromJournal(rec, s.SessionID, fingerprint)
-		if err != nil {
-			return err
-		}
-		if done {
-			fmt.Printf("\nresumed from journal at %s: session %q already negotiated; delete the directory to re-run\n",
-				*dataDir, s.SessionID)
+		if out, ok := prior.Session(s.SessionID); ok {
+			if out.Config != "" && out.Config != fingerprint {
+				return fmt.Errorf("journal holds session %q negotiated under different parameters\n  journal: %s\n  current: %s\ndelete the data directory to re-run", s.SessionID, out.Config, fingerprint)
+			}
+			var res loadbalance.Result
+			if err := json.Unmarshal(out.Result, &res.Result); err != nil {
+				return fmt.Errorf("journal holds session %q without a readable trace (%v); delete the data directory to re-run", s.SessionID, err)
+			}
+			if err := report(w, &res, s, *verifyTrace); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "\nresumed from journal at %s: session %q already negotiated; delete the directory to re-run\n", *dataDir, s.SessionID)
 			return nil
 		}
 	}
+
+	// Flat or sharded, the session engine journals the outcome before the
+	// trace is printed and verified.
+	var res *loadbalance.Result
+	var note string
 	if *shards > 0 {
-		return runSharded(s, *shards, *tcp, journal, fingerprint)
-	}
-
-	res, err := loadbalance.Run(s)
-	if err != nil {
-		return err
-	}
-	fmt.Print(loadbalance.Render(res))
-
-	if *verifyTrace && s.Method == utilityagent.MethodRewardTable && len(res.History) > 0 {
-		rep := loadbalance.VerifyTrace(res, s.Params)
-		if rep.OK() {
-			fmt.Printf("\nverified %d protocol properties: all hold\n", len(rep.Checked))
-		} else {
-			return fmt.Errorf("trace violates protocol properties: %w", rep.Error())
-		}
-	}
-	if journal != nil {
-		if err := journalFlatResult(journal, s.SessionID, fingerprint, res); err != nil {
+		sharded, err := loadbalance.RunSharded(loadbalance.ClusterConfig{Scenario: s, Shards: *shards, Journal: journal, JournalConfig: fingerprint})
+		if err != nil {
 			return err
 		}
+		for _, e := range sharded.AgentErrors {
+			return fmt.Errorf("agent error: %w", e)
+		}
+		res = sharded.Flat()
+		note = fmt.Sprintf("\nsharded over %d concentrators; awards above are per-concentrator aggregates\n", sharded.Shards)
+	} else if res, err = core.Negotiate(context.Background(), s, core.Flat(s), journal, fingerprint); err != nil {
+		return err
+	}
+	if err := report(w, res, s, *verifyTrace); err != nil {
+		return err
+	}
+	fmt.Fprint(w, note)
+	if journal != nil {
+		return journal.Seal()
 	}
 	return nil
 }
 
-// journalFlatResult appends the flat run's outcome — including the full
-// saved result document, so a resume can re-render the complete trace — and
-// seals the journal.
-func journalFlatResult(journal *store.Store, session, fingerprint string, res *loadbalance.Result) error {
-	saved, err := json.Marshal(sim.ToSaved(res))
-	if err != nil {
-		return err
-	}
-	out := store.SessionOutcome{
-		SessionID: session,
-		Outcome:   res.Outcome,
-		Rounds:    res.Rounds,
-		Config:    fingerprint,
-		Bids:      res.FinalBids,
-		Awards:    make(map[string]store.AwardEntry, len(res.Awards)),
-		Result:    saved,
-	}
-	for _, a := range res.Awards {
-		out.Awards[a.Customer] = store.AwardEntry{CutDown: a.Award.CutDown, Reward: a.Award.Reward}
-	}
-	rec, err := store.NewSessionRecord(out)
-	if err != nil {
-		return err
-	}
-	if err := journal.Append(rec); err != nil {
-		return err
-	}
-	return journal.Seal()
-}
-
-// resumeFromJournal looks for the session's outcome in the recovered
-// journal and, when present, renders it instead of negotiating: the full
-// trace when the record carries the saved result (flat runs), an award
-// summary otherwise (sharded runs journaled by the cluster engine). An
-// outcome fingerprinted with different parameters is refused, never
-// silently replayed.
-func resumeFromJournal(rec *store.Recovered, session, fingerprint string) (bool, error) {
-	for i := len(rec.Records) - 1; i >= 0; i-- {
-		r := rec.Records[i]
-		if r.Kind != store.KindSession {
-			continue
-		}
-		out, err := store.DecodeSession(r)
-		if err != nil || out.SessionID != session {
-			continue
-		}
-		if out.Config != "" && out.Config != fingerprint {
-			return false, fmt.Errorf("journal holds session %q negotiated under different parameters\n  journal: %s\n  current: %s\ndelete the data directory to re-run", session, out.Config, fingerprint)
-		}
-		if len(out.Result) > 0 {
-			var saved sim.SavedResult
-			if err := json.Unmarshal(out.Result, &saved); err == nil {
-				fmt.Print(loadbalance.Render(saved.FromSaved()))
-				return true, nil
-			}
-		}
-		fmt.Printf("session %s: %s after %d rounds\n", out.SessionID, out.Outcome, out.Rounds)
-		names := make([]string, 0, len(out.Awards))
-		for n := range out.Awards {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			a := out.Awards[n]
-			fmt.Printf("  %-10s cut-down %.2f reward %.2f\n", n, a.CutDown, a.Reward)
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// runSharded negotiates the scenario through a concentrator tree, in-process
-// or (with tcp) with every concentrator behind its own TCP connection pair,
-// and prints the root-session trace plus the transport's counters. A
-// non-nil journal makes the in-process run resumable: the cluster engine
-// records the outcome at its decision point.
-func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Store, fingerprint string) error {
-	if !tcp {
-		res, err := loadbalance.RunSharded(loadbalance.ClusterConfig{Scenario: s, Shards: shards, Journal: journal, JournalConfig: fingerprint})
-		if err != nil {
-			return err
-		}
-		for _, e := range res.AgentErrors {
-			return fmt.Errorf("agent error: %w", e)
-		}
-		fmt.Print(loadbalance.Render(res.Flat()))
-		fmt.Printf("\nsharded over %d concentrators; awards above are per-concentrator aggregates\n", res.Shards)
-		if journal != nil {
-			return journal.Seal()
-		}
+// report prints a negotiation's trace and, with verify, checks a reward-table
+// trace against the protocol properties: one path for a fresh run and a
+// resumed one.
+func report(w io.Writer, res *loadbalance.Result, s loadbalance.Scenario, verify bool) error {
+	fmt.Fprint(w, loadbalance.Render(res))
+	if !verify || s.Method != utilityagent.MethodRewardTable || len(res.History) == 0 {
 		return nil
 	}
+	rep := loadbalance.VerifyTrace(res, s.Params)
+	if !rep.OK() {
+		return fmt.Errorf("trace violates protocol properties: %w", rep.Error())
+	}
+	fmt.Fprintf(w, "\nverified %d protocol properties: all hold\n", len(rep.Checked))
+	return nil
+}
+
+// runDistributed negotiates the scenario through a concentrator tree with
+// every concentrator behind its own TCP connection pair, and prints the
+// root-session trace plus the wire's counters.
+func runDistributed(w io.Writer, s loadbalance.Scenario, shards int, verify bool) error {
 	res, err := loadbalance.RunDistributed(loadbalance.DistributedConfig{Scenario: s, Shards: shards})
 	if err != nil {
 		return err
@@ -276,9 +220,11 @@ func runSharded(s loadbalance.Scenario, shards int, tcp bool, journal *store.Sto
 	for _, e := range res.AgentErrors {
 		return fmt.Errorf("agent error: %w", e)
 	}
-	fmt.Print(loadbalance.Render(res.Flat()))
-	fmt.Printf("\ndistributed over %d concentrator connection pairs (wire protocol v3)\n", res.Shards)
-	fmt.Printf("wire: root %d frames in / %d out; member %d in / %d out; %d dropped, %d malformed\n",
+	if err := report(w, res.Flat(), s, verify); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\ndistributed over %d concentrator connection pairs (wire protocol v3)\n", res.Shards)
+	fmt.Fprintf(w, "wire: root %d frames in / %d out; member %d in / %d out; %d dropped, %d malformed\n",
 		res.RootWire.FramesIn, res.RootWire.FramesOut,
 		res.MemberWire.FramesIn, res.MemberWire.FramesOut,
 		res.RootWire.Dropped+res.MemberWire.Dropped,

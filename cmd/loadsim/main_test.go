@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"loadbalance/internal/store"
+	"loadbalance/internal/utilityagent"
 )
 
 func TestRunPaperScenario(t *testing.T) {
@@ -127,6 +130,86 @@ func TestRunDataDirSharded(t *testing.T) {
 	}
 	if err := run(args); err != nil {
 		t.Fatalf("sharded resume: %v", err)
+	}
+}
+
+// TestResumeReplaysTheTrace: in every layout a re-run against the data dir
+// prints the first run's whole trace — every round's table, bids and
+// prediction, the outcome and the awards — from the one session record the
+// engine wrote. Only the transport's counters, from the bus line on, are
+// not part of a record.
+func TestResumeReplaysTheTrace(t *testing.T) {
+	for _, scenario := range [][]string{{"-scenario", "paper"}, {"-scenario", "population", "-n", "8"}} {
+		for _, layout := range [][]string{nil, {"-shards", "4"}} {
+			args := append(append(append([]string{}, scenario...), layout...), "-data-dir", t.TempDir())
+			t.Run(strings.Join(args[:len(args)-2], " "), func(t *testing.T) {
+				var first, resumed strings.Builder
+				if err := runTo(&first, args); err != nil {
+					t.Fatalf("first run: %v", err)
+				}
+				if err := runTo(&resumed, args); err != nil {
+					t.Fatalf("resumed run: %v", err)
+				}
+				if !strings.Contains(resumed.String(), "resumed from journal") {
+					t.Fatalf("the re-run negotiated again:\n%s", resumed.String())
+				}
+				want, _, ok := strings.Cut(first.String(), "\nbus: ")
+				got, _, _ := strings.Cut(resumed.String(), "\nbus: ")
+				if !ok || !strings.Contains(want, "\nround 1\n") {
+					t.Fatalf("first run printed no trace:\n%s", first.String())
+				}
+				if got != want {
+					t.Fatalf("resumed trace differs\n--- resumed\n%s\n--- first\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestResumeVerifiesTheTrace: a journaled trace is verified on a resume as a
+// fresh one is, so a record whose tables regress fails the re-run with the
+// property error instead of replaying as good.
+func TestResumeVerifiesTheTrace(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-data-dir", dir}
+	if err := runTo(io.Discard, args); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	rec, err := store.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := rec.Session("paper-fig6")
+	if !ok {
+		t.Fatal("no session record after the first run")
+	}
+	var res utilityagent.Result
+	if err := json.Unmarshal(out.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History) < 2 {
+		t.Fatalf("a %d-round trace cannot regress", len(res.History))
+	}
+	last := res.History[len(res.History)-1].Table.Entries
+	for i := range last {
+		last[i].Reward /= 2
+	}
+	if out.Result, err = json.Marshal(res); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSession(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = runTo(io.Discard, args)
+	if err == nil || !strings.Contains(err.Error(), "violates protocol properties") || !strings.Contains(err.Error(), "ua_monotonic_tables") {
+		t.Fatalf("re-run over a regressing trace: %v, want the ua_monotonic_tables violation", err)
 	}
 }
 

@@ -53,9 +53,10 @@ type Config struct {
 	// Shards is the number of concentrators (default 4).
 	Shards int
 	// Journal optionally records the negotiation's terminal outcome — the
-	// per-member bids and awards — as a durable session record before the run
-	// returns, making a long scenario run resumable from its data dir; a
-	// session that ends without an outcome is recorded as aborted.
+	// per-member bids and awards and the root's trace — as the engine's
+	// durable session record before the run returns, making a long scenario
+	// run resumable from its data dir; a session that ends without an outcome
+	// is recorded as aborted.
 	Journal *store.Store
 	// JournalConfig fingerprints the parameters this run executes under;
 	// it is copied into the session record so a resume can refuse an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -31,11 +32,16 @@ type Result struct {
 	AgentErrors []error
 }
 
-// Run executes a scenario on the flat layout: one in-process bus carrying the
-// scenario's seeded loss, every Customer Agent hosted on it, and the Utility
-// Agent facing them itself, under any announcement method.
+// Run negotiates a scenario on the flat layout, unjournaled.
 func Run(s Scenario) (*Result, error) {
-	return Negotiate(context.Background(), s, func(_ context.Context, p *Placement) error {
+	return Negotiate(context.Background(), s, Flat(s), nil, "")
+}
+
+// Flat is s's flat layout: one in-process bus carrying the scenario's seeded
+// loss, every Customer Agent hosted on it, and the Utility Agent facing them
+// itself, under any announcement method.
+func Flat(s Scenario) Layout {
+	return func(_ context.Context, p *Placement) error {
 		b, err := bus.NewInProc(bus.Config{DropRate: s.DropRate, Seed: s.Seed})
 		if err != nil {
 			return err
@@ -44,7 +50,7 @@ func Run(s Scenario) (*Result, error) {
 		p.Bus, p.UA = b, s.UAConfig(s.Loads())
 		p.Report = func(r *Result) { r.Bus = b.Stats() }
 		return p.Host(b, s.Customers)
-	}, nil, "")
+	}
 }
 
 // A Layout places one session's parts — the one step the entry points take
@@ -250,13 +256,18 @@ type journal struct {
 	config, session string
 }
 
-// outcome appends the session's terminal record — every bidder's final bid
-// and delivered award — and is the one writer of an engine session's record,
-// whichever layout ran it (telemetry's LiveEngine.journalSession, loadsim's
-// journalFlatResult and cmd/experiments write theirs beside the engine). A
-// journaling failure surfaces as the run's error: durable mode must never
-// report success for an outcome that is not on disk.
+// outcome records the session — every bidder's final bid and delivered
+// award, and the Utility Agent's result, its trace — whichever layout ran
+// it: every negotiation's record is written here. It leaves out what a
+// layout or a clock decides (Elapsed, Bus, AgentErrors), so every layout of
+// one session writes the same bytes. A journaling failure surfaces as the
+// run's error: durable mode must never report success for an outcome that is
+// not on disk.
 func (j journal) outcome(res *Result, award func(string) (message.Award, bool)) error {
+	trace, err := json.Marshal(res.Result)
+	if err != nil {
+		return fmt.Errorf("core: journal %s: %w", j.session, err)
+	}
 	out := store.SessionOutcome{
 		SessionID: j.session,
 		Outcome:   res.Outcome,
@@ -264,13 +275,14 @@ func (j journal) outcome(res *Result, award func(string) (message.Award, bool)) 
 		Config:    j.config,
 		Bids:      res.FinalBids,
 		Awards:    make(map[string]store.AwardEntry, len(res.FinalBids)),
+		Result:    trace,
 	}
 	for name := range res.FinalBids {
 		if a, ok := award(name); ok {
 			out.Awards[name] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
 		}
 	}
-	return j.append(store.NewSessionRecord(out))
+	return j.st.AppendSession(out)
 }
 
 // append appends rec, unless making it failed, and syncs it.

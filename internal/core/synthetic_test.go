@@ -223,8 +223,9 @@ func TestOneUtilityAgentSite(t *testing.T) {
 }
 
 // TestOneSessionRoot keeps a session's root assembled in one place: the
-// engine (Negotiate) is the one caller of startUtilityAgent, Run and the
-// cluster layouts (cluster's negotiate) are the only callers of the engine,
+// engine (Negotiate) is the one caller of startUtilityAgent, Run, loadsim's
+// journaled flat run (both on the Flat layout) and the cluster layouts
+// (cluster's negotiate) are the only callers of the engine,
 // and no command or example starts a tier or sleeps waiting for a session —
 // gridd's serve and examples/distributed each used to, and drifted (serve
 // journaled its concentrators as if they were customers), and Run used to be
@@ -254,8 +255,8 @@ func TestOneSessionRoot(t *testing.T) {
 	if !slices.Equal(starters, []string{engine}) {
 		t.Errorf("startUtilityAgent is called from %v, want only %v (the engine)", starters, engine)
 	}
-	if want := []string{filepath.Join(root, "internal", "cluster", "layout.go"), engine}; !slices.Equal(engines, want) {
-		t.Errorf("Negotiate is called from %v, want only %v (cluster's negotiate, Run)", engines, want)
+	if want := []string{filepath.Join(root, "cmd", "loadsim", "main.go"), filepath.Join(root, "internal", "cluster", "layout.go"), engine}; !slices.Equal(engines, want) {
+		t.Errorf("Negotiate is called from %v, want only %v (loadsim's journaled flat run, cluster's negotiate, Run)", engines, want)
 	}
 	if len(hand) > 0 {
 		t.Errorf("a command or example assembles its own session: %v", hand)

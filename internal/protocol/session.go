@@ -61,8 +61,9 @@ type RoundRecord struct {
 	Outcome      Outcome
 	// Elapsed is the wall-clock time from the round's announcement to its
 	// close — the per-round latency fed to the observability histograms.
-	// Zero when the round closed without ever being announced.
-	Elapsed time.Duration
+	// Zero when the round closed without ever being announced. A measurement,
+	// not the negotiation's: a saved trace leaves it out.
+	Elapsed time.Duration `json:"-"`
 }
 
 // RTSession is the Utility Agent's state machine for one negotiation using

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"path/filepath"
 	"strconv"
 
 	"loadbalance/internal/core"
@@ -310,48 +309,6 @@ func TestE13ForecastDrivenNegotiation(t *testing.T) {
 	// The forecast cannot be exact: MAPE must be positive (weather noise).
 	if strings.Contains(tab.Notes, "MAPE 0.0%") {
 		t.Fatalf("suspiciously perfect forecast: %q", tab.Notes)
-	}
-}
-
-func TestSaveAndLoadResult(t *testing.T) {
-	s, err := core.PaperScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "result.json")
-	if err := SaveResult(res, path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Rounds != res.Rounds || back.Outcome != res.Outcome {
-		t.Fatalf("round trip changed result: %+v vs %+v", back.Rounds, res.Rounds)
-	}
-	if len(back.History) != len(res.History) {
-		t.Fatalf("history = %d, want %d", len(back.History), len(res.History))
-	}
-	r1, _ := back.History[0].Table.RewardFor(0.4)
-	if r1 != 17 {
-		t.Fatalf("loaded round-1 reward = %v", r1)
-	}
-	if back.FinalBids["c01"] != res.FinalBids["c01"] {
-		t.Fatal("final bids lost")
-	}
-	if back.Elapsed != res.Elapsed {
-		t.Fatal("elapsed lost")
-	}
-	// The rendered trace of the loaded result matches the live one.
-	if RenderResult(back) != RenderResult(res) {
-		t.Fatal("rendered traces differ after round trip")
-	}
-	if _, err := LoadResult(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file should fail")
 	}
 }
 

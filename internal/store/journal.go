@@ -18,6 +18,12 @@ const (
 	headerSize = len(segMagic) + 1
 )
 
+// validHeader reports whether a segment file starts with the header this
+// version writes; both readers end the log at a segment that does not.
+func validHeader(data []byte) bool {
+	return len(data) >= headerSize && string(data[:len(segMagic)]) == segMagic && data[len(segMagic)] == segVersion
+}
+
 // segmentName renders the file name of the segment whose first record has
 // the given sequence number.
 func segmentName(firstSeq uint64) string {

@@ -23,8 +23,9 @@ const (
 	KindScenario Kind = 0x01
 	// KindTopology records the shard partition fronting the fleet.
 	KindTopology Kind = 0x02
-	// KindSession records one negotiation session's terminal outcome and the
-	// awards it committed.
+	// KindSession records one negotiation session's terminal outcome, the
+	// awards it committed and the Utility Agent's trace, as the session engine
+	// wrote it (Store.AppendSession).
 	KindSession Kind = 0x03
 	// KindTick is the meter-batch checkpoint: one closed live tick's
 	// per-shard measured energies. The journal's hot path.
@@ -111,6 +112,11 @@ func decodeFrame(data []byte) (Record, int, error) {
 	if sum != binary.LittleEndian.Uint32(rest[:4]) {
 		return Record{}, 0, fmt.Errorf("%w: checksum mismatch on %s record", ErrCorrupt, Kind(data[0]))
 	}
+	// A length in more bytes than appendFrame writes is no writer's frame:
+	// every accepted frame is the one its record encodes to.
+	if framed != 1+message.LenPrefixedSize(len(body)) {
+		return Record{}, 0, fmt.Errorf("%w: overlong length on %s record", ErrCorrupt, Kind(data[0]))
+	}
 	return Record{Kind: Kind(data[0]), Body: body}, framed + 4, nil
 }
 
@@ -140,11 +146,13 @@ type TopologyInfo struct {
 	ShardSizes []int `json:"shardSizes"`
 }
 
-// SessionOutcome is a negotiation session's terminal record: the standing
-// bids and awards it committed. Result optionally carries a renderer-specific
-// document (loadsim stores its full saved result there); Config optionally
-// fingerprints the parameters the session ran under, so a resume can refuse
-// to replay an outcome computed under different parameters.
+// SessionOutcome is a negotiation session's terminal record: every bidder's
+// final bid and the awards delivered (a bidder that was awarded nothing has a
+// bid and no award). Result carries the Utility Agent's result as JSON — its
+// per-round history, method, outcome, awards and overuse figures — so a
+// resume replays the whole trace; Config optionally fingerprints the
+// parameters the session ran under, so a resume can refuse to replay an
+// outcome computed under different parameters.
 type SessionOutcome struct {
 	SessionID string                `json:"sessionId"`
 	Outcome   string                `json:"outcome"`
@@ -207,9 +215,6 @@ func NewScenarioRecord(s ScenarioInfo) (Record, error) { return newJSONRecord(Ki
 
 // NewTopologyRecord builds a membership/topology record.
 func NewTopologyRecord(t TopologyInfo) (Record, error) { return newJSONRecord(KindTopology, t) }
-
-// NewSessionRecord builds a session-outcome record.
-func NewSessionRecord(o SessionOutcome) (Record, error) { return newJSONRecord(KindSession, o) }
 
 // NewRenegRecord builds a re-negotiation record.
 func NewRenegRecord(o RenegOutcome) (Record, error) { return newJSONRecord(KindReneg, o) }

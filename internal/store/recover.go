@@ -54,7 +54,7 @@ scan:
 			broken = i
 			break
 		}
-		if len(data) < headerSize || string(data[:len(segMagic)]) != segMagic || data[len(segMagic)] != segVersion {
+		if !validHeader(data) {
 			broken = i
 			break
 		}

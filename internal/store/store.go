@@ -134,6 +134,21 @@ func (r *Recovered) Empty() bool {
 	return r == nil || (r.SnapshotSeq == 0 && len(r.Snapshot) == 0 && len(r.Records) == 0)
 }
 
+// Session returns the latest decodable session record for id; what an
+// earlier run under other parameters left is for the caller to judge
+// (SessionOutcome.Config).
+func (r *Recovered) Session(id string) (SessionOutcome, bool) {
+	for i := len(r.Records) - 1; i >= 0; i-- {
+		if r.Records[i].Kind != KindSession {
+			continue
+		}
+		if o, err := DecodeSession(r.Records[i]); err == nil && o.SessionID == id {
+			return o, true
+		}
+	}
+	return SessionOutcome{}, false
+}
+
 // Open opens (creating if necessary) a data directory, recovers whatever
 // valid state it holds and prepares a fresh journal segment for appending.
 // The returned Recovered is never nil.
@@ -184,6 +199,20 @@ func (s *Store) Append(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appendLocked(r)
+}
+
+// AppendSession appends a session's terminal record and syncs it: the one
+// place a session record is made. A session whose outcome is not on disk
+// when this returns must not be reported as negotiated.
+func (s *Store) AppendSession(o SessionOutcome) error {
+	rec, err := newJSONRecord(KindSession, o)
+	if err == nil {
+		err = s.Append(rec)
+	}
+	if err == nil {
+		err = s.Sync()
+	}
+	return err
 }
 
 // AppendTick appends one meter-batch checkpoint through a reused encoding

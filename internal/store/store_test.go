@@ -76,7 +76,7 @@ func TestJSONRecordRoundTrips(t *testing.T) {
 		Bids:   map[string]float64{"c1": 0.2, "c2": 0.4},
 		Awards: map[string]AwardEntry{"c1": {CutDown: 0.2, Reward: 8.5}},
 	}
-	r, err := NewSessionRecord(sess)
+	r, err := newJSONRecord(KindSession, sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +107,39 @@ func TestJSONRecordRoundTrips(t *testing.T) {
 	}
 	if _, err := DecodeSession(rr); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("cross-kind decode error = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSessionFindsTheLatestRecord: AppendSession makes a record durable, and
+// Session answers with the newest decodable one for the id, skipping other
+// sessions and bodies that do not decode.
+func TestSessionFindsTheLatestRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := mustOpen(t, dir, Options{})
+	for _, o := range []SessionOutcome{
+		{SessionID: "e2", Outcome: "completed", Config: "seed=1"},
+		{SessionID: "e2", Outcome: "completed", Config: "seed=2"},
+		{SessionID: "e3", Outcome: "completed", Config: "seed=3"},
+	} {
+		if err := st.AppendSession(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Append(Record{Kind: KindSession, Body: []byte("{not json")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o, ok := rec.Session("e2"); !ok || o.Config != "seed=2" {
+		t.Fatalf("Session(e2) = %+v, %v; want the seed=2 record", o, ok)
+	}
+	if _, ok := rec.Session("e4"); ok {
+		t.Fatal("Session found a session that was never recorded")
 	}
 }
 

@@ -49,6 +49,7 @@ type Tailer struct {
 	segPath string // path of the open segment
 	segSeq  uint64 // first sequence number of the open segment
 	off     int64  // read offset into the open segment
+	checked bool   // the open segment's header is on disk and this version's
 	buf     []byte
 }
 
@@ -182,6 +183,9 @@ func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
 	}
 	window := maxBytes
 	for {
+		if ok, err := t.checkHeader(); !ok {
+			return TailBatch{}, err
+		}
 		if cap(t.buf) < window {
 			t.buf = make([]byte, window)
 		}
@@ -235,8 +239,13 @@ func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
 }
 
 // advanceSegment moves the cursor to the segment starting at nextSeq, if the
-// writer has opened one. It reports whether it advanced.
+// writer has opened one. It reports whether it advanced. A cursor at the
+// start of the open segment is where the writer is: reopening that segment
+// would spin until its first frame is flushed.
 func (t *Tailer) advanceSegment() bool {
+	if t.nextSeq == t.segSeq {
+		return false
+	}
 	for _, path := range segmentGlob(t.dir) {
 		first, ok := segmentFirstSeq(path)
 		if !ok || first != t.nextSeq {
@@ -247,10 +256,28 @@ func (t *Tailer) advanceSegment() bool {
 			return false
 		}
 		t.f.Close()
-		t.f, t.segPath, t.segSeq, t.off = f, path, first, int64(headerSize)
+		t.f, t.segPath, t.segSeq, t.off, t.checked = f, path, first, int64(headerSize), false
 		return true
 	}
 	return false
+}
+
+// checkHeader reads the open segment's header once the writer has flushed
+// it: false and no error until then, an error for a header this version did
+// not write — where recovery, too, ends the log.
+func (t *Tailer) checkHeader() (bool, error) {
+	if t.checked {
+		return true, nil
+	}
+	var hdr [headerSize]byte
+	if n, _ := t.f.ReadAt(hdr[:], 0); n < headerSize {
+		return false, nil
+	}
+	if !validHeader(hdr[:]) {
+		return false, fmt.Errorf("%w: segment %s has an unknown header", ErrCorrupt, filepath.Base(t.segPath))
+	}
+	t.checked = true
+	return true, nil
 }
 
 // Pos returns the sequence number of the next record the cursor will deliver.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"loadbalance/internal/cluster"
 	"loadbalance/internal/health"
 	"loadbalance/internal/store"
 )
@@ -184,31 +183,6 @@ func (e *LiveEngine) journalRegistration() error {
 		return err
 	}
 	if err := e.st.AppendBatch(scen, topo); err != nil {
-		return err
-	}
-	return e.st.Sync()
-}
-
-// journalSession records the initial fleet-wide negotiation outcome.
-func (e *LiveEngine) journalSession(res *cluster.Result) error {
-	out := store.SessionOutcome{
-		SessionID: e.cfg.Scenario.SessionID,
-		Outcome:   res.Outcome,
-		Rounds:    res.Rounds,
-		Bids:      make(map[string]float64, len(e.bids)),
-		Awards:    make(map[string]store.AwardEntry, len(e.awards)),
-	}
-	for n, b := range e.bids {
-		out.Bids[n] = b
-	}
-	for n, a := range e.awards {
-		out.Awards[n] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
-	}
-	rec, err := store.NewSessionRecord(out)
-	if err != nil {
-		return err
-	}
-	if err := e.st.Append(rec); err != nil {
 		return err
 	}
 	return e.st.Sync()
@@ -442,12 +416,14 @@ func (e *LiveEngine) finishReplay() {
 }
 
 // applyStored merges a journaled outcome into the standing bids and awards.
+// Every awarded name is a bidder. A bidder with no award — the session engine
+// records one only where it was delivered: a member that never answered,
+// every member of a session with no peak — stands at {0, 0}, as applyOutcome
+// stood it.
 func (e *LiveEngine) applyStored(bids map[string]float64, awards map[string]store.AwardEntry) {
 	for n, b := range bids {
-		e.bids[n] = b
-	}
-	for n, a := range awards {
-		e.awards[n] = Award{CutDown: a.CutDown, Reward: a.Reward}
+		a := awards[n]
+		e.bids[n], e.awards[n] = b, Award{CutDown: a.CutDown, Reward: a.Reward}
 	}
 }
 

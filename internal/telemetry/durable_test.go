@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"loadbalance/internal/store"
 )
 
 // durableCfg builds the spiked live-grid configuration the durability tests
@@ -165,6 +167,52 @@ func TestDurableTornTailReplaysOneTickEarlier(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("torn-tail recovery diverged\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestDurableRecoversANoPeakSession: a fleet whose capacity is above its
+// demand negotiates nothing, so the session engine records every member's 0
+// bid and no award. A crash right after OpenDurable recovers every member at
+// the {0, 0} award the uninterrupted engine stands it at, byte for byte.
+func TestDurableRecoversANoPeakSession(t *testing.T) {
+	cfg := durableCfg(t, 24, 4, 7)
+	cfg.Scenario.NormalUse *= 2
+	cfg.ShardEvents = nil
+	engU, _, err := OpenDurable(cfg, DurableConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := profileJSON(t, engU)
+	if err := engU.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	eng1, _, err := OpenDurable(cfg, DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng1.Stop()
+	if err := eng1.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, ok := rec.Session(cfg.Scenario.SessionID); !ok || len(out.Bids) != 24 || len(out.Awards) != 0 {
+		t.Fatalf("session record %+v, %v: want 24 bids and no award (no peak)", out, ok)
+	}
+	eng2, info, err := OpenDurable(cfg, DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Shutdown()
+	if !info.Recovered || info.ResumeTick != 0 {
+		t.Fatalf("info = %+v, want a recovery at tick 0", info)
+	}
+	if got := profileJSON(t, eng2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered profile differs from the uninterrupted engine's\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -207,22 +207,18 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	}, nil
 }
 
-// Start negotiates the whole fleet once through the cluster tier, actuates
-// the awards into the meters and opens the telemetry stream.
+// Start negotiates the whole fleet once through the cluster tier — a durable
+// engine's session engine journals the outcome — actuates the awards into the
+// meters and opens the telemetry stream.
 func (e *LiveEngine) Start() error {
 	if e.started {
 		return fmt.Errorf("%w: engine already started", ErrBadConfig)
 	}
-	res, err := cluster.Run(cluster.Config{Scenario: e.cfg.Scenario, Shards: e.cfg.Shards})
+	res, err := cluster.Run(cluster.Config{Scenario: e.cfg.Scenario, Shards: e.cfg.Shards, Journal: e.st})
 	if err != nil {
 		return fmt.Errorf("telemetry: initial negotiation: %w", err)
 	}
 	e.applyOutcome(allMembers(e.topo), res)
-	if e.st != nil {
-		if err := e.journalSession(res); err != nil {
-			return err
-		}
-	}
 	e.openTelemetry()
 	return nil
 }
