@@ -3,6 +3,7 @@ package agent
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
@@ -13,7 +14,7 @@ import (
 // (Section 5) only asks that each agent's messages are handled in order, so a
 // fleet of reactive agents needs no goroutine, inbox channel and stop channel
 // each: the members' Runtimes are one slice, the bus hands every delivery to
-// one FIFO of (member, envelope) (bus.RegisterGroup), and one worker drains it
+// one FIFO of (members, envelope) (bus.RegisterGroup), and one worker drains it
 // through Runtime.dispatch. A member's Handler sees what Start would have
 // shown it — its own *Runtime, its envelopes in arrival order, its own trace
 // context — except that it shares the worker with the rest of the fleet: a
@@ -34,22 +35,88 @@ type Fleet struct {
 	// has inbox of them is not given another (the delivery is Rejected),
 	// which is the bound an inbox channel of that size put on it.
 	pending []int
-	// queue is a ring of count deliveries starting at head. It starts at the
-	// size of the fleet — one broadcast, put in under a single hold of the
-	// bus lock — and doubles when the worker falls further behind than that.
-	queue       []delivery
-	head, count int
-	busy        bool // the worker is starting the members or inside a handler
-	stopped     bool // Stop was called
-	gone        bool // the bus holds none of the members' names
-	done        bool // the worker exited
-	exited      sync.WaitGroup
+	queue   queue
+	busy    bool // the worker is starting the members or inside a handler
+	stopped bool // Stop was called
+	gone    bool // the bus holds none of the members' names
+	done    bool // the worker exited
+	exited  sync.WaitGroup
 }
 
-// delivery is one queued envelope and the index of the member it is for.
+// delivery is one queued envelope and the members first through last it is
+// for: one send to consecutive members is one entry, whose env is addressed to
+// the first of them.
 type delivery struct {
-	member int
-	env    message.Envelope
+	first, last int32
+	env         message.Envelope
+}
+
+// blockLen is how many deliveries a block of the queue holds: as many as fit
+// beside the link to the next block in 8 KiB, one of the allocator's size
+// classes, so a block costs 8 KiB (64 deliveries would round up to 9 472 B).
+const blockLen = (8<<10 - int(unsafe.Sizeof(uintptr(0)))) / int(unsafe.Sizeof(delivery{}))
+
+// block is a fixed run of queued deliveries.
+type block struct {
+	d    [blockLen]delivery
+	next *block
+}
+
+// queue is a fleet's FIFO of deliveries in blocks: it grows a block at a time
+// when the tail block is full and none is on hand, never copies what it holds,
+// and keeps each block it empties for the next burst. Its memory is the most
+// that has waited at once; it dies with the fleet.
+type queue struct {
+	head, tail  *block
+	read, write int    // the next entry of head to take, of tail to fill
+	free        *block // emptied blocks, linked by next
+}
+
+func (q *queue) empty() bool { return q.head == q.tail && q.read == q.write }
+
+// last is the entry put in most recently and still waiting, or nil.
+func (q *queue) last() *delivery {
+	if q.empty() {
+		return nil
+	}
+	return &q.tail.d[q.write-1]
+}
+
+// front is the oldest waiting entry; the queue must not be empty.
+func (q *queue) front() *delivery { return &q.head.d[q.read] }
+
+// push puts d in at the tail, on a kept block or a new one when the tail's is
+// full.
+func (q *queue) push(d delivery) {
+	if q.tail == nil || q.write == blockLen {
+		b := q.free
+		if b != nil {
+			q.free, b.next = b.next, nil
+		} else {
+			b = new(block)
+		}
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail, q.write = b, 0
+	}
+	q.tail.d[q.write] = d
+	q.write++
+}
+
+// pop drops the front entry. A queue it empties starts its block over; a
+// block it finishes is kept for reuse.
+func (q *queue) pop() {
+	q.head.d[q.read] = delivery{} // the block outlives the envelope's payload
+	if q.read++; q.empty() {
+		q.read, q.write = 0, 0
+	} else if q.read == blockLen {
+		b := q.head
+		q.head, q.read = b.next, 0
+		b.next, q.free = q.free, b
+	}
 }
 
 // StartFleet registers names on b as one group and launches the worker that
@@ -94,7 +161,6 @@ func newFleet(n, inbox int) *Fleet {
 // and departure come to f.
 func (f *Fleet) group(b bus.Bus, names []string) error {
 	f.pending = make([]int, len(names))
-	f.queue = make([]delivery, len(names))
 	unregister, err := bus.RegisterGroup(b, names, f.deliver, func() {
 		f.mu.Lock()
 		f.gone = true // nothing more will be queued
@@ -107,7 +173,8 @@ func (f *Fleet) group(b bus.Bus, names []string) error {
 
 // deliver is the fleet's bus.GroupSink: it queues env for a member that has
 // room and never blocks. The bus lock is held, so deliveries arrive one at a
-// time and in bus order.
+// time and in bus order: a delivery of the send the last entry holds, to the
+// member after that entry's last, joins the entry.
 func (f *Fleet) deliver(member int, env message.Envelope) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -115,18 +182,11 @@ func (f *Fleet) deliver(member int, env message.Envelope) bool {
 		return false
 	}
 	f.pending[member]++
-	if f.count == len(f.queue) {
-		grown := make([]delivery, max(2*len(f.queue), 1))
-		n := copy(grown, f.queue[f.head:])
-		copy(grown[n:], f.queue[:f.head])
-		f.queue, f.head = grown, 0
+	if d := f.queue.last(); d != nil && int(d.last)+1 == member && d.env.SameSend(env) {
+		d.last++
+	} else {
+		f.queue.push(delivery{int32(member), int32(member), env})
 	}
-	tail := f.head + f.count
-	if tail >= len(f.queue) {
-		tail -= len(f.queue)
-	}
-	f.queue[tail] = delivery{member, env}
-	f.count++
 	f.work.Signal()
 	return true
 }
@@ -159,23 +219,26 @@ func (f *Fleet) run() {
 		}
 	}
 	f.mu.Lock()
-	for started && f.in == nil && !f.stopped && (f.count > 0 || !f.gone) {
-		if f.count == 0 {
+	for started && f.in == nil && !f.stopped && (!f.queue.empty() || !f.gone) {
+		if f.queue.empty() {
 			f.busy = false
 			f.idle.Broadcast()
 			f.work.Wait()
 			continue
 		}
-		d := f.queue[f.head]
-		f.queue[f.head] = delivery{} // the queue outlives the envelope's payload
-		if f.head++; f.head == len(f.queue) {
-			f.head = 0
+		d := f.queue.front()
+		member, env := d.first, d.env
+		if d.first == d.last {
+			f.queue.pop()
+		} else {
+			d.first++
 		}
-		f.count--
-		f.pending[d.member]--
+		f.pending[member]--
 		f.busy = true
 		f.mu.Unlock()
-		f.members[d.member].dispatch(d.env)
+		rt := &f.members[member]
+		env.To = rt.name
+		rt.dispatch(env)
 		f.mu.Lock()
 	}
 	f.done, f.busy = true, false
@@ -190,7 +253,7 @@ func (f *Fleet) run() {
 func (f *Fleet) Quiesce() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for !f.stopped && !f.done && (f.count > 0 || f.busy) {
+	for !f.stopped && !f.done && (!f.queue.empty() || f.busy) {
 		f.idle.Wait()
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"loadbalance/internal/bus"
 	"loadbalance/internal/message"
@@ -459,4 +461,278 @@ func TestStopAndWaitOnAFleetMember(t *testing.T) {
 	if got := b.Agents(); len(got) != 0 {
 		t.Fatalf("agents after the fleet stopped = %v", got)
 	}
+}
+
+// TestFleetRunsEqualStartedRuntimes is TestFleetEqualsStartedRuntimes where
+// the fleet's queue entries cover runs of members: the names are sorted, so a
+// broadcast or a fan-out over a range of them is one send to consecutive
+// members, and each burst is sent without settling while one member in the
+// middle of the fleet is held inside a handler at its inbox bound. Everything
+// the burst delivers waits in the fleet — several blocks of entries — and the
+// held member's rejections and the bus's drops split the runs. Every member
+// must handle what its Start-hosted twin handles, in the same order, every
+// send must return the same error and the Stats must be the same, on every
+// seed.
+func TestFleetRunsEqualStartedRuntimes(t *testing.T) {
+	// A member other than the held one gets at most two envelopes an op, so
+	// ops bursts stay under its inbox and only the held member rejects.
+	const members, inbox, bursts, ops, dropRate = 32, 128, 8, 60, 0.1
+	names := make([]string, members)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%02d", i)
+	}
+	type result struct {
+		handled [][]string
+		errs    []string
+		stats   bus.Stats
+	}
+	run := func(t *testing.T, seed int64, host hosting, held func()) result {
+		b, err := bus.NewInProc(bus.Config{DropRate: dropRate, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		var (
+			mu      sync.Mutex
+			res     = result{handled: make([][]string, members)}
+			done    = make(chan struct{}, 1<<13) // one token per handled envelope
+			entered = make(chan struct{})
+			gate    = make(chan struct{})
+		)
+		handlers := make([]Handler, members)
+		for i := range handlers {
+			handlers[i] = HandlerFuncs{Message: func(rt *Runtime, env message.Envelope) error {
+				if rt.Name() != names[i] || env.To != names[i] {
+					t.Errorf("member %d (%s) was handed %+v on runtime %s", i, names[i], env, rt.Name())
+				}
+				if env.Session == "hold" {
+					entered <- struct{}{}
+					<-gate
+				}
+				mu.Lock()
+				res.handled[i] = append(res.handled[i], fmt.Sprintf("%s %s %s %s", env.From, env.Session, env.Kind, env.Body))
+				mu.Unlock()
+				done <- struct{}{}
+				return nil
+			}}
+		}
+		stop := host(t, b, names, handlers, inbox)
+		defer stop()
+		defer close(gate) // before stop: a failed burst leaves a member held
+		sender, err := Start("ua", b, HandlerFuncs{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sender.Stop()
+
+		delivered := 0
+		note := func(err error) {
+			res.errs = append(res.errs, fmt.Sprint(err))
+		}
+		settle := func() {
+			for now := b.Stats().Delivered; delivered < now; delivered++ {
+				<-done
+			}
+		}
+		rng := rand.New(rand.NewSource(seed + 1))
+		for burst := 0; burst < bursts; burst++ {
+			// Hold a member away from both ends inside a handler, and fill
+			// its inbox: every run over it breaks there.
+			k := names[1+rng.Intn(members-2)]
+			for before := b.Stats().Delivered; b.Stats().Delivered == before; {
+				note(sender.Send(k, "hold", message.CutDownBid{Round: burst + 1, CutDown: 0.1}))
+			}
+			<-entered
+			for filled := b.Stats().Delivered + inbox; b.Stats().Delivered < filled; {
+				note(sender.Send(k, "fill", message.CutDownBid{Round: burst + 1, CutDown: 0.2}))
+			}
+			for op := 0; op < ops; op++ {
+				round := burst*ops + op + 1
+				switch c := rng.Intn(4); c {
+				case 0:
+					note(sender.Send(names[rng.Intn(members)], "s1", message.CutDownBid{Round: round, CutDown: 0.3}))
+				case 1, 2: // a range of members, one of them named twice
+					lo := rng.Intn(members)
+					hi := lo + 1 + rng.Intn(members-lo)
+					to := slices.Clone(names[lo:hi])
+					if c == 2 {
+						to = slices.Insert(to, rng.Intn(len(to)), to[rng.Intn(len(to))])
+					}
+					note(sender.SendAllCtx(trace.Context{}, to, "s1", message.SessionEnd{Round: round, Reason: "fan-out"}))
+				default:
+					note(sender.Broadcast("s1", message.SessionEnd{Round: round, Reason: "broadcast"}))
+				}
+			}
+			if held != nil {
+				held()
+			}
+			gate <- struct{}{}
+			settle()
+		}
+		res.stats = b.Stats()
+		return res
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			var (
+				f                     *Fleet
+				mostWaiting, runsSeen int
+			)
+			want := run(t, seed, hostedByStart, nil)
+			got := run(t, seed, func(t *testing.T, b bus.Bus, names []string, handlers []Handler, inbox int) func() {
+				var err error
+				if f, err = StartFleet(b, names, handlers, inbox); err != nil {
+					t.Fatal(err)
+				}
+				return f.Stop
+			}, func() {
+				waiting, runs := queuedEntries(f)
+				mostWaiting, runsSeen = max(mostWaiting, waiting), runsSeen+runs
+			})
+			if got.stats != want.stats {
+				t.Errorf("fleet stats %+v, started runtimes %+v", got.stats, want.stats)
+			}
+			if !slices.Equal(got.errs, want.errs) {
+				t.Errorf("fleet sends returned\n%v\nstarted runtimes\n%v", got.errs, want.errs)
+			}
+			if !reflect.DeepEqual(got.handled, want.handled) {
+				t.Errorf("fleet members handled\n%v\nstarted runtimes\n%v", got.handled, want.handled)
+			}
+			if want.stats.Rejected == 0 || want.stats.Dropped == 0 || runsSeen == 0 || mostWaiting <= 3*blockLen {
+				t.Fatalf("the sequence is not the case under test: %+v, %d runs, at most %d entries waiting (%d a block)",
+					want.stats, runsSeen, mostWaiting, blockLen)
+			}
+			t.Logf("%+v; %d runs and at most %d entries waiting", want.stats, runsSeen, mostWaiting)
+		})
+	}
+}
+
+// queuedEntries counts the entries waiting in f's queue, and those of them
+// that cover more than one member.
+func queuedEntries(f *Fleet) (entries, runs int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	q := &f.queue
+	for b, i := q.head, q.read; b != nil && (b != q.tail || i < q.write); {
+		if d := &b.d[i]; d.last > d.first {
+			runs++
+		}
+		entries++
+		if i++; i == blockLen {
+			b, i = b.next, 0
+		}
+	}
+	return entries, runs
+}
+
+// TestMailboxCostsWhatWaits: a fleet's queue is as large as what has waited
+// in it at once, allocated once. A fleet of one held inside a handler while
+// 5 000 envelopes arrive allocates at most 1.1 deliveries' worth of bytes an
+// envelope, and the next such burst nothing, since it reuses the blocks the
+// first left behind (a ring that doubles allocates twice what waits, once per
+// fleet of one: 2 047 slots to hold a concentrator's 625 bids). A fleet of
+// 10 000 sent one fan-out queues it as one entry: beside its members, their
+// counts and the bus's entries for their names it allocates one block (a
+// queue that starts at the fleet's size takes 10 000 slots).
+func TestMailboxCostsWhatWaits(t *testing.T) {
+	t.Run("burst", func(t *testing.T) {
+		const burst = 5000
+		b := newBus(t)
+		entered, gate := make(chan struct{}), make(chan struct{})
+		rt, err := Start("ua", b, HandlerFuncs{Message: func(rt *Runtime, env message.Envelope) error {
+			if env.Session == "hold" {
+				entered <- struct{}{}
+				<-gate
+			}
+			return nil
+		}}, burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Stop()
+		defer close(gate)
+		hold, err := message.NewEnvelope("c1", "ua", "hold", message.SessionEnd{Round: 1, Reason: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bid, err := message.NewEnvelope("c1", "ua", "s1", message.CutDownBid{Round: 1, CutDown: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := func() (bytes, mallocs uint64) {
+			if err := b.Send(hold); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < burst; i++ {
+				if err := b.Send(bid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			gate <- struct{}{}
+			rt.host.Quiesce()
+			return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+		}
+		first, _ := received()
+		if limit := 1.1 * burst * float64(unsafe.Sizeof(delivery{})); float64(first) > limit {
+			t.Errorf("%d envelopes waiting cost %d B, budget %.0f B (1.1 × %d B each)", burst, first, limit, unsafe.Sizeof(delivery{}))
+		}
+		if again, mallocs := received(); again != 0 || mallocs != 0 {
+			t.Errorf("the second burst of %d allocated %d B in %d allocations, want none", burst, again, mallocs)
+		}
+		t.Logf("%d waiting envelopes: %d B (%.0f B each)", burst, first, float64(first)/burst)
+	})
+	t.Run("fan-out", func(t *testing.T) {
+		const n = 10000
+		names := make([]string, n)
+		handlers := make([]Handler, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("c%05d", i)
+			handlers[i] = HandlerFuncs{}
+		}
+		allocated := func(fn func()) uint64 { // bytes
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		// The bus's entries for n names, without a fleet behind them.
+		plain := newBus(t)
+		if _, err := plain.Register("ua", 1); err != nil {
+			t.Fatal(err)
+		}
+		busNames := allocated(func() {
+			if _, err := bus.RegisterGroup(plain, names, func(int, message.Envelope) bool { return true }, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		b := newBus(t)
+		ua, err := Start("ua", b, HandlerFuncs{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ua.Stop()
+		var f *Fleet
+		hosted := allocated(func() {
+			if f, err = StartFleet(b, names, handlers, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := ua.SendAllCtx(trace.Context{}, names, "s1", message.SessionEnd{Round: 1, Reason: "x"}); err != nil {
+				t.Fatal(err)
+			}
+			f.Quiesce()
+		})
+		defer f.Stop()
+		members := uint64(n * (unsafe.Sizeof(Runtime{}) + unsafe.Sizeof(0)))
+		queue := int64(hosted) - int64(busNames) - int64(members)
+		if blockBytes := int64(unsafe.Sizeof(block{})); queue > 2*blockBytes {
+			t.Errorf("a fan-out to %d members cost the fleet %d B beyond its members (%d B) and names (%d B), budget one block (%d B) and change",
+				n, queue, members, busNames, blockBytes)
+		}
+		t.Logf("fleet of %d, one fan-out: %d B beyond members and names", n, queue)
+	})
 }

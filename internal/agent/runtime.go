@@ -11,7 +11,8 @@
 //
 //   - agent interaction management is the Runtime (mailbox, send/broadcast),
 //     hosted many to a worker goroutine (StartFleet) or one (Start), in
-//     process a Fleet either way: a ring holding what is waiting, under a
+//     process a Fleet either way: a queue of fixed blocks holding what is
+//     waiting, once — one send to consecutive members is one entry — under a
 //     bound that counts envelopes (over TCP Start reads the inbox channel);
 //   - maintenance of agent/world information is the Model (typed response
 //     counters and world values);
@@ -72,7 +73,7 @@ type Runtime struct {
 // Start registers the agent on the bus and launches its goroutine: OnStart,
 // then its messages in arrival order, at most inboxSize (bus.DefaultInboxSize
 // if not positive) waiting — the next is Rejected with bus.ErrInboxFull. They
-// wait in a fleet-of-one ring on a bus that hosts groups, else in the inbox
+// wait in a fleet-of-one queue on a bus that hosts groups, else in the inbox
 // channel the bus hands out. A failed OnStart ends the goroutine, as does the
 // bus dropping the name once what was queued is handled.
 func Start(name string, b bus.Bus, h Handler, inboxSize int) (*Runtime, error) {

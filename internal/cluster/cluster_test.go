@@ -305,6 +305,47 @@ func TestLossySessionDoesNotWaitOutADrain(t *testing.T) {
 	}
 }
 
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// TestRunAllocationBudget holds a whole in-process session of the
+// sharded_10k workload's shape — 10 000 customers over 16 shards, set-up,
+// every round through the tree, tear-down — to 1.25 times the measured 6.16
+// allocations (8.43 under -race) and 1 213 bytes per customer (1 350 B under
+// -race): what `go run ./bench -workload sharded_10k` reports as
+// allocs_per_unit and alloc_bytes_per_unit. It read 7.15 and 1 803 B (9.43 and
+// 1 940 B under -race) while every fleet's queue doubled — a concentrator's
+// from one slot to 1 024 for its 625 members' bids, a shard's member fleet
+// from 625 slots to 1 250 for the awards and the session end's fan-out.
+func TestRunAllocationBudget(t *testing.T) {
+	const n, runs = 10000, 3
+	measuredAllocs, measuredBytes := 6.16, 1213.0
+	if raceBuild {
+		measuredAllocs, measuredBytes = 8.43, 1350
+	}
+	s, err := core.SyntheticScenario(core.SyntheticConfig{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	perRun := testing.AllocsPerRun(runs, func() {
+		if res, err := Run(Config{Scenario: s, Shards: 16}); err != nil || res.Rounds == 0 || len(res.AgentErrors) != 0 {
+			t.Errorf("Run = %+v, %v", res, err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	allocs := perRun / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / n
+	t.Logf("%.2f allocations, %.0f bytes per customer", allocs, bytes)
+	if budget := 1.25 * measuredAllocs; allocs > budget {
+		t.Errorf("a %d-customer session over 16 shards allocates %.2f times per customer, budget %.2f", n, allocs, budget)
+	}
+	if budget := 1.25 * measuredBytes; bytes > budget {
+		t.Errorf("a %d-customer session over 16 shards allocates %.0f bytes per customer, budget %.0f", n, bytes, budget)
+	}
+}
+
 // TestHundredThousandCustomers is the scale the north star names: 100 000
 // customers over 16 shards converge in two rounds with nothing rejected, on
 // sixteen workers — the process never has more than a hundred goroutines,

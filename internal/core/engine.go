@@ -86,24 +86,26 @@ type Placement struct {
 }
 
 // Host hosts specs' customers on b as one fleet of the session — a Customer
-// Agent each, or for a silent customer a handler that takes its envelopes and
-// never answers — behind one worker goroutine, which the engine quiesces and
-// stops. Its agents join Agents, which a layout hosting several fleets sizes
-// for all of them. On error nothing of the fleet is left running.
+// Agent each, all in one slice, or for a silent customer a handler that takes
+// its envelopes and never answers — behind one worker goroutine, which the
+// engine quiesces and stops. Its agents join Agents, which a layout hosting
+// several fleets sizes for all of them. On error nothing of the fleet is left
+// running.
 func (p *Placement) Host(b bus.Bus, specs []CustomerSpec) error {
 	if p.Agents == nil {
 		p.Agents = make(map[string]*customeragent.Agent, len(specs))
 	}
 	names := make([]string, len(specs))
 	handlers := make([]agentrt.Handler, len(specs))
+	agents := make([]customeragent.Agent, len(specs))
 	for i, spec := range specs {
 		names[i] = spec.Name
 		if spec.Silent {
 			handlers[i] = agentrt.HandlerFuncs{}
 			continue
 		}
-		ca, err := customeragent.New(spec.Name, spec.Prefs, spec.Strategy)
-		if err != nil {
+		ca := &agents[i]
+		if err := ca.Init(spec.Name, spec.Prefs, spec.Strategy); err != nil {
 			return fmt.Errorf("core: customer %q: %w", spec.Name, err)
 		}
 		p.Agents[spec.Name] = ca
@@ -303,9 +305,10 @@ func (j journal) append(rec store.Record, err error) error {
 // end — so with a full quorum and no round timeout a customer has at most two
 // envelopes waiting; over 3.4 M deliveries in the four benchmark workloads a
 // customer had 0 or 1 waiting after a delivery, never 2. Four is that bound
-// doubled. It bounds a count, not a buffer: the fleet's queue is sized by its
-// traffic (agentrt.Fleet), not at 4 slots a customer — as the rings of the
-// Utility Agent and the concentrators are (FanInInbox).
+// doubled. It bounds a count, not a buffer: the fleet's queue grows in fixed
+// blocks to what has waited at once, a broadcast or a fan-out to the fleet
+// being one entry (agentrt.Fleet), not 4 slots a customer — as the queues of
+// the Utility Agent and the concentrators are (FanInInbox).
 //
 // A customer further behind — possible only after round timeouts or under a
 // partial quorum, where its bids for closed rounds are stale anyway — is a
@@ -318,8 +321,9 @@ const customerInbox = 4
 // the Utility Agent over its customers or concentrators, a concentrator over
 // its members: four envelopes a sender, at least 64. It is the only place
 // that bound is written. It counts, it allocates nothing: in process
-// agentrt.Start makes the agent a fleet of one, whose ring grows to what is
-// waiting (one round of answers); only a TCP inbox channel has this size.
+// agentrt.Start makes the agent a fleet of one, whose queue grows in fixed
+// blocks to what has waited at once (one round of answers) and keeps them for
+// the next round; only a TCP inbox channel has this size.
 func FanInInbox(n int) int { return 4 * max(n, 16) }
 
 // startUtilityAgent starts a Utility Agent on b under cfg (named cfg.Name, as

@@ -70,12 +70,18 @@ func TestSyntheticScenarioNegotiates(t *testing.T) {
 	}
 }
 
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
 // TestRunAllocationBudget holds a whole flat negotiation — set-up, every
-// round's broadcast, bids and awards, tear-down — to 12.5 allocations and
-// 2 750 bytes per customer: the measured 9.2 and 2 406 B (11.9 and 2 610 B
-// under -race; 9.1 and 2 660 B while the Utility Agent's inbox was a channel
-// of 4·N envelopes) pass, the 13.7 and 3 100 B of a goroutine, an inbox and a
-// stop channel per customer do not (17 and 12 000 B while that inbox had 64
+// round's broadcast, bids and awards, tear-down — to 1.25 times the measured
+// 7.8 allocations (10.1 under -race) and 1 916 bytes per customer (2 093 B
+// under -race), since a fleet's queue grows in fixed blocks, a fan-out is one
+// entry of it and the fleet's Customer Agents are one slice. They read 8.9
+// and 2 140 B while the queue doubled and started at the fleet's size (11.4
+// and 2 335 B under -race); 9.1 and 2 660 B while the Utility Agent's inbox
+// was a channel of 4·N envelopes; 13.7 and 3 100 B with a goroutine, an inbox
+// and a stop channel per customer (17 and 12 000 B while that inbox had 64
 // slots, every customer made a session map and the bus sorted its roster per
 // broadcast; 35 while every agent mirrored its response counters into two kb
 // stores; 188 when each customer JSON-parsed the table and judged it by its
@@ -85,6 +91,10 @@ func TestSyntheticScenarioNegotiates(t *testing.T) {
 // same runs (AllocsPerRun makes one more than it averages over).
 func TestRunAllocationBudget(t *testing.T) {
 	const n, runs = 64, 5
+	measuredAllocs, measuredBytes := 7.8, 1916.0
+	if raceBuild {
+		measuredAllocs, measuredBytes = 10.1, 2093
+	}
 	s, err := SyntheticScenario(SyntheticConfig{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +110,11 @@ func TestRunAllocationBudget(t *testing.T) {
 	allocs := perRun / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / n
 	t.Logf("%.1f allocations, %.0f bytes per customer", allocs, bytes)
-	if allocs > 12.5 {
-		t.Errorf("a %d-customer session allocates %.1f times per customer, budget 12.5", n, allocs)
+	if budget := 1.25 * measuredAllocs; allocs > budget {
+		t.Errorf("a %d-customer session allocates %.1f times per customer, budget %.2f", n, allocs, budget)
 	}
-	if bytes > 2750 {
-		t.Errorf("a %d-customer session allocates %.0f bytes per customer, budget 2750", n, bytes)
+	if budget := 1.25 * measuredBytes; bytes > budget {
+		t.Errorf("a %d-customer session allocates %.0f bytes per customer, budget %.0f", n, bytes, budget)
 	}
 }
 

@@ -47,19 +47,27 @@ type Agent struct {
 
 // New constructs a Customer Agent.
 func New(name string, prefs Preferences, strategy Strategy) (*Agent, error) {
+	a := new(Agent)
+	if err := a.Init(name, prefs, strategy); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Init makes a zero Agent the Customer Agent New would return, for a host
+// that lays out a fleet's agents in one slice. It must not be called on an
+// agent in use.
+func (a *Agent) Init(name string, prefs Preferences, strategy Strategy) error {
 	if name == "" {
-		return nil, fmt.Errorf("%w: empty name", ErrBadPreferences)
+		return fmt.Errorf("%w: empty name", ErrBadPreferences)
 	}
 	switch strategy {
 	case StrategyGreedy, StrategyIncremental, StrategyHoldout:
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadStrategy, int(strategy))
+		return fmt.Errorf("%w: %d", ErrBadStrategy, int(strategy))
 	}
-	return &Agent{
-		name:     name,
-		prefs:    prefs,
-		strategy: strategy,
-	}, nil
+	a.name, a.prefs, a.strategy = name, prefs, strategy
+	return nil
 }
 
 // Name returns the agent name.

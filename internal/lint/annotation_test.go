@@ -1,9 +1,13 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -137,4 +141,56 @@ func position(file string, line int) (p token.Position) {
 	p.Filename = file
 	p.Line = line
 	return p
+}
+
+// FuzzParseAllow searches the annotation grammar from every //gridlint:
+// comment in the module, fixtures included: parseAllowBody never panics, an
+// annotation it accepts names at least one analyzer, and that annotation
+// written canonically — "allow a(r1), b(r2)" — parses to the same names.
+//
+//	go test -run '^$' -fuzz FuzzParseAllow -fuzztime 10s ./internal/lint
+func FuzzParseAllow(f *testing.F) {
+	seeds := 0
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return nil // a fixture that is not Go has no comments to offer
+		}
+		for _, cg := range file.Comments {
+			for _, c := range cg.List {
+				if text, ok := strings.CutPrefix(c.Text, "//"+annPrefix); ok {
+					f.Add(text)
+					seeds++
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil || seeds == 0 {
+		f.Fatalf("%d seeds from the module's //%s comments, error %v", seeds, annPrefix, err)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		names, err := parseAllowBody(text)
+		if err != nil {
+			return
+		}
+		if len(names) == 0 {
+			t.Fatalf("%q: accepted with no analyzer", text)
+		}
+		var canon strings.Builder
+		canon.WriteString("allow ")
+		for i, name := range names {
+			if i > 0 {
+				canon.WriteString(", ")
+			}
+			fmt.Fprintf(&canon, "%s(r%d)", name, i+1)
+		}
+		again, err := parseAllowBody(canon.String())
+		if err != nil || !slices.Equal(again, names) {
+			t.Fatalf("%q names %q; written canonically as %q it parses to %q, %v", text, names, canon.String(), again, err)
+		}
+	})
 }

@@ -210,6 +210,76 @@ func TestEditedEnvelopeDoesNotReturnStalePayload(t *testing.T) {
 	}
 }
 
+// TestSameSend: an envelope is the same send as its copy readdressed, for
+// every kind — a payload holding slices included — and not as an envelope
+// built again from the same payload, whose Body is equal but another slice,
+// nor as a copy with any other field edited.
+func TestSameSend(t *testing.T) {
+	for _, p := range onePerKind() {
+		env, err := NewEnvelope("ua", "c1", "s1", p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Kind(), err)
+		}
+		other := env
+		other.To = "c2"
+		if !env.SameSend(other) || !other.SameSend(env) {
+			t.Errorf("%s: a copy addressed to another recipient is not the same send", p.Kind())
+		}
+		again, err := NewEnvelope("ua", "c1", "s1", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.SameSend(again) {
+			t.Errorf("%s: an envelope built again is the same send", p.Kind())
+		}
+		checked, err := env.Validated() // the same Body, the same payload
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.SameSend(checked) {
+			t.Errorf("%s: a validated copy is not the same send", p.Kind())
+		}
+		for name, edit := range map[string]func(*Envelope){
+			"from":      func(e *Envelope) { e.From = "c9" },
+			"session":   func(e *Envelope) { e.Session = "s2" },
+			"kind":      func(e *Envelope) { e.Kind = "bogus" },
+			"trace":     func(e *Envelope) { e.TraceID = 7 },
+			"span":      func(e *Envelope) { e.SpanID = 8 },
+			"body":      func(e *Envelope) { e.Body = e.Body[:len(e.Body)-1] },
+			"copied":    func(e *Envelope) { e.Body = bytes.Clone(e.Body) },
+			"uncarried": func(e *Envelope) { e.payload, e.bodyStart = nil, nil },
+		} {
+			edited := env
+			edit(&edited)
+			if env.SameSend(edited) {
+				t.Errorf("%s: an envelope with its %s edited is the same send", p.Kind(), name)
+			}
+		}
+	}
+	bid, err := NewEnvelope("ua", "c1", "s1", CutDownBid{Round: 2, CutDown: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := UnmarshalBinary(bid.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wire.SameSend(wire) {
+		t.Error("an envelope off a wire is not the same send as itself")
+	}
+	first, err := wire.Validated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := wire.Validated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.SameSend(second) {
+		t.Error("two validations of one wire envelope, two payload values, are the same send")
+	}
+}
+
 // TestDecodersCoverEveryKind reads the package's own source for the Kind
 // constants, so a kind added without a decoder fails here, not in the field.
 func TestDecodersCoverEveryKind(t *testing.T) {

@@ -36,6 +36,7 @@ import (
 	"math"
 	"reflect"
 	"time"
+	"unsafe"
 
 	"loadbalance/internal/units"
 )
@@ -710,6 +711,26 @@ func (e Envelope) carried() (Payload, bool) {
 		return nil, false
 	}
 	return e.payload, true
+}
+
+// SameSend reports whether e and o are one envelope addressed to two
+// recipients: every field but To equal, and Body and the carried payload the
+// very same slice and value, not equal copies — so no byte is compared. A
+// mailbox that holds one send to many recipients as one entry asks it.
+func (e Envelope) SameSend(o Envelope) bool {
+	return e.From == o.From && e.Session == o.Session && e.Kind == o.Kind &&
+		e.TraceID == o.TraceID && e.SpanID == o.SpanID &&
+		unsafe.SliceData(e.Body) == unsafe.SliceData(o.Body) &&
+		len(e.Body) == len(o.Body) && cap(e.Body) == cap(o.Body) &&
+		e.bodyStart == o.bodyStart && samePayload(e.payload, o.payload)
+}
+
+// samePayload reports whether a and b are one boxed value: the same dynamic
+// type and the same data word. It reads neither value, which == would, and
+// panic on a payload that holds a slice.
+func samePayload(a, b Payload) bool {
+	type iface struct{ tab, data unsafe.Pointer }
+	return *(*iface)(unsafe.Pointer(&a)) == *(*iface)(unsafe.Pointer(&b))
 }
 
 // decoders parses and validates a Body for every kind the package declares.
