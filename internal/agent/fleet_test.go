@@ -96,7 +96,7 @@ func TestFleetEqualsStartedRuntimes(t *testing.T) {
 					<-gate
 				}
 				mu.Lock()
-				res.handled[i] = append(res.handled[i], fmt.Sprintf("%s %s %s %s", env.From, env.Session, env.Kind, env.Body))
+				res.handled[i] = append(res.handled[i], fmt.Sprintf("%s %s %s %s", env.From, env.Session, env.Kind, payloadSeen(env)))
 				mu.Unlock()
 				done <- struct{}{}
 				return nil
@@ -510,7 +510,7 @@ func TestFleetRunsEqualStartedRuntimes(t *testing.T) {
 					<-gate
 				}
 				mu.Lock()
-				res.handled[i] = append(res.handled[i], fmt.Sprintf("%s %s %s %s", env.From, env.Session, env.Kind, env.Body))
+				res.handled[i] = append(res.handled[i], fmt.Sprintf("%s %s %s %s", env.From, env.Session, env.Kind, payloadSeen(env)))
 				mu.Unlock()
 				done <- struct{}{}
 				return nil

@@ -157,7 +157,7 @@ func (rt *Runtime) SendCtx(tc trace.Context, to, session string, p message.Paylo
 
 // SendAllCtx sends one payload to every agent named in to, as SendCtx to
 // each in order would, from one envelope: the payload is validated and
-// marshalled once and the bus fans it out (bus.SendTo). Every recipient is
+// carried once and the bus fans it out (bus.SendTo). Every recipient is
 // attempted; the first delivery error is returned.
 func (rt *Runtime) SendAllCtx(tc trace.Context, to []string, session string, p message.Payload) error {
 	env, err := rt.envelope(tc, "", session, p)
@@ -168,8 +168,14 @@ func (rt *Runtime) SendAllCtx(tc trace.Context, to []string, session string, p m
 }
 
 // envelope wraps a payload in an envelope from this agent, stamped with tc.
+// A bus that hosts groups hands the envelope to sinks, which read the
+// carried payload or write its JSON into a frame; any other bus is given the
+// Body at send.
 func (rt *Runtime) envelope(tc trace.Context, to, session string, p message.Payload) (message.Envelope, error) {
 	env, err := message.NewEnvelope(rt.name, to, session, p)
+	if err == nil && !bus.HostsGroups(rt.bus) {
+		env, err = env.WithBody()
+	}
 	if err != nil {
 		return message.Envelope{}, err
 	}

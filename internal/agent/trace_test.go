@@ -193,7 +193,7 @@ func TestSendAllCtxEqualsSendCtxToEach(t *testing.T) {
 	for name, w := range want {
 		g := got[name]
 		if g.From != w.From || g.To != w.To || g.Session != w.Session || g.Kind != w.Kind ||
-			string(g.Body) != string(w.Body) || g.TraceID != tc.Trace || g.SpanID != tc.Span {
+			payloadSeen(g) != payloadSeen(w) || g.TraceID != tc.Trace || g.SpanID != tc.Span {
 			t.Fatalf("%s received %+v, want %+v", name, g, w)
 		}
 		p, err := g.Decode()

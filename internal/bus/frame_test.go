@@ -166,7 +166,7 @@ func TestClientCountsMalformedFrames(t *testing.T) {
 	}
 	select {
 	case got := <-inbox:
-		if got.From != "ua" || !bytes.Equal(got.Body, good.Body) {
+		if p, err := got.Decode(); got.From != "ua" || err != nil || p != (message.CutDownBid{Round: 1, CutDown: 0.2}) {
 			t.Fatalf("envelope after the malformed frame = %+v", got)
 		}
 	case <-time.After(2 * time.Second):
@@ -334,6 +334,21 @@ func TestOutboundShedsAtFullQueue(t *testing.T) {
 	ws := srv.WireStats()
 	if ws.FramesOut-1+ws.Dropped != sends || ws.Dropped < sends-2*limit || read == 0 {
 		t.Fatalf("%d envelopes: %d frames written after the ack, %d read, %d shed", sends, ws.FramesOut-1, read, ws.Dropped)
+	}
+}
+
+// TestOutboundRefusesAFailedEncode: a frame whose encoding fails — an
+// envelope whose payload does not encode — is refused, so the sink counts it
+// shed, and leaves the pending output as it was, whatever it appended first.
+func TestOutboundRefusesAFailedEncode(t *testing.T) {
+	o := newOutbound(4)
+	o.add(control(frameHelloAck, []byte{WireVersion}))
+	pending := string(o.buf)
+	if o.add(func(dst []byte) ([]byte, error) { return append(dst, 0xff, 0xff), errors.New("does not encode") }) {
+		t.Fatal("a frame whose encoding failed was added")
+	}
+	if string(o.buf) != pending || o.frames != 1 {
+		t.Fatalf("pending output %x and %d frames after the failed encode, want %x and 1", o.buf, o.frames, pending)
 	}
 }
 

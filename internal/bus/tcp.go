@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -159,17 +160,28 @@ func newOutbound(limit int) *outbound {
 // add appends one frame, written by encode, to the pending output. It reports
 // false, having called nothing, when the queue is full or the writer has
 // failed: the frame is shed — overload is the one time shedding must be cheap,
-// so a shed envelope is not even encoded.
-func (o *outbound) add(encode func(dst []byte) []byte) bool {
+// so a shed envelope is not even encoded. It also reports false when encode
+// fails, which must leave the buffer as it found it: nothing is added.
+func (o *outbound) add(encode func(dst []byte) ([]byte, error)) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.frames >= o.limit || o.failed {
 		return false
 	}
-	o.buf = encode(o.buf)
+	buf, err := encode(o.buf)
+	if err != nil {
+		return false
+	}
+	o.buf = buf
 	o.frames++
 	o.more.Signal()
 	return true
+}
+
+// control returns an encode for add that appends one frame of the
+// connection's own: a hello-ack or an error.
+func control(kind byte, payload []byte) func(dst []byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) { return appendFrame(dst, kind, payload), nil }
 }
 
 // take waits for pending frames and returns them with their count, leaving
@@ -243,9 +255,12 @@ func (s *Server) handle(conn net.Conn) {
 	// shedding (counted) at a full queue, so the bus never finds the name
 	// full; the name leaving closes the queue.
 	out := newOutbound(s.cfg.OutboundQueue)
-	out.add(func(dst []byte) []byte { return appendFrame(dst, frameHelloAck, []byte{WireVersion}) })
+	out.add(control(frameHelloAck, []byte{WireVersion}))
 	unregister, err := RegisterGroup(s.bus, []string{name}, func(_ int, env message.Envelope) bool {
-		if !out.add(func(dst []byte) []byte { return EncodeEnvelopeFrame(dst, env) }) {
+		// A carried payload is encoded here, straight into the pending
+		// buffer; one that does not encode is shed like an envelope at a
+		// full queue, and leaves no partial frame behind.
+		if !out.add(func(dst []byte) ([]byte, error) { return appendEnvelopeFrame(dst, frameEnvelope, env, nil) }) {
 			s.stats.dropped.Add(1)
 		}
 		return true
@@ -302,9 +317,7 @@ func (s *Server) handle(conn net.Conn) {
 				// envelope frame (a full queue sheds it like any other). The
 				// deferred teardown closes the queue behind it.
 				s.stats.protoErrs.Add(1)
-				out.add(func(dst []byte) []byte {
-					return appendFrame(dst, frameError, []byte(fmt.Sprintf("closing: %v", err)))
-				})
+				out.add(control(frameError, []byte(fmt.Sprintf("closing: %v", err))))
 			}
 			return
 		}
@@ -583,10 +596,7 @@ func (c *Client) setTermErr(err error) {
 // Close.
 func (c *Client) Send(env message.Envelope) error {
 	env.From = c.name
-	if size := 1 + env.BinarySize(); size > c.cfg.MaxFrame {
-		return fmt.Errorf("%w: %s envelope of %d bytes (limit %d)", ErrFrameTooLarge, env.Kind, size, c.cfg.MaxFrame)
-	}
-	return c.write(env, nil)
+	return c.write(frameEnvelope, env, nil)
 }
 
 // SendTo transmits one envelope for every agent named in to as a single
@@ -598,23 +608,14 @@ func (c *Client) SendTo(env message.Envelope, to []string) error {
 		return nil
 	}
 	env.From = c.name
-	if size := 1 + fanOutSize(env, to); size > c.cfg.MaxFrame {
-		if len(to) == 1 {
-			return fmt.Errorf("%w: %s fan-out of %d bytes (limit %d)", ErrFrameTooLarge, env.Kind, size, c.cfg.MaxFrame)
-		}
-		half := len(to) / 2
-		err := c.SendTo(env, to[:half])
-		if err2 := c.SendTo(env, to[half:]); err == nil {
-			err = err2
-		}
-		return err
-	}
-	return c.write(env, to)
+	return c.write(frameFanOut, env, to)
 }
 
-// write puts env on the wire: as an envelope frame, or as a fan-out frame
-// when there are recipients.
-func (c *Client) write(env message.Envelope, to []string) error {
+// write puts env on the wire as one frame of the given kind, encoding its
+// payload once, into the client's buffer. The frame is measured once it is
+// built: one over MaxFrame is not written, and a fan-out's recipients are
+// split in halves instead, which share one Body.
+func (c *Client) write(kind byte, env message.Envelope, to []string) error {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -624,20 +625,38 @@ func (c *Client) write(env message.Envelope, to []string) error {
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.writeLocked(kind, env, to)
+}
+
+// writeLocked is write under the write gate.
+func (c *Client) writeLocked(kind byte, env message.Envelope, to []string) error {
 	if c.wbuf == nil {
 		c.wbuf = make([]byte, 0, minFrameBuf)
 	}
-	if to == nil {
-		c.wbuf = EncodeEnvelopeFrame(c.wbuf[:0], env)
-	} else {
-		c.wbuf = encodeFanOutFrame(c.wbuf[:0], env, to)
+	frame, err := appendEnvelopeFrame(c.wbuf[:0], kind, env, to)
+	if err != nil {
+		return fmt.Errorf("bus: send: %w", err)
 	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := c.conn.Write(c.wbuf) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock: it guards only the connection's write half and the one buffer frames are encoded into, and Close aborts in-flight writes)
-	_ = c.conn.SetWriteDeadline(time.Time{})
-	if cap(c.wbuf) > retainedFrameBuf {
+	if c.wbuf = frame; cap(c.wbuf) > retainedFrameBuf {
 		c.wbuf = nil
 	}
+	if size, _ := binary.Uvarint(frame); size > uint64(c.cfg.MaxFrame) {
+		if len(to) < 2 {
+			return fmt.Errorf("%w: %s frame of %d bytes (limit %d)", ErrFrameTooLarge, env.Kind, size, c.cfg.MaxFrame)
+		}
+		if env, err = env.WithBody(); err != nil {
+			return fmt.Errorf("bus: send: %w", err)
+		}
+		half := len(to) / 2
+		err := c.writeLocked(kind, env, to[:half])
+		if err2 := c.writeLocked(kind, env, to[half:]); err == nil {
+			err = err2
+		}
+		return err
+	}
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err = c.conn.Write(frame) //gridlint:allow lockedsend(wmu is a dedicated per-connection writer gate, not a state lock: it guards only the connection's write half and the one buffer frames are encoded into, and Close aborts in-flight writes)
+	_ = c.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("bus: send: %w", err)
 	}

@@ -39,7 +39,9 @@ import (
 // into its one buffer under its write gate; the bus encodes each envelope for
 // a Server connection straight into the pending half of the connection's
 // buffer pair, and its writer puts everything pending on the wire in one
-// write (outbound, tcp.go).
+// write (outbound, tcp.go). Either way an envelope built in process has its
+// payload's JSON encoded there, once, behind the frame's length
+// (appendEnvelopeFrame): it has no Body of its own.
 // A buffer one big frame grew past retainedFrameBuf is dropped after that
 // frame instead of being kept for the connection's life.
 
@@ -101,11 +103,41 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	return append(appendFrameHeader(dst, kind, len(payload)), payload...)
 }
 
+// appendEnvelopeFrame appends env to dst as one frame of the given kind: an
+// envelope frame, or a fan-out frame carrying it to every name in to (a
+// fan-out's envelope travels with an empty To; the receiving bus concretises
+// it per recipient, as it does for a broadcast). The envelope's payload is
+// encoded once, straight into dst behind the frame's length, which is
+// written once the size is known. On error — a payload that does not encode
+// — dst comes back as it was: there is no partial frame.
+func appendEnvelopeFrame(dst []byte, kind byte, env message.Envelope, to []string) ([]byte, error) {
+	if kind == frameFanOut {
+		env.To = ""
+	}
+	return env.AppendFrame(dst, func(dst []byte, size int) []byte {
+		if kind != frameFanOut {
+			return appendFrameHeader(dst, kind, size)
+		}
+		size += uvarintLen(uint64(len(to)))
+		for _, n := range to {
+			size += message.LenPrefixedSize(len(n))
+		}
+		dst = appendFrameHeader(dst, kind, size)
+		dst = binary.AppendUvarint(dst, uint64(len(to)))
+		for _, n := range to {
+			dst = message.AppendLenPrefixed(dst, n)
+		}
+		return dst
+	})
+}
+
 // EncodeEnvelopeFrame appends env as one envelope frame to dst: varint
 // length, kind byte, then the envelope's binary encoding, written in a
-// single pass into a single allocation.
+// single pass into a single allocation. An envelope whose payload does not
+// encode appends nothing.
 func EncodeEnvelopeFrame(dst []byte, env message.Envelope) []byte {
-	return env.AppendBinary(appendFrameHeader(dst, frameEnvelope, env.BinarySize()))
+	dst, _ = appendEnvelopeFrame(dst, frameEnvelope, env, nil)
+	return dst
 }
 
 // DecodeEnvelopeFrame parses one envelope frame produced by
@@ -133,29 +165,6 @@ func DecodeEnvelopeFrame(data []byte) (message.Envelope, int, error) {
 
 // errBadFanOut reports a fan-out payload whose recipient list is malformed.
 var errBadFanOut = errors.New("bus: malformed fan-out frame")
-
-// encodeFanOutFrame appends one fan-out frame to dst: env for every name in
-// to. The envelope's own To travels empty; the receiving bus concretises it
-// per recipient, as it does for a broadcast.
-func encodeFanOutFrame(dst []byte, env message.Envelope, to []string) []byte {
-	env.To = ""
-	dst = appendFrameHeader(dst, frameFanOut, fanOutSize(env, to))
-	dst = binary.AppendUvarint(dst, uint64(len(to)))
-	for _, n := range to {
-		dst = message.AppendLenPrefixed(dst, n)
-	}
-	return env.AppendBinary(dst)
-}
-
-// fanOutSize is the payload size of the fan-out frame carrying env to to.
-func fanOutSize(env message.Envelope, to []string) int {
-	env.To = ""
-	size := uvarintLen(uint64(len(to))) + env.BinarySize()
-	for _, n := range to {
-		size += message.LenPrefixedSize(len(n))
-	}
-	return size
-}
 
 // decodeFanOut parses a fan-out frame's payload. Like UnmarshalBinary it
 // retains nothing of payload: the recipients leave as substrings of one

@@ -305,24 +305,20 @@ func TestLossySessionDoesNotWaitOutADrain(t *testing.T) {
 	}
 }
 
-// raceBuild is set in a -race build (race_test.go).
-var raceBuild bool
-
 // TestRunAllocationBudget holds a whole in-process session of the
 // sharded_10k workload's shape — 10 000 customers over 16 shards, set-up,
-// every round through the tree, tear-down — to 1.25 times the measured 6.16
-// allocations (8.43 under -race) and 1 213 bytes per customer (1 350 B under
-// -race): what `go run ./bench -workload sharded_10k` reports as
-// allocs_per_unit and alloc_bytes_per_unit. It read 7.15 and 1 803 B (9.43 and
-// 1 940 B under -race) while every fleet's queue doubled — a concentrator's
-// from one slot to 1 024 for its 625 members' bids, a shard's member fleet
-// from 625 slots to 1 250 for the awards and the session end's fan-out.
+// every round through the tree, tear-down — to 1.25 times the measured 3.15
+// allocations and 1 095 bytes per customer (the same under -race): what `go
+// run ./bench -workload sharded_10k` reports as allocs_per_unit and
+// alloc_bytes_per_unit. It read 6.16 and 1 213 B (8.43 and 1 350 B under
+// -race) while every send marshalled its payload's JSON, which nothing in
+// process read; 7.15 and 1 803 B while every fleet's queue doubled — a
+// concentrator's from one slot to 1 024 for its 625 members' bids, a shard's
+// member fleet from 625 slots to 1 250 for the awards and the session end's
+// fan-out.
 func TestRunAllocationBudget(t *testing.T) {
 	const n, runs = 10000, 3
-	measuredAllocs, measuredBytes := 6.16, 1213.0
-	if raceBuild {
-		measuredAllocs, measuredBytes = 8.43, 1350
-	}
+	const measuredAllocs, measuredBytes = 3.15, 1095.0
 	s, err := core.SyntheticScenario(core.SyntheticConfig{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -70,16 +70,13 @@ func TestSyntheticScenarioNegotiates(t *testing.T) {
 	}
 }
 
-// raceBuild is set in a -race build (race_test.go).
-var raceBuild bool
-
 // TestRunAllocationBudget holds a whole flat negotiation — set-up, every
 // round's broadcast, bids and awards, tear-down — to 1.25 times the measured
-// 7.8 allocations (10.1 under -race) and 1 916 bytes per customer (2 093 B
-// under -race), since a fleet's queue grows in fixed blocks, a fan-out is one
-// entry of it and the fleet's Customer Agents are one slice. They read 8.9
-// and 2 140 B while the queue doubled and started at the fleet's size (11.4
-// and 2 335 B under -race); 9.1 and 2 660 B while the Utility Agent's inbox
+// 4.7 allocations and 1 746 bytes per customer (the same under -race), since
+// an envelope built in process carries its payload and no JSON. They read 7.8
+// and 1 916 B (10.1 and 2 093 B under -race) while every send marshalled its
+// payload; 8.9 and 2 140 B while a fleet's queue doubled and started at the
+// fleet's size; 9.1 and 2 660 B while the Utility Agent's inbox
 // was a channel of 4·N envelopes; 13.7 and 3 100 B with a goroutine, an inbox
 // and a stop channel per customer (17 and 12 000 B while that inbox had 64
 // slots, every customer made a session map and the bus sorted its roster per
@@ -91,10 +88,7 @@ var raceBuild bool
 // same runs (AllocsPerRun makes one more than it averages over).
 func TestRunAllocationBudget(t *testing.T) {
 	const n, runs = 64, 5
-	measuredAllocs, measuredBytes := 7.8, 1916.0
-	if raceBuild {
-		measuredAllocs, measuredBytes = 10.1, 2093
-	}
+	const measuredAllocs, measuredBytes = 4.7, 1746.0
 	s, err := SyntheticScenario(SyntheticConfig{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

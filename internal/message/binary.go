@@ -2,8 +2,11 @@ package message
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Binary envelope codec: the form an envelope takes inside a frame of the
@@ -23,13 +26,19 @@ import (
 // The Body stays JSON: payload schemas evolve faster than routing metadata,
 // and the frame-level decoder never needs to look inside it.
 //
-// Cost. Encoding allocates nothing when the caller brings a buffer
-// (AppendBinary; the transport keeps one per connection). Decoding allocates
-// the two things an envelope keeps — one string holding From, To, Session and
-// Kind, and the Body — and reads the rest of its input in place, retaining
-// none of it, so a transport reads every frame of a connection into one
-// buffer. Decode then turns the Body into a payload; for the kinds of a
-// negotiation that is one or two more allocations (schema.go).
+// Cost. An envelope NewEnvelope built has no Body: the codec encodes its
+// carried payload once, in json.Marshal's bytes exactly — a bid, an award or a
+// table by its schema encoder (schema.go), anything else by encoding/json's
+// own encoder — into a scratch buffer kept between frames, and copies it into
+// the frame behind the length it now knows. So encoding allocates nothing when
+// the caller brings a buffer (AppendFrame, AppendBinary; the transport keeps
+// one per connection), but where encoding/json writes a time.Time, whose
+// MarshalJSON allocates. Decoding allocates the two things an envelope keeps
+// — one string holding From, To, Session and Kind, and the Body — and reads
+// the rest of its input in place, retaining none of it, so a transport reads
+// every frame of a connection into one buffer. Decode then turns the Body into
+// a payload; for the kinds of a negotiation that is one or two more
+// allocations (schema.go).
 //
 // The trailing trace field is optional in both directions: an envelope
 // without a trace context encodes as five fields, and the decoder accepts
@@ -42,39 +51,128 @@ var ErrTruncated = errors.New("message: truncated binary envelope")
 // big-endian 64-bit ids.
 const traceFieldLen = 16
 
-// BinarySize returns the exact encoded size of the envelope in bytes.
-func (e Envelope) BinarySize() int {
-	n := LenPrefixedSize(len(e.From)) +
+// retainedBodyBuf is the largest scratch buffer kept for the next payload: a
+// negotiation's bodies are under a kilobyte and a tick's batches well under
+// this, and a snapshot bootstrap's megabytes are not kept.
+const retainedBodyBuf = 64 << 10
+
+// bodyBuf is where a carried payload's JSON is written on its way into a
+// frame or a Body: a buffer kept between uses, written by a schema encoder
+// (schema.go) or by a json.Encoder.
+type bodyBuf struct {
+	enc *json.Encoder
+	buf []byte
+}
+
+var bodyBufs = sync.Pool{New: func() any {
+	b := new(bodyBuf)
+	b.enc = json.NewEncoder(b)
+	return b
+}}
+
+// Write implements io.Writer for the encoder.
+func (b *bodyBuf) Write(p []byte) (int, error) {
+	b.buf = append(b.buf, p...)
+	return len(p), nil
+}
+
+// encode returns p's JSON as json.Marshal writes it, valid until b is put
+// back: a schema encoder's, or encoding/json's.
+func (b *bodyBuf) encode(p Payload) ([]byte, error) {
+	buf, schema, err := appendSchemaJSON(b.buf[:0], p)
+	b.buf = buf
+	if !schema {
+		err = b.enc.Encode(p)
+		buf = b.buf[:max(len(b.buf)-1, 0)] // Encode ends the document with a newline
+	}
+	if err != nil {
+		return nil, fmt.Errorf("message: encode %s body: %w", p.Kind(), err)
+	}
+	return buf, nil
+}
+
+func (b *bodyBuf) put() {
+	if cap(b.buf) > retainedBodyBuf {
+		b.buf = nil
+	}
+	bodyBufs.Put(b)
+}
+
+// sizeWith returns the envelope's encoded size with a body of n bytes.
+func (e Envelope) sizeWith(n int) int {
+	size := LenPrefixedSize(len(e.From)) +
 		LenPrefixedSize(len(e.To)) +
 		LenPrefixedSize(len(e.Session)) +
 		LenPrefixedSize(len(e.Kind)) +
-		LenPrefixedSize(len(e.Body))
+		LenPrefixedSize(n)
 	if e.Traced() {
-		n += LenPrefixedSize(traceFieldLen)
+		size += LenPrefixedSize(traceFieldLen)
 	}
-	return n
+	return size
 }
 
-// AppendBinary appends the binary encoding of the envelope to dst and
-// returns the extended slice. A dst with BinarySize spare bytes is not
-// reallocated.
-func (e Envelope) AppendBinary(dst []byte) []byte {
+// BinarySize returns the exact encoded size of the envelope in bytes, or 0
+// for one whose payload does not encode. An envelope without a Body has its
+// payload encoded to be measured: a caller about to write the envelope learns
+// its size from AppendFrame instead, for one encode.
+func (e Envelope) BinarySize() int {
+	if !e.lazy() {
+		return e.sizeWith(len(e.Body))
+	}
+	b := bodyBufs.Get().(*bodyBuf)
+	defer b.put()
+	body, err := b.encode(e.payload)
+	if err != nil {
+		return 0
+	}
+	return e.sizeWith(len(body))
+}
+
+// AppendFrame appends head(dst, size) to dst and then the envelope's binary
+// encoding, size bytes: an envelope behind whatever a transport frames it
+// with, told its size before it is written. The payload of an envelope
+// without a Body is encoded once, here; head is where dst grows to hold the
+// frame. On error — a payload json.Marshal refuses — dst comes back as it was
+// and head is not called: there is no partial frame.
+func (e Envelope) AppendFrame(dst []byte, head func(dst []byte, size int) []byte) ([]byte, error) {
+	body := []byte(e.Body)
+	if e.lazy() {
+		b := bodyBufs.Get().(*bodyBuf)
+		defer b.put()
+		var err error
+		if body, err = b.encode(e.payload); err != nil {
+			return dst, err
+		}
+	}
+	dst = head(dst, e.sizeWith(len(body)))
 	dst = AppendLenPrefixed(dst, e.From)
 	dst = AppendLenPrefixed(dst, e.To)
 	dst = AppendLenPrefixed(dst, e.Session)
 	dst = AppendLenPrefixed(dst, e.Kind)
-	dst = AppendLenPrefixed(dst, e.Body)
+	dst = AppendLenPrefixed(dst, body)
 	if e.Traced() {
 		dst = append(dst, traceFieldLen) // uvarint(16) is one byte
 		dst = binary.BigEndian.AppendUint64(dst, e.TraceID)
 		dst = binary.BigEndian.AppendUint64(dst, e.SpanID)
 	}
+	return dst, nil
+}
+
+// room grows dst, at most once, to take size more bytes.
+func room(dst []byte, size int) []byte { return slices.Grow(dst, size) }
+
+// AppendBinary appends the binary encoding of the envelope to dst and
+// returns the extended slice. A dst with BinarySize spare bytes is not
+// reallocated. An envelope whose payload does not encode appends nothing;
+// AppendFrame and MarshalBinary say why.
+func (e Envelope) AppendBinary(dst []byte) []byte {
+	dst, _ = e.AppendFrame(dst, room)
 	return dst
 }
 
 // MarshalBinary renders the envelope in the binary layout.
 func (e Envelope) MarshalBinary() ([]byte, error) {
-	return e.AppendBinary(make([]byte, 0, e.BinarySize())), nil
+	return e.AppendFrame(nil, room)
 }
 
 // UnmarshalBinary parses a binary envelope. It checks structure only (five

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,17 @@ func binEnv(t *testing.T, p Payload) Envelope {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// wireJSON is the Body a wire carries for e: its own, or for an envelope
+// NewEnvelope built, its payload's JSON.
+func wireJSON(t testing.TB, e Envelope) []byte {
+	t.Helper()
+	e, err := e.WithBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Body
 }
 
 // binWindow is a valid test window.
@@ -50,7 +62,7 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		if got.From != e.From || got.To != e.To || got.Session != e.Session || got.Kind != e.Kind {
 			t.Fatalf("%s: metadata mismatch: %+v vs %+v", p.Kind(), got, e)
 		}
-		if !bytes.Equal(got.Body, e.Body) {
+		if !bytes.Equal(got.Body, wireJSON(t, e)) {
 			t.Fatalf("%s: body mismatch", p.Kind())
 		}
 		if _, err := got.Decode(); err != nil {
@@ -118,6 +130,27 @@ func TestBinaryAppendUsesPrefix(t *testing.T) {
 	}
 }
 
+// TestBinaryPayloadThatDoesNotEncode: should a carried payload not encode
+// after all — one Validate never saw — the codec says so and writes nothing,
+// so a transport has no partial frame to take back.
+func TestBinaryPayloadThatDoesNotEncode(t *testing.T) {
+	bad := Envelope{From: "ua", To: "c1", Session: "s1", Kind: KindAward, payload: Award{Round: 1, Reward: math.Inf(1)}}
+	head := false
+	dst, err := bad.AppendFrame([]byte("hdr"), func(dst []byte, size int) []byte { head = true; return dst })
+	if err == nil || string(dst) != "hdr" || head {
+		t.Fatalf("AppendFrame = %q, %v (header written: %v); want the buffer as it was and an error", dst, err, head)
+	}
+	if got := bad.AppendBinary([]byte("hdr")); string(got) != "hdr" {
+		t.Fatalf("AppendBinary appended %q", got[3:])
+	}
+	if _, err := bad.MarshalBinary(); err == nil {
+		t.Fatal("MarshalBinary of a payload that does not encode succeeded")
+	}
+	if n := bad.BinarySize(); n != 0 {
+		t.Fatalf("BinarySize = %d, want 0: nothing is written", n)
+	}
+}
+
 // TestBinaryPinnedBytes holds the encoding of a bid and a table to the bytes
 // captured before the codec was rewritten (PR 15): targeted envelopes are on
 // the wire what they were, whatever the encoder and decoder do inside.
@@ -158,7 +191,7 @@ func TestBinaryPinnedBytes(t *testing.T) {
 func sameEnvelope(t *testing.T, name string, got, want Envelope) {
 	t.Helper()
 	if got.From != want.From || got.To != want.To || got.Session != want.Session || got.Kind != want.Kind ||
-		!bytes.Equal(got.Body, want.Body) || got.TraceID != want.TraceID || got.SpanID != want.SpanID {
+		!bytes.Equal(wireJSON(t, got), wireJSON(t, want)) || got.TraceID != want.TraceID || got.SpanID != want.SpanID {
 		t.Fatalf("%s: envelope %+v, want %+v", name, got, want)
 	}
 }

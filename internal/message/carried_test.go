@@ -101,7 +101,8 @@ func sameValue(a, b reflect.Value) bool {
 
 // TestCarriedPayloadEqualsParsed: what Decode hands an in-process receiver
 // (the carried value) and what it hands a receiver across a wire (the Body,
-// parsed) are the same payload, for every kind.
+// parsed) are the same payload, for every kind; and every kind is carried
+// without a Body, whose JSON the codec writes as json.Marshal would.
 func TestCarriedPayloadEqualsParsed(t *testing.T) {
 	payloads := onePerKind()
 	if len(payloads) != len(decoders) {
@@ -111,6 +112,21 @@ func TestCarriedPayloadEqualsParsed(t *testing.T) {
 		env, err := NewEnvelope("ua", "c1", "s1", p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Kind(), err)
+		}
+		if env.Body != nil {
+			t.Fatalf("%s: NewEnvelope marshalled the payload; it must carry it with no Body", p.Kind())
+		}
+		marshalled, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := env
+		eager.Body = marshalled
+		if lazy, want := env.AppendBinary(nil), eager.AppendBinary(nil); !bytes.Equal(lazy, want) {
+			t.Fatalf("%s: encodes as\n%x, with json.Marshal's Body\n%x", p.Kind(), lazy, want)
+		}
+		if env.BinarySize() != eager.BinarySize() {
+			t.Fatalf("%s: BinarySize %d, with json.Marshal's Body %d", p.Kind(), env.BinarySize(), eager.BinarySize())
 		}
 		carried, err := env.Decode()
 		if err != nil {
@@ -142,7 +158,7 @@ func TestCarriedPayloadEqualsParsed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Kind(), err)
 		}
-		if !bytes.Equal(checked.Body, env.Body) {
+		if !bytes.Equal(checked.Body, marshalled) {
 			t.Fatalf("%s: Validated changed the body", p.Kind())
 		}
 		if n := testing.AllocsPerRun(10, func() { _, _ = checked.Decode() }); n != 0 {
@@ -152,9 +168,14 @@ func TestCarriedPayloadEqualsParsed(t *testing.T) {
 }
 
 // TestEditedEnvelopeDoesNotReturnStalePayload: the carried payload answers
-// only for the Kind and Body it was attached to.
+// only for the Kind and Body it was attached to — no Body, for an envelope
+// NewEnvelope built, whose payload a Body set since overrides.
 func TestEditedEnvelopeDoesNotReturnStalePayload(t *testing.T) {
 	built, err := NewEnvelope("c1", "ua", "s1", CutDownBid{Round: 1, CutDown: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withBody, err := built.WithBody()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +198,23 @@ func TestEditedEnvelopeDoesNotReturnStalePayload(t *testing.T) {
 		t.Fatalf("unknown kind: error = %v, want ErrUnknownKind", err)
 	}
 
+	env = built
+	env.Kind = KindAward
+	if wire, err := UnmarshalBinary(env.AppendBinary(nil)); err != nil || !bytes.Equal(wire.Body, withBody.Body) {
+		t.Fatalf("re-tagged envelope goes on the wire as %q, %v; want its payload's JSON %q", wire.Body, err, withBody.Body)
+	}
+	env = withBody
+	env.Kind = KindAward
+	if p, err := env.Decode(); err != nil || p != (Award{Round: 1, CutDown: 0.2}) {
+		t.Fatalf("re-tagged envelope with a Body decodes to %#v, %v; want an Award read from the body", p, err)
+	}
+
 	for name, body := range map[string]json.RawMessage{
-		"truncated": built.Body[:len(built.Body)-1],
-		"advanced":  built.Body[1:],
+		"truncated": withBody.Body[:len(withBody.Body)-1],
+		"advanced":  withBody.Body[1:],
 		"empty":     nil,
 	} {
-		env = built
+		env = withBody
 		env.Body = body
 		if p, err := env.Decode(); err == nil {
 			t.Errorf("%s body decodes to %v; want the parse error of what is there", name, p)
@@ -211,48 +243,64 @@ func TestEditedEnvelopeDoesNotReturnStalePayload(t *testing.T) {
 }
 
 // TestSameSend: an envelope is the same send as its copy readdressed, for
-// every kind — a payload holding slices included — and not as an envelope
-// built again from the same payload, whose Body is equal but another slice,
-// nor as a copy with any other field edited.
+// every kind — a payload holding slices included — with or without a Body,
+// and not as an envelope built again from an equal payload boxed again, nor
+// as a copy with any other field edited.
 func TestSameSend(t *testing.T) {
 	for _, p := range onePerKind() {
-		env, err := NewEnvelope("ua", "c1", "s1", p)
+		built, err := NewEnvelope("ua", "c1", "s1", p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Kind(), err)
 		}
-		other := env
-		other.To = "c2"
-		if !env.SameSend(other) || !other.SameSend(env) {
-			t.Errorf("%s: a copy addressed to another recipient is not the same send", p.Kind())
-		}
-		again, err := NewEnvelope("ua", "c1", "s1", p)
+		withBody, err := built.WithBody()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if env.SameSend(again) {
-			t.Errorf("%s: an envelope built again is the same send", p.Kind())
-		}
-		checked, err := env.Validated() // the same Body, the same payload
+		copied := reflect.New(reflect.TypeOf(p)).Elem()
+		copied.Set(reflect.ValueOf(p))
+		again, err := NewEnvelope("ua", "c1", "s1", copied.Interface().(Payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !env.SameSend(checked) {
-			t.Errorf("%s: a validated copy is not the same send", p.Kind())
+		if built.SameSend(again) {
+			t.Errorf("%s: an envelope built again from a copy of its payload is the same send", p.Kind())
 		}
-		for name, edit := range map[string]func(*Envelope){
-			"from":      func(e *Envelope) { e.From = "c9" },
-			"session":   func(e *Envelope) { e.Session = "s2" },
-			"kind":      func(e *Envelope) { e.Kind = "bogus" },
-			"trace":     func(e *Envelope) { e.TraceID = 7 },
-			"span":      func(e *Envelope) { e.SpanID = 8 },
-			"body":      func(e *Envelope) { e.Body = e.Body[:len(e.Body)-1] },
-			"copied":    func(e *Envelope) { e.Body = bytes.Clone(e.Body) },
-			"uncarried": func(e *Envelope) { e.payload, e.bodyStart = nil, nil },
-		} {
-			edited := env
-			edit(&edited)
-			if env.SameSend(edited) {
-				t.Errorf("%s: an envelope with its %s edited is the same send", p.Kind(), name)
+		if built.SameSend(withBody) {
+			t.Errorf("%s: an envelope given a Body is the same send as it was without", p.Kind())
+		}
+		for form, env := range map[string]Envelope{"built": built, "with a Body": withBody} {
+			other := env
+			other.To = "c2"
+			if !env.SameSend(other) || !other.SameSend(env) {
+				t.Errorf("%s %s: a copy addressed to another recipient is not the same send", p.Kind(), form)
+			}
+			checked, err := env.Validated() // the same Body, the same payload
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !env.SameSend(checked) {
+				t.Errorf("%s %s: a validated copy is not the same send", p.Kind(), form)
+			}
+			edits := map[string]func(*Envelope){
+				"from":      func(e *Envelope) { e.From = "c9" },
+				"session":   func(e *Envelope) { e.Session = "s2" },
+				"kind":      func(e *Envelope) { e.Kind = "bogus" },
+				"trace":     func(e *Envelope) { e.TraceID = 7 },
+				"span":      func(e *Envelope) { e.SpanID = 8 },
+				"uncarried": func(e *Envelope) { e.payload, e.bodyStart = nil, nil },
+			}
+			if env.Body == nil {
+				edits["body"] = func(e *Envelope) { e.Body = withBody.Body }
+			} else {
+				edits["body"] = func(e *Envelope) { e.Body = e.Body[:len(e.Body)-1] }
+				edits["copied"] = func(e *Envelope) { e.Body = bytes.Clone(e.Body) }
+			}
+			for name, edit := range edits {
+				edited := env
+				edit(&edited)
+				if env.SameSend(edited) {
+					t.Errorf("%s %s: an envelope with its %s edited is the same send", p.Kind(), form, name)
+				}
 			}
 		}
 	}

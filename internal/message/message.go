@@ -3,13 +3,15 @@
 // awards closing a negotiation, and the information exchanges with Producer
 // Agents.
 //
-// An Envelope holds its payload in two forms. Body, the payload's JSON, is
-// the wire form: it is what the TCP transport, the journal and the JSON and
-// binary envelope codecs carry, byte for byte. The payload value NewEnvelope
-// validated travels with the envelope as the in-process form: Decode returns
-// it without parsing, so a table broadcast on the in-process bus reaches N
-// agents as one shared value, and only an envelope that came off a wire (or
-// was written as a literal) has its Body parsed.
+// An Envelope holds its payload in one of two forms. An envelope NewEnvelope
+// built carries the payload value it validated and no bytes: Decode returns
+// that value without parsing, so a table broadcast on the in-process bus
+// reaches N agents as one shared value, and nothing in process marshals JSON.
+// Body, the payload's JSON, is the wire form: a transport writes the carried
+// payload's JSON straight into the frame it is building (binary.go), and an
+// envelope that came off a wire (or was written as a literal) has its Body
+// parsed. That is safe because Validate is the encode contract: a payload of
+// this package that Validate accepts is one json.Marshal encodes.
 //
 // Parsing costs what the value keeps for the four kinds a reward-table session
 // sends — CutDownBid, Award, SessionEnd, RewardTable: their decoders (schema.go)
@@ -30,11 +32,11 @@
 package message
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"time"
 	"unsafe"
 
@@ -107,12 +109,36 @@ func (w Window) Interval() (units.Interval, error) {
 	return units.NewInterval(w.Start, w.End)
 }
 
-// validateWindow reports whether the window is well-formed.
+// validate reports whether the window is well-formed and has a JSON form.
 func (w Window) validate() error {
+	for _, t := range [...]time.Time{w.Start, w.End} {
+		if !exactRFC3339(t) {
+			return fmt.Errorf("%w: %v has no exact RFC 3339 form", ErrBadValue, t)
+		}
+	}
 	if !w.End.After(w.Start) {
 		return ErrBadInterval
 	}
 	return nil
+}
+
+// exactRFC3339 reports whether t's JSON is t: a year of four digits and a
+// zone offset in whole minutes under a day. time.Time.MarshalJSON refuses
+// any other year or a longer offset, and drops an offset's seconds, which
+// moves the instant the JSON names.
+func exactRFC3339(t time.Time) bool {
+	_, offset := t.Zone()
+	return t.Year() >= 0 && t.Year() <= 9999 && offset > -24*60*60 && offset < 24*60*60 && offset%60 == 0
+}
+
+// finite reports whether every value is a number JSON can write.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // OfferTerms is the one-shot offer of Section 3.2.1: stay below
@@ -135,7 +161,7 @@ func (o OfferTerms) Validate() error {
 	if err := o.Window.validate(); err != nil {
 		return err
 	}
-	if o.XMax <= 0 || o.XMax > 1 {
+	if !(o.XMax > 0 && o.XMax <= 1) {
 		return fmt.Errorf("%w: xMax %v", ErrBadFraction, o.XMax)
 	}
 	for _, v := range []float64{o.AllowanceKWh, o.LowPrice, o.NormalPrice, o.HighPrice} {
@@ -171,6 +197,9 @@ func (r BidRequest) Validate() error {
 	}
 	if r.Round < 1 {
 		return fmt.Errorf("%w: round %d", ErrBadValue, r.Round)
+	}
+	if !finite(r.LowPrice, r.NormalPrice, r.HighPrice) {
+		return fmt.Errorf("%w: prices %v, %v, %v", ErrBadValue, r.LowPrice, r.NormalPrice, r.HighPrice)
 	}
 	if !(r.LowPrice <= r.NormalPrice && r.NormalPrice <= r.HighPrice) {
 		return fmt.Errorf("%w: prices must satisfy low <= normal <= high", ErrBadValue)
@@ -624,6 +653,16 @@ func (b ObsBatch) Validate() error {
 	if b.Seq == 0 {
 		return fmt.Errorf("%w: seq 0 (batch sequences count from 1)", ErrBadValue)
 	}
+	for _, m := range b.Metrics {
+		if !finite(m.Value) {
+			return fmt.Errorf("%w: metric %s = %v", ErrBadValue, m.Name, m.Value)
+		}
+	}
+	for _, l := range b.Logs {
+		if len(l.Fields) > 0 && !json.Valid(l.Fields) {
+			return fmt.Errorf("%w: log fields %q are not JSON", ErrBadValue, l.Fields)
+		}
+	}
 	return nil
 }
 
@@ -647,11 +686,17 @@ func (a ObsAck) Validate() error {
 
 // Envelope wraps a payload with routing metadata.
 type Envelope struct {
-	From    string          `json:"from"`
-	To      string          `json:"to"` // "" means broadcast
-	Session string          `json:"session"`
-	Kind    Kind            `json:"kind"`
-	Body    json.RawMessage `json:"body"`
+	From    string `json:"from"`
+	To      string `json:"to"` // "" means broadcast
+	Session string `json:"session"`
+	Kind    Kind   `json:"kind"`
+	// Body is the payload's JSON as a wire carries it. NewEnvelope leaves it
+	// nil: the envelope carries the payload value, and a transport writes
+	// that value's JSON where Body goes in its frame (AppendFrame). It is set
+	// on an envelope read off a wire, by WithBody, and by whoever assigns it
+	// — and a Body that is set is what the envelope says, over any payload
+	// carried beside it.
+	Body json.RawMessage `json:"body"`
 
 	// TraceID/SpanID carry the distributed-tracing context across process
 	// boundaries (internal/trace). Zero means untraced; the fields are
@@ -660,8 +705,9 @@ type Envelope struct {
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
 
-	// payload is the validated value Body is the JSON of, and bodyStart the
-	// first byte of that Body: see carry and carried.
+	// payload is the validated value the envelope carries, and bodyStart the
+	// first byte of the Body it is the JSON of, nil while there is none: see
+	// carry and carried.
 	payload   Payload
 	bodyStart *byte
 }
@@ -669,9 +715,12 @@ type Envelope struct {
 // Traced reports whether the envelope carries a trace context.
 func (e Envelope) Traced() bool { return e.TraceID != 0 }
 
-// NewEnvelope validates the payload and wraps it. The envelope carries p
-// itself beside its JSON, so p — every slice and map it reaches — must not
-// be written again.
+// NewEnvelope validates the payload and wraps it. A payload of this package's
+// value types is carried as it is, with no Body: p — every slice and map it
+// reaches — must not be written again. Any other payload (a pointer, which
+// would share the sender's variable; a type from elsewhere, whose Validate
+// this package does not vouch for) is marshalled now and reaches receivers
+// through its Body, as the value type Decode parses it into.
 func NewEnvelope(from, to, session string, p Payload) (Envelope, error) {
 	if from == "" {
 		return Envelope{}, fmt.Errorf("%w: from", ErrEmptyField)
@@ -682,17 +731,54 @@ func NewEnvelope(from, to, session string, p Payload) (Envelope, error) {
 	if err := p.Validate(); err != nil {
 		return Envelope{}, err
 	}
+	e := Envelope{From: from, To: to, Session: session, Kind: p.Kind()}
+	if carriable(p) {
+		e.payload = p
+		return e, nil
+	}
 	body, err := json.Marshal(p)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("message: marshal body: %w", err)
 	}
-	e := Envelope{From: from, To: to, Session: session, Kind: p.Kind(), Body: body}
-	if reflect.TypeOf(p).Kind() == reflect.Pointer {
-		// Receivers switch on the value types Decode parses into, and a
-		// pointer would share the sender's variable: leave it to the Body.
+	e.Body = body
+	return e, nil
+}
+
+// carriable reports whether p is one of the package's payload values, each
+// of whose Validate refuses whatever json.Marshal would
+// (TestValidateRefusesWhatDoesNotEncode), so that writing its JSON later, in
+// a transport's frame, cannot fail where NewEnvelope did not.
+func carriable(p Payload) bool {
+	switch p.(type) {
+	case OfferTerms, BidRequest, RewardTable, OfferReply, EnergyBid, CutDownBid, Award,
+		InfoRequest, InfoReply, SessionEnd, MeterBatch,
+		ReplSubscribe, ReplBatch, ReplAck, ReplSnapshot, ReplHeartbeat,
+		ObsSubscribe, ObsBatch, ObsAck:
+		return true
+	}
+	return false
+}
+
+// lazy reports whether the envelope's JSON is yet to be written: NewEnvelope
+// built it with a payload and no Body, and no Body has been set since. (One
+// whose Body was removed has an empty Body, as a wire would say.)
+func (e Envelope) lazy() bool { return e.Body == nil && e.payload != nil && e.bodyStart == nil }
+
+// WithBody returns the envelope with its Body written, still carrying its
+// payload: the form for a bus that hands envelopes on as they are rather than
+// writing each into a frame of its own.
+func (e Envelope) WithBody() (Envelope, error) {
+	if !e.lazy() {
 		return e, nil
 	}
-	return e.carry(p), nil
+	b := bodyBufs.Get().(*bodyBuf)
+	defer b.put()
+	body, err := b.encode(e.payload)
+	if err != nil {
+		return Envelope{}, err
+	}
+	e.Body = bytes.Clone(body)
+	return e.carry(e.payload), nil
 }
 
 // carry attaches the validated payload Body is the JSON of. Body is clipped
@@ -704,13 +790,16 @@ func (e Envelope) carry(p Payload) Envelope {
 }
 
 // carried returns the attached payload while Kind and Body are still the
-// ones it was attached to; an envelope edited since falls back to its Body.
+// ones it was attached to — no Body, for an envelope NewEnvelope built; an
+// envelope edited since falls back to its Body.
 func (e Envelope) carried() (Payload, bool) {
-	if e.payload == nil || e.payload.Kind() != e.Kind ||
-		len(e.Body) == 0 || len(e.Body) != cap(e.Body) || &e.Body[0] != e.bodyStart {
+	if e.payload == nil || e.payload.Kind() != e.Kind {
 		return nil, false
 	}
-	return e.payload, true
+	if e.bodyStart == nil {
+		return e.payload, e.Body == nil
+	}
+	return e.payload, len(e.Body) != 0 && len(e.Body) == cap(e.Body) && &e.Body[0] == e.bodyStart
 }
 
 // SameSend reports whether e and o are one envelope addressed to two
@@ -770,7 +859,9 @@ func decodeAs[T Payload](body []byte) (Payload, error) {
 }
 
 // Decode returns the validated payload: the one the envelope carries when it
-// was built in this process, else Body parsed according to the kind tag.
+// was built in this process, else Body parsed according to the kind tag. An
+// envelope re-tagged since NewEnvelope built it is read as a wire would read
+// it: its payload's JSON, parsed as the kind it now says.
 func (e Envelope) Decode() (Payload, error) {
 	if p, ok := e.carried(); ok {
 		return p, nil
@@ -779,6 +870,12 @@ func (e Envelope) Decode() (Payload, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, e.Kind)
 	}
+	if e.lazy() {
+		var err error
+		if e, err = e.WithBody(); err != nil {
+			return nil, err
+		}
+	}
 	return decode(e.Body)
 }
 
@@ -786,6 +883,15 @@ func (e Envelope) Decode() (Payload, error) {
 // so a trust boundary that must check an inbound envelope hands the receiver
 // the value it checked instead of bytes to parse again.
 func (e Envelope) Validated() (Envelope, error) {
+	if _, ok := e.carried(); ok {
+		return e, nil
+	}
+	if e.lazy() { // re-tagged: it keeps the Body a wire would have carried
+		var err error
+		if e, err = e.WithBody(); err != nil {
+			return Envelope{}, err
+		}
+	}
 	p, err := e.Decode()
 	if err != nil {
 		return Envelope{}, err

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -186,6 +187,55 @@ func TestMeterBatchValidation(t *testing.T) {
 	for i, r := range bad {
 		if err := (MeterBatch{Readings: []MeterReading{r}}).Validate(); err == nil {
 			t.Errorf("bad reading %d passed validation", i)
+		}
+	}
+}
+
+// TestValidateRefusesWhatDoesNotEncode holds Validate to the contract an
+// envelope without a Body stands on: a payload Validate accepts is one whose
+// JSON a transport can write later, into a frame, where nobody is left to
+// hear that it could not — and whose JSON names the same value.
+func TestValidateRefusesWhatDoesNotEncode(t *testing.T) {
+	w := window()
+	at := func(year int, zone *time.Location) Window {
+		start := time.Date(year, 1, 20, 17, 0, 0, 0, zone)
+		return Window{Start: start, End: start.Add(2 * time.Hour)}
+	}
+	entries := validTable().Entries
+	for name, p := range map[string]Payload{
+		"year 10000":                   RewardTable{Window: at(10000, time.UTC), Round: 1, Entries: entries},
+		"year -1":                      BidRequest{Window: at(-1, time.UTC), Round: 1, LowPrice: 1, NormalPrice: 2, HighPrice: 3},
+		"a zone a day ahead":           InfoRequest{Topic: "capacity", Window: at(1998, time.FixedZone("", 24*60*60))},
+		"log fields that are not JSON": ObsBatch{Seq: 1, Logs: []ObsLogEvent{{Level: "warn", Msg: "m", Fields: json.RawMessage(`{"agent":`)}}},
+		"a NaN metric":                 ObsBatch{Seq: 1, Metrics: []ObsMetricSample{{Name: "x", Value: math.NaN()}}},
+		"a NaN xMax":                   OfferTerms{Window: w, XMax: math.NaN(), AllowanceKWh: 10, LowPrice: 1, NormalPrice: 2, HighPrice: 3},
+		"an infinite price":            BidRequest{Window: w, Round: 1, LowPrice: 1, NormalPrice: 2, HighPrice: math.Inf(1)},
+	} {
+		if _, err := json.Marshal(p); err == nil {
+			t.Fatalf("%s: json.Marshal encodes it, so it is not a case of this test", name)
+		}
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts a payload json.Marshal refuses", name)
+		}
+	}
+
+	// A zone offset with seconds encodes, as another instant: refused too.
+	lmt := RewardTable{Window: at(1998, time.FixedZone("LMT", 19*60+32)), Round: 1, Entries: entries}
+	if err := lmt.Validate(); err == nil {
+		t.Error("Validate accepts a window whose JSON names another instant")
+	}
+	// The edges that do encode, exactly, stay valid.
+	for name, p := range map[string]Payload{
+		"year 0":                   InfoRequest{Topic: "capacity", Window: at(0, time.UTC)},
+		"year 9999":                InfoRequest{Topic: "capacity", Window: Window{Start: time.Date(9999, 12, 31, 20, 0, 0, 0, time.UTC), End: time.Date(9999, 12, 31, 22, 0, 0, 0, time.UTC)}},
+		"a zone 23:59 behind":      InfoRequest{Topic: "capacity", Window: at(1998, time.FixedZone("", -(23*60+59)*60))},
+		"log fields that are JSON": ObsBatch{Seq: 1, Logs: []ObsLogEvent{{Fields: json.RawMessage(` {"agent": "c01"} `)}}},
+	} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if _, err := json.Marshal(p); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package message
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
@@ -303,4 +306,75 @@ func jsonNumber(b []byte) bool {
 		}
 	}
 	return len(b) == 0
+}
+
+// Schema encoders: the other direction, for the three kinds a session sends
+// by the thousand — CutDownBid, Award and RewardTable. Their JSON is written
+// by hand in the bytes json.Marshal writes: the fields in declaration order
+// under their tags, an int as strconv.AppendInt writes it, a float as
+// encoding/json's floatEncoder does, a time as Time.MarshalJSON does (RFC 3339
+// with nanoseconds, without MarshalJSON's allocation). FuzzLazyFrame holds the
+// two equal byte for byte; any other payload is encoding/json's to write.
+
+// appendSchemaJSON appends p's JSON to dst and reports whether p is one of
+// the kinds written here. A float or time JSON cannot hold is an error, as it
+// is to json.Marshal.
+func appendSchemaJSON(dst []byte, p Payload) ([]byte, bool, error) {
+	switch v := p.(type) {
+	case CutDownBid:
+		if !finite(v.CutDown) {
+			return dst, true, fmt.Errorf("%w: cutDown %v", ErrBadValue, v.CutDown)
+		}
+		dst = strconv.AppendInt(append(dst, `{"round":`...), int64(v.Round), 10)
+		return append(appendJSONFloat(append(dst, `,"cutDown":`...), v.CutDown), '}'), true, nil
+	case Award:
+		if !finite(v.CutDown, v.Reward) {
+			return dst, true, fmt.Errorf("%w: cutDown %v, reward %v", ErrBadValue, v.CutDown, v.Reward)
+		}
+		dst = strconv.AppendInt(append(dst, `{"round":`...), int64(v.Round), 10)
+		dst = appendJSONFloat(append(dst, `,"cutDown":`...), v.CutDown)
+		return append(appendJSONFloat(append(dst, `,"reward":`...), v.Reward), '}'), true, nil
+	case RewardTable:
+		if !exactRFC3339(v.Window.Start) || !exactRFC3339(v.Window.End) {
+			return dst, true, fmt.Errorf("%w: window %v has no exact RFC 3339 form", ErrBadValue, v.Window)
+		}
+		for _, e := range v.Entries {
+			if !finite(e.CutDown, e.Reward) {
+				return dst, true, fmt.Errorf("%w: entry %v", ErrBadValue, e)
+			}
+		}
+		dst = v.Window.Start.AppendFormat(append(dst, `{"window":{"start":"`...), time.RFC3339Nano)
+		dst = v.Window.End.AppendFormat(append(dst, `","end":"`...), time.RFC3339Nano)
+		dst = strconv.AppendInt(append(dst, `"},"round":`...), int64(v.Round), 10)
+		dst = append(dst, `,"entries":`...)
+		if v.Entries == nil {
+			return append(dst, `null}`...), true, nil
+		}
+		dst = append(dst, '[')
+		for i, e := range v.Entries {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONFloat(append(dst, `{"cutDown":`...), e.CutDown)
+			dst = append(appendJSONFloat(append(dst, `,"reward":`...), e.Reward), '}')
+		}
+		return append(dst, "]}"...), true, nil
+	}
+	return dst, false, nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest decimal that reads back as f, in exponent form below 1e-6 and from
+// 1e21 up, with the exponent unpadded.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 is written e-7
+		dst = dst[:n-1]
+	}
+	return dst
 }

@@ -48,7 +48,7 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 	if got.TraceID != e.TraceID || got.SpanID != e.SpanID {
 		t.Fatalf("trace context lost: got %x/%x", got.TraceID, got.SpanID)
 	}
-	if got.From != e.From || got.Session != e.Session || !bytes.Equal(got.Body, e.Body) {
+	if got.From != e.From || got.Session != e.Session || !bytes.Equal(got.Body, wireJSON(t, e)) {
 		t.Fatal("envelope fields corrupted by trace field")
 	}
 }
@@ -65,7 +65,7 @@ func TestBinaryUntracedEnvelopeIsByteIdenticalToLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy decoder rejected untraced envelope: %v", err)
 	}
-	if got.From != e.From || got.Kind != e.Kind || !bytes.Equal(got.Body, e.Body) {
+	if got.From != e.From || got.Kind != e.Kind || !bytes.Equal(got.Body, wireJSON(t, e)) {
 		t.Fatal("legacy decode mismatch")
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -37,7 +38,9 @@ func everyKind(tb testing.TB) []Record {
 // directory's only segment. Recovery (ReadDir) never panics; every record it
 // accepts re-frames to the segment's bytes up to where it stopped, and what
 // follows is reported torn; and a Tailer over the same file delivers exactly
-// those frames, in that order — a differential check of the two readers.
+// those frames, in that order — a differential check of the two readers —
+// as does one opened after any of them, while one opened past the last gets
+// ErrGap.
 //
 //	go test -run '^$' -fuzz FuzzReadDir -fuzztime 10s -fuzzminimizetime 20x ./internal/store
 func FuzzReadDir(f *testing.F) {
@@ -78,21 +81,43 @@ func FuzzReadDir(f *testing.F) {
 			t.Fatalf("%d torn bytes reported after %d of %d frame bytes", rec.TornBytes, len(framed), len(data)-headerSize)
 		}
 
-		tail, err := OpenTail(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tail.Close()
-		var tailed []byte
-		for {
-			b, err := tail.Next(0)
-			if err != nil || b.Count == 0 {
-				break
-			}
-			tailed = append(tailed, b.Frames...)
-		}
-		if !bytes.Equal(tailed, framed) {
+		if tailed := tailAfter(t, dir, 0); !bytes.Equal(tailed, framed) {
 			t.Fatalf("the tailer delivered frames %x, recovery accepted %x", tailed, framed)
 		}
+		// A cursor opened after record k — a follower resuming mid-segment,
+		// through seek's readFrameAt — delivers exactly the frames after it,
+		// and one past the last record is a gap, not a position to guess.
+		off := 0
+		for k, r := range rec.Records {
+			off += len(appendFrame(nil, r))
+			if tailed := tailAfter(t, dir, uint64(k+1)); !bytes.Equal(tailed, framed[off:]) {
+				t.Fatalf("a cursor after record %d delivered frames %x, want %x", k+1, tailed, framed[off:])
+			}
+		}
+		if tail, err := OpenTail(dir, uint64(len(rec.Records)+1)); !errors.Is(err, ErrGap) {
+			if tail != nil {
+				tail.Close()
+			}
+			t.Fatalf("a cursor past the %d records recovery accepted opened with %v, want ErrGap", len(rec.Records), err)
+		}
 	})
+}
+
+// tailAfter returns every frame a Tailer opened after record afterSeq
+// delivers.
+func tailAfter(t *testing.T, dir string, afterSeq uint64) []byte {
+	t.Helper()
+	tail, err := OpenTail(dir, afterSeq)
+	if err != nil {
+		t.Fatalf("a cursor after record %d: %v", afterSeq, err)
+	}
+	defer tail.Close()
+	var tailed []byte
+	for {
+		b, err := tail.Next(0)
+		if err != nil || b.Count == 0 {
+			return tailed
+		}
+		tailed = append(tailed, b.Frames...)
+	}
 }

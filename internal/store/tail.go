@@ -102,16 +102,19 @@ func (t *Tailer) seek() error {
 	// Skip records below the cursor within the segment.
 	seq := first - 1
 	for seq+1 < t.nextSeq {
-		_, size, err := t.readFrameAt(t.off)
-		if err != nil {
-			// The cursor points past what the journal holds. A follower only
-			// ever holds a prefix of the log it follows, so this is
-			// divergence (or the wrong directory), not a position to guess
-			// around.
-			return fmt.Errorf("%w (cursor at %d, journal ends at %d)", ErrGap, t.nextSeq, seq)
+		if ok, _ := t.checkHeader(); ok {
+			if _, size, err := t.readFrameAt(t.off); err == nil {
+				t.off += int64(size)
+				seq++
+				continue
+			}
 		}
-		t.off += int64(size)
-		seq++
+		// The cursor points past what the journal holds: past its last
+		// whole frame, or into a segment whose header this version did not
+		// write, where recovery ends the log too. A follower only ever holds
+		// a prefix of the log it follows, so this is divergence (or the
+		// wrong directory), not a position to guess around.
+		return fmt.Errorf("%w (cursor at %d, journal ends at %d)", ErrGap, t.nextSeq, seq)
 	}
 	return nil
 }
