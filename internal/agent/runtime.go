@@ -168,12 +168,13 @@ func (rt *Runtime) SendAllCtx(tc trace.Context, to []string, session string, p m
 }
 
 // envelope wraps a payload in an envelope from this agent, stamped with tc.
-// A bus that hosts groups hands the envelope to sinks, which read the
-// carried payload or write its JSON into a frame; any other bus is given the
-// Body at send.
+// The bus package's own buses take it carrying its payload — InProc hands it
+// to sinks, which read the payload or write its JSON into a frame, and Remote
+// writes that JSON into the frame it sends — so only a bus from elsewhere,
+// which may read Body, is given the Body at send (bus.TakesCarried).
 func (rt *Runtime) envelope(tc trace.Context, to, session string, p message.Payload) (message.Envelope, error) {
 	env, err := message.NewEnvelope(rt.name, to, session, p)
-	if err == nil && !bus.HostsGroups(rt.bus) {
+	if err == nil && !bus.TakesCarried(rt.bus) {
 		env, err = env.WithBody()
 	}
 	if err != nil {

@@ -120,6 +120,19 @@ func HostsGroups(b Bus) bool {
 	return ok
 }
 
+// TakesCarried reports whether b is one of this package's buses, which take
+// an envelope that carries its payload and has no Body: InProc hands it to
+// sinks as it is, and Remote writes the payload's JSON into the frame it
+// builds. Any other Bus may read Body, so a sender gives it one
+// (Envelope.WithBody).
+func TakesCarried(b Bus) bool {
+	switch b.(type) {
+	case *InProc, *Remote:
+		return true
+	}
+	return false
+}
+
 // groupHost is a Bus with RegisterGroup.
 type groupHost interface {
 	RegisterGroup(names []string, sink GroupSink, gone func()) (unregister func(), err error)

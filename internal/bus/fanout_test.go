@@ -364,7 +364,8 @@ var raceBuild bool
 // to: a frame is encoded into one buffer sized up front — a carried payload's
 // JSON written into it, with no Body of its own, through pooled encoders
 // (not counted under -race) — and an envelope is decoded as one header string
-// and one body.
+// and its payload, which a table decodes in the frame to a box and its
+// entries.
 func TestBinaryCodecAllocs(t *testing.T) {
 	lazy := tableEnv(t, "cc")
 	lazy.To = "c1"
@@ -372,11 +373,12 @@ func TestBinaryCodecAllocs(t *testing.T) {
 	to := []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"}
 	frame := framePayload(EncodeEnvelopeFrame(nil, lazy))
 	fan := framePayload(encodeFanOutFrame(nil, lazy, to))
-	table, err := message.UnmarshalBinary(frame) // a table as a concentrator relays it: off a wire
+	wireTable, err := message.UnmarshalBinary(frame) // a table as a concentrator relays it: off a wire
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table, err = table.Validated(); err != nil {
+	withBody, err := lazy.WithBody() // a table as a bus from elsewhere is handed it
+	if err != nil {
 		t.Fatal(err)
 	}
 	bid := env(t, "c1", "cc")
@@ -390,16 +392,21 @@ func TestBinaryCodecAllocs(t *testing.T) {
 		pooled bool
 		f      func()
 	}{
-		{"EncodeEnvelopeFrame", 1, false, func() { _ = EncodeEnvelopeFrame(nil, table) }},
-		{"encodeFanOutFrame", 1, false, func() { _ = encodeFanOutFrame(nil, table, to) }},
+		{"EncodeEnvelopeFrame of a Body", 1, false, func() { _ = EncodeEnvelopeFrame(nil, withBody) }},
+		{"encodeFanOutFrame of a Body", 1, false, func() { _ = encodeFanOutFrame(nil, withBody, to) }},
+		// A relay writes the value it decoded, through the schema encoder.
+		{"EncodeEnvelopeFrame of a table off a wire", 1, true, func() { _ = EncodeEnvelopeFrame(nil, wireTable) }},
+		{"encodeFanOutFrame of a table off a wire", 1, true, func() { _ = encodeFanOutFrame(nil, wireTable, to) }},
 		{"EncodeEnvelopeFrame of a carried bid", 1, true, func() { _ = EncodeEnvelopeFrame(nil, bid) }},
 		{"EncodeEnvelopeFrame of a carried award", 1, true, func() { _ = EncodeEnvelopeFrame(nil, award) }},
 		// The schema encoder writes the window's times without
 		// time.Time.MarshalJSON, which allocates what it returns.
 		{"EncodeEnvelopeFrame of a carried table", 1, true, func() { _ = EncodeEnvelopeFrame(nil, lazy) }},
 		{"encodeFanOutFrame of a carried table", 1, true, func() { _ = encodeFanOutFrame(nil, lazy, to) }},
-		{"UnmarshalBinary", 2, false, func() { _, _ = message.UnmarshalBinary(frame) }},
-		{"decodeFanOut", 4, false, func() { _, _, _ = decodeFanOut(fan) }}, // names, list, header, body
+		{"UnmarshalBinary", 3, false, func() { _, _ = message.UnmarshalBinary(frame) }}, // header, box, entries
+		{"decodeFanOut", 5, false, func() { _, _, _ = decodeFanOut(fan) }},              // names, list, header, box, entries
+		{"Validated off the wire", 0, false, func() { _, _ = wireTable.Validated() }},   // checked in the frame
+		{"Decode off the wire", 0, false, func() { _, _ = wireTable.Decode() }},         //
 	} {
 		if c.pooled && raceBuild {
 			continue
@@ -501,6 +508,13 @@ func FuzzFanOutFrame(f *testing.F) {
 		if env.From != env2.From || env.Session != env2.Session || env.Kind != env2.Kind ||
 			!bytes.Equal(env.Body, env2.Body) || env.TraceID != env2.TraceID || env.SpanID != env2.SpanID {
 			t.Fatalf("envelope %+v became %+v", env, env2)
+		}
+		// A payload decoded in the frame has no Body to compare: it is
+		// re-encoded from its value, which must read back the same.
+		p, err := env.Decode()
+		p2, err2 := env2.Decode()
+		if fmt.Sprint(p, err) != fmt.Sprint(p2, err2) {
+			t.Fatalf("payload %v, %v became %v, %v", p, err, p2, err2)
 		}
 	})
 }

@@ -264,4 +264,9 @@ func TestSmallGroupCopiesNoMap(t *testing.T) {
 	if !HostsGroups(b) || HostsGroups(plainBus{b}) {
 		t.Fatal("HostsGroups disagrees with RegisterGroup")
 	}
+	// The package's own buses take an envelope with no Body; a wrapper from
+	// elsewhere is one that may read it.
+	if !TakesCarried(b) || !TakesCarried(NewRemote("127.0.0.1:0")) || TakesCarried(plainBus{b}) {
+		t.Fatal("TakesCarried names another set of buses than InProc and Remote")
+	}
 }

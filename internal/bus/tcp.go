@@ -337,7 +337,9 @@ func (s *Server) handle(conn net.Conn) {
 			env.From = name // trust boundary: the connection owns its identity
 			// The payload checked here travels on with the envelope, so the
 			// local agents it is delivered to do not parse the body again —
-			// and a fan-out is decoded and checked once for all of them.
+			// and a fan-out is decoded and checked once for all of them. A
+			// negotiation's kinds were checked where the frame landed
+			// (UnmarshalBinary), and pass through at no cost.
 			env, err = env.Validated()
 		}
 		if err != nil {

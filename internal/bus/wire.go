@@ -34,14 +34,24 @@ import (
 // What a frame costs. Neither end allocates for the frame itself, only for
 // what the envelope keeps. Reading: every frame of a connection lands in that
 // connection's one buffer (frameReader), which the next frame overwrites —
-// UnmarshalBinary and decodeFanOut copy out the two pieces an envelope keeps
-// (header string, Body) and retain nothing else. Writing: a Client encodes
-// into its one buffer under its write gate; the bus encodes each envelope for
-// a Server connection straight into the pending half of the connection's
-// buffer pair, and its writer puts everything pending on the wire in one
-// write (outbound, tcp.go). Either way an envelope built in process has its
-// payload's JSON encoded there, once, behind the frame's length
-// (appendEnvelopeFrame): it has no Body of its own.
+// UnmarshalBinary and decodeFanOut take out the two pieces an envelope keeps,
+// its header string and its payload, and retain nothing else. A bid, an
+// award, a session end or a table is decoded and validated there, in the
+// buffer, and leaves as the payload with no Body, so the server's trust
+// boundary (Validated) and every receiver's Decode after it cost nothing; any
+// other body is copied out as the Body and parsed once, at that boundary.
+// Writing: a Client encodes into its one buffer under its write gate; the bus
+// encodes each envelope for a Server connection straight into the pending
+// half of the connection's buffer pair, and its writer puts everything
+// pending on the wire in one write (outbound, tcp.go). Either way an envelope
+// that carries its payload — built in process, or decoded off a wire — has
+// its payload's JSON encoded there, once, behind the frame's length
+// (appendEnvelopeFrame).
+//
+// So a server that relays a bid from one connection to another writes the
+// value it validated, in the bytes json.Marshal writes, not the bytes the
+// peer sent: the same value, and the same bytes whenever the peer wrote what
+// json.Marshal writes, as this package does.
 // A buffer one big frame grew past retainedFrameBuf is dropped after that
 // frame instead of being kept for the connection's life.
 

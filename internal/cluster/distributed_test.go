@@ -203,19 +203,31 @@ func TestRunWorker(t *testing.T) {
 	}
 }
 
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
 // TestRunDistributedAllocationBudget holds a whole negotiation over the TCP
 // tier — 34 dials, every table, bid, award and session end through the frame
-// codec, tear-down — to 40 allocations per customer at 256 customers in 16
-// shards, ≈ 1.25× the measured 31.8 (34.2 under -race; 58 while every body off
-// a wire went through encoding/json and every frame, read or written, had a
-// buffer of its own; 68 while a customer made a session map and its first
-// state apart from the Agent; 82 while every agent mirrored its response
-// counters into two kb stores; 172 when a concentrator marshalled, framed and
-// sent the announcement once per member and the member server parsed each
-// copy). It is the unit `go run ./bench -workload tcp_256` reports
-// as allocs_per_unit.
+// codec, tear-down — to 21.9 allocations per customer at 256 customers in 16
+// shards, 1.1× the measured 19.9, since a negotiation's bodies are decoded in
+// the frame they land in and a Runtime on Remote sends its payload carried
+// (24.8 while every body was copied out of its frame to be parsed after,
+// which fails it; 31.8 before a session kept its customers in one sorted
+// roster; 58 while every body off a wire went through encoding/json and
+// every frame, read or written, had a buffer of its own; 68 while a customer made a session map and its first state apart from
+// the Agent; 82 while every agent mirrored its response counters into two kb
+// stores; 172 when a concentrator marshalled, framed and sent the
+// announcement once per member and the member server parsed each copy).
+// Under -race the budget is 26.5, 1.1× the measured 24.1: the race
+// detector's sync.Pool drops pooled encoders, which every carried payload a
+// connection writes reaches for (29.0 before). It is the unit
+// `go run ./bench -workload tcp_256` reports as allocs_per_unit.
 func TestRunDistributedAllocationBudget(t *testing.T) {
 	const n = 256
+	budget := 21.9
+	if raceBuild {
+		budget = 26.5
+	}
 	s, err := core.SyntheticScenario(core.SyntheticConfig{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +237,8 @@ func TestRunDistributedAllocationBudget(t *testing.T) {
 			t.Errorf("RunDistributed = %+v, %v", res, err)
 		}
 	})
-	if got := perRun / n; got > 40 {
-		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget 40", n, got)
+	if got := perRun / n; got > budget {
+		t.Fatalf("a %d-customer session over TCP allocates %.1f times per customer, budget %.1f", n, got, budget)
 	} else {
 		t.Logf("%.1f allocations per customer", got)
 	}

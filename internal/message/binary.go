@@ -12,7 +12,7 @@ import (
 // Binary envelope codec: the form an envelope takes inside a frame of the
 // TCP transport (internal/bus/wire.go), and the only envelope codec: an
 // envelope crossing the network is written in a single pass into a buffer
-// sized up front, and read back with two copies.
+// sized up front, and read back in one pass over the frame.
 //
 // Layout (all lengths are unsigned varints):
 //
@@ -24,7 +24,8 @@ import (
 //	[uvarint(16) TraceID.be64 SpanID.be64]   optional trace context
 //
 // The Body stays JSON: payload schemas evolve faster than routing metadata,
-// and the frame-level decoder never needs to look inside it.
+// and the frame-level decoder reads inside it only for the four kinds whose
+// grammar it knows, handing every other body on as bytes.
 //
 // Cost. An envelope NewEnvelope built has no Body: the codec encodes its
 // carried payload once, in json.Marshal's bytes exactly — a bid, an award or a
@@ -33,12 +34,14 @@ import (
 // the frame behind the length it now knows. So encoding allocates nothing when
 // the caller brings a buffer (AppendFrame, AppendBinary; the transport keeps
 // one per connection), but where encoding/json writes a time.Time, whose
-// MarshalJSON allocates. Decoding allocates the two things an envelope keeps
-// — one string holding From, To, Session and Kind, and the Body — and reads
-// the rest of its input in place, retaining none of it, so a transport reads
-// every frame of a connection into one buffer. Decode then turns the Body into
-// a payload; for the kinds of a negotiation that is one or two more
-// allocations (schema.go).
+// MarshalJSON allocates. Decoding allocates what an envelope keeps — one
+// string holding From, To, Session and Kind, and its payload — and reads the
+// rest of its input in place, retaining none of it, so a transport reads every
+// frame of a connection into one buffer. The four kinds of a negotiation are
+// decoded where they lie: a bid or an award costs the payload's box, a session
+// end or a table one more (the reason, the entries), and Decode nothing after
+// it (schema.go). Any other body is copied out as the Body, which Decode
+// parses.
 //
 // The trailing trace field is optional in both directions: an envelope
 // without a trace context encodes as five fields, and the decoder accepts
@@ -175,14 +178,19 @@ func (e Envelope) MarshalBinary() ([]byte, error) {
 	return e.AppendFrame(nil, room)
 }
 
-// UnmarshalBinary parses a binary envelope. It checks structure only (five
-// or six well-formed fields consuming exactly data); callers validate content
-// with Envelope.Decode or Validated: framing and payload validation are
-// separate steps.
+// UnmarshalBinary parses a binary envelope: five or six well-formed fields
+// consuming exactly data, or an error. The body of a bid, an award, a session
+// end or a table is decoded here, where it lies, once: if it is in the schema
+// grammar (schema.go) and its kind's Validate passes, the envelope comes back
+// carrying that payload with no Body, as NewEnvelope builds one, and Decode
+// and Validated cost nothing after it. Any other body — another kind, another
+// spelling, a value Validate refuses — is copied into Body unread, and
+// Envelope.Decode or Validated accept or refuse it exactly as they would have.
 //
 // The returned envelope retains nothing of data — a transport may overwrite
-// its read buffer as soon as the call returns. It is two copies: the four
-// header fields leave as substrings of one string, the Body as one slice.
+// its read buffer as soon as the call returns. The four header fields leave as
+// substrings of one string; the body leaves as the payload it decoded to, or
+// as one slice.
 func UnmarshalBinary(data []byte) (Envelope, error) {
 	// First pass: find the fields, copying nothing. The header is everything
 	// before the Body's length prefix, length prefixes included.
@@ -223,7 +231,9 @@ func UnmarshalBinary(data []byte) (Envelope, error) {
 	e.To = header[at[1].lo:at[1].hi]
 	e.Session = header[at[2].lo:at[2].hi]
 	e.Kind = Kind(header[at[3].lo:at[3].hi])
-	if len(body) > 0 {
+	if p, ok := inPlace(e.Kind, body); ok {
+		e.payload = p
+	} else if len(body) > 0 {
 		e.Body = make([]byte, len(body))
 		copy(e.Body, body)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -62,11 +63,21 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		if got.From != e.From || got.To != e.To || got.Session != e.Session || got.Kind != e.Kind {
 			t.Fatalf("%s: metadata mismatch: %+v vs %+v", p.Kind(), got, e)
 		}
-		if !bytes.Equal(got.Body, wireJSON(t, e)) {
-			t.Fatalf("%s: body mismatch", p.Kind())
-		}
-		if _, err := got.Decode(); err != nil {
+		decoded, err := got.Decode()
+		if err != nil {
 			t.Fatalf("%s: decode after round trip: %v", p.Kind(), err)
+		}
+		if reflect.TypeOf(decoded) != reflect.TypeOf(p) || !sameValue(reflect.ValueOf(decoded), reflect.ValueOf(p)) {
+			t.Fatalf("%s: decodes to %#v after a round trip, want %#v", p.Kind(), decoded, p)
+		}
+		// A negotiation's kinds are decoded in the frame and leave it with no
+		// Body; any other kind arrives with its Body, for Decode to parse.
+		if schemaKind(p.Kind()) {
+			if got.Body != nil {
+				t.Fatalf("%s: decoded in place, yet copied out the Body %q", p.Kind(), got.Body)
+			}
+		} else if !bytes.Equal(got.Body, wireJSON(t, e)) {
+			t.Fatalf("%s: arrives with the Body %q, want %q", p.Kind(), got.Body, wireJSON(t, e))
 		}
 	}
 }
@@ -236,4 +247,42 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		sameEnvelope(t, "round trip", back, env)
 	})
+}
+
+// TestUnmarshalBinaryAllocs pins what reading a frame costs: the header
+// string, and for a negotiation's kinds the payload decoded in the frame —
+// its box, and a session end's reason or a table's entries — after which
+// Decode and Validated cost nothing; any other kind, its Body.
+func TestUnmarshalBinaryAllocs(t *testing.T) {
+	for _, c := range []struct {
+		p    Payload
+		want float64
+	}{
+		{CutDownBid{Round: 1, CutDown: 0.050000000000000044}, 2},                                     // header, box
+		{Award{Round: 2, CutDown: 0.16875000000000007, Reward: 9.123867891540531}, 2},                // header, box
+		{SessionEnd{Round: 2, Reason: "converged"}, 3},                                               // header, box, reason
+		{RewardTable{Window: binWindow(), Round: 2, Entries: []RewardEntry{{0, 0}, {0.1, 4.25}}}, 3}, // header, box, entries
+		{ReplBatch{FirstSeq: 43, Count: 1, Frames: []byte{0x04, 0x03, 0xAA}}, 2},                     // header, Body
+		{ReplAck{Replica: "r0", AppliedSeq: 43}, 2},                                                  // header, Body
+		{ReplHeartbeat{LastSeq: 43}, 2},                                                              // header, Body
+		{BidRequest{Window: binWindow(), Round: 1, LowPrice: 1, NormalPrice: 2, HighPrice: 3}, 2},    // header, Body
+	} {
+		frame := binEnv(t, c.p).AppendBinary(nil)
+		if got := testing.AllocsPerRun(100, func() { _, _ = UnmarshalBinary(frame) }); got != c.want {
+			t.Errorf("UnmarshalBinary of a %s frame allocates %v times, want %v", c.p.Kind(), got, c.want)
+		}
+		if !schemaKind(c.p.Kind()) {
+			continue
+		}
+		wire, err := UnmarshalBinary(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = wire.Decode() }); n != 0 {
+			t.Errorf("Decode of a %s off the wire allocates %v times, want 0", c.p.Kind(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = wire.Validated() }); n != 0 {
+			t.Errorf("Validated of a %s off the wire allocates %v times, want 0", c.p.Kind(), n)
+		}
+	}
 }

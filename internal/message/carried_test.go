@@ -100,9 +100,10 @@ func sameValue(a, b reflect.Value) bool {
 }
 
 // TestCarriedPayloadEqualsParsed: what Decode hands an in-process receiver
-// (the carried value) and what it hands a receiver across a wire (the Body,
-// parsed) are the same payload, for every kind; and every kind is carried
-// without a Body, whose JSON the codec writes as json.Marshal would.
+// (the carried value) and what it hands a receiver across a wire (the payload
+// decoded in the frame, or the Body parsed) are the same payload, for every
+// kind; and every kind is carried without a Body, whose JSON the codec writes
+// as json.Marshal would.
 func TestCarriedPayloadEqualsParsed(t *testing.T) {
 	payloads := onePerKind()
 	if len(payloads) != len(decoders) {
@@ -136,8 +137,14 @@ func TestCarriedPayloadEqualsParsed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Kind(), err)
 		}
-		if wire.payload != nil {
-			t.Fatalf("%s: UnmarshalBinary parsed the payload; it must stay lazy", p.Kind())
+		// A negotiation's kinds come off the wire as NewEnvelope builds them,
+		// carrying the payload decoded in the frame; the others keep the Body
+		// the wire carried, for Decode to parse.
+		if inFrame := schemaKind(p.Kind()); inFrame != (wire.payload != nil) || inFrame != (wire.Body == nil) {
+			t.Fatalf("%s: UnmarshalBinary left payload %v and Body %q; decoded in the frame: %v", p.Kind(), wire.payload, wire.Body, inFrame)
+		}
+		if !schemaKind(p.Kind()) && !bytes.Equal(wire.Body, marshalled) {
+			t.Fatalf("%s: arrives with the Body %q, want %q", p.Kind(), wire.Body, marshalled)
 		}
 		parsed, err := wire.Decode()
 		if err != nil {
@@ -158,8 +165,11 @@ func TestCarriedPayloadEqualsParsed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Kind(), err)
 		}
-		if !bytes.Equal(checked.Body, marshalled) {
-			t.Fatalf("%s: Validated changed the body", p.Kind())
+		// What the wire envelope says is what json.Marshal writes, whether it
+		// kept the peer's bytes or re-encodes the value it decoded: a relay
+		// writes the same frame.
+		if !bytes.Equal(wireJSON(t, checked), marshalled) {
+			t.Fatalf("%s: Validated says %q, want %q", p.Kind(), wireJSON(t, checked), marshalled)
 		}
 		if n := testing.AllocsPerRun(10, func() { _, _ = checked.Decode() }); n != 0 {
 			t.Errorf("%s: Decode of a Validated envelope allocates %v times", p.Kind(), n)
@@ -200,8 +210,24 @@ func TestEditedEnvelopeDoesNotReturnStalePayload(t *testing.T) {
 
 	env = built
 	env.Kind = KindAward
-	if wire, err := UnmarshalBinary(env.AppendBinary(nil)); err != nil || !bytes.Equal(wire.Body, withBody.Body) {
-		t.Fatalf("re-tagged envelope goes on the wire as %q, %v; want its payload's JSON %q", wire.Body, err, withBody.Body)
+	retagged := withBody
+	retagged.Kind = KindAward
+	frame := env.AppendBinary(nil)
+	if want := retagged.AppendBinary(nil); !bytes.Equal(frame, want) {
+		t.Fatalf("re-tagged envelope goes on the wire as\n%x, want its payload's JSON under the new kind\n%x", frame, want)
+	}
+	wire, err := UnmarshalBinary(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := wire.Decode(); err != nil || p != (Award{Round: 1, CutDown: 0.2}) {
+		t.Fatalf("re-tagged envelope reads off the wire as %#v, %v; want an Award read from its JSON", p, err)
+	}
+	// A Body set on an envelope decoded in the frame wins over the payload
+	// decoded there, as it does over one NewEnvelope carried.
+	wire.Body = []byte(`{"round":1,"cutDown":0.4,"reward":2}`)
+	if p, err := wire.Decode(); err != nil || p != (Award{Round: 1, CutDown: 0.4, Reward: 2}) {
+		t.Fatalf("wire envelope given a Body decodes to %#v, %v; want the award the Body says", p, err)
 	}
 	env = withBody
 	env.Kind = KindAward
@@ -304,27 +330,33 @@ func TestSameSend(t *testing.T) {
 			}
 		}
 	}
-	bid, err := NewEnvelope("ua", "c1", "s1", CutDownBid{Round: 2, CutDown: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := UnmarshalBinary(bid.AppendBinary(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wire.SameSend(wire) {
-		t.Error("an envelope off a wire is not the same send as itself")
-	}
-	first, err := wire.Validated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := wire.Validated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.SameSend(second) {
-		t.Error("two validations of one wire envelope, two payload values, are the same send")
+	// A bid is validated where its frame lands: Validated hands back the
+	// envelope itself. A kind read through its Body is validated by each
+	// call, and two calls box two payload values.
+	for _, p := range []Payload{CutDownBid{Round: 2, CutDown: 0.2}, EnergyBid{Round: 2, YMinKWh: 11.25}} {
+		sent, err := NewEnvelope("ua", "c1", "s1", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := UnmarshalBinary(sent.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wire.SameSend(wire) {
+			t.Errorf("%s: an envelope off a wire is not the same send as itself", p.Kind())
+		}
+		first, err := wire.Validated()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := wire.Validated()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inFrame := schemaKind(p.Kind()); first.SameSend(second) != inFrame || wire.SameSend(first) != inFrame {
+			t.Errorf("%s: two validations of one wire envelope are the same send: %v, and the first is the same send as the envelope: %v; want both %v",
+				p.Kind(), first.SameSend(second), wire.SameSend(first), inFrame)
+		}
 	}
 }
 

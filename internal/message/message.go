@@ -8,17 +8,20 @@
 // that value without parsing, so a table broadcast on the in-process bus
 // reaches N agents as one shared value, and nothing in process marshals JSON.
 // Body, the payload's JSON, is the wire form: a transport writes the carried
-// payload's JSON straight into the frame it is building (binary.go), and an
-// envelope that came off a wire (or was written as a literal) has its Body
-// parsed. That is safe because Validate is the encode contract: a payload of
-// this package that Validate accepts is one json.Marshal encodes.
+// payload's JSON straight into the frame it is building (binary.go). That is
+// safe because Validate is the encode contract: a payload of this package
+// that Validate accepts is one json.Marshal encodes.
 //
-// Parsing costs what the value keeps for the four kinds a reward-table session
-// sends — CutDownBid, Award, SessionEnd, RewardTable: their decoders (schema.go)
-// read the JSON json.Marshal writes in place — one allocation for a bid or an
-// award (6 through encoding/json), two for a session end (7) or a ten-entry
-// table (14) — and hand any other spelling of the same JSON to encoding/json.
-// The other fifteen kinds go through encoding/json always.
+// Reading a frame is decoding it, once, where it lands. The four kinds a
+// reward-table session sends — CutDownBid, Award, SessionEnd, RewardTable —
+// are parsed by UnmarshalBinary straight from the read buffer in the JSON
+// json.Marshal writes (schema.go) and validated, and the envelope comes off
+// the wire carrying its payload with no Body, like one NewEnvelope built: one
+// allocation for a bid or an award, two for a session end or a table, none
+// for Decode after it (6, 7 and 14 through encoding/json). Any other spelling
+// of their JSON, a value Validate refuses, and the other fifteen kinds keep
+// the Body a wire delivered (or a literal was given), which Decode parses —
+// those fifteen through encoding/json always.
 //
 // That sharing makes a rule of what used to be a copy: a payload handed to
 // NewEnvelope (or Runtime.Send) is immutable from then on, as is everything
@@ -693,9 +696,9 @@ type Envelope struct {
 	// Body is the payload's JSON as a wire carries it. NewEnvelope leaves it
 	// nil: the envelope carries the payload value, and a transport writes
 	// that value's JSON where Body goes in its frame (AppendFrame). It is set
-	// on an envelope read off a wire, by WithBody, and by whoever assigns it
-	// — and a Body that is set is what the envelope says, over any payload
-	// carried beside it.
+	// on an envelope read off a wire whose body UnmarshalBinary did not decode
+	// in place, by WithBody, and by whoever assigns it — and a Body that is
+	// set is what the envelope says, over any payload carried beside it.
 	Body json.RawMessage `json:"body"`
 
 	// TraceID/SpanID carry the distributed-tracing context across process
@@ -823,19 +826,20 @@ func samePayload(a, b Payload) bool {
 }
 
 // decoders parses and validates a Body for every kind the package declares.
-// The four kinds of a reward-table session have schema decoders (schema.go),
-// which hand any body they do not recognise to the decodeAs the others use.
+// The four kinds of a reward-table session have schema decoders (schema.go):
+// the decode UnmarshalBinary runs in place, then the decodeAs the others use
+// for any body it does not take.
 var decoders = map[Kind]func(body []byte) (Payload, error){
 	KindOffer:         decodeAs[OfferTerms],
 	KindBidRequest:    decodeAs[BidRequest],
-	KindRewardTable:   decodeRewardTable,
+	KindRewardTable:   schemaDecoder[RewardTable](),
 	KindOfferReply:    decodeAs[OfferReply],
 	KindEnergyBid:     decodeAs[EnergyBid],
-	KindCutDownBid:    decodeCutDownBid,
-	KindAward:         decodeAward,
+	KindCutDownBid:    schemaDecoder[CutDownBid](),
+	KindAward:         schemaDecoder[Award](),
 	KindInfoRequest:   decodeAs[InfoRequest],
 	KindInfoReply:     decodeAs[InfoReply],
-	KindSessionEnd:    decodeSessionEnd,
+	KindSessionEnd:    schemaDecoder[SessionEnd](),
 	KindMeterBatch:    decodeAs[MeterBatch],
 	KindReplSubscribe: decodeAs[ReplSubscribe],
 	KindReplBatch:     decodeAs[ReplBatch],

@@ -14,10 +14,14 @@ import (
 // body a reward-table session puts on a wire. A body of these kinds is,
 // in the bytes json.Marshal writes, an object of known keys holding numbers,
 // an escape-free string, or (the table) one nested object of two times and one
-// array of two-number objects, with no whitespace anywhere. A schema decoder
-// reads exactly that grammar in place — no reflection, no token buffer — runs
-// the kind's Validate and allocates what the value keeps: the box the Payload
-// interface needs, plus SessionEnd's Reason and RewardTable's Entries.
+// array of two-number objects, with no whitespace anywhere. A kind's parser
+// (parseCutDownBid, ...) reads exactly that grammar in place — no reflection,
+// no token buffer — and allocates what the value keeps: SessionEnd's Reason
+// and RewardTable's Entries. It runs where the body lands: UnmarshalBinary
+// hands every body of these kinds to inPlace on the frame's read buffer, and
+// an envelope whose body parses and validates leaves with the payload boxed
+// and no Body at all. Its decoders entry runs inPlace on a Body that is still
+// there — one inPlace did not take, or one set by hand.
 //
 // Everything else is not this file's business: a body with whitespace, an
 // escape, an unknown, repeated or differently-cased key, a null, a number
@@ -27,7 +31,8 @@ import (
 // out are encoding/json's by construction. Numbers and times are converted by
 // the calls encoding/json itself makes (strconv.ParseInt / ParseFloat on the
 // literal, Time.UnmarshalJSON), so the bits agree too; FuzzFlatPayloadDecode
-// holds both to that.
+// holds both to that, and FuzzWireDecode holds a frame read through inPlace
+// to what the decoders entry makes of its body.
 
 var (
 	cutDownBidKeys  = []string{"round", "cutDown"}
@@ -38,25 +43,60 @@ var (
 	rewardEntryKeys = []string{"cutDown", "reward"}
 )
 
-func decodeCutDownBid(body []byte) (Payload, error) {
-	var v CutDownBid
-	if !eachField(body, cutDownBidKeys, func(i int, val []byte) bool {
+// inPlace is the decode UnmarshalBinary runs on the read buffer: a body of a
+// schema kind as its payload, when the kind's parser takes every byte and
+// Validate passes. Anything else is false, and the caller keeps the body as
+// Body for Decode, whose answer — the same value, or encoding/json's or
+// Validate's error — is then the only one.
+func inPlace(kind Kind, body []byte) (Payload, bool) {
+	switch kind {
+	case KindCutDownBid:
+		return valid(parseCutDownBid(body))
+	case KindAward:
+		return valid(parseAward(body))
+	case KindSessionEnd:
+		return valid(parseSessionEnd(body))
+	case KindRewardTable:
+		return valid(parseRewardTable(body))
+	}
+	return nil, false
+}
+
+// valid boxes a parsed value that Validate accepts.
+func valid[T Payload](v T, ok bool) (Payload, bool) {
+	if !ok || v.Validate() != nil {
+		return nil, false
+	}
+	return v, true
+}
+
+// schemaDecoder returns a schema kind's decoders entry: inPlace's payload,
+// or, for a body inPlace does not take, encoding/json's answer — which, for a
+// body in the grammar, is the same value, refused by the same Validate.
+func schemaDecoder[T Payload]() func([]byte) (Payload, error) {
+	kind := (*new(T)).Kind()
+	return func(body []byte) (Payload, error) {
+		if p, ok := inPlace(kind, body); ok {
+			return p, nil
+		}
+		return decodeAs[T](body)
+	}
+}
+
+// The parsers: each reads its kind's grammar, and nothing else, in place.
+
+func parseCutDownBid(body []byte) (v CutDownBid, ok bool) {
+	ok = eachField(body, cutDownBidKeys, func(i int, val []byte) bool {
 		if i == 0 {
 			return readInt(val, &v.Round)
 		}
 		return readFloat(val, &v.CutDown)
-	}) {
-		return decodeAs[CutDownBid](body)
-	}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	})
+	return v, ok
 }
 
-func decodeAward(body []byte) (Payload, error) {
-	var v Award
-	if !eachField(body, awardKeys, func(i int, val []byte) bool {
+func parseAward(body []byte) (v Award, ok bool) {
+	ok = eachField(body, awardKeys, func(i int, val []byte) bool {
 		switch i {
 		case 0:
 			return readInt(val, &v.Round)
@@ -64,18 +104,12 @@ func decodeAward(body []byte) (Payload, error) {
 			return readFloat(val, &v.CutDown)
 		}
 		return readFloat(val, &v.Reward)
-	}) {
-		return decodeAs[Award](body)
-	}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	})
+	return v, ok
 }
 
-func decodeSessionEnd(body []byte) (Payload, error) {
-	var v SessionEnd
-	if !eachField(body, sessionEndKeys, func(i int, val []byte) bool {
+func parseSessionEnd(body []byte) (v SessionEnd, ok bool) {
+	ok = eachField(body, sessionEndKeys, func(i int, val []byte) bool {
 		if i == 0 {
 			return readInt(val, &v.Round)
 		}
@@ -84,18 +118,12 @@ func decodeSessionEnd(body []byte) (Payload, error) {
 		}
 		v.Reason = string(val[1 : len(val)-1])
 		return true
-	}) {
-		return decodeAs[SessionEnd](body)
-	}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	})
+	return v, ok
 }
 
-func decodeRewardTable(body []byte) (Payload, error) {
-	var v RewardTable
-	if !eachField(body, rewardTableKeys, func(i int, val []byte) bool {
+func parseRewardTable(body []byte) (v RewardTable, ok bool) {
+	ok = eachField(body, rewardTableKeys, func(i int, val []byte) bool {
 		switch i {
 		case 0:
 			return eachField(val, windowKeys, func(i int, val []byte) bool {
@@ -121,13 +149,8 @@ func decodeRewardTable(body []byte) (Payload, error) {
 			v.Entries = append(v.Entries, e)
 			return ok
 		})
-	}) {
-		return decodeAs[RewardTable](body)
-	}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
+	})
+	return v, ok
 }
 
 // eachField walks obj as `{"key":value,...}` and calls set with each member's

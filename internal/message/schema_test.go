@@ -20,6 +20,17 @@ var schemaKinds = []struct {
 	{KindRewardTable, decodeAs[RewardTable]},
 }
 
+// schemaKind reports whether k is one of the kinds UnmarshalBinary decodes
+// in place.
+func schemaKind(k Kind) bool {
+	for _, sk := range schemaKinds {
+		if sk.kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 // Bodies as a session wrote them (cluster.RunDistributed, N = 256 over 16
 // shards, read off the member server's trust boundary).
 var sessionBodies = []string{
@@ -164,19 +175,69 @@ func TestSchemaDecodersTakeSessionBodies(t *testing.T) {
 		if got, err := wire.Decode(); err != nil || got != p {
 			t.Fatalf("%s off the wire decodes to %#v, %v", p.Kind(), got, err)
 		}
-		// The one allocation boxes the value into the Payload interface
-		// (6 through encoding/json).
+		// Decoded in the frame, the payload costs Decode nothing; a body
+		// the parser fell back on would cost encoding/json's 6 here.
 		if n := testing.AllocsPerRun(100, func() { _, _ = wire.Decode() }); n > 1 {
 			t.Errorf("a wire-decoded %s costs %v allocations to Decode, want at most 1", p.Kind(), n)
 		}
 	}
 
 	end := []byte(`{"round":2,"reason":"converged"}`)
-	if n := testing.AllocsPerRun(100, func() { _, _ = decodeSessionEnd(end) }); n > 2 {
+	if n := testing.AllocsPerRun(100, func() { _, _ = decoders[KindSessionEnd](end) }); n > 2 {
 		t.Errorf("a session end costs %v allocations to decode, want at most 2 (the reason and the box)", n)
 	}
 	table := []byte(sessionBodies[len(sessionBodies)-2])
-	if n := testing.AllocsPerRun(100, func() { _, _ = decodeRewardTable(table) }); n > 2 {
+	if n := testing.AllocsPerRun(100, func() { _, _ = decoders[KindRewardTable](table) }); n > 2 {
 		t.Errorf("a reward table costs %v allocations to decode, want at most 2 (the entries and the box)", n)
 	}
+}
+
+// FuzzWireDecode holds the decode UnmarshalBinary runs in the frame to the
+// decoders entry a Body goes through: for every schema kind and every body,
+// the envelope read off a frame and its Decode accept and refuse what the
+// decoders entry does, with the same error and the same value bit for bit,
+// keep none of the frame's bytes, and re-encode (AppendBinary, as a relay
+// writes them) to a frame that reads back as the same payload.
+//
+//	go test -run '^$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 20x ./internal/message
+func FuzzWireDecode(f *testing.F) {
+	for _, body := range append(append([]string{}, sessionBodies...), edgeBodies...) {
+		for k := range schemaKinds {
+			f.Add(uint8(k), []byte(body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, k uint8, body []byte) {
+		sk := schemaKinds[int(k)%len(schemaKinds)]
+		frame := Envelope{From: "c1", To: "cc", Session: "s1", Kind: sk.kind, Body: body}.AppendBinary(nil)
+		env, err := UnmarshalBinary(frame)
+		if err != nil {
+			t.Fatalf("%s %q: the frame does not decode: %v", sk.kind, body, err)
+		}
+		for i := range frame {
+			frame[i] ^= 0xff // nothing decoded may still read the frame
+		}
+		got, gotErr := env.Decode()
+		want, wantErr := decoders[sk.kind](body)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s %q: off the wire %v, from the body %v", sk.kind, body, gotErr, wantErr)
+		}
+		if bits(got) != bits(want) {
+			t.Fatalf("%s %q: off the wire %s, from the body %s", sk.kind, body, bits(got), bits(want))
+		}
+		if gotErr != nil {
+			return
+		}
+		checked, err := env.Validated()
+		if err != nil {
+			t.Fatalf("%s %q: Decode accepts what Validated refuses: %v", sk.kind, body, err)
+		}
+		back, err := UnmarshalBinary(checked.AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("%s %q: the re-encoded frame does not decode: %v", sk.kind, body, err)
+		}
+		again, err := back.Decode()
+		if err != nil || bits(again) != bits(got) {
+			t.Fatalf("%s %q: re-encoded, reads back as %s, %v; want %s", sk.kind, body, bits(again), err, bits(got))
+		}
+	})
 }

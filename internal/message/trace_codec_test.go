@@ -48,8 +48,8 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 	if got.TraceID != e.TraceID || got.SpanID != e.SpanID {
 		t.Fatalf("trace context lost: got %x/%x", got.TraceID, got.SpanID)
 	}
-	if got.From != e.From || got.Session != e.Session || !bytes.Equal(got.Body, wireJSON(t, e)) {
-		t.Fatal("envelope fields corrupted by trace field")
+	if p, err := got.Decode(); got.From != e.From || got.Session != e.Session || err != nil || p != (CutDownBid{Round: 2, CutDown: 0.2}) {
+		t.Fatalf("envelope fields corrupted by trace field: %+v decodes to %#v, %v", got, p, err)
 	}
 }
 

@@ -54,7 +54,7 @@ func Handler(st *Store, nowUs func() int64) http.HandlerFunc {
 		if limit > maxQueryPoints {
 			limit = maxQueryPoints
 		}
-		if steps := (to-from)/step + 1; steps > int64(limit) {
+		if stepsAfter(from, to, step) >= uint64(limit) {
 			http.Error(w, "range/step yields too many points; raise step or narrow the range", http.StatusBadRequest)
 			return
 		}

@@ -29,14 +29,15 @@ func ParseTimeParam(s string, def, nowUs int64) (int64, error) {
 }
 
 // ParseStepParam parses a step/window query parameter into microseconds:
-// "" yields defUs, anything else must be a positive duration.
+// "" yields defUs, anything else must be a duration of at least 1µs — the
+// store's resolution, below which a step would be 0.
 func ParseStepParam(s string, defUs int64) (int64, error) {
 	if s == "" {
 		return defUs, nil
 	}
 	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("bad step %q: want a positive duration like 1s", s)
+	if err != nil || d < time.Microsecond {
+		return 0, fmt.Errorf("bad step %q: want a duration of at least 1µs, like 1s", s)
 	}
 	return d.Microseconds(), nil
 }

@@ -127,27 +127,45 @@ func (st *Store) Query(e Expr, fromUs, toUs, stepUs int64) []Point {
 		stepUs = 1_000_000
 	}
 	if e.Fn == "" {
-		return thin(st.window(e.Series, fromUs-1, toUs), fromUs, stepUs)
+		return thin(st.window(e.Series, before(fromUs, 1), toUs), fromUs, stepUs)
 	}
 	w := e.WindowUs
 	if w == 0 {
 		w = stepUs
 	}
-	pts := st.window(e.Series, fromUs-w, toUs)
+	pts := st.window(e.Series, before(fromUs, w), toUs)
 	var out []Point
 	lo, hi := 0, 0
-	for t := fromUs; t <= toUs; t += stepUs {
+	for i, n := uint64(0), stepsAfter(fromUs, toUs, stepUs); ; i++ {
+		t := int64(uint64(fromUs) + i*uint64(stepUs)) // at most toUs: no overflow
 		for hi < len(pts) && pts[hi].tsUs <= t {
 			hi++
 		}
-		for lo < hi && pts[lo].tsUs <= t-w {
+		for lo < hi && pts[lo].tsUs <= before(t, w) {
 			lo++
 		}
 		if v, ok := evalWindow(e.Fn, pts[lo:hi], w); ok {
 			out = append(out, Point{TsUs: t, Value: v})
 		}
+		if i == n {
+			return out
+		}
 	}
-	return out
+}
+
+// stepsAfter returns how many whole steps of stepUs > 0 fit between fromUs
+// and toUs >= fromUs — the range holds one point more — for any two int64
+// timestamps: the difference is taken in uint64, where it cannot overflow.
+func stepsAfter(fromUs, toUs, stepUs int64) uint64 {
+	return (uint64(toUs) - uint64(fromUs)) / uint64(stepUs)
+}
+
+// before returns t - d for d >= 0, or math.MinInt64 where that would wrap.
+func before(t, d int64) int64 {
+	if t < math.MinInt64+d {
+		return math.MinInt64
+	}
+	return t - d
 }
 
 // Instant evaluates a derived expression's window ending at atUs,
@@ -219,7 +237,7 @@ func evalWindow(fn string, pts []agg, windowUs int64) (float64, bool) {
 func thin(pts []agg, fromUs, stepUs int64) []Point {
 	var out []Point
 	for _, p := range pts {
-		bucket := fromUs + ((p.tsUs-fromUs)/stepUs)*stepUs
+		bucket := fromUs + int64(stepsAfter(fromUs, p.tsUs, stepUs)*uint64(stepUs))
 		pt := Point{TsUs: bucket, Value: p.last}
 		if n := len(out); n > 0 && out[n-1].TsUs == bucket {
 			out[n-1] = pt

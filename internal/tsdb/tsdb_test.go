@@ -342,6 +342,32 @@ func TestHandlerBadRequests(t *testing.T) {
 	}
 }
 
+// TestRangeQueryEnds: a step under the store's 1 µs resolution used to
+// reach the handler as 0 and divide by it, and a range whose length or last
+// step overflows int64 used to pass the point cap or step past the end and
+// wrap, running on for good. Each is now a 400 or a bounded answer.
+func TestRangeQueryEnds(t *testing.T) {
+	h := rangeHandler()
+	for _, c := range []struct {
+		query string
+		code  int
+	}{
+		{"series=x&step=500ns", 400},
+		{"series=rate(x)&step=999ns", 400},
+		{"series=rate(x)&step=1us&from=-5ms", 200},
+		{"series=rate(x)&from=9223372036854775800&to=9223372036854775807", 200},
+		{"series=x&from=9223372036854775800&to=9223372036854775807", 200},
+		{"series=rate(x)&from=-9000000000000000000&to=9000000000000000000", 400},
+		{"series=x&from=-9223372036854775808&to=9223372036854775807&step=2562047h", 200},
+		{"series=rate(x[5s])&from=-9223372036854775808&to=-9223372036854775808", 200},
+	} {
+		code, body, err := serveWithin(h, c.query, 3*time.Second)
+		if err != nil || code != c.code {
+			t.Errorf("%s: status %d, %v (body %q); want %d", c.query, code, err, body, c.code)
+		}
+	}
+}
+
 func TestScrapeAtFillsStoreDeterministically(t *testing.T) {
 	st := New(Config{})
 	reg := trace.NewRegistry()
