@@ -98,14 +98,15 @@ func (p *Placement) Host(b bus.Bus, specs []CustomerSpec) error {
 	names := make([]string, len(specs))
 	handlers := make([]agentrt.Handler, len(specs))
 	agents := make([]customeragent.Agent, len(specs))
-	for i, spec := range specs {
+	for i := range specs {
+		spec := &specs[i] // its Prefs are read in place for the session
 		names[i] = spec.Name
 		if spec.Silent {
 			handlers[i] = agentrt.HandlerFuncs{}
 			continue
 		}
 		ca := &agents[i]
-		if err := ca.Init(spec.Name, spec.Prefs, spec.Strategy); err != nil {
+		if err := ca.Init(spec.Name, &spec.Prefs, spec.Strategy); err != nil {
 			return fmt.Errorf("core: customer %q: %w", spec.Name, err)
 		}
 		p.Agents[spec.Name] = ca

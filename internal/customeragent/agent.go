@@ -28,11 +28,12 @@ type sessionState struct {
 }
 
 // Agent is a Customer Agent. Its OnMessage runs on the hosting Runtime's
-// goroutine; the mutex only guards the result accessors other goroutines
-// may call (AwardFor, LastBid).
+// goroutine; the mutex guards the session state against the result accessors
+// other goroutines may call (AwardFor, LastBid), and a React holds it once,
+// for the whole reaction.
 type Agent struct {
 	name     string
-	prefs    Preferences
+	prefs    *Preferences // read only
 	strategy Strategy
 
 	mu sync.Mutex
@@ -45,19 +46,24 @@ type Agent struct {
 	later   map[string]*sessionState
 }
 
-// New constructs a Customer Agent.
+// New constructs a Customer Agent that owns a copy of prefs (one
+// allocation with the agent).
 func New(name string, prefs Preferences, strategy Strategy) (*Agent, error) {
-	a := new(Agent)
-	if err := a.Init(name, prefs, strategy); err != nil {
+	own := &struct {
+		Agent
+		owned Preferences
+	}{owned: prefs}
+	if err := own.Init(name, &own.owned, strategy); err != nil {
 		return nil, err
 	}
-	return a, nil
+	return &own.Agent, nil
 }
 
 // Init makes a zero Agent the Customer Agent New would return, for a host
-// that lays out a fleet's agents in one slice. It must not be called on an
-// agent in use.
-func (a *Agent) Init(name string, prefs Preferences, strategy Strategy) error {
+// that lays out a fleet's agents in one slice. The agent reads prefs, which
+// must not change while it is in use, in place of a copy. Init must not be
+// called on an agent in use.
+func (a *Agent) Init(name string, prefs *Preferences, strategy Strategy) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty name", ErrBadPreferences)
 	}
@@ -74,7 +80,7 @@ func (a *Agent) Init(name string, prefs Preferences, strategy Strategy) error {
 func (a *Agent) Name() string { return a.name }
 
 // Preferences returns the customer's valuation (for experiment reporting).
-func (a *Agent) Preferences() Preferences { return a.prefs }
+func (a *Agent) Preferences() Preferences { return *a.prefs }
 
 // OnStart implements agent.Handler. Customer Agents are reactive in the
 // negotiation: the Utility Agent always opens (Section 3.2).
@@ -103,11 +109,10 @@ func (a *Agent) React(env message.Envelope) (message.Payload, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	st := a.session(env.Session)
 	a.mu.Lock()
-	ended := st.ended
-	a.mu.Unlock()
-	if ended {
+	defer a.mu.Unlock()
+	st := a.sessionLocked(env.Session)
+	if st.ended {
 		return nil, false, nil // late traffic for a finished negotiation
 	}
 	switch m := p.(type) {
@@ -118,14 +123,10 @@ func (a *Agent) React(env message.Envelope) (message.Payload, bool, error) {
 	case message.BidRequest:
 		return a.reactBidRequest(st, m)
 	case message.Award:
-		a.mu.Lock()
 		st.award, st.awarded = m, true
-		a.mu.Unlock()
 		return nil, false, nil
 	case message.SessionEnd:
-		a.mu.Lock()
 		st.ended = true
-		a.mu.Unlock()
 		return nil, false, nil
 	default:
 		return nil, false, nil // not addressed to the CA role
@@ -133,17 +134,13 @@ func (a *Agent) React(env message.Envelope) (message.Payload, bool, error) {
 }
 
 // reactRewardTable is the CA's "determine bid" for the reward-table method.
+// The caller holds a.mu.
 func (a *Agent) reactRewardTable(st *sessionState, table message.RewardTable) (message.Payload, bool, error) {
-	a.mu.Lock()
-	last := st.lastCutDownBid
-	a.mu.Unlock()
-	bid, err := DecideCutDown(a.prefs, a.strategy, table, last)
+	bid, err := DecideCutDown(a.prefs, a.strategy, table, st.lastCutDownBid)
 	if err != nil {
 		return nil, false, err
 	}
-	a.mu.Lock()
 	st.lastCutDownBid = bid
-	a.mu.Unlock()
 	return message.CutDownBid{Round: table.Round, CutDown: bid}, true, nil
 }
 
@@ -152,22 +149,19 @@ func (a *Agent) reactOffer(terms message.OfferTerms) (message.Payload, bool, err
 	return message.OfferReply{Round: 1, Accept: DecideOffer(a.prefs, terms)}, true, nil
 }
 
-// reactBidRequest answers a request-for-bids round.
+// reactBidRequest answers a request-for-bids round. The caller holds a.mu.
 func (a *Agent) reactBidRequest(st *sessionState, req message.BidRequest) (message.Payload, bool, error) {
-	a.mu.Lock()
 	if st.committedYMin == 0 {
 		st.committedYMin = a.prefs.ExpectedUse.KWhs()
 	}
 	y := DecideEnergyBid(a.prefs, req, st.committedYMin)
 	st.committedYMin = y
-	a.mu.Unlock()
 	return message.EnergyBid{Round: req.Round, YMinKWh: y}, true, nil
 }
 
-// session returns (creating if needed) the state for a session id.
-func (a *Agent) session(id string) *sessionState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// sessionLocked returns (creating if needed) the state for a session id. The
+// caller holds a.mu.
+func (a *Agent) sessionLocked(id string) *sessionState {
 	if !a.started {
 		a.started, a.firstID = true, id
 	}

@@ -93,6 +93,24 @@ func TestPreferencesAccessors(t *testing.T) {
 	}
 }
 
+// TestPreferencesLiteralAcceptsNothing: the public type can be written as a
+// literal, without NewPreferences; such preferences require +Inf at every
+// level, so every strategy stands at its previous bid.
+func TestPreferencesLiteralAcceptsNothing(t *testing.T) {
+	lit := Preferences{Levels: paperLevels}.WithExpectedUse(13.5)
+	if r := lit.RequiredFor(0.1); !math.IsInf(r, 1) {
+		t.Fatalf("RequiredFor(0.1) = %v, want +Inf", r)
+	}
+	if !math.IsInf(lit.MarginalComfortCost, 1) {
+		t.Fatalf("marginal = %v, want +Inf", lit.MarginalComfortCost)
+	}
+	for _, strat := range []Strategy{StrategyGreedy, StrategyIncremental, StrategyHoldout} {
+		if bid, err := DecideCutDown(&lit, strat, linearTable(1, 1000), 0.1); err != nil || bid != 0.1 {
+			t.Fatalf("%v: DecideCutDown = %v, %v; want 0.1", strat, bid, err)
+		}
+	}
+}
+
 func TestFromReport(t *testing.T) {
 	h, err := world.NewHousehold("h", 3, false, 9)
 	if err != nil {
@@ -126,7 +144,7 @@ func TestFromReport(t *testing.T) {
 func TestPaperDecisionSequence(t *testing.T) {
 	prefs := paperCustomer(t)
 	// Round 1: linear slope 42.5 → rewards 4.25/8.5/12.75/17.
-	bid1, err := DecideCutDown(prefs, StrategyGreedy, linearTable(1, 42.5), 0)
+	bid1, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(1, 42.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +152,7 @@ func TestPaperDecisionSequence(t *testing.T) {
 		t.Fatalf("round 1 bid = %v, want 0.2", bid1)
 	}
 	// Round 2: slope grown to 53.66 → reward(0.4) = 21.46 ≥ 21.
-	bid2, err := DecideCutDown(prefs, StrategyGreedy, linearTable(2, 53.66), bid1)
+	bid2, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(2, 53.66), bid1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +160,7 @@ func TestPaperDecisionSequence(t *testing.T) {
 		t.Fatalf("round 2 bid = %v, want 0.4", bid2)
 	}
 	// Round 3: rewards grow further; the bid stands still at 0.4.
-	bid3, err := DecideCutDown(prefs, StrategyGreedy, linearTable(3, 62), bid2)
+	bid3, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(3, 62), bid2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +172,7 @@ func TestPaperDecisionSequence(t *testing.T) {
 func TestDecideCutDownNeverRegresses(t *testing.T) {
 	prefs := paperCustomer(t)
 	// Last bid 0.3 but table only justifies 0.2: the bid must stay 0.3.
-	bid, err := DecideCutDown(prefs, StrategyGreedy, linearTable(2, 42.5), 0.3)
+	bid, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(2, 42.5), 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +185,14 @@ func TestStrategyIncremental(t *testing.T) {
 	prefs := paperCustomer(t)
 	// Generous table: greedy would jump to 0.4; incremental concedes 0.1.
 	rich := linearTable(1, 100)
-	bid, err := DecideCutDown(prefs, StrategyIncremental, rich, 0)
+	bid, err := DecideCutDown(&prefs, StrategyIncremental, rich, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !units.NearlyEqual(bid, 0.1, 1e-12) {
 		t.Fatalf("incremental first bid = %v, want 0.1", bid)
 	}
-	bid, err = DecideCutDown(prefs, StrategyIncremental, rich, bid)
+	bid, err = DecideCutDown(&prefs, StrategyIncremental, rich, bid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +205,7 @@ func TestStrategyHoldout(t *testing.T) {
 	prefs := paperCustomer(t)
 	// Round-1 table: 8.5 at 0.2 vs requirement 8. Acceptable, but below the
 	// 15% holdout premium (9.2), so the holdout stays at 0.
-	bid, err := DecideCutDown(prefs, StrategyHoldout, linearTable(1, 42.5), 0)
+	bid, err := DecideCutDown(&prefs, StrategyHoldout, linearTable(1, 42.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +214,7 @@ func TestStrategyHoldout(t *testing.T) {
 	}
 	// Premium reached at several levels: 0.3 pays 15 ≥ 1.15×13 = 14.95 and
 	// is the deepest level clearing the premium, so the holdout bids 0.3.
-	bid, err = DecideCutDown(prefs, StrategyHoldout, linearTable(2, 50), 0)
+	bid, err = DecideCutDown(&prefs, StrategyHoldout, linearTable(2, 50), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +225,7 @@ func TestStrategyHoldout(t *testing.T) {
 
 func TestDecideCutDownUnknownStrategy(t *testing.T) {
 	prefs := paperCustomer(t)
-	if _, err := DecideCutDown(prefs, Strategy(99), linearTable(1, 42.5), 0); !errors.Is(err, ErrBadStrategy) {
+	if _, err := DecideCutDown(&prefs, Strategy(99), linearTable(1, 42.5), 0); !errors.Is(err, ErrBadStrategy) {
 		t.Fatalf("error = %v, want ErrBadStrategy", err)
 	}
 }
@@ -294,7 +312,7 @@ func TestDecideOffer(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := DecideOffer(prefs, tt.terms); got != tt.want {
+			if got := DecideOffer(&prefs, tt.terms); got != tt.want {
 				t.Fatalf("DecideOffer = %v, want %v", got, tt.want)
 			}
 		})
@@ -304,7 +322,7 @@ func TestDecideOffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !DecideOffer(idle, tests[0].terms) {
+	if !DecideOffer(&idle, tests[0].terms) {
 		t.Fatal("idle customer should accept")
 	}
 }
@@ -320,21 +338,21 @@ func TestDecideEnergyBid(t *testing.T) {
 	}
 	// Step = 0.1×13.5 = 1.35 kWh; premium saved = 3.5×1.35 = 4.725 >
 	// comfort 2.96×1.35 = 4.0 → step forward.
-	got := DecideEnergyBid(prefs, req, 13.5)
+	got := DecideEnergyBid(&prefs, req, 13.5)
 	if !units.NearlyEqual(got, 12.15, 1e-9) {
 		t.Fatalf("bid = %v, want 12.15", got)
 	}
 	// Cheap peak power: premium 0.5×1.35 = 0.675 < comfort → stand still.
 	cheap := req
 	cheap.HighPrice = 1
-	if got := DecideEnergyBid(prefs, cheap, 13.5); got != 13.5 {
+	if got := DecideEnergyBid(&prefs, cheap, 13.5); got != 13.5 {
 		t.Fatalf("bid = %v, want stand-still 13.5", got)
 	}
 	// Never below the feasibility floor 13.5×0.6 = 8.1.
-	if got := DecideEnergyBid(prefs, req, 8.5); got < 8.1-1e-9 {
+	if got := DecideEnergyBid(&prefs, req, 8.5); got < 8.1-1e-9 {
 		t.Fatalf("bid %v below floor", got)
 	}
-	if got := DecideEnergyBid(prefs, req, 8.1); got != 8.1 {
+	if got := DecideEnergyBid(&prefs, req, 8.1); got != 8.1 {
 		t.Fatalf("bid at floor = %v, want stand-still", got)
 	}
 }
@@ -491,11 +509,11 @@ func TestDecisionMonotoneInTableProperty(t *testing.T) {
 	f := func(s1Raw, s2Raw uint8) bool {
 		slope1 := 20 + float64(s1Raw%60)
 		slope2 := slope1 + float64(s2Raw%40) // dominating table
-		bid1, err := DecideCutDown(prefs, StrategyGreedy, linearTable(1, slope1), 0)
+		bid1, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(1, slope1), 0)
 		if err != nil {
 			return false
 		}
-		bid2, err := DecideCutDown(prefs, StrategyGreedy, linearTable(2, slope2), bid1)
+		bid2, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(2, slope2), bid1)
 		if err != nil {
 			return false
 		}
@@ -511,7 +529,7 @@ func TestDecisionRespectsFeasibilityProperty(t *testing.T) {
 	prefs := paperCustomer(t)
 	f := func(sRaw uint8) bool {
 		slope := 20 + float64(sRaw) // arbitrarily rich tables
-		bid, err := DecideCutDown(prefs, StrategyGreedy, linearTable(1, slope), 0)
+		bid, err := DecideCutDown(&prefs, StrategyGreedy, linearTable(1, slope), 0)
 		if err != nil {
 			return false
 		}
@@ -565,6 +583,28 @@ func TestReactAllocationBudget(t *testing.T) {
 		t.Fatalf("round-2 React allocates %v times, budget 4", got)
 	}
 	t.Logf("round-2 React allocates %v times", got)
+}
+
+// TestDecideCutDownAllocatesNothing: every strategy's decision is one walk of
+// the customer's grid and requirements beside the announced entries, so none
+// allocates (the incremental and holdout strategies built and sorted a slice
+// of acceptable levels, and every call copied the preferences).
+func TestDecideCutDownAllocatesNothing(t *testing.T) {
+	prefs := paperCustomer(t)
+	table := linearTable(2, 53.66)
+	for _, strat := range []Strategy{StrategyGreedy, StrategyIncremental, StrategyHoldout} {
+		var bid float64
+		var err error
+		got := testing.AllocsPerRun(100, func() {
+			bid, err = DecideCutDown(&prefs, strat, table, 0.1)
+		})
+		if err != nil || bid <= 0.1 {
+			t.Fatalf("%v: DecideCutDown = %v, %v; want a concession past 0.1", strat, bid, err)
+		}
+		if got != 0 {
+			t.Errorf("%v: DecideCutDown allocates %v times, want 0", strat, got)
+		}
+	}
 }
 
 // TestFirstSessionAllocations holds what an engine-hosted customer costs
@@ -641,7 +681,7 @@ func TestBroadcastTableIsSharedReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		next = linearTable(round+1, slope(round+1)) // while the fleet reads this round's
-		if want, err = DecideCutDown(prefs, StrategyGreedy, table, want); err != nil {
+		if want, err = DecideCutDown(&prefs, StrategyGreedy, table, want); err != nil {
 			t.Fatal(err)
 		}
 		for got := 0; got < agents; got++ {

@@ -47,43 +47,51 @@ const holdoutFactor = 1.15
 
 // DecideCutDown picks this round's bid given the announced table, the
 // previous bid (monotonic floor) and the strategy. Acceptability is judged
-// against the announced table alone (Preferences.AcceptableLevels); the
-// paper's knowledge-based composition of the same decision is
+// against the announced table alone: a grid level is acceptable when the
+// table offers a reward at exactly that level and the reward is no lower
+// than the customer's requirement (Section 6.2). The table must be one
+// Validate accepts, so its entries are strictly increasing in CutDown, as
+// the grid is; every strategy is then one walk of the two sorted arrays.
+// The paper's knowledge-based composition of the greedy decision is
 // internal/desiremodel, held equal to this function by
 // TestDecisionMatchesReferenceOracles.
-func DecideCutDown(prefs Preferences, strat Strategy, table message.RewardTable, lastBid float64) (float64, error) {
-	best := lastBid // never regress (monotonic concession)
+func DecideCutDown(prefs *Preferences, strat Strategy, table message.RewardTable, lastBid float64) (float64, error) {
+	var next float64
 	switch strat {
-	case StrategyGreedy:
-		// The maximum of AcceptableLevels, scanned without building it: this
-		// is the decision every customer of a default fleet makes every round.
-		for _, l := range prefs.Levels {
-			if l <= best {
-				continue
-			}
-			if off, ok := table.RewardFor(l); ok && prefs.acceptable(l, off) {
-				best = l
-			}
-		}
+	case StrategyGreedy, StrategyHoldout:
 	case StrategyIncremental:
 		// Concede exactly one grid step beyond the previous bid, when
 		// acceptable.
-		next := nextLevel(prefs.Levels, lastBid)
-		for _, l := range prefs.AcceptableLevels(table.RewardFor) {
-			if l == next && l > best {
-				best = l
-			}
-		}
-	case StrategyHoldout:
-		for _, l := range prefs.AcceptableLevels(table.RewardFor) {
-			off, _ := table.RewardFor(l) // an acceptable level is an announced one
-			req := prefs.RequiredFor(l)
-			if (req == 0 || off >= holdoutFactor*req) && l > best {
-				best = l
-			}
-		}
+		next = nextLevel(prefs.Levels, lastBid)
 	default:
 		return 0, fmt.Errorf("%w: %d", ErrBadStrategy, int(strat))
+	}
+	best := lastBid // never regress (monotonic concession)
+	entries, j := table.Entries, 0
+	for i, req := range prefs.required {
+		l := prefs.Levels[i]
+		for j < len(entries) && entries[j].CutDown < l {
+			j++
+		}
+		if j == len(entries) {
+			break
+		}
+		off := entries[j].Reward
+		if entries[j].CutDown != l || off < req || l <= best {
+			continue // not announced, not acceptable, or no concession
+		}
+		switch strat {
+		case StrategyGreedy:
+			best = l
+		case StrategyIncremental:
+			if l == next {
+				best = l
+			}
+		case StrategyHoldout:
+			if req == 0 || off >= holdoutFactor*req {
+				best = l
+			}
+		}
 	}
 	return best, nil
 }
@@ -103,7 +111,7 @@ func nextLevel(levels []float64, cur float64) float64 {
 // electricity bill if it declines (normal price for everything) against the
 // bill plus comfort cost if it accepts (low price up to the cap, and the
 // cheaper of high-priced excess or shedding the excess).
-func DecideOffer(prefs Preferences, terms message.OfferTerms) bool {
+func DecideOffer(prefs *Preferences, terms message.OfferTerms) bool {
 	use := prefs.ExpectedUse.KWhs()
 	if use <= 0 {
 		return true // nothing at stake; the discount can only help
@@ -130,7 +138,7 @@ func DecideOffer(prefs Preferences, terms message.OfferTerms) bool {
 // DecideEnergyBid computes this round's yMin for the request-for-bids
 // method: shed load stepwise (one grid level per round) while the avoided
 // peak-price premium exceeds the comfort cost of the step.
-func DecideEnergyBid(prefs Preferences, req message.BidRequest, committedYMin float64) float64 {
+func DecideEnergyBid(prefs *Preferences, req message.BidRequest, committedYMin float64) float64 {
 	use := prefs.ExpectedUse.KWhs()
 	if use <= 0 {
 		return committedYMin

@@ -36,8 +36,12 @@ var (
 type Preferences struct {
 	// Levels is the cut-down grid, strictly increasing, starting at 0.
 	Levels []float64
-	// Required maps each level to the minimum acceptable reward.
-	Required map[float64]float64
+	// required[i] is the minimum acceptable reward at Levels[i]: the two
+	// arrays are the private table, by index, so a decision walks them
+	// beside the announced table's entries (DecideCutDown). Only
+	// NewPreferences fills it: a Preferences literal requires +Inf
+	// everywhere, so it accepts no cut-down.
+	required []float64
 	// MaxCutDown is the largest feasible cut-down fraction.
 	MaxCutDown float64
 	// ExpectedUse is the customer's own expectation of its energy use in the
@@ -66,11 +70,17 @@ func NewPreferences(levels []float64, required map[float64]float64) (Preferences
 	if levels[0] != 0 {
 		return Preferences{}, fmt.Errorf("%w: grid must start at 0", ErrBadPreferences)
 	}
-	req := make(map[float64]float64, len(levels))
-	lastFinite := 0.0
-	maxCD := 0.0
+	// One array holds both halves: a customer's table is one allocation.
+	n := len(levels)
+	both := make([]float64, 2*n)
+	p := Preferences{
+		Levels:              both[:n:n],
+		required:            both[n:],
+		MarginalComfortCost: math.Inf(1),
+	}
+	copy(p.Levels, levels)
 	prevReq := 0.0
-	for _, l := range levels {
+	for i, l := range levels {
 		r, ok := required[l]
 		if !ok {
 			r = math.Inf(1)
@@ -83,20 +93,12 @@ func NewPreferences(levels []float64, required map[float64]float64) (Preferences
 				return Preferences{}, fmt.Errorf("%w: required rewards must be non-decreasing", ErrBadPreferences)
 			}
 			prevReq = r
-			lastFinite = r
-			maxCD = l
+			p.MaxCutDown = l
 		}
-		req[l] = r
+		p.required[i] = r
 	}
-	_ = lastFinite
-	if req[0] != 0 {
+	if p.required[0] != 0 {
 		return Preferences{}, fmt.Errorf("%w: required(0) must be 0", ErrBadPreferences)
-	}
-	p := Preferences{
-		Levels:              append([]float64(nil), levels...),
-		Required:            req,
-		MaxCutDown:          maxCD,
-		MarginalComfortCost: math.Inf(1),
 	}
 	return p, nil
 }
@@ -129,12 +131,8 @@ func (p Preferences) marginalCostPerKWh() float64 {
 	if p.ExpectedUse <= 0 {
 		return math.Inf(1)
 	}
-	for _, l := range p.Levels {
-		if l == 0 {
-			continue
-		}
-		r := p.Required[l]
-		if !math.IsInf(r, 1) {
+	for i, r := range p.required {
+		if l := p.Levels[i]; l > 0 && !math.IsInf(r, 1) {
 			return r / (l * p.ExpectedUse.KWhs())
 		}
 	}
@@ -144,30 +142,11 @@ func (p Preferences) marginalCostPerKWh() float64 {
 // RequiredFor returns the minimum acceptable reward at a level (+Inf when
 // the level is not on the grid or infeasible).
 func (p Preferences) RequiredFor(level float64) float64 {
-	r, ok := p.Required[level]
-	if !ok {
+	i := sort.SearchFloat64s(p.Levels, level)
+	if i >= len(p.required) || p.Levels[i] != level {
 		return math.Inf(1)
 	}
-	return r
-}
-
-// AcceptableLevels returns the levels (ascending) whose offered reward meets
-// the requirement, given a reward lookup.
-func (p Preferences) AcceptableLevels(offered func(level float64) (float64, bool)) []float64 {
-	var out []float64
-	for _, l := range p.Levels {
-		if off, ok := offered(l); ok && p.acceptable(l, off) {
-			out = append(out, l)
-		}
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// acceptable is the paper's acceptability rule (Section 6.2): the offered
-// reward at a level is no lower than the customer's required reward for it.
-func (p Preferences) acceptable(level, offered float64) bool {
-	return offered >= p.RequiredFor(level)
+	return p.required[i]
 }
 
 // Surplus returns the customer's gain at a level for an offered reward

@@ -99,12 +99,13 @@ func E4CustomerDecision() (*Table, error) {
 		return nil, err
 	}
 	const who = "c01"
-	var prefs map[float64]float64
+	var customer core.CustomerSpec
 	for _, c := range s.Customers {
 		if c.Name == who {
-			prefs = c.Prefs.Required
+			customer = c
 		}
 	}
+	prefs := customer.Prefs
 	t := &Table{
 		Name:    "E4 (Figures 8-9): customer c01 decisions per round",
 		Columns: []string{"round", "offered_at_0.3", "offered_at_0.4", "required_0.3", "required_0.4", "bid"},
@@ -113,7 +114,7 @@ func E4CustomerDecision() (*Table, error) {
 	for i, rec := range res.History {
 		o3, _ := rec.Table.RewardFor(0.3)
 		o4, _ := rec.Table.RewardFor(0.4)
-		t.AddRowF(rec.Round, o3, o4, prefs[0.3], prefs[0.4], bids[i])
+		t.AddRowF(rec.Round, o3, o4, prefs.RequiredFor(0.3), prefs.RequiredFor(0.4), bids[i])
 	}
 	return t, nil
 }
