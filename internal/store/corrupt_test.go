@@ -186,6 +186,53 @@ func TestRecoverSegmentHole(t *testing.T) {
 	}
 }
 
+// TestRecoverOverlappingSegmentEndsTheLog: a segment that starts anywhere but
+// right after the one before it is a hole too, even when a later segment
+// would continue the log — recovery and the tailer stop there.
+func TestRecoverOverlappingSegmentEndsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	writeTicks(t, dir, 150, Options{SegmentBytes: 1024})
+	segs := segmentGlob(dir)
+	second, _ := segmentFirstSeq(segs[1])
+	stray := filepath.Join(dir, segmentName(second-1))
+	if err := os.WriteFile(stray, []byte(segMagic+string(segVersion)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.LastSeq != second-1 {
+		t.Fatalf("log ends at seq %d, want %d (before the overlapping segment)", rec.LastSeq, second-1)
+	}
+	tl, err := OpenTail(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	if got := drainTail(t, tl, 0); uint64(len(got)) != second-1 {
+		t.Fatalf("tailed %d records, want %d", len(got), second-1)
+	}
+}
+
+// TestRecoverSegmentNamedZero: sequence numbers start at 1, so a segment
+// named 0 is no segment of this journal; read as one, the log would end
+// before its first record, at a position that wraps.
+func TestRecoverSegmentNamedZero(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), []byte(segMagic+string(segVersion)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeTicks(t, dir, 2, Options{})
+	rec, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.LastSeq != 2 || len(rec.Records) != 2 {
+		t.Fatalf("recovered %d records to seq %d, want the 2 appended", len(rec.Records), rec.LastSeq)
+	}
+}
+
 func TestRecoverGarbageFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	writeTicks(t, dir, 3, Options{})
@@ -242,5 +289,62 @@ func TestDecodeTickRejectsOverflowedShardCount(t *testing.T) {
 	body = append(body, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 1<<61
 	if _, err := DecodeTickBody(body); err == nil {
 		t.Fatal("overflowed shard count decoded without error")
+	}
+}
+
+// TestRecoveryShortOfTheSnapshotKeepsLaterAppends: a log that ends short of
+// its snapshot cannot continue it, so recovery sets its segments aside and
+// the snapshot is the head. What the next writer appends after that must
+// survive the recovery after it.
+func TestRecoveryShortOfTheSnapshotKeepsLaterAppends(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := mustOpen(t, dir, Options{})
+	for i := 0; i < 10; i++ {
+		if err := st.Append(NewTickRecord(sampleTick(i, 2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Snapshot([]byte("state-10")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Flip the first body byte of record 5: the log ends at record 4.
+	seg := lastSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := headerSize
+	for i := 0; i < 4; i++ {
+		off += len(appendFrame(nil, NewTickRecord(sampleTick(i, 2))))
+	}
+	data[off+2] ^= 0xff // past the kind byte and the one-byte length
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, rec := mustOpen(t, dir, Options{})
+	if rec.SnapshotSeq != 10 || rec.LastSeq != 10 || len(rec.Records) != 0 {
+		t.Fatalf("first recovery: snapshot %d, last seq %d, %d records; want 10, 10, 0", rec.SnapshotSeq, rec.LastSeq, len(rec.Records))
+	}
+	for i := 10; i < 15; i++ {
+		if err := st.Append(NewTickRecord(sampleTick(i, 2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec = mustOpenClose(t, dir)
+	if rec.LastSeq != 15 || len(rec.Records) != 5 || rec.TornBytes != 0 {
+		t.Fatalf("second recovery: last seq %d, %d records, %d torn bytes; want 15, 5, 0", rec.LastSeq, len(rec.Records), rec.TornBytes)
+	}
+	for i, r := range rec.Records {
+		if cp, err := DecodeTick(r); err != nil || cp.Tick != 10+i {
+			t.Fatalf("record %d: tick %d, err %v; want tick %d", i, cp.Tick, err, 10+i)
+		}
 	}
 }

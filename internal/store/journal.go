@@ -19,7 +19,8 @@ const (
 )
 
 // validHeader reports whether a segment file starts with the header this
-// version writes; both readers end the log at a segment that does not.
+// version writes; the Tailer, and so recovery, ends the log at a segment
+// that does not.
 func validHeader(data []byte) bool {
 	return len(data) >= headerSize && string(data[:len(segMagic)]) == segMagic && data[len(segMagic)] == segVersion
 }
@@ -31,14 +32,14 @@ func segmentName(firstSeq uint64) string {
 }
 
 // segmentFirstSeq parses a segment file name back into its first sequence
-// number.
+// number; sequence numbers start at 1, so no segment's name is 0.
 func segmentFirstSeq(path string) (uint64, bool) {
 	name := filepath.Base(path)
 	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
 		return 0, false
 	}
 	v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-	if err != nil {
+	if err != nil || v == 0 {
 		return 0, false
 	}
 	return v, true

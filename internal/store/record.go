@@ -95,7 +95,8 @@ func appendFrame(dst []byte, r Record) []byte {
 // decodeFrame parses one frame from the head of data, returning the record
 // and the bytes consumed. ErrTruncated reports a frame that ends mid-field
 // (the crash-torn tail); ErrCorrupt a structurally complete frame whose
-// checksum does not match. The record body aliases data.
+// checksum does not match. The record body aliases data, capped at its own
+// length so an append to it cannot run into the bytes after it.
 func decodeFrame(data []byte) (Record, int, error) {
 	if len(data) == 0 {
 		return Record{}, 0, ErrTruncated
@@ -117,7 +118,7 @@ func decodeFrame(data []byte) (Record, int, error) {
 	if framed != 1+message.LenPrefixedSize(len(body)) {
 		return Record{}, 0, fmt.Errorf("%w: overlong length on %s record", ErrCorrupt, Kind(data[0]))
 	}
-	return Record{Kind: Kind(data[0]), Body: body}, framed + 4, nil
+	return Record{Kind: Kind(data[0]), Body: body[:len(body):len(body)]}, framed + 4, nil
 }
 
 // AwardEntry is one customer's committed agreement inside a session record.

@@ -475,3 +475,49 @@ func TestAppendTickAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReadDirAllocatesPerBatch: recovery keeps the records the Tailer
+// delivers where they landed, so a 5 000-record journal costs a few
+// allocations per batch read, not one per record.
+func TestReadDirAllocatesPerBatch(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := mustOpen(t, dir, Options{})
+	for i := 0; i < 5000; i++ {
+		if err := st.Append(NewTickRecord(sampleTick(i, 2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		rec, err := ReadDir(dir)
+		if err != nil || len(rec.Records) != 5000 {
+			t.Fatalf("ReadDir = %v records, %v", len(rec.Records), err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("ReadDir of 5000 records made %.0f allocations, want at most 64", allocs)
+	}
+}
+
+// TestRecoveredBodiesAreCapped: recovered bodies share one batch's bytes, so
+// each is capped at its own length — appending to one copies it rather than
+// overwriting the record after it.
+func TestRecoveredBodiesAreCapped(t *testing.T) {
+	dir := t.TempDir()
+	writeTicks(t, dir, 3, Options{})
+	rec, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]byte(nil), rec.Records[1].Body...)
+	// Sixteen bytes run past record 0's checksum into record 1's body.
+	_ = append(rec.Records[0].Body, bytes.Repeat([]byte{0xee}, 16)...)
+	if !bytes.Equal(rec.Records[1].Body, next) {
+		t.Fatalf("appending to record 0's body rewrote record 1's: %x, want %x", rec.Records[1].Body, next)
+	}
+	if cp, err := DecodeTick(rec.Records[1]); err != nil || cp.Tick != 1 {
+		t.Fatalf("record 1 after an append to record 0: tick %d, err %v", cp.Tick, err)
+	}
+}

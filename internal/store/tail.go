@@ -11,11 +11,15 @@ package store
 // A cursor positioned before the oldest surviving segment (its records were
 // pruned away under a snapshot) gets ErrGap, the signal that the follower
 // must bootstrap from a snapshot instead of replaying the log.
+//
+// The Tailer is the journal's one reader: recovery (recover.go) reads the
+// log through one too, so where a follower's stream ends is where a
+// recovery's log ends.
 
 import (
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -66,7 +70,12 @@ func OpenTail(dir string, afterSeq uint64) (*Tailer, error) {
 	return t, nil
 }
 
-// seek opens the segment holding nextSeq and advances the offset to it.
+// seek opens the segment holding nextSeq and reads up to it through the same
+// loop Next reads with, bounded by the frames to skip: a cursor the journal
+// does not reach — past its last whole frame, or beyond a segment whose
+// header this version did not write, where recovery ends the log too — is
+// ErrGap. A follower only ever holds a prefix of the log it follows, so that
+// is divergence (or the wrong directory), not a position to guess around.
 func (t *Tailer) seek() error {
 	segs := segmentGlob(t.dir)
 	if len(segs) == 0 {
@@ -79,79 +88,28 @@ func (t *Tailer) seek() error {
 	}
 	// Find the last segment whose first sequence number is <= nextSeq; its
 	// frames cover the cursor unless the cursor runs past its end.
-	target := -1
-	for i, path := range segs {
-		first, ok := segmentFirstSeq(path)
-		if !ok {
-			continue
-		}
-		if first <= t.nextSeq {
-			target = i
+	target, first := "", uint64(0)
+	for _, path := range segs {
+		if seq, ok := segmentFirstSeq(path); ok && seq <= t.nextSeq {
+			target, first = path, seq
 		}
 	}
-	if target < 0 {
+	if target == "" {
 		oldest, _ := segmentFirstSeq(segs[0])
 		return fmt.Errorf("%w (cursor at %d, oldest surviving record %d)", ErrGap, t.nextSeq, oldest)
 	}
-	first, _ := segmentFirstSeq(segs[target])
-	f, err := os.Open(segs[target])
+	f, err := os.Open(target)
 	if err != nil {
 		return fmt.Errorf("store: open segment for tail: %w", err)
 	}
-	t.f, t.segPath, t.segSeq, t.off = f, segs[target], first, int64(headerSize)
-	// Skip records below the cursor within the segment.
-	seq := first - 1
-	for seq+1 < t.nextSeq {
-		if ok, _ := t.checkHeader(); ok {
-			if _, size, err := t.readFrameAt(t.off); err == nil {
-				t.off += int64(size)
-				seq++
-				continue
-			}
+	want := t.nextSeq
+	t.f, t.segPath, t.segSeq, t.off, t.nextSeq = f, target, first, int64(headerSize), first
+	for t.nextSeq < want {
+		if _, count, _ := t.read(0, want-t.nextSeq); count == 0 {
+			return fmt.Errorf("%w (cursor at %d, journal ends at %d)", ErrGap, want, t.nextSeq-1)
 		}
-		// The cursor points past what the journal holds: past its last
-		// whole frame, or into a segment whose header this version did not
-		// write, where recovery ends the log too. A follower only ever holds
-		// a prefix of the log it follows, so this is divergence (or the
-		// wrong directory), not a position to guess around.
-		return fmt.Errorf("%w (cursor at %d, journal ends at %d)", ErrGap, t.nextSeq, seq)
 	}
 	return nil
-}
-
-// readFrameAt decodes one whole frame at the given offset, returning its kind
-// and encoded size. io.EOF means no whole frame is flushed there yet.
-func (t *Tailer) readFrameAt(off int64) (Kind, int, error) {
-	// Read a bounded window: enough for any frame the journal writes in one
-	// piece (bodies are bounded by the segment size in practice; grow the
-	// window until the frame is whole or the file ends).
-	const window = 64 << 10
-	size := window
-	for {
-		if cap(t.buf) < size {
-			t.buf = make([]byte, size)
-		}
-		n, err := t.f.ReadAt(t.buf[:size], off)
-		if n == 0 {
-			return 0, 0, io.EOF
-		}
-		r, used, derr := decodeFrame(t.buf[:n])
-		if derr == nil {
-			return r.Kind, used, nil
-		}
-		if errors.Is(derr, ErrTruncated) {
-			if err == nil && n == size {
-				// The window may simply be smaller than the frame; widen it.
-				size *= 2
-				continue
-			}
-			// The file really ends mid-frame: either the writer's flush is in
-			// flight or this is a crash-torn tail. Both mean "nothing more to
-			// deliver yet".
-			return 0, 0, io.EOF
-		}
-		return 0, 0, derr
-	}
 }
 
 // Next reads the next contiguous run of whole frames, up to maxBytes of frame
@@ -166,9 +124,6 @@ func (t *Tailer) readFrameAt(off int64) (Kind, int, error) {
 // is what lets the replication sender sustain hundreds of thousands of
 // records per second off a live journal.
 func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
-	if maxBytes <= 0 {
-		maxBytes = 256 << 10
-	}
 	if t.f == nil {
 		// The journal had no segments at open time; look again.
 		if err := t.seek(); err != nil {
@@ -184,10 +139,28 @@ func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
 	if _, err := os.Stat(t.segPath); err != nil {
 		return TailBatch{}, fmt.Errorf("%w (segment %s pruned under cursor at %d)", ErrGap, filepath.Base(t.segPath), t.nextSeq)
 	}
+	first := t.nextSeq
+	frames, count, err := t.read(maxBytes, math.MaxUint64)
+	if count == 0 {
+		return TailBatch{}, err
+	}
+	// Frames must not alias the reused read buffer.
+	return TailBatch{FirstSeq: first, Count: count, Frames: append([]byte(nil), frames...)}, nil
+}
+
+// read advances the cursor over the next contiguous run of whole frames — up
+// to maxBytes of them (0 means 256 KiB) and at most maxFrames — and returns
+// them in the reused read buffer. No frames and a nil error means nothing
+// whole is flushed past the cursor; an error reports the header or frame the
+// log ends at.
+func (t *Tailer) read(maxBytes int, maxFrames uint64) ([]byte, int, error) {
+	if maxBytes <= 0 {
+		maxBytes = 256 << 10
+	}
 	window := maxBytes
 	for {
 		if ok, err := t.checkHeader(); !ok {
-			return TailBatch{}, err
+			return nil, 0, err
 		}
 		if cap(t.buf) < window {
 			t.buf = make([]byte, window)
@@ -199,14 +172,14 @@ func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
 			// (A mid-flush torn frame cannot be confused with rotation — the
 			// writer syncs whole frames before opening the next segment.)
 			if !t.advanceSegment() {
-				return TailBatch{}, nil // caught up; poll again later
+				return nil, 0, nil // caught up; poll again later
 			}
 			continue
 		}
 		data := t.buf[:n]
 		consumed, count := 0, 0
 		var derr error
-		for consumed < n && consumed < maxBytes {
+		for consumed < n && consumed < maxBytes && uint64(count) < maxFrames {
 			_, size, err := decodeFrame(data[consumed:])
 			if err != nil {
 				derr = err
@@ -225,24 +198,19 @@ func (t *Tailer) Next(maxBytes int) (TailBatch, error) {
 				// The file ends mid-frame: the writer's flush is in flight
 				// (or this is a crash-torn tail) — nothing whole to deliver
 				// yet.
-				return TailBatch{}, nil
+				return nil, 0, nil
 			}
-			return TailBatch{}, fmt.Errorf("tailing segment at seq %d: %w", t.nextSeq, derr)
-		}
-		// Frames must not alias the reused read buffer.
-		batch := TailBatch{
-			FirstSeq: t.nextSeq,
-			Count:    count,
-			Frames:   append([]byte(nil), data[:consumed]...),
+			return nil, 0, fmt.Errorf("tailing segment at seq %d: %w", t.nextSeq, derr)
 		}
 		t.off += int64(consumed)
 		t.nextSeq += uint64(count)
-		return batch, nil
+		return data[:consumed], count, nil
 	}
 }
 
-// advanceSegment moves the cursor to the segment starting at nextSeq, if the
-// writer has opened one. It reports whether it advanced. A cursor at the
+// advanceSegment moves the cursor to the next segment, if the writer has
+// opened one and it starts at nextSeq; one that starts anywhere else is a
+// hole, where the log ends. It reports whether it advanced. A cursor at the
 // start of the open segment is where the writer is: reopening that segment
 // would spin until its first frame is flushed.
 func (t *Tailer) advanceSegment() bool {
@@ -251,8 +219,11 @@ func (t *Tailer) advanceSegment() bool {
 	}
 	for _, path := range segmentGlob(t.dir) {
 		first, ok := segmentFirstSeq(path)
-		if !ok || first != t.nextSeq {
+		if !ok || first <= t.segSeq {
 			continue
+		}
+		if first != t.nextSeq {
+			return false
 		}
 		f, err := os.Open(path)
 		if err != nil {
@@ -296,17 +267,19 @@ func (t *Tailer) Close() {
 
 // DecodeFrames splits a TailBatch's raw frame bytes back into records,
 // verifying each frame's checksum. The record bodies alias frames.
-func DecodeFrames(frames []byte) ([]Record, error) {
-	var out []Record
+func DecodeFrames(frames []byte) ([]Record, error) { return appendRecords(nil, frames) }
+
+// appendRecords is DecodeFrames appending to dst.
+func appendRecords(dst []Record, frames []byte) ([]Record, error) {
 	for len(frames) > 0 {
 		r, n, err := decodeFrame(frames)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 		frames = frames[n:]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // EncodeFrame appends one record's on-disk frame (kind, length-prefixed body,
