@@ -30,6 +30,30 @@ type Result struct {
 	// AgentErrors collects handler errors from every runtime (empty on a
 	// clean run; lossy runs may legitimately record stale-bid errors).
 	AgentErrors []error
+
+	// Where AwardTo reads an award: the hosted agents under session or,
+	// failing those, the awards the bidders were sent.
+	agents  map[string]*customeragent.Agent
+	session string
+	sent    []protocol.CustomerAward
+}
+
+// AwardTo returns the award delivered to the named bidder and whether one
+// reached it: what its own agent received when it was hosted, failing that,
+// what was sent to it.
+func (r *Result) AwardTo(name string) (message.Award, bool) {
+	if r.agents != nil {
+		if ca, ok := r.agents[name]; ok {
+			return ca.AwardFor(r.session)
+		}
+		return message.Award{}, false
+	}
+	for _, a := range r.sent {
+		if a.Customer == name {
+			return a.Award, true
+		}
+	}
+	return message.Award{}, false
 }
 
 // Run negotiates a scenario on the flat layout, unjournaled.
@@ -191,14 +215,17 @@ func Negotiate(ctx context.Context, s Scenario, place Layout, st *store.Store, j
 	// What each bidder last bid and was awarded is known to its own agent
 	// when it is hosted; failing that, to whatever relayed to it; failing
 	// that, the Utility Agent faced its bidders itself.
-	var award func(string) (message.Award, bool)
 	switch {
 	case p.Agents != nil:
-		res.FinalBids, award = hosted(p.Agents, s.SessionID)
+		res.agents, res.session = p.Agents, s.SessionID
+		res.FinalBids = make(map[string]float64, len(p.Agents))
+		for name, ca := range p.Agents {
+			res.FinalBids[name] = ca.LastBid(s.SessionID)
+		}
 	case p.Awarded != nil:
-		res.FinalBids, award = faced(p.Awarded())
+		res.faced(p.Awarded())
 	default:
-		res.FinalBids, award = faced(uaResult.Awards)
+		res.faced(uaResult.Awards)
 	}
 	if p.Report != nil {
 		p.Report(res)
@@ -207,7 +234,7 @@ func Negotiate(ctx context.Context, s Scenario, place Layout, st *store.Store, j
 		res.AgentErrors = append(res.AgentErrors, errs()...)
 	}
 	if st != nil {
-		return res, j.outcome(res, award)
+		return res, j.outcome(res)
 	}
 	return res, nil
 }
@@ -231,25 +258,13 @@ func (p *Placement) abort(j journal, cause error) error {
 	return cause
 }
 
-// hosted reads a session off the Customer Agents hosted in process: each
-// one's last bid, and a lookup of the award it received.
-func hosted(cas map[string]*customeragent.Agent, session string) (map[string]float64, func(string) (message.Award, bool)) {
-	bids := make(map[string]float64, len(cas))
-	for name, ca := range cas {
-		bids[name] = ca.LastBid(session)
-	}
-	return bids, func(name string) (message.Award, bool) { return cas[name].AwardFor(session) }
-}
-
 // faced reads a session off the awards its bidders were sent: an award's
 // cut-down is the bidder's last bid.
-func faced(awards []protocol.CustomerAward) (map[string]float64, func(string) (message.Award, bool)) {
-	bids := make(map[string]float64, len(awards))
-	sent := make(map[string]message.Award, len(awards))
+func (r *Result) faced(awards []protocol.CustomerAward) {
+	r.sent, r.FinalBids = awards, make(map[string]float64, len(awards))
 	for _, a := range awards {
-		bids[a.Customer], sent[a.Customer] = a.Award.CutDown, a.Award
+		r.FinalBids[a.Customer] = a.Award.CutDown
 	}
-	return bids, func(name string) (message.Award, bool) { a, ok := sent[name]; return a, ok }
 }
 
 // journal is where the engine records a session: its store, if any, and the
@@ -266,7 +281,7 @@ type journal struct {
 // one session writes the same bytes. A journaling failure surfaces as the
 // run's error: durable mode must never report success for an outcome that is
 // not on disk.
-func (j journal) outcome(res *Result, award func(string) (message.Award, bool)) error {
+func (j journal) outcome(res *Result) error {
 	trace, err := json.Marshal(res.Result)
 	if err != nil {
 		return fmt.Errorf("core: journal %s: %w", j.session, err)
@@ -281,7 +296,7 @@ func (j journal) outcome(res *Result, award func(string) (message.Award, bool)) 
 		Result:    trace,
 	}
 	for name := range res.FinalBids {
-		if a, ok := award(name); ok {
+		if a, ok := res.AwardTo(name); ok {
 			out.Awards[name] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
 		}
 	}

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"loadbalance/internal/units"
 )
@@ -52,27 +51,16 @@ func SubsetLoads(loads map[string]CustomerLoad, names []string) (map[string]Cust
 // failing validation.
 const minResidualFraction = 0.01
 
-// ResidualNormalUse returns the normal use available to a partial session
-// over the subset: the fleet's normal use minus the complement's predicted
-// use under its committed cut-downs. The result is floored at a small
-// positive fraction of the fleet capacity, so a partial session is always
-// runnable; a converged partial session then keeps the whole fleet within
-// (1+allowed_overuse)·normal_use, because the complement's use is already
-// accounted for.
-func ResidualNormalUse(loads map[string]CustomerLoad, normalUse units.Energy, subset map[string]bool) units.Energy {
-	// Sorted-name summation, like PredictedOveruse: keeps repeated runs of a
-	// seeded live loop bitwise reproducible.
-	names := make([]string, 0, len(loads))
-	for name := range loads {
-		if !subset[name] {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var complement units.Energy
-	for _, name := range names {
-		complement = complement.Add(UseWithCutDown(loads[name]))
-	}
+// ResidualNormalUse returns the normal use available to a partial session:
+// the fleet's normal use minus complement, the predicted use of every
+// customer outside the session under its committed cut-downs, summed in
+// roster order (the sorted-name order PredictedOveruse fixes, which keeps
+// repeated runs of a seeded live loop bitwise reproducible). The result is
+// floored at a small positive fraction of the fleet capacity, so a partial
+// session is always runnable; a converged partial session then keeps the
+// whole fleet within (1+allowed_overuse)·normal_use, because the
+// complement's use is already accounted for.
+func ResidualNormalUse(normalUse, complement units.Energy) units.Energy {
 	residual := normalUse.Sub(complement)
 	if floor := normalUse.Scale(minResidualFraction); residual < floor {
 		residual = floor

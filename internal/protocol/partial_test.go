@@ -41,18 +41,16 @@ func TestSubsetLoads(t *testing.T) {
 }
 
 func TestResidualNormalUse(t *testing.T) {
-	loads := map[string]CustomerLoad{
-		"a": {Predicted: 10, Allowed: 10, CutDown: 0.2}, // uses 8
-		"b": {Predicted: 10, Allowed: 10},               // uses 10
-		"c": {Predicted: 10, Allowed: 10},               // subset member, excluded
-	}
-	got := ResidualNormalUse(loads, 30, map[string]bool{"c": true})
+	// The complement of a partial session over "c": a uses 8, b uses 10.
+	complement := UseWithCutDown(CustomerLoad{Predicted: 10, Allowed: 10, CutDown: 0.2}).
+		Add(UseWithCutDown(CustomerLoad{Predicted: 10, Allowed: 10}))
+	got := ResidualNormalUse(30, complement)
 	if math.Abs(got.KWhs()-12) > 1e-9 {
 		t.Fatalf("residual = %v, want 12 kWh", got)
 	}
 
 	// Complement consuming beyond capacity floors at the minimum fraction.
-	got = ResidualNormalUse(loads, 15, map[string]bool{"c": true})
+	got = ResidualNormalUse(15, complement)
 	if want := 15 * minResidualFraction; math.Abs(got.KWhs()-want) > 1e-9 {
 		t.Fatalf("floored residual = %v, want %v kWh", got, want)
 	}

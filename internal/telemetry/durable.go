@@ -13,9 +13,11 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"loadbalance/internal/health"
+	"loadbalance/internal/message"
 	"loadbalance/internal/store"
 )
 
@@ -48,8 +50,9 @@ type RecoveryInfo struct {
 }
 
 // liveState is the snapshot blob: the engine's and collector's full mutable
-// state at the end of a tick, plus the scenario fingerprint so a snapshot
-// can never be applied to a differently-parameterised grid.
+// state at the end of a tick, the standing agreement by roster index, plus
+// the scenario fingerprint so a snapshot can never be applied to a
+// differently-parameterised grid.
 type liveState struct {
 	Scenario    store.ScenarioInfo `json:"scenario"`
 	Topology    store.TopologyInfo `json:"topology"`
@@ -58,8 +61,8 @@ type liveState struct {
 	SessionSeq  int                `json:"sessionSeq"`
 	Renegs      int                `json:"renegs"`
 	ShardRenegs []int              `json:"shardRenegs"`
-	Bids        map[string]float64 `json:"bids"`
-	Awards      map[string]Award   `json:"awards"`
+	Bids        []float64          `json:"bids"`
+	Awards      []Award            `json:"awards"`
 	ShardFactor []float64          `json:"shardFactor"`
 	Events      []RenegotiateEvent `json:"events"`
 	Detector    DetectorState      `json:"detector"`
@@ -212,10 +215,9 @@ func (e *LiveEngine) journalTick(tick int, measured []float64, readings int64, e
 		Awards:     make(map[string]store.AwardEntry, ev.Members),
 	}
 	for _, i := range ev.Shards {
-		for _, n := range e.topo.Members(i) {
-			out.Bids[n] = e.bids[n]
-			a := e.awards[n]
-			out.Awards[n] = store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
+		for j, n := range e.topo.Members(i) {
+			a := e.awards[e.off[i]+j]
+			out.Bids[n], out.Awards[n] = e.bids[e.off[i]+j], store.AwardEntry{CutDown: a.CutDown, Reward: a.Reward}
 		}
 	}
 	rec, err := store.NewRenegRecord(out)
@@ -246,7 +248,7 @@ func (e *LiveEngine) snapshotBlob() []byte {
 		Scenario:    e.fingerprint(),
 		Topology:    e.topologyInfo(),
 		Tick:        e.tick,
-		Negotiated:  len(e.bids) > 0,
+		Negotiated:  e.negotiated,
 		SessionSeq:  e.sessionSeq,
 		Renegs:      e.renegs,
 		ShardRenegs: append([]int(nil), e.shardRenegs...),
@@ -308,18 +310,19 @@ func (e *LiveEngine) applySnapshotState(blob []byte) (negotiated bool, err error
 	if len(ls.ShardFactor) != e.topo.Shards() || len(ls.ShardRenegs) != e.topo.Shards() {
 		return false, fmt.Errorf("%w: snapshot shard vectors do not match the topology", ErrBadConfig)
 	}
+	if len(ls.Bids) != len(e.bids) || len(ls.Awards) != len(e.awards) {
+		return false, fmt.Errorf("%w: snapshot stands %d bids and %d awards, the fleet has %d customers",
+			ErrBadConfig, len(ls.Bids), len(ls.Awards), len(e.bids))
+	}
 	e.tick = ls.Tick
 	e.sessionSeq = ls.SessionSeq
 	e.renegs = ls.Renegs
 	copy(e.shardRenegs, ls.ShardRenegs)
 	copy(e.shardFactor, ls.ShardFactor)
 	e.events = ls.Events
-	for n, b := range ls.Bids {
-		e.bids[n] = b
-	}
-	for n, a := range ls.Awards {
-		e.awards[n] = a
-	}
+	copy(e.bids, ls.Bids)
+	copy(e.awards, ls.Awards)
+	e.negotiated = ls.Negotiated
 	if err := e.det.Restore(ls.Detector); err != nil {
 		return false, err
 	}
@@ -359,7 +362,7 @@ func (e *LiveEngine) applyJournalRecord(r store.Record) (negotiated bool, err er
 		if err != nil {
 			return false, err
 		}
-		e.applyStored(out.Bids, out.Awards)
+		e.stand(nil, out.Bids, delivered(out.Awards))
 		return true, nil
 	case store.KindTick:
 		cp, err := store.DecodeTick(r)
@@ -374,10 +377,20 @@ func (e *LiveEngine) applyJournalRecord(r store.Record) (negotiated bool, err er
 		if err != nil {
 			return false, err
 		}
+		for _, i := range out.Shards {
+			if i < 0 || i >= e.topo.Shards() {
+				return false, fmt.Errorf("%w: re-negotiation record names shard %d of %d", ErrBadConfig, i, e.topo.Shards())
+			}
+		}
+		for i := range out.Factors {
+			if !slices.Contains(out.Shards, i) {
+				return false, fmt.Errorf("%w: re-negotiation record estimates shard %d, which did not breach", ErrBadConfig, i)
+			}
+		}
 		if err := e.replayCheckpoint(out.Checkpoint); err != nil {
 			return false, err
 		}
-		e.applyStored(out.Bids, out.Awards)
+		e.stand(out.Shards, out.Bids, delivered(out.Awards))
 		ev := RenegotiateEvent{
 			Tick:      out.Checkpoint.Tick,
 			Shards:    out.Shards,
@@ -387,9 +400,6 @@ func (e *LiveEngine) applyJournalRecord(r store.Record) (negotiated bool, err er
 			Factors:   out.Factors,
 		}
 		for i, f := range out.Factors {
-			if i < 0 || i >= e.topo.Shards() {
-				return false, fmt.Errorf("%w: re-negotiation record names shard %d of %d", ErrBadConfig, i, e.topo.Shards())
-			}
 			e.shardFactor[i] = f
 			e.det.Reset(i)
 			e.shardRenegs[i]++
@@ -415,15 +425,12 @@ func (e *LiveEngine) finishReplay() {
 	e.fleet.Actuate(e.bids)
 }
 
-// applyStored merges a journaled outcome into the standing bids and awards.
-// Every awarded name is a bidder. A bidder with no award — the session engine
-// records one only where it was delivered: a member that never answered,
-// every member of a session with no peak — stands at {0, 0}, as applyOutcome
-// stood it.
-func (e *LiveEngine) applyStored(bids map[string]float64, awards map[string]store.AwardEntry) {
-	for n, b := range bids {
-		a := awards[n]
-		e.bids[n], e.awards[n] = b, Award{CutDown: a.CutDown, Reward: a.Reward}
+// delivered looks awards up in a journaled outcome, which records one only
+// where it was delivered.
+func delivered(awards map[string]store.AwardEntry) func(string) (message.Award, bool) {
+	return func(n string) (message.Award, bool) {
+		a, ok := awards[n]
+		return message.Award{CutDown: a.CutDown, Reward: a.Reward}, ok
 	}
 }
 
@@ -466,11 +473,13 @@ func (e *LiveEngine) Profile() GridProfile {
 		ShardFactors:   append([]float64(nil), e.shardFactor...),
 		ShardSeries:    make([][]float64, e.topo.Shards()),
 	}
-	for n, a := range e.awards {
-		p.Awards[n] = a
-	}
 	for i := range p.ShardSeries {
 		p.ShardSeries[i] = e.collector.ShardSeries(i)
+		if e.negotiated {
+			for j, n := range e.topo.Members(i) {
+				p.Awards[n] = e.awards[e.off[i]+j]
+			}
+		}
 	}
 	return p
 }

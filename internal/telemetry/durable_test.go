@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"loadbalance/internal/store"
 )
@@ -288,5 +289,136 @@ func TestDurableStoreMetricsAdvance(t *testing.T) {
 	}
 	if err := eng.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableLossyRunReplaysByteIdentical: in a lossy grid an award can
+// fail to reach a member, or reach it for an earlier bid than its last. A
+// crash right after the initial negotiation recovers the agreement the live
+// engine stood, byte for byte, because both stand what the session
+// delivered.
+func TestDurableLossyRunReplaysByteIdentical(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		s, err := ElasticFleetScenario(48, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.DropRate, s.RoundTimeout = 0.15, 150*time.Millisecond
+		cfg := LiveConfig{Scenario: s, Shards: 4, Seed: seed}
+		dir := t.TempDir()
+		eng1, _, err := OpenDurable(cfg, DurableConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := profileJSON(t, eng1)
+		eng1.Stop()
+		if err := eng1.Store().Close(); err != nil {
+			t.Fatal(err)
+		}
+		eng2, info, err := OpenDurable(cfg, DurableConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := profileJSON(t, eng2)
+		if err := eng2.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if !info.Recovered {
+			t.Fatalf("seed %d: the second open did not recover", seed)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: recovered profile differs from the live engine's\n got: %s\nwant: %s", seed, got, want)
+		}
+	}
+}
+
+// TestSnapshotBlobAllocations: the snapshot holds the standing agreement as
+// two arrays by roster index, so it costs a few allocations whatever the
+// fleet size, not several per customer.
+func TestSnapshotBlobAllocations(t *testing.T) {
+	const n, shards, budget = 4096, 16, 32
+	s, err := ElasticFleetScenario(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewLiveEngine(LiveConfig{Scenario: s, Shards: shards, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	if allocs := testing.AllocsPerRun(5, func() { eng.snapshotBlob() }); allocs > budget {
+		t.Fatalf("snapshotBlob of %d customers over %d shards made %.0f allocations, budget %d", n, shards, allocs, budget)
+	}
+}
+
+// TestDurableRefusesStateThatDoesNotFitTheFleet: a snapshot or a
+// re-negotiation record comes from disk, so one that does not fit the
+// engine's fleet — standing arrays of another length, a shard outside the
+// topology — is refused as a configuration error, never a panic.
+func TestDurableRefusesStateThatDoesNotFitTheFleet(t *testing.T) {
+	cfg := durableCfg(t, 16, 4, 3)
+	snapshot := func(edit func(*liveState)) func(*LiveEngine) (store.Record, []byte) {
+		return func(e *LiveEngine) (store.Record, []byte) {
+			var ls liveState
+			if err := json.Unmarshal(e.snapshotBlob(), &ls); err != nil {
+				t.Fatal(err)
+			}
+			edit(&ls)
+			blob, err := json.Marshal(ls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return store.Record{}, blob
+		}
+	}
+	reneg := func(shard int) func(*LiveEngine) (store.Record, []byte) {
+		return func(e *LiveEngine) (store.Record, []byte) {
+			rec, err := store.NewRenegRecord(store.RenegOutcome{
+				Checkpoint: store.TickCheckpoint{Tick: e.tick, Shard: make([]float64, e.topo.Shards()), Readings: 16, Batches: 1},
+				SessionSeq: 1,
+				SessionID:  "bad-renego-1",
+				Shards:     []int{shard},
+				Factors:    map[int]float64{shard: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec, nil
+		}
+	}
+	for name, bad := range map[string]func(*LiveEngine) (store.Record, []byte){
+		"short bids":     snapshot(func(ls *liveState) { ls.Bids = ls.Bids[1:] }),
+		"long awards":    snapshot(func(ls *liveState) { ls.Awards = append(ls.Awards, Award{}) }),
+		"no awards":      snapshot(func(ls *liveState) { ls.Awards = nil }),
+		"shard past":     reneg(4),
+		"negative shard": reneg(-1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			eng, _, err := OpenDurable(cfg, DurableConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Stop()
+			rec, blob := bad(eng)
+			st := eng.Store()
+			if blob != nil {
+				err = st.Snapshot(blob)
+			} else if err = st.Append(rec); err == nil {
+				err = st.Commit()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := OpenDurable(cfg, DurableConfig{Dir: dir}); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("recovering %s: error %v, want ErrBadConfig", name, err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"loadbalance/internal/core"
 	"loadbalance/internal/customeragent"
 	"loadbalance/internal/health"
+	"loadbalance/internal/message"
 	"loadbalance/internal/prediction"
 	"loadbalance/internal/protocol"
 	"loadbalance/internal/store"
@@ -105,9 +107,14 @@ type LiveEngine struct {
 	collector *Collector
 	det       *DeviationDetector
 
-	bids        map[string]float64 // current committed cut-down per customer
-	awards      map[string]Award   // current standing award per customer
-	shardFactor []float64          // estimated demand factor per shard
+	// The standing agreement, indexed by the topology's roster: shard i's
+	// members are indices off[i] to off[i+1]. negotiated is set once an
+	// outcome stands.
+	off         []int
+	bids        []float64 // committed cut-down per customer
+	awards      []Award   // standing award per customer
+	negotiated  bool
+	shardFactor []float64 // estimated demand factor per shard
 
 	tick        int
 	sessionSeq  int
@@ -159,10 +166,12 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 	}
 
 	shardOf := make(map[string]int, topo.FleetSize())
+	off := make([]int, topo.Shards()+1)
 	for i := 0; i < topo.Shards(); i++ {
 		for _, n := range topo.Members(i) {
 			shardOf[n] = i
 		}
+		off[i+1] = off[i] + len(topo.Members(i))
 	}
 
 	meters := make([]*Meter, 0, len(cfg.Scenario.Customers))
@@ -198,8 +207,9 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 		fleet:         fleet,
 		collector:     col,
 		det:           det,
-		bids:          make(map[string]float64, topo.FleetSize()),
-		awards:        make(map[string]Award, topo.FleetSize()),
+		off:           off,
+		bids:          make([]float64, topo.FleetSize()),
+		awards:        make([]Award, topo.FleetSize()),
 		shardFactor:   factors,
 		shardRenegs:   make([]int, cfg.Shards),
 		normalPerTick: normalPerTick,
@@ -218,7 +228,8 @@ func (e *LiveEngine) Start() error {
 	if err != nil {
 		return fmt.Errorf("telemetry: initial negotiation: %w", err)
 	}
-	e.applyOutcome(allMembers(e.topo), res)
+	e.stand(nil, res.FinalBids, res.AwardTo)
+	e.fleet.Actuate(e.bids)
 	e.openTelemetry()
 	return nil
 }
@@ -258,56 +269,49 @@ func (e *LiveEngine) Shutdown() error {
 	return err
 }
 
-// allMembers flattens a topology into one member list.
-func allMembers(t cluster.Topology) []string {
-	out := make([]string, 0, t.FleetSize())
-	for i := 0; i < t.Shards(); i++ {
-		out = append(out, t.Members(i)...)
+// stand makes an outcome the standing agreement of the members of shards,
+// every shard when nil — the one place that happens, whether the outcome is
+// fresh, replayed from the journal or replicated to a standby: each member
+// stands at its last bid and the award delivered to it, {0, 0} when none
+// reached it (a member that never answered, every member of a session with
+// no peak). The caller actuates the meters.
+func (e *LiveEngine) stand(shards []int, bids map[string]float64, award func(string) (message.Award, bool)) {
+	one := func(i int) {
+		for j, n := range e.topo.Members(i) {
+			a, _ := award(n)
+			e.bids[e.off[i]+j], e.awards[e.off[i]+j] = bids[n], Award{CutDown: a.CutDown, Reward: a.Reward}
+		}
 	}
-	return out
+	if shards == nil {
+		for i := 0; i < e.topo.Shards(); i++ {
+			one(i)
+		}
+	}
+	for _, i := range shards {
+		one(i)
+	}
+	e.negotiated = true
 }
 
-// applyOutcome merges a negotiation result over the given members into the
-// standing state: committed bids, awards (reward interpolated from the final
-// table) and meter actuation.
-func (e *LiveEngine) applyOutcome(members []string, res *cluster.Result) {
-	var table protocol.Table
-	haveTable := len(res.History) > 0
-	if haveTable {
-		table = res.History[len(res.History)-1].Table
+// shardUse adds shard i's use — its members' predicted use scaled by factor,
+// under their committed cut-downs — to sum, in roster order.
+func (e *LiveEngine) shardUse(sum units.Energy, i int, factor float64) units.Energy {
+	shard := e.topo.Shard(i)
+	for j := 0; j < shard.Len(); j++ {
+		l := shard.Load(j)
+		l.Predicted = l.Predicted.Scale(factor)
+		l.Allowed = l.Allowed.Scale(factor)
+		l.CutDown = e.bids[e.off[i]+j]
+		sum = sum.Add(protocol.UseWithCutDown(l))
 	}
-	changed := make(map[string]float64, len(members))
-	for _, name := range members {
-		cd := res.FinalBids[name] // 0 when the member never bid (or no negotiation was warranted)
-		reward := 0.0
-		if haveTable && cd > 0 {
-			var ok bool
-			reward, ok = table.RewardFor(cd)
-			if !ok {
-				reward = table.InterpolatedReward(cd)
-			}
-		}
-		e.bids[name] = cd
-		e.awards[name] = Award{CutDown: cd, Reward: reward}
-		changed[name] = cd
-	}
-	e.fleet.Actuate(changed)
+	return sum
 }
 
 // expectedTick returns shard i's negotiated per-tick expectation: the
 // members' predicted-use-with-cutdown under the current demand factor,
 // spread over the window's ticks.
 func (e *LiveEngine) expectedTick(i int) float64 {
-	var sum float64
-	shard := e.topo.Shard(i)
-	for j, n := range shard.Names() {
-		l := shard.Load(j)
-		l.Predicted = l.Predicted.Scale(e.shardFactor[i])
-		l.Allowed = l.Allowed.Scale(e.shardFactor[i])
-		l.CutDown = e.bids[n]
-		sum += protocol.UseWithCutDown(l).KWhs()
-	}
-	return sum / float64(e.cfg.TicksPerWindow)
+	return e.shardUse(0, i, e.shardFactor[i]).KWhs() / float64(e.cfg.TicksPerWindow)
 }
 
 // Tick runs one live iteration: the meters are read straight into the
@@ -423,13 +427,7 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 		if err != nil {
 			return nil, err
 		}
-		var baseTick float64
-		for j, n := range ms {
-			l := shard.Load(j)
-			l.CutDown = e.bids[n]
-			baseTick += protocol.UseWithCutDown(l).KWhs()
-		}
-		baseTick /= float64(e.cfg.TicksPerWindow)
+		baseTick := e.shardUse(0, i, 1).KWhs() / float64(e.cfg.TicksPerWindow)
 		f := 0.0
 		if baseTick > 0 {
 			f = forecast / baseTick
@@ -449,22 +447,13 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 
 	// The residual capacity holds every customer outside the partial fleet
 	// at its current expected use.
-	subset := make(map[string]bool, len(members))
-	for _, n := range members {
-		subset[n] = true
-	}
-	current := make(map[string]protocol.CustomerLoad, e.topo.FleetSize())
+	var complement units.Energy
 	for i := 0; i < e.topo.Shards(); i++ {
-		shard := e.topo.Shard(i)
-		for j, n := range shard.Names() {
-			l := shard.Load(j)
-			l.Predicted = l.Predicted.Scale(e.shardFactor[i])
-			l.Allowed = l.Allowed.Scale(e.shardFactor[i])
-			l.CutDown = e.bids[n]
-			current[n] = l
+		if !slices.Contains(shards, i) {
+			complement = e.shardUse(complement, i, e.shardFactor[i])
 		}
 	}
-	residual := protocol.ResidualNormalUse(current, e.cfg.Scenario.NormalUse, subset)
+	residual := protocol.ResidualNormalUse(e.cfg.Scenario.NormalUse, complement)
 
 	e.sessionSeq++
 	sessionID := fmt.Sprintf("%s-renego-%d", e.cfg.Scenario.SessionID, e.sessionSeq)
@@ -489,7 +478,8 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 		return nil, fmt.Errorf("telemetry: renegotiate %s: %w", sessionID, err)
 	}
 
-	e.applyOutcome(members, res)
+	e.stand(shards, res.FinalBids, res.AwardTo)
+	e.fleet.Actuate(e.bids)
 	for i, f := range factors {
 		e.shardFactor[i] = f
 		e.det.Reset(i)
@@ -524,8 +514,8 @@ func (e *LiveEngine) Renegotiations() int { return e.renegs }
 // ShardAwards returns shard i's standing awards keyed by member name.
 func (e *LiveEngine) ShardAwards(i int) map[string]Award {
 	out := make(map[string]Award)
-	for _, n := range e.topo.Members(i) {
-		out[n] = e.awards[n]
+	for j, n := range e.topo.Members(i) {
+		out[n] = e.awards[e.off[i]+j]
 	}
 	return out
 }

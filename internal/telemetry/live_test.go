@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // liveTestEngine builds a 16-shard, 48-customer live grid with the given
@@ -278,7 +279,7 @@ func TestSteadyTickCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Stop()
-	if g := runtime.NumGoroutine(); g > before {
+	if g := goroutinesAfter(before); g > before {
 		t.Errorf("opening and starting an engine left %d goroutines behind", g-before)
 	}
 	sb, _, err := OpenStandby(cfg, DurableConfig{Dir: filepath.Join(base, "standby")})
@@ -289,7 +290,7 @@ func TestSteadyTickCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := runtime.NumGoroutine(); g > before {
+	if g := goroutinesAfter(before); g > before {
 		t.Errorf("opening and promoting a standby left %d goroutines behind", g-before)
 	}
 	promoted.Stop()
@@ -315,4 +316,14 @@ func TestSteadyTickCost(t *testing.T) {
 		t.Errorf("a steady tick costs %.3f allocations and %.1f B per reading, budgets %.3f and %.0f B",
 			allocs, bytes, allocsBudget, bytesBudget)
 	}
+}
+
+// goroutinesAfter waits up to a second for the goroutine count to settle back
+// to before — a goroutine a call stopped may still be unwinding when the call
+// returns — and returns the count.
+func goroutinesAfter(before int) int {
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
 }

@@ -145,10 +145,10 @@ func (m *Meter) SkipTicks(n int) {
 // batches rather than one per customer.
 const defaultBatchSize = 128
 
-// Fleet is the set of meters attached to one customer fleet.
+// Fleet is the set of meters attached to one customer fleet, in name order:
+// a roster's order, so a roster index is a meter's index.
 type Fleet struct {
 	meters    []*Meter
-	byName    map[string]*Meter
 	batchSize int
 }
 
@@ -160,16 +160,14 @@ func NewFleet(meters []*Meter, batchSize int) (*Fleet, error) {
 	if batchSize <= 0 {
 		batchSize = defaultBatchSize
 	}
-	f := &Fleet{meters: meters, byName: make(map[string]*Meter, len(meters)), batchSize: batchSize}
-	for _, m := range meters {
-		if _, dup := f.byName[m.cfg.Customer]; dup {
-			return nil, fmt.Errorf("%w: duplicate meter %q", ErrBadConfig, m.cfg.Customer)
-		}
-		f.byName[m.cfg.Customer] = m
-	}
 	// Deterministic sampling order regardless of construction order.
-	sort.Slice(f.meters, func(i, j int) bool { return f.meters[i].cfg.Customer < f.meters[j].cfg.Customer })
-	return f, nil
+	sort.Slice(meters, func(i, j int) bool { return meters[i].cfg.Customer < meters[j].cfg.Customer })
+	for i := 1; i < len(meters); i++ {
+		if meters[i].cfg.Customer == meters[i-1].cfg.Customer {
+			return nil, fmt.Errorf("%w: duplicate meter %q", ErrBadConfig, meters[i].cfg.Customer)
+		}
+	}
+	return &Fleet{meters: meters, batchSize: batchSize}, nil
 }
 
 // Size returns the number of meters.
@@ -182,12 +180,11 @@ func (f *Fleet) SkipTicks(n int) {
 	}
 }
 
-// Actuate pushes awarded cut-downs into the named meters.
-func (f *Fleet) Actuate(bids map[string]float64) {
-	for name, cd := range bids {
-		if m, ok := f.byName[name]; ok {
-			m.SetCutDown(cd)
-		}
+// Actuate pushes awarded cut-downs into the meters: cutDowns[i] into the
+// i-th meter in name order.
+func (f *Fleet) Actuate(cutDowns []float64) {
+	for i, m := range f.meters {
+		m.SetCutDown(cutDowns[i])
 	}
 }
 
