@@ -4,11 +4,10 @@ import "regexp"
 
 // replayRestoreFuncs matches the telemetry functions that form the
 // replay/restore surface: crash recovery (OpenDurable), standby replay
-// (OpenStandby, Promote, the shared applySnapshotState/applyJournalRecord/
-// finishReplay helpers), and the Restore*/SkipTicks state re-seeding
-// entry points they call.
+// (OpenStandby, Promote, the shared applySnapshotState/applyJournalRecord
+// helpers), and the Restore* state re-seeding entry points they call.
 var replayRestoreFuncs = regexp.MustCompile(
-	`(?i)^(Restore.*|Replay.*|Recover.*|SkipTicks|applySnapshotState|applyJournalRecord|finishReplay|OpenDurable|OpenStandby|Promote)$`)
+	`(?i)^(Restore.*|Replay.*|Recover.*|applySnapshotState|applyJournalRecord|OpenDurable|OpenStandby|Promote)$`)
 
 // tsdbDeterministicFuncs matches the tsdb store's deterministic surface:
 // every append/fold/query path takes injected timestamps and must never

@@ -4,11 +4,12 @@ package telemetry
 // record (initial session outcome, per-tick meter-batch checkpoint,
 // deviation-triggered re-negotiation), periodic snapshots capture the full
 // engine + collector state, and recovery = snapshot + tail-replay. Because
-// negotiation is byte-deterministic and the meters' jitter streams are
-// seeded, a recovered engine continues the exact run the crashed process was
-// executing: replay rebuilds the standing awards, ring series, detector
-// hysteresis and demand factors, then fast-forwards the meter RNGs past the
-// ticks already consumed.
+// negotiation is byte-deterministic and a meter's reading is a function of
+// its seed, the tick and the standing bid, a recovered engine continues the
+// exact run the crashed process was executing: replay rebuilds the standing
+// awards, ring series, detector hysteresis and demand factors, and the
+// meters need nothing — their next reading is the one an uninterrupted run
+// would take.
 
 import (
 	"encoding/json"
@@ -80,9 +81,6 @@ func OpenDurable(cfg LiveConfig, dcfg DurableConfig) (*LiveEngine, *RecoveryInfo
 	if err != nil {
 		return nil, nil, err
 	}
-	if info.Recovered {
-		e.finishReplay()
-	}
 	// A fresh directory (or a crash before the initial outcome was durable —
 	// negotiation is deterministic, so re-running it lands on the same awards)
 	// registers the run, then negotiates; a recovered outcome opens telemetry.
@@ -108,10 +106,9 @@ func OpenDurable(cfg LiveConfig, dcfg DurableConfig) (*LiveEngine, *RecoveryInfo
 }
 
 // openReplayed is OpenDurable's and OpenStandby's one open-and-replay: it
-// opens the data directory under a new engine and restores what it holds,
-// leaving the meters' fast-forward (finishReplay) to the caller — OpenDurable
-// at once, a standby at promotion. negotiated reports whether the restored
-// state holds an initial outcome. The info's clock runs from the call.
+// opens the data directory under a new engine and restores what it holds.
+// negotiated reports whether the restored state holds an initial outcome.
+// The info's clock runs from the call.
 func openReplayed(cfg LiveConfig, dcfg DurableConfig) (e *LiveEngine, info *RecoveryInfo, negotiated bool, err error) {
 	opened := time.Now() //gridlint:allow walltime(recovery latency measurement for RecoveryInfo.Elapsed; replayed state comes from the journal)
 	if dcfg.SnapshotEvery == 0 {
@@ -274,9 +271,7 @@ func (e *LiveEngine) snapshotBlob() []byte {
 
 // restore applies recovered state: the snapshot first, then the journal
 // tail, record by record, exactly as the live loop produced it. It returns
-// whether an initial negotiation outcome is part of the restored state. The
-// meters are not fast-forwarded: that is finishReplay, once no more ticks are
-// coming.
+// whether an initial negotiation outcome is part of the restored state.
 func (e *LiveEngine) restore(rec *store.Recovered) (negotiated bool, err error) {
 	if len(rec.Snapshot) > 0 {
 		negotiated, err = e.applySnapshotState(rec.Snapshot)
@@ -414,15 +409,6 @@ func (e *LiveEngine) applyJournalRecord(r store.Record) (negotiated bool, err er
 		// standby's replicated prefix ended.
 	}
 	return false, nil
-}
-
-// finishReplay completes a replay: the meters already produced e.tick samples
-// in the journal's life, so their jitter streams are fast-forwarded to make
-// the next sample continue the exact sequence an uninterrupted run would have
-// produced, and the standing bids are actuated into them.
-func (e *LiveEngine) finishReplay() {
-	e.fleet.SkipTicks(e.tick)
-	e.fleet.Actuate(e.bids)
 }
 
 // delivered looks awards up in a journaled outcome, which records one only

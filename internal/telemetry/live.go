@@ -41,7 +41,8 @@ type LiveConfig struct {
 	TicksPerWindow int
 	// Jitter is the meters' stochastic measurement noise amplitude.
 	Jitter float64
-	// Seed drives all randomness (meter jitter streams).
+	// Seed keys all randomness: meter i's jitter draws are a function of
+	// Seed+i+1 and the tick.
 	Seed int64
 	// ShardEvents injects demand disturbances into every meter of a shard.
 	ShardEvents map[int][]Event
@@ -218,8 +219,8 @@ func NewLiveEngine(cfg LiveConfig) (*LiveEngine, error) {
 }
 
 // Start negotiates the whole fleet once through the cluster tier — a durable
-// engine's session engine journals the outcome — actuates the awards into the
-// meters and opens the telemetry stream.
+// engine's session engine journals the outcome — and opens the telemetry
+// stream.
 func (e *LiveEngine) Start() error {
 	if e.started {
 		return fmt.Errorf("%w: engine already started", ErrBadConfig)
@@ -229,7 +230,6 @@ func (e *LiveEngine) Start() error {
 		return fmt.Errorf("telemetry: initial negotiation: %w", err)
 	}
 	e.stand(nil, res.FinalBids, res.AwardTo)
-	e.fleet.Actuate(e.bids)
 	e.openTelemetry()
 	return nil
 }
@@ -274,7 +274,8 @@ func (e *LiveEngine) Shutdown() error {
 // fresh, replayed from the journal or replicated to a standby: each member
 // stands at its last bid and the award delivered to it, {0, 0} when none
 // reached it (a member that never answered, every member of a session with
-// no peak). The caller actuates the meters.
+// no peak). The meters read the standing bids at every tick, so this is also
+// the one place that moves what a meter honours.
 func (e *LiveEngine) stand(shards []int, bids map[string]float64, award func(string) (message.Award, bool)) {
 	one := func(i int) {
 		for j, n := range e.topo.Members(i) {
@@ -335,7 +336,7 @@ func (e *LiveEngine) Tick() (TickReport, error) {
 	collectSpan := trace.Child(tickSpan.Context(), "tick.collect")
 	collectSpan.SetSession(e.cfg.Scenario.SessionID)
 	n := 0
-	for _, batch := range e.fleet.SampleTick(t) {
+	for _, batch := range e.fleet.SampleTick(t, e.bids) {
 		if err := e.collector.Ingest(batch); err != nil {
 			collectSpan.End()
 			return TickReport{}, err
@@ -479,7 +480,6 @@ func (e *LiveEngine) renegotiate(parent trace.Context, tick int, shards []int) (
 	}
 
 	e.stand(shards, res.FinalBids, res.AwardTo)
-	e.fleet.Actuate(e.bids)
 	for i, f := range factors {
 		e.shardFactor[i] = f
 		e.det.Reset(i)

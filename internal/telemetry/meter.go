@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"loadbalance/internal/bus"
@@ -44,21 +43,21 @@ type MeterConfig struct {
 	// Jitter is the relative amplitude of the stochastic measurement noise:
 	// each sample is scaled by 1 + Jitter·u with u uniform in [-1,1].
 	Jitter float64
-	// Seed drives the jitter stream (per meter, so fleets are deterministic
-	// under any sampling order).
+	// Seed keys the jitter: a tick's draw is a function of the seed and the
+	// tick alone, so a reading does not depend on what was sampled before.
 	Seed int64
 	// Events are the demand disturbances to replay.
 	Events []Event
 }
 
 // Meter samples one customer's actual consumption per live tick: baseline
-// demand, scaled by the cut-down the customer currently honours, by any
-// active events, and by stochastic jitter. Samples are deterministic for a
-// given seed and tick sequence.
+// demand, scaled by the cut-down the customer honours, by any active events,
+// and by stochastic jitter. A reading is a function of the configuration,
+// the tick and the cut-down alone: the meter keeps nothing between samples,
+// so a tick reads the same whenever, and however often, it is sampled.
 type Meter struct {
-	cfg     MeterConfig
-	rng     *rand.Rand
-	cutDown float64
+	cfg MeterConfig
+	key uint64 // the seed, mixed once: what the jitter draws are keyed by
 }
 
 // NewMeter validates the configuration and constructs the meter.
@@ -77,22 +76,26 @@ func NewMeter(cfg MeterConfig) (*Meter, error) {
 			return nil, fmt.Errorf("%s: %w", cfg.Customer, err)
 		}
 	}
-	return &Meter{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &Meter{cfg: cfg, key: mix64(uint64(cfg.Seed))}, nil
 }
 
-// SetCutDown actuates an awarded cut-down: subsequent samples honour it.
-func (m *Meter) SetCutDown(cd float64) {
-	if cd < 0 {
-		cd = 0
-	}
-	if cd > 1 {
-		cd = 1
-	}
-	m.cutDown = cd
+// golden is SplitMix64's increment, 2^64/φ.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA'14).
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
-// CutDown returns the currently honoured cut-down.
-func (m *Meter) CutDown() float64 { return m.cutDown }
+// draw is the meter's uniform in [0, 1) at a tick: the (tick+1)-th output of
+// a SplitMix64 generator started at the meter's key, computed from the tick
+// as a counter (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+// SC'11) rather than by stepping a stream.
+func (m *Meter) draw(tick int) float64 {
+	return float64(mix64(m.key+uint64(tick+1)*golden)>>11) / (1 << 53)
+}
 
 // factorAt multiplies the active events' factors at a tick.
 func (m *Meter) factorAt(tick int) float64 {
@@ -113,31 +116,19 @@ func (m *Meter) baseAt(tick int) float64 {
 	return m.cfg.BaseKWh
 }
 
-// Sample measures the tick's actual consumption. Consuming a sample advances
-// the meter's jitter stream, so each tick must be sampled exactly once.
-func (m *Meter) Sample(tick int) message.MeterReading {
+// Sample measures the tick's actual consumption while the customer honours
+// cutDown, clamped to [0, 1].
+func (m *Meter) Sample(tick int, cutDown float64) message.MeterReading {
+	cutDown = min(max(cutDown, 0), 1)
 	jit := 1.0
 	if m.cfg.Jitter > 0 {
-		jit = 1 + m.cfg.Jitter*(2*m.rng.Float64()-1)
+		jit = 1 + m.cfg.Jitter*(2*m.draw(tick)-1)
 	}
-	kwh := m.baseAt(tick) * m.factorAt(tick) * (1 - m.cutDown) * jit
+	kwh := m.baseAt(tick) * m.factorAt(tick) * (1 - cutDown) * jit
 	if kwh < 0 {
 		kwh = 0
 	}
 	return message.MeterReading{Customer: m.cfg.Customer, Tick: tick, KWh: kwh}
-}
-
-// SkipTicks advances the jitter stream past n already-sampled ticks without
-// producing readings — how a recovering grid fast-forwards its meters so the
-// post-recovery samples are bit-identical to an uninterrupted run's. It
-// draws exactly what Sample would have drawn.
-func (m *Meter) SkipTicks(n int) {
-	if m.cfg.Jitter <= 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		m.rng.Float64()
-	}
 }
 
 // defaultBatchSize bounds readings per batch — the live engine's batch size:
@@ -150,6 +141,9 @@ const defaultBatchSize = 128
 type Fleet struct {
 	meters    []*Meter
 	batchSize int
+	// batches is SampleTick's: one readings array in batchSize runs,
+	// refilled every tick.
+	batches []message.MeterBatch
 }
 
 // NewFleet assembles meters into a fleet. batchSize ≤ 0 uses the default.
@@ -167,49 +161,58 @@ func NewFleet(meters []*Meter, batchSize int) (*Fleet, error) {
 			return nil, fmt.Errorf("%w: duplicate meter %q", ErrBadConfig, meters[i].cfg.Customer)
 		}
 	}
-	return &Fleet{meters: meters, batchSize: batchSize}, nil
+	f := &Fleet{meters: meters, batchSize: batchSize}
+	f.batches = f.newBatches()
+	return f, nil
 }
 
 // Size returns the number of meters.
 func (f *Fleet) Size() int { return len(f.meters) }
 
-// SkipTicks fast-forwards every meter's jitter stream past n sampled ticks.
-func (f *Fleet) SkipTicks(n int) {
-	for _, m := range f.meters {
-		m.SkipTicks(n)
-	}
-}
-
-// Actuate pushes awarded cut-downs into the meters: cutDowns[i] into the
-// i-th meter in name order.
-func (f *Fleet) Actuate(cutDowns []float64) {
-	for i, m := range f.meters {
-		m.SetCutDown(cutDowns[i])
-	}
-}
-
-// SampleTick measures every meter once and packs the readings into batches,
-// which share one backing array.
-func (f *Fleet) SampleTick(tick int) []message.MeterBatch {
+// newBatches allocates one tick's readings, as batches of at most batchSize
+// readings over one backing array.
+func (f *Fleet) newBatches() []message.MeterBatch {
 	readings := make([]message.MeterReading, len(f.meters))
-	for i, m := range f.meters {
-		readings[i] = m.Sample(tick)
-	}
 	batches := make([]message.MeterBatch, 0, (len(readings)+f.batchSize-1)/f.batchSize)
 	for start := 0; start < len(readings); start += f.batchSize {
 		end := min(start+f.batchSize, len(readings))
-		batches = append(batches, message.MeterBatch{Tick: tick, Readings: readings[start:end:end]})
+		batches = append(batches, message.MeterBatch{Readings: readings[start:end:end]})
 	}
 	return batches
 }
 
-// PublishTick samples the fleet and streams the batches over the bus to a
-// collector agent. It returns the number of readings published. Its one
-// caller is bench/probes.go; the live engine ingests SampleTick's batches
-// directly.
+// read fills batches, as newBatches made them, with every meter's reading at
+// tick: meter i honours cutDowns[i], or nothing when cutDowns is nil.
+func (f *Fleet) read(batches []message.MeterBatch, tick int, cutDowns []float64) []message.MeterBatch {
+	for b := range batches {
+		batches[b].Tick = tick
+		for r := range batches[b].Readings {
+			i, cd := b*f.batchSize+r, 0.0
+			if cutDowns != nil {
+				cd = cutDowns[i]
+			}
+			batches[b].Readings[r] = f.meters[i].Sample(tick, cd)
+		}
+	}
+	return batches
+}
+
+// SampleTick measures every meter once, meter i under cutDowns[i] — the
+// standing agreement by roster index — and packs the readings into batches.
+// The batches are the fleet's own: the next SampleTick overwrites them, so
+// a caller keeps nothing of them.
+func (f *Fleet) SampleTick(tick int, cutDowns []float64) []message.MeterBatch {
+	return f.read(f.batches, tick, cutDowns)
+}
+
+// PublishTick samples the fleet, honouring no cut-down, and streams the
+// batches over the bus to a collector agent. It returns the number of
+// readings published. Each tick's readings are a fresh array, since the
+// collector reads them on its own goroutine. Its one caller is
+// bench/probes.go; the live engine ingests SampleTick's batches directly.
 func (f *Fleet) PublishTick(b bus.Bus, from, to, session string, tick int) (int, error) {
 	published := 0
-	for _, batch := range f.SampleTick(tick) {
+	for _, batch := range f.read(f.newBatches(), tick, nil) {
 		env, err := message.NewEnvelope(from, to, session, batch)
 		if err != nil {
 			return published, err

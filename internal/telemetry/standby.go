@@ -5,9 +5,9 @@ package telemetry
 // replays each one through the same code paths crash recovery uses, so its
 // in-memory grid state tracks the primary at most one batch behind. Promotion
 // turns it into the primary: the divergence point is sealed into the local
-// journal, the meter RNGs fast-forward past the replicated ticks, and the
-// telemetry stream opens — from there the engine ticks exactly as an
-// uninterrupted run would have.
+// journal and the telemetry stream opens — a meter's reading is a function of
+// its seed, the tick and the standing bid, so from there the engine ticks
+// exactly as an uninterrupted run would have.
 
 import (
 	"errors"
@@ -47,8 +47,6 @@ type StandbyEngine struct {
 // replicated records. The configuration must match the primary's: replay
 // validates it against the replicated scenario registration.
 func OpenStandby(cfg LiveConfig, dcfg DurableConfig) (*StandbyEngine, *RecoveryInfo, error) {
-	// The meter fast-forward is left to promotion: SkipTicks is relative,
-	// and more ticks are coming.
 	e, info, negotiated, err := openReplayed(cfg, dcfg)
 	if err != nil {
 		return nil, nil, err
@@ -139,21 +137,19 @@ type PromotionInfo struct {
 	FromSeq uint64
 	// ResumeTick is the tick the promoted engine continues from.
 	ResumeTick int
-	// Elapsed is the promotion latency (seal + fast-forward + telemetry open).
+	// Elapsed is the promotion latency (seal + telemetry open).
 	Elapsed time.Duration
 }
 
 // Promote turns the standby into the primary: the divergence point is sealed
-// into the local journal with a promote record, the meter jitter streams
-// fast-forward past every replicated tick, the standing bids actuate, and the
-// telemetry stream opens. A standby promoted before any negotiated outcome
-// was replicated (the primary died during or before its initial negotiation)
-// starts the run fresh — negotiation is deterministic, so it commits the
-// exact outcome the primary would have journaled. The returned LiveEngine
-// owns the journal and the run from here; the StandbyEngine must not be used
-// again (further applies fail). Promoting a standby whose stream ended with
-// the primary's seal is refused — a cleanly shut-down grid has nothing to
-// fail over from.
+// into the local journal with a promote record and the telemetry stream
+// opens. A standby promoted before any negotiated outcome was replicated (the
+// primary died during or before its initial negotiation) starts the run
+// fresh — negotiation is deterministic, so it commits the exact outcome the
+// primary would have journaled. The returned LiveEngine owns the journal and
+// the run from here; the StandbyEngine must not be used again (further
+// applies fail). Promoting a standby whose stream ended with the primary's
+// seal is refused — a cleanly shut-down grid has nothing to fail over from.
 func (s *StandbyEngine) Promote(replica, reason string) (*LiveEngine, *PromotionInfo, error) {
 	start := time.Now() //gridlint:allow walltime(promotion latency measurement for PromotionInfo.Elapsed; replayed state comes from the journal)
 	s.mu.Lock()
@@ -183,7 +179,6 @@ func (s *StandbyEngine) Promote(replica, reason string) (*LiveEngine, *Promotion
 		return nil, nil, err
 	}
 	if s.negotiated {
-		s.e.finishReplay()
 		s.e.openTelemetry()
 	} else if err := s.e.Start(); err != nil {
 		// The primary never committed an outcome; negotiate it ourselves

@@ -32,7 +32,7 @@ func TestMeterDeterministicAndEventful(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for tick := 0; tick < 8; tick++ {
-		ra, rb := a.Sample(tick), b.Sample(tick)
+		ra, rb := a.Sample(tick, 0), b.Sample(tick, 0)
 		if ra != rb {
 			t.Fatalf("tick %d: same seed diverged: %v vs %v", tick, ra, rb)
 		}
@@ -51,10 +51,44 @@ func TestMeterDeterministicAndEventful(t *testing.T) {
 			}
 		}
 	}
-	// Actuated cut-downs scale subsequent samples.
-	a.SetCutDown(0.5)
-	if r := a.Sample(10); r.KWh < 0.95 || r.KWh > 1.05 {
+	// A honoured cut-down scales the sample.
+	if r := a.Sample(10, 0.5); r.KWh < 0.95 || r.KWh > 1.05 {
 		t.Fatalf("cut-down sample = %v kWh, want ≈1", r.KWh)
+	}
+}
+
+// TestMeterReadingIsAFunctionOfTheTick holds a meter stateless: a fresh
+// meter reads at tick t what a meter that has sampled ticks 0 … t−1 reads
+// there, and every jitter factor stays within the configured amplitude.
+func TestMeterReadingIsAFunctionOfTheTick(t *testing.T) {
+	const jitter = 0.05
+	cfg := MeterConfig{Customer: "c1", BaseKWh: 1, Jitter: jitter, Seed: 7}
+	running, err := NewMeter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for tick := 0; tick <= 4096; tick++ {
+		r := running.Sample(tick, 0)
+		// BaseKWh 1 and no cut-down: the reading is the jitter factor.
+		if r.KWh < 1-jitter || r.KWh > 1+jitter {
+			t.Fatalf("tick %d: jitter factor %v outside [%v, %v]", tick, r.KWh, 1-jitter, 1+jitter)
+		}
+		lo, hi = min(lo, r.KWh), max(hi, r.KWh)
+		switch tick {
+		case 1, 2, 3, 17, 500, 4096:
+			fresh, err := NewMeter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fresh.Sample(tick, 0); got != r {
+				t.Fatalf("tick %d: a fresh meter reads %v, the running meter %v", tick, got, r)
+			}
+		}
+	}
+	// 4 097 draws spread over the whole band, not a constant.
+	if lo > 1-0.9*jitter || hi < 1+0.9*jitter {
+		t.Fatalf("jitter factors span [%v, %v], want most of [%v, %v]", lo, hi, 1-jitter, 1+jitter)
 	}
 }
 
@@ -64,7 +98,7 @@ func TestMeterSeriesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tick, want := range []float64{1, 2, 3, 1, 2} {
-		if got := m.Sample(tick).KWh; got != want {
+		if got := m.Sample(tick, 0).KWh; got != want {
 			t.Fatalf("tick %d = %v, want %v (series wraps)", tick, got, want)
 		}
 	}
@@ -99,7 +133,7 @@ func TestFleetBatchesAndPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := fleet.SampleTick(0)
+	batches := fleet.SampleTick(0, nil)
 	if len(batches) != 3 {
 		t.Fatalf("batches = %d, want 3 (5 meters, batch size 2)", len(batches))
 	}

@@ -252,12 +252,17 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 }
 
 // TestInstrumentAllocs pins what an instrumented operation costs the heap:
-// nothing, whether the tracer is on or off. The counts are exact — the
-// package runs no goroutine of its own.
+// nothing, whether the tracer is on or off. The span case is the whole path
+// an instrumented handler takes — a labelled root, a labelled child, both
+// ended. The counts are exact — the package runs no goroutine of its own.
 func TestInstrumentAllocs(t *testing.T) {
 	h := &Histogram{family: "alloc_seconds"}
 	span := func() {
 		sp := Root("alloc.op")
+		sp.SetSession("s-1")
+		ch := Child(sp.Context(), "alloc.child")
+		ch.SetAgent("c000001")
+		ch.End()
 		sp.End()
 	}
 	i := 0
@@ -266,8 +271,8 @@ func TestInstrumentAllocs(t *testing.T) {
 		traced bool
 		f      func()
 	}{
-		{"Span start+end, tracer enabled", true, span},
-		{"Span start+end, tracer disabled", false, span},
+		{"Root, SetSession, Child, SetAgent, End, End, tracer enabled", true, span},
+		{"Root, SetSession, Child, SetAgent, End, End, tracer disabled", false, span},
 		{"Histogram.Observe", false, func() { i++; h.Observe(time.Duration(1000 + i%1000)) }},
 	} {
 		if c.traced {

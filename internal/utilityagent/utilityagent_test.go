@@ -2,6 +2,7 @@ package utilityagent
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -176,6 +177,21 @@ func TestEvaluatePrediction(t *testing.T) {
 	ratio, negotiate := EvaluatePrediction(tenLoads(), 100, 0.05)
 	if !units.NearlyEqual(ratio, 0.35, 1e-12) || !negotiate {
 		t.Fatalf("EvaluatePrediction = %v, %v", ratio, negotiate)
+	}
+	// At its boundary: a ratio equal to the warrant ratio, or one float step
+	// below it, does not warrant the effort; one float step above it does.
+	at := ratio
+	for _, c := range []struct {
+		warrant float64
+		want    bool
+	}{
+		{at, false},
+		{math.Nextafter(at, math.Inf(1)), false},
+		{math.Nextafter(at, math.Inf(-1)), true},
+	} {
+		if ratio, negotiate := EvaluatePrediction(tenLoads(), 100, c.warrant); ratio != at || negotiate != c.want {
+			t.Errorf("warrant %v: EvaluatePrediction = %v, %v; want %v, %v", c.warrant, ratio, negotiate, at, c.want)
+		}
 	}
 	ratio, negotiate = EvaluatePrediction(tenLoads(), 200, 0.05)
 	if negotiate {
